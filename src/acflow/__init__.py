@@ -29,6 +29,7 @@ from .solver import (
 from .diagnostics import (
     BrakkeResidual,
     DiagnosticsRecord,
+    FrameBundle,
     Hyperplane,
     brakke_residual,
     caccioppoli_ratio,

@@ -21,7 +21,7 @@ from .experiments import (
     run_scenario,
 )
 from .io import read_field, write_diagnostics_csv, write_field
-from .solver import evolve
+from .solver import SolverConfigError, evolve
 from . import experiments
 
 
@@ -130,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, SolverConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,17 +16,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .grid import Grid, ParabolicCylinder, ScalarField, Trajectory, WAVE_ENERGY
-from .operators import ball_mask, gradient_values, integrate_values
+from .operators import (
+    ball_mask,
+    gradient_from_hat,
+    gradient_values,
+    integrate_values,
+    laplacian_from_hat,
+    spectrum,
+)
 from .solver import ac_residual_values
 
 __all__ = [
     "GRADIENT_FLOOR",
     "Hyperplane",
+    "FrameBundle",
     "constant_one",
     "radial_bump",
     "cylinder_cutoff",
@@ -254,30 +263,91 @@ def cylinder_cutoff(plane: Hyperplane, interface_dim: int, scale: float = 1.0,
 # ---------------------------------------------------------------------------
 
 
-def _grad_and_sq(field: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-    g = gradient_values(field.grid, field.values)
-    return g, np.sum(g * g, axis=0)
+class FrameBundle:
+    """One time slice with its spectral derivatives and pointwise densities.
+
+    Every quantity is computed on first use and then kept, so all consumers
+    of one slice share one forward transform, one gradient and one
+    Laplacian.  ``u_hat`` is the half spectrum of ``field.values`` when the
+    caller already has it (the stepper hands it over).  A bundle holds
+    several grid-sized arrays: keep it for one time step or one diagnostics
+    row, never alongside a stored trajectory.
+    """
+
+    def __init__(self, field: ScalarField, u_hat: np.ndarray | None = None):
+        self.field = field
+        if u_hat is not None:
+            self.u_hat = u_hat  # fills the cached property below
+
+    @cached_property
+    def u_hat(self) -> np.ndarray:
+        return spectrum(self.field.grid, self.field.values)
+
+    @cached_property
+    def gradient(self) -> np.ndarray:
+        return gradient_from_hat(self.field.grid, self.u_hat)
+
+    @cached_property
+    def grad_sq(self) -> np.ndarray:
+        g = self.gradient
+        return np.sum(g * g, axis=0)
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        return laplacian_from_hat(self.field.grid, self.u_hat)
+
+    @cached_property
+    def residual(self) -> np.ndarray:
+        """``lap(u) - W'(u)/eps^2``, the flow's velocity."""
+        return ac_residual_values(self.field, self.laplacian)
+
+    @cached_property
+    def well(self) -> np.ndarray:
+        """``W(u)``."""
+        return self.field.potential.value(self.field.values)
+
+    @cached_property
+    def energy_density(self) -> np.ndarray:
+        """``eps |grad u|^2 / 2 + W(u)/eps``."""
+        eps = self.field.epsilon
+        return 0.5 * eps * self.grad_sq + self.well / eps
+
+    @cached_property
+    def discrepancy(self) -> np.ndarray:
+        """``eps |grad u|^2 / 2 - W(u)/eps``; zero means equipartition."""
+        eps = self.field.epsilon
+        return 0.5 * eps * self.grad_sq - self.well / eps
+
+
+def _bundle(obj: ScalarField | FrameBundle) -> FrameBundle:
+    return obj if isinstance(obj, FrameBundle) else FrameBundle(obj)
+
+
+def _bundles(obj: ScalarField | FrameBundle | Trajectory) -> tuple[Grid, Iterator[FrameBundle]]:
+    """The grid and one bundle per slice, built one at a time so that only
+    the current slice's arrays are held."""
+    if isinstance(obj, Trajectory):
+        return obj.grid, (FrameBundle(f) for f in obj.frames)
+    b = _bundle(obj)
+    return b.field.grid, iter((b,))
 
 
 def energy_density(field: ScalarField) -> ScalarField:
     """``eps |grad u|^2 / 2 + W(u)/eps``."""
-    _, gsq = _grad_and_sq(field)
-    dens = 0.5 * field.epsilon * gsq + field.potential.value(field.values) / field.epsilon
-    return field.with_values(dens)
+    return field.with_values(FrameBundle(field).energy_density)
 
 
 def discrepancy(field: ScalarField) -> ScalarField:
     """``eps |grad u|^2 / 2 - W(u)/eps``; zero means equipartition."""
-    _, gsq = _grad_and_sq(field)
-    dens = 0.5 * field.epsilon * gsq - field.potential.value(field.values) / field.epsilon
-    return field.with_values(dens)
+    return field.with_values(FrameBundle(field).discrepancy)
 
 
-def _tilt_integrand(field: ScalarField, direction: Sequence[float]) -> np.ndarray:
+def _tilt_integrand(frame: ScalarField | FrameBundle, direction: Sequence[float]) -> np.ndarray:
     """``(1 - (nu . e)^2) eps |grad u|^2`` with the gradient floor applied."""
     e = np.asarray(direction, dtype=float)
     e = e / np.linalg.norm(e)
-    g, gsq = _grad_and_sq(field)
+    b = _bundle(frame)
+    field, g, gsq = b.field, b.gradient, b.grad_sq
     gnorm = np.sqrt(gsq)
     floor = GRADIENT_FLOOR * float(np.max(gnorm))
     ge = np.tensordot(e, g, axes=(0, 0))
@@ -287,16 +357,16 @@ def _tilt_integrand(field: ScalarField, direction: Sequence[float]) -> np.ndarra
     return np.where(gnorm > floor, integrand, 0.0)
 
 
-def _normalized(raw: float, obj: ScalarField | Trajectory,
+def _normalized(raw: float, obj: ScalarField | FrameBundle | Trajectory,
                 region: ParabolicCylinder | None, spatial_power: int, parabolic_power: int) -> float:
     if region is None:
         return raw
-    power = spatial_power if isinstance(obj, ScalarField) else parabolic_power
+    power = parabolic_power if isinstance(obj, Trajectory) else spatial_power
     return raw / region.radius**power
 
 
 def tilt_excess(
-    obj: ScalarField | Trajectory,
+    obj: ScalarField | FrameBundle | Trajectory,
     direction: Sequence[float],
     region: ParabolicCylinder | None = None,
 ) -> float:
@@ -306,18 +376,15 @@ def tilt_excess(
     by ``r^-n-2``; with no region the raw box integral is returned.
     Invariant under ``e -> -e``.
     """
-    if isinstance(obj, ScalarField):
-        grid, slices = obj.grid, [(obj.time, _tilt_integrand(obj, direction))]
-    else:
-        grid = obj.grid
-        slices = [(f.time, _tilt_integrand(f, direction)) for f in obj.frames]
+    grid, bundles = _bundles(obj)
+    slices = [(b.field.time, _tilt_integrand(b, direction)) for b in bundles]
     raw = integrate_values(grid, slices, region)
     n = grid.interface_dim
     return _normalized(raw, obj, region, n, n + 2)
 
 
 def height_excess(
-    obj: ScalarField | Trajectory,
+    obj: ScalarField | FrameBundle | Trajectory,
     plane: Hyperplane,
     region: ParabolicCylinder | None = None,
     center: Sequence[float] | None = None,
@@ -328,36 +395,23 @@ def height_excess(
     region is given.  ``center`` anchors the minimal-image unwrapping and
     defaults to the cylinder center.
     """
-    if isinstance(obj, ScalarField):
-        frames: Sequence[ScalarField] = [obj]
-        grid = obj.grid
-    else:
-        frames = obj.frames
-        grid = obj.grid
+    grid, bundles = _bundles(obj)
     if center is None and region is not None:
         center = region.center_space
     h = plane.signed_height(grid, center)
-    slices = []
-    for f in frames:
-        _, gsq = _grad_and_sq(f)
-        slices.append((f.time, h * h * f.epsilon * gsq))
+    slices = [(b.field.time, h * h * b.field.epsilon * b.grad_sq) for b in bundles]
     raw = integrate_values(grid, slices, region)
     n = grid.interface_dim
     return _normalized(raw, obj, region, n + 2, n + 4)
 
 
 def willmore(
-    obj: ScalarField | Trajectory,
+    obj: ScalarField | FrameBundle | Trajectory,
     region: ParabolicCylinder | None = None,
 ) -> float:
     """``integral of eps (lap u - W'(u)/eps^2)^2``; the squared velocity."""
-    if isinstance(obj, ScalarField):
-        frames: Sequence[ScalarField] = [obj]
-        grid = obj.grid
-    else:
-        frames = obj.frames
-        grid = obj.grid
-    slices = [(f.time, f.epsilon * ac_residual_values(f) ** 2) for f in frames]
+    grid, bundles = _bundles(obj)
+    slices = [(b.field.time, b.field.epsilon * b.residual ** 2) for b in bundles]
     return integrate_values(grid, slices, region)
 
 
@@ -366,14 +420,13 @@ def willmore(
 # ---------------------------------------------------------------------------
 
 
-def stress_energy(field: ScalarField) -> np.ndarray:
+def stress_energy(frame: ScalarField | FrameBundle) -> np.ndarray:
     """``T_ij = eps du_i du_j - (eps|grad u|^2/2 + W(u)/eps) delta_ij``."""
-    g, gsq = _grad_and_sq(field)
-    dens = 0.5 * field.epsilon * gsq + field.potential.value(field.values) / field.epsilon
-    d = field.grid.dim
-    T = field.epsilon * g[:, None] * g[None, :]
-    for i in range(d):
-        T[i, i] -= dens
+    b = _bundle(frame)
+    g = b.gradient
+    T = b.field.epsilon * g[:, None] * g[None, :]
+    for i in range(b.field.grid.dim):
+        T[i, i] -= b.energy_density
     return T
 
 
@@ -381,9 +434,9 @@ def divergence_defect(field: ScalarField) -> float:
     """Max-norm defect of ``div T = eps (du/dt) grad u`` with du/dt from the
     flow (the epsilon balances the tensor's own epsilon scaling)."""
     grid = field.grid
-    T = stress_energy(field)
-    g = gradient_values(grid, field.values)
-    rhs = field.epsilon * ac_residual_values(field) * g
+    b = FrameBundle(field)
+    T = stress_energy(b)
+    rhs = field.epsilon * b.residual * b.gradient
     defect = 0.0
     for j in range(grid.dim):
         div_j = np.zeros(grid.shape)
@@ -394,9 +447,7 @@ def divergence_defect(field: ScalarField) -> float:
 
 
 def _weighted_mass(field: ScalarField, weight: np.ndarray) -> float:
-    _, gsq = _grad_and_sq(field)
-    dens = 0.5 * field.epsilon * gsq + field.potential.value(field.values) / field.epsilon
-    return float(np.sum(weight * dens) * field.grid.cell_volume)
+    return float(np.sum(weight * FrameBundle(field).energy_density) * field.grid.cell_volume)
 
 
 @dataclass(frozen=True)
@@ -437,10 +488,10 @@ def brakke_residual(traj: Trajectory, phi: TestFunction, t: float) -> BrakkeResi
     mass_next = _weighted_mass(traj[i + 1], w)
     dmu_dt = (mass_next - mass_prev) / (2.0 * traj.dt_sample)
 
-    f = traj[i]
-    eps = f.epsilon
-    r = ac_residual_values(f)
-    g = gradient_values(grid, f.values)
+    b = FrameBundle(traj[i])
+    eps = b.field.epsilon
+    r = b.residual
+    g = b.gradient
     grad_phi = phi.gradient(grid)
     vol = grid.cell_volume
 
@@ -449,7 +500,7 @@ def brakke_residual(traj: Trajectory, phi: TestFunction, t: float) -> BrakkeResi
     transport = -eps * np.sum(np.sum(grad_phi * g, axis=0) * r) * vol
     rhs_gradient = dissip + transport
 
-    T = stress_energy(f)
+    T = stress_energy(b)
     hess_phi = phi.hessian(grid)
     rhs_tensor = dissip + float(np.sum(T * hess_phi) * vol)
 
@@ -497,10 +548,11 @@ def caccioppoli_ratio(
     psi_d1 = psi_profile.d1(np.abs(height))
 
     eps = field.epsilon
-    tilt = _tilt_integrand(field, plane.normal)
-    _, gsq = _grad_and_sq(field)
-    xi = 0.5 * eps * gsq - field.potential.value(field.values) / eps
-    resid = ac_residual_values(field)
+    b = FrameBundle(field)
+    tilt = _tilt_integrand(b, plane.normal)
+    gsq = b.grad_sq
+    xi = b.discrepancy
+    resid = b.residual
     vol = grid.cell_volume
     w2 = phi**2 * psi**2
 
@@ -556,16 +608,16 @@ def sobolev_defect(
     if 3.0 * radius > 0.5 * grid.extent:
         raise ValueError("tripled ball must fit inside half the box")
 
-    dens = energy_density(field).values
+    b = FrameBundle(field)
+    dens = b.energy_density
     inner = ball_mask(grid, c, radius)
     mu_r = float(np.sum(dens[inner]) * grid.cell_volume)
     energy_difference = abs(mu_r / radius**n - WAVE_ENERGY * unit_ball_volume(n))
 
     outer = ball_mask(grid, c, 3.0 * radius)
-    tilt = _tilt_integrand(field, plane.normal)
-    _, gsq = _grad_and_sq(field)
-    xi = discrepancy(field).values
-    resid = ac_residual_values(field)
+    tilt = _tilt_integrand(b, plane.normal)
+    xi = b.discrepancy
+    resid = b.residual
     vol = grid.cell_volume
 
     tilt_term = float(np.sum(tilt[outer]) * vol) / (3.0 * radius) ** n
@@ -611,8 +663,7 @@ def exponential_decay_profile(field: ScalarField, h: float, window: float | None
         window = 0.25 * grid.extent
     xv = np.broadcast_to(grid.coords()[-1], grid.shape)
     mask = (np.abs(xv) >= h) & (np.abs(xv) <= window)
-    _, gsq = _grad_and_sq(field)
-    gnorm = np.sqrt(gsq)
+    gnorm = np.sqrt(FrameBundle(field).grad_sq)
     one_minus = 1.0 - field.values**2
 
     g_all = float(np.max(gnorm))
@@ -663,11 +714,18 @@ class DiagnosticsRecord:
 
 
 def diagnostics_record(
-    field: ScalarField,
+    frame: ScalarField | FrameBundle,
     region: ParabolicCylinder | None = None,
     plane: Hyperplane | None = None,
 ) -> DiagnosticsRecord:
-    """One row of the standard diagnostics for a single time slice."""
+    """One row of the standard diagnostics for a single time slice.
+
+    Every column reads the slice's one :class:`FrameBundle` (built here
+    when a plain field is given), so a row costs one gradient and one
+    Laplacian.
+    """
+    b = _bundle(frame)
+    field = b.field
     grid = field.grid
     if plane is None:
         plane = Hyperplane.vertical(grid.dim)
@@ -675,8 +733,8 @@ def diagnostics_record(
     mask = ball_mask(grid, region.center_space, region.radius) if region is not None else None
     vol = grid.cell_volume
 
-    dens = energy_density(field).values
-    xi = discrepancy(field).values
+    dens = b.energy_density
+    xi = b.discrepancy
     if mask is None:
         energy = float(np.sum(dens) * vol)
         xi_l1 = float(np.sum(np.abs(xi)) * vol)
@@ -693,9 +751,9 @@ def diagnostics_record(
         time=field.time,
         region_descriptor=descriptor,
         energy=energy,
-        tilt_excess=tilt_excess(field, direction, region),
-        height_excess=height_excess(field, plane, region),
-        willmore=willmore(field, region),
+        tilt_excess=tilt_excess(b, direction, region),
+        height_excess=height_excess(b, plane, region),
+        willmore=willmore(b, region),
         discrepancy_l1=xi_l1,
         discrepancy_max=xi_max,
     )

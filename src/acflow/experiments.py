@@ -16,15 +16,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .diagnostics import (
+    FrameBundle,
     Hyperplane,
+    _tilt_integrand,
     caccioppoli_ratio,
     diagnostics_record,
-    discrepancy,
     divergence_defect,
     energy_density,
     radial_bump,
     sobolev_defect,
-    stress_energy,
 )
 from .grid import Grid, ParabolicCylinder, ScalarField, Trajectory, WAVE_ENERGY
 from .initial_data import circle_distance, graph_pair_distance, plane_pair_distance, sine_mode
@@ -37,8 +37,8 @@ from .levelset import (
     partition_good_bad,
 )
 from .monotonicity import KernelPoint, kernel_on_grid
-from .operators import gradient_values, integrate_values
-from .solver import SolverConfig, _Stepper, ac_residual_values, prepare_interface
+from .operators import integrate_values
+from .solver import SolverConfig, SolverConfigError, _Stepper, prepare_interface
 from . import solver as solver_mod
 
 __all__ = [
@@ -104,47 +104,104 @@ def _reject_unknown(mapping: dict, allowed: set, where: str, problems: list[str]
             problems.append(f"unknown key {key!r} in {where} (allowed: {sorted(allowed)})")
 
 
+def _require(mapping: dict, keys: Sequence[str], where: str, problems: list[str]) -> None:
+    for key in keys:
+        if key not in mapping:
+            problems.append(f"missing key {key!r} in {where}")
+
+
+def _section(raw: dict, key: str, problems: list[str]) -> dict:
+    section = raw.get(key, {})
+    if isinstance(section, dict):
+        return section
+    problems.append(f"config.{key} must be an object")
+    return {}
+
+
 def _build_config(raw: dict) -> ExperimentConfig:
+    """Parse a raw config; every violation is reported in one ConfigError.
+
+    Structural problems (unknown or missing keys, values of the wrong type,
+    an invalid grid) are collected first; when there are none, the rules
+    of :func:`validate_config` run on the built config.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     problems: list[str] = []
     _reject_unknown(raw, _TOP_KEYS, "config", problems)
-    grid_raw = raw.get("grid", {})
-    solver_raw = raw.get("solver", {})
+    _require(raw, ("scenario", "epsilon"), "config", problems)
+    grid_raw = _section(raw, "grid", problems)
+    solver_raw = _section(raw, "solver", problems)
     _reject_unknown(grid_raw, _GRID_KEYS, "config.grid", problems)
     _reject_unknown(solver_raw, _SOLVER_KEYS, "config.solver", problems)
-    if problems:
-        raise ConfigError("; ".join(problems))
+    _require(grid_raw, sorted(_GRID_KEYS), "config.grid", problems)
+    _require(solver_raw, ("t_end",), "config.solver", problems)
 
     scenario = raw.get("scenario")
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}; expected one of {sorted(SCENARIOS)}")
+    if "scenario" in raw and scenario not in SCENARIOS:
+        problems.append(f"unknown scenario {scenario!r}; expected one of {sorted(SCENARIOS)}")
 
-    grid = Grid(dim=grid_raw["dim"], extent=grid_raw["extent"], points=grid_raw["points"])
-    eps_raw = raw["epsilon"]
-    epsilons = tuple(float(e) for e in (eps_raw if isinstance(eps_raw, (list, tuple)) else [eps_raw]))
+    grid = None
+    if _GRID_KEYS <= grid_raw.keys():
+        try:
+            grid = Grid(dim=grid_raw["dim"], extent=grid_raw["extent"], points=grid_raw["points"])
+        except (TypeError, ValueError) as exc:
+            problems.append(f"config.grid: {exc}")
+
+    epsilons = None
+    if "epsilon" in raw:
+        eps_raw = raw["epsilon"]
+        try:
+            epsilons = tuple(
+                float(e) for e in (eps_raw if isinstance(eps_raw, (list, tuple)) else [eps_raw])
+            )
+        except (TypeError, ValueError):
+            problems.append(f"epsilon must be a number or a list of numbers, got {eps_raw!r}")
+        else:
+            if not epsilons or not all(e > 0 for e in epsilons):
+                problems.append(f"epsilon values must be positive, got {eps_raw!r}")
 
     dt = solver_raw.get("dt")
     dt_factor = solver_raw.get("dt_factor")
     if (dt is None) == (dt_factor is None):
-        raise ConfigError("config.solver needs exactly one of 'dt' or 'dt_factor'")
+        problems.append("config.solver needs exactly one of 'dt' or 'dt_factor'")
+    timing = {}
+    for key, cast in (("dt", float), ("dt_factor", float), ("t_end", float),
+                      ("sample_every", int)):
+        if solver_raw.get(key) is not None:
+            try:
+                timing[key] = cast(solver_raw[key])
+            except (TypeError, ValueError):
+                problems.append(f"config.solver.{key} must be a number, got {solver_raw[key]!r}")
+    try:
+        seed = int(raw.get("seed", 0))
+    except (TypeError, ValueError):
+        problems.append(f"seed must be an integer, got {raw['seed']!r}")
+    if problems:
+        raise ConfigError("; ".join(problems))
 
     config = ExperimentConfig(
         scenario=scenario,
         grid=grid,
         epsilons=epsilons,
-        dt_factor=dt_factor,
-        dt=dt,
-        t_end=float(solver_raw["t_end"]),
+        dt_factor=timing.get("dt_factor"),
+        dt=timing.get("dt"),
+        t_end=timing["t_end"],
         scheme=solver_raw.get("scheme", "semi-implicit-cnab2"),
-        sample_every=int(solver_raw.get("sample_every", 1)),
+        sample_every=timing.get("sample_every", 1),
         params=dict(raw.get("params", {})),
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
     )
     validate_config(config)
     return config
 
 
 def validate_config(config: ExperimentConfig) -> None:
-    """Resolution and margin rules; every violation reported at once."""
+    """Resolution, margin and time-step rules; every violation reported at once.
+
+    Per epsilon, the step must lie within the scheme's stability limit and
+    ``t_end`` must be a whole number of steps (:func:`solver.step_count`).
+    """
     problems: list[str] = []
     h = config.grid.spacing
     for eps in config.epsilons:
@@ -161,8 +218,21 @@ def validate_config(config: ExperimentConfig) -> None:
             )
     if config.scheme not in solver_mod.SCHEMES:
         problems.append(f"unknown scheme {config.scheme!r}")
+    else:
+        for eps in config.epsilons:
+            try:
+                cfg = config.solver_config(eps)
+            except SolverConfigError as exc:
+                problems.append(str(exc))
+                continue
+            for rule in (lambda: solver_mod.validate_config(cfg, config.grid, eps),
+                         lambda: solver_mod.step_count(cfg)):
+                try:
+                    rule()
+                except SolverConfigError as exc:
+                    problems.append(str(exc))
     if problems:
-        raise ConfigError("; ".join(problems))
+        raise ConfigError("; ".join(dict.fromkeys(problems)))
 
 
 def _interface_margin(config: ExperimentConfig, eps: float) -> float:
@@ -352,45 +422,39 @@ class FlowAudit:
 def run_flow_audit(
     initial: ScalarField,
     cfg: SolverConfig,
-    probes: dict[str, Callable[[ScalarField, np.ndarray, np.ndarray], float]] | None = None,
+    probe: Callable[[FrameBundle], dict[str, float]] | None = None,
     thin_every: int | None = None,
 ) -> FlowAudit:
     """Evolve while recording per-step scalars.
 
-    Each probe is called with (field, residual_values, gradient_values) so
-    shared spectral work is done once per step.  ``thin_every`` controls the
-    stored trajectory (defaults to the config's sample_every).
+    Each step's quantities come from one :class:`FrameBundle` seeded with
+    the half spectrum the stepper already holds, so the step's spectral
+    work is shared by the energy, the dissipation and ``probe``.  The probe
+    returns named scalars, recorded as ``series``.  The bundle is dropped
+    after its step.  ``thin_every`` controls the stored trajectory
+    (defaults to the config's sample_every).
     """
-    probes = probes or {}
     thin_every = thin_every if thin_every is not None else cfg.sample_every
-    n_steps = round(cfg.t_end / cfg.dt)
-    if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(cfg.t_end, 1.0):
-        raise ConfigError(f"t_end={cfg.t_end:g} is not a whole number of steps of dt={cfg.dt:g}")
-
-    grid = initial.grid
+    n_steps = solver_mod.step_count(cfg)
+    vol = initial.grid.cell_volume
     eps = initial.epsilon
-    vol = grid.cell_volume
 
-    def record(f: ScalarField) -> tuple[float, float, dict[str, float]]:
-        r = ac_residual_values(f)
-        g = gradient_values(grid, f.values)
-        dens = 0.5 * eps * np.sum(g * g, axis=0) + f.potential.value(f.values) / eps
-        e = float(np.sum(dens) * vol)
-        w = float(np.sum(eps * r * r) * vol)
-        extra = {k: fn(f, r, g) for k, fn in probes.items()}
-        return e, w, extra
+    def record(b: FrameBundle) -> tuple[float, float, dict[str, float]]:
+        e = float(np.sum(b.energy_density) * vol)
+        w = float(np.sum(eps * b.residual * b.residual) * vol)
+        return e, w, probe(b) if probe is not None else {}
 
     stepper = _Stepper(initial, cfg)
     current = initial
     times = [current.time]
-    e0, w0, x0 = record(current)
+    e0, w0, x0 = record(FrameBundle(current))
     energies, dissipations = [e0], [w0]
     series: dict[str, list[float]] = {k: [v] for k, v in x0.items()}
     frames = [current]
     for i in range(n_steps):
         current = stepper.advance(current)
         times.append(current.time)
-        e, w, extra = record(current)
+        e, w, extra = record(FrameBundle(current, stepper.carried_spectrum(current)))
         energies.append(e)
         dissipations.append(w)
         for k, v in extra.items():
@@ -501,9 +565,9 @@ def no_cancellation_check(
     worst = 0.0
     for t in bump_times:
         _, frame = traj.frame_nearest(t)
-        g = gradient_values(grid, frame.values)
-        gnorm = np.sqrt(np.sum(g * g, axis=0))
-        dens = energy_density(frame).values
+        b = FrameBundle(frame)
+        gnorm = np.sqrt(b.grad_sq)
+        dens = b.energy_density
         total_mass += float(np.sum(dens) * vol)
         for r in bump_radii:
             psi = radial_bump(center=(0.0,) * grid.dim, radius=r).value(grid)
@@ -531,12 +595,11 @@ def excess_convergence_sweep(
         w = np.full(len(traj), traj.dt_sample)
         w[0] = w[-1] = 0.5 * traj.dt_sample
         tilt = xi = wil = 0.0
-        from .diagnostics import _tilt_integrand
-
         for wi, f in zip(w, traj.frames):
-            tilt += wi * float(np.sum(_tilt_integrand(f, e_vert)) * vol)
-            xi += wi * float(np.sum(np.abs(discrepancy(f).values)) * vol)
-            wil += wi * float(np.sum(eps * ac_residual_values(f) ** 2) * vol)
+            b = FrameBundle(f)
+            tilt += wi * float(np.sum(_tilt_integrand(b, e_vert)) * vol)
+            xi += wi * float(np.sum(np.abs(b.discrepancy)) * vol)
+            wil += wi * float(np.sum(eps * b.residual ** 2) * vol)
         out[eps] = {"tilt_excess": tilt, "discrepancy_l1": xi, "willmore": wil}
     return out
 
@@ -599,17 +662,18 @@ def run_standing_wave(config: ExperimentConfig) -> ScenarioResult:
     wave = _wave_initial(grid, eps)
     inner = np.abs(np.broadcast_to(grid.coords()[-1], grid.shape)) <= grid.extent / 8
 
-    resid = ac_residual_values(wave)
+    b = FrameBundle(wave)
+    resid = b.residual
     residual_max = float(np.max(np.abs(resid[inner])))
 
     window = np.abs(np.broadcast_to(grid.coords()[-1], grid.shape)) <= grid.extent / 4
-    dens = energy_density(wave).values
+    dens = b.energy_density
     per_area = float(np.sum(np.where(window, dens, 0.0)) * grid.cell_volume) / grid.extent ** (
         grid.dim - 1
     )
     energy_defect = abs(per_area - WAVE_ENERGY)
 
-    xi_max = float(np.max(discrepancy(wave).values))
+    xi_max = float(np.max(b.discrepancy))
 
     cfg = config.solver_config(eps)
     after = solver_mod.step(wave, SolverConfig(dt=cfg.dt, t_end=cfg.dt, scheme=cfg.scheme))
@@ -624,7 +688,7 @@ def run_standing_wave(config: ExperimentConfig) -> ScenarioResult:
         check("fixed_point", "stationary-profile", fixed_point, 1e-8),
         check("distance_gradient", "inverse-profile-bound", grad_z, 1.0 + 1e-3),
     ]
-    records = [diagnostics_record(wave).as_row()]
+    records = [diagnostics_record(b).as_row()]
     return ScenarioResult(
         scenario="standing-wave", config=config, checks=checks, records=records,
         payload={"per_area_energy": per_area}, final_fields=[wave],
@@ -632,58 +696,41 @@ def run_standing_wave(config: ExperimentConfig) -> ScenarioResult:
 
 
 def _circle_probes(grid: Grid, eps: float, kernel: KernelPoint,
-                   phi_bump) -> dict[str, Callable]:
+                   phi_bump) -> Callable[[FrameBundle], dict[str, float]]:
+    """Per-step terms of the Brakke identity (both forms) against the bump
+    and of the Gaussian monotonicity identity against the backward kernel."""
     vol = grid.cell_volume
     phi_vals = phi_bump.value(grid)
     phi_grad = phi_bump.gradient(grid)
     phi_hess = phi_bump.hessian(grid)
-    xv_sq = sum(np.broadcast_to(grid.minimal_image(x), grid.shape) ** 2 for x in grid.coords())
+    phi_laplacian = sum(phi_hess[i, i] for i in range(grid.dim))
+    kernel_disp = [grid.minimal_image(x - kernel.y[ax]) for ax, x in enumerate(grid.coords())]
 
-    def probe_brakke_mass(f, r, g):
-        dens = 0.5 * eps * np.sum(g * g, axis=0) + f.potential.value(f.values) / eps
-        return float(np.sum(phi_vals * dens) * vol)
-
-    def probe_brakke_rhs_gradient(f, r, g):
+    def probe(b: FrameBundle) -> dict[str, float]:
+        t = b.field.time
+        r, g, dens = b.residual, b.gradient, b.energy_density
         dissip = -eps * float(np.sum(phi_vals * r * r) * vol)
         transport = -eps * float(np.sum(np.sum(phi_grad * g, axis=0) * r) * vol)
-        return dissip + transport
+        # T : D^2 phi with T = eps grad u (x) grad u - e I, contracted per
+        # component pair instead of building the d x d tensor field
+        hess_gg = sum(g[i] * sum(phi_hess[i, j] * g[j] for j in range(grid.dim))
+                      for i in range(grid.dim))
+        tensor = float(np.sum(eps * hess_gg - dens * phi_laplacian) * vol)
 
-    def probe_brakke_rhs_tensor(f, r, g):
-        dens = 0.5 * eps * np.sum(g * g, axis=0) + f.potential.value(f.values) / eps
-        T = eps * g[:, None] * g[None, :]
-        for i in range(grid.dim):
-            T[i, i] -= dens
-        dissip = -eps * float(np.sum(phi_vals * r * r) * vol)
-        return dissip + float(np.sum(T * phi_hess) * vol)
+        tau = kernel.s - t
+        phi_k = kernel_on_grid(kernel, grid, t)
+        # grad(Phi)/Phi = -(x - y) / (2 tau), wrapped like the kernel itself
+        drift = -sum(d * g[ax] for ax, d in enumerate(kernel_disp)) / (2.0 * tau)
+        return {
+            "brakke_mass": float(np.sum(phi_vals * dens) * vol),
+            "brakke_rhs_gradient": dissip + transport,
+            "brakke_rhs_tensor": dissip + tensor,
+            "gauss": float(np.sum(phi_k * dens) * vol),
+            "gauss_dissipative": -eps * float(np.sum(phi_k * (-r - drift) ** 2) * vol),
+            "gauss_discrepancy": float(np.sum(phi_k / (2.0 * tau) * b.discrepancy) * vol),
+        }
 
-    def probe_gauss(f, r, g):
-        phi_k = kernel_on_grid(kernel, grid, f.time)
-        dens = 0.5 * eps * np.sum(g * g, axis=0) + f.potential.value(f.values) / eps
-        return float(np.sum(phi_k * dens) * vol)
-
-    def probe_gauss_dissipative(f, r, g):
-        tau = kernel.s - f.time
-        phi_k = kernel_on_grid(kernel, grid, f.time)
-        drift = np.zeros(grid.shape)
-        for ax, x in enumerate(grid.coords()):
-            drift += grid.minimal_image(x - kernel.y[ax]) * g[ax]
-        drift = -drift / (2.0 * tau)
-        return -eps * float(np.sum(phi_k * (-r - drift) ** 2) * vol)
-
-    def probe_gauss_discrepancy(f, r, g):
-        tau = kernel.s - f.time
-        phi_k = kernel_on_grid(kernel, grid, f.time)
-        xi = 0.5 * eps * np.sum(g * g, axis=0) - f.potential.value(f.values) / eps
-        return float(np.sum(phi_k / (2.0 * tau) * xi) * vol)
-
-    return {
-        "brakke_mass": probe_brakke_mass,
-        "brakke_rhs_gradient": probe_brakke_rhs_gradient,
-        "brakke_rhs_tensor": probe_brakke_rhs_tensor,
-        "gauss": probe_gauss,
-        "gauss_dissipative": probe_gauss_dissipative,
-        "gauss_discrepancy": probe_gauss_discrepancy,
-    }
+    return probe
 
 
 def circle_audits(config: ExperimentConfig, dt_scales: Sequence[float]) -> dict[float, FlowAudit]:
@@ -695,7 +742,7 @@ def circle_audits(config: ExperimentConfig, dt_scales: Sequence[float]) -> dict[
     kernel = KernelPoint(y=(0.0,) * grid.dim, s=config.t_end + float(
         config.params.get("kernel_lag", 0.01)), n=grid.interface_dim)
     phi = radial_bump(center=(0.0,) * grid.dim, radius=0.45 * grid.extent)
-    probes = _circle_probes(grid, eps, kernel, phi)
+    probe = _circle_probes(grid, eps, kernel, phi)
     audits = {}
     # thin the stored trajectory to a fixed sampling interval regardless of
     # dt, so cylinder time windows down to (2 eps)^2 hold several frames
@@ -703,7 +750,7 @@ def circle_audits(config: ExperimentConfig, dt_scales: Sequence[float]) -> dict[
     for scale in dt_scales:
         dt = config.dt_for(eps) * scale
         cfg = config.solver_config(eps, dt_scale=scale, sample_every=1)
-        audits[scale] = run_flow_audit(initial, cfg, probes,
+        audits[scale] = run_flow_audit(initial, cfg, probe,
                                        thin_every=max(1, round(dts_target / dt)))
     return audits
 

@@ -86,23 +86,6 @@ class Grid:
     def dense_coords(self) -> tuple[np.ndarray, ...]:
         return tuple(np.meshgrid(*([self.axis()] * self.dim), indexing="ij"))
 
-    def wavenumbers(self, zero_nyquist: bool) -> list[np.ndarray]:
-        """Angular wavenumbers per axis, broadcast-shaped.
-
-        With ``zero_nyquist=True`` the Nyquist mode is dropped, the standard
-        convention for first derivatives of real data on an even grid.
-        """
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.spacing)
-        if zero_nyquist:
-            k1 = k1.copy()
-            k1[self.points // 2] = 0.0
-        out = []
-        for ax in range(self.dim):
-            shape = [1] * self.dim
-            shape[ax] = self.points
-            out.append(k1.reshape(shape))
-        return out
-
     def minimal_image(self, delta: np.ndarray) -> np.ndarray:
         """Wrap coordinate differences into ``[-extent/2, extent/2)``."""
         L = self.extent

@@ -15,10 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import TestFunction, energy_density, discrepancy, stress_energy
+from .diagnostics import FrameBundle, TestFunction, energy_density, stress_energy
 from .grid import Grid, Trajectory
-from .operators import ball_mask, gradient_values
-from .solver import ac_residual_values
+from .operators import ball_mask
 
 __all__ = [
     "KernelPoint",
@@ -58,14 +57,18 @@ def huisken_kernel(kp: KernelPoint, x: Sequence[np.ndarray], t: float) -> np.nda
 
 
 def kernel_on_grid(kp: KernelPoint, grid: Grid, t: float) -> np.ndarray:
-    """Kernel on the lattice, with displacements wrapped to the torus."""
+    """Kernel on the lattice, with displacements wrapped to the torus.
+
+    The Gaussian factorizes over the axes, so it is the outer product of
+    one-dimensional factors: ``dim * points`` exponentials, not ``points^dim``.
+    """
     tau = kp.s - t
     if tau <= 0:
         raise ValueError(f"kernel needs t < s, got t={t} >= s={kp.s}")
-    r2 = np.zeros(grid.shape)
+    out = (4.0 * math.pi * tau) ** (-kp.n / 2.0)
     for ax, x in enumerate(grid.coords()):
-        r2 = r2 + grid.minimal_image(x - kp.y[ax]) ** 2
-    return (4.0 * math.pi * tau) ** (-kp.n / 2.0) * np.exp(-r2 / (4.0 * tau))
+        out = out * np.exp(-grid.minimal_image(x - kp.y[ax]) ** 2 / (4.0 * tau))
+    return out
 
 
 def _support_ok(grid: Grid, tau: float) -> bool:
@@ -102,7 +105,7 @@ def gaussian_density(
     grid = traj.grid
     phi = kernel_on_grid(kp, grid, frame.time)
     weight = phi if rho is None else phi * rho.value(grid)
-    dens = energy_density(frame).values
+    dens = FrameBundle(frame).energy_density
     value = float(np.sum(weight * dens) * grid.cell_volume)
     return GaussianDensity(value=value, time=frame.time, support_ok=_support_ok(grid, tau))
 
@@ -164,8 +167,9 @@ def monotonicity_residual(
     rho_vals = rho.value(grid) if rho is not None else np.ones(grid.shape)
     vol = grid.cell_volume
 
-    resid = ac_residual_values(frame)
-    g = gradient_values(grid, frame.values)
+    b = FrameBundle(frame)
+    resid = b.residual
+    g = b.gradient
     # grad(Phi)/Phi = -(x - y) / (2 (s - t)), wrapped like the kernel itself.
     drift = np.zeros(grid.shape)
     for ax, x in enumerate(grid.coords()):
@@ -173,16 +177,15 @@ def monotonicity_residual(
     drift = -drift / (2.0 * tau)
     dissipative = -eps * float(np.sum(rho_vals * phi * (-resid - drift) ** 2) * vol)
 
-    xi = discrepancy(frame).values
+    xi = b.discrepancy
     discrepancy_term = float(np.sum(rho_vals * phi / (2.0 * tau) * xi) * vol)
 
     if rho is None:
         rho_time_term = 0.0
         rho_tensor_term = 0.0
     else:
-        dens = energy_density(frame).values
-        rho_time_term = float(np.sum(phi * rho.time_derivative(grid) * dens) * vol)
-        T = stress_energy(frame)
+        rho_time_term = float(np.sum(phi * rho.time_derivative(grid) * b.energy_density) * vol)
+        T = stress_energy(b)
         hess = rho.hessian(grid)
         rho_tensor_term = float(np.sum(T * hess * phi) * vol)
 

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import DOUBLE_WELL, Grid, PotentialSpec, ScalarField, Trajectory
-from .operators import laplacian_values
+from .operators import from_spectrum, laplacian_values, spectrum, symbols
 
 __all__ = [
     "SCHEMES",
@@ -36,6 +36,7 @@ __all__ = [
     "SolverConfigError",
     "InterfaceDataError",
     "validate_config",
+    "step_count",
     "ac_residual",
     "ac_residual_values",
     "step",
@@ -93,18 +94,40 @@ def dt_limit(scheme: str, grid: Grid, epsilon: float, potential: PotentialSpec =
     raise SolverConfigError(f"unknown scheme {scheme!r}")
 
 
-def validate_config(config: SolverConfig, field: ScalarField) -> None:
-    limit = dt_limit(config.scheme, field.grid, field.epsilon, field.potential)
+def validate_config(config: SolverConfig, grid: Grid, epsilon: float,
+                    potential: PotentialSpec = DOUBLE_WELL) -> None:
+    """Reject a step beyond the scheme's stability limit on this grid and epsilon."""
+    limit = dt_limit(config.scheme, grid, epsilon, potential)
     if config.dt > limit * (1 + 1e-12):
         raise SolverConfigError(
             f"dt={config.dt:g} exceeds the {config.scheme} limit {limit:g} "
-            f"(epsilon={field.epsilon:g}, spacing={field.grid.spacing:g})"
+            f"(epsilon={epsilon:g}, spacing={grid.spacing:g})"
         )
 
 
-def ac_residual_values(field: ScalarField) -> np.ndarray:
-    """Right-hand side ``lap(u) - W'(u)/eps^2``; equals du/dt on solutions."""
-    lap = laplacian_values(field.grid, field.values)
+def step_count(config: SolverConfig) -> int:
+    """Number of steps to ``t_end``, which must be a whole number of steps.
+
+    ``t_end = 0`` gives 0 steps; otherwise ``n * dt`` must match ``t_end``
+    to ``1e-9`` relative.
+    """
+    if config.t_end == 0:
+        return 0
+    n_steps = round(config.t_end / config.dt)
+    if n_steps < 1 or abs(n_steps * config.dt - config.t_end) > 1e-9 * config.t_end:
+        raise SolverConfigError(
+            f"t_end={config.t_end:g} is not a whole number of steps of dt={config.dt:g}"
+        )
+    return n_steps
+
+
+def ac_residual_values(field: ScalarField, lap: np.ndarray | None = None) -> np.ndarray:
+    """Right-hand side ``lap(u) - W'(u)/eps^2``; equals du/dt on solutions.
+
+    ``lap`` is the field's Laplacian, when the caller already has it.
+    """
+    if lap is None:
+        lap = laplacian_values(field.grid, field.values)
     return lap - field.potential.derivative(field.values) / field.epsilon**2
 
 
@@ -113,23 +136,32 @@ def ac_residual(field: ScalarField) -> ScalarField:
 
 
 class _Stepper:
-    """Scheme state (Fourier symbols, previous reaction term) for one run."""
+    """Scheme state for one run: half-spectrum symbols, the previous
+    reaction term, and the half spectrum of the field it last returned.
+
+    The spectral schemes end each step with the new field's half spectrum;
+    it is kept so that cnab2 skips the forward transform of its next input
+    and so that an audit can reuse it (:meth:`carried_spectrum`).  It is
+    reused only for that very object: any other input is transformed afresh.
+    """
 
     def __init__(self, field: ScalarField, config: SolverConfig):
-        validate_config(config, field)
+        validate_config(config, field.grid, field.epsilon, field.potential)
         self.config = config
         self.grid = field.grid
         self.eps2 = field.epsilon**2
         self.potential = field.potential
-        k2 = sum(k * k for k in self.grid.wavenumbers(zero_nyquist=False))
+        neg_k2 = symbols(self.grid).neg_k2
         dt = config.dt
         if config.scheme == SCHEME_SEMI_IMPLICIT:
-            self._solve = 1.0 / (1.0 + dt * k2)
+            self._solve = 1.0 / (1.0 - dt * neg_k2)
         elif config.scheme == SCHEME_CNAB2:
-            sym = -k2 - CNAB2_SHIFT / self.eps2
+            sym = neg_k2 - CNAB2_SHIFT / self.eps2
             self._num = 1.0 + 0.5 * dt * sym
             self._den = 1.0 / (1.0 - 0.5 * dt * sym)
         self._prev_reaction: np.ndarray | None = None
+        self._out: ScalarField | None = None
+        self._out_hat: np.ndarray | None = None
 
     def _reaction(self, u: np.ndarray) -> np.ndarray:
         return self.potential.derivative(u) / self.eps2
@@ -137,18 +169,26 @@ class _Stepper:
     def _shifted_reaction(self, u: np.ndarray) -> np.ndarray:
         return (self.potential.derivative(u) - CNAB2_SHIFT * u) / self.eps2
 
+    def carried_spectrum(self, field: ScalarField) -> np.ndarray | None:
+        """Read-only half spectrum of ``field`` if it is the field this
+        stepper last returned (and the scheme is spectral), else None."""
+        return self._out_hat if field is self._out else None
+
     def advance(self, field: ScalarField) -> ScalarField:
         dt = self.config.dt
         u = field.values
         scheme = self.config.scheme
+        new_hat = None
         if scheme == SCHEME_SEMI_IMPLICIT:
-            rhs = np.fft.fftn(u - dt * self._reaction(u))
-            new = np.fft.ifftn(rhs * self._solve).real
+            new_hat = spectrum(self.grid, u - dt * self._reaction(u)) * self._solve
         elif scheme == SCHEME_CNAB2:
             n_k = self._shifted_reaction(u)
             n_prev = self._prev_reaction if self._prev_reaction is not None else n_k
-            rhs = self._num * np.fft.fftn(u) - dt * np.fft.fftn(1.5 * n_k - 0.5 * n_prev)
-            new = np.fft.ifftn(rhs * self._den).real
+            u_hat = self.carried_spectrum(field)
+            if u_hat is None:
+                u_hat = spectrum(self.grid, u)
+            rhs = self._num * u_hat - dt * spectrum(self.grid, 1.5 * n_k - 0.5 * n_prev)
+            new_hat = rhs * self._den
             self._prev_reaction = n_k
         else:  # explicit-rk2 (Heun)
             f = field
@@ -156,7 +196,12 @@ class _Stepper:
             mid = f.with_values(u + dt * k1)
             k2 = ac_residual_values(mid)
             new = u + 0.5 * dt * (k1 + k2)
-        return field.with_values(new, time=field.time + dt)
+        if new_hat is not None:
+            new_hat.flags.writeable = False
+            new = from_spectrum(self.grid, new_hat)
+        out = field.with_values(new, time=field.time + dt)
+        self._out, self._out_hat = out, new_hat
+        return out
 
 
 def step(field: ScalarField, config: SolverConfig) -> ScalarField:
@@ -167,16 +212,13 @@ def step(field: ScalarField, config: SolverConfig) -> ScalarField:
 def evolve(field: ScalarField, config: SolverConfig) -> Trajectory:
     """Run to ``t_end``, sampling every ``sample_every`` steps.
 
-    ``t_end`` must be a whole number of steps and the step count a multiple
-    of ``sample_every`` so the trajectory is uniformly sampled.
+    ``t_end`` must be a whole number of steps (:func:`step_count`) and the
+    step count a multiple of ``sample_every`` so the trajectory is
+    uniformly sampled.
     """
-    if config.t_end == 0:
+    n_steps = step_count(config)
+    if n_steps == 0:
         return Trajectory(frames=(field,), dt_sample=config.dt * config.sample_every)
-    n_steps = round(config.t_end / config.dt)
-    if n_steps < 1 or abs(n_steps * config.dt - config.t_end) > 1e-9 * config.t_end:
-        raise SolverConfigError(
-            f"t_end={config.t_end:g} is not a whole number of steps of dt={config.dt:g}"
-        )
     if n_steps % config.sample_every != 0:
         raise SolverConfigError(
             f"step count {n_steps} is not a multiple of sample_every={config.sample_every}"

@@ -1,12 +1,17 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from acflow import Grid, SolverConfig, Trajectory, WAVE_ENERGY, evolve
+from acflow import (
+    Grid, SolverConfig, SolverConfigError, Trajectory, WAVE_ENERGY, evolve, prepare_interface,
+    radial_bump,
+)
 from acflow.cli import main as cli_main
 from acflow.experiments import (
     ConfigError,
+    _circle_probes,
     config_from_dict,
     default_config,
     density_ratio_profile,
@@ -14,6 +19,8 @@ from acflow.experiments import (
     run_flow_audit,
     run_scenario,
 )
+from acflow.initial_data import circle_distance
+from acflow.monotonicity import KernelPoint
 from acflow.io import read_field
 from acflow.operators import gradient_values
 
@@ -87,6 +94,50 @@ def test_flow_audit_matches_evolve(grid_1d):
     # stationary wave: energy flat, dissipation at round-off
     assert np.allclose(audit.energy, audit.energy[0], rtol=1e-10)
     assert np.max(audit.dissipation) < 1e-10
+
+
+REAL_TRANSFORMS = ("rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
+COMPLEX_TRANSFORMS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "hfft", "ihfft")
+
+
+def test_audited_cnab2_step_makes_five_real_transforms(monkeypatch):
+    g = Grid(dim=2, extent=1.2, points=64)
+    eps = 4.0 * g.spacing
+    dt = 0.25 * eps**2
+    initial = prepare_interface(circle_distance(0.35), g, eps)
+    probe = _circle_probes(g, eps, KernelPoint(y=(0.0, 0.0), s=0.05, n=1),
+                           radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent))
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in REAL_TRANSFORMS + COMPLEX_TRANSFORMS:
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+
+    def transforms(n_steps):
+        calls.clear()
+        cfg = SolverConfig(dt=dt, t_end=n_steps * dt, scheme="semi-implicit-cnab2")
+        run_flow_audit(initial, cfg, probe)
+        return Counter(calls)
+
+    # the difference between 3 and 2 audited steps is one audited step
+    step = transforms(3)
+    step.subtract(transforms(2))
+    assert sum(step[name] for name in REAL_TRANSFORMS) <= 5
+    assert sum(step[name] for name in COMPLEX_TRANSFORMS) == 0
+
+
+def test_audit_and_evolve_share_the_step_count_rule(wave_1d):
+    cfg = SolverConfig(dt=3e-4, t_end=1e-3, scheme="semi-implicit-cnab2")
+    with pytest.raises(SolverConfigError, match="whole number of steps") as from_evolve:
+        evolve(wave_1d, cfg)
+    with pytest.raises(SolverConfigError, match="whole number of steps") as from_audit:
+        run_flow_audit(wave_1d, cfg)
+    assert str(from_audit.value) == str(from_evolve.value)
 
 
 # --- density profile and mass comparison --------------------------------------
@@ -194,6 +245,59 @@ def test_cli_rejects_invalid_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "resolution rule" in err
+
+
+def _without(section, *keys):
+    def mutate(raw):
+        target = raw if section is None else raw[section]
+        for key in keys:
+            del target[key]
+    return mutate
+
+
+def _with(section, **values):
+    def mutate(raw):
+        (raw if section is None else raw[section]).update(values)
+    return mutate
+
+
+@pytest.mark.parametrize("mutations, expected", [
+    ([_without(None, "epsilon")], ["missing key 'epsilon'"]),
+    ([_with("grid", points=513)], ["points must be even"]),
+    ([_without("grid", "extent"), _without("solver", "t_end")],
+     ["missing key 'extent' in config.grid", "missing key 't_end' in config.solver"]),
+    ([_with("solver", dt_factor=1.0)], ["exceeds the semi-implicit-cnab2 limit"]),
+    ([_with("solver", t_end=0.0013)], ["not a whole number of steps"]),
+    ([_with("solver", dt_factor=1.0, t_end=0.0013), _with(None, epsilon=[0.05, 0.04])],
+     ["limit", "epsilon=0.05", "epsilon=0.04", "whole number"]),
+    ([_without(None, "epsilon"), _with("grid", points=513), _without("solver", "t_end")],
+     ["'epsilon'", "points must be even", "'t_end'"]),
+])
+def test_cli_reports_every_config_error_at_load(tmp_path, capsys, mutations, expected):
+    raw = raw_config()
+    for mutate in mutations:
+        mutate(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    code = cli_main(["experiment", "--config", str(path), "--out", str(tmp_path / "exp")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error:")
+    assert len(err.strip().splitlines()) == 1
+    for text in expected:
+        assert text in err
+    assert not (tmp_path / "exp").exists()
+
+
+def test_cli_simulate_reports_a_solver_config_error(tmp_path, capsys):
+    # 4 steps cannot be sampled every 3: the solver's own rule, met at run time
+    raw = raw_config(solver={"dt_factor": 0.125, "t_end": 0.00125, "sample_every": 3})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    code = cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error:") and "sample_every=3" in err
 
 
 def test_cli_simulate_and_diagnose_roundtrip(tmp_path, capsys):

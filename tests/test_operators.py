@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from acflow import Grid, ParabolicCylinder, ScalarField, Trajectory, gradient, integrate, laplacian
-from acflow.operators import ball_mask
+from acflow.operators import ball_mask, gradient_values, laplacian_values
 
 from conftest import standing_wave
 
@@ -38,6 +38,57 @@ def test_gradient_of_layer_profile_resolved(eps_over_h):
     inner = np.abs(x) <= 0.25 * g.extent
     exact = (1.0 / np.cosh(x / eps)) ** 2 / eps
     assert np.max(np.abs(dx.values[inner] - exact[inner])) < 1e-8
+
+
+def _full_wavenumbers(grid, zero_nyquist):
+    k1 = 2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
+    if zero_nyquist:
+        k1[grid.points // 2] = 0.0
+    out = []
+    for ax in range(grid.dim):
+        shape = [1] * grid.dim
+        shape[ax] = grid.points
+        out.append(k1.reshape(shape))
+    return out
+
+
+def complex_gradient(grid, values):
+    """Reference: the full complex-FFT gradient, Nyquist zeroed on every axis."""
+    vhat = np.fft.fftn(values)
+    out = np.empty((grid.dim,) + grid.shape)
+    for ax, k in enumerate(_full_wavenumbers(grid, zero_nyquist=True)):
+        out[ax] = np.fft.ifftn(1j * k * vhat).real
+    return out
+
+
+def complex_laplacian(grid, values):
+    """Reference: the full complex-FFT Laplacian, Nyquist kept."""
+    k2 = sum(k * k for k in _full_wavenumbers(grid, zero_nyquist=False))
+    return np.fft.ifftn(-k2 * np.fft.fftn(values)).real
+
+
+@pytest.mark.parametrize("dim, points", [(1, 64), (2, 32), (3, 16)])
+def test_real_spectral_path_matches_complex_oracle(dim, points):
+    g = Grid(dim=dim, extent=1.3, points=points)
+    rng = np.random.default_rng(dim)
+    # white noise excites every mode, odd and Nyquist ones included; add a
+    # strong Nyquist mode along each axis on top
+    values = rng.standard_normal(g.shape)
+    for x in g.coords():
+        values = values + 3.0 * np.cos(np.pi * x / g.spacing)
+    grad, grad_ref = gradient_values(g, values), complex_gradient(g, values)
+    lap, lap_ref = laplacian_values(g, values), complex_laplacian(g, values)
+    assert np.max(np.abs(grad - grad_ref)) <= 1e-13 * np.max(np.abs(grad_ref))
+    assert np.max(np.abs(lap - lap_ref)) <= 1e-13 * np.max(np.abs(lap_ref))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_nyquist_mode_has_zero_first_derivative(dim):
+    g = Grid(dim=dim, extent=1.0, points=16)
+    last = g.coords()[-1]  # the half-spectrum axis of the real transforms
+    values = np.broadcast_to(np.cos(np.pi * last / g.spacing), g.shape)
+    assert np.max(np.abs(gradient_values(g, values))) < 1e-12
+    assert np.max(np.abs(laplacian_values(g, values))) > 1.0
 
 
 def test_laplacian_single_mode_and_linearity():

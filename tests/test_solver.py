@@ -16,7 +16,7 @@ from acflow import (
     step,
 )
 from acflow.initial_data import circle_distance, plane_pair_distance
-from acflow.solver import SCHEMES
+from acflow.solver import SCHEMES, _Stepper
 
 from conftest import standing_wave, circle_field, zero_crossing_radius
 
@@ -59,6 +59,42 @@ def test_standing_wave_is_a_fixed_point(scheme, grid_1d):
     cfg = SolverConfig(dt=dt, t_end=dt, scheme=scheme)
     after = step(wave, cfg)
     assert np.max(np.abs(after.values - wave.values)) < 1e-8
+
+
+def cnab2_reference(u, u_prev, grid, eps, dt):
+    """One cnab2 step on full complex spectra, transforming ``u`` afresh;
+    ``u_prev`` is the previous step's input (its reaction term is the
+    Adams-Bashforth history)."""
+    k1 = 2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
+    k2 = sum(np.reshape(k1, [-1 if a == ax else 1 for a in range(grid.dim)]) ** 2
+             for ax in range(grid.dim))
+    sym = -k2 - 1.0 / eps**2
+    react = lambda v: (-2.0 * v * (1.0 - v * v) - v) / eps**2
+    rhs = (1.0 + 0.5 * dt * sym) * np.fft.fftn(u) - dt * np.fft.fftn(
+        1.5 * react(u) - 0.5 * react(u_prev))
+    return np.fft.ifftn(rhs / (1.0 - 0.5 * dt * sym)).real
+
+
+def test_cnab2_carry_is_used_only_for_the_last_output():
+    g = Grid(dim=2, extent=1.2, points=64)
+    eps = 4.0 * g.spacing
+    dt = 0.25 * eps**2
+    f0 = circle_field(g, eps, 0.35)
+    cfg = SolverConfig(dt=dt, t_end=dt, scheme="semi-implicit-cnab2")
+
+    carried = _Stepper(f0, cfg)
+    f1 = carried.advance(f0)
+    assert carried.carried_spectrum(f1) is not None
+    f2 = carried.advance(f1)  # reuses the spectrum it handed out with f1
+    assert np.max(np.abs(f2.values - cnab2_reference(f1.values, f0.values, g, eps, dt))) < 1e-13
+
+    # any other input, even one with equal values, is transformed afresh
+    fresh = _Stepper(f0, cfg)
+    fresh.advance(f0)
+    other = f1.with_values(np.roll(f1.values, 5, axis=0))
+    assert fresh.carried_spectrum(other) is None
+    out = fresh.advance(other)
+    assert np.max(np.abs(out.values - cnab2_reference(other.values, f0.values, g, eps, dt))) < 1e-13
 
 
 def test_pure_phase_is_an_equilibrium(grid_1d):
