@@ -51,7 +51,6 @@ from .monotonicity import (
     GaussianDensity,
     KernelPoint,
     gaussian_density,
-    huisken_kernel,
     kernel_on_grid,
     l2_linfty_ratio,
     monotonicity_residual,
@@ -67,7 +66,6 @@ from .levelset import (
     extract_graph,
     graph_derivative_relations,
     heat_compare,
-    parabolic_maximal,
     partition_good_bad,
 )
 from .io import read_field, write_field

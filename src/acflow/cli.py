@@ -17,6 +17,7 @@ from .experiments import (
     SCENARIOS,
     ConfigError,
     default_config,
+    initial_field,
     load_config,
     run_scenario,
 )
@@ -50,20 +51,7 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     eps = config.epsilons[0]
-    scenario = config.scenario
-    if scenario in ("shrinking-circle", "no-cancellation", "monotonicity-sweep"):
-        initial = experiments._circle_initial(
-            config.grid, eps, float(config.params.get("radius", 0.35))
-        )
-    elif scenario == "excess-decay":
-        amp = float(config.params.get("amplitude_over_epsilon", 0.5)) * eps
-        initial = experiments._perturbed_initial(
-            config.grid, eps, amp, int(config.params.get("mode", 1))
-        )
-    else:
-        initial = experiments._wave_initial(config.grid, eps)
-
-    traj = evolve(initial, config.solver_config(eps))
+    traj = evolve(initial_field(config, eps), config.solver_config(eps))
     rows = [diagnostics_record(f).as_row() for f in traj.frames]
     write_diagnostics_csv(rows, out / "diagnostics.csv")
     write_field(traj[0], out / "initial.field")

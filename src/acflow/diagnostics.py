@@ -15,7 +15,7 @@ contribution is genuinely negligible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -46,6 +46,9 @@ __all__ = [
     "willmore",
     "stress_energy",
     "divergence_defect",
+    "weighted_mass",
+    "stress_contraction",
+    "brakke_terms",
     "BrakkeResidual",
     "brakke_residual",
     "caccioppoli_ratio",
@@ -90,8 +93,8 @@ class Hyperplane:
         """
         c = center if center is not None else (0.0,) * grid.dim
         out = np.zeros(grid.shape)
-        for ax, x in enumerate(grid.coords()):
-            out = out + self.normal[ax] * grid.minimal_image(x - c[ax])
+        for e, d in zip(self.normal, grid.displacement(c)):
+            out = out + e * d
         shift = sum(e * ci for e, ci in zip(self.normal, c))
         return out + shift - self.offset
 
@@ -144,7 +147,7 @@ class _RampProfile:
 
 
 class TestFunction:
-    """Base for C^2 spatial test functions; time-independent by default."""
+    """Base for time-independent C^2 spatial test functions."""
 
     def value(self, grid: Grid) -> np.ndarray:
         raise NotImplementedError
@@ -154,9 +157,6 @@ class TestFunction:
 
     def hessian(self, grid: Grid) -> np.ndarray:
         raise NotImplementedError
-
-    def time_derivative(self, grid: Grid) -> np.ndarray:
-        return np.zeros(grid.shape)
 
 
 class _ConstantOne(TestFunction):
@@ -171,13 +171,28 @@ class _ConstantOne(TestFunction):
 
 
 class _RadialProfileFunction(TestFunction):
-    """phi(x) = p(rho(x)) for a radial coordinate rho with known geometry."""
+    """phi(x) = p(rho(x)), rho the wrapped distance from ``center``, measured
+    within the hyperplane orthogonal to ``normal`` when one is given."""
 
-    profile: _RampProfile
+    def __init__(self, profile: _RampProfile, center: Sequence[float],
+                 normal: Sequence[float] | None = None):
+        self.profile = profile
+        self.center = tuple(float(c) for c in center)
+        self.normal = normal
 
     def _rho_and_direction(self, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return rho, unit direction field (dim, shape), tangential projector trace helper."""
-        raise NotImplementedError
+        """rho, its unit direction field (dim, *shape) and the projector onto
+        the directions rho measures (broadcastable to (dim, dim, *shape))."""
+        disp = grid.displacement(self.center)
+        projector = np.eye(grid.dim)
+        if self.normal is not None:
+            along = sum(e * d for e, d in zip(self.normal, disp))
+            disp = [d - e * along for e, d in zip(self.normal, disp)]
+            projector = projector - np.outer(self.normal, self.normal)
+        rho = np.sqrt(np.broadcast_to(sum(d**2 for d in disp), grid.shape))
+        safe = np.where(rho > 0, rho, 1.0)
+        direction = np.stack([d / safe for d in disp])
+        return rho, direction, projector.reshape((grid.dim, grid.dim) + (1,) * grid.dim)
 
     def value(self, grid):
         rho, _, _ = self._rho_and_direction(grid)
@@ -199,63 +214,21 @@ class _RadialProfileFunction(TestFunction):
         return p2 * outer + radial_ratio * (projector - outer)
 
 
-class _RadialBump(_RadialProfileFunction):
-    def __init__(self, center: Sequence[float], radius: float):
-        self.center = tuple(float(c) for c in center)
-        self.radius = float(radius)
-        self.profile = _RampProfile(lo=0.5 * radius, hi=radius)
-
-    def _rho_and_direction(self, grid):
-        disp = np.zeros((grid.dim,) + grid.shape)
-        for ax, x in enumerate(grid.coords()):
-            disp[ax] = grid.minimal_image(x - self.center[ax])
-        rho = np.sqrt(np.sum(disp**2, axis=0))
-        safe = np.where(rho > 0, rho, 1.0)
-        direction = disp / safe
-        projector = np.eye(grid.dim).reshape((grid.dim, grid.dim) + (1,) * grid.dim)
-        return rho, direction, projector
-
-
-class _CylinderCutoff(_RadialProfileFunction):
-    """Cutoff in the tangential radius of a plane: 1 up to (2/3)^(1/n) R,
-    vanishing beyond (5/6)^(1/n) R, monotone quintic in between."""
-
-    def __init__(self, plane: Hyperplane, interface_dim: int, scale: float = 1.0,
-                 center: Sequence[float] | None = None):
-        n = interface_dim
-        self.plane = plane
-        self.center = center
-        self.scale = float(scale)
-        self.profile = _RampProfile(
-            lo=(2.0 / 3.0) ** (1.0 / n) * scale,
-            hi=(5.0 / 6.0) ** (1.0 / n) * scale,
-        )
-
-    def _rho_and_direction(self, grid):
-        c = self.center if self.center is not None else (0.0,) * grid.dim
-        e = np.asarray(self.plane.normal)
-        disp = np.zeros((grid.dim,) + grid.shape)
-        for ax, x in enumerate(grid.coords()):
-            disp[ax] = grid.minimal_image(x - c[ax])
-        along = np.tensordot(e, disp, axes=(0, 0))
-        tang = disp - e.reshape((grid.dim,) + (1,) * grid.dim) * along
-        rho = np.sqrt(np.sum(tang**2, axis=0))
-        safe = np.where(rho > 0, rho, 1.0)
-        direction = tang / safe
-        eye = np.eye(grid.dim) - np.outer(e, e)
-        projector = eye.reshape((grid.dim, grid.dim) + (1,) * grid.dim)
-        return rho, direction, projector
-
-
 def constant_one() -> TestFunction:
     return _ConstantOne()
 
 def radial_bump(center: Sequence[float], radius: float) -> TestFunction:
-    return _RadialBump(center, radius)
+    """1 within ``radius / 2`` of ``center``, vanishing beyond ``radius``."""
+    return _RadialProfileFunction(_RampProfile(lo=0.5 * radius, hi=radius), center)
 
 def cylinder_cutoff(plane: Hyperplane, interface_dim: int, scale: float = 1.0,
                     center: Sequence[float] | None = None) -> TestFunction:
-    return _CylinderCutoff(plane, interface_dim, scale, center)
+    """Cutoff in the tangential radius of a plane: 1 up to (2/3)^(1/n) R,
+    vanishing beyond (5/6)^(1/n) R, monotone quintic in between."""
+    n = interface_dim
+    profile = _RampProfile(lo=(2.0 / 3.0) ** (1.0 / n) * scale, hi=(5.0 / 6.0) ** (1.0 / n) * scale)
+    c = center if center is not None else (0.0,) * len(plane.normal)
+    return _RadialProfileFunction(profile, c, plane.normal)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +419,52 @@ def divergence_defect(field: ScalarField) -> float:
     return defect
 
 
-def _weighted_mass(field: ScalarField, weight: np.ndarray) -> float:
-    return float(np.sum(weight * FrameBundle(field).energy_density) * field.grid.cell_volume)
+def weighted_mass(bundle: FrameBundle, weight: np.ndarray) -> float:
+    """``integral of weight * (energy density)`` over the box."""
+    return float(np.sum(weight * bundle.energy_density) * bundle.field.grid.cell_volume)
+
+
+def stress_contraction(bundle: FrameBundle, hess: np.ndarray) -> np.ndarray:
+    """Pointwise ``T : H = eps grad u . H grad u - e tr H`` for a symmetric
+    (d, d, *shape) field ``H``, without building the d x d tensor ``T``."""
+    g, dim = bundle.gradient, bundle.field.grid.dim
+    hess_gg = sum(g[i] * sum(hess[i, j] * g[j] for j in range(dim)) for i in range(dim))
+    trace = sum(hess[i, i] for i in range(dim))
+    return bundle.field.epsilon * hess_gg - bundle.energy_density * trace
+
+
+def brakke_terms(bundle: FrameBundle, phi: np.ndarray, grad_phi: np.ndarray,
+                 hess_phi: np.ndarray) -> tuple[float, float]:
+    """Right-hand sides of ``d/dt integral phi e`` at one slice, in gradient
+    form ``-eps int phi V^2 - eps int (grad phi . grad u) V`` and tensor form
+    ``-eps int phi V^2 + int T : D^2 phi`` (``V`` the flow's velocity),
+    given the weight's values, gradient and Hessian on the lattice."""
+    eps, vol = bundle.field.epsilon, bundle.field.grid.cell_volume
+    r, g = bundle.residual, bundle.gradient
+    dissip = -eps * float(np.sum(phi * r * r) * vol)
+    # transport term pairs grad(phi).grad(u) with the negative velocity
+    transport = -eps * float(np.sum(np.sum(grad_phi * g, axis=0) * r) * vol)
+    tensor = float(np.sum(stress_contraction(bundle, hess_phi)) * vol)
+    return dissip + transport, dissip + tensor
+
+
+def _sample_index(traj: Trajectory, t: float) -> int:
+    """Index of the frame at sample time ``t`` (to half a sampling interval)."""
+    i, frame = traj.frame_nearest(t)
+    if abs(frame.time - t) > 0.5 * traj.dt_sample + 1e-12:
+        raise ValueError(f"t={t:g} is not a sample time of the trajectory")
+    return i
+
+
+def _centered_index(traj: Trajectory, t: float) -> int:
+    """Index of the interior frame at sample time ``t``, where a centered
+    time difference is defined."""
+    if len(traj) < 3:
+        raise ValueError("trajectory too short for a centered time derivative")
+    i = _sample_index(traj, t)
+    if i == 0 or i == len(traj) - 1:
+        raise ValueError(f"t={t:g} is an endpoint; the centered derivative needs interior t")
+    return i
 
 
 @dataclass(frozen=True)
@@ -474,41 +491,18 @@ def brakke_residual(traj: Trajectory, phi: TestFunction, t: float) -> BrakkeResi
 
     ``t`` must coincide with an interior sample of the trajectory.
     """
-    if len(traj) < 3:
-        raise ValueError("trajectory too short for a centered time derivative")
-    i, frame = traj.frame_nearest(t)
-    if abs(frame.time - t) > 0.5 * traj.dt_sample:
-        raise ValueError(f"t={t:g} is not a sample time of the trajectory")
-    if i == 0 or i == len(traj) - 1:
-        raise ValueError(f"t={t:g} is an endpoint; the centered derivative needs interior t")
-
+    i = _centered_index(traj, t)
     grid = traj.grid
     w = phi.value(grid)
-    mass_prev = _weighted_mass(traj[i - 1], w)
-    mass_next = _weighted_mass(traj[i + 1], w)
-    dmu_dt = (mass_next - mass_prev) / (2.0 * traj.dt_sample)
-
-    b = FrameBundle(traj[i])
-    eps = b.field.epsilon
-    r = b.residual
-    g = b.gradient
-    grad_phi = phi.gradient(grid)
-    vol = grid.cell_volume
-
-    dissip = -eps * np.sum(w * r * r) * vol
-    # transport term pairs grad(phi).grad(u) with the negative velocity
-    transport = -eps * np.sum(np.sum(grad_phi * g, axis=0) * r) * vol
-    rhs_gradient = dissip + transport
-
-    T = stress_energy(b)
-    hess_phi = phi.hessian(grid)
-    rhs_tensor = dissip + float(np.sum(T * hess_phi) * vol)
-
+    mass_prev = weighted_mass(FrameBundle(traj[i - 1]), w)
+    mass_next = weighted_mass(FrameBundle(traj[i + 1]), w)
+    rhs_gradient, rhs_tensor = brakke_terms(FrameBundle(traj[i]), w, phi.gradient(grid),
+                                            phi.hessian(grid))
     return BrakkeResidual(
-        time=frame.time,
-        dmu_dt=dmu_dt,
-        rhs_gradient_form=float(rhs_gradient),
-        rhs_tensor_form=float(rhs_tensor),
+        time=traj[i].time,
+        dmu_dt=(mass_next - mass_prev) / (2.0 * traj.dt_sample),
+        rhs_gradient_form=rhs_gradient,
+        rhs_tensor_form=rhs_tensor,
     )
 
 
@@ -532,20 +526,15 @@ def caccioppoli_ratio(
     """
     grid = field.grid
     c = center if center is not None else (0.0,) * grid.dim
-    e = np.asarray(plane.normal)
+    disp = grid.displacement(c)
+    rel = sum(e * d for e, d in zip(plane.normal, disp))
+    height = plane.signed_height(grid, c)
+    tang = np.sqrt(np.maximum(sum(d**2 for d in disp) - rel**2, 0.0))
 
-    disp = np.zeros((grid.dim,) + grid.shape)
-    for ax, x in enumerate(grid.coords()):
-        disp[ax] = grid.minimal_image(x - c[ax])
-    rel = np.tensordot(e, disp, axes=(0, 0))
-    height = rel + sum(ei * ci for ei, ci in zip(e, c)) - plane.offset
-    tang = np.sqrt(np.maximum(np.sum(disp**2, axis=0) - rel**2, 0.0))
-
-    phi_profile = _RampProfile(lo=0.5 * radius, hi=radius)
-    psi_profile = _RampProfile(lo=0.5 * radius, hi=radius)
-    phi = phi_profile.value(tang)
-    psi = psi_profile.value(np.abs(height))
-    psi_d1 = psi_profile.d1(np.abs(height))
+    profile = _RampProfile(lo=0.5 * radius, hi=radius)
+    phi = profile.value(tang)
+    psi = profile.value(np.abs(height))
+    psi_d1 = profile.d1(np.abs(height))
 
     eps = field.epsilon
     b = FrameBundle(field)
@@ -701,16 +690,7 @@ class DiagnosticsRecord:
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
 
     def as_row(self) -> dict:
-        return {
-            "time": self.time,
-            "region_descriptor": self.region_descriptor,
-            "energy": self.energy,
-            "tilt_excess": self.tilt_excess,
-            "height_excess": self.height_excess,
-            "willmore": self.willmore,
-            "discrepancy_l1": self.discrepancy_l1,
-            "discrepancy_max": self.discrepancy_max,
-        }
+        return asdict(self)
 
 
 def diagnostics_record(
@@ -725,35 +705,25 @@ def diagnostics_record(
     Laplacian.
     """
     b = _bundle(frame)
-    field = b.field
-    grid = field.grid
+    grid = b.field.grid
     if plane is None:
         plane = Hyperplane.vertical(grid.dim)
-    direction = plane.normal
-    mask = ball_mask(grid, region.center_space, region.radius) if region is not None else None
-    vol = grid.cell_volume
-
-    dens = b.energy_density
-    xi = b.discrepancy
-    if mask is None:
-        energy = float(np.sum(dens) * vol)
-        xi_l1 = float(np.sum(np.abs(xi)) * vol)
-        xi_max = float(np.max(xi))
-        descriptor = "box"
+    if region is None:
+        inside, descriptor = ..., "box"
     else:
-        energy = float(np.sum(dens[mask]) * vol)
-        xi_l1 = float(np.sum(np.abs(xi[mask])) * vol)
-        xi_max = float(np.max(xi[mask]))
+        inside = ball_mask(grid, region.center_space, region.radius)
         descriptor = (
             "ball(" + ",".join(repr(c) for c in region.center_space) + f";r={region.radius!r})"
         )
+    dens, xi = b.energy_density[inside], b.discrepancy[inside]
+    vol = grid.cell_volume
     return DiagnosticsRecord(
-        time=field.time,
+        time=b.field.time,
         region_descriptor=descriptor,
-        energy=energy,
-        tilt_excess=tilt_excess(b, direction, region),
+        energy=float(np.sum(dens) * vol),
+        tilt_excess=tilt_excess(b, plane.normal, region),
         height_excess=height_excess(b, plane, region),
         willmore=willmore(b, region),
-        discrepancy_l1=xi_l1,
-        discrepancy_max=xi_max,
+        discrepancy_l1=float(np.sum(np.abs(xi)) * vol),
+        discrepancy_max=float(np.max(xi)),
     )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -18,15 +18,17 @@ import numpy as np
 from .diagnostics import (
     FrameBundle,
     Hyperplane,
+    TestFunction,
     _tilt_integrand,
+    brakke_terms,
     caccioppoli_ratio,
     diagnostics_record,
     divergence_defect,
-    energy_density,
     radial_bump,
     sobolev_defect,
+    weighted_mass,
 )
-from .grid import Grid, ParabolicCylinder, ScalarField, Trajectory, WAVE_ENERGY
+from .grid import Grid, ParabolicCylinder, ScalarField, Trajectory, WAVE_ENERGY, trapezoid_weights
 from .initial_data import circle_distance, graph_pair_distance, plane_pair_distance, sine_mode
 from .io import write_diagnostics_csv, write_field, write_graph_csv, write_json, write_table_csv
 from .levelset import (
@@ -36,7 +38,7 @@ from .levelset import (
     heat_compare,
     partition_good_bad,
 )
-from .monotonicity import KernelPoint, kernel_on_grid
+from .monotonicity import KernelPoint, monotonicity_terms
 from .operators import integrate_values
 from .solver import SolverConfig, SolverConfigError, _Stepper, prepare_interface
 from . import solver as solver_mod
@@ -48,6 +50,7 @@ __all__ = [
     "ScenarioResult",
     "SCENARIOS",
     "default_config",
+    "initial_field",
     "load_config",
     "run_scenario",
     "write_reports",
@@ -123,7 +126,7 @@ def _build_config(raw: dict) -> ExperimentConfig:
 
     Structural problems (unknown or missing keys, values of the wrong type,
     an invalid grid) are collected first; when there are none, the rules
-    of :func:`validate_config` run on the built config.
+    of :func:`_validate_config` run on the built config.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -192,11 +195,11 @@ def _build_config(raw: dict) -> ExperimentConfig:
         params=dict(raw.get("params", {})),
         seed=seed,
     )
-    validate_config(config)
+    _validate_config(config)
     return config
 
 
-def validate_config(config: ExperimentConfig) -> None:
+def _validate_config(config: ExperimentConfig) -> None:
     """Resolution, margin and time-step rules; every violation reported at once.
 
     Per epsilon, the step must lie within the scheme's stability limit and
@@ -413,9 +416,7 @@ class FlowAudit:
     def dissipation_defect(self) -> float:
         """Relative defect of energy drop against the dissipation integral."""
         drop = self.energy[0] - self.energy[-1]
-        w = np.full(len(self.times), self.dt)
-        w[0] = w[-1] = 0.5 * self.dt
-        total = float(np.sum(self.dissipation * w))
+        total = float(np.sum(self.dissipation * trapezoid_weights(len(self.times), self.dt)))
         return abs(total - drop) / abs(drop)
 
 
@@ -536,7 +537,7 @@ def density_ratio_profile(
                 for c in center_space)
     center_in_layer = bool(abs(frame.values[idx]) <= 1.0 - band)
 
-    dens_slices = [(f.time, energy_density(f).values) for f in traj.frames]
+    dens_slices = [(f.time, FrameBundle(f).energy_density) for f in traj.frames]
     entries = []
     for r in radii:
         region = ParabolicCylinder(center_space=tuple(center_space), center_time=center_time,
@@ -592,10 +593,8 @@ def excess_convergence_sweep(
         grid = traj.grid
         e_vert = (0.0,) * (grid.dim - 1) + (1.0,)
         vol = grid.cell_volume
-        w = np.full(len(traj), traj.dt_sample)
-        w[0] = w[-1] = 0.5 * traj.dt_sample
         tilt = xi = wil = 0.0
-        for wi, f in zip(w, traj.frames):
+        for wi, f in zip(trapezoid_weights(len(traj), traj.dt_sample), traj.frames):
             b = FrameBundle(f)
             tilt += wi * float(np.sum(_tilt_integrand(b, e_vert)) * vol)
             xi += wi * float(np.sum(np.abs(b.discrepancy)) * vol)
@@ -626,6 +625,19 @@ def _perturbed_initial(grid: Grid, eps: float, amplitude: float, mode: int,
         profiles.append(sine_mode(tilt * grid.extent / (2.0 * np.pi), 1, grid.extent,
                                   phase=-np.pi / 2))
     return prepare_interface(graph_pair_distance(grid.extent, profiles), grid, eps)
+
+
+def initial_field(config: ExperimentConfig, eps: float) -> ScalarField:
+    """The scenario's initial data on ``config.grid`` at layer width ``eps``:
+    the circle of radius ``params.radius`` for the circle scenarios, the
+    perturbed graph layer for excess-decay, the flat layer pair otherwise."""
+    grid, p = config.grid, config.params
+    if config.scenario in ("shrinking-circle", "no-cancellation", "monotonicity-sweep"):
+        return _circle_initial(grid, eps, float(p.get("radius", 0.35)))
+    if config.scenario == "excess-decay":
+        amplitude = float(p.get("amplitude_over_epsilon", 0.5)) * eps
+        return _perturbed_initial(grid, eps, amplitude, int(p.get("mode", 1)))
+    return _wave_initial(grid, eps)
 
 
 def _multiscale_rough_initial(grid: Grid, eps: float, slopes: Sequence[float],
@@ -659,7 +671,7 @@ def _multiscale_rough_initial(grid: Grid, eps: float, slopes: Sequence[float],
 def run_standing_wave(config: ExperimentConfig) -> ScenarioResult:
     grid = config.grid
     eps = config.epsilons[0]
-    wave = _wave_initial(grid, eps)
+    wave = initial_field(config, eps)
     inner = np.abs(np.broadcast_to(grid.coords()[-1], grid.shape)) <= grid.extent / 8
 
     b = FrameBundle(wave)
@@ -695,39 +707,22 @@ def run_standing_wave(config: ExperimentConfig) -> ScenarioResult:
     )
 
 
-def _circle_probes(grid: Grid, eps: float, kernel: KernelPoint,
-                   phi_bump) -> Callable[[FrameBundle], dict[str, float]]:
+def _circle_probes(grid: Grid, kernel: KernelPoint,
+                   phi_bump: TestFunction) -> Callable[[FrameBundle], dict[str, float]]:
     """Per-step terms of the Brakke identity (both forms) against the bump
     and of the Gaussian monotonicity identity against the backward kernel."""
-    vol = grid.cell_volume
-    phi_vals = phi_bump.value(grid)
-    phi_grad = phi_bump.gradient(grid)
-    phi_hess = phi_bump.hessian(grid)
-    phi_laplacian = sum(phi_hess[i, i] for i in range(grid.dim))
-    kernel_disp = [grid.minimal_image(x - kernel.y[ax]) for ax, x in enumerate(grid.coords())]
+    phi, grad_phi, hess_phi = phi_bump.value(grid), phi_bump.gradient(grid), phi_bump.hessian(grid)
 
     def probe(b: FrameBundle) -> dict[str, float]:
-        t = b.field.time
-        r, g, dens = b.residual, b.gradient, b.energy_density
-        dissip = -eps * float(np.sum(phi_vals * r * r) * vol)
-        transport = -eps * float(np.sum(np.sum(phi_grad * g, axis=0) * r) * vol)
-        # T : D^2 phi with T = eps grad u (x) grad u - e I, contracted per
-        # component pair instead of building the d x d tensor field
-        hess_gg = sum(g[i] * sum(phi_hess[i, j] * g[j] for j in range(grid.dim))
-                      for i in range(grid.dim))
-        tensor = float(np.sum(eps * hess_gg - dens * phi_laplacian) * vol)
-
-        tau = kernel.s - t
-        phi_k = kernel_on_grid(kernel, grid, t)
-        # grad(Phi)/Phi = -(x - y) / (2 tau), wrapped like the kernel itself
-        drift = -sum(d * g[ax] for ax, d in enumerate(kernel_disp)) / (2.0 * tau)
+        rhs_gradient, rhs_tensor = brakke_terms(b, phi, grad_phi, hess_phi)
+        gauss, dissipative, discrepancy, _ = monotonicity_terms(b, kernel)
         return {
-            "brakke_mass": float(np.sum(phi_vals * dens) * vol),
-            "brakke_rhs_gradient": dissip + transport,
-            "brakke_rhs_tensor": dissip + tensor,
-            "gauss": float(np.sum(phi_k * dens) * vol),
-            "gauss_dissipative": -eps * float(np.sum(phi_k * (-r - drift) ** 2) * vol),
-            "gauss_discrepancy": float(np.sum(phi_k / (2.0 * tau) * b.discrepancy) * vol),
+            "brakke_mass": weighted_mass(b, phi),
+            "brakke_rhs_gradient": rhs_gradient,
+            "brakke_rhs_tensor": rhs_tensor,
+            "gauss": gauss,
+            "gauss_dissipative": dissipative,
+            "gauss_discrepancy": discrepancy,
         }
 
     return probe
@@ -737,12 +732,11 @@ def circle_audits(config: ExperimentConfig, dt_scales: Sequence[float]) -> dict[
     """Shrinking-circle runs at rescaled steps, with identity probes attached."""
     grid = config.grid
     eps = config.epsilons[0]
-    radius = float(config.params.get("radius", 0.35))
-    initial = _circle_initial(grid, eps, radius)
+    initial = initial_field(config, eps)
     kernel = KernelPoint(y=(0.0,) * grid.dim, s=config.t_end + float(
         config.params.get("kernel_lag", 0.01)), n=grid.interface_dim)
     phi = radial_bump(center=(0.0,) * grid.dim, radius=0.45 * grid.extent)
-    probe = _circle_probes(grid, eps, kernel, phi)
+    probe = _circle_probes(grid, kernel, phi)
     audits = {}
     # thin the stored trajectory to a fixed sampling interval regardless of
     # dt, so cylinder time windows down to (2 eps)^2 hold several frames
@@ -935,7 +929,7 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     for eps in config.epsilons:
         g = grid_for(eps)
         amp = a_over_eps * eps
-        initial = _perturbed_initial(g, eps, amp, mode)
+        initial = initial_field(replace(config, grid=g), eps)
         cfg = config.solver_config(eps, sample_every=sampling(eps))
         traj = solver_mod.evolve(initial, cfg)
         trajectories[eps] = traj
@@ -996,12 +990,16 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     rough_cfg = config.solver_config(eps_mid, t_end=rough_t_end,
                                      sample_every=sampling(eps_mid, t_end=rough_t_end, target=8))
     rough_traj = solver_mod.evolve(rough_initial, rough_cfg)
-    weak_l1 = []
-    bad_nonempty = True
-    for threshold in thresholds:
+
+    def partition_summary(threshold: float) -> tuple[float, bool]:
+        # only the two numbers outlive the call, so one partition's arrays
+        # are never held while the next is computed
         part = partition_good_bad(rough_traj, threshold, band)
-        weak_l1.append(part.weak_l1_ratio)
-        bad_nonempty = bad_nonempty and bool(np.any(part.bad))
+        return part.weak_l1_ratio, bool(np.any(part.bad))
+
+    summaries = [partition_summary(threshold) for threshold in thresholds]
+    weak_l1 = [ratio for ratio, _ in summaries]
+    bad_nonempty = all(any_bad for _, any_bad in summaries)
     positive = [v for v in weak_l1 if v > 0]
     weak_l1_stability = (max(positive) / min(positive)) if positive else math.inf
     if not bad_nonempty:
@@ -1038,13 +1036,11 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
 
 
 def run_no_cancellation(config: ExperimentConfig) -> ScenarioResult:
-    grid = config.grid
-    radius = float(config.params.get("radius", 0.35))
     bump_radii = [float(r) for r in config.params.get("bump_radii", [0.15, 0.25, 0.35, 0.45, 0.55])]
     defects = {}
     for eps in sorted(config.epsilons, reverse=True):
         cfg = config.solver_config(eps)
-        traj = solver_mod.evolve(_circle_initial(grid, eps, radius), cfg)
+        traj = solver_mod.evolve(initial_field(config, eps), cfg)
         defects[eps] = no_cancellation_check(traj, bump_radii)
     eps_sorted = sorted(defects, reverse=True)
     seq = [defects[e] for e in eps_sorted]

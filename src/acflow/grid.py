@@ -26,6 +26,8 @@ __all__ = [
     "ScalarField",
     "ParabolicCylinder",
     "Trajectory",
+    "time_window",
+    "trapezoid_weights",
 ]
 
 
@@ -90,6 +92,11 @@ class Grid:
         """Wrap coordinate differences into ``[-extent/2, extent/2)``."""
         L = self.extent
         return (delta + 0.5 * L) % L - 0.5 * L
+
+    def displacement(self, center: Sequence[float]) -> tuple[np.ndarray, ...]:
+        """Wrapped displacements ``x - center``, one broadcastable (sparse)
+        array per axis, as :meth:`coords`."""
+        return tuple(self.minimal_image(x - c) for x, c in zip(self.coords(), center))
 
     def sample(self, fn: Callable[..., np.ndarray]) -> np.ndarray:
         """Evaluate ``fn(x1, ..., xd)`` on the lattice."""
@@ -234,17 +241,26 @@ class Trajectory:
         return i, self.frames[i]
 
     def window(self, t_lo: float, t_hi: float) -> "Trajectory":
-        """Sub-trajectory of frames with ``t_lo <= t <= t_hi`` (small slack)."""
-        slack = 1e-12 * max(1.0, abs(t_hi))
-        keep = [f for f in self.frames if t_lo - slack <= f.time <= t_hi + slack]
-        if not keep:
+        """Sub-trajectory of the frames inside :func:`time_window`."""
+        keep = time_window(self.times, t_lo, t_hi)
+        if keep.size == 0:
             raise ValueError(f"no frames inside time window [{t_lo}, {t_hi}]")
-        return Trajectory(frames=tuple(keep), dt_sample=self.dt_sample)
+        return Trajectory(frames=tuple(self.frames[i] for i in keep), dt_sample=self.dt_sample)
 
 
-def as_trajectory(obj: ScalarField | Trajectory | Sequence[ScalarField]) -> Trajectory:
-    if isinstance(obj, Trajectory):
-        return obj
-    if isinstance(obj, ScalarField):
-        return Trajectory(frames=(obj,), dt_sample=1.0)
-    return Trajectory(frames=tuple(obj), dt_sample=obj[1].time - obj[0].time if len(obj) > 1 else 1.0)
+def time_window(times: Sequence[float], lo: float, hi: float) -> np.ndarray:
+    """Indices of the sample times in ``[lo, hi]``, widened on both sides by
+    ``1e-12 * max(1, |hi|)`` so that sample times carrying round-off count."""
+    times = np.asarray(times)
+    slack = 1e-12 * max(1.0, abs(hi))
+    return np.nonzero((times >= lo - slack) & (times <= hi + slack))[0]
+
+
+def trapezoid_weights(n: int, dt: float) -> np.ndarray:
+    """Trapezoid weights of ``n`` samples spaced ``dt`` apart; a single
+    sample gets weight 1 (its value is returned unintegrated)."""
+    if n == 1:
+        return np.ones(1)
+    w = np.full(n, dt)
+    w[0] = w[-1] = 0.5 * dt
+    return w

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Grid, ScalarField, Trajectory
+from .diagnostics import FrameBundle, _tilt_integrand
+from .grid import Grid, ScalarField, Trajectory, time_window, trapezoid_weights
 from .operators import ball_mask, gradient_values
 from .solver import CLAMP
 
@@ -27,7 +28,6 @@ __all__ = [
     "extract_graph",
     "GraphRelationDefects",
     "graph_derivative_relations",
-    "parabolic_maximal",
     "GoodBadPartition",
     "partition_good_bad",
     "heat_compare",
@@ -98,6 +98,17 @@ class LevelSetGraph:
         return self.heights.ndim - 1
 
 
+def _cubic(stencil: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Cubic Lagrange interpolant through ``stencil[:, k]`` at local nodes
+    ``k = 0..3``, evaluated at local coordinates ``z`` (one per row)."""
+    z0, z1, z2, z3 = z - 0.0, z - 1.0, z - 2.0, z - 3.0
+    b0 = z1 * z2 * z3 / -6.0
+    b1 = z0 * z2 * z3 / 2.0
+    b2 = z0 * z1 * z3 / -2.0
+    b3 = z0 * z1 * z2 / 6.0
+    return stencil[:, 0] * b0 + stencil[:, 1] * b1 + stencil[:, 2] * b2 + stencil[:, 3] * b3
+
+
 def _lagrange_roots(stencil: np.ndarray, targets: np.ndarray,
                     lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Solve cubic-interpolated crossings, vectorized over columns.
@@ -106,15 +117,6 @@ def _lagrange_roots(stencil: np.ndarray, targets: np.ndarray,
     coordinates 0..3), ``targets`` the level, and ``[lo, hi]`` the bracket in
     local coordinates.  Bisection localizes the root, Newton polishes it.
     """
-
-    def cubic(z: np.ndarray) -> np.ndarray:
-        z0, z1, z2, z3 = z - 0.0, z - 1.0, z - 2.0, z - 3.0
-        b0 = z1 * z2 * z3 / -6.0
-        b1 = z0 * z2 * z3 / 2.0
-        b2 = z0 * z1 * z3 / -2.0
-        b3 = z0 * z1 * z2 / 6.0
-        return (stencil[:, 0] * b0 + stencil[:, 1] * b1
-                + stencil[:, 2] * b2 + stencil[:, 3] * b3)
 
     def cubic_d1(z: np.ndarray) -> np.ndarray:
         z0, z1, z2, z3 = z - 0.0, z - 1.0, z - 2.0, z - 3.0
@@ -126,17 +128,17 @@ def _lagrange_roots(stencil: np.ndarray, targets: np.ndarray,
                 + stencil[:, 2] * b2 + stencil[:, 3] * b3)
 
     a, b = lo.astype(float).copy(), hi.astype(float).copy()
-    fa = cubic(a) - targets
+    fa = _cubic(stencil, a) - targets
     for _ in range(52):
         mid = 0.5 * (a + b)
-        fm = cubic(mid) - targets
+        fm = _cubic(stencil, mid) - targets
         go_left = (fa * fm) <= 0.0
         b = np.where(go_left, mid, b)
         a = np.where(go_left, a, mid)
         fa = np.where(go_left, fa, fm)
     root = 0.5 * (a + b)
     for _ in range(3):
-        f = cubic(root) - targets
+        f = _cubic(stencil, root) - targets
         d = cubic_d1(root)
         safe = np.abs(d) > 1e-300
         update = np.where(safe, f / np.where(safe, d, 1.0), 0.0)
@@ -154,14 +156,9 @@ def extract_graph(traj: ScalarField | Trajectory, level: float,
     an error.  Crossings are refined on the column's cubic interpolant to
     ``|u(h) - level| <= 1e-12``.
     """
-    if isinstance(traj, ScalarField):
-        frames: Sequence[ScalarField] = [traj]
-        times = np.array([traj.time])
-        grid = traj.grid
-    else:
-        frames = traj.frames
-        times = traj.times
-        grid = traj.grid
+    frames = [traj] if isinstance(traj, ScalarField) else traj.frames
+    times = np.array([f.time for f in frames])
+    grid = traj.grid
     if window is None:
         window = 0.25 * grid.extent
 
@@ -238,13 +235,7 @@ def _interp_on_columns(values: np.ndarray, grid: Grid, heights: np.ndarray) -> n
     z = pos - q
     rows = np.arange(n_cols)
     stencil = np.stack([v[rows, q + off] for off in range(4)], axis=1)
-    z0, z1, z2, z3 = z - 0.0, z - 1.0, z - 2.0, z - 3.0
-    b0 = z1 * z2 * z3 / -6.0
-    b1 = z0 * z2 * z3 / 2.0
-    b2 = z0 * z1 * z3 / -2.0
-    b3 = z0 * z1 * z2 / 6.0
-    out = stencil[:, 0] * b0 + stencil[:, 1] * b1 + stencil[:, 2] * b2 + stencil[:, 3] * b3
-    return out.reshape(heights.shape)
+    return _cubic(stencil, z).reshape(heights.shape)
 
 
 @dataclass(frozen=True)
@@ -334,9 +325,7 @@ def graph_derivative_relations(
 
 
 def _window_bounds(times: np.ndarray, t: float, r: float) -> tuple[int, int]:
-    lo, hi = t - r * r, t + r * r
-    slack = 1e-12 * max(1.0, abs(hi))
-    idx = np.nonzero((times >= lo - slack) & (times <= hi + slack))[0]
+    idx = time_window(times, t - r * r, t + r * r)
     return int(idx[0]), int(idx[-1])
 
 
@@ -345,57 +334,6 @@ def _window_measure(times: np.ndarray, r: float) -> float:
     if len(times) > 1:
         return min(2.0 * r * r, float(times[1] - times[0]))
     return 2.0 * r * r
-
-
-def _trapezoid_time(series: np.ndarray, times: np.ndarray, a: int, b: int, r: float) -> float:
-    if a == b:
-        return float(series[a]) * _window_measure(times, r)
-    dt = times[1] - times[0]
-    total = float(np.sum(series[a : b + 1]))
-    return dt * (total - 0.5 * (series[a] + series[b]))
-
-
-def parabolic_maximal(
-    f: np.ndarray,
-    times: np.ndarray,
-    extent: float,
-    point_space: Sequence[float],
-    point_time: float,
-    radii: Sequence[float],
-) -> float:
-    """Sup over the given radii of ``r^(-m-2)`` times the mass of ``f`` over
-    the space-time cylinder at the query point (m spatial axes; no volume
-    factor in the normalization).
-
-    ``f`` is laid out (time, *spatial) over a centered periodic lattice.
-    Time windows reaching past the sampled range are clipped.
-    """
-    spatial_shape = f.shape[1:]
-    m = len(spatial_shape)
-    radii = list(radii)
-    if not radii:
-        raise ValueError("need at least one radius")
-    if any(r <= 0 or r > 0.5 * extent for r in radii):
-        raise ValueError(f"radii must lie in (0, {0.5 * extent}]; got {radii}")
-    spacing = extent / spatial_shape[0]
-    axes = [-0.5 * extent + spacing * np.arange(nn) for nn in spatial_shape]
-    cell = spacing**m
-
-    best = 0.0
-    for r in radii:
-        d2 = np.zeros(spatial_shape)
-        for ax in range(m):
-            shape = [1] * m
-            shape[ax] = spatial_shape[ax]
-            delta = axes[ax].reshape(shape) - point_space[ax]
-            delta = (delta + 0.5 * extent) % extent - 0.5 * extent
-            d2 = d2 + delta**2
-        mask = d2 <= r * r
-        per_frame = np.array([float(np.sum(np.where(mask, fr, 0.0))) * cell for fr in f])
-        a, b = _window_bounds(times, point_time, r)
-        mass = _trapezoid_time(per_frame, times, a, b, r)
-        best = max(best, mass / r ** (m + 2))
-    return best
 
 
 def _maximal_field(g: np.ndarray, times: np.ndarray, grid: Grid, radii: Sequence[float],
@@ -408,11 +346,12 @@ def _maximal_field(g: np.ndarray, times: np.ndarray, grid: Grid, radii: Sequence
     nt = g.shape[0]
     out = np.zeros_like(g)
     dt = times[1] - times[0] if nt > 1 else 1.0
-    coords = grid.coords()
+    # The ball is centred on lattice index 0 (coordinate -extent/2), the zero
+    # shift of the circular convolution, so conv[j] is the ball mass around
+    # lattice point j.
+    origin = (-0.5 * grid.extent,) * grid.dim
+    d2 = np.broadcast_to(sum(d**2 for d in grid.displacement(origin)), grid.shape)
     for r in radii:
-        d2 = np.zeros(grid.shape)
-        for x in coords:
-            d2 = d2 + grid.minimal_image(x) ** 2
         kernel = (d2 <= r * r).astype(float)
         khat = np.fft.fftn(kernel)
         conv = np.empty_like(g)
@@ -468,8 +407,6 @@ def partition_good_bad(
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    from .diagnostics import _tilt_integrand  # shared integrand and floor
-
     grid = traj.grid
     e = direction if direction is not None else (0.0,) * (grid.dim - 1) + (1.0,)
     if radii is None:
@@ -484,15 +421,14 @@ def partition_good_bad(
     good = layer & (maximal < threshold)
     bad = layer & (maximal >= threshold)
 
+    # The Dirichlet density is recomputed here, one frame at a time, rather
+    # than kept from the tilt pass: holding it for every frame through the
+    # maximal function raises the peak memory.
     eps = traj.epsilon
-    dirichlet = np.stack(
-        [eps * np.sum(gradient_values(grid, f.values) ** 2, axis=0) for f in traj.frames]
-    )
-    w = np.full(len(times), traj.dt_sample if len(times) > 1 else 1.0)
-    if len(times) > 1:
-        w[0] = w[-1] = 0.5 * traj.dt_sample
+    w = trapezoid_weights(len(times), traj.dt_sample)
     vol = grid.cell_volume
-    bad_mass = float(sum(wi * np.sum(d[m]) * vol for wi, d, m in zip(w, dirichlet, bad)))
+    bad_mass = float(sum(wi * np.sum((eps * FrameBundle(f).grad_sq)[m]) * vol
+                         for wi, f, m in zip(w, traj.frames, bad)))
     tilt_mass = float(sum(wi * np.sum(ti) * vol for wi, ti in zip(w, tilt)))
     ratio = bad_mass * threshold / tilt_mass if tilt_mass > 0 else 0.0
     return GoodBadPartition(
@@ -610,9 +546,7 @@ def excess_decay_ratio(
     c = tuple(center_space) if center_space is not None else (0.0,) * grid.dim
     t0 = center_time if center_time is not None else float(np.median(traj.times))
 
-    disp = np.zeros((grid.dim,) + grid.shape)
-    for ax, x in enumerate(grid.coords()):
-        disp[ax] = grid.minimal_image(x - c[ax])
+    disp = np.stack(np.broadcast_arrays(*grid.displacement(c)))
     xv = disp[-1]
     base = disp[:-1]
 
@@ -631,15 +565,10 @@ def excess_decay_ratio(
     dts = traj.dt_sample if len(times) > 1 else 1.0
 
     def frames_in(r: float) -> list[tuple[int, float]]:
-        lo, hi = t0 - r * r, t0 + r * r
-        slack = 1e-12
-        idx = [i for i, t in enumerate(times) if lo - slack <= t <= hi + slack]
+        idx = time_window(times, t0 - r * r, t0 + r * r)
         if len(idx) < 2:
             raise ValueError("trajectory does not cover the cylinder time window")
-        w = {i: dts for i in idx}
-        w[idx[0]] = 0.5 * dts
-        w[idx[-1]] = 0.5 * dts
-        return [(i, w[i]) for i in idx]
+        return list(zip(idx.tolist(), trapezoid_weights(len(idx), dts).tolist()))
 
     # Weighted least squares over the shrunk cylinder.
     p = grid.dim  # base coords + constant
@@ -649,8 +578,7 @@ def excess_decay_ratio(
 
     def weight(i: int) -> np.ndarray:
         if i not in weights_cache:
-            g = gradient_values(grid, traj[i].values)
-            weights_cache[i] = eps * np.sum(g * g, axis=0)
+            weights_cache[i] = eps * FrameBundle(traj[i]).grad_sq
         return weights_cache[i]
 
     for i, tw in frames_in(theta * scale):

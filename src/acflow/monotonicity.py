@@ -15,16 +15,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import FrameBundle, TestFunction, energy_density, stress_energy
-from .grid import Grid, Trajectory
+from .diagnostics import (
+    FrameBundle,
+    TestFunction,
+    _centered_index,
+    _sample_index,
+    stress_contraction,
+    weighted_mass,
+)
+from .grid import Grid, Trajectory, time_window, trapezoid_weights
 from .operators import ball_mask
 
 __all__ = [
     "KernelPoint",
-    "huisken_kernel",
     "kernel_on_grid",
     "GaussianDensity",
     "gaussian_density",
+    "monotonicity_terms",
     "MonotonicityResidual",
     "monotonicity_residual",
     "l2_linfty_ratio",
@@ -47,15 +54,6 @@ class KernelPoint:
             raise ValueError("interface dimension must be nonnegative")
 
 
-def huisken_kernel(kp: KernelPoint, x: Sequence[np.ndarray], t: float) -> np.ndarray:
-    """Kernel value at positions x (a sequence of coordinate arrays)."""
-    tau = kp.s - t
-    if tau <= 0:
-        raise ValueError(f"kernel needs t < s, got t={t} >= s={kp.s}")
-    r2 = sum((np.asarray(xi) - yi) ** 2 for xi, yi in zip(x, kp.y))
-    return (4.0 * math.pi * tau) ** (-kp.n / 2.0) * np.exp(-r2 / (4.0 * tau))
-
-
 def kernel_on_grid(kp: KernelPoint, grid: Grid, t: float) -> np.ndarray:
     """Kernel on the lattice, with displacements wrapped to the torus.
 
@@ -66,8 +64,8 @@ def kernel_on_grid(kp: KernelPoint, grid: Grid, t: float) -> np.ndarray:
     if tau <= 0:
         raise ValueError(f"kernel needs t < s, got t={t} >= s={kp.s}")
     out = (4.0 * math.pi * tau) ** (-kp.n / 2.0)
-    for ax, x in enumerate(grid.coords()):
-        out = out * np.exp(-grid.minimal_image(x - kp.y[ax]) ** 2 / (4.0 * tau))
+    for d in grid.displacement(kp.y):
+        out = out * np.exp(-d**2 / (4.0 * tau))
     return out
 
 
@@ -96,39 +94,64 @@ def gaussian_density(
     boundary, the result carries ``support_ok=False`` (a warning flag, not
     an error: mass far from the layer may still be negligible).
     """
-    i, frame = traj.frame_nearest(t)
-    if abs(frame.time - t) > 0.5 * traj.dt_sample + 1e-12:
-        raise ValueError(f"t={t:g} is not a sample time of the trajectory")
-    tau = kp.s - frame.time
-    if tau <= 0:
-        raise ValueError(f"kernel needs t < s, got t={frame.time} >= s={kp.s}")
-    grid = traj.grid
-    phi = kernel_on_grid(kp, grid, frame.time)
-    weight = phi if rho is None else phi * rho.value(grid)
-    dens = FrameBundle(frame).energy_density
-    value = float(np.sum(weight * dens) * grid.cell_volume)
-    return GaussianDensity(value=value, time=frame.time, support_ok=_support_ok(grid, tau))
+    frame = traj[_sample_index(traj, t)]
+    _, weight = _weights(kp, frame.grid, frame.time, rho)
+    value = weighted_mass(FrameBundle(frame), weight)
+    return GaussianDensity(value=value, time=frame.time,
+                           support_ok=_support_ok(frame.grid, kp.s - frame.time))
+
+
+def _weights(kp: KernelPoint, grid: Grid, t: float,
+             rho: TestFunction | None) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel ``Phi`` at time ``t`` and the weight ``rho Phi`` (``Phi``
+    itself when ``rho`` is None)."""
+    phi = kernel_on_grid(kp, grid, t)
+    return phi, (phi if rho is None else phi * rho.value(grid))
+
+
+def monotonicity_terms(
+    bundle: FrameBundle,
+    kp: KernelPoint,
+    rho: TestFunction | None = None,
+) -> tuple[float, float, float, float]:
+    """The kernel-weighted energy and the three right-hand terms of its
+    time derivative at one slice: ``(value, dissipative, discrepancy,
+    rho_tensor)``.
+
+    With ``w = rho Phi`` (``Phi`` alone when ``rho`` is None, and then the
+    tensor term is 0): the dissipative square ``-eps int w (V - grad(Phi)/Phi
+    . grad u)^2`` (``V`` the flow's velocity), the discrepancy term
+    ``int w xi / (2(s-t))`` and ``int Phi T : D^2 rho``.  One kernel is built.
+    """
+    grid, eps, t = bundle.field.grid, bundle.field.epsilon, bundle.field.time
+    vol = grid.cell_volume
+    tau = kp.s - t
+    phi, w = _weights(kp, grid, t, rho)
+    g = bundle.gradient
+    # grad(Phi)/Phi = -(x - y) / (2 (s - t)), wrapped like the kernel itself
+    drift = -sum(d * g[ax] for ax, d in enumerate(grid.displacement(kp.y))) / (2.0 * tau)
+    dissipative = -eps * float(np.sum(w * (-bundle.residual - drift) ** 2) * vol)
+    discrepancy = float(np.sum(w / (2.0 * tau) * bundle.discrepancy) * vol)
+    rho_tensor = 0.0
+    if rho is not None:
+        rho_tensor = float(np.sum(stress_contraction(bundle, rho.hessian(grid)) * phi) * vol)
+    return weighted_mass(bundle, w), dissipative, discrepancy, rho_tensor
 
 
 @dataclass(frozen=True)
 class MonotonicityResidual:
-    """The four sides of the weighted monotonicity identity at one time."""
+    """The measured derivative and the three right-hand terms of the
+    weighted monotonicity identity at one time."""
 
     time: float
     dvalue_dt: float
     dissipative_term: float
     discrepancy_term: float
-    rho_time_term: float
     rho_tensor_term: float
 
     @property
     def rhs(self) -> float:
-        return (
-            self.dissipative_term
-            + self.discrepancy_term
-            + self.rho_time_term
-            + self.rho_tensor_term
-        )
+        return self.dissipative_term + self.discrepancy_term + self.rho_tensor_term
 
     @property
     def residual(self) -> float:
@@ -143,59 +166,18 @@ def monotonicity_residual(
 ) -> MonotonicityResidual:
     """Centered d/dt of the kernel-weighted energy against its identity.
 
-    The right-hand side comprises the dissipative square (with the kernel's
-    drift folded into the velocity), the discrepancy term weighted by
-    ``rho Phi / (2(s-t))``, the weight's time-derivative term, and the
-    stress-tensor contraction against the weight's Hessian.
+    The right-hand side is that of :func:`monotonicity_terms`.
     """
-    if len(traj) < 3:
-        raise ValueError("trajectory too short for a centered time derivative")
-    i, frame = traj.frame_nearest(t)
-    if abs(frame.time - t) > 0.5 * traj.dt_sample + 1e-12:
-        raise ValueError(f"t={t:g} is not a sample time of the trajectory")
-    if i == 0 or i == len(traj) - 1:
-        raise ValueError(f"t={t:g} is an endpoint; the centered derivative needs interior t")
-
-    grid = traj.grid
+    i = _centered_index(traj, t)
     before = gaussian_density(traj, kp, traj[i - 1].time, rho)
     after = gaussian_density(traj, kp, traj[i + 1].time, rho)
-    dvalue_dt = (after.value - before.value) / (2.0 * traj.dt_sample)
-
-    eps = frame.epsilon
-    tau = kp.s - frame.time
-    phi = kernel_on_grid(kp, grid, frame.time)
-    rho_vals = rho.value(grid) if rho is not None else np.ones(grid.shape)
-    vol = grid.cell_volume
-
-    b = FrameBundle(frame)
-    resid = b.residual
-    g = b.gradient
-    # grad(Phi)/Phi = -(x - y) / (2 (s - t)), wrapped like the kernel itself.
-    drift = np.zeros(grid.shape)
-    for ax, x in enumerate(grid.coords()):
-        drift = drift + grid.minimal_image(x - kp.y[ax]) * g[ax]
-    drift = -drift / (2.0 * tau)
-    dissipative = -eps * float(np.sum(rho_vals * phi * (-resid - drift) ** 2) * vol)
-
-    xi = b.discrepancy
-    discrepancy_term = float(np.sum(rho_vals * phi / (2.0 * tau) * xi) * vol)
-
-    if rho is None:
-        rho_time_term = 0.0
-        rho_tensor_term = 0.0
-    else:
-        rho_time_term = float(np.sum(phi * rho.time_derivative(grid) * b.energy_density) * vol)
-        T = stress_energy(b)
-        hess = rho.hessian(grid)
-        rho_tensor_term = float(np.sum(T * hess * phi) * vol)
-
+    _, dissipative, discrepancy, rho_tensor = monotonicity_terms(FrameBundle(traj[i]), kp, rho)
     return MonotonicityResidual(
-        time=frame.time,
-        dvalue_dt=dvalue_dt,
+        time=traj[i].time,
+        dvalue_dt=(after.value - before.value) / (2.0 * traj.dt_sample),
         dissipative_term=dissipative,
-        discrepancy_term=discrepancy_term,
-        rho_time_term=rho_time_term,
-        rho_tensor_term=rho_tensor_term,
+        discrepancy_term=discrepancy,
+        rho_tensor_term=rho_tensor,
     )
 
 
@@ -224,32 +206,23 @@ def l2_linfty_ratio(
 
     kp = KernelPoint(y=tuple(c), s=terminal, n=n)
     phi = kernel_on_grid(kp, grid, frame.time)
-    w = _vertical_height(grid, c)
-    dens = energy_density(frame).values
+    # vertical coordinate relative to the center, wrapped
+    w = np.broadcast_to(grid.displacement(c)[-1], grid.shape)
+    dens = FrameBundle(frame).energy_density
     half = ball_mask(grid, c, 0.5 * radius)
     numerator = float(np.sum((w * w * phi * dens)[half]) * grid.cell_volume)
 
-    lo, hi = terminal - radius**2, terminal
-    full = ball_mask(grid, c, radius)
-    slices = []
-    for f in traj.frames:
-        if lo - 1e-12 <= f.time <= hi + 1e-12:
-            d = energy_density(f).values
-            slices.append((f.time, float(np.sum((w * w * d)[full]) * grid.cell_volume)))
-    if len(slices) < 2:
+    times = traj.times
+    inside = time_window(times, terminal - radius**2, terminal)
+    if len(inside) < 2:
         raise ValueError("trajectory does not cover the backward time window")
-    times = np.array([t for t, _ in slices])
-    vals = np.array([v for _, v in slices])
-    dt = times[1] - times[0]
-    weights = np.full(len(times), dt)
-    weights[0] = weights[-1] = 0.5 * dt
+    full = ball_mask(grid, c, radius)
+    vals = np.array([
+        float(np.sum((w * w * FrameBundle(traj[i]).energy_density)[full]) * grid.cell_volume)
+        for i in inside
+    ])
+    weights = trapezoid_weights(len(inside), times[inside[1]] - times[inside[0]])
     denominator = float(np.sum(vals * weights)) / radius ** (n + 2)
     if denominator == 0.0:
         return 0.0
     return numerator / denominator
-
-
-def _vertical_height(grid: Grid, center: Sequence[float]) -> np.ndarray:
-    """Vertical coordinate relative to a center, minimal-image wrapped."""
-    xv = grid.coords()[-1]
-    return np.broadcast_to(grid.minimal_image(xv - center[-1]), grid.shape)

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Grid, ParabolicCylinder, ScalarField, Trajectory
+from .grid import Grid, ParabolicCylinder, ScalarField, Trajectory, time_window, trapezoid_weights
 
 __all__ = [
     "Symbols",
@@ -133,27 +133,14 @@ def laplacian(field: ScalarField) -> ScalarField:
 
 def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> np.ndarray:
     """Cell-center indicator of ``|x - center| <= radius`` (periodic metric)."""
-    d2 = np.zeros(grid.shape)
-    for ax, x in enumerate(grid.coords()):
-        d2 = d2 + grid.minimal_image(x - center[ax]) ** 2
-    return d2 <= radius**2
+    d2 = sum(d**2 for d in grid.displacement(center))
+    return np.broadcast_to(d2, grid.shape) <= radius**2
 
 
 def _box_sum(grid: Grid, values: np.ndarray, mask: np.ndarray | None) -> float:
     if mask is None:
         return float(np.sum(values) * grid.cell_volume)
     return float(np.sum(values[mask]) * grid.cell_volume)
-
-
-def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
-    """Trapezoid weights for uniformly sampled times (single frame -> 1)."""
-    n = len(times)
-    if n == 1:
-        return np.array([1.0])
-    dt = times[1] - times[0]
-    w = np.full(n, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return w
 
 
 def integrate_values(
@@ -175,8 +162,7 @@ def integrate_values(
         region.validate_against(grid)
         mask = ball_mask(grid, region.center_space, region.radius)
         lo, hi = region.time_window
-        slack = 1e-12 * max(1.0, abs(hi))
-        slices = [(t, v) for (t, v) in slices if lo - slack <= t <= hi + slack]
+        slices = [slices[i] for i in time_window([t for (t, _) in slices], lo, hi)]
         if not slices:
             raise ValueError(f"no frames inside time window [{lo}, {hi}]")
     else:
@@ -187,8 +173,8 @@ def integrate_values(
         if n_given > 1 and region is not None:
             return float(spatial[0]) * min(2.0 * region.radius**2, dt_given)
         return float(spatial[0])
-    times = np.array([t for (t, _) in slices])
-    return float(np.sum(spatial * _trapezoid_weights(times)))
+    dt = slices[1][0] - slices[0][0]
+    return float(np.sum(spatial * trapezoid_weights(len(slices), dt)))
 
 
 def integrate(
@@ -200,8 +186,5 @@ def integrate(
     Whole-box spatial quadrature is exact for trigonometric polynomials;
     masked ball quadrature is first-order in the spacing.
     """
-    if isinstance(density, ScalarField):
-        slices = [(density.time, density.values)]
-        return integrate_values(density.grid, slices, region)
-    slices = [(f.time, f.values) for f in density.frames]
-    return integrate_values(density.grid, slices, region)
+    frames = [density] if isinstance(density, ScalarField) else density.frames
+    return integrate_values(density.grid, [(f.time, f.values) for f in frames], region)

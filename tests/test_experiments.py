@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from acflow import (
-    Grid, SolverConfig, SolverConfigError, Trajectory, WAVE_ENERGY, evolve, prepare_interface,
-    radial_bump,
+    Grid, SolverConfig, SolverConfigError, Trajectory, WAVE_ENERGY, brakke_residual, evolve,
+    gaussian_density, monotonicity_residual, prepare_interface, radial_bump,
 )
 from acflow.cli import main as cli_main
 from acflow.experiments import (
@@ -105,7 +105,7 @@ def test_audited_cnab2_step_makes_five_real_transforms(monkeypatch):
     eps = 4.0 * g.spacing
     dt = 0.25 * eps**2
     initial = prepare_interface(circle_distance(0.35), g, eps)
-    probe = _circle_probes(g, eps, KernelPoint(y=(0.0, 0.0), s=0.05, n=1),
+    probe = _circle_probes(g, KernelPoint(y=(0.0, 0.0), s=0.05, n=1),
                            radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent))
     calls = Counter()
 
@@ -129,6 +129,41 @@ def test_audited_cnab2_step_makes_five_real_transforms(monkeypatch):
     step.subtract(transforms(2))
     assert sum(step[name] for name in REAL_TRANSFORMS) <= 5
     assert sum(step[name] for name in COMPLEX_TRANSFORMS) == 0
+
+
+def test_library_identities_reproduce_the_audit_probe_series():
+    # the audit probe and the public identities share one implementation:
+    # at an interior step they agree up to the round trip of the carried
+    # spectrum through the stored field
+    g = Grid(dim=2, extent=1.2, points=64)
+    eps = 4.0 * g.spacing
+    dt = 0.25 * eps**2
+    kernel = KernelPoint(y=(0.0, 0.0), s=0.05, n=1)
+    bump = radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent)
+    initial = prepare_interface(circle_distance(0.35), g, eps)
+    cfg = SolverConfig(dt=dt, t_end=6 * dt, scheme="semi-implicit-cnab2")
+    audit = run_flow_audit(initial, cfg, _circle_probes(g, kernel, bump))
+    traj, series = audit.trajectory, audit.series
+    i = 3
+    t = traj.times[i]
+
+    def centered(name):
+        return (series[name][i + 1] - series[name][i - 1]) / (2.0 * dt)
+
+    brakke = brakke_residual(traj, bump, t)
+    mono = monotonicity_residual(traj, kernel, t)
+    pairs = [
+        (brakke.dmu_dt, centered("brakke_mass")),
+        (brakke.rhs_gradient_form, series["brakke_rhs_gradient"][i]),
+        (brakke.rhs_tensor_form, series["brakke_rhs_tensor"][i]),
+        (gaussian_density(traj, kernel, t).value, series["gauss"][i]),
+        (mono.dvalue_dt, centered("gauss")),
+        (mono.dissipative_term, series["gauss_dissipative"][i]),
+        (mono.discrepancy_term, series["gauss_discrepancy"][i]),
+    ]
+    for library, probe in pairs:
+        assert library == pytest.approx(probe, rel=1e-12)
+    assert mono.rho_tensor_term == 0.0
 
 
 def test_audit_and_evolve_share_the_step_count_rule(wave_1d):

@@ -14,11 +14,12 @@ from acflow import (
     extract_graph,
     graph_derivative_relations,
     heat_compare,
-    parabolic_maximal,
     partition_good_bad,
     prepare_interface,
 )
+from acflow.diagnostics import _tilt_integrand
 from acflow.initial_data import graph_pair_distance, plane_pair_distance, sine_mode
+from acflow.levelset import _maximal_field
 
 from conftest import standing_wave
 
@@ -162,6 +163,99 @@ def test_time_relation_improves_under_refinement():
 
 
 # --- parabolic maximal function ---------------------------------------------
+
+
+def parabolic_maximal(f, times, extent, point_space, point_time, radii, power=None):
+    """Pointwise oracle for the parabolic maximal function at one query point.
+
+    Sup over the given radii of ``r^-power`` (default ``m + 2`` for m spatial
+    axes; no volume factor) times the mass of ``f`` over the space-time
+    cylinder at the point.  ``f`` is laid out (time, *spatial) over a
+    centered periodic lattice.  Time windows reaching past the sampled range
+    are clipped; a window holding a single sample gets the time measure
+    ``min(2 r^2, sampling interval)``.
+    """
+    spatial_shape = f.shape[1:]
+    m = len(spatial_shape)
+    power = m + 2 if power is None else power
+    radii = list(radii)
+    if not radii:
+        raise ValueError("need at least one radius")
+    if any(r <= 0 or r > 0.5 * extent for r in radii):
+        raise ValueError(f"radii must lie in (0, {0.5 * extent}]; got {radii}")
+    spacing = extent / spatial_shape[0]
+    axes = [-0.5 * extent + spacing * np.arange(nn) for nn in spatial_shape]
+    cell = spacing**m
+
+    best = 0.0
+    for r in radii:
+        d2 = np.zeros(spatial_shape)
+        for ax in range(m):
+            shape = [1] * m
+            shape[ax] = spatial_shape[ax]
+            delta = axes[ax].reshape(shape) - point_space[ax]
+            delta = (delta + 0.5 * extent) % extent - 0.5 * extent
+            d2 = d2 + delta**2
+        mask = d2 <= r * r
+        per_frame = np.array([float(np.sum(np.where(mask, fr, 0.0))) * cell for fr in f])
+        lo, hi = point_time - r * r, point_time + r * r
+        slack = 1e-12 * max(1.0, abs(hi))
+        inside = np.nonzero((times >= lo - slack) & (times <= hi + slack))[0]
+        a, b = inside[0], inside[-1]
+        if a == b:
+            measure = min(2.0 * r * r, times[1] - times[0]) if len(times) > 1 else 2.0 * r * r
+            mass = float(per_frame[a]) * measure
+        else:
+            dt = times[1] - times[0]
+            mass = dt * (float(np.sum(per_frame[a : b + 1])) - 0.5 * (per_frame[a] + per_frame[b]))
+        best = max(best, mass / r**power)
+    return best
+
+
+def assert_maximal_matches_oracle(maximal, g, times, grid, radii, power, points):
+    """``maximal`` (time, *space) equals the oracle applied to ``g`` at the
+    given (time index, lattice index) points, to 1e-10 relative to the
+    largest sampled value."""
+    x = grid.axis()
+    oracle = [parabolic_maximal(g, times, grid.extent, tuple(x[j] for j in idx), times[i],
+                                radii, power) for i, idx in points]
+    scale = max(oracle)
+    assert scale > 0
+    for (i, idx), expected in zip(points, oracle):
+        assert maximal[(i,) + tuple(idx)] == pytest.approx(expected, rel=1e-10,
+                                                           abs=1e-10 * scale)
+
+
+# radii incommensurate with the lattice spacings below, so that no lattice
+# point sits on a ball boundary where round-off would decide membership
+ORACLE_RADII = [0.0713, 0.1517, 0.3291]
+
+
+@pytest.mark.parametrize("dim, points", [(1, 64), (2, 32)])
+def test_maximal_field_matches_pointwise_oracle(dim, points):
+    rng = np.random.default_rng(3)
+    grid = Grid(dim=dim, extent=1.28, points=points)
+    times = np.linspace(0.0, 0.06, 7)
+    g = rng.random((len(times),) + grid.shape)
+    maximal = _maximal_field(g, times, grid, ORACLE_RADII, power=dim + 1)
+    sample = [(i, tuple(rng.integers(0, points, size=dim))) for i in (0, 2, 3, 6) for _ in range(3)]
+    assert_maximal_matches_oracle(maximal, g, times, grid, ORACLE_RADII, dim + 1, sample)
+
+
+def test_partition_maximal_matches_pointwise_oracle(perturbed_traj_small):
+    # the tilt integrand vanishes identically in one dimension (the normal is
+    # always vertical), so the partition is compared in two
+    traj = perturbed_traj_small
+    grid = traj.grid
+    e = (0.0, 1.0)
+    part = partition_good_bad(traj, 1e-3, band=0.05, direction=e, radii=ORACLE_RADII)
+    tilt = np.stack([_tilt_integrand(f, e) for f in traj.frames])
+    n = grid.points
+    # points on the studied layer (vertical index n/2) and away from it
+    sample = [(i, (j, k)) for i in (0, len(traj) // 2, len(traj) - 1)
+              for j in (0, n // 4, n // 2 + 7) for k in (n // 2, n // 2 + 3, n // 8)]
+    assert_maximal_matches_oracle(part.maximal, tilt, traj.times, grid, ORACLE_RADII,
+                                  grid.interface_dim + 2, sample)
 
 
 def test_maximal_of_constant_is_four_c():
