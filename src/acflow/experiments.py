@@ -40,7 +40,7 @@ from .levelset import (
 )
 from .monotonicity import KernelPoint, monotonicity_terms
 from .operators import integrate_values
-from .solver import SolverConfig, SolverConfigError, _Stepper, prepare_interface
+from .solver import SolverConfig, SolverConfigError, prepare_interface
 from . import solver as solver_mod
 
 __all__ = [
@@ -203,7 +203,8 @@ def _validate_config(config: ExperimentConfig) -> None:
     """Resolution, margin and time-step rules; every violation reported at once.
 
     Per epsilon, the step must lie within the scheme's stability limit and
-    ``t_end`` must be a whole number of steps (:func:`solver.step_count`).
+    ``t_end`` must be a whole number of steps and of ``sample_every``
+    samples (:func:`solver.step_count`).
     """
     problems: list[str] = []
     h = config.grid.spacing
@@ -290,7 +291,7 @@ _DEFAULTS: dict[str, dict] = {
         "grid": {"dim": 2, "extent": 1.28, "points": 512},
         "epsilon": [0.04, 0.02, 0.01],
         "solver": {"dt_factor": 0.125, "t_end": 0.01, "scheme": "semi-implicit-cnab2",
-                   "sample_every": 8},
+                   "sample_every": 10},
         "params": {
             "amplitude_over_epsilon": 0.5,
             "mode": 1,
@@ -318,7 +319,7 @@ _DEFAULTS: dict[str, dict] = {
         "grid": {"dim": 2, "extent": 1.28, "points": 256},
         "epsilon": 0.04,
         "solver": {"dt_factor": 0.125, "t_end": 0.001, "scheme": "semi-implicit-cnab2",
-                   "sample_every": 4},
+                   "sample_every": 5},
         "params": {"slope": 0.05, "ball_radius": 0.2, "circle_radius": 0.35,
                    "circle_extent": 1.2, "refine_points": 512},
         "seed": 0,
@@ -424,52 +425,37 @@ def run_flow_audit(
     initial: ScalarField,
     cfg: SolverConfig,
     probe: Callable[[FrameBundle], dict[str, float]] | None = None,
-    thin_every: int | None = None,
 ) -> FlowAudit:
     """Evolve while recording per-step scalars.
 
     Each step's quantities come from one :class:`FrameBundle` seeded with
-    the half spectrum the stepper already holds, so the step's spectral
+    the half spectrum :func:`solver.march` yields, so the step's spectral
     work is shared by the energy, the dissipation and ``probe``.  The probe
     returns named scalars, recorded as ``series``.  The bundle is dropped
-    after its step.  ``thin_every`` controls the stored trajectory
-    (defaults to the config's sample_every).
+    after its step.  The stored trajectory keeps every ``sample_every``-th
+    field, as :func:`solver.evolve` does.
     """
-    thin_every = thin_every if thin_every is not None else cfg.sample_every
-    n_steps = solver_mod.step_count(cfg)
     vol = initial.grid.cell_volume
     eps = initial.epsilon
-
-    def record(b: FrameBundle) -> tuple[float, float, dict[str, float]]:
-        e = float(np.sum(b.energy_density) * vol)
-        w = float(np.sum(eps * b.residual * b.residual) * vol)
-        return e, w, probe(b) if probe is not None else {}
-
-    stepper = _Stepper(initial, cfg)
-    current = initial
-    times = [current.time]
-    e0, w0, x0 = record(FrameBundle(current))
-    energies, dissipations = [e0], [w0]
-    series: dict[str, list[float]] = {k: [v] for k, v in x0.items()}
-    frames = [current]
-    for i in range(n_steps):
-        current = stepper.advance(current)
+    times, energies, dissipations, frames = [], [], [], []
+    series: dict[str, list[float]] = {}
+    for i, (current, u_hat) in enumerate(solver_mod.march(initial, cfg)):
+        b = FrameBundle(current, u_hat)
         times.append(current.time)
-        e, w, extra = record(FrameBundle(current, stepper.carried_spectrum(current)))
-        energies.append(e)
-        dissipations.append(w)
-        for k, v in extra.items():
-            series[k].append(v)
-        if (i + 1) % thin_every == 0:
+        energies.append(float(np.sum(b.energy_density) * vol))
+        dissipations.append(float(np.sum(eps * b.residual * b.residual) * vol))
+        for k, v in (probe(b) if probe is not None else {}).items():
+            series.setdefault(k, []).append(v)
+        del b  # freed before march runs the next step
+        if i % cfg.sample_every == 0:
             frames.append(current)
-    traj = Trajectory(frames=tuple(frames), dt_sample=cfg.dt * thin_every)
     return FlowAudit(
         dt=cfg.dt,
         times=np.array(times),
         energy=np.array(energies),
         dissipation=np.array(dissipations),
         series={k: np.array(v) for k, v in series.items()},
-        trajectory=traj,
+        trajectory=Trajectory(frames=tuple(frames), dt_sample=cfg.dt * cfg.sample_every),
     )
 
 
@@ -664,7 +650,7 @@ def _multiscale_rough_initial(grid: Grid, eps: float, slopes: Sequence[float],
     xh, xv = grid.dense_coords()
     folded = plane_pair_distance(L)
     vals = np.tanh(folded(xh, xv - profile(xh)) / eps)
-    vals = np.clip(vals, -(1 - 1e-12), 1 - 1e-12)
+    vals = np.clip(vals, -solver_mod.CLAMP, solver_mod.CLAMP)
     return ScalarField(grid=grid, values=vals, epsilon=eps)
 
 
@@ -738,14 +724,12 @@ def circle_audits(config: ExperimentConfig, dt_scales: Sequence[float]) -> dict[
     phi = radial_bump(center=(0.0,) * grid.dim, radius=0.45 * grid.extent)
     probe = _circle_probes(grid, kernel, phi)
     audits = {}
-    # thin the stored trajectory to a fixed sampling interval regardless of
-    # dt, so cylinder time windows down to (2 eps)^2 hold several frames
-    dts_target = config.sample_every * config.dt_for(eps)
+    # sample the stored trajectory at a fixed interval regardless of dt, so
+    # cylinder time windows down to (2 eps)^2 hold several frames
     for scale in dt_scales:
-        dt = config.dt_for(eps) * scale
-        cfg = config.solver_config(eps, dt_scale=scale, sample_every=1)
-        audits[scale] = run_flow_audit(initial, cfg, probe,
-                                       thin_every=max(1, round(dts_target / dt)))
+        cfg = config.solver_config(eps, dt_scale=scale,
+                                   sample_every=max(1, round(config.sample_every / scale)))
+        audits[scale] = run_flow_audit(initial, cfg, probe)
     return audits
 
 
@@ -916,7 +900,7 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
         return Grid(dim=grid_ref.dim, extent=grid_ref.extent, points=min(pts, grid_ref.points))
 
     def sampling(eps: float, target: int = 10, t_end: float | None = None) -> int:
-        n_steps = round((t_end if t_end is not None else config.t_end) / config.dt_for(eps))
+        n_steps = solver_mod.step_count(config.solver_config(eps, t_end=t_end, sample_every=1))
         se = max(1, n_steps // target)
         while n_steps % se:
             se -= 1
@@ -963,9 +947,8 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
         g = grid_for(eps)
         tilt_eps = tilt_over_eps * eps
         initial = _perturbed_initial(g, eps, a_over_eps * eps, mode, tilt=tilt_eps)
-        n_steps = round(t_fit / config.dt_for(eps))
-        cfg = SolverConfig(dt=config.dt_for(eps), t_end=t_fit,
-                           scheme=config.scheme, sample_every=max(1, n_steps // 4))
+        cfg = config.solver_config(eps, t_end=t_fit, sample_every=1)
+        cfg = replace(cfg, sample_every=max(1, solver_mod.step_count(cfg) // 4))
         traj = solver_mod.evolve(initial, cfg)
         reports[eps] = excess_decay_ratio(traj, theta=theta, scale=fit_scale,
                                           center_time=traj.times[len(traj) // 2])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .diagnostics import FrameBundle, _tilt_integrand
 from .grid import Grid, ScalarField, Trajectory, time_window, trapezoid_weights
-from .operators import ball_mask, gradient_values
+from .operators import ball_mask, from_spectrum, gradient_values, spectrum, symbols
 from .solver import CLAMP
 
 __all__ = [
@@ -340,8 +340,8 @@ def _maximal_field(g: np.ndarray, times: np.ndarray, grid: Grid, radii: Sequence
                    power: int) -> np.ndarray:
     """Dyadic maximal function of g(time, *space) at every lattice point.
 
-    Masked ball sums are periodic convolutions (computed exactly by FFT);
-    time windows are trapezoid sums via cumulative arrays.
+    Masked ball sums are periodic convolutions (computed exactly by real
+    transforms); time windows are trapezoid sums via cumulative arrays.
     """
     nt = g.shape[0]
     out = np.zeros_like(g)
@@ -350,13 +350,11 @@ def _maximal_field(g: np.ndarray, times: np.ndarray, grid: Grid, radii: Sequence
     # shift of the circular convolution, so conv[j] is the ball mass around
     # lattice point j.
     origin = (-0.5 * grid.extent,) * grid.dim
-    d2 = np.broadcast_to(sum(d**2 for d in grid.displacement(origin)), grid.shape)
     for r in radii:
-        kernel = (d2 <= r * r).astype(float)
-        khat = np.fft.fftn(kernel)
+        khat = spectrum(grid, ball_mask(grid, origin, r).astype(float))
         conv = np.empty_like(g)
         for j in range(nt):
-            conv[j] = np.fft.ifftn(np.fft.fftn(g[j]) * khat).real * grid.cell_volume
+            conv[j] = from_spectrum(grid, spectrum(grid, g[j]) * khat) * grid.cell_volume
         cs = np.cumsum(conv, axis=0)
         zeros = np.zeros_like(conv[0])
         for i in range(nt):
@@ -452,13 +450,20 @@ def heat_compare(
 
     The reference evolves by exact Fourier-mode decay on the periodic base;
     both sides are made mean-free.  Defaults the reference to the graph's
-    first frame.
+    first frame.  A graph over a 1-D box has a one-point base and is an
+    error.
     """
     if graph.validity_fraction < validity_threshold:
         raise GraphExtractionError(
             f"graph valid on {graph.validity_fraction:.1%} of base points "
             f"< required {validity_threshold:.0%}"
         )
+    n_pts = graph.heights.shape[1]
+    if n_pts == 1:
+        raise GraphExtractionError(
+            "graph base is a single point (a 1-D box); there is no heat flow to compare"
+        )
+    base = Grid(dim=graph.base_dim, extent=graph.base_extent, points=n_pts)
     h = np.where(graph.valid, graph.heights, 0.0)
     h0 = reference_initial if reference_initial is not None else h[0]
     h0 = np.asarray(h0, dtype=float)
@@ -466,21 +471,14 @@ def heat_compare(
     h = h - np.mean(h)
     h0 = h0 - np.mean(h0)
 
-    base_axes = tuple(range(h0.ndim))
-    n_pts = h0.shape[0]
-    k1 = 2.0 * np.pi * np.fft.fftfreq(n_pts, d=graph.base_spacing)
-    k2 = np.zeros(h0.shape)
-    for ax in range(h0.ndim):
-        shape = [1] * h0.ndim
-        shape[ax] = n_pts
-        k2 = k2 + k1.reshape(shape) ** 2
-    h0_hat = np.fft.fftn(h0)
+    neg_k2 = symbols(base).neg_k2
+    h0_hat = spectrum(base, h0)
 
     num = 0.0
     den = 0.0
     t0 = graph.times[0]
     for j, t in enumerate(graph.times):
-        ref = np.fft.ifftn(h0_hat * np.exp(-k2 * (t - t0))).real
+        ref = from_spectrum(base, h0_hat * np.exp(neg_k2 * (t - t0)))
         diff = (h[j] - ref)[graph.valid[j]]
         num += float(np.sum(diff**2))
         den += float(np.sum(ref[graph.valid[j]] ** 2))

@@ -17,13 +17,18 @@ The flow is ``du/dt = lap(u) - W'(u)/eps^2``.  Three schemes are provided:
 
 ``explicit-rk2``
     Heun's method, retained as an independent cross-check oracle.
+
+:func:`march` is the one time loop: it checks the step count, owns the
+scheme state, and yields the initial field and then each step's
+``(field, u_hat)``, passing each step's half spectrum into the next one.
+:func:`evolve` and the flow audit of :mod:`acflow.experiments` consume it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -40,6 +45,7 @@ __all__ = [
     "ac_residual",
     "ac_residual_values",
     "step",
+    "march",
     "evolve",
     "prepare_interface",
 ]
@@ -106,10 +112,12 @@ def validate_config(config: SolverConfig, grid: Grid, epsilon: float,
 
 
 def step_count(config: SolverConfig) -> int:
-    """Number of steps to ``t_end``, which must be a whole number of steps.
+    """Number of steps to ``t_end``, which must be a whole number of steps
+    and of samples.
 
     ``t_end = 0`` gives 0 steps; otherwise ``n * dt`` must match ``t_end``
-    to ``1e-9`` relative.
+    to ``1e-9`` relative, and ``n`` must be a multiple of ``sample_every``
+    so that the sampled trajectory is uniform.
     """
     if config.t_end == 0:
         return 0
@@ -117,6 +125,10 @@ def step_count(config: SolverConfig) -> int:
     if n_steps < 1 or abs(n_steps * config.dt - config.t_end) > 1e-9 * config.t_end:
         raise SolverConfigError(
             f"t_end={config.t_end:g} is not a whole number of steps of dt={config.dt:g}"
+        )
+    if n_steps % config.sample_every != 0:
+        raise SolverConfigError(
+            f"step count {n_steps} is not a multiple of sample_every={config.sample_every}"
         )
     return n_steps
 
@@ -136,13 +148,13 @@ def ac_residual(field: ScalarField) -> ScalarField:
 
 
 class _Stepper:
-    """Scheme state for one run: half-spectrum symbols, the previous
-    reaction term, and the half spectrum of the field it last returned.
+    """Scheme state for one run: half-spectrum symbols and the previous
+    reaction term.
 
-    The spectral schemes end each step with the new field's half spectrum;
-    it is kept so that cnab2 skips the forward transform of its next input
-    and so that an audit can reuse it (:meth:`carried_spectrum`).  It is
-    reused only for that very object: any other input is transformed afresh.
+    :meth:`advance` returns the new field with its half spectrum (None for
+    explicit-rk2).  Passing that spectrum back with the field to the next
+    call lets cnab2 skip the forward transform of its input; without it the
+    input is transformed afresh.
     """
 
     def __init__(self, field: ScalarField, config: SolverConfig):
@@ -160,8 +172,6 @@ class _Stepper:
             self._num = 1.0 + 0.5 * dt * sym
             self._den = 1.0 / (1.0 - 0.5 * dt * sym)
         self._prev_reaction: np.ndarray | None = None
-        self._out: ScalarField | None = None
-        self._out_hat: np.ndarray | None = None
 
     def _reaction(self, u: np.ndarray) -> np.ndarray:
         return self.potential.derivative(u) / self.eps2
@@ -169,12 +179,9 @@ class _Stepper:
     def _shifted_reaction(self, u: np.ndarray) -> np.ndarray:
         return (self.potential.derivative(u) - CNAB2_SHIFT * u) / self.eps2
 
-    def carried_spectrum(self, field: ScalarField) -> np.ndarray | None:
-        """Read-only half spectrum of ``field`` if it is the field this
-        stepper last returned (and the scheme is spectral), else None."""
-        return self._out_hat if field is self._out else None
-
-    def advance(self, field: ScalarField) -> ScalarField:
+    def advance(self, field: ScalarField,
+                u_hat: np.ndarray | None = None) -> tuple[ScalarField, np.ndarray | None]:
+        """One step from ``field``, whose half spectrum is ``u_hat`` if given."""
         dt = self.config.dt
         u = field.values
         scheme = self.config.scheme
@@ -184,7 +191,6 @@ class _Stepper:
         elif scheme == SCHEME_CNAB2:
             n_k = self._shifted_reaction(u)
             n_prev = self._prev_reaction if self._prev_reaction is not None else n_k
-            u_hat = self.carried_spectrum(field)
             if u_hat is None:
                 u_hat = spectrum(self.grid, u)
             rhs = self._num * u_hat - dt * spectrum(self.grid, 1.5 * n_k - 0.5 * n_prev)
@@ -199,37 +205,33 @@ class _Stepper:
         if new_hat is not None:
             new_hat.flags.writeable = False
             new = from_spectrum(self.grid, new_hat)
-        out = field.with_values(new, time=field.time + dt)
-        self._out, self._out_hat = out, new_hat
-        return out
+        return field.with_values(new, time=field.time + dt), new_hat
 
 
 def step(field: ScalarField, config: SolverConfig) -> ScalarField:
     """Advance one time step (cnab2 degrades to its one-step starter here)."""
-    return _Stepper(field, config).advance(field)
+    return _Stepper(field, config).advance(field)[0]
+
+
+def march(field: ScalarField,
+          config: SolverConfig) -> Iterator[tuple[ScalarField, np.ndarray | None]]:
+    """Yield ``(field, u_hat)`` for the initial field, then after each step.
+
+    ``u_hat`` is the field's read-only half spectrum, or None where there is
+    none (the initial field, explicit-rk2).
+    """
+    n_steps = step_count(config)
+    stepper = _Stepper(field, config)
+    u_hat = None
+    yield field, u_hat
+    for _ in range(n_steps):
+        field, u_hat = stepper.advance(field, u_hat)
+        yield field, u_hat
 
 
 def evolve(field: ScalarField, config: SolverConfig) -> Trajectory:
-    """Run to ``t_end``, sampling every ``sample_every`` steps.
-
-    ``t_end`` must be a whole number of steps (:func:`step_count`) and the
-    step count a multiple of ``sample_every`` so the trajectory is
-    uniformly sampled.
-    """
-    n_steps = step_count(config)
-    if n_steps == 0:
-        return Trajectory(frames=(field,), dt_sample=config.dt * config.sample_every)
-    if n_steps % config.sample_every != 0:
-        raise SolverConfigError(
-            f"step count {n_steps} is not a multiple of sample_every={config.sample_every}"
-        )
-    stepper = _Stepper(field, config)
-    frames = [field]
-    current = field
-    for i in range(n_steps):
-        current = stepper.advance(current)
-        if (i + 1) % config.sample_every == 0:
-            frames.append(current)
+    """Run to ``t_end``, keeping every ``sample_every``-th field of :func:`march`."""
+    frames = [f for i, (f, _) in enumerate(march(field, config)) if i % config.sample_every == 0]
     return Trajectory(frames=tuple(frames), dt_sample=config.dt * config.sample_every)
 
 

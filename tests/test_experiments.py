@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from acflow import (
-    Grid, SolverConfig, SolverConfigError, Trajectory, WAVE_ENERGY, brakke_residual, evolve,
-    gaussian_density, monotonicity_residual, prepare_interface, radial_bump,
+    Grid, SolverConfig, SolverConfigError, Trajectory, WAVE_ENERGY, brakke_residual,
+    diagnostics_record, evolve, extract_graph, gaussian_density, heat_compare,
+    monotonicity_residual, partition_good_bad, prepare_interface, radial_bump,
 )
 from acflow.cli import main as cli_main
 from acflow.experiments import (
@@ -19,7 +20,7 @@ from acflow.experiments import (
     run_flow_audit,
     run_scenario,
 )
-from acflow.initial_data import circle_distance
+from acflow.initial_data import circle_distance, graph_pair_distance, sine_mode
 from acflow.monotonicity import KernelPoint
 from acflow.io import read_field
 from acflow.operators import gradient_values
@@ -88,8 +89,10 @@ def test_flow_audit_matches_evolve(grid_1d):
     cfg = SolverConfig(dt=2.5e-4, t_end=2.5e-3, scheme="semi-implicit-cnab2", sample_every=5)
     audit = run_flow_audit(wave, cfg)
     direct = evolve(wave, cfg)
-    assert len(audit.trajectory) == len(direct)
-    assert np.allclose(audit.trajectory[-1].values, direct[-1].values)
+    assert len(audit.trajectory) == len(direct) == 3
+    assert np.array_equal(audit.trajectory.times, direct.times)
+    for a, d in zip(audit.trajectory.frames, direct.frames):
+        assert np.array_equal(a.values, d.values)
     assert len(audit.times) == 11
     # stationary wave: energy flat, dissipation at round-off
     assert np.allclose(audit.energy, audit.energy[0], rtol=1e-10)
@@ -131,6 +134,26 @@ def test_audited_cnab2_step_makes_five_real_transforms(monkeypatch):
     assert sum(step[name] for name in COMPLEX_TRANSFORMS) == 0
 
 
+def test_library_makes_no_complex_transform(monkeypatch):
+    # one transform convention: every spectral path goes through the real
+    # transforms of acflow.operators
+    def forbidden(*args, **kwargs):
+        raise AssertionError("complex FFT called")
+
+    for name in COMPLEX_TRANSFORMS:
+        monkeypatch.setattr(np.fft, name, forbidden)
+    g = Grid(dim=2, extent=1.28, points=64)
+    eps = 4.0 * g.spacing
+    layer = prepare_interface(graph_pair_distance(g.extent, [sine_mode(0.5 * eps, 1, g.extent)]),
+                              g, eps)
+    dt = 0.125 * eps**2
+    traj = evolve(layer, SolverConfig(dt=dt, t_end=8 * dt, scheme="semi-implicit-cnab2",
+                                      sample_every=2))
+    diagnostics_record(traj[-1])
+    partition_good_bad(traj, 0.02, 0.05)
+    heat_compare(extract_graph(traj, 0.0))
+
+
 def test_library_identities_reproduce_the_audit_probe_series():
     # the audit probe and the public identities share one implementation:
     # at an interior step they agree up to the round trip of the carried
@@ -167,12 +190,18 @@ def test_library_identities_reproduce_the_audit_probe_series():
 
 
 def test_audit_and_evolve_share_the_step_count_rule(wave_1d):
-    cfg = SolverConfig(dt=3e-4, t_end=1e-3, scheme="semi-implicit-cnab2")
-    with pytest.raises(SolverConfigError, match="whole number of steps") as from_evolve:
-        evolve(wave_1d, cfg)
-    with pytest.raises(SolverConfigError, match="whole number of steps") as from_audit:
-        run_flow_audit(wave_1d, cfg)
-    assert str(from_audit.value) == str(from_evolve.value)
+    cases = [
+        (SolverConfig(dt=3e-4, t_end=1e-3, scheme="semi-implicit-cnab2"),
+         "whole number of steps"),
+        (SolverConfig(dt=2.5e-4, t_end=1e-3, scheme="semi-implicit-cnab2", sample_every=3),
+         "not a multiple of sample_every=3"),
+    ]
+    for cfg, message in cases:
+        with pytest.raises(SolverConfigError, match=message) as from_evolve:
+            evolve(wave_1d, cfg)
+        with pytest.raises(SolverConfigError, match=message) as from_audit:
+            run_flow_audit(wave_1d, cfg)
+        assert str(from_audit.value) == str(from_evolve.value)
 
 
 # --- density profile and mass comparison --------------------------------------
@@ -307,6 +336,7 @@ def _with(section, **values):
      ["limit", "epsilon=0.05", "epsilon=0.04", "whole number"]),
     ([_without(None, "epsilon"), _with("grid", points=513), _without("solver", "t_end")],
      ["'epsilon'", "points must be even", "'t_end'"]),
+    ([_with("solver", sample_every=3)], ["step count 4 is not a multiple of sample_every=3"]),
 ])
 def test_cli_reports_every_config_error_at_load(tmp_path, capsys, mutations, expected):
     raw = raw_config()
@@ -325,7 +355,7 @@ def test_cli_reports_every_config_error_at_load(tmp_path, capsys, mutations, exp
 
 
 def test_cli_simulate_reports_a_solver_config_error(tmp_path, capsys):
-    # 4 steps cannot be sampled every 3: the solver's own rule, met at run time
+    # 4 steps cannot be sampled every 3: the solver's own rule, met at load time
     raw = raw_config(solver={"dt_factor": 0.125, "t_end": 0.00125, "sample_every": 3})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
@@ -333,6 +363,7 @@ def test_cli_simulate_reports_a_solver_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("configuration error:") and "sample_every=3" in err
+    assert not (tmp_path / "sim").exists()
 
 
 def test_cli_simulate_and_diagnose_roundtrip(tmp_path, capsys):

@@ -399,6 +399,13 @@ def test_heat_compare_rejects_low_validity():
         heat_compare(graph)
 
 
+def test_heat_compare_rejects_a_graph_over_a_1d_box(wave_1d):
+    # the base of a 1-D box is one point, where no heat flow is defined
+    graph = extract_graph(wave_1d, 0.0)
+    with pytest.raises(GraphExtractionError, match="single point"):
+        heat_compare(graph)
+
+
 def test_excess_decay_fit_recovers_gentle_tilt():
     g = Grid(dim=2, extent=1.28, points=256)
     eps = 0.02
