@@ -7,11 +7,9 @@ verify the identities and inequalities the sharp-interface limit rests on.
 """
 
 from .grid import (
-    DOUBLE_WELL,
     WAVE_ENERGY,
     Grid,
     ParabolicCylinder,
-    PotentialSpec,
     ScalarField,
     Trajectory,
 )

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .grid import Grid, ParabolicCylinder, ScalarField, Trajectory, WAVE_ENERGY
+from .grid import Grid, ParabolicCylinder, ScalarField, Trajectory, WAVE_ENERGY, well
 from .operators import (
     ball_mask,
     gradient_from_hat,
@@ -99,10 +99,9 @@ class Hyperplane:
         return out + shift - self.offset
 
     @staticmethod
-    def vertical(dim: int, offset: float = 0.0) -> "Hyperplane":
-        """The flat reference plane with normal along the last axis."""
-        e = (0.0,) * (dim - 1) + (1.0,)
-        return Hyperplane(normal=e, offset=offset)
+    def vertical(dim: int) -> "Hyperplane":
+        """The flat reference plane ``{x_vertical = 0}``."""
+        return Hyperplane(normal=(0.0,) * (dim - 1) + (1.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +220,12 @@ def radial_bump(center: Sequence[float], radius: float) -> TestFunction:
     """1 within ``radius / 2`` of ``center``, vanishing beyond ``radius``."""
     return _RadialProfileFunction(_RampProfile(lo=0.5 * radius, hi=radius), center)
 
-def cylinder_cutoff(plane: Hyperplane, interface_dim: int, scale: float = 1.0,
-                    center: Sequence[float] | None = None) -> TestFunction:
-    """Cutoff in the tangential radius of a plane: 1 up to (2/3)^(1/n) R,
-    vanishing beyond (5/6)^(1/n) R, monotone quintic in between."""
+def cylinder_cutoff(plane: Hyperplane, interface_dim: int) -> TestFunction:
+    """Cutoff in the distance from the origin measured within a plane: 1 up
+    to (2/3)^(1/n), vanishing beyond (5/6)^(1/n), monotone quintic between."""
     n = interface_dim
-    profile = _RampProfile(lo=(2.0 / 3.0) ** (1.0 / n) * scale, hi=(5.0 / 6.0) ** (1.0 / n) * scale)
-    c = center if center is not None else (0.0,) * len(plane.normal)
-    return _RadialProfileFunction(profile, c, plane.normal)
+    profile = _RampProfile(lo=(2.0 / 3.0) ** (1.0 / n), hi=(5.0 / 6.0) ** (1.0 / n))
+    return _RadialProfileFunction(profile, (0.0,) * len(plane.normal), plane.normal)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +274,7 @@ class FrameBundle:
     @cached_property
     def well(self) -> np.ndarray:
         """``W(u)``."""
-        return self.field.potential.value(self.field.values)
+        return well(self.field.values)
 
     @cached_property
     def energy_density(self) -> np.ndarray:
@@ -360,18 +357,15 @@ def height_excess(
     obj: ScalarField | FrameBundle | Trajectory,
     plane: Hyperplane,
     region: ParabolicCylinder | None = None,
-    center: Sequence[float] | None = None,
 ) -> float:
     """Squared distance to a hyperplane weighted by ``eps |grad u|^2``.
 
     Scaled by ``r^-n-2`` (spatial) or ``r^-n-4`` (space-time); raw when no
-    region is given.  ``center`` anchors the minimal-image unwrapping and
-    defaults to the cylinder center.
+    region is given.  The cylinder center (the origin without a region)
+    anchors the minimal-image unwrapping.
     """
     grid, bundles = _bundles(obj)
-    if center is None and region is not None:
-        center = region.center_space
-    h = plane.signed_height(grid, center)
+    h = plane.signed_height(grid, region.center_space if region is not None else None)
     slices = [(b.field.time, h * h * b.field.epsilon * b.grad_sq) for b in bundles]
     raw = integrate_values(grid, slices, region)
     n = grid.interface_dim
@@ -580,20 +574,17 @@ def sobolev_defect(
     field: ScalarField,
     radius: float,
     center: Sequence[float] | None = None,
-    plane: Hyperplane | None = None,
 ) -> SobolevDefect:
     """``| mu(B_r)/r^n - alpha omega_n |`` with its controlling bundle.
 
-    The bundle is measured on the tripled ball: normalized tilt excess,
-    discrepancy mass, the geometric-mean cross term, and the squared-velocity
-    term raised to ``n/(n-2)`` (plain for n <= 2, where the sharper exponent
-    degenerates).
+    The bundle is measured on the tripled ball: normalized tilt excess
+    against the vertical direction, discrepancy mass, the geometric-mean
+    cross term, and the squared-velocity term raised to ``n/(n-2)`` (plain
+    for n <= 2, where the sharper exponent degenerates).
     """
     grid = field.grid
     n = grid.interface_dim
     c = center if center is not None else (0.0,) * grid.dim
-    if plane is None:
-        plane = Hyperplane.vertical(grid.dim)
     if 3.0 * radius > 0.5 * grid.extent:
         raise ValueError("tripled ball must fit inside half the box")
 
@@ -604,7 +595,7 @@ def sobolev_defect(
     energy_difference = abs(mu_r / radius**n - WAVE_ENERGY * unit_ball_volume(n))
 
     outer = ball_mask(grid, c, 3.0 * radius)
-    tilt = _tilt_integrand(b, plane.normal)
+    tilt = _tilt_integrand(b, Hyperplane.vertical(grid.dim).normal)
     xi = b.discrepancy
     resid = b.residual
     vol = grid.cell_volume
@@ -639,19 +630,17 @@ class DecayProfile:
         return max(self.grad_sup_relative, self.one_minus_u2_sup_relative)
 
 
-def exponential_decay_profile(field: ScalarField, h: float, window: float | None = None) -> DecayProfile:
-    """Tail size of the layer over ``h <= |x_vertical| <= window``.
+def exponential_decay_profile(field: ScalarField, h: float) -> DecayProfile:
+    """Tail size of the layer over ``h <= |x_vertical| <= extent/4``.
 
     For a flat layer this decays at least geometrically in ``h/eps``.  The
-    window (default a quarter box) keeps the periodic companion layer out of
-    the sup; relative values are normalized by the box-wide sups (zero for a
-    pure phase).
+    quarter-box bound keeps the periodic companion layer out of the sup;
+    relative values are normalized by the box-wide sups (zero for a pure
+    phase).
     """
     grid = field.grid
-    if window is None:
-        window = 0.25 * grid.extent
     xv = np.broadcast_to(grid.coords()[-1], grid.shape)
-    mask = (np.abs(xv) >= h) & (np.abs(xv) <= window)
+    mask = (np.abs(xv) >= h) & (np.abs(xv) <= 0.25 * grid.extent)
     gnorm = np.sqrt(FrameBundle(field).grad_sq)
     one_minus = 1.0 - field.values**2
 
@@ -693,12 +682,9 @@ class DiagnosticsRecord:
         return asdict(self)
 
 
-def diagnostics_record(
-    frame: ScalarField | FrameBundle,
-    region: ParabolicCylinder | None = None,
-    plane: Hyperplane | None = None,
-) -> DiagnosticsRecord:
-    """One row of the standard diagnostics for a single time slice.
+def diagnostics_record(frame: ScalarField | FrameBundle) -> DiagnosticsRecord:
+    """One row of the standard diagnostics for a single time slice, over the
+    whole box and against the vertical plane.
 
     Every column reads the slice's one :class:`FrameBundle` (built here
     when a plain field is given), so a row costs one gradient and one
@@ -706,24 +692,16 @@ def diagnostics_record(
     """
     b = _bundle(frame)
     grid = b.field.grid
-    if plane is None:
-        plane = Hyperplane.vertical(grid.dim)
-    if region is None:
-        inside, descriptor = ..., "box"
-    else:
-        inside = ball_mask(grid, region.center_space, region.radius)
-        descriptor = (
-            "ball(" + ",".join(repr(c) for c in region.center_space) + f";r={region.radius!r})"
-        )
-    dens, xi = b.energy_density[inside], b.discrepancy[inside]
+    plane = Hyperplane.vertical(grid.dim)
+    dens, xi = b.energy_density, b.discrepancy
     vol = grid.cell_volume
     return DiagnosticsRecord(
         time=b.field.time,
-        region_descriptor=descriptor,
+        region_descriptor="box",
         energy=float(np.sum(dens) * vol),
-        tilt_excess=tilt_excess(b, plane.normal, region),
-        height_excess=height_excess(b, plane, region),
-        willmore=willmore(b, region),
+        tilt_excess=tilt_excess(b, plane.normal),
+        height_excess=height_excess(b, plane),
+        willmore=willmore(b),
         discrepancy_l1=float(np.sum(np.abs(xi)) * vol),
         discrepancy_max=float(np.max(xi)),
     )

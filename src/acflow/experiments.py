@@ -68,9 +68,22 @@ class ConfigError(ValueError):
 # Configuration
 # ---------------------------------------------------------------------------
 
-_GRID_KEYS = {"dim", "extent", "points"}
-_SOLVER_KEYS = {"dt", "dt_factor", "t_end", "scheme", "sample_every"}
-_TOP_KEYS = {"scenario", "grid", "epsilon", "solver", "params", "seed"}
+# The kind of every config value: int (a JSON integer within the float
+# range, not a bool), float (a finite number), str, dict (an object), list
+# (a non-empty list of finite numbers) or None (null); a tuple lists
+# alternatives.  A scenario's params take their kinds from its _DEFAULTS
+# entry, which is also their only default.
+_TOP_KINDS = {"scenario": str, "grid": dict, "epsilon": (float, list), "solver": dict,
+              "params": dict, "seed": int}
+# an absent grid or solver section is checked as empty, so its missing keys are named
+_TOP_DEFAULTS = {"grid": {}, "solver": {}, "params": {}, "seed": 0}
+_GRID_KINDS = {"dim": int, "extent": float, "points": int}
+_SOLVER_KINDS = {"dt": (float, None), "dt_factor": (float, None), "t_end": float,
+                 "scheme": str, "sample_every": int}
+_SOLVER_DEFAULTS = {"dt": None, "dt_factor": None, "scheme": "semi-implicit-cnab2",
+                    "sample_every": 1}
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               dict: "an object", list: "a non-empty list of finite numbers", None: "null"}
 
 
 @dataclass(frozen=True)
@@ -101,85 +114,94 @@ class ExperimentConfig:
         )
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str, problems: list[str]) -> None:
-    for key in mapping:
-        if key not in allowed:
-            problems.append(f"unknown key {key!r} in {where} (allowed: {sorted(allowed)})")
+def _is_number(value) -> bool:
+    """A finite JSON number: not a bool, and an integer only within the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
-def _require(mapping: dict, keys: Sequence[str], where: str, problems: list[str]) -> None:
-    for key in keys:
-        if key not in mapping:
+def _fits(value, kind) -> bool:
+    if kind is None:
+        return value is None
+    if kind is int:
+        return isinstance(value, int) and _is_number(value)
+    if kind is float:
+        return _is_number(value)
+    if kind is list:
+        return isinstance(value, list) and bool(value) and all(map(_is_number, value))
+    return isinstance(value, kind)
+
+
+def _checked(mapping: dict, kinds: dict, where: str, problems: list[str],
+             defaults: dict | None = None) -> dict:
+    """The values of ``mapping`` merged over ``defaults``, numbers as floats
+    where ``kinds`` asks for floats.
+
+    Unknown keys, keys missing with no default and values of the wrong kind
+    are appended to ``problems`` and left out of the result.
+    """
+    out = json.loads(json.dumps(defaults or {}))
+    for key, value in mapping.items():
+        if key not in kinds:
+            problems.append(f"unknown key {key!r} in {where} (allowed: {sorted(kinds)})")
+            continue
+        alternatives = kinds[key] if isinstance(kinds[key], tuple) else (kinds[key],)
+        fitting = [k for k in alternatives if _fits(value, k)]
+        if not fitting:
+            names = " or ".join(_KIND_NAMES[k] for k in alternatives)
+            problems.append(f"{where}.{key} must be {names}, got {value!r}")
+            out.pop(key, None)
+        elif fitting[0] is float:
+            out[key] = float(value)
+        else:
+            out[key] = [float(v) for v in value] if fitting[0] is list else value
+    for key in kinds:
+        if key not in mapping and key not in out:
             problems.append(f"missing key {key!r} in {where}")
-
-
-def _section(raw: dict, key: str, problems: list[str]) -> dict:
-    section = raw.get(key, {})
-    if isinstance(section, dict):
-        return section
-    problems.append(f"config.{key} must be an object")
-    return {}
+    return out
 
 
 def _build_config(raw: dict) -> ExperimentConfig:
     """Parse a raw config; every violation is reported in one ConfigError.
 
-    Structural problems (unknown or missing keys, values of the wrong type,
+    Structural problems (unknown or missing keys, values of the wrong kind,
     an invalid grid) are collected first; when there are none, the rules
     of :func:`_validate_config` run on the built config.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     problems: list[str] = []
-    _reject_unknown(raw, _TOP_KEYS, "config", problems)
-    _require(raw, ("scenario", "epsilon"), "config", problems)
-    grid_raw = _section(raw, "grid", problems)
-    solver_raw = _section(raw, "solver", problems)
-    _reject_unknown(grid_raw, _GRID_KEYS, "config.grid", problems)
-    _reject_unknown(solver_raw, _SOLVER_KEYS, "config.solver", problems)
-    _require(grid_raw, sorted(_GRID_KEYS), "config.grid", problems)
-    _require(solver_raw, ("t_end",), "config.solver", problems)
+    top = _checked(raw, _TOP_KINDS, "config", problems, _TOP_DEFAULTS)
+    grid_raw = _checked(top.get("grid", {}), _GRID_KINDS, "config.grid", problems)
+    solver = _checked(top.get("solver", {}), _SOLVER_KINDS, "config.solver", problems,
+                      _SOLVER_DEFAULTS)
 
-    scenario = raw.get("scenario")
-    if "scenario" in raw and scenario not in SCENARIOS:
+    scenario = top.get("scenario")
+    params = {}
+    if "scenario" in top and scenario not in _DEFAULTS:
         problems.append(f"unknown scenario {scenario!r}; expected one of {sorted(SCENARIOS)}")
+    elif scenario is not None and "params" in top:
+        declared = _DEFAULTS[scenario]["params"]
+        kinds = {key: list if isinstance(v, list) else type(v) for key, v in declared.items()}
+        params = _checked(top["params"], kinds, "config.params", problems, declared)
 
     grid = None
-    if _GRID_KEYS <= grid_raw.keys():
+    if _GRID_KINDS.keys() <= grid_raw.keys():
         try:
-            grid = Grid(dim=grid_raw["dim"], extent=grid_raw["extent"], points=grid_raw["points"])
-        except (TypeError, ValueError) as exc:
+            grid = Grid(**grid_raw)
+        except ValueError as exc:
             problems.append(f"config.grid: {exc}")
 
-    epsilons = None
-    if "epsilon" in raw:
-        eps_raw = raw["epsilon"]
-        try:
-            epsilons = tuple(
-                float(e) for e in (eps_raw if isinstance(eps_raw, (list, tuple)) else [eps_raw])
-            )
-        except (TypeError, ValueError):
-            problems.append(f"epsilon must be a number or a list of numbers, got {eps_raw!r}")
-        else:
-            if not epsilons or not all(e > 0 for e in epsilons):
-                problems.append(f"epsilon values must be positive, got {eps_raw!r}")
-
-    dt = solver_raw.get("dt")
-    dt_factor = solver_raw.get("dt_factor")
-    if (dt is None) == (dt_factor is None):
+    eps = top.get("epsilon")
+    epsilons = tuple(eps) if isinstance(eps, list) else (eps,)
+    if "epsilon" in top and not all(e > 0 for e in epsilons):
+        problems.append(f"epsilon values must be positive, got {eps!r}")
+    if (solver.get("dt") is None) == (solver.get("dt_factor") is None):
         problems.append("config.solver needs exactly one of 'dt' or 'dt_factor'")
-    timing = {}
-    for key, cast in (("dt", float), ("dt_factor", float), ("t_end", float),
-                      ("sample_every", int)):
-        if solver_raw.get(key) is not None:
-            try:
-                timing[key] = cast(solver_raw[key])
-            except (TypeError, ValueError):
-                problems.append(f"config.solver.{key} must be a number, got {solver_raw[key]!r}")
-    try:
-        seed = int(raw.get("seed", 0))
-    except (TypeError, ValueError):
-        problems.append(f"seed must be an integer, got {raw['seed']!r}")
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -187,13 +209,13 @@ def _build_config(raw: dict) -> ExperimentConfig:
         scenario=scenario,
         grid=grid,
         epsilons=epsilons,
-        dt_factor=timing.get("dt_factor"),
-        dt=timing.get("dt"),
-        t_end=timing["t_end"],
-        scheme=solver_raw.get("scheme", "semi-implicit-cnab2"),
-        sample_every=timing.get("sample_every", 1),
-        params=dict(raw.get("params", {})),
-        seed=seed,
+        dt_factor=solver["dt_factor"],
+        dt=solver["dt"],
+        t_end=solver["t_end"],
+        scheme=solver["scheme"],
+        sample_every=solver["sample_every"],
+        params=params,
+        seed=top["seed"],
     )
     _validate_config(config)
     return config
@@ -214,7 +236,7 @@ def _validate_config(config: ExperimentConfig) -> None:
                 f"epsilon={eps:g} violates the resolution rule epsilon >= 4*spacing "
                 f"(spacing={h:g})"
             )
-        margin = _interface_margin(config, eps)
+        margin = _interface_margin(config)
         if margin < 8.0 * eps:
             problems.append(
                 f"interface margin {margin:g} is below 8*epsilon={8 * eps:g} "
@@ -224,28 +246,26 @@ def _validate_config(config: ExperimentConfig) -> None:
         problems.append(f"unknown scheme {config.scheme!r}")
     else:
         for eps in config.epsilons:
-            try:
-                cfg = config.solver_config(eps)
-            except SolverConfigError as exc:
-                problems.append(str(exc))
-                continue
-            for rule in (lambda: solver_mod.validate_config(cfg, config.grid, eps),
-                         lambda: solver_mod.step_count(cfg)):
+            for rule in (lambda cfg: solver_mod.validate_config(cfg, config.grid, eps),
+                         solver_mod.step_count):
                 try:
-                    rule()
+                    rule(config.solver_config(eps))
                 except SolverConfigError as exc:
                     problems.append(str(exc))
+                except OverflowError:
+                    problems.append(f"the time-step arithmetic overflows for epsilon={eps:g} "
+                                    f"(spacing={h:g}, t_end={config.t_end:g})")
     if problems:
         raise ConfigError("; ".join(dict.fromkeys(problems)))
 
 
-def _interface_margin(config: ExperimentConfig, eps: float) -> float:
-    """Distance from the studied interface to the nearest box feature."""
+def _interface_margin(config: ExperimentConfig) -> float:
+    """Distance from the studied interface to the nearest box feature: the
+    box edge for the circle of a scenario that declares a ``radius``, else
+    the fold of the flat family's companion construction, L/4 out."""
     L = config.grid.extent
-    p = config.params
-    if config.scenario in ("shrinking-circle", "no-cancellation"):
-        return 0.5 * L - float(p.get("radius", 0.35))
-    # flat-family scenarios: the fold of the companion construction is L/4 out
+    if "radius" in config.params:
+        return 0.5 * L - config.params["radius"]
     return 0.25 * L
 
 
@@ -274,7 +294,7 @@ _DEFAULTS: dict[str, dict] = {
         "epsilon": 0.02,
         "solver": {"dt_factor": 0.25, "t_end": 0.04, "scheme": "semi-implicit-cnab2",
                    "sample_every": 20},
-        "params": {"radius": 0.35, "coarse_epsilon": 0.04, "coarse_extent": 1.4},
+        "params": {"radius": 0.35, "coarse_extent": 1.4, "kernel_lag": 0.01},
         "seed": 0,
     },
     "monotonicity-sweep": {
@@ -321,7 +341,7 @@ _DEFAULTS: dict[str, dict] = {
         "solver": {"dt_factor": 0.125, "t_end": 0.001, "scheme": "semi-implicit-cnab2",
                    "sample_every": 5},
         "params": {"slope": 0.05, "ball_radius": 0.2, "circle_radius": 0.35,
-                   "circle_extent": 1.2, "refine_points": 512},
+                   "circle_extent": 1.2},
         "seed": 0,
     },
 }
@@ -329,13 +349,10 @@ _DEFAULTS: dict[str, dict] = {
 SCENARIOS = tuple(sorted(_DEFAULTS))
 
 
-def default_config(scenario: str, overrides: dict | None = None) -> ExperimentConfig:
+def default_config(scenario: str) -> ExperimentConfig:
     if scenario not in _DEFAULTS:
         raise ConfigError(f"unknown scenario {scenario!r}; expected one of {sorted(SCENARIOS)}")
-    raw = json.loads(json.dumps(_DEFAULTS[scenario]))
-    if overrides:
-        raw.update(overrides)
-    return _build_config(raw)
+    return _build_config(_DEFAULTS[scenario])
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +526,10 @@ def density_ratio_profile(
     center_space: Sequence[float],
     center_time: float,
     radii: Sequence[float],
-    band: float = 0.1,
 ) -> DensityRatioProfile:
     """Parabolic density ratios ``r^-n-2 * mass(P_r)`` per radius.
 
-    When the center does not sit in the layer (``|u| > 1 - band`` there),
+    When the center does not sit in the layer (``|u| > 0.9`` there),
     the profile is returned with a flag rather than raising.
     """
     grid = traj.grid
@@ -521,7 +537,7 @@ def density_ratio_profile(
     i, frame = traj.frame_nearest(center_time)
     idx = tuple(int(round((c + 0.5 * grid.extent) / grid.spacing)) % grid.points
                 for c in center_space)
-    center_in_layer = bool(abs(frame.values[idx]) <= 1.0 - band)
+    center_in_layer = bool(abs(frame.values[idx]) <= 0.9)
 
     dens_slices = [(f.time, FrameBundle(f).energy_density) for f in traj.frames]
     entries = []
@@ -603,10 +619,8 @@ def _circle_initial(grid: Grid, eps: float, radius: float) -> ScalarField:
 
 
 def _perturbed_initial(grid: Grid, eps: float, amplitude: float, mode: int,
-                       tilt: float = 0.0, seed: int = 0) -> ScalarField:
-    rng = np.random.default_rng(seed)
-    phase = float(rng.uniform(0.0, 2.0 * np.pi)) if seed else 0.0
-    profiles = [sine_mode(amplitude, mode, grid.extent, phase=phase)]
+                       tilt: float = 0.0) -> ScalarField:
+    profiles = [sine_mode(amplitude, mode, grid.extent)]
     if tilt:
         profiles.append(sine_mode(tilt * grid.extent / (2.0 * np.pi), 1, grid.extent,
                                   phase=-np.pi / 2))
@@ -615,35 +629,35 @@ def _perturbed_initial(grid: Grid, eps: float, amplitude: float, mode: int,
 
 def initial_field(config: ExperimentConfig, eps: float) -> ScalarField:
     """The scenario's initial data on ``config.grid`` at layer width ``eps``:
-    the circle of radius ``params.radius`` for the circle scenarios, the
-    perturbed graph layer for excess-decay, the flat layer pair otherwise."""
+    the circle of radius ``params.radius`` for a scenario that declares one,
+    the perturbed graph layer for excess-decay, the flat layer pair
+    otherwise."""
     grid, p = config.grid, config.params
-    if config.scenario in ("shrinking-circle", "no-cancellation", "monotonicity-sweep"):
-        return _circle_initial(grid, eps, float(p.get("radius", 0.35)))
+    if "radius" in p:
+        return _circle_initial(grid, eps, p["radius"])
     if config.scenario == "excess-decay":
-        amplitude = float(p.get("amplitude_over_epsilon", 0.5)) * eps
-        return _perturbed_initial(grid, eps, amplitude, int(p.get("mode", 1)))
+        return _perturbed_initial(grid, eps, p["amplitude_over_epsilon"] * eps, p["mode"])
     return _wave_initial(grid, eps)
 
 
-def _multiscale_rough_initial(grid: Grid, eps: float, slopes: Sequence[float],
-                              mode: int = 8, envelope: float = 60.0) -> ScalarField:
+def _multiscale_rough_initial(grid: Grid, eps: float) -> ScalarField:
     """Layer over a graph with localized wiggles of graded steepness.
 
-    Three separated features whose strengths straddle the maximal-function
+    Five separated mode-8 features whose slopes straddle the maximal-function
     thresholds exercise the weak-L1 partition.  The profile is applied as a
     vertical offset through the folded coordinate, so the field is periodic
     without a nearest-point solve (the discrepancy sign is not needed here).
     """
     L = grid.extent
-    k = 2.0 * np.pi * mode / L
+    slopes = (0.12, 0.17, 0.24, 0.34, 0.48)
+    k = 2.0 * np.pi * 8 / L
     centers = np.linspace(-L / 3.0, L / 3.0, len(slopes))
 
     def profile(xh: np.ndarray) -> np.ndarray:
         out = np.zeros_like(xh, dtype=float)
         for s_j, c_j in zip(slopes, centers):
             theta = 2.0 * np.pi * (xh - c_j) / L
-            env = np.exp(envelope * (np.cos(theta) - 1.0))
+            env = np.exp(60.0 * (np.cos(theta) - 1.0))
             out = out + (s_j / k) * np.sin(k * (xh - c_j)) * env
         return out
 
@@ -719,8 +733,8 @@ def circle_audits(config: ExperimentConfig, dt_scales: Sequence[float]) -> dict[
     grid = config.grid
     eps = config.epsilons[0]
     initial = initial_field(config, eps)
-    kernel = KernelPoint(y=(0.0,) * grid.dim, s=config.t_end + float(
-        config.params.get("kernel_lag", 0.01)), n=grid.interface_dim)
+    kernel = KernelPoint(y=(0.0,) * grid.dim, s=config.t_end + config.params["kernel_lag"],
+                         n=grid.interface_dim)
     phi = radial_bump(center=(0.0,) * grid.dim, radius=0.45 * grid.extent)
     probe = _circle_probes(grid, kernel, phi)
     audits = {}
@@ -736,7 +750,7 @@ def circle_audits(config: ExperimentConfig, dt_scales: Sequence[float]) -> dict[
 def run_shrinking_circle(config: ExperimentConfig, audits: dict[float, FlowAudit] | None = None) -> ScenarioResult:
     grid = config.grid
     eps = config.epsilons[0]
-    radius = float(config.params.get("radius", 0.35))
+    radius = config.params["radius"]
     if audits is None:
         audits = circle_audits(config, (1.0, 0.5))
     fine = audits[min(audits)]
@@ -748,9 +762,8 @@ def run_shrinking_circle(config: ExperimentConfig, audits: dict[float, FlowAudit
     radius_err = abs(measured - exact) / exact
 
     # first-order-in-epsilon trend: a coarser layer tracks the circle worse
-    coarse_eps = float(config.params.get("coarse_epsilon", 2 * eps))
-    coarse_extent = float(config.params.get("coarse_extent", 1.4))
-    coarse_grid = Grid(dim=grid.dim, extent=coarse_extent, points=grid.points)
+    coarse_eps = 2 * eps
+    coarse_grid = Grid(dim=grid.dim, extent=config.params["coarse_extent"], points=grid.points)
     coarse_cfg = SolverConfig(dt=config.dt_for(coarse_eps) * min(audits),
                               t_end=config.t_end, scheme=config.scheme,
                               sample_every=config.sample_every)
@@ -790,7 +803,7 @@ def run_shrinking_circle(config: ExperimentConfig, audits: dict[float, FlowAudit
     profile = density_ratio_profile(fine.trajectory, (r_mid, 0.0), t_mid, radii)
 
     # ... and on a static flat layer, against the sharp-interface value 4*alpha
-    flat_eps = float(config.params.get("flat_epsilon", 0.05))
+    flat_eps = 0.05
     flat_dt = 0.125 * flat_eps**2
     flat_cfg = SolverConfig(dt=flat_dt, t_end=576 * flat_dt, scheme=config.scheme,
                             sample_every=8)
@@ -885,13 +898,9 @@ def run_monotonicity_sweep(config: ExperimentConfig,
 def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     grid_ref = config.grid
     p = config.params
-    theta = float(p.get("theta", 0.25))
-    fit_scale = float(p.get("fit_scale", 0.2))
-    k1 = float(p.get("k1", 10.0))
-    mode = int(p.get("mode", 1))
-    a_over_eps = float(p.get("amplitude_over_epsilon", 0.5))
-    tilt_over_eps = float(p.get("tilt_over_epsilon", 2.5))
-    t1, t2 = p.get("window", [0.002, 0.01])
+    theta, fit_scale, k1 = p["theta"], p["fit_scale"], p["k1"]
+    mode, a_over_eps, tilt_over_eps = p["mode"], p["amplitude_over_epsilon"], p["tilt_over_epsilon"]
+    t1, t2 = p["window"]
 
     # per-epsilon grids keep the layer resolution fixed (points ~ 1/epsilon)
     def grid_for(eps: float) -> Grid:
@@ -964,11 +973,9 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     # good/bad partition sweep on a rougher interface (steeper modes), so the
     # maximal function actually exceeds the pinned thresholds somewhere
     eps_mid = eps_sorted[min(1, len(eps_sorted) - 1)]
-    thresholds = [float(l) for l in p.get("thresholds", [0.01, 0.02, 0.04])]
-    band = float(p.get("band", 0.05))
-    rough_slopes = [float(s) for s in p.get("rough_slopes", [0.12, 0.17, 0.24, 0.34, 0.48])]
+    thresholds, band = p["thresholds"], p["band"]
     g_rough = grid_for(eps_mid)
-    rough_initial = _multiscale_rough_initial(g_rough, eps_mid, rough_slopes)
+    rough_initial = _multiscale_rough_initial(g_rough, eps_mid)
     rough_t_end = 0.1 * config.t_end
     rough_cfg = config.solver_config(eps_mid, t_end=rough_t_end,
                                      sample_every=sampling(eps_mid, t_end=rough_t_end, target=8))
@@ -1019,7 +1026,7 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
 
 
 def run_no_cancellation(config: ExperimentConfig) -> ScenarioResult:
-    bump_radii = [float(r) for r in config.params.get("bump_radii", [0.15, 0.25, 0.35, 0.45, 0.55])]
+    bump_radii = config.params["bump_radii"]
     defects = {}
     for eps in sorted(config.epsilons, reverse=True):
         cfg = config.solver_config(eps)
@@ -1054,12 +1061,11 @@ def _analytic_random_field(grid: Grid, seed: int) -> ScalarField:
 
 def run_inequality_ratios(config: ExperimentConfig) -> ScenarioResult:
     p = config.params
-    slope = float(p.get("slope", 0.05))
-    ball_radius = float(p.get("ball_radius", 0.2))
+    slope, ball_radius = p["slope"], p["ball_radius"]
     eps = config.epsilons[0]
     L = config.grid.extent
     n_points = config.grid.points
-    refine_points = int(p.get("refine_points", 2 * n_points))
+    refine_points = 2 * n_points
 
     beta = math.atan(slope)
     plane = Hyperplane(normal=(0.0,) * (config.grid.dim - 2) + (math.sin(beta), math.cos(beta)))
@@ -1082,8 +1088,7 @@ def run_inequality_ratios(config: ExperimentConfig) -> ScenarioResult:
     # signal (curvature) is epsilon-independent, whereas on a flat tilted
     # sheet both quantities converge to zero with the layer width and a
     # stability comparison would be vacuous.
-    circle_ext = float(p.get("circle_extent", 1.2))
-    circle_r = float(p.get("circle_radius", 0.2))
+    circle_ext, circle_r = p["circle_extent"], p["circle_radius"]
     circle_cacc, circle_sob = [], []
     for pts, ce in ((n_points, eps), (refine_points, eps / 2)):
         g = Grid(dim=2, extent=circle_ext, points=pts)

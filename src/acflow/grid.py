@@ -1,4 +1,5 @@
-"""Periodic Cartesian grids and the immutable field/trajectory containers.
+"""Periodic Cartesian grids, the double-well, and the immutable
+field/trajectory containers.
 
 Everything downstream (solver, diagnostics, level-set machinery) computes on
 these types.  All containers are frozen dataclasses and their numpy payloads
@@ -14,15 +15,16 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "Grid",
-    "PotentialSpec",
-    "DOUBLE_WELL",
+    "WELL_CURVATURE",
+    "well",
+    "well_derivative",
     "ScalarField",
     "ParabolicCylinder",
     "Trajectory",
@@ -103,32 +105,23 @@ class Grid:
         return np.broadcast_to(fn(*self.coords()), self.shape).astype(np.float64)
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    """The double-well ``W(u) = (1 - u^2)^2 / 2`` with wells at u = -1, +1.
-
-    This normalization makes ``tanh(x / epsilon)`` an exact standing wave of
-    the reaction-diffusion flow and gives the wave the line energy 4/3.
-    """
-
-    well_values: tuple[float, float] = (-1.0, 1.0)
-
-    def value(self, u: np.ndarray) -> np.ndarray:
-        return 0.5 * (1.0 - u * u) ** 2
-
-    def derivative(self, u: np.ndarray) -> np.ndarray:
-        return -2.0 * u * (1.0 - u * u)
-
-    def second_derivative(self, u: np.ndarray) -> np.ndarray:
-        return 6.0 * u * u - 2.0
-
-    @property
-    def max_curvature(self) -> float:
-        """max |W''| over [-1, 1], used by explicit time-step bounds."""
-        return 4.0
+# The double-well W(u) = (1 - u^2)^2 / 2 with wells at u = -1, +1.  This
+# normalization makes tanh(x / epsilon) an exact standing wave of the
+# reaction-diffusion flow and gives the wave the line energy 4/3.
 
 
-DOUBLE_WELL = PotentialSpec()
+def well(u: np.ndarray) -> np.ndarray:
+    """``W(u) = (1 - u^2)^2 / 2``."""
+    return 0.5 * (1.0 - u * u) ** 2
+
+
+def well_derivative(u: np.ndarray) -> np.ndarray:
+    """``W'(u) = -2 u (1 - u^2)``."""
+    return -2.0 * u * (1.0 - u * u)
+
+
+# max |W''| over [-1, 1], used by explicit time-step bounds.
+WELL_CURVATURE = 4.0
 
 # Total energy of the 1-d standing wave, integral of (1 - s^2) over (-1, 1).
 WAVE_ENERGY = 4.0 / 3.0
@@ -142,7 +135,6 @@ class ScalarField:
     values: np.ndarray
     epsilon: float
     time: float = 0.0
-    potential: PotentialSpec = field(default=DOUBLE_WELL)
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
@@ -160,7 +152,6 @@ class ScalarField:
             values=values,
             epsilon=self.epsilon,
             time=self.time if time is None else time,
-            potential=self.potential,
         )
 
 
@@ -204,10 +195,10 @@ class Trajectory:
         if not self.frames:
             raise ValueError("trajectory needs at least one frame")
         object.__setattr__(self, "frames", tuple(self.frames))
-        g0, e0, p0 = self.frames[0].grid, self.frames[0].epsilon, self.frames[0].potential
+        g0, e0 = self.frames[0].grid, self.frames[0].epsilon
         for f in self.frames[1:]:
-            if f.grid != g0 or f.epsilon != e0 or f.potential != p0:
-                raise ValueError("all frames must share grid, epsilon and potential")
+            if f.grid != g0 or f.epsilon != e0:
+                raise ValueError("all frames must share grid and epsilon")
         if len(self.frames) > 1:
             if not self.dt_sample > 0:
                 raise ValueError("dt_sample must be positive")

@@ -22,12 +22,11 @@ __all__ = [
 ]
 
 
-def circle_distance(radius: float, center: tuple[float, ...] | None = None) -> Callable:
-    """Signed distance to a sphere ``|x - c| = radius``, positive inside."""
+def circle_distance(radius: float) -> Callable:
+    """Signed distance to the sphere ``|x| = radius``, positive inside."""
 
     def d(*coords: np.ndarray) -> np.ndarray:
-        c = center or (0.0,) * len(coords)
-        r2 = sum((x - ci) ** 2 for x, ci in zip(coords, c))
+        r2 = sum(x**2 for x in coords)
         return radius - np.sqrt(r2)
 
     return d
@@ -68,17 +67,13 @@ def sine_mode(amplitude: float, mode: int, extent: float, phase: float = 0.0) ->
     return f, fp, fpp
 
 
-def graph_pair_distance(
-    extent: float,
-    profiles: list[tuple[Callable, Callable, Callable]],
-    newton_iterations: int = 12,
-) -> Callable:
+def graph_pair_distance(extent: float, profiles: list[tuple[Callable, Callable, Callable]]) -> Callable:
     """Signed distance to the graph ``x_v = sum of profiles`` plus the seam pair.
 
     Two-dimensional ambient space only (one base coordinate).  The distance
     to the graph is the true nearest-point distance, found per query point by
-    Newton iteration on the foot-point equation; for the gentle profiles used
-    here the focal distance is far outside the box, so the iteration is
+    12 Newton iterations on the foot-point equation; for the gentle profiles
+    used here the focal distance is far outside the box, so the iteration is
     uniformly contractive.
     """
     L = extent
@@ -107,7 +102,7 @@ def graph_pair_distance(
         for shift in starts:
             # Foot point xi: (xi - xh) + f'(xi)(f(xi) - xv) = 0.
             xi = xh + shift
-            for _ in range(newton_iterations):
+            for _ in range(12):
                 g = (xi - xh) + fp(xi) * (f(xi) - xv)
                 gp = 1.0 + fpp(xi) * (f(xi) - xv) + fp(xi) ** 2
                 xi = xi - g / np.where(np.abs(gp) > 1e-12, gp, 1e-12)

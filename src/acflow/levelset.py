@@ -55,8 +55,8 @@ def distance_function(field: ScalarField) -> ScalarField:
     return field.with_values(field.epsilon * np.arctanh(u))
 
 
-def distance_gradient_max(field: ScalarField, band: float = 0.999) -> float:
-    """Max of the centered-difference ``|grad z|`` over ``{|u| <= band}``.
+def distance_gradient_max(field: ScalarField) -> float:
+    """Max of the centered-difference ``|grad z|`` over ``{|u| <= 0.999}``.
 
     Finite differences keep the saturated plateaus (where the clamp kinks z)
     from polluting the transition band.
@@ -67,7 +67,7 @@ def distance_gradient_max(field: ScalarField, band: float = 0.999) -> float:
     gsq = np.zeros(grid.shape)
     for ax in range(grid.dim):
         gsq += ((np.roll(z, -1, axis=ax) - np.roll(z, 1, axis=ax)) / h2) ** 2
-    mask = np.abs(field.values) <= band
+    mask = np.abs(field.values) <= 0.999
     if not np.any(mask):
         return 0.0
     return float(np.sqrt(np.max(gsq[mask])))
@@ -251,15 +251,10 @@ class GraphRelationDefects:
         return max(self.vertical, self.spatial, self.time)
 
 
-def graph_derivative_relations(
-    traj: ScalarField | Trajectory,
-    level: float,
-    delta_s: float = 1e-3,
-    window: float | None = None,
-) -> GraphRelationDefects:
+def graph_derivative_relations(traj: ScalarField | Trajectory, level: float) -> GraphRelationDefects:
     """Two-sided check of the graph/field derivative relations.
 
-    ``dh/ds`` comes from graphs extracted at ``level +- delta_s`` (a genuine
+    ``dh/ds`` comes from graphs extracted at ``level +- 1e-3`` (a genuine
     second route, independent of the field's vertical derivative);
     ``dh/dx_i`` and ``dh/dt`` by centered differences on the base lattice
     and sample times.  Returns the max absolute defect of each relation
@@ -269,9 +264,10 @@ def graph_derivative_relations(
     frames = [traj] if single else list(traj.frames)
     grid = frames[0].grid
 
-    g_mid = extract_graph(traj, level, window)
-    g_lo = extract_graph(traj, level - delta_s, window)
-    g_hi = extract_graph(traj, level + delta_s, window)
+    delta_s = 1e-3
+    g_mid = extract_graph(traj, level)
+    g_lo = extract_graph(traj, level - delta_s)
+    g_hi = extract_graph(traj, level + delta_s)
     common = g_mid.valid & g_lo.valid & g_hi.valid
     if not np.any(common):
         raise GraphExtractionError("no commonly valid columns across the level band")
@@ -368,9 +364,9 @@ def _maximal_field(g: np.ndarray, times: np.ndarray, grid: Grid, radii: Sequence
     return out
 
 
-def dyadic_radii(extent: float, spacing: float, r_max: float | None = None) -> list[float]:
-    """Radii ``r_max * 2^-k`` down to ``2 * spacing``."""
-    r = r_max if r_max is not None else 0.25 * extent
+def dyadic_radii(extent: float, spacing: float) -> list[float]:
+    """Radii ``(extent/4) * 2^-k`` down to ``2 * spacing``."""
+    r = 0.25 * extent
     out = []
     while r >= 2.0 * spacing:
         out.append(r)
@@ -440,23 +436,18 @@ def partition_good_bad(
 # ---------------------------------------------------------------------------
 
 
-def heat_compare(
-    graph: LevelSetGraph,
-    reference_initial: np.ndarray | None = None,
-    validity_threshold: float = 0.95,
-) -> float:
+def heat_compare(graph: LevelSetGraph, reference_initial: np.ndarray | None = None) -> float:
     """Relative space-time L2 distance between the extracted graph and the
     heat flow of a reference initial profile.
 
     The reference evolves by exact Fourier-mode decay on the periodic base;
     both sides are made mean-free.  Defaults the reference to the graph's
-    first frame.  A graph over a 1-D box has a one-point base and is an
-    error.
+    first frame.  A graph valid on fewer than 95% of its base points, or
+    over a 1-D box (a one-point base), is an error.
     """
-    if graph.validity_fraction < validity_threshold:
+    if graph.validity_fraction < 0.95:
         raise GraphExtractionError(
-            f"graph valid on {graph.validity_fraction:.1%} of base points "
-            f"< required {validity_threshold:.0%}"
+            f"graph valid on {graph.validity_fraction:.1%} of base points < required 95%"
         )
     n_pts = graph.heights.shape[1]
     if n_pts == 1:
@@ -525,12 +516,11 @@ def excess_decay_ratio(
     traj: Trajectory,
     theta: float,
     scale: float,
-    center_space: Sequence[float] | None = None,
     center_time: float | None = None,
 ) -> ExcessDecayReport:
     """Fit the plane minimizing the height excess over the shrunk cylinder
-    and report the contraction ratio against the flat-frame excess at unit
-    scale.
+    about the origin and report the contraction ratio against the
+    flat-frame excess at unit scale.
 
     The fit is weighted linear least squares of the vertical coordinate on
     the base coordinates with weight ``eps |grad u|^2`` over ``P_theta``;
@@ -541,7 +531,7 @@ def excess_decay_ratio(
         raise ValueError("theta must lie in (0, 1)")
     grid = traj.grid
     n = grid.interface_dim
-    c = tuple(center_space) if center_space is not None else (0.0,) * grid.dim
+    c = (0.0,) * grid.dim
     t0 = center_time if center_time is not None else float(np.median(traj.times))
 
     disp = np.stack(np.broadcast_arrays(*grid.displacement(c)))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -181,14 +180,11 @@ def monotonicity_residual(
     )
 
 
-def l2_linfty_ratio(
-    traj: Trajectory,
-    radius: float,
-    center: Sequence[float] | None = None,
-    t0: float | None = None,
-) -> float:
-    """Kernel-weighted spatial height mass over the space-time height mass.
+def l2_linfty_ratio(traj: Trajectory, radius: float) -> float:
+    """Kernel-weighted spatial height mass over the space-time height mass,
+    about the origin.
 
+    The terminal time is one sampling interval past the last frame.
     Numerator: ``int_{B_{r/2}} w^2 Phi dmu`` at lag ``max(r^2/4, 25 h^2)``
     before the terminal time (keeping the kernel resolvable); denominator:
     ``r^{-n-2}`` times the height mass over the backward cylinder.  Pure
@@ -196,8 +192,8 @@ def l2_linfty_ratio(
     """
     grid = traj.grid
     n = grid.interface_dim
-    c = center if center is not None else (0.0,) * grid.dim
-    terminal = t0 if t0 is not None else float(traj.times[-1]) + traj.dt_sample
+    c = (0.0,) * grid.dim
+    terminal = float(traj.times[-1]) + traj.dt_sample
     lag = max(radius**2 / 4.0, 25.0 * grid.spacing**2)
     i, frame = traj.frame_nearest(terminal - lag)
     tau = terminal - frame.time

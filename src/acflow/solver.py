@@ -1,6 +1,7 @@
-"""Time integration of the reaction-diffusion flow and initial-data builders.
+"""Time integration of the reaction-diffusion flow and well-prepared data.
 
-The flow is ``du/dt = lap(u) - W'(u)/eps^2``.  Three schemes are provided:
+The flow is ``du/dt = lap(u) - W'(u)/eps^2`` with the double-well ``W`` of
+:mod:`acflow.grid`.  Three schemes are provided:
 
 ``semi-implicit-spectral``
     Backward-Euler diffusion, explicit reaction:
@@ -32,7 +33,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .grid import DOUBLE_WELL, Grid, PotentialSpec, ScalarField, Trajectory
+from .grid import WELL_CURVATURE, Grid, ScalarField, Trajectory, well_derivative
 from .operators import from_spectrum, laplacian_values, spectrum, symbols
 
 __all__ = [
@@ -89,21 +90,20 @@ class SolverConfig:
             raise SolverConfigError(f"sample_every must be >= 1, got {self.sample_every}")
 
 
-def dt_limit(scheme: str, grid: Grid, epsilon: float, potential: PotentialSpec = DOUBLE_WELL) -> float:
+def dt_limit(scheme: str, grid: Grid, epsilon: float) -> float:
     e2 = epsilon**2
     if scheme == SCHEME_SEMI_IMPLICIT:
         return 0.5 * e2
     if scheme == SCHEME_CNAB2:
         return e2 / 3.0
     if scheme == SCHEME_RK2:
-        return 0.2 * min(grid.spacing**2, e2 / potential.max_curvature)
+        return 0.2 * min(grid.spacing**2, e2 / WELL_CURVATURE)
     raise SolverConfigError(f"unknown scheme {scheme!r}")
 
 
-def validate_config(config: SolverConfig, grid: Grid, epsilon: float,
-                    potential: PotentialSpec = DOUBLE_WELL) -> None:
+def validate_config(config: SolverConfig, grid: Grid, epsilon: float) -> None:
     """Reject a step beyond the scheme's stability limit on this grid and epsilon."""
-    limit = dt_limit(config.scheme, grid, epsilon, potential)
+    limit = dt_limit(config.scheme, grid, epsilon)
     if config.dt > limit * (1 + 1e-12):
         raise SolverConfigError(
             f"dt={config.dt:g} exceeds the {config.scheme} limit {limit:g} "
@@ -140,7 +140,7 @@ def ac_residual_values(field: ScalarField, lap: np.ndarray | None = None) -> np.
     """
     if lap is None:
         lap = laplacian_values(field.grid, field.values)
-    return lap - field.potential.derivative(field.values) / field.epsilon**2
+    return lap - well_derivative(field.values) / field.epsilon**2
 
 
 def ac_residual(field: ScalarField) -> ScalarField:
@@ -158,11 +158,10 @@ class _Stepper:
     """
 
     def __init__(self, field: ScalarField, config: SolverConfig):
-        validate_config(config, field.grid, field.epsilon, field.potential)
+        validate_config(config, field.grid, field.epsilon)
         self.config = config
         self.grid = field.grid
         self.eps2 = field.epsilon**2
-        self.potential = field.potential
         neg_k2 = symbols(self.grid).neg_k2
         dt = config.dt
         if config.scheme == SCHEME_SEMI_IMPLICIT:
@@ -174,10 +173,10 @@ class _Stepper:
         self._prev_reaction: np.ndarray | None = None
 
     def _reaction(self, u: np.ndarray) -> np.ndarray:
-        return self.potential.derivative(u) / self.eps2
+        return well_derivative(u) / self.eps2
 
     def _shifted_reaction(self, u: np.ndarray) -> np.ndarray:
-        return (self.potential.derivative(u) - CNAB2_SHIFT * u) / self.eps2
+        return (well_derivative(u) - CNAB2_SHIFT * u) / self.eps2
 
     def advance(self, field: ScalarField,
                 u_hat: np.ndarray | None = None) -> tuple[ScalarField, np.ndarray | None]:
@@ -235,13 +234,8 @@ def evolve(field: ScalarField, config: SolverConfig) -> Trajectory:
     return Trajectory(frames=tuple(frames), dt_sample=config.dt * config.sample_every)
 
 
-def prepare_interface(
-    signed_distance: Callable[..., np.ndarray],
-    grid: Grid,
-    epsilon: float,
-    time: float = 0.0,
-    potential: PotentialSpec = DOUBLE_WELL,
-) -> ScalarField:
+def prepare_interface(signed_distance: Callable[..., np.ndarray], grid: Grid,
+                      epsilon: float) -> ScalarField:
     """Well-prepared data ``u0 = tanh(d/eps)`` from a signed-distance function.
 
     ``signed_distance`` is called with broadcastable coordinate arrays.  Its
@@ -275,4 +269,4 @@ def prepare_interface(
             )
 
     u0 = np.clip(np.tanh(d / epsilon), -CLAMP, CLAMP)
-    return ScalarField(grid=grid, values=u0, epsilon=epsilon, time=time, potential=potential)
+    return ScalarField(grid=grid, values=u0, epsilon=epsilon)

@@ -3,7 +3,6 @@ import pytest
 from scipy import integrate as scipy_integrate
 
 from acflow import (
-    DOUBLE_WELL,
     WAVE_ENERGY,
     Grid,
     Hyperplane,

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acflow import (
     Grid, SolverConfig, SolverConfigError, Trajectory, WAVE_ENERGY, brakke_residual,
@@ -11,7 +12,10 @@ from acflow import (
 )
 from acflow.cli import main as cli_main
 from acflow.experiments import (
+    SCENARIOS,
     ConfigError,
+    ExperimentConfig,
+    _DEFAULTS,
     _circle_probes,
     config_from_dict,
     default_config,
@@ -79,6 +83,77 @@ def test_dt_and_dt_factor_are_exclusive():
 def test_unknown_scenario_is_rejected():
     with pytest.raises(ConfigError, match="scenario"):
         config_from_dict(raw_config(scenario="warp-drive"))
+
+
+def scenario_raw(scenario, **params):
+    raw = json.loads(json.dumps(_DEFAULTS[scenario]))
+    raw["params"].update(params)
+    return raw
+
+
+@pytest.mark.parametrize("scenario", ["shrinking-circle", "monotonicity-sweep", "no-cancellation"])
+def test_margin_rule_covers_every_circle_scenario(scenario):
+    # radius 0.5 leaves 0.1 (0.2 in the wider no-cancellation box) to the box
+    # edge, below 8*epsilon for every one of these scenarios
+    with pytest.raises(ConfigError, match="interface margin"):
+        config_from_dict(scenario_raw(scenario, radius=0.5))
+
+
+def test_params_merge_over_the_declared_defaults():
+    config = config_from_dict(scenario_raw("excess-decay", k1=12))
+    assert config.params["k1"] == 12.0 and isinstance(config.params["k1"], float)
+    assert config.params["thresholds"] == [0.01, 0.02, 0.04]
+    raw = scenario_raw("shrinking-circle")
+    raw["params"] = {"radius": 0.3}
+    assert config_from_dict(raw).params == {"radius": 0.3, "coarse_extent": 1.4,
+                                            "kernel_lag": 0.01}
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(SCENARIOS),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+_SCALES = st.sampled_from([-1.0, 0.5, 1e-320, 1e-160, 1e160, 1e300])
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A scenario's default config with one or two keys, at any level,
+    deleted, replaced by an arbitrary JSON value, or (numbers and lists of
+    numbers) rescaled, by factors that reach underflow and overflow."""
+    raw = json.loads(json.dumps(_DEFAULTS[draw(st.sampled_from(SCENARIOS))]))
+    for _ in range(draw(st.integers(1, 2))):
+        sections = [raw] + [v for v in raw.values() if isinstance(v, dict)]
+        section, key = draw(st.sampled_from(
+            [(s, k) for s in sections for k in sorted(s)] + [(raw, "extra")]))
+        value = section.get(key)
+        how = draw(st.sampled_from(["delete", "replace", "rescale", "rescale"]))
+        if how == "delete":
+            section.pop(key, None)
+        elif how == "rescale" and _is_number(value):
+            section[key] = value * draw(_SCALES)
+        elif how == "rescale" and isinstance(value, list) and all(map(_is_number, value)):
+            section[key] = [v * draw(_SCALES) for v in value]
+        else:
+            section[key] = draw(_JSON_VALUES)
+    return raw
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(mutated_configs())
+def test_loader_returns_a_config_or_raises_config_error(raw):
+    try:
+        config = config_from_dict(raw)
+    except ConfigError:
+        return
+    assert isinstance(config, ExperimentConfig)
 
 
 # --- audit machinery ---------------------------------------------------------
@@ -337,6 +412,15 @@ def _with(section, **values):
     ([_without(None, "epsilon"), _with("grid", points=513), _without("solver", "t_end")],
      ["'epsilon'", "points must be even", "'t_end'"]),
     ([_with("solver", sample_every=3)], ["step count 4 is not a multiple of sample_every=3"]),
+    ([_with("solver", t_end=None)], ["config.solver.t_end must be a finite number, got None"]),
+    ([_with("solver", t_end=float("nan"))], ["config.solver.t_end must be a finite number"]),
+    ([_with(None, params=[1, 2])], ["config.params must be an object, got [1, 2]"]),
+    ([_with("solver", sample_every=2.5)], ["config.solver.sample_every must be an integer"]),
+    ([_with(None, seed=1.7)], ["config.seed must be an integer, got 1.7"]),
+    ([_with("grid", points=512.0)], ["config.grid.points must be an integer, got 512.0"]),
+    ([_with("grid", points=10**400)], ["config.grid.points must be an integer"]),
+    ([_with(None, epsilon=1e200)], ["margin", "time-step arithmetic overflows for epsilon=1e+200"]),
+    ([_with("solver", t_end=1e308)], ["time-step arithmetic overflows"]),
 ])
 def test_cli_reports_every_config_error_at_load(tmp_path, capsys, mutations, expected):
     raw = raw_config()
@@ -351,6 +435,23 @@ def test_cli_reports_every_config_error_at_load(tmp_path, capsys, mutations, exp
     assert len(err.strip().splitlines()) == 1
     for text in expected:
         assert text in err
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("scenario, params, expected", [
+    ("shrinking-circle", {"radius": "0.35"}, "config.params.radius must be a finite number"),
+    ("shrinking-circle", {"raduis": 0.3},
+     "unknown key 'raduis' in config.params (allowed: ['coarse_extent', 'kernel_lag', 'radius'])"),
+    ("excess-decay", {"mode": 1.5}, "config.params.mode must be an integer, got 1.5"),
+])
+def test_cli_rejects_malformed_scenario_params(tmp_path, capsys, scenario, params, expected):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario_raw(scenario, **params)))
+    code = cli_main(["experiment", "--config", str(path), "--out", str(tmp_path / "exp")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error:") and len(err.strip().splitlines()) == 1
+    assert expected in err
     assert not (tmp_path / "exp").exists()
 
 
