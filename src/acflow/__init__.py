@@ -32,7 +32,6 @@ from .diagnostics import (
     brakke_residual,
     caccioppoli_ratio,
     constant_one,
-    cylinder_cutoff,
     diagnostics_record,
     discrepancy,
     divergence_defect,

@@ -38,7 +38,6 @@ __all__ = [
     "FrameBundle",
     "constant_one",
     "radial_bump",
-    "cylinder_cutoff",
     "energy_density",
     "discrepancy",
     "tilt_excess",
@@ -170,47 +169,39 @@ class _ConstantOne(TestFunction):
 
 
 class _RadialProfileFunction(TestFunction):
-    """phi(x) = p(rho(x)), rho the wrapped distance from ``center``, measured
-    within the hyperplane orthogonal to ``normal`` when one is given."""
+    """phi(x) = p(rho(x)), rho the wrapped distance from ``center``."""
 
-    def __init__(self, profile: _RampProfile, center: Sequence[float],
-                 normal: Sequence[float] | None = None):
+    def __init__(self, profile: _RampProfile, center: Sequence[float]):
         self.profile = profile
         self.center = tuple(float(c) for c in center)
-        self.normal = normal
 
-    def _rho_and_direction(self, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """rho, its unit direction field (dim, *shape) and the projector onto
-        the directions rho measures (broadcastable to (dim, dim, *shape))."""
+    def _rho_and_direction(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+        """rho and its unit direction field (dim, *shape)."""
         disp = grid.displacement(self.center)
-        projector = np.eye(grid.dim)
-        if self.normal is not None:
-            along = sum(e * d for e, d in zip(self.normal, disp))
-            disp = [d - e * along for e, d in zip(self.normal, disp)]
-            projector = projector - np.outer(self.normal, self.normal)
         rho = np.sqrt(np.broadcast_to(sum(d**2 for d in disp), grid.shape))
         safe = np.where(rho > 0, rho, 1.0)
         direction = np.stack([d / safe for d in disp])
-        return rho, direction, projector.reshape((grid.dim, grid.dim) + (1,) * grid.dim)
+        return rho, direction
 
     def value(self, grid):
-        rho, _, _ = self._rho_and_direction(grid)
+        rho, _ = self._rho_and_direction(grid)
         return self.profile.value(rho)
 
     def gradient(self, grid):
-        rho, direction, _ = self._rho_and_direction(grid)
+        rho, direction = self._rho_and_direction(grid)
         return self.profile.d1(rho) * direction
 
     def hessian(self, grid):
-        rho, direction, projector = self._rho_and_direction(grid)
+        rho, direction = self._rho_and_direction(grid)
         p1 = self.profile.d1(rho)
         p2 = self.profile.d2(rho)
-        # f'' rhat x rhat + (f'/rho) (P - rhat x rhat); f' vanishes identically
+        # f'' rhat x rhat + (f'/rho) (I - rhat x rhat); f' vanishes identically
         # near rho = 0, so the division is safe there.
         with np.errstate(divide="ignore", invalid="ignore"):
             radial_ratio = np.where(rho > 0, p1 / np.where(rho > 0, rho, 1.0), 0.0)
         outer = direction[:, None] * direction[None, :]
-        return p2 * outer + radial_ratio * (projector - outer)
+        identity = np.eye(grid.dim).reshape((grid.dim, grid.dim) + (1,) * grid.dim)
+        return p2 * outer + radial_ratio * (identity - outer)
 
 
 def constant_one() -> TestFunction:
@@ -219,13 +210,6 @@ def constant_one() -> TestFunction:
 def radial_bump(center: Sequence[float], radius: float) -> TestFunction:
     """1 within ``radius / 2`` of ``center``, vanishing beyond ``radius``."""
     return _RadialProfileFunction(_RampProfile(lo=0.5 * radius, hi=radius), center)
-
-def cylinder_cutoff(plane: Hyperplane, interface_dim: int) -> TestFunction:
-    """Cutoff in the distance from the origin measured within a plane: 1 up
-    to (2/3)^(1/n), vanishing beyond (5/6)^(1/n), monotone quintic between."""
-    n = interface_dim
-    profile = _RampProfile(lo=(2.0 / 3.0) ** (1.0 / n), hi=(5.0 / 6.0) ** (1.0 / n))
-    return _RadialProfileFunction(profile, (0.0,) * len(plane.normal), plane.normal)
 
 
 # ---------------------------------------------------------------------------

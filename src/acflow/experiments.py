@@ -28,7 +28,8 @@ from .diagnostics import (
     sobolev_defect,
     weighted_mass,
 )
-from .grid import Grid, ParabolicCylinder, ScalarField, Trajectory, WAVE_ENERGY, trapezoid_weights
+from .grid import (Grid, ParabolicCylinder, ScalarField, Trajectory, WAVE_ENERGY,
+                   trapezoid_weights, window_weights)
 from .initial_data import circle_distance, graph_pair_distance, plane_pair_distance, sine_mode
 from .io import write_diagnostics_csv, write_field, write_graph_csv, write_json, write_table_csv
 from .levelset import (
@@ -36,7 +37,7 @@ from .levelset import (
     excess_decay_ratio,
     extract_graph,
     heat_compare,
-    partition_good_bad,
+    tilt_maximal_field,
 )
 from .monotonicity import KernelPoint, monotonicity_terms
 from .operators import integrate_values
@@ -321,7 +322,6 @@ _DEFAULTS: dict[str, dict] = {
             "k1": 10.0,
             "thresholds": [0.01, 0.02, 0.04],
             "band": 0.05,
-            "window": [0.002, 0.01],
         },
         "seed": 0,
     },
@@ -591,13 +591,13 @@ def excess_convergence_sweep(
     """
     out: dict[float, dict[str, float]] = {}
     for eps in sorted(trajectories, reverse=True):
-        traj = trajectories[eps].window(*window)
+        traj = trajectories[eps]
         grid = traj.grid
         e_vert = (0.0,) * (grid.dim - 1) + (1.0,)
         vol = grid.cell_volume
         tilt = xi = wil = 0.0
-        for wi, f in zip(trapezoid_weights(len(traj), traj.dt_sample), traj.frames):
-            b = FrameBundle(f)
+        for i, wi in zip(*window_weights(traj.times, *window, traj.dt_sample)):
+            b = FrameBundle(traj[i])
             tilt += wi * float(np.sum(_tilt_integrand(b, e_vert)) * vol)
             xi += wi * float(np.sum(np.abs(b.discrepancy)) * vol)
             wil += wi * float(np.sum(eps * b.residual ** 2) * vol)
@@ -900,7 +900,6 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     p = config.params
     theta, fit_scale, k1 = p["theta"], p["fit_scale"], p["k1"]
     mode, a_over_eps, tilt_over_eps = p["mode"], p["amplitude_over_epsilon"], p["tilt_over_epsilon"]
-    t1, t2 = p["window"]
 
     # per-epsilon grids keep the layer resolution fixed (points ~ 1/epsilon)
     def grid_for(eps: float) -> Grid:
@@ -938,7 +937,7 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
         href = amp * math.exp(-k_hat**2 * traj.times[-1]) * np.cos(k_hat * x)
         final_errors[eps] = heat_compare(final_graph, reference_initial=href)
 
-    sweep = excess_convergence_sweep(trajectories, (t1, t2))
+    sweep = excess_convergence_sweep(trajectories, (config.t_end / 5, config.t_end))
     eps_sorted = sorted(config.epsilons, reverse=True)
     tilt_seq = [sweep[e]["tilt_excess"] for e in eps_sorted]
     xi_seq = [sweep[e]["discrepancy_l1"] for e in eps_sorted]
@@ -981,10 +980,13 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
                                      sample_every=sampling(eps_mid, t_end=rough_t_end, target=8))
     rough_traj = solver_mod.evolve(rough_initial, rough_cfg)
 
+    # the maximal field does not depend on the threshold: build it once
+    rough_field = tilt_maximal_field(rough_traj)
+
     def partition_summary(threshold: float) -> tuple[float, bool]:
-        # only the two numbers outlive the call, so one partition's arrays
+        # only the two numbers outlive the call, so one partition's masks
         # are never held while the next is computed
-        part = partition_good_bad(rough_traj, threshold, band)
+        part = rough_field.partition(threshold, band)
         return part.weak_l1_ratio, bool(np.any(part.bad))
 
     summaries = [partition_summary(threshold) for threshold in thresholds]

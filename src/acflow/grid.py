@@ -28,8 +28,8 @@ __all__ = [
     "ScalarField",
     "ParabolicCylinder",
     "Trajectory",
-    "time_window",
     "trapezoid_weights",
+    "window_weights",
 ]
 
 
@@ -232,19 +232,9 @@ class Trajectory:
         return i, self.frames[i]
 
     def window(self, t_lo: float, t_hi: float) -> "Trajectory":
-        """Sub-trajectory of the frames inside :func:`time_window`."""
-        keep = time_window(self.times, t_lo, t_hi)
-        if keep.size == 0:
-            raise ValueError(f"no frames inside time window [{t_lo}, {t_hi}]")
+        """Sub-trajectory of the frames inside a time window (:func:`window_weights`)."""
+        keep, _ = window_weights(self.times, t_lo, t_hi, self.dt_sample)
         return Trajectory(frames=tuple(self.frames[i] for i in keep), dt_sample=self.dt_sample)
-
-
-def time_window(times: Sequence[float], lo: float, hi: float) -> np.ndarray:
-    """Indices of the sample times in ``[lo, hi]``, widened on both sides by
-    ``1e-12 * max(1, |hi|)`` so that sample times carrying round-off count."""
-    times = np.asarray(times)
-    slack = 1e-12 * max(1.0, abs(hi))
-    return np.nonzero((times >= lo - slack) & (times <= hi + slack))[0]
 
 
 def trapezoid_weights(n: int, dt: float) -> np.ndarray:
@@ -255,3 +245,23 @@ def trapezoid_weights(n: int, dt: float) -> np.ndarray:
     w = np.full(n, dt)
     w[0] = w[-1] = 0.5 * dt
     return w
+
+
+def window_weights(times: Sequence[float], lo: float, hi: float,
+                   dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The time rule of every parabolic cylinder: the indices of the sample
+    times in ``[lo, hi]`` and their trapezoid weights for the sampling
+    interval ``dt``.
+
+    The window is widened on both sides by ``1e-12 * max(1, |hi|)`` so that
+    sample times carrying round-off count.  A window holding a single sample
+    gets the measure ``min(hi - lo, dt)``; an empty window is an error.
+    """
+    times = np.asarray(times)
+    slack = 1e-12 * max(1.0, abs(hi))
+    idx = np.nonzero((times >= lo - slack) & (times <= hi + slack))[0]
+    if idx.size == 0:
+        raise ValueError(f"no frames inside time window [{lo}, {hi}]")
+    if idx.size == 1:
+        return idx, np.array([min(hi - lo, dt)])
+    return idx, trapezoid_weights(idx.size, dt)

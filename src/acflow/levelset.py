@@ -5,6 +5,9 @@ Level sets of an intermediate value ``s`` are extracted column by column
 over the base lattice (all axes but the last).  A column is valid when the
 search window contains exactly one crossing; otherwise it is masked, never
 filled.
+
+The good/bad partition takes two steps: the tilt maximal field, built once per
+trajectory (:func:`tilt_maximal_field`), then a cheap pass per threshold.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .diagnostics import FrameBundle, _tilt_integrand
-from .grid import Grid, ScalarField, Trajectory, time_window, trapezoid_weights
-from .operators import ball_mask, from_spectrum, gradient_values, spectrum, symbols
+from .grid import Grid, ScalarField, Trajectory, trapezoid_weights, window_weights
+from .operators import ball_mask, from_spectrum, gradient_values, spectrum, symbols, within_radius
 from .solver import CLAMP
 
 __all__ = [
@@ -29,6 +32,8 @@ __all__ = [
     "GraphRelationDefects",
     "graph_derivative_relations",
     "GoodBadPartition",
+    "TiltMaximalField",
+    "tilt_maximal_field",
     "partition_good_bad",
     "heat_compare",
     "ExcessDecayReport",
@@ -320,28 +325,17 @@ def graph_derivative_relations(traj: ScalarField | Trajectory, level: float) -> 
 # ---------------------------------------------------------------------------
 
 
-def _window_bounds(times: np.ndarray, t: float, r: float) -> tuple[int, int]:
-    idx = time_window(times, t - r * r, t + r * r)
-    return int(idx[0]), int(idx[-1])
-
-
-def _window_measure(times: np.ndarray, r: float) -> float:
-    """Time measure assigned to a window holding a single sample."""
-    if len(times) > 1:
-        return min(2.0 * r * r, float(times[1] - times[0]))
-    return 2.0 * r * r
-
-
 def _maximal_field(g: np.ndarray, times: np.ndarray, grid: Grid, radii: Sequence[float],
                    power: int) -> np.ndarray:
     """Dyadic maximal function of g(time, *space) at every lattice point.
 
     Masked ball sums are periodic convolutions (computed exactly by real
-    transforms); time windows are trapezoid sums via cumulative arrays.
+    transforms); each time window is weighted by :func:`window_weights`.
     """
     nt = g.shape[0]
     out = np.zeros_like(g)
-    dt = times[1] - times[0] if nt > 1 else 1.0
+    # one frame has no sampling interval: its windows get the whole 2 r^2
+    dt = times[1] - times[0] if nt > 1 else math.inf
     # The ball is centred on lattice index 0 (coordinate -extent/2), the zero
     # shift of the circular convolution, so conv[j] is the ball mass around
     # lattice point j.
@@ -351,15 +345,9 @@ def _maximal_field(g: np.ndarray, times: np.ndarray, grid: Grid, radii: Sequence
         conv = np.empty_like(g)
         for j in range(nt):
             conv[j] = from_spectrum(grid, spectrum(grid, g[j]) * khat) * grid.cell_volume
-        cs = np.cumsum(conv, axis=0)
-        zeros = np.zeros_like(conv[0])
         for i in range(nt):
-            a, b = _window_bounds(times, times[i], r)
-            total = cs[b] - (cs[a - 1] if a > 0 else zeros)
-            if a == b:
-                mass = conv[a] * _window_measure(times, r)
-            else:
-                mass = dt * (total - 0.5 * (conv[a] + conv[b]))
+            idx, weights = window_weights(times, times[i] - r * r, times[i] + r * r, dt)
+            mass = sum(w * conv[k] for k, w in zip(idx, weights))
             np.maximum(out[i], mass / r**power, out=out[i])
     return out
 
@@ -388,6 +376,54 @@ class GoodBadPartition:
     weak_l1_ratio: float
 
 
+@dataclass(frozen=True)
+class TiltMaximalField:
+    """The threshold-free half of the good/bad partition of one trajectory:
+    its tilt integrand's parabolic maximal function and space-time mass."""
+
+    traj: Trajectory
+    maximal: np.ndarray  # (time, *space)
+    tilt_mass: float
+
+    def partition(self, threshold: float, band: float) -> GoodBadPartition:
+        """The split at one threshold, as :func:`partition_good_bad`."""
+        if threshold <= 0:
+            raise ValueError("threshold must be positive")
+        traj, maximal = self.traj, self.maximal
+        layer = np.abs(np.stack([f.values for f in traj.frames])) < 1.0 - band
+        good = layer & (maximal < threshold)
+        bad = layer & (maximal >= threshold)
+
+        # The Dirichlet density is recomputed here, one frame at a time,
+        # rather than kept from the tilt pass: holding it for every frame
+        # alongside the maximal field raises the peak memory.
+        eps, vol = traj.epsilon, traj.grid.cell_volume
+        w = trapezoid_weights(len(traj), traj.dt_sample)
+        bad_mass = float(sum(wi * np.sum((eps * FrameBundle(f).grad_sq)[m]) * vol
+                             for wi, f, m in zip(w, traj.frames, bad)))
+        ratio = bad_mass * threshold / self.tilt_mass if self.tilt_mass > 0 else 0.0
+        return GoodBadPartition(threshold=threshold, band=band, good=good, bad=bad,
+                                maximal=maximal, weak_l1_ratio=ratio)
+
+
+def tilt_maximal_field(
+    traj: Trajectory,
+    direction: Sequence[float] | None = None,
+    radii: Sequence[float] | None = None,
+) -> TiltMaximalField:
+    """The tilt integrand against ``direction`` (default vertical): its mass and
+    its ``r^-(n+2)`` maximal function over ``radii`` (default :func:`dyadic_radii`)."""
+    grid = traj.grid
+    e = direction if direction is not None else (0.0,) * (grid.dim - 1) + (1.0,)
+    if radii is None:
+        radii = dyadic_radii(grid.extent, grid.spacing)
+    tilt = np.stack([_tilt_integrand(f, e) for f in traj.frames])
+    maximal = _maximal_field(tilt, traj.times, grid, radii, power=grid.interface_dim + 2)
+    w, vol = trapezoid_weights(len(traj), traj.dt_sample), grid.cell_volume
+    tilt_mass = float(sum(wi * np.sum(ti) * vol for wi, ti in zip(w, tilt)))
+    return TiltMaximalField(traj=traj, maximal=maximal, tilt_mass=tilt_mass)
+
+
 def partition_good_bad(
     traj: Trajectory,
     threshold: float,
@@ -397,38 +433,10 @@ def partition_good_bad(
 ) -> GoodBadPartition:
     """Good/bad split of ``{|u| < 1 - band}`` by the parabolic maximal
     function of the tilt integrand, plus the measured weak-L1 constant
-    ``(bad-set Dirichlet mass) * threshold / (total tilt mass)``.
+    ``(bad-set Dirichlet mass) * threshold / (total tilt mass)``.  For
+    several thresholds, build :func:`tilt_maximal_field` once instead.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    grid = traj.grid
-    e = direction if direction is not None else (0.0,) * (grid.dim - 1) + (1.0,)
-    if radii is None:
-        radii = dyadic_radii(grid.extent, grid.spacing)
-    times = traj.times
-    tilt = np.stack([_tilt_integrand(f, e) for f in traj.frames])
-    n = grid.interface_dim
-    maximal = _maximal_field(tilt, times, grid, radii, power=n + 2)
-
-    u = np.stack([f.values for f in traj.frames])
-    layer = np.abs(u) < 1.0 - band
-    good = layer & (maximal < threshold)
-    bad = layer & (maximal >= threshold)
-
-    # The Dirichlet density is recomputed here, one frame at a time, rather
-    # than kept from the tilt pass: holding it for every frame through the
-    # maximal function raises the peak memory.
-    eps = traj.epsilon
-    w = trapezoid_weights(len(times), traj.dt_sample)
-    vol = grid.cell_volume
-    bad_mass = float(sum(wi * np.sum((eps * FrameBundle(f).grad_sq)[m]) * vol
-                         for wi, f, m in zip(w, traj.frames, bad)))
-    tilt_mass = float(sum(wi * np.sum(ti) * vol for wi, ti in zip(w, tilt)))
-    ratio = bad_mass * threshold / tilt_mass if tilt_mass > 0 else 0.0
-    return GoodBadPartition(
-        threshold=threshold, band=band, good=good, bad=bad, maximal=maximal,
-        weak_l1_ratio=ratio,
-    )
+    return tilt_maximal_field(traj, direction, radii).partition(threshold, band)
 
 
 # ---------------------------------------------------------------------------
@@ -546,17 +554,15 @@ def excess_decay_ratio(
     # The slab always spans several layer widths so the profile is not cut.
     base_r2 = np.sum(base**2, axis=0)
     slab = max(theta * scale, 6.0 * traj.epsilon)
-    fit_mask = (base_r2 <= (theta * scale) ** 2) & (np.abs(xv) <= slab)
+    fit_mask = within_radius(base_r2, theta * scale) & (np.abs(xv) <= slab)
 
     eps = traj.epsilon
-    times = traj.times
-    dts = traj.dt_sample if len(times) > 1 else 1.0
 
     def frames_in(r: float) -> list[tuple[int, float]]:
-        idx = time_window(times, t0 - r * r, t0 + r * r)
+        idx, weights = window_weights(traj.times, t0 - r * r, t0 + r * r, traj.dt_sample)
         if len(idx) < 2:
             raise ValueError("trajectory does not cover the cylinder time window")
-        return list(zip(idx.tolist(), trapezoid_weights(len(idx), dts).tolist()))
+        return list(zip(idx.tolist(), weights.tolist()))
 
     # Weighted least squares over the shrunk cylinder.
     p = grid.dim  # base coords + constant

@@ -22,7 +22,7 @@ from .diagnostics import (
     stress_contraction,
     weighted_mass,
 )
-from .grid import Grid, Trajectory, time_window, trapezoid_weights
+from .grid import Grid, Trajectory, window_weights
 from .operators import ball_mask
 
 __all__ = [
@@ -208,8 +208,7 @@ def l2_linfty_ratio(traj: Trajectory, radius: float) -> float:
     half = ball_mask(grid, c, 0.5 * radius)
     numerator = float(np.sum((w * w * phi * dens)[half]) * grid.cell_volume)
 
-    times = traj.times
-    inside = time_window(times, terminal - radius**2, terminal)
+    inside, weights = window_weights(traj.times, terminal - radius**2, terminal, traj.dt_sample)
     if len(inside) < 2:
         raise ValueError("trajectory does not cover the backward time window")
     full = ball_mask(grid, c, radius)
@@ -217,7 +216,6 @@ def l2_linfty_ratio(traj: Trajectory, radius: float) -> float:
         float(np.sum((w * w * FrameBundle(traj[i]).energy_density)[full]) * grid.cell_volume)
         for i in inside
     ])
-    weights = trapezoid_weights(len(inside), times[inside[1]] - times[inside[0]])
     denominator = float(np.sum(vals * weights)) / radius ** (n + 2)
     if denominator == 0.0:
         return 0.0

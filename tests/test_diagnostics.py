@@ -12,7 +12,6 @@ from acflow import (
     brakke_residual,
     caccioppoli_ratio,
     constant_one,
-    cylinder_cutoff,
     diagnostics_record,
     discrepancy,
     divergence_defect,

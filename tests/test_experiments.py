@@ -99,6 +99,27 @@ def test_margin_rule_covers_every_circle_scenario(scenario):
         config_from_dict(scenario_raw(scenario, radius=0.5))
 
 
+def test_excess_decay_builds_one_maximal_field(monkeypatch):
+    # the tilt maximal field does not depend on the threshold, so one run
+    # builds it once for all three thresholds
+    import acflow.levelset as levelset
+
+    calls = []
+    build = levelset._maximal_field
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(levelset, "_maximal_field", counting)
+    raw = scenario_raw("excess-decay")
+    raw["grid"]["points"] = 128
+    raw["epsilon"] = [0.04]
+    result = run_scenario(config_from_dict(raw))
+    assert len(result.payload["weak_l1_ratios"]) == 3
+    assert len(calls) == 1
+
+
 def test_params_merge_over_the_declared_defaults():
     config = config_from_dict(scenario_raw("excess-decay", k1=12))
     assert config.params["k1"] == 12.0 and isinstance(config.params["k1"], float)
@@ -421,6 +442,8 @@ def _with(section, **values):
     ([_with("grid", points=10**400)], ["config.grid.points must be an integer"]),
     ([_with(None, epsilon=1e200)], ["margin", "time-step arithmetic overflows for epsilon=1e+200"]),
     ([_with("solver", t_end=1e308)], ["time-step arithmetic overflows"]),
+    ([_with(None, **scenario_raw("excess-decay", window=[0.002]))],
+     ["unknown key 'window' in config.params"]),
 ])
 def test_cli_reports_every_config_error_at_load(tmp_path, capsys, mutations, expected):
     raw = raw_config()

@@ -4,6 +4,7 @@ import pytest
 from acflow import (
     Grid,
     GraphExtractionError,
+    ParabolicCylinder,
     ScalarField,
     SolverConfig,
     Trajectory,
@@ -19,7 +20,8 @@ from acflow import (
 )
 from acflow.diagnostics import _tilt_integrand
 from acflow.initial_data import graph_pair_distance, plane_pair_distance, sine_mode
-from acflow.levelset import _maximal_field
+from acflow.levelset import _maximal_field, tilt_maximal_field
+from acflow.operators import integrate_values
 
 from conftest import standing_wave
 
@@ -171,9 +173,11 @@ def parabolic_maximal(f, times, extent, point_space, point_time, radii, power=No
     Sup over the given radii of ``r^-power`` (default ``m + 2`` for m spatial
     axes; no volume factor) times the mass of ``f`` over the space-time
     cylinder at the point.  ``f`` is laid out (time, *spatial) over a
-    centered periodic lattice.  Time windows reaching past the sampled range
-    are clipped; a window holding a single sample gets the time measure
-    ``min(2 r^2, sampling interval)``.
+    centered periodic lattice.  Balls are closed: when the point is a lattice
+    point and ``r`` a whole number ``k`` of spacings, membership is decided
+    exactly in integer offsets, ``i^2 + ... <= k^2``.  Time windows reaching
+    past the sampled range are clipped; a window holding a single sample
+    gets the time measure ``min(2 r^2, sampling interval)``.
     """
     spatial_shape = f.shape[1:]
     m = len(spatial_shape)
@@ -186,17 +190,25 @@ def parabolic_maximal(f, times, extent, point_space, point_time, radii, power=No
     spacing = extent / spatial_shape[0]
     axes = [-0.5 * extent + spacing * np.arange(nn) for nn in spatial_shape]
     cell = spacing**m
+    index = [(p + 0.5 * extent) / spacing for p in point_space]
+    on_lattice = all(abs(q - round(q)) < 1e-9 for q in index)
 
     best = 0.0
     for r in radii:
+        k = r / spacing
+        exact = on_lattice and abs(k - round(k)) < 1e-9
         d2 = np.zeros(spatial_shape)
         for ax in range(m):
             shape = [1] * m
             shape[ax] = spatial_shape[ax]
-            delta = axes[ax].reshape(shape) - point_space[ax]
-            delta = (delta + 0.5 * extent) % extent - 0.5 * extent
-            d2 = d2 + delta**2
-        mask = d2 <= r * r
+            nn = spatial_shape[ax]
+            if exact:
+                delta = (np.arange(nn) - round(index[ax]) + nn // 2) % nn - nn // 2
+            else:
+                delta = axes[ax] - point_space[ax]
+                delta = (delta + 0.5 * extent) % extent - 0.5 * extent
+            d2 = d2 + delta.reshape(shape) ** 2
+        mask = d2 <= (round(k) ** 2 if exact else r * r)
         per_frame = np.array([float(np.sum(np.where(mask, fr, 0.0))) * cell for fr in f])
         lo, hi = point_time - r * r, point_time + r * r
         slack = 1e-12 * max(1.0, abs(hi))
@@ -227,8 +239,14 @@ def assert_maximal_matches_oracle(maximal, g, times, grid, radii, power, points)
 
 
 # radii incommensurate with the lattice spacings below, so that no lattice
-# point sits on a ball boundary where round-off would decide membership
+# point sits on a ball boundary
 ORACLE_RADII = [0.0713, 0.1517, 0.3291]
+# whole numbers of spacings on every lattice below (0.02, 0.04, 0.005), with
+# lattice points on each boundary, off the axes too (0.2 = 5 * 0.04 and
+# 40 * 0.005, with 3^2 + 4^2 = 5^2): each is also tried alone, so that it
+# decides the supremum
+LATTICE_RADII = [0.08, 0.2, 0.32]
+RADIUS_SETS = [ORACLE_RADII, LATTICE_RADII] + [[r] for r in LATTICE_RADII]
 
 
 @pytest.mark.parametrize("dim, points", [(1, 64), (2, 32)])
@@ -237,9 +255,10 @@ def test_maximal_field_matches_pointwise_oracle(dim, points):
     grid = Grid(dim=dim, extent=1.28, points=points)
     times = np.linspace(0.0, 0.06, 7)
     g = rng.random((len(times),) + grid.shape)
-    maximal = _maximal_field(g, times, grid, ORACLE_RADII, power=dim + 1)
     sample = [(i, tuple(rng.integers(0, points, size=dim))) for i in (0, 2, 3, 6) for _ in range(3)]
-    assert_maximal_matches_oracle(maximal, g, times, grid, ORACLE_RADII, dim + 1, sample)
+    for radii in RADIUS_SETS:
+        maximal = _maximal_field(g, times, grid, radii, power=dim + 1)
+        assert_maximal_matches_oracle(maximal, g, times, grid, radii, dim + 1, sample)
 
 
 def test_partition_maximal_matches_pointwise_oracle(perturbed_traj_small):
@@ -248,14 +267,31 @@ def test_partition_maximal_matches_pointwise_oracle(perturbed_traj_small):
     traj = perturbed_traj_small
     grid = traj.grid
     e = (0.0, 1.0)
-    part = partition_good_bad(traj, 1e-3, band=0.05, direction=e, radii=ORACLE_RADII)
     tilt = np.stack([_tilt_integrand(f, e) for f in traj.frames])
     n = grid.points
     # points on the studied layer (vertical index n/2) and away from it
     sample = [(i, (j, k)) for i in (0, len(traj) // 2, len(traj) - 1)
               for j in (0, n // 4, n // 2 + 7) for k in (n // 2, n // 2 + 3, n // 8)]
-    assert_maximal_matches_oracle(part.maximal, tilt, traj.times, grid, ORACLE_RADII,
-                                  grid.interface_dim + 2, sample)
+    for radii in RADIUS_SETS:
+        part = partition_good_bad(traj, 1e-3, band=0.05, direction=e, radii=radii)
+        assert_maximal_matches_oracle(part.maximal, tilt, traj.times, grid, radii,
+                                      grid.interface_dim + 2, sample)
+
+
+@pytest.mark.parametrize("radius", [0.04, 0.08])
+def test_lone_sample_window_has_one_mass(radius):
+    # r^2 is below the sampling interval, so each window holds one sample,
+    # of measure min(2 r^2, dt): 0.0032 and 0.01 here
+    rng = np.random.default_rng(7)
+    grid = Grid(dim=2, extent=1.28, points=32)
+    times = np.linspace(0.0, 0.04, 5)
+    g = rng.random((len(times),) + grid.shape)
+    maximal = _maximal_field(g, times, grid, [radius], power=0)
+    x = grid.axis()
+    slices = list(zip(times, g))
+    for i, (j, k) in [(0, (0, 0)), (2, (5, 17)), (4, (31, 16))]:
+        region = ParabolicCylinder(center_space=(x[j], x[k]), center_time=times[i], radius=radius)
+        assert maximal[i, j, k] == pytest.approx(integrate_values(grid, slices, region), rel=1e-12)
 
 
 def test_maximal_of_constant_is_four_c():
@@ -334,6 +370,17 @@ def test_partition_masks_are_disjoint_and_cover_the_layer(perturbed_traj_small):
 def test_partition_bad_set_empty_at_huge_threshold(perturbed_traj_small):
     part = partition_good_bad(perturbed_traj_small, threshold=1e9, band=0.05)
     assert not np.any(part.bad)
+
+
+def test_one_maximal_field_serves_every_threshold(perturbed_traj_small):
+    traj = perturbed_traj_small
+    field = tilt_maximal_field(traj)
+    for threshold in (3e-4, 1e-3, 3e-3):
+        shared = field.partition(threshold, band=0.05)
+        alone = partition_good_bad(traj, threshold, band=0.05)
+        for name in ("good", "bad", "maximal"):
+            assert np.array_equal(getattr(shared, name), getattr(alone, name))
+        assert shared.weak_l1_ratio == alone.weak_l1_ratio
 
 
 def test_good_set_lipschitz_constant_shrinks_with_threshold(perturbed_traj_small):

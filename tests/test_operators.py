@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from acflow import Grid, ParabolicCylinder, ScalarField, Trajectory, gradient, integrate, laplacian
+from acflow.levelset import dyadic_radii
 from acflow.operators import ball_mask, gradient_values, laplacian_values
 
 from conftest import standing_wave
@@ -132,6 +133,24 @@ def test_integrate_odd_density_over_symmetric_ball_vanishes():
     mask = ball_mask(g, (0.0, 0.0), 0.5)
     odd_part = integrate(f, region) - 100.0 * np.sum(mask) * g.cell_volume
     assert abs(odd_part) < 1e-12
+
+
+@pytest.mark.parametrize("center_index", [(0, 0), (128, 128), (37, 201)])
+def test_ball_mask_is_closed_and_symmetric_on_dyadic_radii(center_index):
+    # the rough excess-decay grid, whose dyadic radii are 64, 32, ..., 2
+    # spacings: every lattice point at distance exactly r is inside
+    grid = Grid(dim=2, extent=1.28, points=256)
+    x = grid.axis()
+    for r in dyadic_radii(grid.extent, grid.spacing):
+        k = round(r / grid.spacing)
+        assert k * grid.spacing == pytest.approx(r, rel=1e-14)
+        mask = ball_mask(grid, tuple(x[i] for i in center_index), r)
+        m = np.roll(mask, [-i for i in center_index], axis=(0, 1))  # centre at index 0
+        assert np.array_equal(m, np.roll(m[::-1, :], 1, axis=0))
+        assert np.array_equal(m, np.roll(m[:, ::-1], 1, axis=1))
+        assert np.array_equal(m, m.T)
+        i = np.arange(-k, k + 1)
+        assert np.sum(mask) == np.sum(i[:, None] ** 2 + i[None, :] ** 2 <= k * k)
 
 
 def test_integrate_rejects_oversized_ball():
