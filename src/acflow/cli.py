@@ -22,7 +22,7 @@ from .experiments import (
     run_scenario,
 )
 from .io import read_field, write_diagnostics_csv, write_field
-from .solver import SolverConfigError, evolve
+from .solver import InterfaceDataError, SolverConfigError, evolve
 from . import experiments
 
 
@@ -118,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SolverConfigError) as exc:
+    except (ConfigError, SolverConfigError, InterfaceDataError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,6 @@ from .diagnostics import (
     FrameBundle,
     Hyperplane,
     TestFunction,
-    _tilt_integrand,
     brakke_terms,
     caccioppoli_ratio,
     diagnostics_record,
@@ -57,7 +56,6 @@ __all__ = [
     "write_reports",
     "density_ratio_profile",
     "no_cancellation_check",
-    "excess_convergence_sweep",
 ]
 
 
@@ -70,21 +68,19 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 # The kind of every config value: int (a JSON integer within the float
-# range, not a bool), float (a finite number), str, dict (an object), list
-# (a non-empty list of finite numbers) or None (null); a tuple lists
-# alternatives.  A scenario's params take their kinds from its _DEFAULTS
-# entry, which is also their only default.
+# range, not a bool), float (a finite number), str, dict (an object) or list
+# (a non-empty list of finite numbers); a tuple lists alternatives.  A
+# scenario's params take their kinds from its _DEFAULTS entry, which is
+# also their only default.
 _TOP_KINDS = {"scenario": str, "grid": dict, "epsilon": (float, list), "solver": dict,
               "params": dict, "seed": int}
 # an absent grid or solver section is checked as empty, so its missing keys are named
 _TOP_DEFAULTS = {"grid": {}, "solver": {}, "params": {}, "seed": 0}
 _GRID_KINDS = {"dim": int, "extent": float, "points": int}
-_SOLVER_KINDS = {"dt": (float, None), "dt_factor": (float, None), "t_end": float,
-                 "scheme": str, "sample_every": int}
-_SOLVER_DEFAULTS = {"dt": None, "dt_factor": None, "scheme": "semi-implicit-cnab2",
-                    "sample_every": 1}
+_SOLVER_KINDS = {"dt_factor": float, "t_end": float, "scheme": str, "sample_every": int}
+_SOLVER_DEFAULTS = {"scheme": "semi-implicit-cnab2", "sample_every": 1}
 _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
-               dict: "an object", list: "a non-empty list of finite numbers", None: "null"}
+               dict: "an object", list: "a non-empty list of finite numbers"}
 
 
 @dataclass(frozen=True)
@@ -92,8 +88,7 @@ class ExperimentConfig:
     scenario: str
     grid: Grid
     epsilons: tuple[float, ...]
-    dt_factor: float | None
-    dt: float | None
+    dt_factor: float
     t_end: float
     scheme: str
     sample_every: int
@@ -101,8 +96,6 @@ class ExperimentConfig:
     seed: int
 
     def dt_for(self, epsilon: float) -> float:
-        if self.dt is not None:
-            return self.dt
         return self.dt_factor * epsilon**2
 
     def solver_config(self, epsilon: float, t_end: float | None = None,
@@ -126,8 +119,6 @@ def _is_number(value) -> bool:
 
 
 def _fits(value, kind) -> bool:
-    if kind is None:
-        return value is None
     if kind is int:
         return isinstance(value, int) and _is_number(value)
     if kind is float:
@@ -201,8 +192,6 @@ def _build_config(raw: dict) -> ExperimentConfig:
     epsilons = tuple(eps) if isinstance(eps, list) else (eps,)
     if "epsilon" in top and not all(e > 0 for e in epsilons):
         problems.append(f"epsilon values must be positive, got {eps!r}")
-    if (solver.get("dt") is None) == (solver.get("dt_factor") is None):
-        problems.append("config.solver needs exactly one of 'dt' or 'dt_factor'")
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -211,7 +200,6 @@ def _build_config(raw: dict) -> ExperimentConfig:
         grid=grid,
         epsilons=epsilons,
         dt_factor=solver["dt_factor"],
-        dt=solver["dt"],
         t_end=solver["t_end"],
         scheme=solver["scheme"],
         sample_every=solver["sample_every"],
@@ -580,31 +568,6 @@ def no_cancellation_check(
     return worst / mean_mass
 
 
-def excess_convergence_sweep(
-    trajectories: dict[float, Trajectory],
-    window: tuple[float, float],
-) -> dict[float, dict[str, float]]:
-    """Tilt excess, discrepancy mass and squared velocity per epsilon.
-
-    All three are measured over the whole box restricted to the time window
-    (the periodic companion layer is flat and contributes nothing).
-    """
-    out: dict[float, dict[str, float]] = {}
-    for eps in sorted(trajectories, reverse=True):
-        traj = trajectories[eps]
-        grid = traj.grid
-        e_vert = (0.0,) * (grid.dim - 1) + (1.0,)
-        vol = grid.cell_volume
-        tilt = xi = wil = 0.0
-        for i, wi in zip(*window_weights(traj.times, *window, traj.dt_sample)):
-            b = FrameBundle(traj[i])
-            tilt += wi * float(np.sum(_tilt_integrand(b, e_vert)) * vol)
-            xi += wi * float(np.sum(np.abs(b.discrepancy)) * vol)
-            wil += wi * float(np.sum(eps * b.residual ** 2) * vol)
-        out[eps] = {"tilt_excess": tilt, "discrepancy_l1": xi, "willmore": wil}
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Scenario implementations
 # ---------------------------------------------------------------------------
@@ -620,11 +583,11 @@ def _circle_initial(grid: Grid, eps: float, radius: float) -> ScalarField:
 
 def _perturbed_initial(grid: Grid, eps: float, amplitude: float, mode: int,
                        tilt: float = 0.0) -> ScalarField:
-    profiles = [sine_mode(amplitude, mode, grid.extent)]
+    modes = [sine_mode(amplitude, mode, grid.extent)]
     if tilt:
-        profiles.append(sine_mode(tilt * grid.extent / (2.0 * np.pi), 1, grid.extent,
-                                  phase=-np.pi / 2))
-    return prepare_interface(graph_pair_distance(grid.extent, profiles), grid, eps)
+        modes.append(sine_mode(tilt * grid.extent / (2.0 * np.pi), 1, grid.extent,
+                               phase=-np.pi / 2))
+    return prepare_interface(graph_pair_distance(grid.extent, modes), grid, eps)
 
 
 def initial_field(config: ExperimentConfig, eps: float) -> ScalarField:
@@ -914,7 +877,12 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
             se -= 1
         return se
 
-    trajectories: dict[float, Trajectory] = {}
+    # the epsilon sweep integrates each frame's diagnostics row over the
+    # window (t_end/5, t_end); the rows cover the whole box, where the flat
+    # periodic companion layer contributes nothing
+    rows: dict[float, list[dict]] = {}
+    sweep: dict[float, dict[str, float]] = {}
+    final_frames: dict[float, ScalarField] = {}
     heat_errors: dict[float, float] = {}
     final_errors: dict[float, float] = {}
     graphs = {}
@@ -924,7 +892,11 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
         initial = initial_field(replace(config, grid=g), eps)
         cfg = config.solver_config(eps, sample_every=sampling(eps))
         traj = solver_mod.evolve(initial, cfg)
-        trajectories[eps] = traj
+        rows[eps] = [diagnostics_record(f).as_row() for f in traj.frames]
+        idx, weights = window_weights(traj.times, config.t_end / 5, config.t_end, traj.dt_sample)
+        sweep[eps] = {key: float(sum(w * rows[eps][i][key] for i, w in zip(idx, weights)))
+                      for key in ("tilt_excess", "discrepancy_l1", "willmore")}
+        final_frames[eps] = traj[-1]
 
         graph = extract_graph(traj, 0.0)
         graphs[f"graph_eps_{eps:g}.csv"] = graph
@@ -937,7 +909,6 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
         href = amp * math.exp(-k_hat**2 * traj.times[-1]) * np.cos(k_hat * x)
         final_errors[eps] = heat_compare(final_graph, reference_initial=href)
 
-    sweep = excess_convergence_sweep(trajectories, (config.t_end / 5, config.t_end))
     eps_sorted = sorted(config.epsilons, reverse=True)
     tilt_seq = [sweep[e]["tilt_excess"] for e in eps_sorted]
     xi_seq = [sweep[e]["discrepancy_l1"] for e in eps_sorted]
@@ -963,11 +934,7 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     tilt_constants = [reports[e].tilt_constant for e in fit_eps]
     c_stable = max(tilt_constants) / min(tilt_constants) if min(tilt_constants) > 0 else math.inf
     # conditional contraction: enforced only when the repulsion gate is open
-    gate_violations = 0.0
-    for e in fit_eps:
-        rep = reports[e]
-        if rep.layer_repulsion_value >= k1 and rep.ratio > 0.5 * theta:
-            gate_violations += 1.0
+    gate_violations = float(sum(reports[e].passes(k1) is False for e in fit_eps))
 
     # good/bad partition sweep on a rougher interface (steeper modes), so the
     # maximal function actually exceeds the pinned thresholds somewhere
@@ -1008,10 +975,7 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
         check("excess_decay_gate", "excess-decay-contraction", gate_violations, 0.0),
         check("weak_l1_stability", "maximal-function-weak-l1", weak_l1_stability, 2.0),
     ]
-    records = []
-    for eps in eps_sorted:
-        for f in trajectories[eps].frames:
-            records.append(diagnostics_record(f).as_row())
+    records = [row for eps in eps_sorted for row in rows[eps]]
     payload = {
         "sweep": {repr(e): sweep[e] for e in eps_sorted},
         "heat_errors_global": {repr(e): heat_errors[e] for e in eps_sorted},
@@ -1022,7 +986,7 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     }
     return ScenarioResult(
         scenario="excess-decay", config=config, checks=checks, records=records, payload=payload,
-        final_fields=[trajectories[eps_sorted[-1]][-1]],
+        final_fields=[final_frames[eps_sorted[-1]]],
         graphs=graphs,
     )
 
@@ -1197,7 +1161,6 @@ def _config_echo(config: ExperimentConfig) -> dict:
                  "points": config.grid.points},
         "epsilon": list(config.epsilons),
         "solver": {
-            "dt": config.dt,
             "dt_factor": config.dt_factor,
             "t_end": config.t_end,
             "scheme": config.scheme,

@@ -4,8 +4,9 @@ The box is periodic, so a lone interface is impossible: flat-type data come
 as a pair, the studied interface through the center of the box and an
 oppositely oriented companion on the periodic seam, half a box away.  All
 builders return callables suitable for :func:`acflow.solver.prepare_interface`
-(exact distances, 1-Lipschitz away from ridge points that sit deep inside
-the saturated phases).
+(distances that are 1-Lipschitz away from ridge points deep inside the
+saturated phases); its slope probe is the check that rejects a field that
+is not a distance in the transition band.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "plane_pair_distance",
     "graph_pair_distance",
     "sine_mode",
+    "graph_profile",
 ]
 
 
@@ -51,65 +53,58 @@ def plane_pair_distance(extent: float) -> Callable:
     return d
 
 
-def sine_mode(amplitude: float, mode: int, extent: float, phase: float = 0.0) -> tuple[Callable, Callable, Callable]:
-    """Profile ``f, f', f''`` of ``amplitude * cos(2 pi mode x / extent + phase)``."""
-    k = 2.0 * np.pi * mode / extent
+def sine_mode(amplitude: float, mode: int, extent: float,
+              phase: float = 0.0) -> tuple[float, float, float]:
+    """The profile ``amplitude * cos(2 pi mode x / extent + phase)`` as the
+    numbers ``(amplitude, wavenumber, phase)``."""
+    return amplitude, 2.0 * np.pi * mode / extent, phase
 
-    def f(x):
-        return amplitude * np.cos(k * x + phase)
 
-    def fp(x):
-        return -amplitude * k * np.sin(k * x + phase)
-
-    def fpp(x):
-        return -amplitude * k * k * np.cos(k * x + phase)
-
+def graph_profile(modes: list[tuple[float, float, float]],
+                  x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``f, f', f''`` at ``x`` of the sum of :func:`sine_mode` profiles, with
+    one cosine and one sine per mode."""
+    f = fp = fpp = 0.0
+    for amplitude, k, phase in modes:
+        c = np.cos(k * x + phase)
+        s = np.sin(k * x + phase)
+        f = f + amplitude * c
+        fp = fp - amplitude * k * s
+        fpp = fpp - amplitude * k * k * c
     return f, fp, fpp
 
 
-def graph_pair_distance(extent: float, profiles: list[tuple[Callable, Callable, Callable]]) -> Callable:
-    """Signed distance to the graph ``x_v = sum of profiles`` plus the seam pair.
+def graph_pair_distance(extent: float, modes: list[tuple[float, float, float]]) -> Callable:
+    """Signed distance to the graph ``x_v = f(x_h)`` plus the seam pair, where
+    ``f`` is the sum of the :func:`sine_mode` profiles ``modes``.
 
-    Two-dimensional ambient space only (one base coordinate).  The distance
-    to the graph is the true nearest-point distance, found per query point by
-    12 Newton iterations on the foot-point equation; for the gentle profiles
-    used here the focal distance is far outside the box, so the iteration is
-    uniformly contractive.
+    Two-dimensional ambient space only (one base coordinate).  Each query
+    point's foot on the graph comes from one Newton start at the vertical
+    foot ``xi = x_h`` and a fixed 12 iterations of the foot-point equation.
+    Nothing here certifies that this foot is the nearest one: a profile
+    steep enough to bring its focal distance into the transition band can
+    send the iteration to another root, and the slope probe of
+    :func:`acflow.solver.prepare_interface` is the check that rejects the
+    resulting field.
     """
     L = extent
-
-    def f(x):
-        return sum(p[0](x) for p in profiles)
-
-    def fp(x):
-        return sum(p[1](x) for p in profiles)
-
-    def fpp(x):
-        return sum(p[2](x) for p in profiles)
-
-    # Beyond the focal distance of the profile, the nearest-foot equation has
-    # several roots; Newton runs from shifted starts and the closest foot wins.
-    starts = (0.0, -0.2 * L, 0.2 * L)
 
     def d(*coords: np.ndarray) -> np.ndarray:
         if len(coords) != 2:
             raise ValueError("graph_pair_distance supports 2-d ambient boxes only")
-        shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
-        xh = np.broadcast_to(coords[0], shape).astype(float)
-        xv = np.broadcast_to(coords[1], shape).astype(float)
+        xh, xv = (np.asarray(c, dtype=float) for c in coords)
+        f, fp, fpp = graph_profile(modes, xh)
+        above = xv >= f
+        # Foot point xi: (xi - xh) + f'(xi)(f(xi) - xv) = 0.
+        xi = xh
+        for _ in range(12):
+            r = f - xv
+            g = (xi - xh) + fp * r
+            gp = 1.0 + fpp * r + fp ** 2
+            xi = xi - g / np.where(np.abs(gp) > 1e-12, gp, 1e-12)
+            f, fp, fpp = graph_profile(modes, xi)
+        dist_graph = np.sqrt((xh - xi) ** 2 + (xv - f) ** 2)
 
-        dist_graph = None
-        for shift in starts:
-            # Foot point xi: (xi - xh) + f'(xi)(f(xi) - xv) = 0.
-            xi = xh + shift
-            for _ in range(12):
-                g = (xi - xh) + fp(xi) * (f(xi) - xv)
-                gp = 1.0 + fpp(xi) * (f(xi) - xv) + fp(xi) ** 2
-                xi = xi - g / np.where(np.abs(gp) > 1e-12, gp, 1e-12)
-            cand = np.sqrt((xh - xi) ** 2 + (xv - f(xi)) ** 2)
-            dist_graph = cand if dist_graph is None else np.minimum(dist_graph, cand)
-
-        above = xv >= f(xh)
         dist_seam = np.where(above, 0.5 * L - xv, xv + 0.5 * L)
         return np.where(above, np.minimum(dist_graph, dist_seam), -np.minimum(dist_graph, dist_seam))
 

@@ -252,7 +252,7 @@ def prepare_interface(signed_distance: Callable[..., np.ndarray], grid: Grid,
     band = np.abs(d) <= min(band_halfwidth, 0.5 * grid.extent)
     if np.any(band):
         delta = 1e-4 * grid.extent
-        coords = grid.dense_coords()
+        coords = grid.coords()
         grad_sq = np.zeros(grid.shape)
         for ax in range(grid.dim):
             shifted_plus = list(coords)

@@ -70,16 +70,6 @@ def test_margin_rule_violation_is_reported():
         config_from_dict(bad)
 
 
-def test_dt_and_dt_factor_are_exclusive():
-    raw = raw_config()
-    raw["solver"] = {"dt": 1e-4, "dt_factor": 0.1, "t_end": 0.001}
-    with pytest.raises(ConfigError, match="exactly one"):
-        config_from_dict(raw)
-    raw["solver"] = {"t_end": 0.001}
-    with pytest.raises(ConfigError, match="exactly one"):
-        config_from_dict(raw)
-
-
 def test_unknown_scenario_is_rejected():
     with pytest.raises(ConfigError, match="scenario"):
         config_from_dict(raw_config(scenario="warp-drive"))
@@ -444,6 +434,8 @@ def _with(section, **values):
     ([_with("solver", t_end=1e308)], ["time-step arithmetic overflows"]),
     ([_with(None, **scenario_raw("excess-decay", window=[0.002]))],
      ["unknown key 'window' in config.params"]),
+    ([_with("solver", dt=1e-4)], ["unknown key 'dt' in config.solver"]),
+    ([_without("solver", "dt_factor")], ["missing key 'dt_factor' in config.solver"]),
 ])
 def test_cli_reports_every_config_error_at_load(tmp_path, capsys, mutations, expected):
     raw = raw_config()
@@ -458,6 +450,20 @@ def test_cli_reports_every_config_error_at_load(tmp_path, capsys, mutations, exp
     assert len(err.strip().splitlines()) == 1
     for text in expected:
         assert text in err
+    assert not (tmp_path / "exp").exists()
+
+
+def test_cli_reports_data_the_probe_rejects(tmp_path, capsys):
+    # a mode-3 graph is not a distance in the band; the first preparation
+    # (eps 0.04 on 128^2) fails
+    path = tmp_path / "mode3.json"
+    path.write_text(json.dumps(scenario_raw("excess-decay", mode=3)))
+    code = cli_main(["experiment", "--config", str(path), "--out", str(tmp_path / "exp")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error:")
+    assert len(err.strip().splitlines()) == 1
+    assert "not a signed distance" in err
     assert not (tmp_path / "exp").exists()
 
 

@@ -19,7 +19,7 @@ from acflow import (
     prepare_interface,
 )
 from acflow.diagnostics import _tilt_integrand
-from acflow.initial_data import graph_pair_distance, plane_pair_distance, sine_mode
+from acflow.initial_data import graph_pair_distance, graph_profile, plane_pair_distance, sine_mode
 from acflow.levelset import _maximal_field, tilt_maximal_field
 from acflow.operators import integrate_values
 
@@ -78,8 +78,8 @@ def test_graph_of_gentle_slope_matches_offset_geometry():
     g = Grid(dim=2, extent=1.28, points=512)
     eps = 0.02
     slope = 0.05
-    f, fp, fpp = sine_mode(slope * 1.28 / (2 * np.pi), 1, 1.28, phase=-np.pi / 2)
-    dist = graph_pair_distance(1.28, [(f, fp, fpp)])
+    mode = sine_mode(slope * 1.28 / (2 * np.pi), 1, 1.28, phase=-np.pi / 2)
+    dist = graph_pair_distance(1.28, [mode])
     field = prepare_interface(dist, g, eps)
     s = 0.4
     g_lo = extract_graph(field, -s)
@@ -87,7 +87,8 @@ def test_graph_of_gentle_slope_matches_offset_geometry():
     both = g_lo.valid & g_hi.valid
     assert both.mean() > 0.99
     xh = g.axis()
-    predicted = eps * np.arctanh(s) * np.sqrt(1.0 + fp(xh) ** 2)
+    _, fp, _ = graph_profile([mode], xh)
+    predicted = eps * np.arctanh(s) * np.sqrt(1.0 + fp ** 2)
     measured = 0.5 * (g_hi.heights - g_lo.heights)[0]
     assert np.max(np.abs(measured - predicted)[both[0]]) < 1e-6
 
@@ -138,8 +139,8 @@ def test_derivative_relations_on_standing_wave():
 def test_derivative_relations_on_gentle_slope():
     g = Grid(dim=2, extent=1.28, points=512)
     slope = 0.05
-    f, fp, fpp = sine_mode(slope * 1.28 / (2 * np.pi), 1, 1.28, phase=-np.pi / 2)
-    dist = graph_pair_distance(1.28, [(f, fp, fpp)])
+    mode = sine_mode(slope * 1.28 / (2 * np.pi), 1, 1.28, phase=-np.pi / 2)
+    dist = graph_pair_distance(1.28, [mode])
     field = prepare_interface(dist, g, 0.02)
     defects = graph_derivative_relations(field, level=0.3)
     assert defects.vertical < 1e-3 * (1 / 0.02)  # relative to the 1/eps scale
@@ -153,8 +154,7 @@ def test_time_relation_improves_under_refinement():
     for n, sample_every in ((128, 10), (256, 5)):
         g = Grid(dim=2, extent=1.28, points=n)
         eps = 0.04
-        f, fp, fpp = sine_mode(0.01, 1, 1.28)
-        dist = graph_pair_distance(1.28, [(f, fp, fpp)])
+        dist = graph_pair_distance(1.28, [sine_mode(0.01, 1, 1.28)])
         field = prepare_interface(dist, g, eps)
         dt = 2e-5
         cfg = SolverConfig(dt=dt, t_end=40 * dt, scheme="semi-implicit-cnab2",
@@ -457,8 +457,8 @@ def test_excess_decay_fit_recovers_gentle_tilt():
     g = Grid(dim=2, extent=1.28, points=256)
     eps = 0.02
     slope = 0.05
-    f, fp, fpp = sine_mode(slope * 1.28 / (2 * np.pi), 1, 1.28, phase=-np.pi / 2)
-    dist = graph_pair_distance(1.28, [(f, fp, fpp)])
+    dist = graph_pair_distance(1.28, [sine_mode(slope * 1.28 / (2 * np.pi), 1, 1.28,
+                                                phase=-np.pi / 2)])
     field = prepare_interface(dist, g, eps)
     # short run: the mode decays ~0.2% per sample here, so the pooled fit
     # stays on the initial slope
