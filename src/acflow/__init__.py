@@ -16,6 +16,7 @@ from .grid import (
 from .operators import gradient, integrate, laplacian
 from .solver import (
     SCHEMES,
+    FlowDivergedError,
     InterfaceDataError,
     SolverConfig,
     SolverConfigError,

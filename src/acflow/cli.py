@@ -22,7 +22,7 @@ from .experiments import (
     run_scenario,
 )
 from .io import read_field, write_diagnostics_csv, write_field
-from .solver import InterfaceDataError, SolverConfigError, evolve
+from .solver import FlowDivergedError, InterfaceDataError, SolverConfigError, evolve
 from . import experiments
 
 
@@ -47,11 +47,10 @@ def _resolve_config(args) -> "experiments.ExperimentConfig":
 
 def cmd_simulate(args) -> int:
     config = _resolve_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     eps = config.epsilons[0]
     traj = evolve(initial_field(config, eps), config.solver_config(eps))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     rows = [diagnostics_record(f).as_row() for f in traj.frames]
     write_diagnostics_csv(rows, out / "diagnostics.csv")
     write_field(traj[0], out / "initial.field")
@@ -120,6 +119,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigError, SolverConfigError, InterfaceDataError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except FlowDivergedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -2,14 +2,19 @@
 
 Each scenario builds well-prepared data, runs the flow, evaluates a fixed
 set of named checks against pinned tolerances, and emits machine-readable
-reports.  Runs are deterministic given the configuration and seed.
+reports.  Runs are deterministic given the configuration and seed.  A
+scenario that runs independent flows runs them side by side, one thread per
+usable CPU (:func:`_concurrently`); its reports are byte-identical to a
+sequential run.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -39,7 +44,7 @@ from .levelset import (
     tilt_maximal_field,
 )
 from .monotonicity import KernelPoint, monotonicity_terms
-from .operators import integrate_values
+from .operators import ball_mask
 from .solver import SolverConfig, SolverConfigError, prepare_interface
 from . import solver as solver_mod
 
@@ -517,6 +522,14 @@ def density_ratio_profile(
 ) -> DensityRatioProfile:
     """Parabolic density ratios ``r^-n-2 * mass(P_r)`` per radius.
 
+    The cylinder masses follow :func:`operators.integrate_values`: balls
+    from :func:`operators.ball_mask`, time windows and weights from
+    :func:`grid.window_weights`, and a one-frame trajectory gives the plain
+    ball integral.  They are made in one pass over the frames, so only one
+    frame's energy density is held at a time: it is computed once, added to
+    the ball sum of every radius whose time window holds the frame, and
+    dropped.
+
     When the center does not sit in the layer (``|u| > 0.9`` there),
     the profile is returned with a flag rather than raising.
     """
@@ -527,12 +540,27 @@ def density_ratio_profile(
                 for c in center_space)
     center_in_layer = bool(abs(frame.values[idx]) <= 0.9)
 
-    dens_slices = [(f.time, FrameBundle(f).energy_density) for f in traj.frames]
-    entries = []
+    times = traj.times
+    dt = times[1] - times[0] if len(times) > 1 else np.inf
+    cylinders = []  # per radius: ball mask, frames in the time window, their weights
     for r in radii:
         region = ParabolicCylinder(center_space=tuple(center_space), center_time=center_time,
                                    radius=r)
-        mass = integrate_values(grid, dens_slices, region)
+        region.validate_against(grid)
+        frames_in, weights = window_weights(times, *region.time_window, dt)
+        cylinders.append((ball_mask(grid, region.center_space, region.radius),
+                          set(frames_in.tolist()), weights))
+    ball_sums: list[list[float]] = [[] for _ in cylinders]
+    for k, f in enumerate(traj.frames):
+        inside = [(mask, sums) for (mask, frames_in, _), sums in zip(cylinders, ball_sums)
+                  if k in frames_in]
+        if inside:
+            dens = FrameBundle(f).energy_density
+            for mask, sums in inside:
+                sums.append(float(np.sum(dens[mask]) * grid.cell_volume))
+    entries = []
+    for r, (_, _, weights), sums in zip(radii, cylinders, ball_sums):
+        mass = sums[0] if len(traj) == 1 else float(np.sum(np.array(sums) * weights))
         entries.append((float(r), mass / r ** (n + 2)))
     return DensityRatioProfile(entries=tuple(entries), center_in_layer=center_in_layer)
 
@@ -571,6 +599,31 @@ def no_cancellation_check(
 # ---------------------------------------------------------------------------
 # Scenario implementations
 # ---------------------------------------------------------------------------
+
+
+def _concurrently(*jobs: Callable[[], object]) -> list:
+    """The results of the zero-argument ``jobs``, in submission order.
+
+    The jobs run on a thread pool with one thread per usable CPU, and never
+    more threads than jobs.  Independent flows overlap because numpy's
+    transforms and array loops release the GIL; they share only frozen
+    containers, and each job does the same arithmetic as in a sequential
+    run.  The exception of the first failing job in submission order is
+    re-raised unchanged, as a sequential run would raise it, and the jobs
+    that have not started are cancelled.  A job must not wait on a pool of
+    its own.
+    """
+    # imported here: concurrent.futures loads logging and threading, which
+    # would add ~8 ms to every `import acflow`
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = max(1, min(len(jobs), len(os.sched_getaffinity(0))))
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(job) for job in jobs]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _wave_initial(grid: Grid, eps: float) -> ScalarField:
@@ -691,8 +744,10 @@ def _circle_probes(grid: Grid, kernel: KernelPoint,
     return probe
 
 
-def circle_audits(config: ExperimentConfig, dt_scales: Sequence[float]) -> dict[float, FlowAudit]:
-    """Shrinking-circle runs at rescaled steps, with identity probes attached."""
+def _circle_audit_jobs(config: ExperimentConfig,
+                       dt_scales: Sequence[float]) -> list[Callable[[], FlowAudit]]:
+    """One zero-argument job per step scale, each running one shrinking-circle
+    flow audit with the identity probes attached."""
     grid = config.grid
     eps = config.epsilons[0]
     initial = initial_field(config, eps)
@@ -700,41 +755,69 @@ def circle_audits(config: ExperimentConfig, dt_scales: Sequence[float]) -> dict[
                          n=grid.interface_dim)
     phi = radial_bump(center=(0.0,) * grid.dim, radius=0.45 * grid.extent)
     probe = _circle_probes(grid, kernel, phi)
-    audits = {}
     # sample the stored trajectory at a fixed interval regardless of dt, so
     # cylinder time windows down to (2 eps)^2 hold several frames
-    for scale in dt_scales:
-        cfg = config.solver_config(eps, dt_scale=scale,
-                                   sample_every=max(1, round(config.sample_every / scale)))
-        audits[scale] = run_flow_audit(initial, cfg, probe)
-    return audits
+    return [partial(run_flow_audit, initial,
+                    config.solver_config(eps, dt_scale=scale,
+                                         sample_every=max(1, round(config.sample_every / scale))),
+                    probe)
+            for scale in dt_scales]
+
+
+def circle_audits(config: ExperimentConfig, dt_scales: Sequence[float]) -> dict[float, FlowAudit]:
+    """Shrinking-circle runs at rescaled steps, with identity probes attached,
+    run side by side (:func:`_concurrently`)."""
+    return dict(zip(dt_scales, _concurrently(*_circle_audit_jobs(config, dt_scales))))
 
 
 def run_shrinking_circle(config: ExperimentConfig, audits: dict[float, FlowAudit] | None = None) -> ScenarioResult:
     grid = config.grid
     eps = config.epsilons[0]
     radius = config.params["radius"]
+    dt_scales = (0.5, 1.0) if audits is None else tuple(audits)
+
+    # first-order-in-epsilon trend: a coarser layer tracks the circle worse
+    coarse_eps = 2 * eps
+    coarse_grid = Grid(dim=grid.dim, extent=config.params["coarse_extent"], points=grid.points)
+    coarse_cfg = SolverConfig(dt=config.dt_for(coarse_eps) * min(dt_scales),
+                              t_end=config.t_end, scheme=config.scheme,
+                              sample_every=config.sample_every)
+
+    def coarse_radius() -> float:
+        coarse = solver_mod.evolve(_circle_initial(coarse_grid, coarse_eps, radius), coarse_cfg)
+        return zero_level_radius(coarse[-1])
+
+    # ... and the density ratio on a static flat layer, against the
+    # sharp-interface value 4*alpha
+    flat_eps = 0.05
+    flat_dt = 0.125 * flat_eps**2
+    flat_cfg = SolverConfig(dt=flat_dt, t_end=576 * flat_dt, scheme=config.scheme,
+                            sample_every=8)
+    flat_radii = [2 * flat_eps, 0.15, 0.2, 0.25, 0.25 * grid.extent]
+
+    def flat_density_profile() -> DensityRatioProfile:
+        flat = solver_mod.evolve(_wave_initial(grid, flat_eps), flat_cfg)
+        return density_ratio_profile(flat, (0.0,) * grid.dim, 0.5 * flat_cfg.t_end, flat_radii)
+
+    # The flows are independent; each job keeps only what the checks read.
+    # The fine audit is the longest, so it is submitted first.
     if audits is None:
-        audits = circle_audits(config, (1.0, 0.5))
-    fine = audits[min(audits)]
-    base = audits[max(audits)]
+        fine_job, base_job = _circle_audit_jobs(config, dt_scales)
+        fine, defect_base, coarse_measured, flat_profile = _concurrently(
+            fine_job, lambda: base_job().dissipation_defect(), coarse_radius,
+            flat_density_profile)
+    else:
+        fine = audits[min(audits)]
+        defect_base = audits[max(audits)].dissipation_defect()
+        coarse_measured, flat_profile = _concurrently(coarse_radius, flat_density_profile)
 
     # mean-curvature oracle for the final radius
     exact = math.sqrt(radius**2 - 2.0 * config.t_end)
     measured = zero_level_radius(fine.trajectory[-1])
     radius_err = abs(measured - exact) / exact
-
-    # first-order-in-epsilon trend: a coarser layer tracks the circle worse
-    coarse_eps = 2 * eps
-    coarse_grid = Grid(dim=grid.dim, extent=config.params["coarse_extent"], points=grid.points)
-    coarse_cfg = SolverConfig(dt=config.dt_for(coarse_eps) * min(audits),
-                              t_end=config.t_end, scheme=config.scheme,
-                              sample_every=config.sample_every)
-    coarse_traj = solver_mod.evolve(_circle_initial(coarse_grid, coarse_eps, radius), coarse_cfg)
-    coarse_err = abs(zero_level_radius(coarse_traj[-1]) - exact) / exact
+    coarse_err = abs(coarse_measured - exact) / exact
 
     # energy dissipation identity and its refinement ratio
-    defect_base = base.dissipation_defect()
     defect_fine = fine.dissipation_defect()
 
     # Brakke identity, both forms, against the measured d/dt.  Relative to
@@ -764,16 +847,6 @@ def run_shrinking_circle(config: ExperimentConfig, audits: dict[float, FlowAudit
     _, frame_mid = fine.trajectory.frame_nearest(t_mid)
     r_mid = zero_level_radius(frame_mid)
     profile = density_ratio_profile(fine.trajectory, (r_mid, 0.0), t_mid, radii)
-
-    # ... and on a static flat layer, against the sharp-interface value 4*alpha
-    flat_eps = 0.05
-    flat_dt = 0.125 * flat_eps**2
-    flat_cfg = SolverConfig(dt=flat_dt, t_end=576 * flat_dt, scheme=config.scheme,
-                            sample_every=8)
-    flat_traj = solver_mod.evolve(_wave_initial(grid, flat_eps), flat_cfg)
-    flat_radii = [2 * flat_eps, 0.15, 0.2, 0.25, 0.25 * grid.extent]
-    flat_profile = density_ratio_profile(flat_traj, (0.0,) * grid.dim,
-                                         0.5 * flat_cfg.t_end, flat_radii)
     flat_defect = abs(flat_profile.minimum - 4.0 * WAVE_ENERGY) / (4.0 * WAVE_ENERGY)
 
     checks = [

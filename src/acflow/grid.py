@@ -25,6 +25,7 @@ __all__ = [
     "WELL_CURVATURE",
     "well",
     "well_derivative",
+    "NonFiniteFieldError",
     "ScalarField",
     "ParabolicCylinder",
     "Trajectory",
@@ -127,6 +128,10 @@ WELL_CURVATURE = 4.0
 WAVE_ENERGY = 4.0 / 3.0
 
 
+class NonFiniteFieldError(ValueError):
+    """Field values that are not all finite."""
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """A scalar sample ``u`` on a grid at one instant, with its layer width."""
@@ -141,7 +146,7 @@ class ScalarField:
         if v.shape != self.grid.shape:
             raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
         if not np.all(np.isfinite(v)):
-            raise ValueError("field values must be finite")
+            raise NonFiniteFieldError("field values must be finite")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         object.__setattr__(self, "values", _freeze(v))

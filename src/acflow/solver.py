@@ -22,6 +22,7 @@ The flow is ``du/dt = lap(u) - W'(u)/eps^2`` with the double-well ``W`` of
 :func:`march` is the one time loop: it checks the step count, owns the
 scheme state, and yields the initial field and then each step's
 ``(field, u_hat)``, passing each step's half spectrum into the next one.
+A step that produces non-finite values raises :class:`FlowDivergedError`.
 :func:`evolve` and the flow audit of :mod:`acflow.experiments` consume it.
 """
 
@@ -33,7 +34,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .grid import WELL_CURVATURE, Grid, ScalarField, Trajectory, well_derivative
+from .grid import (WELL_CURVATURE, Grid, NonFiniteFieldError, ScalarField, Trajectory,
+                   well_derivative)
 from .operators import from_spectrum, laplacian_values, spectrum, symbols
 
 __all__ = [
@@ -41,6 +43,7 @@ __all__ = [
     "SolverConfig",
     "SolverConfigError",
     "InterfaceDataError",
+    "FlowDivergedError",
     "validate_config",
     "step_count",
     "ac_residual",
@@ -70,6 +73,22 @@ class SolverConfigError(ValueError):
 
 class InterfaceDataError(ValueError):
     """Signed-distance input is not 1-Lipschitz in the transition band."""
+
+
+class FlowDivergedError(RuntimeError):
+    """A time step produced non-finite values.
+
+    ``step`` counts from 1 for the first step of the run, ``time`` is the
+    time that step was to reach, and ``max_abs`` is max|u| of the last
+    finite field, the one the step started from.
+    """
+
+    def __init__(self, step: int, time: float, max_abs: float):
+        super().__init__(f"the flow diverged at step {step} (t={time:g}); "
+                         f"max|u| was {max_abs:g} before that step")
+        self.step = step
+        self.time = time
+        self.max_abs = max_abs
 
 
 @dataclass(frozen=True)
@@ -217,14 +236,22 @@ def march(field: ScalarField,
     """Yield ``(field, u_hat)`` for the initial field, then after each step.
 
     ``u_hat`` is the field's read-only half spectrum, or None where there is
-    none (the initial field, explicit-rk2).
+    none (the initial field, explicit-rk2).  A step whose values are not
+    all finite raises :class:`FlowDivergedError`.
     """
     n_steps = step_count(config)
     stepper = _Stepper(field, config)
     u_hat = None
     yield field, u_hat
-    for _ in range(n_steps):
-        field, u_hat = stepper.advance(field, u_hat)
+    for k in range(1, n_steps + 1):
+        try:
+            # an overflow ends in non-finite values, which are reported below
+            with np.errstate(over="ignore", invalid="ignore"):
+                new, u_hat = stepper.advance(field, u_hat)
+        except NonFiniteFieldError:
+            raise FlowDivergedError(k, field.time + config.dt,
+                                    float(np.max(np.abs(field.values)))) from None
+        field = new
         yield field, u_hat
 
 

@@ -1,4 +1,8 @@
 import json
+import math
+import os
+import sys
+import time
 from collections import Counter
 
 import numpy as np
@@ -6,10 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acflow import (
-    Grid, SolverConfig, SolverConfigError, Trajectory, WAVE_ENERGY, brakke_residual,
-    diagnostics_record, evolve, extract_graph, gaussian_density, heat_compare,
-    monotonicity_residual, partition_good_bad, prepare_interface, radial_bump,
+    FlowDivergedError, FrameBundle, Grid, ParabolicCylinder, SolverConfig, SolverConfigError,
+    Trajectory, WAVE_ENERGY, brakke_residual, diagnostics_record, evolve, extract_graph,
+    gaussian_density, heat_compare, monotonicity_residual, partition_good_bad,
+    prepare_interface, radial_bump,
 )
+from acflow import solver
 from acflow.cli import main as cli_main
 from acflow.experiments import (
     SCENARIOS,
@@ -17,17 +23,22 @@ from acflow.experiments import (
     ExperimentConfig,
     _DEFAULTS,
     _circle_probes,
+    _concurrently,
+    circle_audits,
     config_from_dict,
     default_config,
     density_ratio_profile,
+    initial_field,
     no_cancellation_check,
     run_flow_audit,
     run_scenario,
+    run_shrinking_circle,
+    write_reports,
 )
 from acflow.initial_data import circle_distance, graph_pair_distance, sine_mode
 from acflow.monotonicity import KernelPoint
 from acflow.io import read_field
-from acflow.operators import gradient_values
+from acflow.operators import gradient_values, integrate_values
 
 from conftest import standing_wave
 
@@ -46,6 +57,18 @@ def raw_config(**updates):
     raw = json.loads(json.dumps(BASE_RAW))
     raw.update(updates)
     return raw
+
+
+# A shrinking circle small enough to run in about a second: the fine audit
+# makes 100 steps on 160^2 and still leaves the Brakke check frames past
+# its 10 eps^2 burn-in.
+SMALL_CIRCLE_RAW = {
+    "scenario": "shrinking-circle",
+    "grid": {"dim": 2, "extent": 1.6, "points": 160},
+    "epsilon": 0.05,
+    "solver": {"dt_factor": 0.25, "t_end": 0.03125, "sample_every": 5},
+    "params": {"radius": 0.35},
+}
 
 
 # --- configuration ----------------------------------------------------------
@@ -275,6 +298,28 @@ def test_library_identities_reproduce_the_audit_probe_series():
     assert mono.rho_tensor_term == 0.0
 
 
+def test_audit_and_evolve_report_the_same_divergence(monkeypatch):
+    # a step of 2 eps^2 is far beyond the explicit scheme's limit; the
+    # reaction term grows u ~ 1e4, ~4e37 and then overflows, and the audit's
+    # energy and dissipation stay finite on every finite field
+    monkeypatch.setattr(solver, "dt_limit", lambda scheme, grid, epsilon: math.inf)
+    g = Grid(dim=2, extent=1.6, points=160)
+    initial = prepare_interface(circle_distance(0.35), g, 0.05)
+    dt = 2 * 0.05**2
+    cfg = SolverConfig(dt=dt, t_end=8 * dt, scheme="explicit-rk2")
+    with pytest.raises(FlowDivergedError) as from_evolve:
+        evolve(initial, cfg)
+    with pytest.raises(FlowDivergedError) as from_audit:
+        run_flow_audit(initial, cfg)
+    err = from_evolve.value
+    assert (err.step, err.time, err.max_abs) == (
+        from_audit.value.step, from_audit.value.time, from_audit.value.max_abs)
+    assert 1 < err.step < 8
+    assert err.time == pytest.approx(err.step * dt)
+    assert 1.0 < err.max_abs < math.inf
+    assert str(err).startswith(f"the flow diverged at step {err.step} ")
+
+
 def test_audit_and_evolve_share_the_step_count_rule(wave_1d):
     cases = [
         (SolverConfig(dt=3e-4, t_end=1e-3, scheme="semi-implicit-cnab2"),
@@ -291,6 +336,39 @@ def test_audit_and_evolve_share_the_step_count_rule(wave_1d):
 
 
 # --- density profile and mass comparison --------------------------------------
+
+
+def integrate_values_profile(traj, center_space, center_time, radii):
+    """Reference oracle: the earlier profile, which held every frame's energy
+    density and made one integrate_values call per radius."""
+    grid = traj.grid
+    slices = [(f.time, FrameBundle(f).energy_density) for f in traj.frames]
+    return tuple(
+        (float(r), integrate_values(grid, slices, ParabolicCylinder(
+            center_space=tuple(center_space), center_time=center_time, radius=r))
+         / r ** (grid.interface_dim + 2))
+        for r in radii)
+
+
+def flat_layer_traj():
+    g = Grid(dim=2, extent=1.2, points=128)
+    dt = 0.125 * 0.05**2
+    cfg = SolverConfig(dt=dt, t_end=64 * dt, scheme="semi-implicit-cnab2", sample_every=8)
+    return evolve(standing_wave(g, 0.05), cfg)
+
+
+def test_streamed_density_profile_matches_integrate_values(circle_traj_short):
+    flat = flat_layer_traj()
+    # radius 0.005 on the circle run: a window holding one sample
+    cases = [
+        (circle_traj_short, (0.34, 0.0), 0.005, [0.005, 0.04, 0.1, 0.2, 0.3]),
+        (circle_traj_short, (0.0, 0.3), 0.0095, [0.05, 0.15]),
+        (flat, (0.0, 0.0), 0.5 * flat.times[-1], [0.1, 0.15, 0.2, 0.25, 0.3]),
+        (Trajectory(frames=(flat[0],), dt_sample=0.0), (0.0, 0.0), 0.0, [0.1, 0.3]),
+    ]
+    for traj, center, t, radii in cases:
+        profile = density_ratio_profile(traj, center, t, radii)
+        assert profile.entries == integrate_values_profile(traj, center, t, radii)
 
 
 def test_density_profile_flags_pure_phase_center(circle_traj_short):
@@ -352,6 +430,92 @@ def test_graph_csv_roundtrippable_columns(tmp_path, wave_2d):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x1,h,valid"
     assert len(lines) == 1 + graph.heights.size
+
+
+# --- concurrent flows -----------------------------------------------------------
+
+
+def test_concurrent_circle_audits_equal_sequential_runs(monkeypatch):
+    # three audits on three threads, more than this host may have cores, with
+    # a short switch interval; the second config's grid is a fresh object, so
+    # the threads also race to build its cached spectral symbols
+    config = config_from_dict(SMALL_CIRCLE_RAW)
+    g, eps = config.grid, config.epsilons[0]
+    scales = (1.0, 0.5, 0.25)
+    initial = initial_field(config, eps)
+    probe = _circle_probes(g, KernelPoint(y=(0.0, 0.0), s=config.t_end + 0.01, n=1),
+                           radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent))
+    sequential = {
+        scale: run_flow_audit(initial, config.solver_config(
+            eps, dt_scale=scale, sample_every=round(config.sample_every / scale)), probe)
+        for scale in scales
+    }
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(len(scales))))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        concurrent = circle_audits(config_from_dict(SMALL_CIRCLE_RAW), scales)
+    finally:
+        sys.setswitchinterval(interval)
+    assert list(concurrent) == list(scales)
+    for scale in scales:
+        a, b = concurrent[scale], sequential[scale]
+        assert a.dt == b.dt
+        for name in ("times", "energy", "dissipation"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.series.keys() == b.series.keys()
+        for name in a.series:
+            assert np.array_equal(a.series[name], b.series[name])
+        assert np.array_equal(a.trajectory.times, b.trajectory.times)
+        assert len(a.trajectory) == len(b.trajectory)
+        for fa, fb in zip(a.trajectory.frames, b.trajectory.frames):
+            assert np.array_equal(fa.values, fb.values)
+
+
+def test_shrinking_circle_reports_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    config = config_from_dict(SMALL_CIRCLE_RAW)
+    write_reports(run_shrinking_circle(config), tmp_path / "threads")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    write_reports(run_shrinking_circle(config), tmp_path / "one")
+    names = sorted(p.name for p in (tmp_path / "threads").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "one").iterdir())
+    for name in names:
+        assert (tmp_path / "threads" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_concurrently_returns_results_in_submission_order(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def late(value):
+        time.sleep(0.05)
+        return value
+
+    assert _concurrently(lambda: late(1), lambda: 2, lambda: 3) == [1, 2, 3]
+
+
+def test_concurrently_reraises_the_first_failure_unchanged(monkeypatch):
+    first, second = FlowDivergedError(3, 0.1, 2.0), ValueError("later job")
+
+    def fail_late():
+        time.sleep(0.05)
+        raise first
+
+    def fail_now():
+        raise second
+
+    # the first job in submission order decides, even when another fails sooner
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(FlowDivergedError) as caught:
+        _concurrently(fail_late, fail_now)
+    assert caught.value is first
+
+    # one worker: the job queued behind a running one is cancelled
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    ran = []
+    with pytest.raises(ValueError) as caught:
+        _concurrently(fail_now, lambda: time.sleep(0.2), lambda: ran.append(True))
+    assert caught.value is second
+    assert ran == []
 
 
 def test_reports_are_bit_identical_across_runs(tmp_path):
@@ -493,6 +657,21 @@ def test_cli_simulate_reports_a_solver_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("configuration error:") and "sample_every=3" in err
+    assert not (tmp_path / "sim").exists()
+
+
+def test_cli_reports_a_diverged_flow(tmp_path, capsys, monkeypatch):
+    # the oversized explicit step of test_audit_and_evolve_report_the_same_divergence
+    monkeypatch.setattr(solver, "dt_limit", lambda scheme, grid, epsilon: math.inf)
+    raw = json.loads(json.dumps(SMALL_CIRCLE_RAW))
+    raw["solver"] = {"dt_factor": 2.0, "t_end": 0.04, "scheme": "explicit-rk2"}
+    path = tmp_path / "diverges.json"
+    path.write_text(json.dumps(raw))
+    code = cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: the flow diverged at step ")
+    assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "sim").exists()
 
 
