@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -277,13 +277,15 @@ def _bundle(obj: ScalarField | FrameBundle) -> FrameBundle:
     return obj if isinstance(obj, FrameBundle) else FrameBundle(obj)
 
 
-def _bundles(obj: ScalarField | FrameBundle | Trajectory) -> tuple[Grid, Iterator[FrameBundle]]:
-    """The grid and one bundle per slice, built one at a time so that only
-    the current slice's arrays are held."""
+def _bundles(obj: ScalarField | FrameBundle | Trajectory,
+             ) -> tuple[Grid, Sequence[float], Callable[[int], FrameBundle]]:
+    """The grid, the slice times and a builder of slice ``k``'s bundle; each
+    bundle is built when :func:`integrate_values` reaches its slice, so only
+    that slice's arrays are held."""
     if isinstance(obj, Trajectory):
-        return obj.grid, (FrameBundle(f) for f in obj.frames)
+        return obj.grid, obj.times, lambda k: FrameBundle(obj.frames[k])
     b = _bundle(obj)
-    return b.field.grid, iter((b,))
+    return b.field.grid, [b.field.time], lambda k: b
 
 
 def energy_density(field: ScalarField) -> ScalarField:
@@ -330,9 +332,9 @@ def tilt_excess(
     by ``r^-n-2``; with no region the raw box integral is returned.
     Invariant under ``e -> -e``.
     """
-    grid, bundles = _bundles(obj)
-    slices = [(b.field.time, _tilt_integrand(b, direction)) for b in bundles]
-    raw = integrate_values(grid, slices, region)
+    grid, times, bundle_at = _bundles(obj)
+    raw = integrate_values(grid, times, lambda k: _tilt_integrand(bundle_at(k), direction),
+                           [region])[0]
     n = grid.interface_dim
     return _normalized(raw, obj, region, n, n + 2)
 
@@ -348,10 +350,14 @@ def height_excess(
     region is given.  The cylinder center (the origin without a region)
     anchors the minimal-image unwrapping.
     """
-    grid, bundles = _bundles(obj)
+    grid, times, bundle_at = _bundles(obj)
     h = plane.signed_height(grid, region.center_space if region is not None else None)
-    slices = [(b.field.time, h * h * b.field.epsilon * b.grad_sq) for b in bundles]
-    raw = integrate_values(grid, slices, region)
+
+    def density_at(k: int) -> np.ndarray:
+        b = bundle_at(k)
+        return h * h * b.field.epsilon * b.grad_sq
+
+    raw = integrate_values(grid, times, density_at, [region])[0]
     n = grid.interface_dim
     return _normalized(raw, obj, region, n + 2, n + 4)
 
@@ -361,9 +367,13 @@ def willmore(
     region: ParabolicCylinder | None = None,
 ) -> float:
     """``integral of eps (lap u - W'(u)/eps^2)^2``; the squared velocity."""
-    grid, bundles = _bundles(obj)
-    slices = [(b.field.time, b.field.epsilon * b.residual ** 2) for b in bundles]
-    return integrate_values(grid, slices, region)
+    grid, times, bundle_at = _bundles(obj)
+
+    def density_at(k: int) -> np.ndarray:
+        b = bundle_at(k)
+        return b.field.epsilon * b.residual ** 2
+
+    return integrate_values(grid, times, density_at, [region])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .levelset import (
     tilt_maximal_field,
 )
 from .monotonicity import KernelPoint, monotonicity_terms
-from .operators import ball_mask
+from .operators import integrate_values
 from .solver import SolverConfig, SolverConfigError, prepare_interface
 from . import solver as solver_mod
 
@@ -522,13 +522,9 @@ def density_ratio_profile(
 ) -> DensityRatioProfile:
     """Parabolic density ratios ``r^-n-2 * mass(P_r)`` per radius.
 
-    The cylinder masses follow :func:`operators.integrate_values`: balls
-    from :func:`operators.ball_mask`, time windows and weights from
-    :func:`grid.window_weights`, and a one-frame trajectory gives the plain
-    ball integral.  They are made in one pass over the frames, so only one
-    frame's energy density is held at a time: it is computed once, added to
-    the ball sum of every radius whose time window holds the frame, and
-    dropped.
+    The cylinder masses come from one :func:`operators.integrate_values`
+    pass over the frames, so each frame's energy density is computed once
+    and only one is held at a time.
 
     When the center does not sit in the layer (``|u| > 0.9`` there),
     the profile is returned with a flag rather than raising.
@@ -540,28 +536,11 @@ def density_ratio_profile(
                 for c in center_space)
     center_in_layer = bool(abs(frame.values[idx]) <= 0.9)
 
-    times = traj.times
-    dt = times[1] - times[0] if len(times) > 1 else np.inf
-    cylinders = []  # per radius: ball mask, frames in the time window, their weights
-    for r in radii:
-        region = ParabolicCylinder(center_space=tuple(center_space), center_time=center_time,
-                                   radius=r)
-        region.validate_against(grid)
-        frames_in, weights = window_weights(times, *region.time_window, dt)
-        cylinders.append((ball_mask(grid, region.center_space, region.radius),
-                          set(frames_in.tolist()), weights))
-    ball_sums: list[list[float]] = [[] for _ in cylinders]
-    for k, f in enumerate(traj.frames):
-        inside = [(mask, sums) for (mask, frames_in, _), sums in zip(cylinders, ball_sums)
-                  if k in frames_in]
-        if inside:
-            dens = FrameBundle(f).energy_density
-            for mask, sums in inside:
-                sums.append(float(np.sum(dens[mask]) * grid.cell_volume))
-    entries = []
-    for r, (_, _, weights), sums in zip(radii, cylinders, ball_sums):
-        mass = sums[0] if len(traj) == 1 else float(np.sum(np.array(sums) * weights))
-        entries.append((float(r), mass / r ** (n + 2)))
+    regions = [ParabolicCylinder(center_space=tuple(center_space), center_time=center_time,
+                                 radius=r) for r in radii]
+    masses = integrate_values(grid, traj.times,
+                              lambda k: FrameBundle(traj.frames[k]).energy_density, regions)
+    entries = [(float(r), mass / r ** (n + 2)) for r, mass in zip(radii, masses)]
     return DensityRatioProfile(entries=tuple(entries), center_in_layer=center_in_layer)
 
 
@@ -609,21 +588,30 @@ def _concurrently(*jobs: Callable[[], object]) -> list:
     transforms and array loops release the GIL; they share only frozen
     containers, and each job does the same arithmetic as in a sequential
     run.  The exception of the first failing job in submission order is
-    re-raised unchanged, as a sequential run would raise it, and the jobs
-    that have not started are cancelled.  A job must not wait on a pool of
-    its own.
+    re-raised unchanged, as a sequential run would raise it.  That exception,
+    or an interrupt of the caller, leaves at once: the jobs that have not
+    started are cancelled, and the running ones, which cannot be stopped,
+    finish in the background.  The interpreter waits for them before it
+    exits, so a Ctrl-C at the command line ends the process only when the
+    running flows are done (a second Ctrl-C ends it at once).  A job must
+    not wait on a pool of its own.
     """
     # imported here: concurrent.futures loads logging and threading, which
     # would add ~8 ms to every `import acflow`
     from concurrent.futures import ThreadPoolExecutor
 
-    workers = max(1, min(len(jobs), len(os.sched_getaffinity(0))))
-    pool = ThreadPoolExecutor(max_workers=workers)
+    # the CPUs this process may run on; sched_getaffinity is Linux-only
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    pool = ThreadPoolExecutor(max_workers=max(1, min(len(jobs), cpus)))
     try:
         futures = [pool.submit(job) for job in jobs]
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
+        results = [future.result() for future in futures]
+    except BaseException:
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    pool.shutdown()
+    return results
 
 
 def _wave_initial(grid: Grid, eps: float) -> ScalarField:
@@ -774,12 +762,16 @@ def run_shrinking_circle(config: ExperimentConfig, audits: dict[float, FlowAudit
     grid = config.grid
     eps = config.epsilons[0]
     radius = config.params["radius"]
-    dt_scales = (0.5, 1.0) if audits is None else tuple(audits)
+    # the fine and the base step scale; the fine audit is the longest, so it
+    # is submitted first
+    scales = (0.5, 1.0) if audits is None else (min(audits), max(audits))
+    fine_job, base_job = (_circle_audit_jobs(config, scales) if audits is None
+                          else [partial(audits.__getitem__, s) for s in scales])
 
     # first-order-in-epsilon trend: a coarser layer tracks the circle worse
     coarse_eps = 2 * eps
     coarse_grid = Grid(dim=grid.dim, extent=config.params["coarse_extent"], points=grid.points)
-    coarse_cfg = SolverConfig(dt=config.dt_for(coarse_eps) * min(dt_scales),
+    coarse_cfg = SolverConfig(dt=config.dt_for(coarse_eps) * scales[0],
                               t_end=config.t_end, scheme=config.scheme,
                               sample_every=config.sample_every)
 
@@ -800,16 +792,8 @@ def run_shrinking_circle(config: ExperimentConfig, audits: dict[float, FlowAudit
         return density_ratio_profile(flat, (0.0,) * grid.dim, 0.5 * flat_cfg.t_end, flat_radii)
 
     # The flows are independent; each job keeps only what the checks read.
-    # The fine audit is the longest, so it is submitted first.
-    if audits is None:
-        fine_job, base_job = _circle_audit_jobs(config, dt_scales)
-        fine, defect_base, coarse_measured, flat_profile = _concurrently(
-            fine_job, lambda: base_job().dissipation_defect(), coarse_radius,
-            flat_density_profile)
-    else:
-        fine = audits[min(audits)]
-        defect_base = audits[max(audits)].dissipation_defect()
-        coarse_measured, flat_profile = _concurrently(coarse_radius, flat_density_profile)
+    fine, defect_base, coarse_measured, flat_profile = _concurrently(
+        fine_job, lambda: base_job().dissipation_defect(), coarse_radius, flat_density_profile)
 
     # mean-curvature oracle for the final radius
     exact = math.sqrt(radius**2 - 2.0 * config.t_end)

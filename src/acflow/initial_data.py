@@ -23,11 +23,6 @@ __all__ = [
     "graph_profile",
 ]
 
-# The nearest-point Newton iteration of graph_pair_distance stops once its
-# largest update is below this fraction of the box extent, or after the cap.
-NEWTON_TOLERANCE = 1e-12
-NEWTON_MAX_ITERATIONS = 12
-
 
 def circle_distance(radius: float) -> Callable:
     """Signed distance to the sphere ``|x| = radius``, positive inside."""
@@ -85,11 +80,7 @@ def graph_pair_distance(extent: float, modes: list[tuple[float, float, float]]) 
 
     Two-dimensional ambient space only (one base coordinate).  Each query
     point's foot on the graph comes from one Newton start at the vertical
-    foot ``xi = x_h``.  The iteration of the foot-point equation stops once
-    the largest update over the query points falls below
-    ``NEWTON_TOLERANCE * extent``, after at most ``NEWTON_MAX_ITERATIONS``
-    iterations; Newton converges quadratically, so the foot is then settled
-    to round-off.
+    foot ``xi = x_h`` and a fixed 12 iterations of the foot-point equation.
     Nothing here certifies that this foot is the nearest one: a profile
     steep enough to bring its focal distance into the transition band can
     send the iteration to another root, and the slope probe of
@@ -106,15 +97,12 @@ def graph_pair_distance(extent: float, modes: list[tuple[float, float, float]]) 
         above = xv >= f
         # Foot point xi: (xi - xh) + f'(xi)(f(xi) - xv) = 0.
         xi = xh
-        for _ in range(NEWTON_MAX_ITERATIONS):
+        for _ in range(12):
             r = f - xv
             g = (xi - xh) + fp * r
             gp = 1.0 + fpp * r + fp ** 2
-            update = g / np.where(np.abs(gp) > 1e-12, gp, 1e-12)
-            xi = xi - update
+            xi = xi - g / np.where(np.abs(gp) > 1e-12, gp, 1e-12)
             f, fp, fpp = graph_profile(modes, xi)
-            if np.max(np.abs(update)) < NEWTON_TOLERANCE * L:
-                break
         dist_graph = np.sqrt((xh - xi) ** 2 + (xv - f) ** 2)
 
         dist_seam = np.where(above, 0.5 * L - xv, xv + 0.5 * L)

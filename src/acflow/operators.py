@@ -26,7 +26,7 @@ The symbols are built once per grid and cached on it (:func:`symbols`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -153,28 +153,43 @@ def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> np.ndarray:
 
 def integrate_values(
     grid: Grid,
-    slices: Sequence[tuple[float, np.ndarray]],
-    region: ParabolicCylinder | None = None,
-) -> float:
-    """Integrate sampled densities over a cylinder or the whole box.
+    times: Sequence[float],
+    density_at: Callable[[int], np.ndarray],
+    regions: Sequence[ParabolicCylinder | None],
+) -> list[float]:
+    """Integrate one sampled density over each region (``None``: the whole box).
 
-    ``slices`` is a sequence of ``(time, values)`` pairs at uniform spacing.
-    A single slice gives the plain spatial integral (no time measure).  With
-    a region, space is restricted to the ball and time to the frames inside
-    ``|t - t0| <= r^2``, weighted by :func:`acflow.grid.window_weights` (a
-    window so thin that it holds a single sample gets the measure
-    ``min(2 r^2, sampling interval)``).
+    ``times`` are the sample times, at uniform spacing, and ``density_at(k)``
+    gives the density at ``times[k]``.  A single sample gives the plain
+    spatial integral (no time measure).  With a region, space is restricted
+    to the ball and time to the samples inside ``|t - t0| <= r^2``, weighted
+    by :func:`acflow.grid.window_weights` (a window so thin that it holds a
+    single sample gets the measure ``min(2 r^2, sampling interval)``).
+
+    The regions share one pass over the samples: ``density_at`` is called
+    once for each sample that some region's window holds, in time order, and
+    its value is dropped once it has been summed over every ball that needs
+    it, so one slice is held at a time.
     """
-    times = np.array([t for (t, _) in slices])
+    times = np.asarray(times, dtype=float)
     dt = times[1] - times[0] if len(times) > 1 else np.inf
-    if region is None:
-        mask, (lo, hi) = ..., (times[0], times[-1])  # the whole box, every slice
-    else:
-        region.validate_against(grid)
-        mask, (lo, hi) = ball_mask(grid, region.center_space, region.radius), region.time_window
-    idx, weights = window_weights(times, lo, hi, dt)
-    spatial = np.array([float(np.sum(slices[i][1][mask]) * grid.cell_volume) for i in idx])
-    return float(spatial[0] if len(slices) == 1 else np.sum(spatial * weights))
+    rules = []  # per region: spatial mask, the samples in its window, their weights
+    for region in regions:
+        if region is None:
+            mask, (lo, hi) = ..., (times[0], times[-1])  # the whole box, every sample
+        else:
+            region.validate_against(grid)
+            mask, (lo, hi) = ball_mask(grid, region.center_space, region.radius), region.time_window
+        idx, weights = window_weights(times, lo, hi, dt)
+        rules.append((mask, set(idx.tolist()), weights))
+    spatial: list[list[float]] = [[] for _ in rules]
+    for k in sorted(set().union(*(inside for _, inside, _ in rules))):
+        values = density_at(k)
+        for (mask, inside, _), sums in zip(rules, spatial):
+            if k in inside:
+                sums.append(float(np.sum(values[mask]) * grid.cell_volume))
+    return [float(sums[0] if len(times) == 1 else np.sum(np.array(sums) * weights))
+            for (_, _, weights), sums in zip(rules, spatial)]
 
 
 def integrate(
@@ -187,4 +202,5 @@ def integrate(
     masked ball quadrature is first-order in the spacing.
     """
     frames = [density] if isinstance(density, ScalarField) else density.frames
-    return integrate_values(density.grid, [(f.time, f.values) for f in frames], region)
+    return integrate_values(density.grid, [f.time for f in frames],
+                            lambda k: frames[k].values, [region])[0]

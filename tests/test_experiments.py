@@ -2,6 +2,7 @@ import json
 import math
 import os
 import sys
+import threading
 import time
 from collections import Counter
 
@@ -38,7 +39,8 @@ from acflow.experiments import (
 from acflow.initial_data import circle_distance, graph_pair_distance, sine_mode
 from acflow.monotonicity import KernelPoint
 from acflow.io import read_field
-from acflow.operators import gradient_values, integrate_values
+from acflow.grid import window_weights
+from acflow.operators import ball_mask, gradient_values
 
 from conftest import standing_wave
 
@@ -338,16 +340,25 @@ def test_audit_and_evolve_share_the_step_count_rule(wave_1d):
 # --- density profile and mass comparison --------------------------------------
 
 
-def integrate_values_profile(traj, center_space, center_time, radii):
+def per_radius_profile(traj, center_space, center_time, radii):
     """Reference oracle: the earlier profile, which held every frame's energy
-    density and made one integrate_values call per radius."""
+    density and integrated each radius's cylinder on its own, by the
+    one-region quadrature that integrate_values had then."""
     grid = traj.grid
     slices = [(f.time, FrameBundle(f).energy_density) for f in traj.frames]
-    return tuple(
-        (float(r), integrate_values(grid, slices, ParabolicCylinder(
-            center_space=tuple(center_space), center_time=center_time, radius=r))
-         / r ** (grid.interface_dim + 2))
-        for r in radii)
+    times = np.array([t for (t, _) in slices])
+    dt = times[1] - times[0] if len(times) > 1 else np.inf
+    entries = []
+    for r in radii:
+        region = ParabolicCylinder(center_space=tuple(center_space), center_time=center_time,
+                                   radius=r)
+        region.validate_against(grid)
+        mask = ball_mask(grid, region.center_space, region.radius)
+        idx, weights = window_weights(times, *region.time_window, dt)
+        spatial = np.array([float(np.sum(slices[i][1][mask]) * grid.cell_volume) for i in idx])
+        mass = float(spatial[0] if len(slices) == 1 else np.sum(spatial * weights))
+        entries.append((float(r), mass / r ** (grid.interface_dim + 2)))
+    return tuple(entries)
 
 
 def flat_layer_traj():
@@ -357,7 +368,7 @@ def flat_layer_traj():
     return evolve(standing_wave(g, 0.05), cfg)
 
 
-def test_streamed_density_profile_matches_integrate_values(circle_traj_short):
+def test_streamed_density_profile_matches_per_radius_profile(circle_traj_short):
     flat = flat_layer_traj()
     # radius 0.005 on the circle run: a window holding one sample
     cases = [
@@ -368,7 +379,7 @@ def test_streamed_density_profile_matches_integrate_values(circle_traj_short):
     ]
     for traj, center, t, radii in cases:
         profile = density_ratio_profile(traj, center, t, radii)
-        assert profile.entries == integrate_values_profile(traj, center, t, radii)
+        assert profile.entries == per_radius_profile(traj, center, t, radii)
 
 
 def test_density_profile_flags_pure_phase_center(circle_traj_short):
@@ -516,6 +527,40 @@ def test_concurrently_reraises_the_first_failure_unchanged(monkeypatch):
         _concurrently(fail_now, lambda: time.sleep(0.2), lambda: ran.append(True))
     assert caught.value is second
     assert ran == []
+
+
+def test_concurrently_does_not_wait_for_running_jobs_after_a_failure(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    release, finished = threading.Event(), []
+
+    def fail_now():
+        raise ValueError("fails at once")
+
+    def running():
+        release.wait(timeout=10)
+        finished.append(True)
+
+    with pytest.raises(ValueError):
+        _concurrently(fail_now, running)
+    # the failure left while the other job was still running
+    assert finished == []
+    release.set()
+
+
+def test_concurrently_without_sched_getaffinity_uses_the_cpu_count(monkeypatch):
+    # sched_getaffinity exists on Linux only; elsewhere the CPU count decides
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    threads = []
+
+    def job(value):
+        threads.append(threading.get_ident())
+        return value
+
+    assert _concurrently(*(lambda v=v: job(v) for v in range(4))) == [0, 1, 2, 3]
+    assert len(set(threads)) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _concurrently(lambda: 1, lambda: 2) == [1, 2]
 
 
 def test_reports_are_bit_identical_across_runs(tmp_path):

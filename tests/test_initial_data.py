@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from acflow import Grid, InterfaceDataError, initial_data, prepare_interface
+from acflow import Grid, InterfaceDataError, prepare_interface
 from acflow.initial_data import graph_pair_distance, sine_mode
 
 L = 1.28
@@ -77,30 +77,6 @@ def test_one_start_matches_three_start_oracle(name):
     new = g.sample(graph_pair_distance(L, modes))
     ref = g.sample(three_start_distance(L, modes))
     assert np.max(np.abs(new - ref)) <= 1e-14
-
-
-@pytest.mark.parametrize("name", sorted(PROFILES))
-def test_newton_stop_matches_the_fixed_12_iteration_solve(name, monkeypatch):
-    points, modes = PROFILES[name]
-    g = Grid(dim=2, extent=L, points=points)
-    eps = 4.0 * g.spacing
-    stopped = prepare_interface(graph_pair_distance(L, modes), g, eps).values
-    # a zero tolerance is never met, so every query runs the 12 iterations
-    monkeypatch.setattr(initial_data, "NEWTON_TOLERANCE", 0.0)
-    fixed = prepare_interface(graph_pair_distance(L, modes), g, eps).values
-    assert np.max(np.abs(stopped - fixed)) <= 1e-15
-
-
-def test_newton_stops_once_the_update_is_round_off(monkeypatch):
-    # excess-decay's eps = 0.01 layer: the largest updates run 1.6e-2,
-    # 4.7e-5, 4.2e-10 and 1.1e-16, so the fourth iteration is the last
-    calls = []
-    profile = initial_data.graph_profile
-    monkeypatch.setattr(initial_data, "graph_profile",
-                        lambda modes, x: calls.append(1) or profile(modes, x))
-    points, modes = PROFILES["excess-decay-0.01"]
-    Grid(dim=2, extent=L, points=points).sample(graph_pair_distance(L, modes))
-    assert len(calls) == 1 + 4
 
 
 def test_sine_mode_is_numbers():

@@ -3,7 +3,7 @@ import pytest
 
 from acflow import Grid, ParabolicCylinder, ScalarField, Trajectory, gradient, integrate, laplacian
 from acflow.levelset import dyadic_radii
-from acflow.operators import ball_mask, gradient_values, laplacian_values
+from acflow.operators import ball_mask, gradient_values, integrate_values, laplacian_values
 
 from conftest import standing_wave
 
@@ -187,3 +187,30 @@ def test_integrate_additive_over_disjoint_time_windows():
     w2 = integrate(traj.window(1.0, 2.0))
     w = integrate(traj)
     assert w == pytest.approx(w1 + w2, rel=1e-12)
+
+
+def test_integrate_values_builds_each_needed_slice_once():
+    # two cylinders whose windows overlap in the middle samples and leave the
+    # first and last samples out: one pass builds each needed slice once, in
+    # time order, and every region gets its one-region mass bit for bit
+    g = Grid(dim=2, extent=2.0, points=32)
+    rng = np.random.default_rng(5)
+    times = 0.01 * np.arange(9)
+    slices = rng.random((len(times),) + g.shape)
+    regions = [ParabolicCylinder(center_space=(0.0, 0.0), center_time=0.03, radius=0.15),
+               ParabolicCylinder(center_space=(0.5, -0.25), center_time=0.05, radius=0.15),
+               None]
+    built = []
+
+    def density_at(k):
+        built.append(k)
+        return slices[k]
+
+    masses = integrate_values(g, times, density_at, regions[:2])
+    assert built == [1, 2, 3, 4, 5, 6, 7]
+    for region, mass in zip(regions, masses):
+        assert mass == integrate_values(g, times, lambda k: slices[k], [region])[0]
+    whole = integrate_values(g, times, lambda k: slices[k], [None])[0]
+    assert whole == pytest.approx(np.sum(slices[1:-1]) * g.cell_volume * 0.01
+                                  + 0.5 * np.sum(slices[[0, -1]]) * g.cell_volume * 0.01,
+                                  rel=1e-12)
