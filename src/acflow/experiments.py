@@ -33,7 +33,7 @@ from .diagnostics import (
     weighted_mass,
 )
 from .grid import (Grid, ParabolicCylinder, ScalarField, Trajectory, WAVE_ENERGY,
-                   trapezoid_weights, window_weights)
+                   is_finite_number, trapezoid_weights, window_weights)
 from .initial_data import circle_distance, graph_pair_distance, plane_pair_distance, sine_mode
 from .io import write_diagnostics_csv, write_field, write_graph_csv, write_json, write_table_csv
 from .levelset import (
@@ -113,23 +113,13 @@ class ExperimentConfig:
         )
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number: not a bool, and an integer only within the float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def _fits(value, kind) -> bool:
     if kind is int:
-        return isinstance(value, int) and _is_number(value)
+        return isinstance(value, int) and is_finite_number(value)
     if kind is float:
-        return _is_number(value)
+        return is_finite_number(value)
     if kind is list:
-        return isinstance(value, list) and bool(value) and all(map(_is_number, value))
+        return isinstance(value, list) and bool(value) and all(map(is_finite_number, value))
     return isinstance(value, kind)
 
 
@@ -413,56 +403,66 @@ class ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
+Probe = Callable[[FrameBundle], dict[str, float]]
+
+
 @dataclass
 class FlowAudit:
-    """Per-step scalar series plus a thinned trajectory from one run."""
+    """Per-step dissipation and probe series, the energy at the two ends and
+    a thinned trajectory from one run."""
 
     dt: float
     times: np.ndarray
-    energy: np.ndarray
+    end_energies: tuple[float, float]  # at the first and at the last step
     dissipation: np.ndarray  # integral of eps * residual^2 per step
     series: dict[str, np.ndarray]
     trajectory: Trajectory
 
     def dissipation_defect(self) -> float:
         """Relative defect of energy drop against the dissipation integral."""
-        drop = self.energy[0] - self.energy[-1]
+        first, last = self.end_energies
+        drop = first - last
         total = float(np.sum(self.dissipation * trapezoid_weights(len(self.times), self.dt)))
         return abs(total - drop) / abs(drop)
 
 
-def run_flow_audit(
-    initial: ScalarField,
-    cfg: SolverConfig,
-    probe: Callable[[FrameBundle], dict[str, float]] | None = None,
-) -> FlowAudit:
+def run_flow_audit(initial: ScalarField, cfg: SolverConfig, probe: Probe | None = None) -> FlowAudit:
     """Evolve while recording per-step scalars.
 
     Each step's quantities come from one :class:`FrameBundle` seeded with
     the half spectrum :func:`solver.march` yields, so the step's spectral
-    work is shared by the energy, the dissipation and ``probe``.  The probe
-    returns named scalars, recorded as ``series``.  The bundle is dropped
-    after its step.  The stored trajectory keeps every ``sample_every``-th
-    field, as :func:`solver.evolve` does.
+    work is shared by the dissipation, the energy and ``probe``.  The
+    dissipation needs only the Laplacian.  The energy, which needs the
+    gradient too, is recorded at the first and the last step only.  The
+    probe returns named scalars, recorded as ``series``.  The bundle is
+    dropped after its step.  The stored
+    trajectory keeps every ``sample_every``-th field, as
+    :func:`solver.evolve` does.
     """
     vol = initial.grid.cell_volume
     eps = initial.epsilon
-    times, energies, dissipations, frames = [], [], [], []
+    last = solver_mod.step_count(cfg)
+    times, dissipations, energies, frames = [], [], [], []
     series: dict[str, list[float]] = {}
-    for i, (current, u_hat) in enumerate(solver_mod.march(initial, cfg)):
-        b = FrameBundle(current, u_hat)
-        times.append(current.time)
-        energies.append(float(np.sum(b.energy_density) * vol))
-        dissipations.append(float(np.sum(eps * b.residual * b.residual) * vol))
-        for k, v in (probe(b) if probe is not None else {}).items():
-            series.setdefault(k, []).append(v)
-        del b  # freed before march runs the next step
-        if i % cfg.sample_every == 0:
-            frames.append(current)
+    # the recording runs under the errstate march steps under: the terms of
+    # a huge but finite field overflow silently, and the step after it
+    # raises the typed error, as it does without the recording
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (current, u_hat) in enumerate(solver_mod.march(initial, cfg)):
+            b = FrameBundle(current, u_hat)
+            times.append(current.time)
+            if i in (0, last):
+                energies.append(float(np.sum(b.energy_density) * vol))
+            dissipations.append(float(np.sum(eps * b.residual * b.residual) * vol))
+            for k, v in (probe(b) if probe is not None else {}).items():
+                series.setdefault(k, []).append(v)
+            del b  # freed before march runs the next step
+            if i % cfg.sample_every == 0:
+                frames.append(current)
     return FlowAudit(
         dt=cfg.dt,
         times=np.array(times),
-        energy=np.array(energies),
+        end_energies=(energies[0], energies[-1]),
         dissipation=np.array(dissipations),
         series={k: np.array(v) for k, v in series.items()},
         trajectory=Trajectory(frames=tuple(frames), dt_sample=cfg.dt * cfg.sample_every),
@@ -711,51 +711,74 @@ def run_standing_wave(config: ExperimentConfig) -> ScenarioResult:
     )
 
 
-def _circle_probes(grid: Grid, kernel: KernelPoint,
-                   phi_bump: TestFunction) -> Callable[[FrameBundle], dict[str, float]]:
-    """Per-step terms of the Brakke identity (both forms) against the bump
-    and of the Gaussian monotonicity identity against the backward kernel."""
+def _brakke_probe(grid: Grid, phi_bump: TestFunction) -> Probe:
+    """Per-step terms of the Brakke identity (both forms) against the bump."""
     phi, grad_phi, hess_phi = phi_bump.value(grid), phi_bump.gradient(grid), phi_bump.hessian(grid)
 
     def probe(b: FrameBundle) -> dict[str, float]:
         rhs_gradient, rhs_tensor = brakke_terms(b, phi, grad_phi, hess_phi)
-        gauss, dissipative, discrepancy, _ = monotonicity_terms(b, kernel)
         return {
             "brakke_mass": weighted_mass(b, phi),
             "brakke_rhs_gradient": rhs_gradient,
             "brakke_rhs_tensor": rhs_tensor,
-            "gauss": gauss,
-            "gauss_dissipative": dissipative,
-            "gauss_discrepancy": discrepancy,
         }
 
     return probe
 
 
-def _circle_audit_jobs(config: ExperimentConfig,
-                       dt_scales: Sequence[float]) -> list[Callable[[], FlowAudit]]:
-    """One zero-argument job per step scale, each running one shrinking-circle
-    flow audit with the identity probes attached."""
+def _gaussian_probe(kernel: KernelPoint) -> Probe:
+    """Per-step terms of the Gaussian monotonicity identity against the
+    backward kernel."""
+
+    def probe(b: FrameBundle) -> dict[str, float]:
+        gauss, dissipative, discrepancy, _ = monotonicity_terms(b, kernel)
+        return {"gauss": gauss, "gauss_dissipative": dissipative,
+                "gauss_discrepancy": discrepancy}
+
+    return probe
+
+
+def _circle_bump(grid: Grid) -> TestFunction:
+    """The Brakke identity's test function in the circle audits."""
+    return radial_bump(center=(0.0,) * grid.dim, radius=0.45 * grid.extent)
+
+
+def _circle_kernel(config: ExperimentConfig) -> KernelPoint:
+    """The monotonicity identity's backward kernel in the circle audits."""
     grid = config.grid
+    return KernelPoint(y=(0.0,) * grid.dim, s=config.t_end + config.params["kernel_lag"],
+                       n=grid.interface_dim)
+
+
+def _circle_audit_jobs(config: ExperimentConfig, plan: Sequence[tuple[float, Probe | None]],
+                       ) -> list[Callable[[], FlowAudit]]:
+    """One zero-argument job per ``(step scale, probe)`` of ``plan``, each
+    running one shrinking-circle flow audit from the same initial field."""
     eps = config.epsilons[0]
     initial = initial_field(config, eps)
-    kernel = KernelPoint(y=(0.0,) * grid.dim, s=config.t_end + config.params["kernel_lag"],
-                         n=grid.interface_dim)
-    phi = radial_bump(center=(0.0,) * grid.dim, radius=0.45 * grid.extent)
-    probe = _circle_probes(grid, kernel, phi)
     # sample the stored trajectory at a fixed interval regardless of dt, so
     # cylinder time windows down to (2 eps)^2 hold several frames
     return [partial(run_flow_audit, initial,
                     config.solver_config(eps, dt_scale=scale,
                                          sample_every=max(1, round(config.sample_every / scale))),
                     probe)
-            for scale in dt_scales]
+            for scale, probe in plan]
+
+
+def _run_circle_audits(config: ExperimentConfig, dt_scales: Sequence[float],
+                       probe: Probe) -> dict[float, FlowAudit]:
+    """Shrinking-circle audits at rescaled steps, all with ``probe``, run side
+    by side (:func:`_concurrently`)."""
+    jobs = _circle_audit_jobs(config, [(scale, probe) for scale in dt_scales])
+    return dict(zip(dt_scales, _concurrently(*jobs)))
 
 
 def circle_audits(config: ExperimentConfig, dt_scales: Sequence[float]) -> dict[float, FlowAudit]:
-    """Shrinking-circle runs at rescaled steps, with identity probes attached,
-    run side by side (:func:`_concurrently`)."""
-    return dict(zip(dt_scales, _concurrently(*_circle_audit_jobs(config, dt_scales))))
+    """Shrinking-circle audits at rescaled steps with both identity probes
+    attached, so one set serves shrinking-circle and monotonicity-sweep."""
+    brakke = _brakke_probe(config.grid, _circle_bump(config.grid))
+    gaussian = _gaussian_probe(_circle_kernel(config))
+    return _run_circle_audits(config, dt_scales, lambda b: {**brakke(b), **gaussian(b)})
 
 
 def run_shrinking_circle(config: ExperimentConfig, audits: dict[float, FlowAudit] | None = None) -> ScenarioResult:
@@ -765,8 +788,12 @@ def run_shrinking_circle(config: ExperimentConfig, audits: dict[float, FlowAudit
     # the fine and the base step scale; the fine audit is the longest, so it
     # is submitted first
     scales = (0.5, 1.0) if audits is None else (min(audits), max(audits))
-    fine_job, base_job = (_circle_audit_jobs(config, scales) if audits is None
-                          else [partial(audits.__getitem__, s) for s in scales])
+    # the fine audit feeds the Brakke checks; the base audit feeds only its
+    # dissipation defect, which needs no probe
+    fine_job, base_job = (
+        _circle_audit_jobs(config, [(scales[0], _brakke_probe(grid, _circle_bump(grid))),
+                                    (scales[1], None)])
+        if audits is None else [partial(audits.__getitem__, s) for s in scales])
 
     # first-order-in-epsilon trend: a coarser layer tracks the circle worse
     coarse_eps = 2 * eps
@@ -867,7 +894,7 @@ def run_shrinking_circle(config: ExperimentConfig, audits: dict[float, FlowAudit
 def run_monotonicity_sweep(config: ExperimentConfig,
                            audits: dict[float, FlowAudit] | None = None) -> ScenarioResult:
     if audits is None:
-        audits = circle_audits(config, (1.0, 0.5))
+        audits = _run_circle_audits(config, (1.0, 0.5), _gaussian_probe(_circle_kernel(config)))
     base = audits[max(audits)]
     fine = audits[min(audits)]
     eps = config.epsilons[0]

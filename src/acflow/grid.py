@@ -15,6 +15,8 @@ Conventions:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -22,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "Grid",
+    "is_finite_number",
     "WELL_CURVATURE",
     "well",
     "well_derivative",
@@ -32,6 +35,21 @@ __all__ = [
     "trapezoid_weights",
     "window_weights",
 ]
+
+
+def is_finite_number(value) -> bool:
+    """A finite real number: not a bool, and an integer only within the
+    float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -54,14 +72,23 @@ class Grid:
     points: int
 
     def __post_init__(self) -> None:
-        if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
+        if not (_is_integer(self.dim) and self.dim in (1, 2, 3)):
+            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim!r}")
+        if not _is_integer(self.points):
+            raise ValueError(f"points must be an integer, got {self.points!r}")
         if self.points < 8:
             raise ValueError(f"points must be >= 8, got {self.points}")
         if self.points % 2 != 0:
             raise ValueError(f"points must be even, got {self.points}")
-        if not self.extent > 0:
-            raise ValueError(f"extent must be positive, got {self.extent}")
+        if not (is_finite_number(self.extent) and self.extent > 0):
+            raise ValueError(f"extent must be a positive finite number, got {self.extent!r}")
+        try:
+            volume = self.cell_volume
+        except OverflowError:  # an operand or the result is past the float range
+            volume = math.inf
+        if not (math.isfinite(volume) and volume > 0):
+            raise ValueError(f"extent {self.extent!r} over {self.points} points gives the "
+                             f"cell volume {volume:g} in {self.dim} dimensions")
 
     @property
     def spacing(self) -> float:
@@ -142,13 +169,23 @@ class ScalarField:
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
+        if not isinstance(self.grid, Grid):
+            raise ValueError(f"grid must be a Grid, got {type(self.grid).__name__}")
+        try:
+            v = np.asarray(self.values)
+            if v.dtype.kind == "c":
+                raise TypeError("complex values")
+            v = np.asarray(v, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"values must be real numbers: {exc}") from None
         if v.shape != self.grid.shape:
             raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
         if not np.all(np.isfinite(v)):
             raise NonFiniteFieldError("field values must be finite")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (is_finite_number(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be a positive finite number, got {self.epsilon!r}")
+        if not is_finite_number(self.time):
+            raise ValueError(f"time must be a finite number, got {self.time!r}")
         object.__setattr__(self, "values", _freeze(v))
 
     def with_values(self, values: np.ndarray, time: float | None = None) -> "ScalarField":

@@ -35,7 +35,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .grid import (WELL_CURVATURE, Grid, NonFiniteFieldError, ScalarField, Trajectory,
-                   well_derivative)
+                   _is_integer, is_finite_number, well_derivative)
 from .operators import from_spectrum, laplacian_values, spectrum, symbols
 
 __all__ = [
@@ -99,14 +99,15 @@ class SolverConfig:
     sample_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
+        if not (isinstance(self.scheme, str) and self.scheme in SCHEMES):
             raise SolverConfigError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if not self.dt > 0:
-            raise SolverConfigError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0:
-            raise SolverConfigError(f"t_end must be >= 0, got {self.t_end}")
-        if self.sample_every < 1:
-            raise SolverConfigError(f"sample_every must be >= 1, got {self.sample_every}")
+        if not (is_finite_number(self.dt) and self.dt > 0):
+            raise SolverConfigError(f"dt must be a positive finite number, got {self.dt!r}")
+        if not (is_finite_number(self.t_end) and self.t_end >= 0):
+            raise SolverConfigError(f"t_end must be a finite number >= 0, got {self.t_end!r}")
+        if not (_is_integer(self.sample_every) and self.sample_every >= 1):
+            raise SolverConfigError(f"sample_every must be an integer >= 1, "
+                                    f"got {self.sample_every!r}")
 
 
 def dt_limit(scheme: str, grid: Grid, epsilon: float) -> float:

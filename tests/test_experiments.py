@@ -23,8 +23,11 @@ from acflow.experiments import (
     ConfigError,
     ExperimentConfig,
     _DEFAULTS,
-    _circle_probes,
+    _brakke_probe,
+    _circle_audit_jobs,
+    _circle_bump,
     _concurrently,
+    _gaussian_probe,
     circle_audits,
     config_from_dict,
     default_config,
@@ -32,6 +35,7 @@ from acflow.experiments import (
     initial_field,
     no_cancellation_check,
     run_flow_audit,
+    run_monotonicity_sweep,
     run_scenario,
     run_shrinking_circle,
     write_reports,
@@ -71,6 +75,13 @@ SMALL_CIRCLE_RAW = {
     "solver": {"dt_factor": 0.25, "t_end": 0.03125, "sample_every": 5},
     "params": {"radius": 0.35},
 }
+
+
+def both_probes(grid, kernel, bump):
+    """The Brakke and the Gaussian probe in one, as :func:`circle_audits`
+    attaches them."""
+    brakke, gaussian = _brakke_probe(grid, bump), _gaussian_probe(kernel)
+    return lambda b: {**brakke(b), **gaussian(b)}
 
 
 # --- configuration ----------------------------------------------------------
@@ -198,7 +209,8 @@ def test_loader_returns_a_config_or_raises_config_error(raw):
 def test_flow_audit_matches_evolve(grid_1d):
     wave = standing_wave(grid_1d, 0.05)
     cfg = SolverConfig(dt=2.5e-4, t_end=2.5e-3, scheme="semi-implicit-cnab2", sample_every=5)
-    audit = run_flow_audit(wave, cfg)
+    vol = grid_1d.cell_volume
+    audit = run_flow_audit(wave, cfg, lambda b: {"energy": float(np.sum(b.energy_density) * vol)})
     direct = evolve(wave, cfg)
     assert len(audit.trajectory) == len(direct) == 3
     assert np.array_equal(audit.trajectory.times, direct.times)
@@ -206,7 +218,9 @@ def test_flow_audit_matches_evolve(grid_1d):
         assert np.array_equal(a.values, d.values)
     assert len(audit.times) == 11
     # stationary wave: energy flat, dissipation at round-off
-    assert np.allclose(audit.energy, audit.energy[0], rtol=1e-10)
+    energy = audit.series["energy"]
+    assert np.allclose(energy, energy[0], rtol=1e-10)
+    assert audit.end_energies == (energy[0], energy[-1])
     assert np.max(audit.dissipation) < 1e-10
 
 
@@ -219,8 +233,8 @@ def test_audited_cnab2_step_makes_five_real_transforms(monkeypatch):
     eps = 4.0 * g.spacing
     dt = 0.25 * eps**2
     initial = prepare_interface(circle_distance(0.35), g, eps)
-    probe = _circle_probes(g, KernelPoint(y=(0.0, 0.0), s=0.05, n=1),
-                           radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent))
+    probe = both_probes(g, KernelPoint(y=(0.0, 0.0), s=0.05, n=1),
+                        radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent))
     calls = Counter()
 
     def counting(name, fn):
@@ -243,6 +257,36 @@ def test_audited_cnab2_step_makes_five_real_transforms(monkeypatch):
     step.subtract(transforms(2))
     assert sum(step[name] for name in REAL_TRANSFORMS) <= 5
     assert sum(step[name] for name in COMPLEX_TRANSFORMS) == 0
+
+
+@pytest.mark.parametrize("with_brakke_probe, per_step, fixed", [(False, 3, 7), (True, 5, 5)])
+def test_audit_transform_count_is_linear_in_the_steps(monkeypatch, with_brakke_probe, per_step,
+                                                      fixed):
+    # a cnab2 step makes two real transforms and the dissipation one (the
+    # Laplacian); the Brakke probe adds the two of the gradient.  The fixed
+    # part: the initial field's spectrum and gradient (the first energy),
+    # cnab2's transform of its first input, and, without the probe, the
+    # last step's gradient (the last energy).
+    g = Grid(dim=2, extent=1.2, points=64)
+    eps = 4.0 * g.spacing
+    dt = 0.25 * eps**2
+    initial = prepare_interface(circle_distance(0.35), g, eps)
+    probe = (_brakke_probe(g, radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent))
+             if with_brakke_probe else None)
+    calls = Counter()
+    for name in ("rfftn", "irfftn"):
+        def counting(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+
+    def transforms(n_steps):
+        calls.clear()
+        cfg = SolverConfig(dt=dt, t_end=n_steps * dt, scheme="semi-implicit-cnab2")
+        run_flow_audit(initial, cfg, probe)
+        return calls["rfftn"] + calls["irfftn"]
+
+    assert {transforms(n) - per_step * n for n in (1, 2, 5)} == {fixed}
 
 
 def test_library_makes_no_complex_transform(monkeypatch):
@@ -276,7 +320,7 @@ def test_library_identities_reproduce_the_audit_probe_series():
     bump = radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent)
     initial = prepare_interface(circle_distance(0.35), g, eps)
     cfg = SolverConfig(dt=dt, t_end=6 * dt, scheme="semi-implicit-cnab2")
-    audit = run_flow_audit(initial, cfg, _circle_probes(g, kernel, bump))
+    audit = run_flow_audit(initial, cfg, both_probes(g, kernel, bump))
     traj, series = audit.trajectory, audit.series
     i = 3
     t = traj.times[i]
@@ -320,6 +364,22 @@ def test_audit_and_evolve_report_the_same_divergence(monkeypatch):
     assert err.time == pytest.approx(err.step * dt)
     assert 1.0 < err.max_abs < math.inf
     assert str(err).startswith(f"the flow diverged at step {err.step} ")
+
+
+@pytest.mark.parametrize("dt_factor", [1, 2, 4, 8, 16])
+def test_probed_audit_reports_a_divergence_as_the_typed_error(monkeypatch, dt_factor):
+    # the last finite fields are huge; their energy, dissipation and probe
+    # terms overflow, and under the suite's error::RuntimeWarning filter a
+    # warning from that recording would replace the typed error
+    monkeypatch.setattr(solver, "dt_limit", lambda scheme, grid, epsilon: math.inf)
+    g = Grid(dim=2, extent=1.6, points=160)
+    initial = prepare_interface(circle_distance(0.35), g, 0.05)
+    dt = dt_factor * 0.05**2
+    cfg = SolverConfig(dt=dt, t_end=8 * dt, scheme="explicit-rk2")
+    probe = both_probes(g, KernelPoint(y=(0.0, 0.0), s=cfg.t_end + 0.01, n=1),
+                        radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent))
+    with pytest.raises(FlowDivergedError):
+        run_flow_audit(initial, cfg, probe)
 
 
 def test_audit_and_evolve_share_the_step_count_rule(wave_1d):
@@ -454,8 +514,8 @@ def test_concurrent_circle_audits_equal_sequential_runs(monkeypatch):
     g, eps = config.grid, config.epsilons[0]
     scales = (1.0, 0.5, 0.25)
     initial = initial_field(config, eps)
-    probe = _circle_probes(g, KernelPoint(y=(0.0, 0.0), s=config.t_end + 0.01, n=1),
-                           radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent))
+    probe = both_probes(g, KernelPoint(y=(0.0, 0.0), s=config.t_end + 0.01, n=1),
+                        radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent))
     sequential = {
         scale: run_flow_audit(initial, config.solver_config(
             eps, dt_scale=scale, sample_every=round(config.sample_every / scale)), probe)
@@ -472,7 +532,7 @@ def test_concurrent_circle_audits_equal_sequential_runs(monkeypatch):
     for scale in scales:
         a, b = concurrent[scale], sequential[scale]
         assert a.dt == b.dt
-        for name in ("times", "energy", "dissipation"):
+        for name in ("times", "end_energies", "dissipation"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert a.series.keys() == b.series.keys()
         for name in a.series:
@@ -481,6 +541,44 @@ def test_concurrent_circle_audits_equal_sequential_runs(monkeypatch):
         assert len(a.trajectory) == len(b.trajectory)
         for fa, fb in zip(a.trajectory.frames, b.trajectory.frames):
             assert np.array_equal(fa.values, fb.values)
+
+
+@pytest.fixture(scope="module")
+def small_circle_audits():
+    """Both-probe audits of the small circle at the scenarios' two step scales."""
+    return circle_audits(config_from_dict(SMALL_CIRCLE_RAW), (1.0, 0.5))
+
+
+def test_scenario_audits_match_the_both_probe_audits(small_circle_audits):
+    # shrinking-circle's own audits: the Brakke probe on the fine one, no
+    # probe on the base one
+    config = config_from_dict(SMALL_CIRCLE_RAW)
+    g = config.grid
+    fine_job, base_job = _circle_audit_jobs(config, [(0.5, _brakke_probe(g, _circle_bump(g))),
+                                                     (1.0, None)])
+    fine, base = fine_job(), base_job()
+    both = small_circle_audits[0.5]
+    assert fine.dt == both.dt
+    assert set(fine.series) == {"brakke_mass", "brakke_rhs_gradient", "brakke_rhs_tensor"}
+    for name in fine.series:
+        assert np.array_equal(fine.series[name], both.series[name])
+    assert np.array_equal(fine.times, both.times)
+    assert np.array_equal(fine.dissipation, both.dissipation)
+    assert fine.end_energies == both.end_energies
+    assert np.array_equal(fine.trajectory.times, both.trajectory.times)
+    for fa, fb in zip(fine.trajectory.frames, both.trajectory.frames, strict=True):
+        assert np.array_equal(fa.values, fb.values)
+    assert base.series == {}
+    assert base.dissipation_defect() == small_circle_audits[1.0].dissipation_defect()
+
+
+def test_circle_scenarios_do_not_depend_on_whose_audits_they_read(small_circle_audits):
+    config = config_from_dict(SMALL_CIRCLE_RAW)
+    for run in (run_shrinking_circle, run_monotonicity_sweep):
+        own, shared = run(config), run(config, small_circle_audits)
+        assert own.checks == shared.checks
+        assert own.payload == shared.payload
+        assert own.records == shared.records
 
 
 def test_shrinking_circle_reports_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):

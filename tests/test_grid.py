@@ -1,5 +1,10 @@
+import math
+import numbers
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from acflow import Grid, ParabolicCylinder, ScalarField, Trajectory
 from acflow.io import read_field, write_field
@@ -95,3 +100,49 @@ def test_field_snapshot_roundtrip(tmp_path):
     assert back.epsilon == 0.03
     assert back.time == 0.25
     assert np.array_equal(back.values, f.values)
+
+
+# --- constructors: a valid object or a ValueError ----------------------------
+
+_NUMBERS = st.one_of(st.integers(), st.integers(-2, 40), st.floats(), st.floats(0.0, 4.0),
+                     st.integers(-2, 40).map(np.int64), st.floats(0.0, 4.0).map(np.float64))
+_ANYTHING = st.one_of(_NUMBERS, st.none(), st.booleans(), st.text(max_size=3),
+                      st.lists(st.integers(), max_size=2), st.complex_numbers(max_magnitude=2))
+_VALUES = st.one_of(
+    _ANYTHING,
+    hnp.arrays(st.sampled_from([np.float64, np.int64, np.bool_, np.complex128]),
+               st.sampled_from([(8,), (8, 8), (7,), (), (0,)]),
+               elements={"allow_nan": True, "allow_infinity": True}),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(dim=_ANYTHING, extent=_ANYTHING, points=_ANYTHING)
+def test_grid_is_valid_or_raises_value_error(dim, extent, points):
+    try:
+        g = Grid(dim=dim, extent=extent, points=points)
+    except ValueError:
+        return
+    assert not isinstance(g.dim, bool) and g.dim in (1, 2, 3)
+    assert isinstance(g.points, numbers.Integral) and not isinstance(g.points, bool)
+    assert g.points >= 8 and g.points % 2 == 0
+    assert math.isfinite(g.extent) and g.extent > 0
+    assert math.isfinite(g.cell_volume) and g.cell_volume > 0
+    assert g.shape == (g.points,) * g.dim
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(grid=st.one_of(st.sampled_from([Grid(dim=1, extent=1.0, points=8),
+                                       Grid(dim=2, extent=2.0, points=8)]), _ANYTHING),
+       values=_VALUES, epsilon=_ANYTHING, time=_ANYTHING)
+def test_scalar_field_is_valid_or_raises_value_error(grid, values, epsilon, time):
+    try:
+        f = ScalarField(grid=grid, values=values, epsilon=epsilon, time=time)
+    except ValueError:
+        return
+    assert isinstance(f.grid, Grid)
+    assert f.values.dtype == np.float64 and f.values.shape == grid.shape
+    assert np.all(np.isfinite(f.values)) and not f.values.flags.writeable
+    assert math.isfinite(f.epsilon) and f.epsilon > 0
+    assert math.isfinite(f.time)
+

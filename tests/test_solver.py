@@ -1,5 +1,9 @@
+import math
+import numbers
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acflow import (
     Grid,
@@ -238,3 +242,26 @@ def test_energy_never_increases_along_circle_run(grid_2d):
     energies = [integrate(energy_density(frame)) for frame in traj]
     drops = np.diff(energies)
     assert np.all(drops <= 1e-8 * energies[0])
+
+
+# --- constructor: a valid config or a SolverConfigError ----------------------
+
+_ANYTHING = st.one_of(st.integers(), st.integers(-2, 40), st.floats(), st.floats(0.0, 4.0),
+                      st.integers(-2, 40).map(np.int64), st.floats(0.0, 4.0).map(np.float64),
+                      st.none(), st.booleans(), st.text(max_size=3),
+                      st.lists(st.integers(), max_size=2), st.complex_numbers(max_magnitude=2))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(dt=_ANYTHING, t_end=_ANYTHING, scheme=st.one_of(st.sampled_from(SCHEMES), _ANYTHING),
+       sample_every=_ANYTHING)
+def test_solver_config_is_valid_or_raises_solver_config_error(dt, t_end, scheme, sample_every):
+    try:
+        cfg = SolverConfig(dt=dt, t_end=t_end, scheme=scheme, sample_every=sample_every)
+    except SolverConfigError:
+        return
+    assert isinstance(cfg.scheme, str) and cfg.scheme in SCHEMES
+    assert not isinstance(cfg.dt, bool) and math.isfinite(cfg.dt) and cfg.dt > 0
+    assert not isinstance(cfg.t_end, bool) and math.isfinite(cfg.t_end) and cfg.t_end >= 0
+    assert isinstance(cfg.sample_every, numbers.Integral) and not isinstance(cfg.sample_every, bool)
+    assert cfg.sample_every >= 1
