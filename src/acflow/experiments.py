@@ -205,14 +205,25 @@ def _build_config(raw: dict) -> ExperimentConfig:
     return config
 
 
+# Scenarios built for a 2-D box: shrinking-circle checks the n = 1 radius
+# law and centers its density profile at (r, 0), excess-decay prepares its
+# data from a 2-D graph distance, and inequality-ratios builds 2-D grids of
+# its own.  The other scenarios run in every dimension a Grid allows.
+_PLANAR = frozenset({"shrinking-circle", "excess-decay", "inequality-ratios"})
+
+
 def _validate_config(config: ExperimentConfig) -> None:
-    """Resolution, margin and time-step rules; every violation reported at once.
+    """Dimension, resolution, margin and time-step rules; every violation
+    reported at once.
 
     Per epsilon, the step must lie within the scheme's stability limit and
     ``t_end`` must be a whole number of steps and of ``sample_every``
     samples (:func:`solver.step_count`).
     """
     problems: list[str] = []
+    if config.scenario in _PLANAR and config.grid.dim != 2:
+        problems.append(f"{config.scenario} runs on a 2-D grid only, "
+                        f"got grid.dim={config.grid.dim}")
     h = config.grid.spacing
     for eps in config.epsilons:
         if eps < 4.0 * h:
@@ -236,7 +247,7 @@ def _validate_config(config: ExperimentConfig) -> None:
                     rule(config.solver_config(eps))
                 except SolverConfigError as exc:
                     problems.append(str(exc))
-                except OverflowError:
+                except OverflowError:  # eps**2 past the float range
                     problems.append(f"the time-step arithmetic overflows for epsilon={eps:g} "
                                     f"(spacing={h:g}, t_end={config.t_end:g})")
     if problems:
@@ -738,22 +749,11 @@ def _gaussian_probe(kernel: KernelPoint) -> Probe:
     return probe
 
 
-def _circle_bump(grid: Grid) -> TestFunction:
-    """The Brakke identity's test function in the circle audits."""
-    return radial_bump(center=(0.0,) * grid.dim, radius=0.45 * grid.extent)
-
-
-def _circle_kernel(config: ExperimentConfig) -> KernelPoint:
-    """The monotonicity identity's backward kernel in the circle audits."""
-    grid = config.grid
-    return KernelPoint(y=(0.0,) * grid.dim, s=config.t_end + config.params["kernel_lag"],
-                       n=grid.interface_dim)
-
-
-def _circle_audit_jobs(config: ExperimentConfig, plan: Sequence[tuple[float, Probe | None]],
+def _circle_audit_jobs(config: ExperimentConfig, probes: dict[float, Probe | None],
                        ) -> list[Callable[[], FlowAudit]]:
-    """One zero-argument job per ``(step scale, probe)`` of ``plan``, each
-    running one shrinking-circle flow audit from the same initial field."""
+    """One zero-argument job per step scale of ``probes``, in its order, each
+    running one shrinking-circle flow audit with that scale's probe from the
+    same initial field."""
     eps = config.epsilons[0]
     initial = initial_field(config, eps)
     # sample the stored trajectory at a fixed interval regardless of dt, so
@@ -762,43 +762,25 @@ def _circle_audit_jobs(config: ExperimentConfig, plan: Sequence[tuple[float, Pro
                     config.solver_config(eps, dt_scale=scale,
                                          sample_every=max(1, round(config.sample_every / scale))),
                     probe)
-            for scale, probe in plan]
+            for scale, probe in probes.items()]
 
 
-def _run_circle_audits(config: ExperimentConfig, dt_scales: Sequence[float],
-                       probe: Probe) -> dict[float, FlowAudit]:
-    """Shrinking-circle audits at rescaled steps, all with ``probe``, run side
-    by side (:func:`_concurrently`)."""
-    jobs = _circle_audit_jobs(config, [(scale, probe) for scale in dt_scales])
-    return dict(zip(dt_scales, _concurrently(*jobs)))
-
-
-def circle_audits(config: ExperimentConfig, dt_scales: Sequence[float]) -> dict[float, FlowAudit]:
-    """Shrinking-circle audits at rescaled steps with both identity probes
-    attached, so one set serves shrinking-circle and monotonicity-sweep."""
-    brakke = _brakke_probe(config.grid, _circle_bump(config.grid))
-    gaussian = _gaussian_probe(_circle_kernel(config))
-    return _run_circle_audits(config, dt_scales, lambda b: {**brakke(b), **gaussian(b)})
-
-
-def run_shrinking_circle(config: ExperimentConfig, audits: dict[float, FlowAudit] | None = None) -> ScenarioResult:
+def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
     grid = config.grid
     eps = config.epsilons[0]
     radius = config.params["radius"]
-    # the fine and the base step scale; the fine audit is the longest, so it
-    # is submitted first
-    scales = (0.5, 1.0) if audits is None else (min(audits), max(audits))
-    # the fine audit feeds the Brakke checks; the base audit feeds only its
-    # dissipation defect, which needs no probe
-    fine_job, base_job = (
-        _circle_audit_jobs(config, [(scales[0], _brakke_probe(grid, _circle_bump(grid))),
-                                    (scales[1], None)])
-        if audits is None else [partial(audits.__getitem__, s) for s in scales])
+    # The fine audit, at half the step, feeds the Brakke checks; it is the
+    # longest, so it is submitted first.  The base audit feeds only its
+    # dissipation defect, which needs no probe.
+    fine_scale = 0.5
+    bump = radial_bump(center=(0.0,) * grid.dim, radius=0.45 * grid.extent)
+    fine_job, base_job = _circle_audit_jobs(
+        config, {fine_scale: _brakke_probe(grid, bump), 1.0: None})
 
     # first-order-in-epsilon trend: a coarser layer tracks the circle worse
     coarse_eps = 2 * eps
     coarse_grid = Grid(dim=grid.dim, extent=config.params["coarse_extent"], points=grid.points)
-    coarse_cfg = SolverConfig(dt=config.dt_for(coarse_eps) * scales[0],
+    coarse_cfg = SolverConfig(dt=config.dt_for(coarse_eps) * fine_scale,
                               t_end=config.t_end, scheme=config.scheme,
                               sample_every=config.sample_every)
 
@@ -891,12 +873,12 @@ def run_shrinking_circle(config: ExperimentConfig, audits: dict[float, FlowAudit
     )
 
 
-def run_monotonicity_sweep(config: ExperimentConfig,
-                           audits: dict[float, FlowAudit] | None = None) -> ScenarioResult:
-    if audits is None:
-        audits = _run_circle_audits(config, (1.0, 0.5), _gaussian_probe(_circle_kernel(config)))
-    base = audits[max(audits)]
-    fine = audits[min(audits)]
+def run_monotonicity_sweep(config: ExperimentConfig) -> ScenarioResult:
+    grid = config.grid
+    kernel = KernelPoint(y=(0.0,) * grid.dim, s=config.t_end + config.params["kernel_lag"],
+                         n=grid.interface_dim)
+    fine, base = _concurrently(
+        *_circle_audit_jobs(config, dict.fromkeys((0.5, 1.0), _gaussian_probe(kernel))))
     eps = config.epsilons[0]
     burn = 10.0 * eps**2
 

@@ -135,13 +135,17 @@ def step_count(config: SolverConfig) -> int:
     """Number of steps to ``t_end``, which must be a whole number of steps
     and of samples.
 
-    ``t_end = 0`` gives 0 steps; otherwise ``n * dt`` must match ``t_end``
-    to ``1e-9`` relative, and ``n`` must be a multiple of ``sample_every``
-    so that the sampled trajectory is uniform.
+    ``t_end = 0`` gives 0 steps; otherwise ``t_end / dt`` must be finite,
+    ``n * dt`` must match ``t_end`` to ``1e-9`` relative, and ``n`` must be
+    a multiple of ``sample_every`` so that the sampled trajectory is uniform.
     """
     if config.t_end == 0:
         return 0
-    n_steps = round(config.t_end / config.dt)
+    ratio = config.t_end / config.dt
+    if not math.isfinite(ratio):
+        raise SolverConfigError(f"the time-step arithmetic overflows: t_end={config.t_end:g} "
+                                f"over dt={config.dt:g} is not a finite step count")
+    n_steps = round(ratio)
     if n_steps < 1 or abs(n_steps * config.dt - config.t_end) > 1e-9 * config.t_end:
         raise SolverConfigError(
             f"t_end={config.t_end:g} is not a whole number of steps of dt={config.dt:g}"

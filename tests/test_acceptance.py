@@ -2,7 +2,9 @@
 
 Each test prints one `ACCEPTANCE <n> <name>: PASS/FAIL` line with the
 measured values.  Scenario runs are shared across criteria through session
-fixtures (each scenario executes once per session).
+fixtures: each scenario runs once per session, through the code that
+`acflow experiment` runs.  Monotonicity-sweep (criterion 5) runs on the
+shrinking-circle default config, every other scenario on its own.
 """
 
 import numpy as np
@@ -10,13 +12,9 @@ import pytest
 
 from acflow import SolverConfig, evolve, partition_good_bad
 from acflow.experiments import (
-    circle_audits,
     default_config,
-    run_inequality_ratios,
     run_monotonicity_sweep,
-    run_no_cancellation,
     run_scenario,
-    run_shrinking_circle,
 )
 
 from conftest import standing_wave
@@ -28,10 +26,7 @@ from conftest import standing_wave
 @pytest.fixture(scope="session")
 def circle_bundle():
     cfg = default_config("shrinking-circle")
-    audits = circle_audits(cfg, (1.0, 0.5))
-    circle = run_shrinking_circle(cfg, audits)
-    mono = run_monotonicity_sweep(cfg, audits)
-    return {"circle": circle, "mono": mono}
+    return {"circle": run_scenario(cfg), "mono": run_monotonicity_sweep(cfg)}
 
 
 @pytest.fixture(scope="session")

@@ -25,17 +25,14 @@ from acflow.experiments import (
     _DEFAULTS,
     _brakke_probe,
     _circle_audit_jobs,
-    _circle_bump,
     _concurrently,
     _gaussian_probe,
-    circle_audits,
     config_from_dict,
     default_config,
     density_ratio_profile,
     initial_field,
     no_cancellation_check,
     run_flow_audit,
-    run_monotonicity_sweep,
     run_scenario,
     run_shrinking_circle,
     write_reports,
@@ -78,8 +75,7 @@ SMALL_CIRCLE_RAW = {
 
 
 def both_probes(grid, kernel, bump):
-    """The Brakke and the Gaussian probe in one, as :func:`circle_audits`
-    attaches them."""
+    """The Brakke and the Gaussian probe in one."""
     brakke, gaussian = _brakke_probe(grid, bump), _gaussian_probe(kernel)
     return lambda b: {**brakke(b), **gaussian(b)}
 
@@ -525,7 +521,8 @@ def test_concurrent_circle_audits_equal_sequential_runs(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        concurrent = circle_audits(config_from_dict(SMALL_CIRCLE_RAW), scales)
+        jobs = _circle_audit_jobs(config_from_dict(SMALL_CIRCLE_RAW), dict.fromkeys(scales, probe))
+        concurrent = dict(zip(scales, _concurrently(*jobs)))
     finally:
         sys.setswitchinterval(interval)
     assert list(concurrent) == list(scales)
@@ -541,44 +538,6 @@ def test_concurrent_circle_audits_equal_sequential_runs(monkeypatch):
         assert len(a.trajectory) == len(b.trajectory)
         for fa, fb in zip(a.trajectory.frames, b.trajectory.frames):
             assert np.array_equal(fa.values, fb.values)
-
-
-@pytest.fixture(scope="module")
-def small_circle_audits():
-    """Both-probe audits of the small circle at the scenarios' two step scales."""
-    return circle_audits(config_from_dict(SMALL_CIRCLE_RAW), (1.0, 0.5))
-
-
-def test_scenario_audits_match_the_both_probe_audits(small_circle_audits):
-    # shrinking-circle's own audits: the Brakke probe on the fine one, no
-    # probe on the base one
-    config = config_from_dict(SMALL_CIRCLE_RAW)
-    g = config.grid
-    fine_job, base_job = _circle_audit_jobs(config, [(0.5, _brakke_probe(g, _circle_bump(g))),
-                                                     (1.0, None)])
-    fine, base = fine_job(), base_job()
-    both = small_circle_audits[0.5]
-    assert fine.dt == both.dt
-    assert set(fine.series) == {"brakke_mass", "brakke_rhs_gradient", "brakke_rhs_tensor"}
-    for name in fine.series:
-        assert np.array_equal(fine.series[name], both.series[name])
-    assert np.array_equal(fine.times, both.times)
-    assert np.array_equal(fine.dissipation, both.dissipation)
-    assert fine.end_energies == both.end_energies
-    assert np.array_equal(fine.trajectory.times, both.trajectory.times)
-    for fa, fb in zip(fine.trajectory.frames, both.trajectory.frames, strict=True):
-        assert np.array_equal(fa.values, fb.values)
-    assert base.series == {}
-    assert base.dissipation_defect() == small_circle_audits[1.0].dissipation_defect()
-
-
-def test_circle_scenarios_do_not_depend_on_whose_audits_they_read(small_circle_audits):
-    config = config_from_dict(SMALL_CIRCLE_RAW)
-    for run in (run_shrinking_circle, run_monotonicity_sweep):
-        own, shared = run(config), run(config, small_circle_audits)
-        assert own.checks == shared.checks
-        assert own.payload == shared.payload
-        assert own.records == shared.records
 
 
 def test_shrinking_circle_reports_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
@@ -739,6 +698,16 @@ def _with(section, **values):
     ([_with("grid", points=10**400)], ["config.grid.points must be an integer"]),
     ([_with(None, epsilon=1e200)], ["margin", "time-step arithmetic overflows for epsilon=1e+200"]),
     ([_with("solver", t_end=1e308)], ["time-step arithmetic overflows"]),
+    ([_with(None, **scenario_raw("shrinking-circle")),
+      _with(None, grid={"dim": 1, "extent": 2.56, "points": 1024}, epsilon=0.05,
+            solver={"dt_factor": 0.25, "t_end": 0.005, "sample_every": 4})],
+     ["shrinking-circle runs on a 2-D grid only, got grid.dim=1"]),
+    ([_with(None, **scenario_raw("excess-decay")),
+      _with(None, grid={"dim": 1, "extent": 2.56, "points": 1024})],
+     ["excess-decay runs on a 2-D grid only, got grid.dim=1"]),
+    ([_with(None, **scenario_raw("inequality-ratios")),
+      _with(None, grid={"dim": 3, "extent": 1.28, "points": 256})],
+     ["inequality-ratios runs on a 2-D grid only, got grid.dim=3"]),
     ([_with(None, **scenario_raw("excess-decay", window=[0.002]))],
      ["unknown key 'window' in config.params"]),
     ([_with("solver", dt=1e-4)], ["unknown key 'dt' in config.solver"]),

@@ -116,6 +116,22 @@ def test_gaussian_density_decays_with_plane_offset(flat_wave_traj):
     assert d.value == pytest.approx(expected, rel=0.02)
 
 
+def test_gaussian_density_normalisation_for_a_two_dimensional_interface():
+    # a flat layer in a 3-D box is the 2-D one extended along a second
+    # horizontal axis; the n = 2 kernel's extra factor (4 pi tau)^(-1/2)
+    # cancels the Gaussian integral along that axis, so the n = 2 density
+    # equals the n = 1 one (a wrong power of 4 pi tau is off by 0.19)
+    tau = 0.003
+    values = {}
+    for n in (1, 2):
+        g = Grid(dim=n + 1, extent=1.28, points=64)
+        traj = Trajectory(frames=(standing_wave(g, 4 * g.spacing),), dt_sample=1.0)
+        d = gaussian_density(traj, KernelPoint(y=(0.0,) * g.dim, s=tau, n=n), 0.0)
+        assert d.support_ok
+        values[n] = d.value
+    assert values[2] == pytest.approx(values[1], rel=1e-12)
+
+
 def test_gaussian_density_of_pure_phase_is_zero():
     g = Grid(dim=2, extent=1.28, points=64)
     f = ScalarField(grid=g, values=np.ones(g.shape), epsilon=0.05)

@@ -20,7 +20,7 @@ from acflow import (
     step,
 )
 from acflow.initial_data import circle_distance, plane_pair_distance
-from acflow.solver import SCHEMES, _Stepper
+from acflow.solver import SCHEMES, _Stepper, step_count
 
 from conftest import standing_wave, circle_field, zero_crossing_radius
 
@@ -152,6 +152,12 @@ def test_evolve_rejects_nonconforming_horizon(wave_1d):
         evolve(wave_1d, SolverConfig(dt=3e-4, t_end=1e-3))
     with pytest.raises(SolverConfigError):
         evolve(wave_1d, SolverConfig(dt=1e-4, t_end=3e-4, sample_every=2))
+
+
+@pytest.mark.parametrize("dt, t_end", [(1e-300, 1e300), (5e-324, 1.0)])
+def test_step_count_rejects_a_step_ratio_past_the_float_range(dt, t_end):
+    with pytest.raises(SolverConfigError, match="time-step arithmetic overflows"):
+        step_count(SolverConfig(dt=dt, t_end=t_end))
 
 
 def test_circle_shrinks_toward_mean_curvature_radius(grid_2d):
