@@ -13,14 +13,12 @@ from .grid import (
     ScalarField,
     Trajectory,
 )
-from .operators import gradient, integrate, laplacian
 from .solver import (
     SCHEMES,
     FlowDivergedError,
     InterfaceDataError,
     SolverConfig,
     SolverConfigError,
-    ac_residual,
     evolve,
     prepare_interface,
     step,
@@ -32,12 +30,8 @@ from .diagnostics import (
     Hyperplane,
     brakke_residual,
     caccioppoli_ratio,
-    constant_one,
     diagnostics_record,
-    discrepancy,
     divergence_defect,
-    energy_density,
-    exponential_decay_profile,
     height_excess,
     radial_bump,
     sobolev_defect,
@@ -50,7 +44,6 @@ from .monotonicity import (
     KernelPoint,
     gaussian_density,
     kernel_on_grid,
-    l2_linfty_ratio,
     monotonicity_residual,
 )
 from .levelset import (
@@ -62,7 +55,6 @@ from .levelset import (
     distance_gradient_max,
     excess_decay_ratio,
     extract_graph,
-    graph_derivative_relations,
     heat_compare,
     partition_good_bad,
 )

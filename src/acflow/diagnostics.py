@@ -36,10 +36,7 @@ __all__ = [
     "GRADIENT_FLOOR",
     "Hyperplane",
     "FrameBundle",
-    "constant_one",
     "radial_bump",
-    "energy_density",
-    "discrepancy",
     "tilt_excess",
     "height_excess",
     "willmore",
@@ -53,8 +50,6 @@ __all__ = [
     "caccioppoli_ratio",
     "SobolevDefect",
     "sobolev_defect",
-    "DecayProfile",
-    "exponential_decay_profile",
     "DiagnosticsRecord",
     "diagnostics_record",
     "unit_ball_volume",
@@ -157,17 +152,6 @@ class TestFunction:
         raise NotImplementedError
 
 
-class _ConstantOne(TestFunction):
-    def value(self, grid):
-        return np.ones(grid.shape)
-
-    def gradient(self, grid):
-        return np.zeros((grid.dim,) + grid.shape)
-
-    def hessian(self, grid):
-        return np.zeros((grid.dim, grid.dim) + grid.shape)
-
-
 class _RadialProfileFunction(TestFunction):
     """phi(x) = p(rho(x)), rho the wrapped distance from ``center``."""
 
@@ -203,9 +187,6 @@ class _RadialProfileFunction(TestFunction):
         identity = np.eye(grid.dim).reshape((grid.dim, grid.dim) + (1,) * grid.dim)
         return p2 * outer + radial_ratio * (identity - outer)
 
-
-def constant_one() -> TestFunction:
-    return _ConstantOne()
 
 def radial_bump(center: Sequence[float], radius: float) -> TestFunction:
     """1 within ``radius / 2`` of ``center``, vanishing beyond ``radius``."""
@@ -286,16 +267,6 @@ def _bundles(obj: ScalarField | FrameBundle | Trajectory,
         return obj.grid, obj.times, lambda k: FrameBundle(obj.frames[k])
     b = _bundle(obj)
     return b.field.grid, [b.field.time], lambda k: b
-
-
-def energy_density(field: ScalarField) -> ScalarField:
-    """``eps |grad u|^2 / 2 + W(u)/eps``."""
-    return field.with_values(FrameBundle(field).energy_density)
-
-
-def discrepancy(field: ScalarField) -> ScalarField:
-    """``eps |grad u|^2 / 2 - W(u)/eps``; zero means equipartition."""
-    return field.with_values(FrameBundle(field).discrepancy)
 
 
 def _tilt_integrand(frame: ScalarField | FrameBundle, direction: Sequence[float]) -> np.ndarray:
@@ -607,46 +578,6 @@ def sobolev_defect(
         velocity_term=w_term**exponent,
         radius=radius,
         epsilon_scaled=field.epsilon / radius,
-    )
-
-
-@dataclass(frozen=True)
-class DecayProfile:
-    """Sups of ``|grad u|`` and ``1 - u^2`` outside a slab, raw and relative."""
-
-    grad_sup: float
-    one_minus_u2_sup: float
-    grad_sup_relative: float
-    one_minus_u2_sup_relative: float
-
-    @property
-    def relative(self) -> float:
-        return max(self.grad_sup_relative, self.one_minus_u2_sup_relative)
-
-
-def exponential_decay_profile(field: ScalarField, h: float) -> DecayProfile:
-    """Tail size of the layer over ``h <= |x_vertical| <= extent/4``.
-
-    For a flat layer this decays at least geometrically in ``h/eps``.  The
-    quarter-box bound keeps the periodic companion layer out of the sup;
-    relative values are normalized by the box-wide sups (zero for a pure
-    phase).
-    """
-    grid = field.grid
-    xv = np.broadcast_to(grid.coords()[-1], grid.shape)
-    mask = (np.abs(xv) >= h) & (np.abs(xv) <= 0.25 * grid.extent)
-    gnorm = np.sqrt(FrameBundle(field).grad_sq)
-    one_minus = 1.0 - field.values**2
-
-    g_all = float(np.max(gnorm))
-    o_all = float(np.max(np.abs(one_minus)))
-    g_tail = float(np.max(gnorm[mask])) if np.any(mask) else 0.0
-    o_tail = float(np.max(np.abs(one_minus[mask]))) if np.any(mask) else 0.0
-    return DecayProfile(
-        grad_sup=g_tail,
-        one_minus_u2_sup=o_tail,
-        grad_sup_relative=g_tail / g_all if g_all > 0 else 0.0,
-        one_minus_u2_sup_relative=o_tail / o_all if o_all > 0 else 0.0,
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field as dc_field, replace
 from functools import partial
@@ -211,14 +212,27 @@ def _build_config(raw: dict) -> ExperimentConfig:
 # its own.  The other scenarios run in every dimension a Grid allows.
 _PLANAR = frozenset({"shrinking-circle", "excess-decay", "inequality-ratios"})
 
+# Scenarios whose identity checks read centred residuals of a flow audit
+# past the burn-in (:func:`_burn_in`).
+_AUDITED = frozenset({"shrinking-circle", "monotonicity-sweep"})
+
+
+def _burn_in(eps: float) -> float:
+    """The first ``10 eps^2`` of time, which the audited identity checks
+    skip: prepared data relax onto the travelling profile over that window
+    and are not yet a flow solution."""
+    return 10.0 * eps**2
+
 
 def _validate_config(config: ExperimentConfig) -> None:
-    """Dimension, resolution, margin and time-step rules; every violation
-    reported at once.
+    """Dimension, resolution, margin, time-step and burn-in rules; every
+    violation reported at once.
 
     Per epsilon, the step must lie within the scheme's stability limit and
     ``t_end`` must be a whole number of steps and of ``sample_every``
-    samples (:func:`solver.step_count`).
+    samples (:func:`solver.step_count`).  An audited scenario also needs
+    ``t_end - dt >= 10 eps^2 + dt/2``, so that its step-``dt`` audit has a
+    centred residual past the burn-in.
     """
     problems: list[str] = []
     if config.scenario in _PLANAR and config.grid.dim != 2:
@@ -250,6 +264,19 @@ def _validate_config(config: ExperimentConfig) -> None:
                 except OverflowError:  # eps**2 past the float range
                     problems.append(f"the time-step arithmetic overflows for epsilon={eps:g} "
                                     f"(spacing={h:g}, t_end={config.t_end:g})")
+    if config.scenario in _AUDITED:
+        for eps in config.epsilons:
+            try:
+                dt, burn = config.dt_for(eps), _burn_in(eps)
+            except OverflowError:  # reported by the time-step rules
+                continue
+            last = config.t_end - dt  # the step-dt audit's last centred residual
+            # half a step of slack absorbs the round-off of the summed step times
+            if last - 0.5 * dt < burn:
+                problems.append(
+                    f"t_end - dt = {last:g} is not half a step (dt={dt:g}) past the burn-in "
+                    f"10*epsilon^2 = {burn:g} for epsilon={eps:g}, so no audited step is "
+                    f"left to check")
     if problems:
         raise ConfigError("; ".join(dict.fromkeys(problems)))
 
@@ -360,7 +387,7 @@ class CheckResult:
     claim: str
     value: float
     threshold: float
-    comparison: str  # "<=" or ">="
+    comparison: str  # a key of _COMPARISONS
     passed: bool
 
     def as_dict(self) -> dict:
@@ -374,15 +401,15 @@ class CheckResult:
         }
 
 
+_COMPARISONS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
+
+
 def check(name: str, claim: str, value: float, threshold: float, comparison: str = "<=") -> CheckResult:
-    if comparison == "<=":
-        passed = value <= threshold
-    elif comparison == ">=":
-        passed = value >= threshold
-    else:
+    compare = _COMPARISONS.get(comparison)
+    if compare is None:
         raise ValueError(f"unknown comparison {comparison!r}")
     return CheckResult(name=name, claim=claim, value=float(value), threshold=float(threshold),
-                       comparison=comparison, passed=bool(passed))
+                       comparison=comparison, passed=bool(compare(value, threshold)))
 
 
 def monotone_check(name: str, claim: str, values: Sequence[float]) -> CheckResult:
@@ -815,10 +842,9 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
 
     # Brakke identity, both forms, against the measured d/dt.  Relative to
     # the local derivative where it is genuinely nonzero (the weighted mass
-    # has flat stretches while the layer crosses the bump plateau).  The
-    # first 10 eps^2 of time are excluded: prepared data relaxes onto the
-    # traveling profile over that window and is not yet a flow solution.
-    burn = 10.0 * eps**2
+    # has flat stretches while the layer crosses the bump plateau), and past
+    # the burn-in.
+    burn = _burn_in(eps)
     mass = fine.series["brakke_mass"]
     dmass = np.abs((mass[2:] - mass[:-2]) / (2 * fine.dt))
     res_grad = centered_residuals(fine.times, mass, fine.series["brakke_rhs_gradient"])
@@ -845,7 +871,7 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
     checks = [
         check("radius_final_error", "mean-curvature-limit", radius_err, 0.02),
         check("radius_error_epsilon_trend", "mean-curvature-limit",
-              coarse_err - radius_err, 0.0, comparison=">="),
+              coarse_err - radius_err, 0.0, comparison=">"),
         check("dissipation_defect_ratio", "energy-dissipation-identity",
               defect_fine / defect_base, 0.35),
         check("brakke_gradient_form", "weighted-energy-identity", brakke_rel_grad, 0.01),
@@ -880,14 +906,14 @@ def run_monotonicity_sweep(config: ExperimentConfig) -> ScenarioResult:
     fine, base = _concurrently(
         *_circle_audit_jobs(config, dict.fromkeys((0.5, 1.0), _gaussian_probe(kernel))))
     eps = config.epsilons[0]
-    burn = 10.0 * eps**2
+    burn = _burn_in(eps)
 
     # non-increase of the kernel-weighted energy, per unit time
     values = fine.series["gauss"]
     rate = np.diff(values) / fine.dt
     worst_rise = float(np.max(rate / np.abs(values[:-1])))
 
-    # identity residuals, outside the preparation-relaxation window
+    # identity residuals, past the burn-in
     def burned(audit: FlowAudit) -> np.ndarray:
         rhs = audit.series["gauss_dissipative"] + audit.series["gauss_discrepancy"]
         return centered_residuals(audit.times, audit.series["gauss"], rhs)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .diagnostics import FrameBundle, _tilt_integrand
 from .grid import Grid, ScalarField, Trajectory, trapezoid_weights, window_weights
-from .operators import ball_mask, from_spectrum, gradient_values, spectrum, symbols, within_radius
+from .operators import ball_mask, from_spectrum, spectrum, symbols, within_radius
 from .solver import CLAMP
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "distance_function",
     "distance_gradient_max",
     "extract_graph",
-    "GraphRelationDefects",
-    "graph_derivative_relations",
     "GoodBadPartition",
     "TiltMaximalField",
     "tilt_maximal_field",
@@ -222,102 +220,6 @@ def extract_graph(traj: ScalarField | Trajectory, level: float,
         base_extent=grid.extent,
         base_spacing=grid.spacing,
     )
-
-
-def _interp_on_columns(values: np.ndarray, grid: Grid, heights: np.ndarray) -> np.ndarray:
-    """Cubic interpolation of a lattice field along each vertical column.
-
-    ``heights`` has the base shape; the result samples ``values`` at
-    (column, heights[column]).
-    """
-    n_cols = int(np.prod(heights.shape))
-    v = values.reshape(n_cols, grid.points) if grid.dim > 1 else values.reshape(1, -1)
-    axis = grid.axis()
-    h = heights.reshape(n_cols)
-    pos = (h - axis[0]) / grid.spacing
-    j = np.clip(np.floor(pos).astype(int), 1, grid.points - 3)
-    q = j - 1
-    z = pos - q
-    rows = np.arange(n_cols)
-    stencil = np.stack([v[rows, q + off] for off in range(4)], axis=1)
-    return _cubic(stencil, z).reshape(heights.shape)
-
-
-@dataclass(frozen=True)
-class GraphRelationDefects:
-    """Max deviations of the three field/graph derivative relations."""
-
-    vertical: float  # du/dx_v = (dh/ds)^-1
-    spatial: float  # du/dx_i = -(dh/ds)^-1 dh/dx_i
-    time: float  # du/dt = -(dh/dt)(dh/ds)^-1
-
-    @property
-    def maximum(self) -> float:
-        return max(self.vertical, self.spatial, self.time)
-
-
-def graph_derivative_relations(traj: ScalarField | Trajectory, level: float) -> GraphRelationDefects:
-    """Two-sided check of the graph/field derivative relations.
-
-    ``dh/ds`` comes from graphs extracted at ``level +- 1e-3`` (a genuine
-    second route, independent of the field's vertical derivative);
-    ``dh/dx_i`` and ``dh/dt`` by centered differences on the base lattice
-    and sample times.  Returns the max absolute defect of each relation
-    over commonly valid points.
-    """
-    single = isinstance(traj, ScalarField)
-    frames = [traj] if single else list(traj.frames)
-    grid = frames[0].grid
-
-    delta_s = 1e-3
-    g_mid = extract_graph(traj, level)
-    g_lo = extract_graph(traj, level - delta_s)
-    g_hi = extract_graph(traj, level + delta_s)
-    common = g_mid.valid & g_lo.valid & g_hi.valid
-    if not np.any(common):
-        raise GraphExtractionError("no commonly valid columns across the level band")
-
-    dh_ds = (g_hi.heights - g_lo.heights) / (2.0 * delta_s)
-    inv_dh_ds = 1.0 / dh_ds
-
-    vertical_defect = 0.0
-    spatial_defect = 0.0
-    time_defect = 0.0
-    n_base = grid.dim - 1
-
-    for fi, f in enumerate(frames):
-        mask = common[fi]
-        if not np.any(mask):
-            continue
-        grads = gradient_values(grid, f.values)
-        h = g_mid.heights[fi]
-        du_dv = _interp_on_columns(grads[-1], grid, h)
-        vertical_defect = max(
-            vertical_defect, float(np.max(np.abs(du_dv - inv_dh_ds[fi])[mask]))
-        )
-        for ax in range(n_base):
-            du_dx = _interp_on_columns(grads[ax], grid, h)
-            dh_dx = (np.roll(h, -1, axis=ax) - np.roll(h, 1, axis=ax)) / (2.0 * grid.spacing)
-            ax_mask = mask & np.roll(mask, -1, axis=ax) & np.roll(mask, 1, axis=ax)
-            if np.any(ax_mask):
-                defect = np.abs(du_dx + inv_dh_ds[fi] * dh_dx)
-                spatial_defect = max(spatial_defect, float(np.max(defect[ax_mask])))
-
-    if not single and len(frames) >= 3:
-        dts = traj.dt_sample
-        for fi in range(1, len(frames) - 1):
-            mask = common[fi] & common[fi - 1] & common[fi + 1]
-            if not np.any(mask):
-                continue
-            f = frames[fi]
-            du_dt_field = (frames[fi + 1].values - frames[fi - 1].values) / (2.0 * dts)
-            h = g_mid.heights[fi]
-            du_dt = _interp_on_columns(du_dt_field, grid, h)
-            dh_dt = (g_mid.heights[fi + 1] - g_mid.heights[fi - 1]) / (2.0 * dts)
-            defect = np.abs(du_dt + dh_dt * inv_dh_ds[fi])
-            time_defect = max(time_defect, float(np.max(defect[mask])))
-
-    return GraphRelationDefects(vertical=vertical_defect, spatial=spatial_defect, time=time_defect)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,7 @@ from .diagnostics import (
     stress_contraction,
     weighted_mass,
 )
-from .grid import Grid, Trajectory, window_weights
-from .operators import ball_mask
+from .grid import Grid, Trajectory
 
 __all__ = [
     "KernelPoint",
@@ -33,7 +32,6 @@ __all__ = [
     "monotonicity_terms",
     "MonotonicityResidual",
     "monotonicity_residual",
-    "l2_linfty_ratio",
 ]
 
 SUPPORT_RATIO = 1e-12
@@ -179,44 +177,3 @@ def monotonicity_residual(
         rho_tensor_term=rho_tensor,
     )
 
-
-def l2_linfty_ratio(traj: Trajectory, radius: float) -> float:
-    """Kernel-weighted spatial height mass over the space-time height mass,
-    about the origin.
-
-    The terminal time is one sampling interval past the last frame.
-    Numerator: ``int_{B_{r/2}} w^2 Phi dmu`` at lag ``max(r^2/4, 25 h^2)``
-    before the terminal time (keeping the kernel resolvable); denominator:
-    ``r^{-n-2}`` times the height mass over the backward cylinder.  Pure
-    phases give 0 by convention.
-    """
-    grid = traj.grid
-    n = grid.interface_dim
-    c = (0.0,) * grid.dim
-    terminal = float(traj.times[-1]) + traj.dt_sample
-    lag = max(radius**2 / 4.0, 25.0 * grid.spacing**2)
-    i, frame = traj.frame_nearest(terminal - lag)
-    tau = terminal - frame.time
-    if tau <= 0:
-        raise ValueError("no sampled time precedes the terminal time by the required lag")
-
-    kp = KernelPoint(y=tuple(c), s=terminal, n=n)
-    phi = kernel_on_grid(kp, grid, frame.time)
-    # vertical coordinate relative to the center, wrapped
-    w = np.broadcast_to(grid.displacement(c)[-1], grid.shape)
-    dens = FrameBundle(frame).energy_density
-    half = ball_mask(grid, c, 0.5 * radius)
-    numerator = float(np.sum((w * w * phi * dens)[half]) * grid.cell_volume)
-
-    inside, weights = window_weights(traj.times, terminal - radius**2, terminal, traj.dt_sample)
-    if len(inside) < 2:
-        raise ValueError("trajectory does not cover the backward time window")
-    full = ball_mask(grid, c, radius)
-    vals = np.array([
-        float(np.sum((w * w * FrameBundle(traj[i]).energy_density)[full]) * grid.cell_volume)
-        for i in inside
-    ])
-    denominator = float(np.sum(vals * weights)) / radius ** (n + 2)
-    if denominator == 0.0:
-        return 0.0
-    return numerator / denominator

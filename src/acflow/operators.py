@@ -30,22 +30,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Grid, ParabolicCylinder, ScalarField, Trajectory, window_weights
+from .grid import Grid, ParabolicCylinder, window_weights
 
 __all__ = [
     "Symbols",
     "symbols",
     "spectrum",
     "from_spectrum",
-    "gradient",
     "gradient_values",
     "gradient_from_hat",
-    "laplacian",
     "laplacian_values",
     "laplacian_from_hat",
     "within_radius",
     "ball_mask",
-    "integrate",
     "integrate_values",
 ]
 
@@ -119,11 +116,6 @@ def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     return gradient_from_hat(grid, spectrum(grid, values))
 
 
-def gradient(field: ScalarField) -> tuple[ScalarField, ...]:
-    g = gradient_values(field.grid, field.values)
-    return tuple(field.with_values(g[ax]) for ax in range(field.grid.dim))
-
-
 def laplacian_from_hat(grid: Grid, u_hat: np.ndarray) -> np.ndarray:
     """Spectral Laplacian of the field with half spectrum ``u_hat``."""
     return from_spectrum(grid, symbols(grid).neg_k2 * u_hat)
@@ -131,10 +123,6 @@ def laplacian_from_hat(grid: Grid, u_hat: np.ndarray) -> np.ndarray:
 
 def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     return laplacian_from_hat(grid, spectrum(grid, values))
-
-
-def laplacian(field: ScalarField) -> ScalarField:
-    return field.with_values(laplacian_values(field.grid, field.values))
 
 
 def within_radius(d2: np.ndarray, radius: float) -> np.ndarray:
@@ -191,16 +179,3 @@ def integrate_values(
     return [float(sums[0] if len(times) == 1 else np.sum(np.array(sums) * weights))
             for (_, _, weights), sums in zip(rules, spatial)]
 
-
-def integrate(
-    density: ScalarField | Trajectory,
-    region: ParabolicCylinder | None = None,
-) -> float:
-    """Quadrature of a density field (spatial) or trajectory (space-time).
-
-    Whole-box spatial quadrature is exact for trigonometric polynomials;
-    masked ball quadrature is first-order in the spacing.
-    """
-    frames = [density] if isinstance(density, ScalarField) else density.frames
-    return integrate_values(density.grid, [f.time for f in frames],
-                            lambda k: frames[k].values, [region])[0]

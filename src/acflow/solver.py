@@ -46,7 +46,6 @@ __all__ = [
     "FlowDivergedError",
     "validate_config",
     "step_count",
-    "ac_residual",
     "ac_residual_values",
     "step",
     "march",
@@ -165,10 +164,6 @@ def ac_residual_values(field: ScalarField, lap: np.ndarray | None = None) -> np.
     if lap is None:
         lap = laplacian_values(field.grid, field.values)
     return lap - well_derivative(field.values) / field.epsilon**2
-
-
-def ac_residual(field: ScalarField) -> ScalarField:
-    return field.with_values(ac_residual_values(field))
 
 
 class _Stepper:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from acflow import Grid, ScalarField, prepare_interface
+from acflow.diagnostics import TestFunction
 from acflow.initial_data import circle_distance, plane_pair_distance
 
 
@@ -23,6 +24,22 @@ def standing_wave(grid: Grid, epsilon: float) -> ScalarField:
 
 def circle_field(grid: Grid, epsilon: float, radius: float) -> ScalarField:
     return prepare_interface(circle_distance(radius), grid, epsilon)
+
+
+class _ConstantOne(TestFunction):
+    def value(self, grid):
+        return np.ones(grid.shape)
+
+    def gradient(self, grid):
+        return np.zeros((grid.dim,) + grid.shape)
+
+    def hessian(self, grid):
+        return np.zeros((grid.dim, grid.dim) + grid.shape)
+
+
+def constant_one() -> TestFunction:
+    """The weight 1, whose gradient and Hessian vanish."""
+    return _ConstantOne()
 
 
 @pytest.fixture(scope="session")

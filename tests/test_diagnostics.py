@@ -4,6 +4,7 @@ from scipy import integrate as scipy_integrate
 
 from acflow import (
     WAVE_ENERGY,
+    FrameBundle,
     Grid,
     Hyperplane,
     ParabolicCylinder,
@@ -11,14 +12,9 @@ from acflow import (
     SolverConfig,
     brakke_residual,
     caccioppoli_ratio,
-    constant_one,
     diagnostics_record,
-    discrepancy,
     divergence_defect,
-    energy_density,
     evolve,
-    exponential_decay_profile,
-    integrate,
     radial_bump,
     sobolev_defect,
     stress_energy,
@@ -27,10 +23,10 @@ from acflow import (
     willmore,
 )
 from acflow.io import DIAGNOSTICS_COLUMNS, write_diagnostics_csv
-from acflow.operators import gradient_values
+from acflow.operators import gradient_values, integrate_values
 from acflow.solver import ac_residual_values
 
-from conftest import standing_wave, circle_field
+from conftest import standing_wave, circle_field, constant_one
 
 
 def dirichlet_mass(field, mask=None):
@@ -48,7 +44,7 @@ def test_energy_density_peak_of_standing_wave():
     # eps |u'|^2/2 + W(u)/eps at the crossing = 1/(2 eps) + 1/(2 eps)
     g = Grid(dim=1, extent=2.56, points=1024)
     wave = standing_wave(g, 0.1)
-    dens = energy_density(wave).values
+    dens = FrameBundle(wave).energy_density
     i0 = np.argmin(np.abs(g.axis()))
     assert dens[i0] == pytest.approx(10.0, rel=1e-6)
 
@@ -57,7 +53,7 @@ def test_energy_density_vanishes_in_wells():
     g = Grid(dim=2, extent=1.0, points=32)
     for val in (-1.0, 1.0):
         f = ScalarField(grid=g, values=np.full(g.shape, val), epsilon=0.1)
-        assert np.max(energy_density(f).values) < 1e-12
+        assert np.max(FrameBundle(f).energy_density) < 1e-12
 
 
 def test_line_energy_equals_wave_energy(wave_1d):
@@ -65,7 +61,7 @@ def test_line_energy_equals_wave_energy(wave_1d):
     alpha, _ = scipy_integrate.quad(lambda s: 1.0 - s * s, -1.0, 1.0)
     g = wave_1d.grid
     window = np.abs(g.axis()) <= 0.25 * g.extent
-    dens = energy_density(wave_1d).values
+    dens = FrameBundle(wave_1d).energy_density
     measured = float(np.sum(dens[window]) * g.spacing)
     assert measured == pytest.approx(alpha, abs=1e-6)
     assert alpha == pytest.approx(WAVE_ENERGY, abs=1e-15)
@@ -74,13 +70,13 @@ def test_line_energy_equals_wave_energy(wave_1d):
 def test_discrepancy_of_wave_and_constants():
     g = Grid(dim=1, extent=2.56, points=1024)
     wave = standing_wave(g, 0.05)
-    assert np.max(np.abs(discrepancy(wave).values)) < 1e-8
+    assert np.max(np.abs(FrameBundle(wave).discrepancy)) < 1e-8
 
     zero = ScalarField(grid=g, values=np.zeros(g.shape), epsilon=0.1)
-    assert np.allclose(discrepancy(zero).values, -5.0, atol=1e-12)
+    assert np.allclose(FrameBundle(zero).discrepancy, -5.0, atol=1e-12)
 
     one = ScalarField(grid=g, values=np.ones(g.shape), epsilon=0.1)
-    assert np.max(np.abs(discrepancy(one).values)) < 1e-12
+    assert np.max(np.abs(FrameBundle(one).discrepancy)) < 1e-12
 
 
 # --- tilt excess -----------------------------------------------------------
@@ -271,7 +267,8 @@ def test_brakke_residual_vanishes_on_standing_wave(grid_1d):
     traj = evolve(wave, cfg)
     phi = radial_bump(center=(0.0,), radius=0.5)
     res = brakke_residual(traj, phi, traj.times[2])
-    scale = integrate(energy_density(wave)) / dt
+    scale = integrate_values(grid_1d, [wave.time], lambda k: FrameBundle(wave).energy_density,
+                             [None])[0] / dt
     assert res.residual_gradient_form < 1e-8 * scale
     assert res.residual_tensor_form < 1e-8 * scale
 
@@ -371,29 +368,12 @@ def test_sobolev_defect_circle_dominated_by_curvature():
     assert diffs[0] == pytest.approx(oracles[0], rel=0.25)
 
 
-def test_exponential_decay_profile(wave_1d):
-    eps = wave_1d.epsilon
-    prof = exponential_decay_profile(wave_1d, 5 * eps)
-    assert prof.relative <= 4 * np.exp(-2 * 5)
-    assert exponential_decay_profile(wave_1d, 0.0).relative == pytest.approx(1.0)
-    g = wave_1d.grid
-    one = ScalarField(grid=g, values=np.ones(g.shape), epsilon=eps)
-    assert exponential_decay_profile(one, 0.1).relative == 0.0
-
-
-def test_decay_profile_shrinks_geometrically(wave_1d):
-    eps = wave_1d.epsilon
-    values = [exponential_decay_profile(wave_1d, k * eps).relative for k in (2, 4, 6)]
-    assert values[1] < values[0] * np.exp(-2)
-    assert values[2] < values[1] * np.exp(-2)
-
-
 def test_nonpositive_discrepancy_bounds_dirichlet_by_energy(wave_2d):
     # eps |grad u|^2 = energy + discrepancy <= 2 * energy when xi <= 0
     grad = gradient_values(wave_2d.grid, wave_2d.values)
     dirichlet = wave_2d.epsilon * np.sum(grad * grad, axis=0)
-    dens = energy_density(wave_2d).values
-    xi = discrepancy(wave_2d).values
+    b = FrameBundle(wave_2d)
+    dens, xi = b.energy_density, b.discrepancy
     mask = xi <= 0
     assert np.all(dirichlet[mask] <= 2 * dens[mask] + 1e-14)
 

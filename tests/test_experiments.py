@@ -452,9 +452,7 @@ def test_total_variation_matches_energy_mass(wave_1d):
     window = np.abs(g.axis()) <= 0.25 * g.extent
     grad = gradient_values(g, wave_1d.values)[0]
     tv = float(np.sum(np.abs(grad)[window]) * g.spacing)
-    from acflow import energy_density
-
-    mass = float(np.sum(energy_density(wave_1d).values[window]) * g.spacing)
+    mass = float(np.sum(FrameBundle(wave_1d).energy_density[window]) * g.spacing)
     assert WAVE_ENERGY * tv == pytest.approx(2.0 * mass, abs=1e-8)
     assert WAVE_ENERGY * tv == pytest.approx(8.0 / 3.0, abs=1e-6)
 
@@ -677,6 +675,18 @@ def _with(section, **values):
     return mutate
 
 
+def _short_circle(scenario):
+    """A small circle whose t_end leaves no audited step past the 10 eps^2
+    burn-in (t_end - dt = 0.011875 < 0.025)."""
+    return _with(None, scenario=scenario, grid={"dim": 2, "extent": 1.6, "points": 160},
+                 epsilon=0.05, solver={"dt_factor": 0.25, "t_end": 0.0125, "sample_every": 5},
+                 params={"radius": 0.35})
+
+
+_SHORT_CIRCLE_ERROR = ("t_end - dt = 0.011875 is not half a step (dt=0.000625) past the burn-in "
+                       "10*epsilon^2 = 0.025 for epsilon=0.05")
+
+
 @pytest.mark.parametrize("mutations, expected", [
     ([_without(None, "epsilon")], ["missing key 'epsilon'"]),
     ([_with("grid", points=513)], ["points must be even"]),
@@ -711,6 +721,8 @@ def _with(section, **values):
     ([_with(None, **scenario_raw("excess-decay", window=[0.002]))],
      ["unknown key 'window' in config.params"]),
     ([_with("solver", dt=1e-4)], ["unknown key 'dt' in config.solver"]),
+    ([_short_circle("shrinking-circle")], [_SHORT_CIRCLE_ERROR]),
+    ([_short_circle("monotonicity-sweep")], [_SHORT_CIRCLE_ERROR]),
     ([_without("solver", "dt_factor")], ["missing key 'dt_factor' in config.solver"]),
 ])
 def test_cli_reports_every_config_error_at_load(tmp_path, capsys, mutations, expected):

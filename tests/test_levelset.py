@@ -13,13 +13,12 @@ from acflow import (
     evolve,
     excess_decay_ratio,
     extract_graph,
-    graph_derivative_relations,
     heat_compare,
     partition_good_bad,
     prepare_interface,
 )
 from acflow.diagnostics import _tilt_integrand
-from acflow.initial_data import graph_pair_distance, graph_profile, plane_pair_distance, sine_mode
+from acflow.initial_data import graph_pair_distance, graph_profile, sine_mode
 from acflow.levelset import _maximal_field, tilt_maximal_field
 from acflow.operators import integrate_values
 
@@ -120,48 +119,6 @@ def test_extraction_rejects_pure_phase():
     f = ScalarField(grid=g, values=np.ones(64), epsilon=0.1)
     with pytest.raises(GraphExtractionError):
         extract_graph(f, level=0.0)
-
-
-# --- derivative relations ----------------------------------------------------
-
-
-def test_derivative_relations_on_standing_wave():
-    # box large enough that the companion fold is 10 eps out; fine spacing
-    # keeps the column-interpolation wiggle below the level-band difference
-    g = Grid(dim=1, extent=4.0, points=3200)
-    wave = standing_wave(g, 0.1)
-    defects = graph_derivative_relations(wave, level=0.25)
-    assert defects.vertical < 1e-5
-    assert defects.spatial < 1e-5
-    assert defects.time == 0.0
-
-
-def test_derivative_relations_on_gentle_slope():
-    g = Grid(dim=2, extent=1.28, points=512)
-    slope = 0.05
-    mode = sine_mode(slope * 1.28 / (2 * np.pi), 1, 1.28, phase=-np.pi / 2)
-    dist = graph_pair_distance(1.28, [mode])
-    field = prepare_interface(dist, g, 0.02)
-    defects = graph_derivative_relations(field, level=0.3)
-    assert defects.vertical < 1e-3 * (1 / 0.02)  # relative to the 1/eps scale
-    assert defects.spatial < 1e-3 * (1 / 0.02)
-
-
-def test_time_relation_improves_under_refinement():
-    # moving single-mode interface; the time relation defect shrinks when
-    # spacing and sampling interval are refined together
-    defects = []
-    for n, sample_every in ((128, 10), (256, 5)):
-        g = Grid(dim=2, extent=1.28, points=n)
-        eps = 0.04
-        dist = graph_pair_distance(1.28, [sine_mode(0.01, 1, 1.28)])
-        field = prepare_interface(dist, g, eps)
-        dt = 2e-5
-        cfg = SolverConfig(dt=dt, t_end=40 * dt, scheme="semi-implicit-cnab2",
-                           sample_every=sample_every)
-        traj = evolve(field, cfg)
-        defects.append(graph_derivative_relations(traj, level=0.0).time)
-    assert defects[1] < defects[0]
 
 
 # --- parabolic maximal function ---------------------------------------------

@@ -8,17 +8,13 @@ from acflow import (
     SolverConfig,
     Trajectory,
     WAVE_ENERGY,
-    energy_density,
     evolve,
     gaussian_density,
     kernel_on_grid,
-    l2_linfty_ratio,
     monotonicity_residual,
     radial_bump,
 )
-from acflow.operators import ball_mask
-
-from conftest import standing_wave, circle_field
+from conftest import standing_wave
 
 
 # --- kernel ----------------------------------------------------------------
@@ -203,53 +199,3 @@ def test_residual_rejects_endpoints(circle_traj_short):
     kp = KernelPoint(y=(0.0, 0.0), s=traj.times[-1] + 0.01, n=1)
     with pytest.raises(ValueError):
         monotonicity_residual(traj, kp, traj.times[0])
-
-
-# --- L2-Linfty ratio ---------------------------------------------------------
-
-
-def test_l2_linfty_pure_phase_returns_zero():
-    g = Grid(dim=2, extent=1.28, points=64)
-    frames = tuple(
-        ScalarField(grid=g, values=np.ones(g.shape), epsilon=0.05, time=0.01 * i)
-        for i in range(8)
-    )
-    traj = Trajectory(frames=frames, dt_sample=0.01)
-    assert l2_linfty_ratio(traj, radius=0.2) == 0.0
-
-
-def test_l2_linfty_stable_across_epsilon():
-    ratios = []
-    for eps, n in ((0.05, 256), (0.025, 512)):
-        g = Grid(dim=2, extent=1.28, points=n)
-        wave = standing_wave(g, eps)
-        dt_target = 0.125 * eps**2
-        steps = int(np.ceil(0.045 / dt_target))
-        steps += -steps % 15
-        dt = 0.045 / steps
-        cfg = SolverConfig(dt=dt, t_end=0.045, scheme="semi-implicit-cnab2",
-                           sample_every=steps // 15)
-        traj = evolve(wave, cfg)
-        ratios.append(l2_linfty_ratio(traj, radius=0.2))
-    assert all(np.isfinite(r) and r > 0 for r in ratios)
-    assert max(ratios) / min(ratios) < 2.0
-
-
-def test_l2_linfty_masses_grow_with_interface_offset():
-    # translate the layer upward: both sides of the ratio gain height mass
-    g = Grid(dim=2, extent=1.28, points=256)
-    eps = 0.05
-    numerators, denominators = [], []
-    for shift_cells in (0, 8, 16):
-        wave = standing_wave(g, eps)
-        shifted = wave.with_values(np.roll(wave.values, shift_cells, axis=-1))
-        xv = np.broadcast_to(g.coords()[-1], g.shape)
-        dens = energy_density(shifted).values
-        kp = KernelPoint(y=(0.0, 0.0), s=0.01, n=1)
-        phi = kernel_on_grid(kp, g, 0.0)
-        inner = ball_mask(g, (0.0, 0.0), 0.1)
-        outer = ball_mask(g, (0.0, 0.0), 0.2)
-        numerators.append(float(np.sum((xv**2 * phi * dens)[inner])))
-        denominators.append(float(np.sum((xv**2 * dens)[outer])))
-    assert numerators[0] < numerators[1] < numerators[2]
-    assert denominators[0] < denominators[1] < denominators[2]

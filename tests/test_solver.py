@@ -8,19 +8,17 @@ from hypothesis import given, settings, strategies as st
 from acflow import (
     Grid,
     ScalarField,
+    FrameBundle,
     SolverConfig,
     SolverConfigError,
     InterfaceDataError,
-    ac_residual,
-    energy_density,
-    discrepancy,
     evolve,
-    integrate,
     prepare_interface,
     step,
 )
-from acflow.initial_data import circle_distance, plane_pair_distance
-from acflow.solver import SCHEMES, _Stepper, step_count
+from acflow.initial_data import plane_pair_distance
+from acflow.operators import integrate_values
+from acflow.solver import SCHEMES, _Stepper, ac_residual_values, step_count
 
 from conftest import standing_wave, circle_field, zero_crossing_radius
 
@@ -31,23 +29,23 @@ from conftest import standing_wave, circle_field, zero_crossing_radius
 def test_residual_vanishes_on_standing_wave(wave_1d):
     # interior = near the studied layer, away from the saturated fold of the
     # companion construction
-    r = ac_residual(wave_1d)
+    r = ac_residual_values(wave_1d)
     x = wave_1d.grid.axis()
     inner = np.abs(x) <= wave_1d.grid.extent / 8
-    assert np.max(np.abs(r.values[inner])) < 1e-7
+    assert np.max(np.abs(r[inner])) < 1e-7
 
 
 def test_residual_vanishes_in_pure_phase():
     g = Grid(dim=2, extent=1.0, points=32)
     f = ScalarField(grid=g, values=np.ones(g.shape), epsilon=0.1)
-    assert np.max(np.abs(ac_residual(f).values)) < 1e-12
+    assert np.max(np.abs(ac_residual_values(f))) < 1e-12
 
 
 def test_residual_matches_hand_value_on_constant():
     # d/du of the double well at 0.5 is -2*0.5*(1-0.25) = -0.75
     g = Grid(dim=1, extent=1.0, points=32)
     f = ScalarField(grid=g, values=np.full(32, 0.5), epsilon=1.0)
-    assert np.allclose(ac_residual(f).values, 0.75, atol=1e-12)
+    assert np.allclose(ac_residual_values(f), 0.75, atol=1e-12)
 
 
 # --- stepping --------------------------------------------------------------
@@ -186,7 +184,7 @@ def test_prepared_circle_vanishes_on_the_circle(grid_2d):
 
 
 def test_prepared_data_has_nonpositive_discrepancy(wave_1d):
-    xi = discrepancy(wave_1d).values
+    xi = FrameBundle(wave_1d).discrepancy
     assert np.max(xi) <= 1e-8 / wave_1d.epsilon
 
 
@@ -194,7 +192,7 @@ def test_prepared_circle_discrepancy_bound_when_resolved():
     # the pointwise bound needs the layer resolved (>= 8 cells per epsilon)
     g = Grid(dim=2, extent=1.2, points=512)
     f = circle_field(g, epsilon=0.02, radius=0.35)
-    xi = discrepancy(f).values
+    xi = FrameBundle(f).discrepancy
     assert np.max(xi) <= 1e-8 / f.epsilon
 
 
@@ -202,8 +200,9 @@ def test_circle_run_discrepancy_stays_small(grid_2d):
     # at the production resolution (~4 cells per epsilon) the excursions stay
     # three orders below the peak energy density
     f = circle_field(grid_2d, epsilon=0.02, radius=0.35)
-    xi_max = np.max(discrepancy(f).values)
-    dens_max = np.max(energy_density(f).values)
+    b = FrameBundle(f)
+    xi_max = np.max(b.discrepancy)
+    dens_max = np.max(b.energy_density)
     assert xi_max <= 1e-3 * dens_max
 
 
@@ -245,7 +244,9 @@ def test_energy_never_increases_along_circle_run(grid_2d):
     f = circle_field(grid_2d, epsilon=0.02, radius=0.35)
     cfg = SolverConfig(dt=1e-4, t_end=0.01, scheme="semi-implicit-cnab2", sample_every=10)
     traj = evolve(f, cfg)
-    energies = [integrate(energy_density(frame)) for frame in traj]
+    energies = [integrate_values(frame.grid, [frame.time],
+                                 lambda k: FrameBundle(frame).energy_density, [None])[0]
+                for frame in traj]
     drops = np.diff(energies)
     assert np.all(drops <= 1e-8 * energies[0])
 
