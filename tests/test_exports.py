@@ -2,15 +2,21 @@
 
 A name in a module's ``__all__`` must be loaded somewhere in ``src/acflow``
 outside its own definition and ``__init__.py``, or somewhere in
-``bench/*.py``.  A load is a bare name (``evolve(...)``) or an attribute of
-a module (``operators.gradient_values``).  Tests do not count: a public
-function that only tests call feeds no scenario, no command and no probe.
+``bench/*.py``.  A load is a bare name (``evolve(...)``) that no enclosing
+function binds as a parameter or local, or an attribute of a module
+(``operators.gradient_values``), the module named directly or through an
+alias (``from . import solver as solver_mod``).  Tests do not count: a
+public function that only tests call feeds no scenario, no command and no
+probe.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_SCOPES = _FUNCTIONS + (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
 def _parse(path: Path) -> ast.Module:
@@ -25,32 +31,81 @@ def _exports(tree: ast.Module) -> list[str]:
     return []
 
 
+def _module_aliases(tree: ast.Module, module_names: set[str]) -> set[str]:
+    """The package's module names, plus every alias this file binds to one."""
+    aliases = set(module_names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            ours = node.level > 0 or (node.module or "").split(".")[0] == "acflow"
+            names = [(a.asname, a.name) for a in node.names] if ours else []
+        elif isinstance(node, ast.Import):
+            names = [(a.asname, a.name.split(".")[-1]) for a in node.names
+                     if a.name.split(".")[0] == "acflow"]
+        else:
+            continue
+        aliases |= {asname for asname, name in names if asname and name in module_names}
+    return aliases
+
+
+def _local_names(scope: ast.AST) -> set[str]:
+    """Names a function (or comprehension) binds itself: its parameters and
+    the names it assigns, not counting nested scopes or names it declares
+    ``global``/``nonlocal``.  Imports do not count: importing an exported
+    name inside a function is a use of it."""
+    bound, free = set(), set()
+    if isinstance(scope, _FUNCTIONS):
+        args = scope.args
+        bound |= {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        bound |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+        body = scope.body if isinstance(scope.body, list) else [scope.body]
+    else:
+        body = [g.target for g in scope.generators]
+    todo = list(body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            bound.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            free.update(node.names)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        if not isinstance(node, _SCOPES + (ast.ClassDef,)):
+            todo.extend(ast.iter_child_nodes(node))
+    return bound - free
+
+
+def _loaded(node: ast.AST, modules: set[str], shadowed: frozenset[str]) -> set[str]:
+    """Names loaded under ``node``, skipping bare names bound by an
+    enclosing function."""
+    if isinstance(node, _SCOPES):
+        shadowed = shadowed | _local_names(node)
+    names = set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in shadowed:
+        names.add(node.id)
+    elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+          and isinstance(node.value, ast.Name) and node.value.id in modules):
+        names.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        names |= _loaded(child, modules, shadowed)
+    return names
+
+
 def _loads(tree: ast.Module, module_names: set[str]) -> list[tuple[str | None, set[str]]]:
     """Per top-level statement, the name it defines (``None`` for anything but
     a ``def`` or ``class``) and the names loaded in it."""
-    out = []
-    for node in tree.body:
-        owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
-        names = set()
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                names.add(sub.id)
-            elif (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
-                  and isinstance(sub.value, ast.Name) and sub.value.id in module_names):
-                names.add(sub.attr)
-        out.append((owner, names))
-    return out
+    modules = _module_aliases(tree, module_names)
+    return [(node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None,
+             _loaded(node, modules, frozenset()))
+            for node in tree.body]
 
 
-def unused_exports() -> list[str]:
-    """``module.name`` for every exported name that nothing loads."""
-    package = ROOT / "src" / "acflow"
-    modules = {p.stem: _parse(p) for p in sorted(package.glob("*.py")) if p.stem != "__init__"}
-    bench = [_parse(p) for p in sorted((ROOT / "bench").glob("*.py"))]
+def _unused(modules: dict[str, ast.Module], others: list[ast.Module]) -> list[str]:
+    """``module.name`` for every name in a module's ``__all__`` that no other
+    definition in ``modules`` and nothing in ``others`` loads."""
     module_names = set(modules) | {"acflow"}
     loads = [(m, owner, names) for m, tree in modules.items()
              for owner, names in _loads(tree, module_names)]
-    loads += [(None, None, names) for tree in bench for _, names in _loads(tree, module_names)]
+    loads += [(None, None, names) for tree in others for _, names in _loads(tree, module_names)]
     unused = []
     for mod, tree in modules.items():
         for name in _exports(tree):
@@ -60,7 +115,31 @@ def unused_exports() -> list[str]:
     return unused
 
 
+def unused_exports() -> list[str]:
+    """``module.name`` for every exported name that nothing loads."""
+    package = ROOT / "src" / "acflow"
+    modules = {p.stem: _parse(p) for p in sorted(package.glob("*.py")) if p.stem != "__init__"}
+    return _unused(modules, [_parse(p) for p in sorted((ROOT / "bench").glob("*.py"))])
+
+
 def test_every_export_is_used_outside_the_tests():
     unused = unused_exports()
     assert not unused, f"exported, but loaded only by tests: {', '.join(unused)}"
 
+
+def test_a_shadowing_local_is_not_a_use_and_an_aliased_module_is():
+    exporter = ast.parse('__all__ = ["discrepancy", "step", "energy"]\n'
+                         "def discrepancy(u):\n    return u\n"
+                         "def step(u):\n    return u\n"
+                         "def energy(u):\n    return u\n")
+    user = ast.parse("from . import diag as diag_mod\n"
+                     "def terms(u, step):\n"
+                     "    discrepancy = u * u\n"
+                     "    total = [discrepancy for discrepancy in u]\n"
+                     "    return discrepancy + step(u) + sum(total)\n"
+                     "def advance(u):\n"
+                     "    return diag_mod.energy(u)\n")
+    assert _unused({"diag": exporter, "user": user}, []) == ["diag.discrepancy", "diag.step"]
+    # a bare load outside any binding function is a use
+    caller = ast.parse("def run(u):\n    return discrepancy(u) + step(u)\n")
+    assert _unused({"diag": exporter, "user": user}, [caller]) == []

@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from acflow import Grid, ParabolicCylinder, ScalarField, Trajectory
 from acflow.levelset import dyadic_radii
-from acflow.operators import ball_mask, gradient_values, integrate_values, laplacian_values
+from acflow.operators import (ball_mask, gradient_values, integrate_values, laplacian_values,
+                              spectrum)
 
 from conftest import standing_wave
 
@@ -79,6 +83,54 @@ def test_real_spectral_path_matches_complex_oracle(dim, points):
     lap, lap_ref = laplacian_values(g, values), complex_laplacian(g, values)
     assert np.max(np.abs(grad - grad_ref)) <= 1e-13 * np.max(np.abs(grad_ref))
     assert np.max(np.abs(lap - lap_ref)) <= 1e-13 * np.max(np.abs(lap_ref))
+
+
+@pytest.mark.parametrize("dim, points", [(2, 512), (3, 48)])
+def test_spectrum_is_numpys_rfftn_in_a_fresh_array(dim, points):
+    # the axis passes run in one output array: the rfft pass, then one
+    # in-place complex pass per leading axis (two of them in 3-D)
+    g = Grid(dim=dim, extent=1.3, points=points)
+    values = np.random.default_rng(points).standard_normal(g.shape)
+    first, second = spectrum(g, values), spectrum(g, values)
+    assert np.array_equal(first, np.fft.rfftn(values, s=g.shape, axes=tuple(range(dim))))
+    assert first.shape == g.shape[:-1] + (points // 2 + 1,)
+    assert first.dtype == np.complex128
+    assert first.flags.c_contiguous and first.flags.writeable
+    assert not np.shares_memory(first, second)
+
+
+def _fft_loads(tree: ast.Module) -> list[int]:
+    """Lines that load ``numpy.fft``: ``np.fft`` through any alias of numpy,
+    ``import numpy.fft`` and ``from numpy import fft`` / ``from numpy.fft import ...``."""
+    numpy_names = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for a in node.names if a.name == "numpy"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "fft" and (
+                isinstance(node.value, ast.Name) and node.value.id in numpy_names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(a.name.startswith("numpy.fft") for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (
+                (node.module or "").startswith("numpy.fft")
+                or (node.module == "numpy" and any(a.name == "fft" for a in node.names))):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_numpy_fft_is_loaded_only_in_operators():
+    package = Path(__file__).resolve().parents[1] / "src" / "acflow"
+    found = [f"{p.name}:{line}" for p in sorted(package.glob("*.py")) if p.name != "operators.py"
+             for line in _fft_loads(ast.parse(p.read_text(encoding="utf-8")))]
+    assert not found, f"numpy.fft outside operators.py: {', '.join(found)}"
+    assert _fft_loads(ast.parse((package / "operators.py").read_text(encoding="utf-8")))
+
+
+def test_fft_guard_sees_every_way_to_load_numpy_fft():
+    for source in ["import numpy as np\nnp.fft.rfftn(x)", "import numpy\nnumpy.fft.fftn(x)",
+                   "import numpy.fft", "from numpy import fft", "from numpy.fft import rfftn"]:
+        assert _fft_loads(ast.parse(source)), source
+    assert not _fft_loads(ast.parse("import numpy as np\nnp.linalg.norm(x)\nfft = 1"))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -145,6 +145,31 @@ def test_evolve_standing_wave_stays_put(grid_1d):
         assert np.max(np.abs(frame.values - wave.values)) < 1e-6
 
 
+@pytest.mark.parametrize("normal_axis", [0, 2])
+def test_flat_layer_in_3d_follows_its_1d_flow_to_round_off(normal_axis):
+    # A flat layer on a 48^3 grid (interface dimension n = 2) is the 1-D flow
+    # of its profile, constant along the layer.  Along the last axis the
+    # profile goes through the real pass of each transform; along the first,
+    # through a complex pass that runs in place on the transform's output.
+    g3, g1 = Grid(dim=3, extent=1.2, points=48), Grid(dim=1, extent=1.2, points=48)
+    eps = 4.0 * g3.spacing
+    profile = standing_wave(g1, eps)
+    shape = [1, 1, 1]
+    shape[normal_axis] = g1.points
+    layer = ScalarField(grid=g3, values=np.broadcast_to(profile.values.reshape(shape), g3.shape),
+                        epsilon=eps)
+    dt = 0.25 * eps**2
+    cfg = SolverConfig(dt=dt, t_end=20 * dt, scheme="semi-implicit-cnab2", sample_every=5)
+    flat, reference = evolve(layer, cfg), evolve(profile, cfg)
+    assert len(flat) == len(reference) == 5
+    for f3, f1 in zip(flat, reference):
+        assert f3.time == f1.time
+        assert np.max(np.abs(f3.values - f1.values.reshape(shape))) < 1e-14
+    # the profile does move (its companion fold is near on 48 points), so the
+    # bound above is not met by frames that merely stay put
+    assert np.max(np.abs(reference[-1].values - profile.values)) > 1e-4
+
+
 def test_evolve_rejects_nonconforming_horizon(wave_1d):
     with pytest.raises(SolverConfigError):
         evolve(wave_1d, SolverConfig(dt=3e-4, t_end=1e-3))
