@@ -225,8 +225,9 @@ def _burn_in(eps: float) -> float:
 
 
 def _validate_config(config: ExperimentConfig) -> None:
-    """Dimension, resolution, margin, time-step and burn-in rules; every
-    violation reported at once.
+    """Dimension, resolution, margin, time-step and burn-in rules, and
+    excess-decay's fit and partition params; every violation reported at
+    once.
 
     Per epsilon, the step must lie within the scheme's stability limit and
     ``t_end`` must be a whole number of steps and of ``sample_every``
@@ -277,8 +278,46 @@ def _validate_config(config: ExperimentConfig) -> None:
                     f"t_end - dt = {last:g} is not half a step (dt={dt:g}) past the burn-in "
                     f"10*epsilon^2 = {burn:g} for epsilon={eps:g}, so no audited step is "
                     f"left to check")
+    if config.scenario == "excess-decay":
+        problems += _excess_decay_problems(config)
     if problems:
         raise ConfigError("; ".join(dict.fromkeys(problems)))
+
+
+def _excess_decay_problems(config: ExperimentConfig) -> list[str]:
+    """The fit and partition params: ``theta`` in (0, 1), positive
+    thresholds, ``0 < fit_scale <= extent/2`` (the fit's cylinders fit the
+    box), and a ``theta * fit_scale`` time window that holds at least two
+    samples of each fit flow (:func:`_fit_flows`), centred as the run
+    centres it."""
+    p = config.params
+    theta, scale, half = p["theta"], p["fit_scale"], 0.5 * config.grid.extent
+    problems = []
+    if not 0.0 < theta < 1.0:
+        problems.append(f"params.theta={theta:g} must lie in (0, 1)")
+    if not all(t > 0 for t in p["thresholds"]):
+        problems.append(f"params.thresholds must all be positive, got {p['thresholds']!r}")
+    if not 0.0 < scale <= half:
+        problems.append(f"params.fit_scale={scale:g} must lie in (0, extent/2 = {half:g}]")
+    try:
+        flows = _fit_flows(config)
+    except SolverConfigError as exc:
+        return problems + [f"excess-decay fit flow: {exc}"]
+    except OverflowError:  # reported by the time-step rules
+        return problems
+    if problems:
+        return problems
+    r2 = (theta * scale) ** 2
+    for eps, cfg in flows.items():
+        interval = cfg.dt * cfg.sample_every
+        times = np.arange(solver_mod.step_count(cfg) // cfg.sample_every + 1) * interval
+        t0 = times[len(times) // 2]
+        if len(window_weights(times, t0 - r2, t0 + r2, interval)[0]) < 2:
+            problems.append(
+                f"the excess-decay fit window t0 +- (theta*fit_scale)^2 = t0 +- {r2:g} holds "
+                f"fewer than two samples of the epsilon={eps:g} fit flow "
+                f"(sample interval {interval:g})")
+    return problems
 
 
 def _interface_margin(config: ExperimentConfig) -> float:
@@ -323,8 +362,8 @@ _DEFAULTS: dict[str, dict] = {
         "scenario": "monotonicity-sweep",
         "grid": {"dim": 2, "extent": 1.2, "points": 256},
         "epsilon": 0.02,
-        "solver": {"dt_factor": 0.125, "t_end": 0.02, "scheme": "semi-implicit-cnab2",
-                   "sample_every": 10},
+        "solver": {"dt_factor": 0.25, "t_end": 0.04, "scheme": "semi-implicit-cnab2",
+                   "sample_every": 20},
         "params": {"radius": 0.35, "kernel_lag": 0.01},
         "seed": 0,
     },
@@ -950,6 +989,20 @@ def run_monotonicity_sweep(config: ExperimentConfig) -> ScenarioResult:
     )
 
 
+def _fit_flows(config: ExperimentConfig) -> dict[float, SolverConfig]:
+    """The excess-decay fit's flows, largest epsilon first: each fit epsilon's
+    solver config over the common horizon ``t_fit`` (32 steps of the
+    smallest fit epsilon), sampled about four times."""
+    eps_sorted = sorted(config.epsilons, reverse=True)
+    fit_eps = [e for e in eps_sorted if e >= 0.02] or eps_sorted[:2]
+    t_fit = 32.0 * config.dt_for(min(fit_eps))
+    flows = {}
+    for eps in fit_eps:
+        cfg = config.solver_config(eps, t_end=t_fit, sample_every=1)
+        flows[eps] = replace(cfg, sample_every=max(1, solver_mod.step_count(cfg) // 4))
+    return flows
+
+
 def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     grid_ref = config.grid
     p = config.params
@@ -1011,15 +1064,13 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     # tilt scales with epsilon (the theorem ties the admissible tilt to the
     # square root of the height excess, which carries the eps^2 layer floor),
     # and every epsilon runs over the same physical horizon.
-    fit_eps = [e for e in eps_sorted if e >= 0.02] or eps_sorted[:2]
-    t_fit = 32.0 * config.dt_for(min(fit_eps))
+    fit_flows = _fit_flows(config)
+    fit_eps = list(fit_flows)
     reports = {}
-    for eps in fit_eps:
+    for eps, cfg in fit_flows.items():
         g = grid_for(eps)
         tilt_eps = tilt_over_eps * eps
         initial = _perturbed_initial(g, eps, a_over_eps * eps, mode, tilt=tilt_eps)
-        cfg = config.solver_config(eps, t_end=t_fit, sample_every=1)
-        cfg = replace(cfg, sample_every=max(1, solver_mod.step_count(cfg) // 4))
         traj = solver_mod.evolve(initial, cfg)
         reports[eps] = excess_decay_ratio(traj, theta=theta, scale=fit_scale,
                                           center_time=traj.times[len(traj) // 2])

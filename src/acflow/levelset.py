@@ -18,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import FrameBundle, _tilt_integrand
-from .grid import Grid, ScalarField, Trajectory, trapezoid_weights, window_weights
-from .operators import ball_mask, from_spectrum, spectrum, symbols, within_radius
+from .diagnostics import FrameBundle, Hyperplane, _tilt_integrand, height_excess
+from .grid import Grid, ParabolicCylinder, ScalarField, Trajectory, window_weights
+from .operators import ball_mask, from_spectrum, integrate_values, spectrum, symbols, within_radius
 from .solver import CLAMP
 
 __all__ = [
@@ -299,10 +299,10 @@ class TiltMaximalField:
         # The Dirichlet density is recomputed here, one frame at a time,
         # rather than kept from the tilt pass: holding it for every frame
         # alongside the maximal field raises the peak memory.
-        eps, vol = traj.epsilon, traj.grid.cell_volume
-        w = trapezoid_weights(len(traj), traj.dt_sample)
-        bad_mass = float(sum(wi * np.sum((eps * FrameBundle(f).grad_sq)[m]) * vol
-                             for wi, f, m in zip(w, traj.frames, bad)))
+        eps = traj.epsilon
+        bad_mass = integrate_values(
+            traj.grid, traj.times,
+            lambda k: np.where(bad[k], eps * FrameBundle(traj[k]).grad_sq, 0.0), [None])[0]
         ratio = bad_mass * threshold / self.tilt_mass if self.tilt_mass > 0 else 0.0
         return GoodBadPartition(threshold=threshold, band=band, good=good, bad=bad,
                                 maximal=maximal, weak_l1_ratio=ratio)
@@ -321,8 +321,7 @@ def tilt_maximal_field(
         radii = dyadic_radii(grid.extent, grid.spacing)
     tilt = np.stack([_tilt_integrand(f, e) for f in traj.frames])
     maximal = _maximal_field(tilt, traj.times, grid, radii, power=grid.interface_dim + 2)
-    w, vol = trapezoid_weights(len(traj), traj.dt_sample), grid.cell_volume
-    tilt_mass = float(sum(wi * np.sum(ti) * vol for wi, ti in zip(w, tilt)))
+    tilt_mass = integrate_values(grid, traj.times, tilt.__getitem__, [None])[0]
     return TiltMaximalField(traj=traj, maximal=maximal, tilt_mass=tilt_mass)
 
 
@@ -396,8 +395,8 @@ class ExcessDecayReport:
     scale: float
     normal: tuple[float, ...]
     offset: float
-    ratio: float
-    height_excess_unit: float  # scale^(-n-4) * height mass over the unit cylinder
+    ratio: float  # E_fit(P_theta) / E_flat(P_1), both from height_excess
+    height_excess_unit: float  # E_flat(P_1): height_excess about x_vertical = 0, radius scale
     layer_repulsion_value: float  # height_excess_unit / (eps/scale)^2
     normal_deviation: float
     tilt_constant: float  # normal_deviation / sqrt(height_excess_unit)
@@ -429,13 +428,14 @@ def excess_decay_ratio(
     center_time: float | None = None,
 ) -> ExcessDecayReport:
     """Fit the plane minimizing the height excess over the shrunk cylinder
-    about the origin and report the contraction ratio against the
-    flat-frame excess at unit scale.
+    about the origin and report how much the excess contracts.
 
     The fit is weighted linear least squares of the vertical coordinate on
-    the base coordinates with weight ``eps |grad u|^2`` over ``P_theta``;
-    the ratio is ``theta^(-n-4) H_fit(P_theta) / H_flat(P_1)`` with both
-    masses raw (the common scale normalization cancels).
+    the base coordinates with weight ``eps |grad u|^2`` over ``P_theta``.
+    The ratio is ``E_fit(P_theta) / E_flat(P_1)``: the :func:`height_excess`
+    about the fitted plane over the cylinder of radius ``theta * scale``,
+    against the one about ``{x_vertical = 0}`` over the cylinder of radius
+    ``scale``, each normalised by its own ``r^(-n-4)``.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
@@ -443,13 +443,12 @@ def excess_decay_ratio(
     n = grid.interface_dim
     c = (0.0,) * grid.dim
     t0 = center_time if center_time is not None else float(np.median(traj.times))
+    shrunk = ParabolicCylinder(c, t0, theta * scale)
 
     disp = np.stack(np.broadcast_arrays(*grid.displacement(c)))
     xv = disp[-1]
     base = disp[:-1]
 
-    inner = ball_mask(grid, c, theta * scale)
-    outer = ball_mask(grid, c, scale)
     # The fit runs over a product cylinder (base ball x vertical slab): a
     # round window would couple the base coordinate to the layer thickness
     # through its tilted boundary and bias the slope at order (eps/r)^2.
@@ -458,28 +457,17 @@ def excess_decay_ratio(
     slab = max(theta * scale, 6.0 * traj.epsilon)
     fit_mask = within_radius(base_r2, theta * scale) & (np.abs(xv) <= slab)
 
-    eps = traj.epsilon
-
-    def frames_in(r: float) -> list[tuple[int, float]]:
-        idx, weights = window_weights(traj.times, t0 - r * r, t0 + r * r, traj.dt_sample)
-        if len(idx) < 2:
-            raise ValueError("trajectory does not cover the cylinder time window")
-        return list(zip(idx.tolist(), weights.tolist()))
+    idx, weights = window_weights(traj.times, *shrunk.time_window, traj.dt_sample)
+    if len(idx) < 2:
+        raise ValueError("trajectory does not cover the cylinder time window")
 
     # Weighted least squares over the shrunk cylinder.
     p = grid.dim  # base coords + constant
     A = np.zeros((p, p))
     b = np.zeros(p)
-    weights_cache: dict[int, np.ndarray] = {}
-
-    def weight(i: int) -> np.ndarray:
-        if i not in weights_cache:
-            weights_cache[i] = eps * FrameBundle(traj[i]).grad_sq
-        return weights_cache[i]
-
-    for i, tw in frames_in(theta * scale):
-        w = np.where(fit_mask, weight(i), 0.0) * tw
-        feats = [np.broadcast_to(base[ax], grid.shape) for ax in range(n)] + [np.ones(grid.shape)]
+    feats = [base[ax] for ax in range(n)] + [np.ones(grid.shape)]
+    for i, tw in zip(idx.tolist(), weights.tolist()):
+        w = np.where(fit_mask, traj.epsilon * FrameBundle(traj[i]).grad_sq, 0.0) * tw
         for a_i in range(p):
             b[a_i] += float(np.sum(w * feats[a_i] * xv))
             for b_i in range(a_i, p):
@@ -494,25 +482,16 @@ def excess_decay_ratio(
     normal = tuple(float(v) for v in np.append(-slope, 1.0) / norm)
     offset = float(intercept / norm)
 
-    height_fit = (np.tensordot(np.asarray(normal), disp, axes=(0, 0)) - offset) ** 2
-    height_flat = xv**2
-
-    num = 0.0
-    for i, tw in frames_in(theta * scale):
-        num += tw * float(np.sum(np.where(inner, height_fit * weight(i), 0.0)) * grid.cell_volume)
-    den = 0.0
-    for i, tw in frames_in(scale):
-        den += tw * float(np.sum(np.where(outer, height_flat * weight(i), 0.0)) * grid.cell_volume)
-
-    h_unit = den / scale ** (n + 4)
-    eps_hat = eps / scale
+    h_unit = height_excess(traj, Hyperplane.vertical(grid.dim), ParabolicCylinder(c, t0, scale))
+    h_fit = height_excess(traj, Hyperplane(normal, offset), shrunk)
+    eps_hat = traj.epsilon / scale
     deviation = float(np.linalg.norm(np.asarray(normal) - np.eye(grid.dim)[-1]))
     return ExcessDecayReport(
         theta=theta,
         scale=scale,
         normal=normal,
         offset=offset,
-        ratio=theta ** (-n - 4) * num / den if den > 0 else 0.0,
+        ratio=h_fit / h_unit if h_unit > 0 else 0.0,
         height_excess_unit=h_unit,
         layer_repulsion_value=h_unit / eps_hat**2 if eps_hat > 0 else math.inf,
         normal_deviation=deviation,

@@ -2,20 +2,15 @@
 
 Each test prints one `ACCEPTANCE <n> <name>: PASS/FAIL` line with the
 measured values.  Scenario runs are shared across criteria through session
-fixtures: each scenario runs once per session, through the code that
-`acflow experiment` runs.  Monotonicity-sweep (criterion 5) runs on the
-shrinking-circle default config, every other scenario on its own.
+fixtures: each scenario runs once per session, on its default config and
+through the code that `acflow experiment` runs.
 """
 
 import numpy as np
 import pytest
 
 from acflow import SolverConfig, evolve, partition_good_bad
-from acflow.experiments import (
-    default_config,
-    run_monotonicity_sweep,
-    run_scenario,
-)
+from acflow.experiments import default_config, run_scenario
 
 from conftest import standing_wave
 
@@ -25,8 +20,8 @@ from conftest import standing_wave
 
 @pytest.fixture(scope="session")
 def circle_bundle():
-    cfg = default_config("shrinking-circle")
-    return {"circle": run_scenario(cfg), "mono": run_monotonicity_sweep(cfg)}
+    return {"circle": run_scenario(default_config("shrinking-circle")),
+            "mono": run_scenario(default_config("monotonicity-sweep"))}
 
 
 @pytest.fixture(scope="session")

@@ -683,6 +683,14 @@ def _short_circle(scenario):
                  params={"radius": 0.35})
 
 
+def _small_excess_decay(**params):
+    """Excess-decay on 256^2 with epsilon [0.04, 0.02], which loads with the
+    default params."""
+    raw = scenario_raw("excess-decay", **params)
+    raw.update(grid={"dim": 2, "extent": 1.28, "points": 256}, epsilon=[0.04, 0.02])
+    return _with(None, **raw)
+
+
 _SHORT_CIRCLE_ERROR = ("t_end - dt = 0.011875 is not half a step (dt=0.000625) past the burn-in "
                        "10*epsilon^2 = 0.025 for epsilon=0.05")
 
@@ -724,6 +732,21 @@ _SHORT_CIRCLE_ERROR = ("t_end - dt = 0.011875 is not half a step (dt=0.000625) p
     ([_short_circle("shrinking-circle")], [_SHORT_CIRCLE_ERROR]),
     ([_short_circle("monotonicity-sweep")], [_SHORT_CIRCLE_ERROR]),
     ([_without("solver", "dt_factor")], ["missing key 'dt_factor' in config.solver"]),
+    ([_small_excess_decay(theta=1.5)], ["params.theta=1.5 must lie in (0, 1)"]),
+    ([_small_excess_decay(thresholds=[-0.01, 0.02])],
+     ["params.thresholds must all be positive, got [-0.01, 0.02]"]),
+    ([_small_excess_decay(fit_scale=0.7)], ["params.fit_scale=0.7 must lie in (0, extent/2 = 0.64]"]),
+    ([_small_excess_decay(fit_scale=0.0)], ["params.fit_scale=0 must lie in (0, extent/2 = 0.64]"]),
+    # (0.25 * 0.005)^2 is far below either fit flow's sample interval of 4e-4
+    ([_small_excess_decay(fit_scale=0.005)],
+     ["t0 +- 1.5625e-06 holds fewer than two samples of the epsilon=0.04 fit flow "
+      "(sample interval 0.0004)", "epsilon=0.02 fit flow"]),
+    ([_small_excess_decay(theta=1.5, thresholds=[0.0], fit_scale=0.7)],
+     ["params.theta=1.5", "params.thresholds", "params.fit_scale=0.7"]),
+    # the main flows take whole steps to t_end = 0.009, but the fit horizon,
+    # 32 steps of eps 0.02, is 14.2 steps of eps 0.03
+    ([_small_excess_decay(), _with(None, epsilon=[0.03, 0.02]), _with("solver", t_end=0.009)],
+     ["excess-decay fit flow: t_end=0.0016 is not a whole number of steps of dt=0.0001125"]),
 ])
 def test_cli_reports_every_config_error_at_load(tmp_path, capsys, mutations, expected):
     raw = raw_config()

@@ -4,6 +4,7 @@ import pytest
 from acflow import (
     Grid,
     GraphExtractionError,
+    Hyperplane,
     ParabolicCylinder,
     ScalarField,
     SolverConfig,
@@ -14,8 +15,10 @@ from acflow import (
     excess_decay_ratio,
     extract_graph,
     heat_compare,
+    height_excess,
     partition_good_bad,
     prepare_interface,
+    tilt_excess,
 )
 from acflow.diagnostics import _tilt_integrand
 from acflow.initial_data import graph_pair_distance, graph_profile, sine_mode
@@ -338,6 +341,8 @@ def test_one_maximal_field_serves_every_threshold(perturbed_traj_small):
         for name in ("good", "bad", "maximal"):
             assert np.array_equal(getattr(shared, name), getattr(alone, name))
         assert shared.weak_l1_ratio == alone.weak_l1_ratio
+    # the mass is the package's space-time integral of the same integrand
+    assert field.tilt_mass == tilt_excess(traj, (0.0, 1.0))
 
 
 def test_good_set_lipschitz_constant_shrinks_with_threshold(perturbed_traj_small):
@@ -422,9 +427,19 @@ def test_excess_decay_fit_recovers_gentle_tilt():
     dt = 5e-5
     cfg = SolverConfig(dt=dt, t_end=8 * dt, scheme="semi-implicit-cnab2", sample_every=2)
     traj = evolve(field, cfg)
-    report = excess_decay_ratio(traj, theta=0.25, scale=0.2, center_time=traj.times[2])
+    t0 = traj.times[2]
+    report = excess_decay_ratio(traj, theta=0.25, scale=0.2, center_time=t0)
     true_normal = np.array([-slope, 1.0]) / np.hypot(slope, 1.0)
     assert np.linalg.norm(np.asarray(report.normal) - true_normal) < 1e-3
+    # both excesses are the diagnostics' own height_excess, bit for bit; at
+    # scale 0.3 a quadrature of its own would differ from it in round-off
+    for scale in (0.2, 0.3):
+        report = excess_decay_ratio(traj, theta=0.25, scale=scale, center_time=t0)
+        flat = height_excess(traj, Hyperplane.vertical(2), ParabolicCylinder((0, 0), t0, scale))
+        fitted = height_excess(traj, Hyperplane(report.normal, report.offset),
+                               ParabolicCylinder((0, 0), t0, 0.25 * scale))
+        assert report.height_excess_unit == flat
+        assert report.ratio == fitted / flat
 
 
 def test_excess_decay_exact_wave_sits_at_the_layer_floor(grid_2d):

@@ -133,6 +133,43 @@ def test_fft_guard_sees_every_way_to_load_numpy_fft():
     assert not _fft_loads(ast.parse("import numpy as np\nnp.linalg.norm(x)\nfft = 1"))
 
 
+def _name_loads(tree: ast.Module, name: str) -> list[int]:
+    """Lines that load ``name``: a bare read, an attribute ``x.name`` or
+    ``from m import name``."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names)):
+            lines.append(node.lineno)
+    return lines
+
+
+# The one time rule of every space-time mass is grid.window_weights, which
+# is built on trapezoid_weights; the only other user integrates per-step
+# scalars (FlowAudit.dissipation_defect), not a field.
+_TRAPEZOID_USERS = ("grid.py", "experiments.py")
+
+
+def test_trapezoid_weights_is_loaded_only_by_the_time_rule():
+    package = Path(__file__).resolve().parents[1] / "src" / "acflow"
+    loads = {p.name: _name_loads(ast.parse(p.read_text(encoding="utf-8")), "trapezoid_weights")
+             for p in sorted(package.glob("*.py"))}
+    found = [f"{name}:{line}" for name, lines in loads.items() if name not in _TRAPEZOID_USERS
+             for line in lines]
+    assert not found, f"trapezoid_weights outside {' and '.join(_TRAPEZOID_USERS)}: {', '.join(found)}"
+    assert all(loads[name] for name in _TRAPEZOID_USERS)
+
+
+def test_name_guard_sees_every_way_to_load_a_name():
+    for source in ["from .grid import trapezoid_weights", "from .grid import (Grid,\n trapezoid_weights)",
+                   "trapezoid_weights(3, 0.1)", "grid.trapezoid_weights(3, 0.1)",
+                   "w = [trapezoid_weights]"]:
+        assert _name_loads(ast.parse(source), "trapezoid_weights"), source
+    assert not _name_loads(ast.parse('def trapezoid_weights(n, dt): pass\n'
+                                     '__all__ = ["trapezoid_weights"]'), "trapezoid_weights")
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_nyquist_mode_has_zero_first_derivative(dim):
     g = Grid(dim=dim, extent=1.0, points=16)
