@@ -15,7 +15,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field as dc_field, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -229,67 +229,138 @@ def _validate_config(config: ExperimentConfig) -> None:
     excess-decay's fit and partition params; every violation reported at
     once.
 
-    Per epsilon, the step must lie within the scheme's stability limit and
-    ``t_end`` must be a whole number of steps and of ``sample_every``
-    samples (:func:`solver.step_count`).  An audited scenario also needs
-    ``t_end - dt >= 10 eps^2 + dt/2``, so that its step-``dt`` audit has a
-    centred residual past the burn-in.
-    """
+    Every flow of :func:`_flows` must build, its step must lie within the
+    scheme's stability limit on its grid, and its horizon must be a whole
+    number of steps and of samples (:func:`solver.step_count`).  An audited
+    scenario's base flows also need ``t_end - dt >= 10 eps^2 + dt/2``, so
+    that the step-``dt`` audit has a centred residual past the burn-in."""
     problems: list[str] = []
     if config.scenario in _PLANAR and config.grid.dim != 2:
         problems.append(f"{config.scenario} runs on a 2-D grid only, "
                         f"got grid.dim={config.grid.dim}")
-    h = config.grid.spacing
+    h, margin = config.grid.spacing, _interface_margin(config)
     for eps in config.epsilons:
         if eps < 4.0 * h:
-            problems.append(
-                f"epsilon={eps:g} violates the resolution rule epsilon >= 4*spacing "
-                f"(spacing={h:g})"
-            )
-        margin = _interface_margin(config)
+            problems.append(f"epsilon={eps:g} violates the resolution rule "
+                            f"epsilon >= 4*spacing (spacing={h:g})")
         if margin < 8.0 * eps:
-            problems.append(
-                f"interface margin {margin:g} is below 8*epsilon={8 * eps:g} "
-                f"for epsilon={eps:g}"
-            )
+            problems.append(f"interface margin {margin:g} is below 8*epsilon={8 * eps:g} "
+                            f"for epsilon={eps:g}")
     if config.scheme not in solver_mod.SCHEMES:
         problems.append(f"unknown scheme {config.scheme!r}")
-    else:
-        for eps in config.epsilons:
-            for rule in (lambda cfg: solver_mod.validate_config(cfg, config.grid, eps),
-                         solver_mod.step_count):
-                try:
-                    rule(config.solver_config(eps))
-                except SolverConfigError as exc:
-                    problems.append(str(exc))
-                except OverflowError:  # eps**2 past the float range
-                    problems.append(f"the time-step arithmetic overflows for epsilon={eps:g} "
-                                    f"(spacing={h:g}, t_end={config.t_end:g})")
+    flows = _flows(config, problems) if config.scheme in solver_mod.SCHEMES else {}
     if config.scenario in _AUDITED:
-        for eps in config.epsilons:
-            try:
-                dt, burn = config.dt_for(eps), _burn_in(eps)
-            except OverflowError:  # reported by the time-step rules
-                continue
-            last = config.t_end - dt  # the step-dt audit's last centred residual
+        for eps, (_, cfg) in _of_kind(flows, "base").items():
+            last = cfg.t_end - cfg.dt  # the step-dt audit's last centred residual
             # half a step of slack absorbs the round-off of the summed step times
-            if last - 0.5 * dt < burn:
+            if last - 0.5 * cfg.dt < _burn_in(eps):
                 problems.append(
-                    f"t_end - dt = {last:g} is not half a step (dt={dt:g}) past the burn-in "
-                    f"10*epsilon^2 = {burn:g} for epsilon={eps:g}, so no audited step is "
-                    f"left to check")
+                    f"t_end - dt = {last:g} is not half a step (dt={cfg.dt:g}) past the "
+                    f"burn-in 10*epsilon^2 = {_burn_in(eps):g} for epsilon={eps:g}, so no "
+                    f"audited step is left to check")
+    for (kind, eps), (grid, cfg) in list(flows.items()):
+        for rule in (partial(solver_mod.validate_config, grid=grid, epsilon=eps),
+                     solver_mod.step_count):
+            try:
+                rule(cfg)
+            except (SolverConfigError, OverflowError) as exc:
+                problems.append(_flow_problem(config, kind, eps, exc))
+                flows.pop((kind, eps), None)  # only flows that meet the rules go on
     if config.scenario == "excess-decay":
-        problems += _excess_decay_problems(config)
+        problems += _excess_decay_problems(config, _of_kind(flows, "fit"))
     if problems:
         raise ConfigError("; ".join(dict.fromkeys(problems)))
 
 
-def _excess_decay_problems(config: ExperimentConfig) -> list[str]:
+Flow = tuple[Grid, SolverConfig]
+
+
+def _flows(config: ExperimentConfig, problems: list[str] | None = None,
+           ) -> dict[tuple[str, float], Flow]:
+    """Every flow a command runs with ``config``, by kind and epsilon.
+
+    ``base``: each epsilon on the config grid at the config's step (what
+    ``acflow simulate`` runs).  ``fine``: an audited scenario's flow at half
+    the step.  ``coarse`` and ``flat``: shrinking-circle's 2-eps circle on
+    the ``coarse_extent`` box and its static layer.  ``main``, ``fit`` and
+    ``rough``: excess-decay's flows, on per-epsilon grids (points ~ 1/eps
+    keep the layer resolution fixed), each keeping every
+    ``max(1, n // target)``-th of its ``n`` steps.  ``circle``:
+    inequality-ratios' two epsilon-stability circles.  An entry that does
+    not build raises, or, with ``problems`` given, is named there instead.
+    """
+    grid, p = config.grid, config.params
+    table: dict[tuple[str, float], Flow] = {}
+
+    def add(kind: str, eps: float, build: Callable[[], Flow]) -> None:
+        try:
+            table[kind, eps] = build()
+        except (ValueError, OverflowError) as exc:  # SolverConfigError is a ValueError
+            if problems is None:
+                raise
+            problems.append(_flow_problem(config, kind, eps, exc))
+
+    for eps in config.epsilons:
+        add("base", eps, lambda: (grid, config.solver_config(eps)))
+    eps = config.epsilons[0]
+    if config.scenario in _AUDITED:
+        add("fine", eps, lambda: (grid, config.solver_config(
+            eps, dt_scale=0.5, sample_every=2 * config.sample_every)))
+    if config.scenario == "shrinking-circle":
+        add("coarse", 2 * eps, lambda: (
+            Grid(dim=grid.dim, extent=p["coarse_extent"], points=grid.points),
+            config.solver_config(2 * eps, dt_scale=0.5)))
+        flat_dt = 0.125 * 0.05**2
+        add("flat", 0.05, lambda: (grid, SolverConfig(
+            dt=flat_dt, t_end=576 * flat_dt, scheme=config.scheme, sample_every=8)))
+    if config.scenario == "excess-decay":
+        @cache
+        def grid_for(eps: float) -> Grid:
+            pts = int(round(grid.points * min(config.epsilons) / eps))
+            pts = max(64, 1 << (pts - 1).bit_length())  # next power of two
+            return Grid(dim=grid.dim, extent=grid.extent, points=min(pts, grid.points))
+
+        def sampled(eps: float, horizon: Callable[[], float], target: int) -> Flow:
+            cfg = config.solver_config(eps, t_end=horizon(), sample_every=1)
+            n = round(cfg.t_end / cfg.dt)  # a whole step count, or step_count says why not
+            return grid_for(eps), replace(cfg, sample_every=max(1, n // target))
+
+        eps_sorted = sorted(config.epsilons, reverse=True)
+        fit_eps = [e for e in eps_sorted if e >= 0.02] or eps_sorted[:2]
+        for e in config.epsilons:
+            add("main", e, partial(sampled, e, lambda: config.t_end, 10))
+        for e in fit_eps:  # over 32 steps of the smallest fit epsilon
+            add("fit", e, partial(sampled, e, lambda: 32.0 * config.dt_for(min(fit_eps)), 4))
+        e = eps_sorted[min(1, len(eps_sorted) - 1)]
+        add("rough", e, partial(sampled, e, lambda: 0.1 * config.t_end, 8))
+    if config.scenario == "inequality-ratios":
+        for points, ce in ((grid.points, eps), (2 * grid.points, eps / 2)):
+            add("circle", ce, lambda: (
+                Grid(dim=2, extent=p["circle_extent"], points=points),
+                SolverConfig(dt=0.125 * ce**2, t_end=40 * 0.125 * ce**2, scheme=config.scheme,
+                             sample_every=40)))
+    return table
+
+
+def _of_kind(flows: dict[tuple[str, float], Flow], kind: str) -> dict[float, Flow]:
+    """The flows of one kind, by epsilon, in table order."""
+    return {eps: flow for (k, eps), flow in flows.items() if k == kind}
+
+
+def _flow_problem(config: ExperimentConfig, kind: str, eps: float, exc: Exception) -> str:
+    """A flow's violation, prefixed ``<scenario> <kind> flow:`` but for ``base``."""
+    text = str(exc)
+    if isinstance(exc, OverflowError):  # eps**2 or (pi/spacing)**2 past the float range
+        text = (f"the time-step arithmetic overflows for epsilon={eps:g} "
+                f"(spacing={config.grid.spacing:g}, t_end={config.t_end:g})")
+    return text if kind == "base" else f"{config.scenario} {kind} flow: {text}"
+
+
+def _excess_decay_problems(config: ExperimentConfig, fits: dict[float, Flow]) -> list[str]:
     """The fit and partition params: ``theta`` in (0, 1), positive
     thresholds, ``0 < fit_scale <= extent/2`` (the fit's cylinders fit the
     box), and a ``theta * fit_scale`` time window that holds at least two
-    samples of each fit flow (:func:`_fit_flows`), centred as the run
-    centres it."""
+    samples of each fit flow of ``fits``, centred as the run centres it."""
     p = config.params
     theta, scale, half = p["theta"], p["fit_scale"], 0.5 * config.grid.extent
     problems = []
@@ -299,16 +370,10 @@ def _excess_decay_problems(config: ExperimentConfig) -> list[str]:
         problems.append(f"params.thresholds must all be positive, got {p['thresholds']!r}")
     if not 0.0 < scale <= half:
         problems.append(f"params.fit_scale={scale:g} must lie in (0, extent/2 = {half:g}]")
-    try:
-        flows = _fit_flows(config)
-    except SolverConfigError as exc:
-        return problems + [f"excess-decay fit flow: {exc}"]
-    except OverflowError:  # reported by the time-step rules
-        return problems
     if problems:
         return problems
     r2 = (theta * scale) ** 2
-    for eps, cfg in flows.items():
+    for eps, (_, cfg) in fits.items():
         interval = cfg.dt * cfg.sample_every
         times = np.arange(solver_mod.step_count(cfg) // cfg.sample_every + 1) * interval
         t0 = times[len(times) // 2]
@@ -355,7 +420,7 @@ _DEFAULTS: dict[str, dict] = {
         "epsilon": 0.02,
         "solver": {"dt_factor": 0.25, "t_end": 0.04, "scheme": "semi-implicit-cnab2",
                    "sample_every": 20},
-        "params": {"radius": 0.35, "coarse_extent": 1.4, "kernel_lag": 0.01},
+        "params": {"radius": 0.35, "coarse_extent": 1.4},
         "seed": 0,
     },
     "monotonicity-sweep": {
@@ -561,13 +626,7 @@ def centered_residuals(times: np.ndarray, mass: np.ndarray, rhs: np.ndarray) -> 
 def zero_level_radius(field: ScalarField) -> float:
     """Zero-crossing radius along the horizontal axis through the center."""
     grid = field.grid
-    mid = grid.points // 2
-    if grid.dim == 2:
-        row = field.values[:, mid]
-    elif grid.dim == 3:
-        row = field.values[:, mid, mid]
-    else:
-        row = field.values
+    row = field.values[(slice(None),) + (grid.points // 2,) * (grid.dim - 1)]
     x = grid.axis()
     best = 0.0
     for i in range(grid.points - 1):
@@ -768,8 +827,8 @@ def run_standing_wave(config: ExperimentConfig) -> ScenarioResult:
 
     xi_max = float(np.max(b.discrepancy))
 
-    cfg = config.solver_config(eps)
-    after = solver_mod.step(wave, SolverConfig(dt=cfg.dt, t_end=cfg.dt, scheme=cfg.scheme))
+    _, cfg = _flows(config)["base", eps]
+    after = solver_mod.step(wave, cfg)  # one step: reads only the step and the scheme
     fixed_point = float(np.max(np.abs(after.values - wave.values)))
 
     grad_z = distance_gradient_max(wave)
@@ -815,40 +874,32 @@ def _gaussian_probe(kernel: KernelPoint) -> Probe:
     return probe
 
 
-def _circle_audit_jobs(config: ExperimentConfig, probes: dict[float, Probe | None],
+def _circle_audit_jobs(config: ExperimentConfig, probes: dict[str, Probe | None],
                        ) -> list[Callable[[], FlowAudit]]:
-    """One zero-argument job per step scale of ``probes``, in its order, each
-    running one shrinking-circle flow audit with that scale's probe from the
-    same initial field."""
+    """One zero-argument job per flow kind of ``probes`` (``"fine"`` or
+    ``"base"``), in its order, each running that flow's audit with the
+    kind's probe from the same initial field."""
     eps = config.epsilons[0]
     initial = initial_field(config, eps)
-    # sample the stored trajectory at a fixed interval regardless of dt, so
-    # cylinder time windows down to (2 eps)^2 hold several frames
-    return [partial(run_flow_audit, initial,
-                    config.solver_config(eps, dt_scale=scale,
-                                         sample_every=max(1, round(config.sample_every / scale))),
-                    probe)
-            for scale, probe in probes.items()]
+    flows = _flows(config)
+    return [partial(run_flow_audit, initial, flows[kind, eps][1], probe)
+            for kind, probe in probes.items()]
 
 
 def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
     grid = config.grid
     eps = config.epsilons[0]
     radius = config.params["radius"]
+    flows = _flows(config)
     # The fine audit, at half the step, feeds the Brakke checks; it is the
     # longest, so it is submitted first.  The base audit feeds only its
     # dissipation defect, which needs no probe.
-    fine_scale = 0.5
     bump = radial_bump(center=(0.0,) * grid.dim, radius=0.45 * grid.extent)
     fine_job, base_job = _circle_audit_jobs(
-        config, {fine_scale: _brakke_probe(grid, bump), 1.0: None})
+        config, {"fine": _brakke_probe(grid, bump), "base": None})
 
     # first-order-in-epsilon trend: a coarser layer tracks the circle worse
-    coarse_eps = 2 * eps
-    coarse_grid = Grid(dim=grid.dim, extent=config.params["coarse_extent"], points=grid.points)
-    coarse_cfg = SolverConfig(dt=config.dt_for(coarse_eps) * fine_scale,
-                              t_end=config.t_end, scheme=config.scheme,
-                              sample_every=config.sample_every)
+    [(coarse_eps, (coarse_grid, coarse_cfg))] = _of_kind(flows, "coarse").items()
 
     def coarse_radius() -> float:
         coarse = solver_mod.evolve(_circle_initial(coarse_grid, coarse_eps, radius), coarse_cfg)
@@ -856,14 +907,11 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
 
     # ... and the density ratio on a static flat layer, against the
     # sharp-interface value 4*alpha
-    flat_eps = 0.05
-    flat_dt = 0.125 * flat_eps**2
-    flat_cfg = SolverConfig(dt=flat_dt, t_end=576 * flat_dt, scheme=config.scheme,
-                            sample_every=8)
+    [(flat_eps, (flat_grid, flat_cfg))] = _of_kind(flows, "flat").items()
     flat_radii = [2 * flat_eps, 0.15, 0.2, 0.25, 0.25 * grid.extent]
 
     def flat_density_profile() -> DensityRatioProfile:
-        flat = solver_mod.evolve(_wave_initial(grid, flat_eps), flat_cfg)
+        flat = solver_mod.evolve(_wave_initial(flat_grid, flat_eps), flat_cfg)
         return density_ratio_profile(flat, (0.0,) * grid.dim, 0.5 * flat_cfg.t_end, flat_radii)
 
     # The flows are independent; each job keeps only what the checks read.
@@ -943,7 +991,7 @@ def run_monotonicity_sweep(config: ExperimentConfig) -> ScenarioResult:
     kernel = KernelPoint(y=(0.0,) * grid.dim, s=config.t_end + config.params["kernel_lag"],
                          n=grid.interface_dim)
     fine, base = _concurrently(
-        *_circle_audit_jobs(config, dict.fromkeys((0.5, 1.0), _gaussian_probe(kernel))))
+        *_circle_audit_jobs(config, dict.fromkeys(("fine", "base"), _gaussian_probe(kernel))))
     eps = config.epsilons[0]
     burn = _burn_in(eps)
 
@@ -989,38 +1037,11 @@ def run_monotonicity_sweep(config: ExperimentConfig) -> ScenarioResult:
     )
 
 
-def _fit_flows(config: ExperimentConfig) -> dict[float, SolverConfig]:
-    """The excess-decay fit's flows, largest epsilon first: each fit epsilon's
-    solver config over the common horizon ``t_fit`` (32 steps of the
-    smallest fit epsilon), sampled about four times."""
-    eps_sorted = sorted(config.epsilons, reverse=True)
-    fit_eps = [e for e in eps_sorted if e >= 0.02] or eps_sorted[:2]
-    t_fit = 32.0 * config.dt_for(min(fit_eps))
-    flows = {}
-    for eps in fit_eps:
-        cfg = config.solver_config(eps, t_end=t_fit, sample_every=1)
-        flows[eps] = replace(cfg, sample_every=max(1, solver_mod.step_count(cfg) // 4))
-    return flows
-
-
 def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
-    grid_ref = config.grid
     p = config.params
     theta, fit_scale, k1 = p["theta"], p["fit_scale"], p["k1"]
     mode, a_over_eps, tilt_over_eps = p["mode"], p["amplitude_over_epsilon"], p["tilt_over_epsilon"]
-
-    # per-epsilon grids keep the layer resolution fixed (points ~ 1/epsilon)
-    def grid_for(eps: float) -> Grid:
-        pts = int(round(grid_ref.points * min(config.epsilons) / eps))
-        pts = max(64, 1 << (pts - 1).bit_length())  # next power of two
-        return Grid(dim=grid_ref.dim, extent=grid_ref.extent, points=min(pts, grid_ref.points))
-
-    def sampling(eps: float, target: int = 10, t_end: float | None = None) -> int:
-        n_steps = solver_mod.step_count(config.solver_config(eps, t_end=t_end, sample_every=1))
-        se = max(1, n_steps // target)
-        while n_steps % se:
-            se -= 1
-        return se
+    flows = _flows(config)
 
     # the epsilon sweep integrates each frame's diagnostics row over the
     # window (t_end/5, t_end); the rows cover the whole box, where the flat
@@ -1032,10 +1053,9 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     final_errors: dict[float, float] = {}
     graphs = {}
     for eps in config.epsilons:
-        g = grid_for(eps)
+        g, cfg = flows["main", eps]
         amp = a_over_eps * eps
         initial = initial_field(replace(config, grid=g), eps)
-        cfg = config.solver_config(eps, sample_every=sampling(eps))
         traj = solver_mod.evolve(initial, cfg)
         rows[eps] = [diagnostics_record(f).as_row() for f in traj.frames]
         idx, weights = window_weights(traj.times, config.t_end / 5, config.t_end, traj.dt_sample)
@@ -1053,6 +1073,7 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
         final_graph = extract_graph(traj[-1], 0.0)
         href = amp * math.exp(-k_hat**2 * traj.times[-1]) * np.cos(k_hat * x)
         final_errors[eps] = heat_compare(final_graph, reference_initial=href)
+        del initial, traj  # not held while the next, finer flow is prepared and run
 
     eps_sorted = sorted(config.epsilons, reverse=True)
     tilt_seq = [sweep[e]["tilt_excess"] for e in eps_sorted]
@@ -1064,31 +1085,22 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     # tilt scales with epsilon (the theorem ties the admissible tilt to the
     # square root of the height excess, which carries the eps^2 layer floor),
     # and every epsilon runs over the same physical horizon.
-    fit_flows = _fit_flows(config)
-    fit_eps = list(fit_flows)
-    reports = {}
-    for eps, cfg in fit_flows.items():
-        g = grid_for(eps)
-        tilt_eps = tilt_over_eps * eps
-        initial = _perturbed_initial(g, eps, a_over_eps * eps, mode, tilt=tilt_eps)
+    reports = {}  # largest epsilon first
+    for eps, (g, cfg) in _of_kind(flows, "fit").items():
+        initial = _perturbed_initial(g, eps, a_over_eps * eps, mode, tilt=tilt_over_eps * eps)
         traj = solver_mod.evolve(initial, cfg)
         reports[eps] = excess_decay_ratio(traj, theta=theta, scale=fit_scale,
                                           center_time=traj.times[len(traj) // 2])
-    tilt_constants = [reports[e].tilt_constant for e in fit_eps]
+    tilt_constants = [r.tilt_constant for r in reports.values()]
     c_stable = max(tilt_constants) / min(tilt_constants) if min(tilt_constants) > 0 else math.inf
     # conditional contraction: enforced only when the repulsion gate is open
-    gate_violations = float(sum(reports[e].passes(k1) is False for e in fit_eps))
+    gate_violations = float(sum(r.passes(k1) is False for r in reports.values()))
 
     # good/bad partition sweep on a rougher interface (steeper modes), so the
     # maximal function actually exceeds the pinned thresholds somewhere
-    eps_mid = eps_sorted[min(1, len(eps_sorted) - 1)]
     thresholds, band = p["thresholds"], p["band"]
-    g_rough = grid_for(eps_mid)
-    rough_initial = _multiscale_rough_initial(g_rough, eps_mid)
-    rough_t_end = 0.1 * config.t_end
-    rough_cfg = config.solver_config(eps_mid, t_end=rough_t_end,
-                                     sample_every=sampling(eps_mid, t_end=rough_t_end, target=8))
-    rough_traj = solver_mod.evolve(rough_initial, rough_cfg)
+    [(eps_mid, (g_rough, rough_cfg))] = _of_kind(flows, "rough").items()
+    rough_traj = solver_mod.evolve(_multiscale_rough_initial(g_rough, eps_mid), rough_cfg)
 
     # the maximal field does not depend on the threshold: build it once
     rough_field = tilt_maximal_field(rough_traj)
@@ -1123,7 +1135,7 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
         "sweep": {repr(e): sweep[e] for e in eps_sorted},
         "heat_errors_global": {repr(e): heat_errors[e] for e in eps_sorted},
         "heat_errors_final": {repr(e): final_errors[e] for e in eps_sorted},
-        "excess_decay_reports": {repr(e): reports[e].as_dict() for e in fit_eps},
+        "excess_decay_reports": {repr(e): r.as_dict() for e, r in reports.items()},
         "weak_l1_ratios": dict(zip(map(repr, thresholds), weak_l1)),
         "k1": k1,
     }
@@ -1136,18 +1148,17 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
 
 def run_no_cancellation(config: ExperimentConfig) -> ScenarioResult:
     bump_radii = config.params["bump_radii"]
+    flows = _flows(config)
     defects = {}
     for eps in sorted(config.epsilons, reverse=True):
-        cfg = config.solver_config(eps)
-        traj = solver_mod.evolve(initial_field(config, eps), cfg)
+        traj = solver_mod.evolve(initial_field(config, eps), flows["base", eps][1])
         defects[eps] = no_cancellation_check(traj, bump_radii)
-    eps_sorted = sorted(defects, reverse=True)
-    seq = [defects[e] for e in eps_sorted]
+    seq = list(defects.values())  # largest epsilon first
     checks = [
         check("weak_star_defect", "no-cancellation", seq[-1], 0.03),
         monotone_check("weak_star_defect_sweep", "no-cancellation", seq),
     ]
-    payload = {"defects": {repr(e): defects[e] for e in eps_sorted}}
+    payload = {"defects": {repr(e): d for e, d in defects.items()}}
     return ScenarioResult(
         scenario="no-cancellation", config=config, checks=checks, records=[], payload=payload,
     )
@@ -1197,14 +1208,9 @@ def run_inequality_ratios(config: ExperimentConfig) -> ScenarioResult:
     # signal (curvature) is epsilon-independent, whereas on a flat tilted
     # sheet both quantities converge to zero with the layer width and a
     # stability comparison would be vacuous.
-    circle_ext, circle_r = p["circle_extent"], p["circle_radius"]
     circle_cacc, circle_sob = [], []
-    for pts, ce in ((n_points, eps), (refine_points, eps / 2)):
-        g = Grid(dim=2, extent=circle_ext, points=pts)
-        cfg = SolverConfig(dt=0.125 * ce**2, t_end=40 * 0.125 * ce**2, scheme=config.scheme,
-                           sample_every=40)
-        traj = solver_mod.evolve(_circle_initial(g, ce, circle_r), cfg)
-        slice_field = traj[-1]
+    for ce, (g, cfg) in _of_kind(_flows(config), "circle").items():
+        slice_field = solver_mod.evolve(_circle_initial(g, ce, p["circle_radius"]), cfg)[-1]
         r_now = zero_level_radius(slice_field)
         tangent = Hyperplane(normal=(1.0, 0.0), offset=r_now)
         circle_cacc.append(

@@ -2,38 +2,29 @@
 
 Field snapshots are a one-line JSON header (dim, points_per_axis, extent,
 epsilon, time) followed by the raw little-endian float64 block, row-major.
-Diagnostics tables are CSV with a fixed column order.  All floats are
+Diagnostics tables are CSV whose columns are the fields of
+:class:`~acflow.diagnostics.DiagnosticsRecord`, in their order.  All floats are
 written with repr-stable formatting so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .diagnostics import DiagnosticsRecord
 from .grid import Grid, ScalarField
 
 __all__ = [
     "write_field",
     "read_field",
-    "DIAGNOSTICS_COLUMNS",
     "write_diagnostics_csv",
     "write_json",
 ]
-
-DIAGNOSTICS_COLUMNS = (
-    "time",
-    "region_descriptor",
-    "energy",
-    "tilt_excess",
-    "height_excess",
-    "willmore",
-    "discrepancy_l1",
-    "discrepancy_max",
-)
 
 
 def _fmt(x: Any) -> str:
@@ -72,10 +63,9 @@ def read_field(path: str | Path) -> ScalarField:
 
 
 def write_diagnostics_csv(rows: Iterable[Mapping[str, Any]], path: str | Path) -> None:
-    lines = [",".join(DIAGNOSTICS_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[col]) for col in DIAGNOSTICS_COLUMNS))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One column per field of :class:`DiagnosticsRecord`, in its order."""
+    columns = [f.name for f in fields(DiagnosticsRecord)]
+    write_table_csv(columns, ([row[col] for col in columns] for row in rows), path)
 
 
 def write_table_csv(columns: Sequence[str], rows: Iterable[Sequence[Any]], path: str | Path) -> None:

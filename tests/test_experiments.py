@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,8 +26,8 @@ from acflow.experiments import (
     ExperimentConfig,
     _DEFAULTS,
     _brakke_probe,
-    _circle_audit_jobs,
     _concurrently,
+    _flows,
     _gaussian_probe,
     config_from_dict,
     default_config,
@@ -148,8 +150,7 @@ def test_params_merge_over_the_declared_defaults():
     assert config.params["thresholds"] == [0.01, 0.02, 0.04]
     raw = scenario_raw("shrinking-circle")
     raw["params"] = {"radius": 0.3}
-    assert config_from_dict(raw).params == {"radius": 0.3, "coarse_extent": 1.4,
-                                            "kernel_lag": 0.01}
+    assert config_from_dict(raw).params == {"radius": 0.3, "coarse_extent": 1.4}
 
 
 _JSON_VALUES = st.recursive(
@@ -519,7 +520,10 @@ def test_concurrent_circle_audits_equal_sequential_runs(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        jobs = _circle_audit_jobs(config_from_dict(SMALL_CIRCLE_RAW), dict.fromkeys(scales, probe))
+        fresh = config_from_dict(SMALL_CIRCLE_RAW)
+        jobs = [partial(run_flow_audit, initial_field(fresh, eps), fresh.solver_config(
+                    eps, dt_scale=scale, sample_every=round(fresh.sample_every / scale)), probe)
+                for scale in scales]
         concurrent = dict(zip(scales, _concurrently(*jobs)))
     finally:
         sys.setswitchinterval(interval)
@@ -781,7 +785,7 @@ def test_cli_reports_data_the_probe_rejects(tmp_path, capsys):
 @pytest.mark.parametrize("scenario, params, expected", [
     ("shrinking-circle", {"radius": "0.35"}, "config.params.radius must be a finite number"),
     ("shrinking-circle", {"raduis": 0.3},
-     "unknown key 'raduis' in config.params (allowed: ['coarse_extent', 'kernel_lag', 'radius'])"),
+     "unknown key 'raduis' in config.params (allowed: ['coarse_extent', 'radius'])"),
     ("excess-decay", {"mode": 1.5}, "config.params.mode must be an integer, got 1.5"),
 ])
 def test_cli_rejects_malformed_scenario_params(tmp_path, capsys, scenario, params, expected):
@@ -833,3 +837,101 @@ def test_cli_simulate_and_diagnose_roundtrip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "energy:" in out
+
+
+# --- flow table -------------------------------------------------------------------
+
+
+def small_raw(scenario):
+    """A config of ``scenario`` that runs in a few seconds."""
+    if scenario == "excess-decay":
+        raw = raw_config()
+        _small_excess_decay()(raw)
+        return raw
+    return {
+        "standing-wave": BASE_RAW,
+        "shrinking-circle": SMALL_CIRCLE_RAW,
+        "monotonicity-sweep": {**SMALL_CIRCLE_RAW, "scenario": "monotonicity-sweep"},
+        "no-cancellation": {"scenario": "no-cancellation",
+                            "grid": {"dim": 2, "extent": 1.4, "points": 160}, "epsilon": [0.04],
+                            "solver": {"dt_factor": 0.125, "t_end": 0.004, "sample_every": 4}},
+        "inequality-ratios": {"scenario": "inequality-ratios",
+                              "grid": {"dim": 2, "extent": 1.28, "points": 128}, "epsilon": 0.04,
+                              "solver": {"dt_factor": 0.125, "t_end": 0.001, "sample_every": 5}},
+    }[scenario]
+
+
+class ReadParams(dict):
+    """Params that record the keys read from them."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_every_flow_a_scenario_runs_is_in_its_flow_table(monkeypatch, scenario):
+    # the loader checks the table, so a flow outside it would go unchecked;
+    # standing-wave's single solver.step is no flow
+    config = config_from_dict(small_raw(scenario))
+    flows = _flows(config)
+    ran, march = [], solver.march
+
+    def recording(field, cfg):
+        ran.append((field.epsilon, (field.grid, cfg)))
+        return march(field, cfg)
+
+    monkeypatch.setattr(solver, "march", recording)
+    params = ReadParams(config.params)
+    run_scenario(dataclasses.replace(config, params=params))
+    matched = {(kind, eps) for eps, flow in ran for (kind, e), entry in flows.items()
+               if (e, entry) == (eps, flow)}
+    for run in ran:
+        assert any((e, entry) == run for (_, e), entry in flows.items())
+    assert {key for key in flows if key[0] != "base"} <= matched
+    # every declared param feeds the run
+    assert params.read == set(config.params)
+
+
+_CIRCLE_128 = dict(grid={"dim": 2, "extent": 1.2, "points": 128}, epsilon=0.04)
+
+
+@pytest.mark.parametrize("raw, expected", [
+    # the coarse 2-eps flow takes 25 steps, which 2 does not divide
+    ({**scenario_raw("shrinking-circle", radius=0.25), **_CIRCLE_128,
+      "solver": {"dt_factor": 0.25, "t_end": 0.02, "sample_every": 2}},
+     ["shrinking-circle coarse flow: step count 25 is not a multiple of sample_every=2"]),
+    # the static flat layer steps at 0.125 * 0.05^2 whatever the scheme
+    ({**scenario_raw("shrinking-circle", radius=0.25), **_CIRCLE_128,
+      "solver": {"dt_factor": 0.01, "t_end": 0.02, "scheme": "explicit-rk2",
+                 "sample_every": 25}},
+     ["shrinking-circle flat flow: dt=0.0003125 exceeds the explicit-rk2 limit"]),
+    # the rough flow's horizon, t_end/10, is 5.5 steps
+    ({**scenario_raw("excess-decay"), "grid": {"dim": 2, "extent": 1.28, "points": 256},
+      "epsilon": [0.02], "solver": {"dt_factor": 0.125, "t_end": 0.00275, "sample_every": 1}},
+     ["excess-decay rough flow: t_end=0.000275 is not a whole number of steps of dt=5e-05"]),
+    # 51 steps at eps 0.04 cannot keep every 5th; t_end/10 is 20.4 steps at eps 0.02
+    ({**scenario_raw("excess-decay"),
+      "solver": {"dt_factor": 0.125, "t_end": 0.0102, "sample_every": 1}},
+     ["excess-decay main flow: step count 51 is not a multiple of sample_every=5",
+      "excess-decay rough flow: t_end=0.00102 is not a whole number of steps of dt=5e-05"]),
+])
+def test_loader_rejects_a_hidden_flow_that_breaks_its_step_rules(tmp_path, capsys, monkeypatch,
+                                                                 raw, expected):
+    def no_flow(*args):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(solver, "march", no_flow)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    code = cli_main(["experiment", "--config", str(path), "--out", str(tmp_path / "exp")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error:") and len(err.strip().splitlines()) == 1
+    for text in expected:
+        assert text in err
+    assert not (tmp_path / "exp").exists()

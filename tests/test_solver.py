@@ -18,7 +18,7 @@ from acflow import (
 )
 from acflow.initial_data import plane_pair_distance
 from acflow.operators import integrate_values
-from acflow.solver import SCHEMES, _Stepper, ac_residual_values, step_count
+from acflow.solver import SCHEMES, _Stepper, ac_residual_values, dt_limit, step_count
 
 from conftest import standing_wave, circle_field, zero_crossing_radius
 
@@ -116,6 +116,18 @@ def test_rk2_dt_limit_depends_on_spacing(grid_2d):
     cfg = SolverConfig(dt=0.5 * grid_2d.spacing**2, t_end=1.0, scheme="explicit-rk2")
     with pytest.raises(SolverConfigError):
         step(f, cfg)
+
+
+@pytest.mark.parametrize("dim, points", [(1, 256), (2, 64), (3, 32)])
+def test_rk2_stays_bounded_just_under_its_limit(dim, points):
+    # the limit counts every axis of the spectral Laplacian: a bound that
+    # ignores the dimension lets a 2-D or 3-D circle blow up within 25 steps
+    g = Grid(dim=dim, extent=1.2, points=points)
+    eps = 4.0 * g.spacing
+    dt = 0.95 * dt_limit("explicit-rk2", g, eps)
+    cfg = SolverConfig(dt=dt, t_end=400 * dt, scheme="explicit-rk2", sample_every=400)
+    traj = evolve(circle_field(g, eps, 0.35), cfg)
+    assert np.max(np.abs(traj[-1].values)) <= 1.0 + 1e-6
 
 
 def test_circle_radius_strictly_decreases(grid_2d):
