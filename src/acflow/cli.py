@@ -48,7 +48,8 @@ def _resolve_config(args) -> "experiments.ExperimentConfig":
 def cmd_simulate(args) -> int:
     config = _resolve_config(args)
     eps = config.epsilons[0]
-    traj = evolve(initial_field(config, eps), config.solver_config(eps))
+    _, cfg = experiments._flows(config)["base", eps]
+    traj = evolve(initial_field(config, eps), cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = [diagnostics_record(f).as_row() for f in traj.frames]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,7 +48,6 @@ __all__ = [
     "BrakkeResidual",
     "brakke_residual",
     "caccioppoli_ratio",
-    "SobolevDefect",
     "sobolev_defect",
     "DiagnosticsRecord",
     "diagnostics_record",
@@ -139,21 +138,9 @@ class _RampProfile:
         return -_smoothstep_d2((r - self.lo) / w) / w**2
 
 
-class TestFunction:
-    """Base for time-independent C^2 spatial test functions."""
-
-    def value(self, grid: Grid) -> np.ndarray:
-        raise NotImplementedError
-
-    def gradient(self, grid: Grid) -> np.ndarray:
-        raise NotImplementedError
-
-    def hessian(self, grid: Grid) -> np.ndarray:
-        raise NotImplementedError
-
-
-class _RadialProfileFunction(TestFunction):
-    """phi(x) = p(rho(x)), rho the wrapped distance from ``center``."""
+class _RadialProfileFunction:
+    """A time-independent C^2 test function phi(x) = p(rho(x)), rho the
+    wrapped distance from ``center``."""
 
     def __init__(self, profile: _RampProfile, center: Sequence[float]):
         self.profile = profile
@@ -167,15 +154,15 @@ class _RadialProfileFunction(TestFunction):
         direction = np.stack([d / safe for d in disp])
         return rho, direction
 
-    def value(self, grid):
+    def value(self, grid: Grid) -> np.ndarray:
         rho, _ = self._rho_and_direction(grid)
         return self.profile.value(rho)
 
-    def gradient(self, grid):
+    def gradient(self, grid: Grid) -> np.ndarray:
         rho, direction = self._rho_and_direction(grid)
         return self.profile.d1(rho) * direction
 
-    def hessian(self, grid):
+    def hessian(self, grid: Grid) -> np.ndarray:
         rho, direction = self._rho_and_direction(grid)
         p1 = self.profile.d1(rho)
         p2 = self.profile.d2(rho)
@@ -188,7 +175,7 @@ class _RadialProfileFunction(TestFunction):
         return p2 * outer + radial_ratio * (identity - outer)
 
 
-def radial_bump(center: Sequence[float], radius: float) -> TestFunction:
+def radial_bump(center: Sequence[float], radius: float) -> _RadialProfileFunction:
     """1 within ``radius / 2`` of ``center``, vanishing beyond ``radius``."""
     return _RadialProfileFunction(_RampProfile(lo=0.5 * radius, hi=radius), center)
 
@@ -258,17 +245,6 @@ def _bundle(obj: ScalarField | FrameBundle) -> FrameBundle:
     return obj if isinstance(obj, FrameBundle) else FrameBundle(obj)
 
 
-def _bundles(obj: ScalarField | FrameBundle | Trajectory,
-             ) -> tuple[Grid, Sequence[float], Callable[[int], FrameBundle]]:
-    """The grid, the slice times and a builder of slice ``k``'s bundle; each
-    bundle is built when :func:`integrate_values` reaches its slice, so only
-    that slice's arrays are held."""
-    if isinstance(obj, Trajectory):
-        return obj.grid, obj.times, lambda k: FrameBundle(obj.frames[k])
-    b = _bundle(obj)
-    return b.field.grid, [b.field.time], lambda k: b
-
-
 def _tilt_integrand(frame: ScalarField | FrameBundle, direction: Sequence[float]) -> np.ndarray:
     """``(1 - (nu . e)^2) eps |grad u|^2`` with the gradient floor applied."""
     e = np.asarray(direction, dtype=float)
@@ -284,30 +260,11 @@ def _tilt_integrand(frame: ScalarField | FrameBundle, direction: Sequence[float]
     return np.where(gnorm > floor, integrand, 0.0)
 
 
-def _normalized(raw: float, obj: ScalarField | FrameBundle | Trajectory,
-                region: ParabolicCylinder | None, spatial_power: int, parabolic_power: int) -> float:
-    if region is None:
-        return raw
-    power = parabolic_power if isinstance(obj, Trajectory) else spatial_power
-    return raw / region.radius**power
-
-
-def tilt_excess(
-    obj: ScalarField | FrameBundle | Trajectory,
-    direction: Sequence[float],
-    region: ParabolicCylinder | None = None,
-) -> float:
-    """Excess of the interface normal against a fixed direction.
-
-    Spatial (single field) values are scaled by ``r^-n``, space-time values
-    by ``r^-n-2``; with no region the raw box integral is returned.
-    Invariant under ``e -> -e``.
-    """
-    grid, times, bundle_at = _bundles(obj)
-    raw = integrate_values(grid, times, lambda k: _tilt_integrand(bundle_at(k), direction),
-                           [region])[0]
-    n = grid.interface_dim
-    return _normalized(raw, obj, region, n, n + 2)
+def tilt_excess(frame: ScalarField | FrameBundle, direction: Sequence[float]) -> float:
+    """Excess of the interface normal against a fixed direction: the box
+    integral of one slice's tilt integrand.  Invariant under ``e -> -e``."""
+    b = _bundle(frame)
+    return float(np.sum(_tilt_integrand(b, direction)) * b.field.grid.cell_volume)
 
 
 def height_excess(
@@ -319,9 +276,14 @@ def height_excess(
 
     Scaled by ``r^-n-2`` (spatial) or ``r^-n-4`` (space-time); raw when no
     region is given.  The cylinder center (the origin without a region)
-    anchors the minimal-image unwrapping.
+    anchors the minimal-image unwrapping.  A trajectory's slices are bundled
+    one at a time, as :func:`integrate_values` reaches them.
     """
-    grid, times, bundle_at = _bundles(obj)
+    if isinstance(obj, Trajectory):
+        grid, times, bundle_at = obj.grid, obj.times, lambda k: FrameBundle(obj.frames[k])
+    else:
+        b = _bundle(obj)
+        grid, times, bundle_at = b.field.grid, [b.field.time], lambda k: b
     h = plane.signed_height(grid, region.center_space if region is not None else None)
 
     def density_at(k: int) -> np.ndarray:
@@ -329,22 +291,17 @@ def height_excess(
         return h * h * b.field.epsilon * b.grad_sq
 
     raw = integrate_values(grid, times, density_at, [region])[0]
+    if region is None:
+        return raw
     n = grid.interface_dim
-    return _normalized(raw, obj, region, n + 2, n + 4)
+    return raw / region.radius ** (n + 4 if isinstance(obj, Trajectory) else n + 2)
 
 
-def willmore(
-    obj: ScalarField | FrameBundle | Trajectory,
-    region: ParabolicCylinder | None = None,
-) -> float:
-    """``integral of eps (lap u - W'(u)/eps^2)^2``; the squared velocity."""
-    grid, times, bundle_at = _bundles(obj)
-
-    def density_at(k: int) -> np.ndarray:
-        b = bundle_at(k)
-        return b.field.epsilon * b.residual ** 2
-
-    return integrate_values(grid, times, density_at, [region])[0]
+def willmore(frame: ScalarField | FrameBundle) -> float:
+    """``integral of eps (lap u - W'(u)/eps^2)^2`` over the box at one slice;
+    the squared velocity."""
+    b = _bundle(frame)
+    return float(np.sum(b.field.epsilon * b.residual ** 2) * b.field.grid.cell_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +401,7 @@ class BrakkeResidual:
         return abs(self.dmu_dt - self.rhs_tensor_form)
 
 
-def brakke_residual(traj: Trajectory, phi: TestFunction, t: float) -> BrakkeResidual:
+def brakke_residual(traj: Trajectory, phi: _RadialProfileFunction, t: float) -> BrakkeResidual:
     """Centered-difference d/dt of the weighted energy against its two
     integral forms (gradient-transport form and stress-tensor form).
 
@@ -514,38 +471,12 @@ def caccioppoli_ratio(
     return lhs / rhs
 
 
-@dataclass(frozen=True)
-class SobolevDefect:
-    """Flat-energy defect and the quantities that are supposed to bound it.
+def sobolev_defect(field: ScalarField, radius: float,
+                   center: Sequence[float] | None = None) -> float:
+    """The flat-energy defect ``| mu(B_r)/r^n - alpha omega_n |``.
 
-    All entries are expressed at unit scale (the working ball is rescaled to
-    radius 1, so ``epsilon_scaled = epsilon / radius``).
-    """
-
-    energy_difference: float
-    tilt_term: float
-    discrepancy_term: float
-    cross_term: float
-    velocity_term: float
-    radius: float
-    epsilon_scaled: float
-
-    @property
-    def bundle_total(self) -> float:
-        return self.tilt_term + self.discrepancy_term + self.cross_term + self.velocity_term
-
-
-def sobolev_defect(
-    field: ScalarField,
-    radius: float,
-    center: Sequence[float] | None = None,
-) -> SobolevDefect:
-    """``| mu(B_r)/r^n - alpha omega_n |`` with its controlling bundle.
-
-    The bundle is measured on the tripled ball: normalized tilt excess
-    against the vertical direction, discrepancy mass, the geometric-mean
-    cross term, and the squared-velocity term raised to ``n/(n-2)`` (plain
-    for n <= 2, where the sharper exponent degenerates).
+    The tripled ball, where the paper's bound on the defect lives, must fit
+    inside half the box.
     """
     grid = field.grid
     n = grid.interface_dim
@@ -553,32 +484,10 @@ def sobolev_defect(
     if 3.0 * radius > 0.5 * grid.extent:
         raise ValueError("tripled ball must fit inside half the box")
 
-    b = FrameBundle(field)
-    dens = b.energy_density
+    dens = FrameBundle(field).energy_density
     inner = ball_mask(grid, c, radius)
     mu_r = float(np.sum(dens[inner]) * grid.cell_volume)
-    energy_difference = abs(mu_r / radius**n - WAVE_ENERGY * unit_ball_volume(n))
-
-    outer = ball_mask(grid, c, 3.0 * radius)
-    tilt = _tilt_integrand(b, Hyperplane.vertical(grid.dim).normal)
-    xi = b.discrepancy
-    resid = b.residual
-    vol = grid.cell_volume
-
-    tilt_term = float(np.sum(tilt[outer]) * vol) / (3.0 * radius) ** n
-    xi_term = float(np.sum(np.abs(xi[outer])) * vol) / radius**n
-    w_term = float(np.sum(field.epsilon * resid[outer] ** 2) * vol) * radius ** (2 - n)
-    cross = math.sqrt(tilt_term * w_term)
-    exponent = n / (n - 2) if n > 2 else 1.0
-    return SobolevDefect(
-        energy_difference=energy_difference,
-        tilt_term=tilt_term,
-        discrepancy_term=xi_term,
-        cross_term=cross,
-        velocity_term=w_term**exponent,
-        radius=radius,
-        epsilon_scaled=field.epsilon / radius,
-    )
+    return abs(mu_r / radius**n - WAVE_ENERGY * unit_ball_volume(n))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 from .diagnostics import (
     FrameBundle,
     Hyperplane,
-    TestFunction,
+    _RadialProfileFunction,
     brakke_terms,
     caccioppoli_ratio,
     diagnostics_record,
@@ -185,6 +185,9 @@ def _build_config(raw: dict) -> ExperimentConfig:
             problems.append(f"config.grid: {exc}")
 
     eps = top.get("epsilon")
+    if isinstance(eps, list) and scenario in _DEFAULTS and scenario not in _EPSILON_SWEEPS:
+        problems.append(f"{scenario} runs one epsilon, so config.epsilon must be a number, "
+                        f"got {eps!r}")
     epsilons = tuple(eps) if isinstance(eps, list) else (eps,)
     if "epsilon" in top and not all(e > 0 for e in epsilons):
         problems.append(f"epsilon values must be positive, got {eps!r}")
@@ -212,6 +215,9 @@ def _build_config(raw: dict) -> ExperimentConfig:
 # its own.  The other scenarios run in every dimension a Grid allows.
 _PLANAR = frozenset({"shrinking-circle", "excess-decay", "inequality-ratios"})
 
+# Scenarios that run every epsilon of a list; the others run one epsilon.
+_EPSILON_SWEEPS = frozenset({"excess-decay", "no-cancellation"})
+
 # Scenarios whose identity checks read centred residuals of a flow audit
 # past the burn-in (:func:`_burn_in`).
 _AUDITED = frozenset({"shrinking-circle", "monotonicity-sweep"})
@@ -225,8 +231,8 @@ def _burn_in(eps: float) -> float:
 
 
 def _validate_config(config: ExperimentConfig) -> None:
-    """Dimension, resolution, margin, time-step and burn-in rules, and
-    excess-decay's fit and partition params; every violation reported at
+    """Dimension, resolution, margin, time-step and burn-in rules, and the
+    scenario params that would fail mid-run; every violation reported at
     once.
 
     Every flow of :func:`_flows` must build, its step must lie within the
@@ -266,6 +272,7 @@ def _validate_config(config: ExperimentConfig) -> None:
             except (SolverConfigError, OverflowError) as exc:
                 problems.append(_flow_problem(config, kind, eps, exc))
                 flows.pop((kind, eps), None)  # only flows that meet the rules go on
+    problems += _param_problems(config)
     if config.scenario == "excess-decay":
         problems += _excess_decay_problems(config, _of_kind(flows, "fit"))
     if problems:
@@ -382,6 +389,41 @@ def _excess_decay_problems(config: ExperimentConfig, fits: dict[float, Flow]) ->
                 f"the excess-decay fit window t0 +- (theta*fit_scale)^2 = t0 +- {r2:g} holds "
                 f"fewer than two samples of the epsilon={eps:g} fit flow "
                 f"(sample interval {interval:g})")
+    return problems
+
+
+def _param_problems(config: ExperimentConfig) -> list[str]:
+    """The params no run can use: a circle that is not there or that
+    vanishes before ``t_end``, a kernel point before the last sample, a
+    bump of radius 0 (its defect is NaN), and inequality-ratios' Sobolev
+    balls that leave half their box or stress-energy grids that do not
+    build."""
+    p, scenario = config.params, config.scenario
+    problems = []
+    if "radius" in p and not p["radius"] > 0:
+        problems.append(f"params.radius={p['radius']:g} must be positive")
+    elif scenario == "shrinking-circle" and p["radius"] * p["radius"] <= 2.0 * config.t_end:
+        problems.append(f"params.radius={p['radius']:g} leaves no circle at t_end={config.t_end:g}"
+                        f" under the radius law R^2 = radius^2 - 2t (needs radius^2 > 2*t_end)")
+    if scenario == "monotonicity-sweep" and not p["kernel_lag"] > 0:
+        problems.append(f"params.kernel_lag={p['kernel_lag']:g} must be positive: the "
+                        f"backward kernel sits at t_end + kernel_lag, after every sample")
+    if scenario == "no-cancellation" and not all(r > 0 for r in p["bump_radii"]):
+        problems.append(f"params.bump_radii must all be positive, got {p['bump_radii']!r}")
+    if scenario == "inequality-ratios":
+        balls = (("grid.extent", config.grid.extent, 0.5 * p["ball_radius"]),
+                 ("params.circle_extent", p["circle_extent"], _CIRCLE_BALL))
+        for name, extent, radius in balls:
+            if not 0.0 < 3.0 * radius <= 0.5 * extent:
+                problems.append(f"the tripled Sobolev ball of radius {3 * radius:g} must be "
+                                f"positive and fit inside half the {name}={extent:g} box")
+        if not p["circle_radius"] > 0:
+            problems.append(f"params.circle_radius={p['circle_radius']:g} must be positive")
+        try:
+            _stress_energy_grids(config)
+        except ValueError as exc:
+            problems.append(f"inequality-ratios stress-energy grid (grid.points // 8, // 4 "
+                            f"or // 2): {exc}")
     return problems
 
 
@@ -680,25 +722,20 @@ def density_ratio_profile(
     return DensityRatioProfile(entries=tuple(entries), center_in_layer=center_in_layer)
 
 
-def no_cancellation_check(
-    traj: Trajectory,
-    bump_radii: Sequence[float],
-    bump_times: Sequence[float] | None = None,
-) -> float:
+def no_cancellation_check(traj: Trajectory, bump_radii: Sequence[float]) -> float:
     """Weak-* defect between ``alpha |grad u|`` and twice the energy density.
 
-    Max over a family of radial bumps and sample times of
-    ``|integral psi (alpha |grad u| - 2 dens)| / integral dens``.
+    Max over a family of radial bumps and the frames a quarter, a half and
+    three quarters along of ``|integral psi (alpha |grad u| - 2 dens)|``,
+    over the mean of ``integral dens`` on those frames.
     """
     grid = traj.grid
     vol = grid.cell_volume
-    if bump_times is None:
-        k = len(traj) // 4
-        bump_times = [traj.times[k], traj.times[2 * k], traj.times[3 * k]]
+    k = len(traj) // 4
+    frames = (traj[k], traj[2 * k], traj[3 * k])
     total_mass = 0.0
     worst = 0.0
-    for t in bump_times:
-        _, frame = traj.frame_nearest(t)
+    for frame in frames:
         b = FrameBundle(frame)
         gnorm = np.sqrt(b.grad_sq)
         dens = b.energy_density
@@ -707,7 +744,7 @@ def no_cancellation_check(
             psi = radial_bump(center=(0.0,) * grid.dim, radius=r).value(grid)
             defect = float(np.sum(psi * (WAVE_ENERGY * gnorm - 2.0 * dens)) * vol)
             worst = max(worst, abs(defect))
-    mean_mass = total_mass / len(bump_times)
+    mean_mass = total_mass / len(frames)
     return worst / mean_mass
 
 
@@ -847,7 +884,7 @@ def run_standing_wave(config: ExperimentConfig) -> ScenarioResult:
     )
 
 
-def _brakke_probe(grid: Grid, phi_bump: TestFunction) -> Probe:
+def _brakke_probe(grid: Grid, phi_bump: _RadialProfileFunction) -> Probe:
     """Per-step terms of the Brakke identity (both forms) against the bump."""
     phi, grad_phi, hess_phi = phi_bump.value(grid), phi_bump.gradient(grid), phi_bump.hessian(grid)
 
@@ -1070,7 +1107,8 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
         h0 = amp * np.cos(k_hat * x)
         heat_errors[eps] = heat_compare(graph, reference_initial=h0)
 
-        final_graph = extract_graph(traj[-1], 0.0)
+        final_graph = replace(graph, times=graph.times[-1:], heights=graph.heights[-1:],
+                              valid=graph.valid[-1:])
         href = amp * math.exp(-k_hat**2 * traj.times[-1]) * np.cos(k_hat * x)
         final_errors[eps] = heat_compare(final_graph, reference_initial=href)
         del initial, traj  # not held while the next, finer flow is prepared and run
@@ -1179,6 +1217,16 @@ def _analytic_random_field(grid: Grid, seed: int) -> ScalarField:
     return ScalarField(grid=grid, values=np.tanh(f), epsilon=0.5)
 
 
+# The radius of inequality-ratios' Sobolev ball on the circle.
+_CIRCLE_BALL = 0.15
+
+
+def _stress_energy_grids(config: ExperimentConfig) -> list[Grid]:
+    """Inequality-ratios' three stress-energy grids, at an eighth, a quarter
+    and half the config's points per axis."""
+    return [Grid(dim=2, extent=1.0, points=config.grid.points // d) for d in (8, 4, 2)]
+
+
 def run_inequality_ratios(config: ExperimentConfig) -> ScenarioResult:
     p = config.params
     slope, ball_radius = p["slope"], p["ball_radius"]
@@ -1194,7 +1242,7 @@ def run_inequality_ratios(config: ExperimentConfig) -> ScenarioResult:
         g = Grid(dim=config.grid.dim, extent=L, points=points)
         wave = _wave_initial(g, epsilon)
         cacc = caccioppoli_ratio(wave, plane, radius=ball_radius)
-        sob = sobolev_defect(wave, radius=ball_radius / 2).energy_difference
+        sob = sobolev_defect(wave, radius=ball_radius / 2)
         return cacc, sob
 
     cacc_a, sob_a = tilted_ratios(n_points, eps)
@@ -1216,15 +1264,11 @@ def run_inequality_ratios(config: ExperimentConfig) -> ScenarioResult:
         circle_cacc.append(
             caccioppoli_ratio(slice_field, tangent, radius=ball_radius, center=(r_now, 0.0))
         )
-        circle_sob.append(
-            sobolev_defect(slice_field, radius=0.15, center=(r_now, 0.0)).energy_difference
-        )
+        circle_sob.append(sobolev_defect(slice_field, radius=_CIRCLE_BALL, center=(r_now, 0.0)))
 
     # stress-energy refinement study (three grid levels)
-    defects = []
-    for pts in (n_points // 8, n_points // 4, n_points // 2):
-        g = Grid(dim=2, extent=1.0, points=pts)
-        defects.append(divergence_defect(_analytic_random_field(g, config.seed + 11)))
+    defects = [divergence_defect(_analytic_random_field(g, config.seed + 11))
+               for g in _stress_energy_grids(config)]
     rate1 = defects[1] / defects[0]
     rate2 = defects[2] / defects[1]
 

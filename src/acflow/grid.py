@@ -273,11 +273,6 @@ class Trajectory:
         i = int(np.argmin(np.abs(self.times - t)))
         return i, self.frames[i]
 
-    def window(self, t_lo: float, t_hi: float) -> "Trajectory":
-        """Sub-trajectory of the frames inside a time window (:func:`window_weights`)."""
-        keep, _ = window_weights(self.times, t_lo, t_hi, self.dt_sample)
-        return Trajectory(frames=tuple(self.frames[i] for i in keep), dt_sample=self.dt_sample)
-
 
 def trapezoid_weights(n: int, dt: float) -> np.ndarray:
     """Trapezoid weights of ``n`` samples spaced ``dt`` apart; a single

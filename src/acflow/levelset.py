@@ -149,12 +149,11 @@ def _lagrange_roots(stencil: np.ndarray, targets: np.ndarray,
     return root
 
 
-def extract_graph(traj: ScalarField | Trajectory, level: float,
-                  window: float | None = None) -> LevelSetGraph:
+def extract_graph(traj: ScalarField | Trajectory, level: float) -> LevelSetGraph:
     """Per-column single-crossing heights of ``{u = level}``.
 
-    The search window ``|x_vertical| <= window`` (default a quarter box)
-    enforces the single-layer hypothesis geometrically.  Columns with zero
+    The search window ``|x_vertical| <= extent/4`` (a quarter box) enforces
+    the single-layer hypothesis geometrically.  Columns with zero
     or multiple crossings are marked invalid; an all-invalid extraction is
     an error.  Crossings are refined on the column's cubic interpolant to
     ``|u(h) - level| <= 1e-12``.
@@ -162,8 +161,7 @@ def extract_graph(traj: ScalarField | Trajectory, level: float,
     frames = [traj] if isinstance(traj, ScalarField) else traj.frames
     times = np.array([f.time for f in frames])
     grid = traj.grid
-    if window is None:
-        window = 0.25 * grid.extent
+    window = 0.25 * grid.extent
 
     axis = grid.axis()
     in_win = np.abs(axis) <= window + 1e-12
@@ -345,13 +343,12 @@ def partition_good_bad(
 # ---------------------------------------------------------------------------
 
 
-def heat_compare(graph: LevelSetGraph, reference_initial: np.ndarray | None = None) -> float:
+def heat_compare(graph: LevelSetGraph, reference_initial: np.ndarray) -> float:
     """Relative space-time L2 distance between the extracted graph and the
     heat flow of a reference initial profile.
 
     The reference evolves by exact Fourier-mode decay on the periodic base;
-    both sides are made mean-free.  Defaults the reference to the graph's
-    first frame.  A graph valid on fewer than 95% of its base points, or
+    both sides are made mean-free.  A graph valid on fewer than 95% of its base points, or
     over a 1-D box (a one-point base), is an error.
     """
     if graph.validity_fraction < 0.95:
@@ -365,10 +362,8 @@ def heat_compare(graph: LevelSetGraph, reference_initial: np.ndarray | None = No
         )
     base = Grid(dim=graph.base_dim, extent=graph.base_extent, points=n_pts)
     h = np.where(graph.valid, graph.heights, 0.0)
-    h0 = reference_initial if reference_initial is not None else h[0]
-    h0 = np.asarray(h0, dtype=float)
-
     h = h - np.mean(h)
+    h0 = np.asarray(reference_initial, dtype=float)
     h0 = h0 - np.mean(h0)
 
     neg_k2 = symbols(base).neg_k2
@@ -421,14 +416,11 @@ class ExcessDecayReport:
         }
 
 
-def excess_decay_ratio(
-    traj: Trajectory,
-    theta: float,
-    scale: float,
-    center_time: float | None = None,
-) -> ExcessDecayReport:
+def excess_decay_ratio(traj: Trajectory, theta: float, scale: float,
+                       center_time: float) -> ExcessDecayReport:
     """Fit the plane minimizing the height excess over the shrunk cylinder
-    about the origin and report how much the excess contracts.
+    about the origin at ``center_time`` and report how much the excess
+    contracts.
 
     The fit is weighted linear least squares of the vertical coordinate on
     the base coordinates with weight ``eps |grad u|^2`` over ``P_theta``.
@@ -442,8 +434,7 @@ def excess_decay_ratio(
     grid = traj.grid
     n = grid.interface_dim
     c = (0.0,) * grid.dim
-    t0 = center_time if center_time is not None else float(np.median(traj.times))
-    shrunk = ParabolicCylinder(c, t0, theta * scale)
+    shrunk = ParabolicCylinder(c, center_time, theta * scale)
 
     disp = np.stack(np.broadcast_arrays(*grid.displacement(c)))
     xv = disp[-1]
@@ -482,7 +473,8 @@ def excess_decay_ratio(
     normal = tuple(float(v) for v in np.append(-slope, 1.0) / norm)
     offset = float(intercept / norm)
 
-    h_unit = height_excess(traj, Hyperplane.vertical(grid.dim), ParabolicCylinder(c, t0, scale))
+    h_unit = height_excess(traj, Hyperplane.vertical(grid.dim),
+                           ParabolicCylinder(c, center_time, scale))
     h_fit = height_excess(traj, Hyperplane(normal, offset), shrunk)
     eps_hat = traj.epsilon / scale
     deviation = float(np.linalg.norm(np.asarray(normal) - np.eye(grid.dim)[-1]))

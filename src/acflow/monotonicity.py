@@ -16,7 +16,7 @@ import numpy as np
 
 from .diagnostics import (
     FrameBundle,
-    TestFunction,
+    _RadialProfileFunction,
     _centered_index,
     _sample_index,
     stress_contraction,
@@ -83,7 +83,7 @@ def gaussian_density(
     traj: Trajectory,
     kp: KernelPoint,
     t: float,
-    rho: TestFunction | None = None,
+    rho: _RadialProfileFunction | None = None,
 ) -> GaussianDensity:
     """Kernel-weighted energy at the sampled time nearest ``t``.
 
@@ -99,7 +99,7 @@ def gaussian_density(
 
 
 def _weights(kp: KernelPoint, grid: Grid, t: float,
-             rho: TestFunction | None) -> tuple[np.ndarray, np.ndarray]:
+             rho: _RadialProfileFunction | None) -> tuple[np.ndarray, np.ndarray]:
     """The kernel ``Phi`` at time ``t`` and the weight ``rho Phi`` (``Phi``
     itself when ``rho`` is None)."""
     phi = kernel_on_grid(kp, grid, t)
@@ -109,7 +109,7 @@ def _weights(kp: KernelPoint, grid: Grid, t: float,
 def monotonicity_terms(
     bundle: FrameBundle,
     kp: KernelPoint,
-    rho: TestFunction | None = None,
+    rho: _RadialProfileFunction | None = None,
 ) -> tuple[float, float, float, float]:
     """The kernel-weighted energy and the three right-hand terms of its
     time derivative at one slice: ``(value, dissipative, discrepancy,
@@ -159,7 +159,7 @@ def monotonicity_residual(
     traj: Trajectory,
     kp: KernelPoint,
     t: float,
-    rho: TestFunction | None = None,
+    rho: _RadialProfileFunction | None = None,
 ) -> MonotonicityResidual:
     """Centered d/dt of the kernel-weighted energy against its identity.
 

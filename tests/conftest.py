@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from acflow import Grid, ScalarField, prepare_interface
-from acflow.diagnostics import TestFunction
 from acflow.initial_data import circle_distance, plane_pair_distance
 
 
@@ -26,7 +25,7 @@ def circle_field(grid: Grid, epsilon: float, radius: float) -> ScalarField:
     return prepare_interface(circle_distance(radius), grid, epsilon)
 
 
-class _ConstantOne(TestFunction):
+class _ConstantOne:
     def value(self, grid):
         return np.ones(grid.shape)
 
@@ -37,7 +36,7 @@ class _ConstantOne(TestFunction):
         return np.zeros((grid.dim, grid.dim) + grid.shape)
 
 
-def constant_one() -> TestFunction:
+def constant_one() -> _ConstantOne:
     """The weight 1, whose gradient and Hessian vanish."""
     return _ConstantOne()
 

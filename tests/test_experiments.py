@@ -303,7 +303,8 @@ def test_library_makes_no_complex_transform(monkeypatch):
                                       sample_every=2))
     diagnostics_record(traj[-1])
     partition_good_bad(traj, 0.02, 0.05)
-    heat_compare(extract_graph(traj, 0.0))
+    graph = extract_graph(traj, 0.0)
+    heat_compare(graph, graph.heights[0])
 
 
 def test_library_identities_reproduce_the_audit_probe_series():
@@ -462,7 +463,7 @@ def test_no_cancellation_defect_small_on_exact_wave(grid_1d):
     wave = standing_wave(grid_1d, 0.05)
     frames = tuple(wave.with_values(wave.values, time=0.01 * i) for i in range(5))
     traj = Trajectory(frames=frames, dt_sample=0.01)
-    defect = no_cancellation_check(traj, bump_radii=[0.9], bump_times=[0.02])
+    defect = no_cancellation_check(traj, bump_radii=[0.9])
     # the bump curvature sees the (profile-width)^2 moment difference
     assert defect < 1e-3
 
@@ -706,7 +707,8 @@ _SHORT_CIRCLE_ERROR = ("t_end - dt = 0.011875 is not half a step (dt=0.000625) p
      ["missing key 'extent' in config.grid", "missing key 't_end' in config.solver"]),
     ([_with("solver", dt_factor=1.0)], ["exceeds the semi-implicit-cnab2 limit"]),
     ([_with("solver", t_end=0.0013)], ["not a whole number of steps"]),
-    ([_with("solver", dt_factor=1.0, t_end=0.0013), _with(None, epsilon=[0.05, 0.04])],
+    ([_with("solver", dt_factor=1.0, t_end=0.0013),
+      _with(None, scenario="no-cancellation", epsilon=[0.05, 0.04])],
      ["limit", "epsilon=0.05", "epsilon=0.04", "whole number"]),
     ([_without(None, "epsilon"), _with("grid", points=513), _without("solver", "t_end")],
      ["'epsilon'", "points must be even", "'t_end'"]),
@@ -751,6 +753,29 @@ _SHORT_CIRCLE_ERROR = ("t_end - dt = 0.011875 is not half a step (dt=0.000625) p
     # 32 steps of eps 0.02, is 14.2 steps of eps 0.03
     ([_small_excess_decay(), _with(None, epsilon=[0.03, 0.02]), _with("solver", t_end=0.009)],
      ["excess-decay fit flow: t_end=0.0016 is not a whole number of steps of dt=0.0001125"]),
+    # a scenario that runs one epsilon takes no list
+    ([_with(None, epsilon=[0.05, 0.04])],
+     ["standing-wave runs one epsilon, so config.epsilon must be a number, got [0.05, 0.04]"]),
+    # params that used to fail mid-run, each after some of its flows had run
+    ([_with(None, **scenario_raw("inequality-ratios")), _with("grid", points=136)],
+     ["inequality-ratios stress-energy grid (grid.points // 8, // 4 or // 2): "
+      "points must be even, got 17"]),
+    ([_with(None, **scenario_raw("inequality-ratios", ball_radius=0.5))],
+     ["the tripled Sobolev ball of radius 0.75 must be positive and fit inside half the "
+      "grid.extent=1.28 box"]),
+    ([_with(None, **scenario_raw("inequality-ratios", circle_extent=0.8))],
+     ["the tripled Sobolev ball of radius 0.45 must be positive and fit inside half the "
+      "params.circle_extent=0.8 box"]),
+    ([_with(None, **scenario_raw("inequality-ratios", circle_radius=0.0))],
+     ["params.circle_radius=0 must be positive"]),
+    ([_with(None, **scenario_raw("shrinking-circle", radius=-0.1))],
+     ["params.radius=-0.1 must be positive"]),
+    ([_with(None, **scenario_raw("shrinking-circle", radius=0.2))],
+     ["params.radius=0.2 leaves no circle at t_end=0.04"]),
+    ([_with(None, **scenario_raw("monotonicity-sweep", kernel_lag=-1.0))],
+     ["params.kernel_lag=-1 must be positive"]),
+    ([_with(None, **scenario_raw("no-cancellation", bump_radii=[0.0, 0.2]))],
+     ["params.bump_radii must all be positive, got [0.0, 0.2]"]),
 ])
 def test_cli_reports_every_config_error_at_load(tmp_path, capsys, mutations, expected):
     raw = raw_config()
@@ -874,7 +899,7 @@ class ReadParams(dict):
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_every_flow_a_scenario_runs_is_in_its_flow_table(monkeypatch, scenario):
+def test_every_flow_a_scenario_runs_is_in_its_flow_table(monkeypatch, tmp_path, scenario):
     # the loader checks the table, so a flow outside it would go unchecked;
     # standing-wave's single solver.step is no flow
     config = config_from_dict(small_raw(scenario))
@@ -895,6 +920,13 @@ def test_every_flow_a_scenario_runs_is_in_its_flow_table(monkeypatch, scenario):
     assert {key for key in flows if key[0] != "base"} <= matched
     # every declared param feeds the run
     assert params.read == set(config.params)
+    # acflow simulate runs the first epsilon's base flow
+    ran.clear()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_raw(scenario)))
+    assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 0
+    eps = config.epsilons[0]
+    assert ran == [(eps, flows["base", eps])]
 
 
 _CIRCLE_128 = dict(grid={"dim": 2, "extent": 1.2, "points": 128}, epsilon=0.04)

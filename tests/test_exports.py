@@ -1,4 +1,5 @@
-"""Every public name of the package is used by the package or the benchmark.
+"""Every public name of the package, and every option of a public function,
+is used by the package or the benchmark.
 
 A name in a module's ``__all__`` must be loaded somewhere in ``src/acflow``
 outside its own definition and ``__init__.py``, or somewhere in
@@ -8,6 +9,11 @@ function binds as a parameter or local, or an attribute of a module
 alias (``from . import solver as solver_mod``).  Tests do not count: a
 public function that only tests call feeds no scenario, no command and no
 probe.
+
+Likewise, every parameter with a default of a function in a module's
+``__all__`` must be passed, by position or by keyword, by some call in
+``src/acflow`` or ``bench/*.py``; an option that only tests set is a
+constant.
 """
 
 import ast
@@ -143,3 +149,91 @@ def test_a_shadowing_local_is_not_a_use_and_an_aliased_module_is():
     # a bare load outside any binding function is a use
     caller = ast.parse("def run(u):\n    return discrepancy(u) + step(u)\n")
     assert _unused({"diag": exporter, "user": user}, [caller]) == []
+
+
+# Optional parameters that no call passes, kept with the functions ROADMAP
+# item 6 retires: a bench probe pins each of these functions.
+_RETIRING = {"monotonicity.monotonicity_residual.rho", "levelset.partition_good_bad.direction",
+             "levelset.partition_good_bad.radii"}
+
+
+def _options(tree: ast.Module) -> list[tuple[str, int | None, str]]:
+    """``(function, position, parameter)`` for every parameter with a
+    default of every exported top-level function; keyword-only parameters
+    have no position."""
+    exported = set(_exports(tree))
+    out = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.name not in exported:
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        out += [(node.name, i, a.arg) for i, a in enumerate(positional) if i >= first]
+        out += [(node.name, None, a.arg)
+                for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _calls(tree: ast.Module) -> list[tuple[str, list[ast.expr], list[ast.keyword]]]:
+    """``(callee, args, keywords)`` of every call, the callee a bare name or
+    an attribute's name; ``partial(f, *args, **keywords)`` counts as a call
+    of ``f``."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if isinstance(func, ast.Name) and func.id == "partial" and args:
+            func, args = args[0], args[1:]
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is not None:
+            out.append((name, args, node.keywords))
+    return out
+
+
+def _passes(args: list[ast.expr], keywords: list[ast.keyword], position: int | None,
+            parameter: str) -> bool:
+    starred = [i for i, a in enumerate(args) if isinstance(a, ast.Starred)]
+    by_position = position is not None and (len(args) > position
+                                            or bool(starred) and starred[0] <= position)
+    return by_position or any(k.arg in (parameter, None) for k in keywords)
+
+
+def _unpassed(modules: dict[str, ast.Module], others: list[ast.Module]) -> list[str]:
+    """``module.function.parameter`` for every optional parameter of an
+    exported function that no call in ``modules`` or ``others`` passes."""
+    calls = [c for tree in list(modules.values()) + others for c in _calls(tree)]
+    return [f"{mod}.{function}.{parameter}"
+            for mod, tree in modules.items()
+            for function, position, parameter in _options(tree)
+            if not any(name == function and _passes(args, keywords, position, parameter)
+                       for name, args, keywords in calls)]
+
+
+def unpassed_options() -> list[str]:
+    """``module.function.parameter`` for every option no call passes."""
+    package = ROOT / "src" / "acflow"
+    modules = {p.stem: _parse(p) for p in sorted(package.glob("*.py")) if p.stem != "__init__"}
+    return _unpassed(modules, [_parse(p) for p in sorted((ROOT / "bench").glob("*.py"))])
+
+
+def test_an_option_is_passed_by_position_keyword_or_partial():
+    lib = ast.parse('__all__ = ["f"]\n'
+                    "def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n"
+                    "def g(a, b=1):\n    return a\n")
+    user = ast.parse("from functools import partial\n"
+                     "f(0, 1)\n"
+                     "lib.f(0, e=5)\n"
+                     "partial(g, 0, 1)\n")
+    # g is not exported; c and d are passed by no call
+    assert _unpassed({"lib": lib}, [user]) == ["lib.f.c", "lib.f.d"]
+    assert _unpassed({"lib": lib}, [ast.parse("partial(f, *xs)\nf(0, **kw)\n")]) == []
+
+
+def test_every_option_of_an_export_is_passed_outside_the_tests():
+    unpassed = set(unpassed_options())
+    assert unpassed <= _RETIRING, (
+        f"optional, but passed only by tests: {', '.join(sorted(unpassed - _RETIRING))}")
+    # an entry whose option some call now passes, or that is gone, is stale
+    assert _RETIRING <= unpassed, f"stale exemptions: {', '.join(sorted(_RETIRING - unpassed))}"

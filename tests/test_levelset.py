@@ -21,6 +21,7 @@ from acflow import (
     tilt_excess,
 )
 from acflow.diagnostics import _tilt_integrand
+from acflow.grid import trapezoid_weights
 from acflow.initial_data import graph_pair_distance, graph_profile, sine_mode
 from acflow.levelset import _maximal_field, tilt_maximal_field
 from acflow.operators import integrate_values
@@ -96,21 +97,22 @@ def test_graph_of_gentle_slope_matches_offset_geometry():
 
 
 def test_extraction_errors_when_every_column_is_ambiguous():
-    # widening the window so both layers of the pair fall inside it leaves
-    # no single-crossing column at all
+    # two layers at x = -0.3 and x = 0.3, both inside the quarter box
+    # |x| <= 0.64, leave no single-crossing column at all
     g = Grid(dim=1, extent=2.56, points=1024)
-    wave = standing_wave(g, 0.05)
+    f = ScalarField(grid=g, values=np.tanh((np.abs(g.axis()) - 0.3) / 0.05), epsilon=0.05)
     with pytest.raises(GraphExtractionError):
-        extract_graph(wave, level=0.0, window=1.28)
+        extract_graph(f, level=0.0)
 
 
 def test_extraction_masks_multi_crossing_columns():
-    # half the columns carry one crossing, half carry three
+    # inside the quarter box |y| <= 0.5, half the columns carry one
+    # crossing, half carry three (y = 0 and y = +-1/3)
     g = Grid(dim=2, extent=2.0, points=128)
     X, Y = g.dense_coords()
     vals = np.where(X < 0, np.tanh(Y / 0.1), np.tanh(np.sin(3 * np.pi * Y) / 0.3))
     f = ScalarField(grid=g, values=vals, epsilon=0.1)
-    graph = extract_graph(f, level=0.0, window=0.45)
+    graph = extract_graph(f, level=0.0)
     single = graph.valid[0][: g.points // 2]
     multi = graph.valid[0][g.points // 2 :]
     assert np.all(single)
@@ -341,8 +343,10 @@ def test_one_maximal_field_serves_every_threshold(perturbed_traj_small):
         for name in ("good", "bad", "maximal"):
             assert np.array_equal(getattr(shared, name), getattr(alone, name))
         assert shared.weak_l1_ratio == alone.weak_l1_ratio
-    # the mass is the package's space-time integral of the same integrand
-    assert field.tilt_mass == tilt_excess(traj, (0.0, 1.0))
+    # the mass is the trapezoid time integral of each frame's tilt excess
+    weights = trapezoid_weights(len(traj), traj.dt_sample)
+    per_frame = sum(w * tilt_excess(frame, (0.0, 1.0)) for w, frame in zip(weights, traj.frames))
+    assert field.tilt_mass == pytest.approx(per_frame, rel=1e-12)
 
 
 def test_good_set_lipschitz_constant_shrinks_with_threshold(perturbed_traj_small):
@@ -395,7 +399,7 @@ def test_heat_compare_recovers_exact_mode_decay():
 
 def test_heat_compare_flat_graph_gives_zero(wave_2d):
     graph = extract_graph(wave_2d, 0.0)
-    assert heat_compare(graph) < 1e-8
+    assert heat_compare(graph, graph.heights[0]) < 1e-8
 
 
 def test_heat_compare_rejects_low_validity():
@@ -405,14 +409,14 @@ def test_heat_compare_rejects_low_validity():
     f = ScalarField(grid=g, values=vals, epsilon=0.05)
     graph = extract_graph(f, 0.0)
     with pytest.raises(GraphExtractionError):
-        heat_compare(graph)
+        heat_compare(graph, graph.heights[0])
 
 
 def test_heat_compare_rejects_a_graph_over_a_1d_box(wave_1d):
     # the base of a 1-D box is one point, where no heat flow is defined
     graph = extract_graph(wave_1d, 0.0)
     with pytest.raises(GraphExtractionError, match="single point"):
-        heat_compare(graph)
+        heat_compare(graph, graph.heights[0])
 
 
 def test_excess_decay_fit_recovers_gentle_tilt():
