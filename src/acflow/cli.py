@@ -22,7 +22,7 @@ from .experiments import (
     run_scenario,
 )
 from .io import read_field, write_diagnostics_csv, write_field
-from .solver import FlowDivergedError, InterfaceDataError, SolverConfigError, evolve
+from .solver import FlowDivergedError, InterfaceDataError, SolverConfigError, sampled
 from . import experiments
 
 
@@ -49,13 +49,18 @@ def cmd_simulate(args) -> int:
     config = _resolve_config(args)
     eps = config.epsilons[0]
     _, cfg = experiments._flows(config)["base", eps]
-    traj = evolve(initial_field(config, eps), cfg)
+    # each sample's row is taken as the flow runs, and of its fields only
+    # the first and the last are kept; nothing is written before the flow
+    # ends, so a flow that diverges leaves no output
+    rows, first = [], None
+    for last in sampled(initial_field(config, eps), cfg):
+        first = last if first is None else first
+        rows.append(diagnostics_record(last).as_row())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [diagnostics_record(f).as_row() for f in traj.frames]
     write_diagnostics_csv(rows, out / "diagnostics.csv")
-    write_field(traj[0], out / "initial.field")
-    write_field(traj[-1], out / "final.field")
+    write_field(first, out / "initial.field")
+    write_field(last, out / "final.field")
     print(f"wrote {len(rows)} diagnostics rows and 2 snapshots to {out}")
     return 0
 

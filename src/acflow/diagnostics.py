@@ -280,17 +280,17 @@ def height_excess(
     one at a time, as :func:`integrate_values` reaches them.
     """
     if isinstance(obj, Trajectory):
-        grid, times, bundle_at = obj.grid, obj.times, lambda k: FrameBundle(obj.frames[k])
+        grid, frames, bundle = obj.grid, obj.frames, FrameBundle
     else:
         b = _bundle(obj)
-        grid, times, bundle_at = b.field.grid, [b.field.time], lambda k: b
+        grid, frames, bundle = b.field.grid, [b.field], lambda frame: b
     h = plane.signed_height(grid, region.center_space if region is not None else None)
 
-    def density_at(k: int) -> np.ndarray:
-        b = bundle_at(k)
+    def density_at(k: int, frame: ScalarField) -> np.ndarray:
+        b = bundle(frame)
         return h * h * b.field.epsilon * b.grad_sq
 
-    raw = integrate_values(grid, times, density_at, [region])[0]
+    raw = integrate_values(grid, frames, density_at, [region])[0]
     if region is None:
         return raw
     n = grid.interface_dim

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -382,7 +382,7 @@ def _excess_decay_problems(config: ExperimentConfig, fits: dict[float, Flow]) ->
     r2 = (theta * scale) ** 2
     for eps, (_, cfg) in fits.items():
         interval = cfg.dt * cfg.sample_every
-        times = np.arange(solver_mod.step_count(cfg) // cfg.sample_every + 1) * interval
+        times = np.arange(solver_mod.sample_count(cfg)) * interval
         t0 = times[len(times) // 2]
         if len(window_weights(times, t0 - r2, t0 + r2, interval)[0]) < 2:
             problems.append(
@@ -395,9 +395,9 @@ def _excess_decay_problems(config: ExperimentConfig, fits: dict[float, Flow]) ->
 def _param_problems(config: ExperimentConfig) -> list[str]:
     """The params no run can use: a circle that is not there or that
     vanishes before ``t_end``, a kernel point before the last sample, a
-    bump of radius 0 (its defect is NaN), and inequality-ratios' Sobolev
-    balls that leave half their box or stress-energy grids that do not
-    build."""
+    bump of radius 0 (its defect is NaN), and inequality-ratios' circle
+    closer than ``_CIRCLE_MARGIN`` eps to its box edge, Sobolev balls that
+    leave half their box or stress-energy grids that do not build."""
     p, scenario = config.params, config.scenario
     problems = []
     if "radius" in p and not p["radius"] > 0:
@@ -417,8 +417,15 @@ def _param_problems(config: ExperimentConfig) -> list[str]:
             if not 0.0 < 3.0 * radius <= 0.5 * extent:
                 problems.append(f"the tripled Sobolev ball of radius {3 * radius:g} must be "
                                 f"positive and fit inside half the {name}={extent:g} box")
+        circle_margin = 0.5 * p["circle_extent"] - p["circle_radius"]
         if not p["circle_radius"] > 0:
             problems.append(f"params.circle_radius={p['circle_radius']:g} must be positive")
+        elif circle_margin < _CIRCLE_MARGIN * config.epsilons[0]:
+            problems.append(
+                f"params.circle_radius={p['circle_radius']:g} leaves {circle_margin:g} to the "
+                f"edge of the params.circle_extent={p['circle_extent']:g} box, below "
+                f"{_CIRCLE_MARGIN:g}*epsilon={_CIRCLE_MARGIN * config.epsilons[0]:g}: the layer "
+                f"meets its periodic image and the circle loses its zero crossing")
         try:
             _stress_energy_grids(config)
         except ValueError as exc:
@@ -592,15 +599,15 @@ Probe = Callable[[FrameBundle], dict[str, float]]
 
 @dataclass
 class FlowAudit:
-    """Per-step dissipation and probe series, the energy at the two ends and
-    a thinned trajectory from one run."""
+    """Per-step dissipation and probe series, the energy at the two ends and,
+    unless the run kept no frames, a thinned trajectory from one run."""
 
     dt: float
     times: np.ndarray
     end_energies: tuple[float, float]  # at the first and at the last step
     dissipation: np.ndarray  # integral of eps * residual^2 per step
     series: dict[str, np.ndarray]
-    trajectory: Trajectory
+    trajectory: Trajectory | None  # None when the run kept no frames
 
     def dissipation_defect(self) -> float:
         """Relative defect of energy drop against the dissipation integral."""
@@ -610,7 +617,8 @@ class FlowAudit:
         return abs(total - drop) / abs(drop)
 
 
-def run_flow_audit(initial: ScalarField, cfg: SolverConfig, probe: Probe | None = None) -> FlowAudit:
+def run_flow_audit(initial: ScalarField, cfg: SolverConfig, probe: Probe | None = None,
+                   keep_frames: bool = True) -> FlowAudit:
     """Evolve while recording per-step scalars.
 
     Each step's quantities come from one :class:`FrameBundle` seeded with
@@ -619,9 +627,9 @@ def run_flow_audit(initial: ScalarField, cfg: SolverConfig, probe: Probe | None 
     dissipation needs only the Laplacian.  The energy, which needs the
     gradient too, is recorded at the first and the last step only.  The
     probe returns named scalars, recorded as ``series``.  The bundle is
-    dropped after its step.  The stored
-    trajectory keeps every ``sample_every``-th field, as
-    :func:`solver.evolve` does.
+    dropped after its step.  With ``keep_frames`` the stored trajectory
+    keeps every ``sample_every``-th field, as :func:`solver.evolve` does;
+    without it the run holds no field past its step.
     """
     vol = initial.grid.cell_volume
     eps = initial.epsilon
@@ -641,7 +649,7 @@ def run_flow_audit(initial: ScalarField, cfg: SolverConfig, probe: Probe | None 
             for k, v in (probe(b) if probe is not None else {}).items():
                 series.setdefault(k, []).append(v)
             del b  # freed before march runs the next step
-            if i % cfg.sample_every == 0:
+            if keep_frames and i % cfg.sample_every == 0:
                 frames.append(current)
     return FlowAudit(
         dt=cfg.dt,
@@ -649,7 +657,8 @@ def run_flow_audit(initial: ScalarField, cfg: SolverConfig, probe: Probe | None 
         end_energies=(energies[0], energies[-1]),
         dissipation=np.array(dissipations),
         series={k: np.array(v) for k, v in series.items()},
-        trajectory=Trajectory(frames=tuple(frames), dt_sample=cfg.dt * cfg.sample_every),
+        trajectory=(Trajectory(frames=tuple(frames), dt_sample=cfg.dt * cfg.sample_every)
+                    if keep_frames else None),
     )
 
 
@@ -693,49 +702,63 @@ class DensityRatioProfile:
 
 
 def density_ratio_profile(
-    traj: Trajectory,
+    grid: Grid,
+    frames: Iterable[ScalarField],
     center_space: Sequence[float],
     center_time: float,
     radii: Sequence[float],
 ) -> DensityRatioProfile:
-    """Parabolic density ratios ``r^-n-2 * mass(P_r)`` per radius.
+    """Parabolic density ratios ``r^-n-2 * mass(P_r)`` per radius, over the
+    ``frames`` of one flow on ``grid``, in time order.
 
     The cylinder masses come from one :func:`operators.integrate_values`
-    pass over the frames, so each frame's energy density is computed once
-    and only one is held at a time.
+    pass, which reads each frame as it arrives: a flow's
+    :func:`solver.sampled` frames are integrated while it runs.  Each
+    frame's energy density is computed once and only one is held at a time.
 
-    When the center does not sit in the layer (``|u| > 0.9`` there),
-    the profile is returned with a flag rather than raising.
+    When the center does not sit in the layer (``|u| > 0.9`` there, on the
+    frame nearest ``center_time``, the earlier of two equally near), the
+    profile is returned with a flag rather than raising.
     """
-    grid = traj.grid
     n = grid.interface_dim
-    i, frame = traj.frame_nearest(center_time)
     idx = tuple(int(round((c + 0.5 * grid.extent) / grid.spacing)) % grid.points
                 for c in center_space)
-    center_in_layer = bool(abs(frame.values[idx]) <= 0.9)
+    nearest = [math.inf, 0.0]  # |t - center_time| of the nearest frame so far, u at the center
+
+    def watched() -> Iterator[ScalarField]:
+        for frame in frames:
+            gap = abs(frame.time - center_time)
+            if gap < nearest[0]:
+                nearest[:] = gap, frame.values[idx]
+            yield frame
 
     regions = [ParabolicCylinder(center_space=tuple(center_space), center_time=center_time,
                                  radius=r) for r in radii]
-    masses = integrate_values(grid, traj.times,
-                              lambda k: FrameBundle(traj.frames[k]).energy_density, regions)
+    masses = integrate_values(grid, watched(),
+                              lambda k, frame: FrameBundle(frame).energy_density, regions)
     entries = [(float(r), mass / r ** (n + 2)) for r, mass in zip(radii, masses)]
-    return DensityRatioProfile(entries=tuple(entries), center_in_layer=center_in_layer)
+    return DensityRatioProfile(entries=tuple(entries), center_in_layer=bool(abs(nearest[1]) <= 0.9))
 
 
-def no_cancellation_check(traj: Trajectory, bump_radii: Sequence[float]) -> float:
+def no_cancellation_check(frames: Iterable[ScalarField], count: int,
+                          bump_radii: Sequence[float]) -> float:
     """Weak-* defect between ``alpha |grad u|`` and twice the energy density.
 
     Max over a family of radial bumps and the frames a quarter, a half and
-    three quarters along of ``|integral psi (alpha |grad u| - 2 dens)|``,
-    over the mean of ``integral dens`` on those frames.
+    three quarters along the ``count`` samples of ``frames`` of
+    ``|integral psi (alpha |grad u| - 2 dens)|``, over the mean of
+    ``integral dens`` on those frames.  The frames are read in turn and only
+    those three are kept.
     """
-    grid = traj.grid
+    k = count // 4
+    quarters = (k, 2 * k, 3 * k)
+    kept = {i: frame for i, frame in enumerate(frames) if i in quarters}
+    picked = [kept[i] for i in quarters]
+    grid = picked[0].grid
     vol = grid.cell_volume
-    k = len(traj) // 4
-    frames = (traj[k], traj[2 * k], traj[3 * k])
     total_mass = 0.0
     worst = 0.0
-    for frame in frames:
+    for frame in picked:
         b = FrameBundle(frame)
         gnorm = np.sqrt(b.grad_sq)
         dens = b.energy_density
@@ -744,7 +767,7 @@ def no_cancellation_check(traj: Trajectory, bump_radii: Sequence[float]) -> floa
             psi = radial_bump(center=(0.0,) * grid.dim, radius=r).value(grid)
             defect = float(np.sum(psi * (WAVE_ENERGY * gnorm - 2.0 * dens)) * vol)
             worst = max(worst, abs(defect))
-    mean_mass = total_mass / len(frames)
+    mean_mass = total_mass / len(picked)
     return worst / mean_mass
 
 
@@ -793,6 +816,13 @@ def _wave_initial(grid: Grid, eps: float) -> ScalarField:
 
 def _circle_initial(grid: Grid, eps: float, radius: float) -> ScalarField:
     return prepare_interface(circle_distance(radius), grid, eps)
+
+
+def _last_sample(initial: ScalarField, cfg: SolverConfig) -> ScalarField:
+    """The last field :func:`solver.sampled` yields, holding no earlier one."""
+    for frame in solver_mod.sampled(initial, cfg):
+        pass
+    return frame
 
 
 def _perturbed_initial(grid: Grid, eps: float, amplitude: float, mode: int,
@@ -915,11 +945,13 @@ def _circle_audit_jobs(config: ExperimentConfig, probes: dict[str, Probe | None]
                        ) -> list[Callable[[], FlowAudit]]:
     """One zero-argument job per flow kind of ``probes`` (``"fine"`` or
     ``"base"``), in its order, each running that flow's audit with the
-    kind's probe from the same initial field."""
+    kind's probe from the same initial field.  Only the fine audit keeps
+    frames: the scenarios read the base audit's series alone."""
     eps = config.epsilons[0]
     initial = initial_field(config, eps)
     flows = _flows(config)
-    return [partial(run_flow_audit, initial, flows[kind, eps][1], probe)
+    return [partial(run_flow_audit, initial, flows[kind, eps][1], probe,
+                    keep_frames=kind == "fine")
             for kind, probe in probes.items()]
 
 
@@ -939,8 +971,8 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
     [(coarse_eps, (coarse_grid, coarse_cfg))] = _of_kind(flows, "coarse").items()
 
     def coarse_radius() -> float:
-        coarse = solver_mod.evolve(_circle_initial(coarse_grid, coarse_eps, radius), coarse_cfg)
-        return zero_level_radius(coarse[-1])
+        return zero_level_radius(
+            _last_sample(_circle_initial(coarse_grid, coarse_eps, radius), coarse_cfg))
 
     # ... and the density ratio on a static flat layer, against the
     # sharp-interface value 4*alpha
@@ -948,10 +980,12 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
     flat_radii = [2 * flat_eps, 0.15, 0.2, 0.25, 0.25 * grid.extent]
 
     def flat_density_profile() -> DensityRatioProfile:
-        flat = solver_mod.evolve(_wave_initial(flat_grid, flat_eps), flat_cfg)
-        return density_ratio_profile(flat, (0.0,) * grid.dim, 0.5 * flat_cfg.t_end, flat_radii)
+        frames = solver_mod.sampled(_wave_initial(flat_grid, flat_eps), flat_cfg)
+        return density_ratio_profile(flat_grid, frames, (0.0,) * grid.dim,
+                                     0.5 * flat_cfg.t_end, flat_radii)
 
-    # The flows are independent; each job keeps only what the checks read.
+    # The flows are independent; each job keeps only what the checks read:
+    # the fine audit its thinned trajectory, the others no frame past its use.
     fine, defect_base, coarse_measured, flat_profile = _concurrently(
         fine_job, lambda: base_job().dissipation_defect(), coarse_radius, flat_density_profile)
 
@@ -989,7 +1023,7 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
     t_mid = 0.5 * config.t_end
     _, frame_mid = fine.trajectory.frame_nearest(t_mid)
     r_mid = zero_level_radius(frame_mid)
-    profile = density_ratio_profile(fine.trajectory, (r_mid, 0.0), t_mid, radii)
+    profile = density_ratio_profile(grid, fine.trajectory, (r_mid, 0.0), t_mid, radii)
     flat_defect = abs(flat_profile.minimum - 4.0 * WAVE_ENERGY) / (4.0 * WAVE_ENERGY)
 
     checks = [
@@ -1189,8 +1223,9 @@ def run_no_cancellation(config: ExperimentConfig) -> ScenarioResult:
     flows = _flows(config)
     defects = {}
     for eps in sorted(config.epsilons, reverse=True):
-        traj = solver_mod.evolve(initial_field(config, eps), flows["base", eps][1])
-        defects[eps] = no_cancellation_check(traj, bump_radii)
+        _, cfg = flows["base", eps]
+        frames = solver_mod.sampled(initial_field(config, eps), cfg)
+        defects[eps] = no_cancellation_check(frames, solver_mod.sample_count(cfg), bump_radii)
     seq = list(defects.values())  # largest epsilon first
     checks = [
         check("weak_star_defect", "no-cancellation", seq[-1], 0.03),
@@ -1219,6 +1254,14 @@ def _analytic_random_field(grid: Grid, seed: int) -> ScalarField:
 
 # The radius of inequality-ratios' Sobolev ball on the circle.
 _CIRCLE_BALL = 0.15
+
+# The least gap, in units of epsilon, between inequality-ratios' circle and
+# the edge of its box.  Measured with the default steps: the epsilon circle
+# loses its zero crossing at gaps up to 1.2 eps (eps 0.04 on the 1.2 box),
+# 1.3 eps (eps 0.02 on the 1.2 and 1.4 boxes) and 1.4 eps (eps 0.02 on a
+# 2.0 box of 256 points), and keeps it from 1.5 eps; the eps/2 circle keeps
+# it from 0.75 eps.  The default gap is 6.25 eps.
+_CIRCLE_MARGIN = 2.0
 
 
 def _stress_energy_grids(config: ExperimentConfig) -> list[Grid]:
@@ -1258,7 +1301,7 @@ def run_inequality_ratios(config: ExperimentConfig) -> ScenarioResult:
     # stability comparison would be vacuous.
     circle_cacc, circle_sob = [], []
     for ce, (g, cfg) in _of_kind(_flows(config), "circle").items():
-        slice_field = solver_mod.evolve(_circle_initial(g, ce, p["circle_radius"]), cfg)[-1]
+        slice_field = _last_sample(_circle_initial(g, ce, p["circle_radius"]), cfg)
         r_now = zero_level_radius(slice_field)
         tangent = Hyperplane(normal=(1.0, 0.0), offset=r_now)
         circle_cacc.append(

@@ -33,6 +33,7 @@ __all__ = [
     "ParabolicCylinder",
     "Trajectory",
     "trapezoid_weights",
+    "in_window",
     "window_weights",
 ]
 
@@ -284,19 +285,25 @@ def trapezoid_weights(n: int, dt: float) -> np.ndarray:
     return w
 
 
+def in_window(times: float | Sequence[float], lo: float, hi: float) -> np.ndarray:
+    """Which sample times lie in the window ``[lo, hi]``, widened on both
+    sides by ``1e-12 * max(1, |hi|)`` so that sample times carrying round-off
+    count: the membership half of :func:`window_weights`."""
+    times = np.asarray(times)
+    slack = 1e-12 * max(1.0, abs(hi))
+    return (times >= lo - slack) & (times <= hi + slack)
+
+
 def window_weights(times: Sequence[float], lo: float, hi: float,
                    dt: float) -> tuple[np.ndarray, np.ndarray]:
     """The time rule of every parabolic cylinder: the indices of the sample
-    times in ``[lo, hi]`` and their trapezoid weights for the sampling
-    interval ``dt``.
+    times :func:`in_window` ``[lo, hi]`` and their trapezoid weights for the
+    sampling interval ``dt``.
 
-    The window is widened on both sides by ``1e-12 * max(1, |hi|)`` so that
-    sample times carrying round-off count.  A window holding a single sample
-    gets the measure ``min(hi - lo, dt)``; an empty window is an error.
+    A window holding a single sample gets the measure ``min(hi - lo, dt)``;
+    an empty window is an error.
     """
-    times = np.asarray(times)
-    slack = 1e-12 * max(1.0, abs(hi))
-    idx = np.nonzero((times >= lo - slack) & (times <= hi + slack))[0]
+    idx = np.nonzero(in_window(times, lo, hi))[0]
     if idx.size == 0:
         raise ValueError(f"no frames inside time window [{lo}, {hi}]")
     if idx.size == 1:

@@ -299,8 +299,8 @@ class TiltMaximalField:
         # alongside the maximal field raises the peak memory.
         eps = traj.epsilon
         bad_mass = integrate_values(
-            traj.grid, traj.times,
-            lambda k: np.where(bad[k], eps * FrameBundle(traj[k]).grad_sq, 0.0), [None])[0]
+            traj.grid, traj.frames,
+            lambda k, frame: np.where(bad[k], eps * FrameBundle(frame).grad_sq, 0.0), [None])[0]
         ratio = bad_mass * threshold / self.tilt_mass if self.tilt_mass > 0 else 0.0
         return GoodBadPartition(threshold=threshold, band=band, good=good, bad=bad,
                                 maximal=maximal, weak_l1_ratio=ratio)
@@ -319,7 +319,7 @@ def tilt_maximal_field(
         radii = dyadic_radii(grid.extent, grid.spacing)
     tilt = np.stack([_tilt_integrand(f, e) for f in traj.frames])
     maximal = _maximal_field(tilt, traj.times, grid, radii, power=grid.interface_dim + 2)
-    tilt_mass = integrate_values(grid, traj.times, tilt.__getitem__, [None])[0]
+    tilt_mass = integrate_values(grid, traj.frames, lambda k, frame: tilt[k], [None])[0]
     return TiltMaximalField(traj=traj, maximal=maximal, tilt_mass=tilt_mass)
 
 

@@ -8,7 +8,8 @@ sampled frames inside a cylinder's time window.
 Parabolic cylinders ``B_r(x0) x [t0 - r^2, t0 + r^2]`` follow one rule each
 in space and time.  Balls are closed (:func:`within_radius`): a lattice point
 at distance exactly ``r`` is inside, so a ball about a lattice point is
-symmetric.  Time windows and weights come from :func:`acflow.grid.window_weights`.
+symmetric.  Time windows and weights come from :func:`acflow.grid.window_weights`,
+and :func:`integrate_values` takes its samples as a stream of frames.
 
 Spectral convention.  Fields are real, so every transform is a real one:
 ``rfftn``/``irfftn`` over all axes, always with ``s=grid.shape``.  A half
@@ -35,11 +36,11 @@ flows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .grid import Grid, ParabolicCylinder, window_weights
+from .grid import Grid, ParabolicCylinder, ScalarField, in_window, window_weights
 
 __all__ = [
     "Symbols",
@@ -152,41 +153,53 @@ def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> np.ndarray:
 
 def integrate_values(
     grid: Grid,
-    times: Sequence[float],
-    density_at: Callable[[int], np.ndarray],
+    frames: Iterable[ScalarField],
+    density_at: Callable[[int, ScalarField], np.ndarray],
     regions: Sequence[ParabolicCylinder | None],
 ) -> list[float]:
     """Integrate one sampled density over each region (``None``: the whole box).
 
-    ``times`` are the sample times, at uniform spacing, and ``density_at(k)``
-    gives the density at ``times[k]``.  A single sample gives the plain
+    ``frames`` are the samples, in time order at uniform spacing; a sample's
+    time is its frame's ``time``, and ``density_at(k, frame)`` gives the
+    density of the ``k``-th sample.  Each frame is read once, as it arrives,
+    so a generator of frames (:func:`acflow.solver.sampled`) streams a flow
+    into the integral without holding it.  A single sample gives the plain
     spatial integral (no time measure).  With a region, space is restricted
     to the ball and time to the samples inside ``|t - t0| <= r^2``, weighted
     by :func:`acflow.grid.window_weights` (a window so thin that it holds a
     single sample gets the measure ``min(2 r^2, sampling interval)``).
 
-    The regions share one pass over the samples: ``density_at`` is called
-    once for each sample that some region's window holds, in time order, and
-    its value is dropped once it has been summed over every ball that needs
-    it, so one slice is held at a time.
+    The regions share the one pass: ``density_at`` is called once for each
+    sample that some region's window holds (:func:`acflow.grid.in_window`),
+    as it arrives, and its value is dropped once it has been summed over
+    every ball that needs it, so one slice is held at a time.  The weights
+    need every sample's time, so they are applied after the last sample; a
+    region whose window holds no sample raises then.
     """
-    times = np.asarray(times, dtype=float)
-    dt = times[1] - times[0] if len(times) > 1 else np.inf
-    rules = []  # per region: spatial mask, the samples in its window, their weights
+    rules = []  # per region: spatial mask, time window (None: every sample)
     for region in regions:
         if region is None:
-            mask, (lo, hi) = ..., (times[0], times[-1])  # the whole box, every sample
+            rules.append((..., None))
         else:
             region.validate_against(grid)
-            mask, (lo, hi) = ball_mask(grid, region.center_space, region.radius), region.time_window
-        idx, weights = window_weights(times, lo, hi, dt)
-        rules.append((mask, set(idx.tolist()), weights))
-    spatial: list[list[float]] = [[] for _ in rules]
-    for k in sorted(set().union(*(inside for _, inside, _ in rules))):
-        values = density_at(k)
-        for (mask, inside, _), sums in zip(rules, spatial):
-            if k in inside:
-                sums.append(float(np.sum(values[mask]) * grid.cell_volume))
-    return [float(sums[0] if len(times) == 1 else np.sum(np.array(sums) * weights))
-            for (_, _, weights), sums in zip(rules, spatial)]
-
+            rules.append((ball_mask(grid, region.center_space, region.radius),
+                          region.time_window))
+    times: list[float] = []
+    spatial: list[dict[int, float]] = [{} for _ in rules]  # per region: sample -> ball sum
+    for k, frame in enumerate(frames):
+        times.append(frame.time)
+        needed = [(mask, sums) for (mask, window), sums in zip(rules, spatial)
+                  if window is None or in_window(frame.time, *window)]
+        if needed:
+            values = density_at(k, frame)
+            for mask, sums in needed:
+                sums[k] = float(np.sum(values[mask]) * grid.cell_volume)
+    if not times:
+        raise ValueError("no samples to integrate")
+    dt = times[1] - times[0] if len(times) > 1 else np.inf
+    masses = []
+    for (_, window), sums in zip(rules, spatial):
+        idx, weights = window_weights(times, *(window or (times[0], times[-1])), dt)
+        inside = np.array([sums[k] for k in idx.tolist()])
+        masses.append(float(inside[0] if len(times) == 1 else np.sum(inside * weights)))
+    return masses

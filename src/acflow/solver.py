@@ -27,7 +27,10 @@ The flow is ``du/dt = lap(u) - W'(u)/eps^2`` with the double-well ``W`` of
 scheme state, and yields the initial field and then each step's
 ``(field, u_hat)``, passing each step's half spectrum into the next one.
 A step that produces non-finite values raises :class:`FlowDivergedError`.
-:func:`evolve` and the flow audit of :mod:`acflow.experiments` consume it.
+:func:`sampled` keeps every ``sample_every``-th of its fields, one at a
+time, for a consumer that streams them; :func:`evolve` stores them as a
+:class:`~acflow.grid.Trajectory`.  The flow audit of
+:mod:`acflow.experiments` consumes :func:`march` itself.
 """
 
 from __future__ import annotations
@@ -50,9 +53,11 @@ __all__ = [
     "FlowDivergedError",
     "validate_config",
     "step_count",
+    "sample_count",
     "ac_residual_values",
     "step",
     "march",
+    "sampled",
     "evolve",
     "prepare_interface",
 ]
@@ -160,6 +165,12 @@ def step_count(config: SolverConfig) -> int:
     return n_steps
 
 
+def sample_count(config: SolverConfig) -> int:
+    """Number of fields :func:`sampled` yields: the initial one and every
+    ``sample_every``-th step's."""
+    return step_count(config) // config.sample_every + 1
+
+
 def ac_residual_values(field: ScalarField, lap: np.ndarray | None = None) -> np.ndarray:
     """Right-hand side ``lap(u) - W'(u)/eps^2``; equals du/dt on solutions.
 
@@ -259,10 +270,18 @@ def march(field: ScalarField,
         yield field, u_hat
 
 
+def sampled(field: ScalarField, config: SolverConfig) -> Iterator[ScalarField]:
+    """Yield every ``sample_every``-th field of :func:`march`, the initial
+    field first; the flow advances only as the fields are taken."""
+    for i, (f, _) in enumerate(march(field, config)):
+        if i % config.sample_every == 0:
+            yield f
+
+
 def evolve(field: ScalarField, config: SolverConfig) -> Trajectory:
-    """Run to ``t_end``, keeping every ``sample_every``-th field of :func:`march`."""
-    frames = [f for i, (f, _) in enumerate(march(field, config)) if i % config.sample_every == 0]
-    return Trajectory(frames=tuple(frames), dt_sample=config.dt * config.sample_every)
+    """Run to ``t_end``, storing the fields of :func:`sampled`."""
+    return Trajectory(frames=tuple(sampled(field, config)),
+                      dt_sample=config.dt * config.sample_every)
 
 
 def prepare_interface(signed_distance: Callable[..., np.ndarray], grid: Grid,

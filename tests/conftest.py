@@ -25,6 +25,13 @@ def circle_field(grid: Grid, epsilon: float, radius: float) -> ScalarField:
     return prepare_interface(circle_distance(radius), grid, epsilon)
 
 
+def frames_at(grid: Grid, times) -> list[ScalarField]:
+    """Zero fields at ``times``: samples for ``integrate_values`` whose
+    densities a test gives by sample index."""
+    zeros = np.zeros(grid.shape)
+    return [ScalarField(grid=grid, values=zeros, epsilon=0.1, time=float(t)) for t in times]
+
+
 class _ConstantOne:
     def value(self, grid):
         return np.ones(grid.shape)

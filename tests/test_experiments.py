@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acflow import (
-    FlowDivergedError, FrameBundle, Grid, ParabolicCylinder, SolverConfig, SolverConfigError,
-    Trajectory, WAVE_ENERGY, brakke_residual, diagnostics_record, evolve, extract_graph,
-    gaussian_density, heat_compare, monotonicity_residual, partition_good_bad,
+    FlowDivergedError, FrameBundle, Grid, ParabolicCylinder, ScalarField, SolverConfig,
+    SolverConfigError, Trajectory, WAVE_ENERGY, brakke_residual, diagnostics_record, evolve,
+    extract_graph, gaussian_density, heat_compare, monotonicity_residual, partition_good_bad,
     prepare_interface, radial_bump,
 )
 from acflow import solver
@@ -29,6 +29,7 @@ from acflow.experiments import (
     _concurrently,
     _flows,
     _gaussian_probe,
+    _last_sample,
     config_from_dict,
     default_config,
     density_ratio_profile,
@@ -45,7 +46,7 @@ from acflow.io import read_field
 from acflow.grid import window_weights
 from acflow.operators import ball_mask, gradient_values
 
-from conftest import standing_wave
+from conftest import circle_field, standing_wave
 
 
 BASE_RAW = {
@@ -395,6 +396,19 @@ def test_audit_and_evolve_share_the_step_count_rule(wave_1d):
         assert str(from_audit.value) == str(from_evolve.value)
 
 
+def test_flow_audit_without_frames_records_the_same_series(grid_1d):
+    wave = standing_wave(grid_1d, 0.05)
+    cfg = SolverConfig(dt=2.5e-4, t_end=2.5e-3, scheme="semi-implicit-cnab2", sample_every=5)
+    vol = grid_1d.cell_volume
+    probe = lambda b: {"energy": float(np.sum(b.energy_density) * vol)}
+    kept, bare = run_flow_audit(wave, cfg, probe), run_flow_audit(wave, cfg, probe,
+                                                                  keep_frames=False)
+    assert bare.trajectory is None
+    for name in ("times", "end_energies", "dissipation"):
+        assert np.array_equal(getattr(bare, name), getattr(kept, name))
+    assert np.array_equal(bare.series["energy"], kept.series["energy"])
+
+
 # --- density profile and mass comparison --------------------------------------
 
 
@@ -436,16 +450,61 @@ def test_streamed_density_profile_matches_per_radius_profile(circle_traj_short):
         (Trajectory(frames=(flat[0],), dt_sample=0.0), (0.0, 0.0), 0.0, [0.1, 0.3]),
     ]
     for traj, center, t, radii in cases:
-        profile = density_ratio_profile(traj, center, t, radii)
+        profile = density_ratio_profile(traj.grid, traj, center, t, radii)
         assert profile.entries == per_radius_profile(traj, center, t, radii)
 
 
 def test_density_profile_flags_pure_phase_center(circle_traj_short):
     # center deep inside the +1 phase: flagged, not an error
-    prof = density_ratio_profile(circle_traj_short, (0.0, 0.0), 0.01, [0.1, 0.2])
+    grid = circle_traj_short.grid
+    prof = density_ratio_profile(grid, circle_traj_short, (0.0, 0.0), 0.01, [0.1, 0.2])
     assert not prof.center_in_layer
-    prof_on = density_ratio_profile(circle_traj_short, (0.34, 0.0), 0.005, [0.1])
+    prof_on = density_ratio_profile(grid, circle_traj_short, (0.34, 0.0), 0.005, [0.1])
     assert prof_on.center_in_layer
+
+
+def test_density_profile_of_a_running_flow_equals_its_stored_trajectory():
+    # shrinking-circle's flat-layer profile: the frames of solver.sampled,
+    # integrated while the flow runs, give the stored trajectory's profile
+    # bit for bit, and the oracle's
+    g = Grid(dim=2, extent=1.2, points=128)
+    dt = 0.125 * 0.05**2
+    cfg = SolverConfig(dt=dt, t_end=64 * dt, scheme="semi-implicit-cnab2", sample_every=8)
+    wave = standing_wave(g, 0.05)
+    stored = evolve(wave, cfg)
+    center, t, radii = (0.0, 0.0), 0.5 * cfg.t_end, [0.1, 0.15, 0.2, 0.25, 0.3]
+    streamed = density_ratio_profile(g, solver.sampled(wave, cfg), center, t, radii)
+    assert streamed == density_ratio_profile(g, stored, center, t, radii)
+    assert streamed.entries == per_radius_profile(stored, center, t, radii)
+    assert streamed.center_in_layer
+
+
+def test_density_profile_centre_frame_is_the_first_of_two_equally_near():
+    # constant frames at exact binary times, in and out of the layer by
+    # turns: a centre time halfway between two samples takes the earlier
+    # one, as Trajectory.frame_nearest (argmin) does
+    g = Grid(dim=2, extent=1.0, points=32)
+    levels = (0.95, 0.5, 0.95, 0.5, 0.95)
+    traj = Trajectory(frames=tuple(ScalarField(grid=g, values=np.full(g.shape, u), epsilon=0.05,
+                                               time=0.25 * i) for i, u in enumerate(levels)),
+                      dt_sample=0.25)
+    for t, in_layer in ((0.125, False), (0.375, True), (0.25, True), (0.0, False)):
+        profile = density_ratio_profile(g, iter(traj.frames), (0.0, 0.0), t, [0.4])
+        _, nearest = traj.frame_nearest(t)
+        assert profile.center_in_layer is in_layer is bool(abs(nearest.values[0, 0]) <= 0.9)
+        assert profile.entries == per_radius_profile(traj, (0.0, 0.0), t, [0.4])
+
+
+def test_last_sample_is_the_stored_trajectorys_last_frame():
+    # shrinking-circle's coarse circle and inequality-ratios' circles keep
+    # only the flow's last field
+    g = Grid(dim=2, extent=1.4, points=128)
+    cfg = SolverConfig(dt=1.25e-3, t_end=25 * 1.25e-3, scheme="semi-implicit-cnab2",
+                       sample_every=5)
+    initial = circle_field(g, 0.1, 0.35)
+    last, stored = _last_sample(initial, cfg), evolve(initial, cfg)[-1]
+    assert last.time == stored.time
+    assert np.array_equal(last.values, stored.values)
 
 
 def test_total_variation_matches_energy_mass(wave_1d):
@@ -463,9 +522,44 @@ def test_no_cancellation_defect_small_on_exact_wave(grid_1d):
     wave = standing_wave(grid_1d, 0.05)
     frames = tuple(wave.with_values(wave.values, time=0.01 * i) for i in range(5))
     traj = Trajectory(frames=frames, dt_sample=0.01)
-    defect = no_cancellation_check(traj, bump_radii=[0.9])
+    defect = no_cancellation_check(traj, len(traj), bump_radii=[0.9])
     # the bump curvature sees the (profile-width)^2 moment difference
     assert defect < 1e-3
+
+
+def stored_no_cancellation(traj, bump_radii):
+    """Reference oracle: the defect as taken from a stored trajectory before
+    flows streamed, on its frames traj[k], traj[2k], traj[3k], k = len // 4."""
+    grid, vol = traj.grid, traj.grid.cell_volume
+    k = len(traj) // 4
+    frames = (traj[k], traj[2 * k], traj[3 * k])
+    total_mass, worst = 0.0, 0.0
+    for frame in frames:
+        b = FrameBundle(frame)
+        gnorm, dens = np.sqrt(b.grad_sq), b.energy_density
+        total_mass += float(np.sum(dens) * vol)
+        for r in bump_radii:
+            psi = radial_bump(center=(0.0,) * grid.dim, radius=r).value(grid)
+            worst = max(worst, abs(float(np.sum(psi * (WAVE_ENERGY * gnorm - 2.0 * dens)) * vol)))
+    return worst / (total_mass / len(frames))
+
+
+@pytest.mark.parametrize("steps, sample_every", [(40, 2), (2, 1)])
+def test_no_cancellation_defect_of_a_running_flow_equals_its_stored_trajectory(steps,
+                                                                              sample_every):
+    # the quarter-point frames picked from solver.sampled as the flow runs
+    # are the stored trajectory's; with 3 samples all three are the first
+    g = Grid(dim=2, extent=1.4, points=64)
+    dt = 0.125 * 0.1**2
+    cfg = SolverConfig(dt=dt, t_end=steps * dt, scheme="semi-implicit-cnab2",
+                       sample_every=sample_every)
+    initial = circle_field(g, 0.1, 0.35)
+    stored = evolve(initial, cfg)
+    assert solver.sample_count(cfg) == len(stored)
+    radii = [0.15, 0.35, 0.55]
+    streamed = no_cancellation_check(solver.sampled(initial, cfg), solver.sample_count(cfg), radii)
+    assert streamed == no_cancellation_check(stored, len(stored), radii)
+    assert streamed == stored_no_cancellation(stored, radii)
 
 
 # --- scenario reports ---------------------------------------------------------
@@ -552,6 +646,27 @@ def test_shrinking_circle_reports_do_not_depend_on_the_worker_count(tmp_path, mo
     assert names == sorted(p.name for p in (tmp_path / "one").iterdir())
     for name in names:
         assert (tmp_path / "threads" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_shrinking_circle_holds_no_frame_past_its_checks(monkeypatch):
+    # On one worker the four flows run one after another, so the traced peak
+    # is the fine audit's thinned trajectory, which the checks read, plus
+    # the working set of one flow at a time: measured at 6.80 MiB, the 11
+    # fine frames of 160^2 being 2.15 MiB of it, i.e. a margin of 23.8
+    # frames.  A flat layer that held its 73 frames peaked at 20.1 MiB.
+    import tracemalloc
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    config = config_from_dict(SMALL_CIRCLE_RAW)
+    frame_bytes = 8 * config.grid.points ** config.grid.dim
+    fine_frames = solver.sample_count(_flows(config)["fine", config.epsilons[0]][1])
+    tracemalloc.start()
+    try:
+        run_shrinking_circle(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (fine_frames + 40) * frame_bytes, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_concurrently_returns_results_in_submission_order(monkeypatch):
@@ -768,6 +883,11 @@ _SHORT_CIRCLE_ERROR = ("t_end - dt = 0.011875 is not half a step (dt=0.000625) p
       "params.circle_extent=0.8 box"]),
     ([_with(None, **scenario_raw("inequality-ratios", circle_radius=0.0))],
      ["params.circle_radius=0 must be positive"]),
+    # a gap of 1 eps = 0.04 to the edge of the 1.2 box: the circle's layer
+    # meets its periodic image and loses its zero crossing
+    ([_with(None, **scenario_raw("inequality-ratios", circle_radius=0.56))],
+     ["params.circle_radius=0.56 leaves 0.04 to the edge of the params.circle_extent=1.2 box, "
+      "below 2*epsilon=0.08"]),
     ([_with(None, **scenario_raw("shrinking-circle", radius=-0.1))],
      ["params.radius=-0.1 must be positive"]),
     ([_with(None, **scenario_raw("shrinking-circle", radius=0.2))],

@@ -26,7 +26,7 @@ from acflow.initial_data import graph_pair_distance, graph_profile, sine_mode
 from acflow.levelset import _maximal_field, tilt_maximal_field
 from acflow.operators import integrate_values
 
-from conftest import standing_wave
+from conftest import frames_at, standing_wave
 
 
 # --- inverse-profile distance field ----------------------------------------
@@ -252,7 +252,7 @@ def test_lone_sample_window_has_one_mass(radius):
     x = grid.axis()
     for i, (j, k) in [(0, (0, 0)), (2, (5, 17)), (4, (31, 16))]:
         region = ParabolicCylinder(center_space=(x[j], x[k]), center_time=times[i], radius=radius)
-        mass = integrate_values(grid, times, lambda t: g[t], [region])[0]
+        mass = integrate_values(grid, frames_at(grid, times), lambda k, f: g[k], [region])[0]
         assert maximal[i, j, k] == pytest.approx(mass, rel=1e-12)
 
 
