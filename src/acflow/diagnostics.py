@@ -272,29 +272,28 @@ def height_excess(
     plane: Hyperplane,
     region: ParabolicCylinder | None = None,
 ) -> float:
-    """Squared distance to a hyperplane weighted by ``eps |grad u|^2``.
+    """Squared distance to a hyperplane weighted by ``eps |grad u|^2``, in
+    one of two forms: one slice over the whole box (raw), or a trajectory
+    over the parabolic cylinder ``region``, scaled by ``r^-n-4``.
 
-    Scaled by ``r^-n-2`` (spatial) or ``r^-n-4`` (space-time); raw when no
-    region is given.  The cylinder center (the origin without a region)
-    anchors the minimal-image unwrapping.  A trajectory's slices are bundled
-    one at a time, as :func:`integrate_values` reaches them.
+    The cylinder center (the origin for a slice) anchors the minimal-image
+    unwrapping.  A trajectory's slices are bundled one at a time, as
+    :func:`integrate_values` reaches them.
     """
-    if isinstance(obj, Trajectory):
-        grid, frames, bundle = obj.grid, obj.frames, FrameBundle
-    else:
+    if isinstance(obj, Trajectory) != (region is not None):
+        raise TypeError("height_excess takes a slice without a region or a trajectory with one")
+    if region is None:
         b = _bundle(obj)
-        grid, frames, bundle = b.field.grid, [b.field], lambda frame: b
-    h = plane.signed_height(grid, region.center_space if region is not None else None)
+        h = plane.signed_height(b.field.grid)
+        return float(np.sum(h * h * b.field.epsilon * b.grad_sq) * b.field.grid.cell_volume)
+    grid = obj.grid
+    h = plane.signed_height(grid, region.center_space)
 
     def density_at(k: int, frame: ScalarField) -> np.ndarray:
-        b = bundle(frame)
-        return h * h * b.field.epsilon * b.grad_sq
+        return h * h * frame.epsilon * FrameBundle(frame).grad_sq
 
-    raw = integrate_values(grid, frames, density_at, [region])[0]
-    if region is None:
-        return raw
-    n = grid.interface_dim
-    return raw / region.radius ** (n + 4 if isinstance(obj, Trajectory) else n + 2)
+    raw = integrate_values(grid, obj.frames, density_at, [region])[0]
+    return raw / region.radius ** (grid.interface_dim + 4)
 
 
 def willmore(frame: ScalarField | FrameBundle) -> float:
@@ -391,14 +390,6 @@ class BrakkeResidual:
     dmu_dt: float
     rhs_gradient_form: float
     rhs_tensor_form: float
-
-    @property
-    def residual_gradient_form(self) -> float:
-        return abs(self.dmu_dt - self.rhs_gradient_form)
-
-    @property
-    def residual_tensor_form(self) -> float:
-        return abs(self.dmu_dt - self.rhs_tensor_form)
 
 
 def brakke_residual(traj: Trajectory, phi: _RadialProfileFunction, t: float) -> BrakkeResidual:
@@ -498,7 +489,6 @@ def sobolev_defect(field: ScalarField, radius: float,
 @dataclass(frozen=True)
 class DiagnosticsRecord:
     time: float
-    region_descriptor: str
     energy: float
     tilt_excess: float
     height_excess: float
@@ -531,7 +521,6 @@ def diagnostics_record(frame: ScalarField | FrameBundle) -> DiagnosticsRecord:
     vol = grid.cell_volume
     return DiagnosticsRecord(
         time=b.field.time,
-        region_descriptor="box",
         energy=float(np.sum(dens) * vol),
         tilt_excess=tilt_excess(b, plane.normal),
         height_excess=height_excess(b, plane),

@@ -16,8 +16,9 @@ import operator
 import os
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cache, partial
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -694,7 +695,6 @@ def zero_level_radius(field: ScalarField) -> float:
 @dataclass(frozen=True)
 class DensityRatioProfile:
     entries: tuple[tuple[float, float], ...]
-    center_in_layer: bool
 
     @property
     def minimum(self) -> float:
@@ -715,29 +715,14 @@ def density_ratio_profile(
     pass, which reads each frame as it arrives: a flow's
     :func:`solver.sampled` frames are integrated while it runs.  Each
     frame's energy density is computed once and only one is held at a time.
-
-    When the center does not sit in the layer (``|u| > 0.9`` there, on the
-    frame nearest ``center_time``, the earlier of two equally near), the
-    profile is returned with a flag rather than raising.
     """
     n = grid.interface_dim
-    idx = tuple(int(round((c + 0.5 * grid.extent) / grid.spacing)) % grid.points
-                for c in center_space)
-    nearest = [math.inf, 0.0]  # |t - center_time| of the nearest frame so far, u at the center
-
-    def watched() -> Iterator[ScalarField]:
-        for frame in frames:
-            gap = abs(frame.time - center_time)
-            if gap < nearest[0]:
-                nearest[:] = gap, frame.values[idx]
-            yield frame
-
     regions = [ParabolicCylinder(center_space=tuple(center_space), center_time=center_time,
                                  radius=r) for r in radii]
-    masses = integrate_values(grid, watched(),
+    masses = integrate_values(grid, frames,
                               lambda k, frame: FrameBundle(frame).energy_density, regions)
     entries = [(float(r), mass / r ** (n + 2)) for r, mass in zip(radii, masses)]
-    return DensityRatioProfile(entries=tuple(entries), center_in_layer=bool(abs(nearest[1]) <= 0.9))
+    return DensityRatioProfile(entries=tuple(entries))
 
 
 def no_cancellation_check(frames: Iterable[ScalarField], count: int,
@@ -747,12 +732,13 @@ def no_cancellation_check(frames: Iterable[ScalarField], count: int,
     Max over a family of radial bumps and the frames a quarter, a half and
     three quarters along the ``count`` samples of ``frames`` of
     ``|integral psi (alpha |grad u| - 2 dens)|``, over the mean of
-    ``integral dens`` on those frames.  The frames are read in turn and only
-    those three are kept.
+    ``integral dens`` on those frames.  The frames are read in turn up to
+    the last of the three, and only those three are kept: a flow's
+    :func:`solver.sampled` stops there.
     """
     k = count // 4
     quarters = (k, 2 * k, 3 * k)
-    kept = {i: frame for i, frame in enumerate(frames) if i in quarters}
+    kept = {i: frame for i, frame in enumerate(islice(frames, 3 * k + 1)) if i in quarters}
     picked = [kept[i] for i in quarters]
     grid = picked[0].grid
     vol = grid.cell_volume
@@ -934,7 +920,7 @@ def _gaussian_probe(kernel: KernelPoint) -> Probe:
     backward kernel."""
 
     def probe(b: FrameBundle) -> dict[str, float]:
-        gauss, dissipative, discrepancy, _ = monotonicity_terms(b, kernel)
+        gauss, dissipative, discrepancy = monotonicity_terms(b, kernel)
         return {"gauss": gauss, "gauss_dissipative": dissipative,
                 "gauss_discrepancy": discrepancy}
 
@@ -1024,6 +1010,10 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
     _, frame_mid = fine.trajectory.frame_nearest(t_mid)
     r_mid = zero_level_radius(frame_mid)
     profile = density_ratio_profile(grid, fine.trajectory, (r_mid, 0.0), t_mid, radii)
+    # the profile's centre sits in the layer when |u| <= 0.9 at its lattice point
+    center = tuple(int(round((c + 0.5 * grid.extent) / grid.spacing)) % grid.points
+                   for c in (r_mid, 0.0))
+    center_in_layer = bool(abs(frame_mid.values[center]) <= 0.9)
     flat_defect = abs(flat_profile.minimum - 4.0 * WAVE_ENERGY) / (4.0 * WAVE_ENERGY)
 
     checks = [
@@ -1049,7 +1039,7 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
         "dissipation_defect_fine": defect_fine,
         "density_profile": [list(e) for e in profile.entries],
         "density_profile_flat": [list(e) for e in flat_profile.entries],
-        "center_in_layer": profile.center_in_layer,
+        "center_in_layer": center_in_layer,
     }
     return ScenarioResult(
         scenario="shrinking-circle", config=config, checks=checks, records=records,
@@ -1224,8 +1214,9 @@ def run_no_cancellation(config: ExperimentConfig) -> ScenarioResult:
     defects = {}
     for eps in sorted(config.epsilons, reverse=True):
         _, cfg = flows["base", eps]
-        frames = solver_mod.sampled(initial_field(config, eps), cfg)
-        defects[eps] = no_cancellation_check(frames, solver_mod.sample_count(cfg), bump_radii)
+        # the check stops taking samples at its last pick, so the flow ends there
+        defects[eps] = no_cancellation_check(solver_mod.sampled(initial_field(config, eps), cfg),
+                                             solver_mod.sample_count(cfg), bump_radii)
     seq = list(defects.values())  # largest epsilon first
     checks = [
         check("weak_star_defect", "no-cancellation", seq[-1], 0.03),

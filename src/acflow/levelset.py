@@ -85,7 +85,6 @@ def distance_gradient_max(field: ScalarField) -> float:
 class LevelSetGraph:
     """Heights ``h(x_base, t)`` of one level set over the base lattice."""
 
-    level: float
     times: np.ndarray
     heights: np.ndarray  # (n_times, *base_shape)
     valid: np.ndarray  # bool, same shape
@@ -149,7 +148,7 @@ def _lagrange_roots(stencil: np.ndarray, targets: np.ndarray,
     return root
 
 
-def extract_graph(traj: ScalarField | Trajectory, level: float) -> LevelSetGraph:
+def extract_graph(traj: Trajectory, level: float) -> LevelSetGraph:
     """Per-column single-crossing heights of ``{u = level}``.
 
     The search window ``|x_vertical| <= extent/4`` (a quarter box) enforces
@@ -158,8 +157,6 @@ def extract_graph(traj: ScalarField | Trajectory, level: float) -> LevelSetGraph
     an error.  Crossings are refined on the column's cubic interpolant to
     ``|u(h) - level| <= 1e-12``.
     """
-    frames = [traj] if isinstance(traj, ScalarField) else traj.frames
-    times = np.array([f.time for f in frames])
     grid = traj.grid
     window = 0.25 * grid.extent
 
@@ -173,10 +170,10 @@ def extract_graph(traj: ScalarField | Trajectory, level: float) -> LevelSetGraph
 
     base_shape = grid.shape[:-1] if grid.dim > 1 else (1,)
     n_cols = int(np.prod(base_shape))
-    heights = np.zeros((len(frames),) + base_shape)
-    valid = np.zeros((len(frames),) + base_shape, dtype=bool)
+    heights = np.zeros((len(traj),) + base_shape)
+    valid = np.zeros((len(traj),) + base_shape, dtype=bool)
 
-    for fi, f in enumerate(frames):
+    for fi, f in enumerate(traj):
         u = f.values.reshape(n_cols, grid.points) if grid.dim > 1 else f.values.reshape(1, -1)
         w = u[:, w0:w1] - level
         node_zero = w == 0.0
@@ -211,8 +208,7 @@ def extract_graph(traj: ScalarField | Trajectory, level: float) -> LevelSetGraph
             f"no column has a single crossing of level {level} inside the window"
         )
     return LevelSetGraph(
-        level=level,
-        times=times,
+        times=traj.times,
         heights=heights,
         valid=valid,
         base_extent=grid.extent,
@@ -266,13 +262,10 @@ def dyadic_radii(extent: float, spacing: float) -> list[float]:
 
 @dataclass(frozen=True)
 class GoodBadPartition:
-    """Threshold split of the layer region by the tilt maximal function."""
+    """The bad part of the layer region at one threshold of the tilt maximal
+    function, and the measured weak-L1 constant."""
 
-    threshold: float
-    band: float
-    good: np.ndarray  # bool (time, *space)
-    bad: np.ndarray
-    maximal: np.ndarray
+    bad: np.ndarray  # bool (time, *space)
     weak_l1_ratio: float
 
 
@@ -289,10 +282,9 @@ class TiltMaximalField:
         """The split at one threshold, as :func:`partition_good_bad`."""
         if threshold <= 0:
             raise ValueError("threshold must be positive")
-        traj, maximal = self.traj, self.maximal
+        traj = self.traj
         layer = np.abs(np.stack([f.values for f in traj.frames])) < 1.0 - band
-        good = layer & (maximal < threshold)
-        bad = layer & (maximal >= threshold)
+        bad = layer & (self.maximal >= threshold)
 
         # The Dirichlet density is recomputed here, one frame at a time,
         # rather than kept from the tilt pass: holding it for every frame
@@ -302,40 +294,29 @@ class TiltMaximalField:
             traj.grid, traj.frames,
             lambda k, frame: np.where(bad[k], eps * FrameBundle(frame).grad_sq, 0.0), [None])[0]
         ratio = bad_mass * threshold / self.tilt_mass if self.tilt_mass > 0 else 0.0
-        return GoodBadPartition(threshold=threshold, band=band, good=good, bad=bad,
-                                maximal=maximal, weak_l1_ratio=ratio)
+        return GoodBadPartition(bad=bad, weak_l1_ratio=ratio)
 
 
-def tilt_maximal_field(
-    traj: Trajectory,
-    direction: Sequence[float] | None = None,
-    radii: Sequence[float] | None = None,
-) -> TiltMaximalField:
-    """The tilt integrand against ``direction`` (default vertical): its mass and
-    its ``r^-(n+2)`` maximal function over ``radii`` (default :func:`dyadic_radii`)."""
+def tilt_maximal_field(traj: Trajectory) -> TiltMaximalField:
+    """The tilt integrand against the vertical: its mass and its
+    ``r^-(n+2)`` maximal function over the :func:`dyadic_radii`."""
     grid = traj.grid
-    e = direction if direction is not None else (0.0,) * (grid.dim - 1) + (1.0,)
-    if radii is None:
-        radii = dyadic_radii(grid.extent, grid.spacing)
-    tilt = np.stack([_tilt_integrand(f, e) for f in traj.frames])
-    maximal = _maximal_field(tilt, traj.times, grid, radii, power=grid.interface_dim + 2)
+    vertical = Hyperplane.vertical(grid.dim).normal
+    tilt = np.stack([_tilt_integrand(f, vertical) for f in traj.frames])
+    maximal = _maximal_field(tilt, traj.times, grid, dyadic_radii(grid.extent, grid.spacing),
+                             power=grid.interface_dim + 2)
     tilt_mass = integrate_values(grid, traj.frames, lambda k, frame: tilt[k], [None])[0]
     return TiltMaximalField(traj=traj, maximal=maximal, tilt_mass=tilt_mass)
 
 
-def partition_good_bad(
-    traj: Trajectory,
-    threshold: float,
-    band: float,
-    direction: Sequence[float] | None = None,
-    radii: Sequence[float] | None = None,
-) -> GoodBadPartition:
+def partition_good_bad(traj: Trajectory, threshold: float, band: float) -> GoodBadPartition:
     """Good/bad split of ``{|u| < 1 - band}`` by the parabolic maximal
     function of the tilt integrand, plus the measured weak-L1 constant
-    ``(bad-set Dirichlet mass) * threshold / (total tilt mass)``.  For
-    several thresholds, build :func:`tilt_maximal_field` once instead.
+    ``(bad-set Dirichlet mass) * threshold / (total tilt mass)``; the good
+    set is the rest of the layer region.  For several thresholds, build
+    :func:`tilt_maximal_field` once instead.
     """
-    return tilt_maximal_field(traj, direction, radii).partition(threshold, band)
+    return tilt_maximal_field(traj).partition(threshold, band)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from acflow import Grid, ScalarField, prepare_interface
+from acflow import Grid, ScalarField, Trajectory, prepare_interface
 from acflow.initial_data import circle_distance, plane_pair_distance
 
 
@@ -23,6 +23,12 @@ def standing_wave(grid: Grid, epsilon: float) -> ScalarField:
 
 def circle_field(grid: Grid, epsilon: float, radius: float) -> ScalarField:
     return prepare_interface(circle_distance(radius), grid, epsilon)
+
+
+def one_frame(field: ScalarField) -> Trajectory:
+    """The one-sample trajectory of a slice: a cylinder mass over it is the
+    plain spatial integral over the ball."""
+    return Trajectory(frames=(field,), dt_sample=1.0)
 
 
 def frames_at(grid: Grid, times) -> list[ScalarField]:

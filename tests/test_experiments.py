@@ -46,7 +46,7 @@ from acflow.io import read_field
 from acflow.grid import window_weights
 from acflow.operators import ball_mask, gradient_values
 
-from conftest import circle_field, standing_wave
+from conftest import circle_field, one_frame, standing_wave, zero_crossing_radius
 
 
 BASE_RAW = {
@@ -340,7 +340,6 @@ def test_library_identities_reproduce_the_audit_probe_series():
     ]
     for library, probe in pairs:
         assert library == pytest.approx(probe, rel=1e-12)
-    assert mono.rho_tensor_term == 0.0
 
 
 def test_audit_and_evolve_report_the_same_divergence(monkeypatch):
@@ -442,25 +441,43 @@ def flat_layer_traj():
 
 def test_streamed_density_profile_matches_per_radius_profile(circle_traj_short):
     flat = flat_layer_traj()
+    # constant frames at exact binary times, with centre times on a sample,
+    # halfway between two samples and at the first sample
+    g = Grid(dim=2, extent=1.0, points=32)
+    binary = Trajectory(frames=tuple(ScalarField(grid=g, values=np.full(g.shape, u),
+                                                 epsilon=0.05, time=0.25 * i)
+                                     for i, u in enumerate((0.95, 0.5, 0.95, 0.5, 0.95))),
+                        dt_sample=0.25)
     # radius 0.005 on the circle run: a window holding one sample
     cases = [
         (circle_traj_short, (0.34, 0.0), 0.005, [0.005, 0.04, 0.1, 0.2, 0.3]),
         (circle_traj_short, (0.0, 0.3), 0.0095, [0.05, 0.15]),
         (flat, (0.0, 0.0), 0.5 * flat.times[-1], [0.1, 0.15, 0.2, 0.25, 0.3]),
         (Trajectory(frames=(flat[0],), dt_sample=0.0), (0.0, 0.0), 0.0, [0.1, 0.3]),
-    ]
+    ] + [(binary, (0.0, 0.0), t, [0.4]) for t in (0.125, 0.375, 0.25, 0.0)]
     for traj, center, t, radii in cases:
         profile = density_ratio_profile(traj.grid, traj, center, t, radii)
         assert profile.entries == per_radius_profile(traj, center, t, radii)
 
 
-def test_density_profile_flags_pure_phase_center(circle_traj_short):
-    # center deep inside the +1 phase: flagged, not an error
-    grid = circle_traj_short.grid
-    prof = density_ratio_profile(grid, circle_traj_short, (0.0, 0.0), 0.01, [0.1, 0.2])
-    assert not prof.center_in_layer
-    prof_on = density_ratio_profile(grid, circle_traj_short, (0.34, 0.0), 0.005, [0.1])
-    assert prof_on.center_in_layer
+def test_density_profile_flags_pure_phase_center(monkeypatch):
+    # shrinking-circle centres its density profile on the layer of the fine
+    # flow's frame nearest mid-run, and flags whether |u| <= 0.9 there; a
+    # centre moved to the origin, deep inside the circle, is flagged, not an error
+    import acflow.experiments as experiments
+
+    config = config_from_dict(SMALL_CIRCLE_RAW)
+    eps = config.epsilons[0]
+    grid, fine_cfg = _flows(config)["fine", eps]
+    _, frame_mid = evolve(initial_field(config, eps), fine_cfg).frame_nearest(0.5 * config.t_end)
+    x = grid.axis()
+    on_layer = frame_mid.values[np.argmin(np.abs(x - zero_crossing_radius(frame_mid))),
+                                grid.points // 2]
+    assert abs(on_layer) <= 0.9
+    assert run_shrinking_circle(config).payload["center_in_layer"] is True
+    monkeypatch.setattr(experiments, "zero_level_radius", lambda field: 0.0)
+    assert abs(frame_mid.values[grid.points // 2, grid.points // 2]) > 0.9
+    assert run_shrinking_circle(config).payload["center_in_layer"] is False
 
 
 def test_density_profile_of_a_running_flow_equals_its_stored_trajectory():
@@ -476,23 +493,6 @@ def test_density_profile_of_a_running_flow_equals_its_stored_trajectory():
     streamed = density_ratio_profile(g, solver.sampled(wave, cfg), center, t, radii)
     assert streamed == density_ratio_profile(g, stored, center, t, radii)
     assert streamed.entries == per_radius_profile(stored, center, t, radii)
-    assert streamed.center_in_layer
-
-
-def test_density_profile_centre_frame_is_the_first_of_two_equally_near():
-    # constant frames at exact binary times, in and out of the layer by
-    # turns: a centre time halfway between two samples takes the earlier
-    # one, as Trajectory.frame_nearest (argmin) does
-    g = Grid(dim=2, extent=1.0, points=32)
-    levels = (0.95, 0.5, 0.95, 0.5, 0.95)
-    traj = Trajectory(frames=tuple(ScalarField(grid=g, values=np.full(g.shape, u), epsilon=0.05,
-                                               time=0.25 * i) for i, u in enumerate(levels)),
-                      dt_sample=0.25)
-    for t, in_layer in ((0.125, False), (0.375, True), (0.25, True), (0.0, False)):
-        profile = density_ratio_profile(g, iter(traj.frames), (0.0, 0.0), t, [0.4])
-        _, nearest = traj.frame_nearest(t)
-        assert profile.center_in_layer is in_layer is bool(abs(nearest.values[0, 0]) <= 0.9)
-        assert profile.entries == per_radius_profile(traj, (0.0, 0.0), t, [0.4])
 
 
 def test_last_sample_is_the_stored_trajectorys_last_frame():
@@ -576,7 +576,7 @@ def test_standing_wave_scenario_writes_reports(tmp_path):
     assert manifest["scenario"] == "standing-wave"
     assert "line-energy" in manifest["claims"]
     csv = (tmp_path / "diagnostics.csv").read_text().splitlines()
-    assert csv[0].startswith("time,region_descriptor,energy")
+    assert csv[0].startswith("time,energy,")
     field = read_field(tmp_path / "field_0.field")
     assert field.grid.points == cfg.grid.points
 
@@ -585,7 +585,7 @@ def test_graph_csv_roundtrippable_columns(tmp_path, wave_2d):
     from acflow import extract_graph
     from acflow.io import write_graph_csv
 
-    graph = extract_graph(wave_2d, 0.0)
+    graph = extract_graph(one_frame(wave_2d), 0.0)
     path = tmp_path / "graph.csv"
     write_graph_csv(graph, path)
     lines = path.read_text().splitlines()

@@ -13,7 +13,9 @@ probe.
 Likewise, every parameter with a default of a function in a module's
 ``__all__`` must be passed, by position or by keyword, by some call in
 ``src/acflow`` or ``bench/*.py``; an option that only tests set is a
-constant.
+constant.  A call that only hands on its caller's own parameter passes
+nothing (an exported caller's option is checked in its own right).  There
+is no exemption.
 """
 
 import ast
@@ -53,6 +55,13 @@ def _module_aliases(tree: ast.Module, module_names: set[str]) -> set[str]:
     return aliases
 
 
+def _parameters(function: ast.AST) -> set[str]:
+    """The parameter names of a function or lambda."""
+    args = function.args
+    return ({a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            | {a.arg for a in (args.vararg, args.kwarg) if a is not None})
+
+
 def _local_names(scope: ast.AST) -> set[str]:
     """Names a function (or comprehension) binds itself: its parameters and
     the names it assigns, not counting nested scopes or names it declares
@@ -60,9 +69,7 @@ def _local_names(scope: ast.AST) -> set[str]:
     name inside a function is a use of it."""
     bound, free = set(), set()
     if isinstance(scope, _FUNCTIONS):
-        args = scope.args
-        bound |= {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
-        bound |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+        bound |= _parameters(scope)
         body = scope.body if isinstance(scope.body, list) else [scope.body]
     else:
         body = [g.target for g in scope.generators]
@@ -151,12 +158,6 @@ def test_a_shadowing_local_is_not_a_use_and_an_aliased_module_is():
     assert _unused({"diag": exporter, "user": user}, [caller]) == []
 
 
-# Optional parameters that no call passes, kept with the functions ROADMAP
-# item 6 retires: a bench probe pins each of these functions.
-_RETIRING = {"monotonicity.monotonicity_residual.rho", "levelset.partition_good_bad.direction",
-             "levelset.partition_good_bad.radii"}
-
-
 def _options(tree: ast.Module) -> list[tuple[str, int | None, str]]:
     """``(function, position, parameter)`` for every parameter with a
     default of every exported top-level function; keyword-only parameters
@@ -175,29 +176,45 @@ def _options(tree: ast.Module) -> list[tuple[str, int | None, str]]:
     return out
 
 
-def _calls(tree: ast.Module) -> list[tuple[str, list[ast.expr], list[ast.keyword]]]:
-    """``(callee, args, keywords)`` of every call, the callee a bare name or
-    an attribute's name; ``partial(f, *args, **keywords)`` counts as a call
-    of ``f``."""
+_Call = tuple[str, list[ast.expr], list[ast.keyword], frozenset[str]]
+
+
+def _calls(node: ast.AST, forwarded: frozenset[str] = frozenset()) -> list[_Call]:
+    """``(callee, args, keywords, forwarded)`` of every call under ``node``,
+    the callee a bare name or an attribute's name, and ``forwarded`` the
+    parameters of the enclosing functions that no inner scope rebinds;
+    ``partial(f, *args, **keywords)`` counts as a call of ``f``."""
+    if isinstance(node, _SCOPES):
+        forwarded = forwarded - _local_names(node)
+        if isinstance(node, _FUNCTIONS):
+            forwarded |= _parameters(node)
     out = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
+    if isinstance(node, ast.Call):
         func, args = node.func, node.args
         if isinstance(func, ast.Name) and func.id == "partial" and args:
             func, args = args[0], args[1:]
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
         if name is not None:
-            out.append((name, args, node.keywords))
+            out.append((name, args, node.keywords, forwarded))
+    for child in ast.iter_child_nodes(node):
+        out += _calls(child, forwarded)
     return out
 
 
-def _passes(args: list[ast.expr], keywords: list[ast.keyword], position: int | None,
-            parameter: str) -> bool:
+def _passes(args: list[ast.expr], keywords: list[ast.keyword], forwarded: frozenset[str],
+            position: int | None, parameter: str) -> bool:
+    """Whether a call passes the option; an argument that is a bare name in
+    ``forwarded`` only hands on the caller's own parameter, and passes
+    nothing."""
+
+    def given(value: ast.expr) -> bool:
+        return not (isinstance(value, ast.Name) and value.id in forwarded)
+
     starred = [i for i, a in enumerate(args) if isinstance(a, ast.Starred)]
-    by_position = position is not None and (len(args) > position
-                                            or bool(starred) and starred[0] <= position)
-    return by_position or any(k.arg in (parameter, None) for k in keywords)
+    if position is not None and starred and starred[0] <= position:
+        return True
+    by_position = position is not None and len(args) > position and given(args[position])
+    return by_position or any(k.arg in (parameter, None) and given(k.value) for k in keywords)
 
 
 def _unpassed(modules: dict[str, ast.Module], others: list[ast.Module]) -> list[str]:
@@ -207,8 +224,9 @@ def _unpassed(modules: dict[str, ast.Module], others: list[ast.Module]) -> list[
     return [f"{mod}.{function}.{parameter}"
             for mod, tree in modules.items()
             for function, position, parameter in _options(tree)
-            if not any(name == function and _passes(args, keywords, position, parameter)
-                       for name, args, keywords in calls)]
+            if not any(name == function
+                       and _passes(args, keywords, forwarded, position, parameter)
+                       for name, args, keywords, forwarded in calls)]
 
 
 def unpassed_options() -> list[str]:
@@ -229,11 +247,22 @@ def test_an_option_is_passed_by_position_keyword_or_partial():
     # g is not exported; c and d are passed by no call
     assert _unpassed({"lib": lib}, [user]) == ["lib.f.c", "lib.f.d"]
     assert _unpassed({"lib": lib}, [ast.parse("partial(f, *xs)\nf(0, **kw)\n")]) == []
+    # a call that hands on its caller's own parameter, by position, keyword,
+    # partial or **kwargs, from the function or a scope nested in it, passes
+    # nothing; a caller's local, or a comprehension variable that shadows a
+    # parameter, is a value
+    forwards = ast.parse("def h(a, b=1, c=2, d=3, *, e=4, **kw):\n"
+                         "    f(a, b, c, d=d)\n"
+                         "    partial(f, a, e=e)\n"
+                         "    f(a, **kw)\n"
+                         "    return lambda: f(a, e=e)\n")
+    assert _unpassed({"lib": lib}, [forwards]) == ["lib.f.b", "lib.f.c", "lib.f.d", "lib.f.e"]
+    values = ast.parse("def h(a, b):\n"
+                       "    c = 2 * b\n"
+                       "    return f(a, 0, c) + [f(a, e=b) for b in a][0]\n")
+    assert _unpassed({"lib": lib}, [forwards, values]) == ["lib.f.d"]
 
 
 def test_every_option_of_an_export_is_passed_outside_the_tests():
-    unpassed = set(unpassed_options())
-    assert unpassed <= _RETIRING, (
-        f"optional, but passed only by tests: {', '.join(sorted(unpassed - _RETIRING))}")
-    # an entry whose option some call now passes, or that is gone, is stale
-    assert _RETIRING <= unpassed, f"stale exemptions: {', '.join(sorted(_RETIRING - unpassed))}"
+    unpassed = unpassed_options()
+    assert not unpassed, f"optional, but passed only by tests: {', '.join(unpassed)}"

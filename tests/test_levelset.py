@@ -23,10 +23,10 @@ from acflow import (
 from acflow.diagnostics import _tilt_integrand
 from acflow.grid import trapezoid_weights
 from acflow.initial_data import graph_pair_distance, graph_profile, sine_mode
-from acflow.levelset import _maximal_field, tilt_maximal_field
+from acflow.levelset import _maximal_field, dyadic_radii, tilt_maximal_field
 from acflow.operators import integrate_values
 
-from conftest import frames_at, standing_wave
+from conftest import frames_at, one_frame, standing_wave
 
 
 # --- inverse-profile distance field ----------------------------------------
@@ -61,7 +61,7 @@ def test_distance_gradient_bound_along_circle_run(circle_traj_short):
 def test_extracted_height_inverts_the_profile():
     g = Grid(dim=1, extent=2.56, points=1024)
     wave = standing_wave(g, 0.1)
-    graph = extract_graph(wave, level=0.5)
+    graph = extract_graph(one_frame(wave), level=0.5)
     expected = 0.1 * np.arctanh(0.5)
     assert expected == pytest.approx(0.05493061443340549, abs=1e-12)  # oracle value
     assert graph.validity_fraction == 1.0
@@ -69,7 +69,7 @@ def test_extracted_height_inverts_the_profile():
 
 
 def test_zero_level_of_odd_profile_is_zero(wave_2d):
-    graph = extract_graph(wave_2d, level=0.0)
+    graph = extract_graph(one_frame(wave_2d), level=0.0)
     assert graph.validity_fraction == 1.0
     assert np.max(np.abs(graph.heights)) < 1e-12
 
@@ -85,8 +85,8 @@ def test_graph_of_gentle_slope_matches_offset_geometry():
     dist = graph_pair_distance(1.28, [mode])
     field = prepare_interface(dist, g, eps)
     s = 0.4
-    g_lo = extract_graph(field, -s)
-    g_hi = extract_graph(field, s)
+    g_lo = extract_graph(one_frame(field), -s)
+    g_hi = extract_graph(one_frame(field), s)
     both = g_lo.valid & g_hi.valid
     assert both.mean() > 0.99
     xh = g.axis()
@@ -102,7 +102,7 @@ def test_extraction_errors_when_every_column_is_ambiguous():
     g = Grid(dim=1, extent=2.56, points=1024)
     f = ScalarField(grid=g, values=np.tanh((np.abs(g.axis()) - 0.3) / 0.05), epsilon=0.05)
     with pytest.raises(GraphExtractionError):
-        extract_graph(f, level=0.0)
+        extract_graph(one_frame(f), level=0.0)
 
 
 def test_extraction_masks_multi_crossing_columns():
@@ -112,7 +112,7 @@ def test_extraction_masks_multi_crossing_columns():
     X, Y = g.dense_coords()
     vals = np.where(X < 0, np.tanh(Y / 0.1), np.tanh(np.sin(3 * np.pi * Y) / 0.3))
     f = ScalarField(grid=g, values=vals, epsilon=0.1)
-    graph = extract_graph(f, level=0.0)
+    graph = extract_graph(one_frame(f), level=0.0)
     single = graph.valid[0][: g.points // 2]
     multi = graph.valid[0][g.points // 2 :]
     assert np.all(single)
@@ -123,7 +123,7 @@ def test_extraction_rejects_pure_phase():
     g = Grid(dim=1, extent=2.0, points=64)
     f = ScalarField(grid=g, values=np.ones(64), epsilon=0.1)
     with pytest.raises(GraphExtractionError):
-        extract_graph(f, level=0.0)
+        extract_graph(one_frame(f), level=0.0)
 
 
 # --- parabolic maximal function ---------------------------------------------
@@ -225,7 +225,7 @@ def test_maximal_field_matches_pointwise_oracle(dim, points):
 
 def test_partition_maximal_matches_pointwise_oracle(perturbed_traj_small):
     # the tilt integrand vanishes identically in one dimension (the normal is
-    # always vertical), so the partition is compared in two
+    # always vertical), so the partition's maximal field is compared in two
     traj = perturbed_traj_small
     grid = traj.grid
     e = (0.0, 1.0)
@@ -235,9 +235,13 @@ def test_partition_maximal_matches_pointwise_oracle(perturbed_traj_small):
     sample = [(i, (j, k)) for i in (0, len(traj) // 2, len(traj) - 1)
               for j in (0, n // 4, n // 2 + 7) for k in (n // 2, n // 2 + 3, n // 8)]
     for radii in RADIUS_SETS:
-        part = partition_good_bad(traj, 1e-3, band=0.05, direction=e, radii=radii)
-        assert_maximal_matches_oracle(part.maximal, tilt, traj.times, grid, radii,
+        maximal = _maximal_field(tilt, traj.times, grid, radii, power=grid.interface_dim + 2)
+        assert_maximal_matches_oracle(maximal, tilt, traj.times, grid, radii,
                                       grid.interface_dim + 2, sample)
+    # the partition's own field is the one over the dyadic radii
+    dyadic = _maximal_field(tilt, traj.times, grid, dyadic_radii(grid.extent, grid.spacing),
+                            power=grid.interface_dim + 2)
+    assert np.array_equal(tilt_maximal_field(traj).maximal, dyadic)
 
 
 @pytest.mark.parametrize("radius", [0.04, 0.08])
@@ -325,8 +329,9 @@ def test_partition_masks_are_disjoint_and_cover_the_layer(perturbed_traj_small):
     traj = perturbed_traj_small
     part = partition_good_bad(traj, threshold=1e-4, band=0.05)
     layer = np.abs(np.stack([f.values for f in traj.frames])) < 0.95
-    assert not np.any(part.good & part.bad)
-    assert np.array_equal(part.good | part.bad, layer)
+    good = layer & ~part.bad
+    assert not np.any(good & part.bad)
+    assert np.array_equal(good | part.bad, layer)
 
 
 def test_partition_bad_set_empty_at_huge_threshold(perturbed_traj_small):
@@ -340,8 +345,7 @@ def test_one_maximal_field_serves_every_threshold(perturbed_traj_small):
     for threshold in (3e-4, 1e-3, 3e-3):
         shared = field.partition(threshold, band=0.05)
         alone = partition_good_bad(traj, threshold, band=0.05)
-        for name in ("good", "bad", "maximal"):
-            assert np.array_equal(getattr(shared, name), getattr(alone, name))
+        assert np.array_equal(shared.bad, alone.bad)
         assert shared.weak_l1_ratio == alone.weak_l1_ratio
     # the mass is the trapezoid time integral of each frame's tilt excess
     weights = trapezoid_weights(len(traj), traj.dt_sample)
@@ -355,16 +359,17 @@ def test_good_set_lipschitz_constant_shrinks_with_threshold(perturbed_traj_small
     traj = perturbed_traj_small
     graph = extract_graph(traj, 0.0)
     g = traj.grid
+    layer = np.abs(np.stack([f.values for f in traj.frames])) < 0.95
     slopes = []
     for threshold in (3e-4, 1e-3, 3e-3):
-        part = partition_good_bad(traj, threshold, band=0.05)
+        good = layer & ~partition_good_bad(traj, threshold, band=0.05).bad
         # project good set: a base column is good if its crossing point is
         good_cols = np.zeros(graph.heights.shape, dtype=bool)
         axis = g.axis()
         for fi in range(len(traj)):
             idx = np.clip(np.round((graph.heights[fi] - axis[0]) / g.spacing).astype(int), 0, g.points - 1)
             cols = np.arange(g.points)
-            good_cols[fi] = part.good[fi][cols, idx] & graph.valid[fi]
+            good_cols[fi] = good[fi][cols, idx] & graph.valid[fi]
         dh = (np.roll(graph.heights, -1, axis=1) - np.roll(graph.heights, 1, axis=1)) / (2 * g.spacing)
         slopes.append(np.max(np.abs(dh[good_cols])) if np.any(good_cols) else 0.0)
     assert slopes[0] <= slopes[1] <= slopes[2]
@@ -398,7 +403,7 @@ def test_heat_compare_recovers_exact_mode_decay():
 
 
 def test_heat_compare_flat_graph_gives_zero(wave_2d):
-    graph = extract_graph(wave_2d, 0.0)
+    graph = extract_graph(one_frame(wave_2d), 0.0)
     assert heat_compare(graph, graph.heights[0]) < 1e-8
 
 
@@ -407,14 +412,14 @@ def test_heat_compare_rejects_low_validity():
     vals = np.tanh(np.broadcast_to(g.coords()[-1], g.shape) / 0.05).copy()
     vals[: g.points // 2, :] = 1.0  # half the columns have no crossing
     f = ScalarField(grid=g, values=vals, epsilon=0.05)
-    graph = extract_graph(f, 0.0)
+    graph = extract_graph(one_frame(f), 0.0)
     with pytest.raises(GraphExtractionError):
         heat_compare(graph, graph.heights[0])
 
 
 def test_heat_compare_rejects_a_graph_over_a_1d_box(wave_1d):
     # the base of a 1-D box is one point, where no heat flow is defined
-    graph = extract_graph(wave_1d, 0.0)
+    graph = extract_graph(one_frame(wave_1d), 0.0)
     with pytest.raises(GraphExtractionError, match="single point"):
         heat_compare(graph, graph.heights[0])
 
