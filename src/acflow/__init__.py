@@ -21,7 +21,6 @@ from .solver import (
     SolverConfigError,
     evolve,
     prepare_interface,
-    step,
 )
 from .diagnostics import (
     BrakkeResidual,

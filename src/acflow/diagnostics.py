@@ -77,18 +77,17 @@ class Hyperplane:
             raise ValueError("hyperplane normal must be nonzero")
         object.__setattr__(self, "normal", tuple(e / norm))
 
-    def signed_height(self, grid: Grid, center: Sequence[float] | None = None) -> np.ndarray:
+    def signed_height(self, grid: Grid, center: Sequence[float]) -> np.ndarray:
         """``<x, e> - offset`` on the lattice.
 
         ``center`` only anchors the minimal-image unwrapping of the periodic
         coordinates (displacements are taken relative to it); it does not
         shift the plane.
         """
-        c = center if center is not None else (0.0,) * grid.dim
         out = np.zeros(grid.shape)
-        for e, d in zip(self.normal, grid.displacement(c)):
+        for e, d in zip(self.normal, grid.displacement(center)):
             out = out + e * d
-        shift = sum(e * ci for e, ci in zip(self.normal, c))
+        shift = sum(e * ci for e, ci in zip(self.normal, center))
         return out + shift - self.offset
 
     @staticmethod
@@ -267,32 +266,20 @@ def tilt_excess(frame: ScalarField | FrameBundle, direction: Sequence[float]) ->
     return float(np.sum(_tilt_integrand(b, direction)) * b.field.grid.cell_volume)
 
 
-def height_excess(
-    obj: ScalarField | FrameBundle | Trajectory,
-    plane: Hyperplane,
-    region: ParabolicCylinder | None = None,
-) -> float:
-    """Squared distance to a hyperplane weighted by ``eps |grad u|^2``, in
-    one of two forms: one slice over the whole box (raw), or a trajectory
-    over the parabolic cylinder ``region``, scaled by ``r^-n-4``.
+def height_excess(traj: Trajectory, plane: Hyperplane, region: ParabolicCylinder) -> float:
+    """Squared distance to a hyperplane weighted by ``eps |grad u|^2`` over
+    the parabolic cylinder ``region``, scaled by ``r^-n-4``.
 
-    The cylinder center (the origin for a slice) anchors the minimal-image
-    unwrapping.  A trajectory's slices are bundled one at a time, as
-    :func:`integrate_values` reaches them.
+    The cylinder center anchors the minimal-image unwrapping.  The slices
+    are bundled one at a time, as :func:`integrate_values` reaches them.
     """
-    if isinstance(obj, Trajectory) != (region is not None):
-        raise TypeError("height_excess takes a slice without a region or a trajectory with one")
-    if region is None:
-        b = _bundle(obj)
-        h = plane.signed_height(b.field.grid)
-        return float(np.sum(h * h * b.field.epsilon * b.grad_sq) * b.field.grid.cell_volume)
-    grid = obj.grid
+    grid = traj.grid
     h = plane.signed_height(grid, region.center_space)
 
     def density_at(k: int, frame: ScalarField) -> np.ndarray:
         return h * h * frame.epsilon * FrameBundle(frame).grad_sq
 
-    raw = integrate_values(grid, obj.frames, density_at, [region])[0]
+    raw = integrate_values(grid, traj.frames, density_at, [region])[0]
     return raw / region.radius ** (grid.interface_dim + 4)
 
 
@@ -349,18 +336,20 @@ def stress_contraction(bundle: FrameBundle, hess: np.ndarray) -> np.ndarray:
 
 
 def brakke_terms(bundle: FrameBundle, phi: np.ndarray, grad_phi: np.ndarray,
-                 hess_phi: np.ndarray) -> tuple[float, float]:
-    """Right-hand sides of ``d/dt integral phi e`` at one slice, in gradient
-    form ``-eps int phi V^2 - eps int (grad phi . grad u) V`` and tensor form
-    ``-eps int phi V^2 + int T : D^2 phi`` (``V`` the flow's velocity),
-    given the weight's values, gradient and Hessian on the lattice."""
+                 hess_phi: np.ndarray) -> tuple[float, float, float]:
+    """The weighted energy ``integral phi e`` and the two right-hand sides of
+    its time derivative at one slice: ``(mass, gradient form, tensor
+    form)``, the gradient form ``-eps int phi V^2 - eps int (grad phi .
+    grad u) V`` and the tensor form ``-eps int phi V^2 + int T : D^2 phi``
+    (``V`` the flow's velocity), given the weight's values, gradient and
+    Hessian on the lattice."""
     eps, vol = bundle.field.epsilon, bundle.field.grid.cell_volume
     r, g = bundle.residual, bundle.gradient
     dissip = -eps * float(np.sum(phi * r * r) * vol)
     # transport term pairs grad(phi).grad(u) with the negative velocity
     transport = -eps * float(np.sum(np.sum(grad_phi * g, axis=0) * r) * vol)
     tensor = float(np.sum(stress_contraction(bundle, hess_phi)) * vol)
-    return dissip + transport, dissip + tensor
+    return weighted_mass(bundle, phi), dissip + transport, dissip + tensor
 
 
 def _sample_index(traj: Trajectory, t: float) -> int:
@@ -403,8 +392,8 @@ def brakke_residual(traj: Trajectory, phi: _RadialProfileFunction, t: float) -> 
     w = phi.value(grid)
     mass_prev = weighted_mass(FrameBundle(traj[i - 1]), w)
     mass_next = weighted_mass(FrameBundle(traj[i + 1]), w)
-    rhs_gradient, rhs_tensor = brakke_terms(FrameBundle(traj[i]), w, phi.gradient(grid),
-                                            phi.hessian(grid))
+    _, rhs_gradient, rhs_tensor = brakke_terms(FrameBundle(traj[i]), w, phi.gradient(grid),
+                                               phi.hessian(grid))
     return BrakkeResidual(
         time=traj[i].time,
         dmu_dt=(mass_next - mass_prev) / (2.0 * traj.dt_sample),
@@ -491,13 +480,12 @@ class DiagnosticsRecord:
     time: float
     energy: float
     tilt_excess: float
-    height_excess: float
     willmore: float
     discrepancy_l1: float
     discrepancy_max: float
 
     def __post_init__(self) -> None:
-        for name in ("energy", "tilt_excess", "height_excess", "willmore"):
+        for name in ("energy", "tilt_excess", "willmore"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < -1e-12:
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
@@ -508,7 +496,7 @@ class DiagnosticsRecord:
 
 def diagnostics_record(frame: ScalarField | FrameBundle) -> DiagnosticsRecord:
     """One row of the standard diagnostics for a single time slice, over the
-    whole box and against the vertical plane.
+    whole box; the tilt is taken against the vertical direction.
 
     Every column reads the slice's one :class:`FrameBundle` (built here
     when a plain field is given), so a row costs one gradient and one
@@ -516,14 +504,12 @@ def diagnostics_record(frame: ScalarField | FrameBundle) -> DiagnosticsRecord:
     """
     b = _bundle(frame)
     grid = b.field.grid
-    plane = Hyperplane.vertical(grid.dim)
     dens, xi = b.energy_density, b.discrepancy
     vol = grid.cell_volume
     return DiagnosticsRecord(
         time=b.field.time,
         energy=float(np.sum(dens) * vol),
-        tilt_excess=tilt_excess(b, plane.normal),
-        height_excess=height_excess(b, plane),
+        tilt_excess=tilt_excess(b, Hyperplane.vertical(grid.dim).normal),
         willmore=willmore(b),
         discrepancy_l1=float(np.sum(np.abs(xi)) * vol),
         discrepancy_max=float(np.max(xi)),

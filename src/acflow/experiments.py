@@ -25,17 +25,15 @@ import numpy as np
 from .diagnostics import (
     FrameBundle,
     Hyperplane,
-    _RadialProfileFunction,
     brakke_terms,
     caccioppoli_ratio,
     diagnostics_record,
     divergence_defect,
     radial_bump,
     sobolev_defect,
-    weighted_mass,
 )
 from .grid import (Grid, ParabolicCylinder, ScalarField, Trajectory, WAVE_ENERGY,
-                   is_finite_number, trapezoid_weights, window_weights)
+                   is_finite_number, window_weights)
 from .initial_data import circle_distance, graph_pair_distance, plane_pair_distance, sine_mode
 from .io import write_diagnostics_csv, write_field, write_graph_csv, write_json, write_table_csv
 from .levelset import (
@@ -595,48 +593,50 @@ class ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-Probe = Callable[[FrameBundle], dict[str, float]]
-
-
 @dataclass
 class FlowAudit:
-    """Per-step dissipation and probe series, the energy at the two ends and,
-    unless the run kept no frames, a thinned trajectory from one run."""
+    """Per-step dissipation and identity terms, the energy at the two ends
+    and, unless the run kept no frames, a thinned trajectory from one run."""
 
     dt: float
     times: np.ndarray
     end_energies: tuple[float, float]  # at the first and at the last step
     dissipation: np.ndarray  # integral of eps * residual^2 per step
-    series: dict[str, np.ndarray]
+    terms: np.ndarray  # (steps, k): one row of the audit's terms per step
     trajectory: Trajectory | None  # None when the run kept no frames
 
     def dissipation_defect(self) -> float:
         """Relative defect of energy drop against the dissipation integral."""
         first, last = self.end_energies
         drop = first - last
-        total = float(np.sum(self.dissipation * trapezoid_weights(len(self.times), self.dt)))
+        idx, weights = window_weights(self.times, self.times[0], self.times[-1], self.dt)
+        total = float(np.sum(self.dissipation[idx] * weights))
         return abs(total - drop) / abs(drop)
 
+    def rate(self, values: np.ndarray) -> np.ndarray:
+        """Centred time derivative of per-step ``values`` at interior steps."""
+        return (values[2:] - values[:-2]) / (2.0 * self.dt)
 
-def run_flow_audit(initial: ScalarField, cfg: SolverConfig, probe: Probe | None = None,
-                   keep_frames: bool = True) -> FlowAudit:
+
+def run_flow_audit(initial: ScalarField, cfg: SolverConfig,
+                   terms: Callable[[FrameBundle], tuple[float, ...]],
+                   keep_frames: bool) -> FlowAudit:
     """Evolve while recording per-step scalars.
 
     Each step's quantities come from one :class:`FrameBundle` seeded with
     the half spectrum :func:`solver.march` yields, so the step's spectral
-    work is shared by the dissipation, the energy and ``probe``.  The
+    work is shared by the dissipation, the energy and ``terms``.  The
     dissipation needs only the Laplacian.  The energy, which needs the
-    gradient too, is recorded at the first and the last step only.  The
-    probe returns named scalars, recorded as ``series``.  The bundle is
-    dropped after its step.  With ``keep_frames`` the stored trajectory
+    gradient too, is recorded at the first and the last step only.  Each
+    step's ``terms`` tuple is one row of ``FlowAudit.terms``.  The bundle
+    is dropped after its step.  With ``keep_frames`` the stored trajectory
     keeps every ``sample_every``-th field, as :func:`solver.evolve` does;
     without it the run holds no field past its step.
     """
     vol = initial.grid.cell_volume
     eps = initial.epsilon
     last = solver_mod.step_count(cfg)
-    times, dissipations, energies, frames = [], [], [], []
-    series: dict[str, list[float]] = {}
+    times, dissipations, energies, rows, frames = [], [], [], [], []
     # the recording runs under the errstate march steps under: the terms of
     # a huge but finite field overflow silently, and the step after it
     # raises the typed error, as it does without the recording
@@ -647,8 +647,7 @@ def run_flow_audit(initial: ScalarField, cfg: SolverConfig, probe: Probe | None 
             if i in (0, last):
                 energies.append(float(np.sum(b.energy_density) * vol))
             dissipations.append(float(np.sum(eps * b.residual * b.residual) * vol))
-            for k, v in (probe(b) if probe is not None else {}).items():
-                series.setdefault(k, []).append(v)
+            rows.append(terms(b))
             del b  # freed before march runs the next step
             if keep_frames and i % cfg.sample_every == 0:
                 frames.append(current)
@@ -657,17 +656,10 @@ def run_flow_audit(initial: ScalarField, cfg: SolverConfig, probe: Probe | None 
         times=np.array(times),
         end_energies=(energies[0], energies[-1]),
         dissipation=np.array(dissipations),
-        series={k: np.array(v) for k, v in series.items()},
+        terms=np.array(rows, dtype=float),
         trajectory=(Trajectory(frames=tuple(frames), dt_sample=cfg.dt * cfg.sample_every)
                     if keep_frames else None),
     )
-
-
-def centered_residuals(times: np.ndarray, mass: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """|centered d/dt of mass - rhs| at interior samples."""
-    dt = times[1] - times[0]
-    dmass = (mass[2:] - mass[:-2]) / (2.0 * dt)
-    return np.abs(dmass - rhs[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +873,7 @@ def run_standing_wave(config: ExperimentConfig) -> ScenarioResult:
     xi_max = float(np.max(b.discrepancy))
 
     _, cfg = _flows(config)["base", eps]
-    after = solver_mod.step(wave, cfg)  # one step: reads only the step and the scheme
+    _, (after, _) = islice(solver_mod.march(wave, cfg), 2)  # the first step alone
     fixed_point = float(np.max(np.abs(after.values - wave.values)))
 
     grad_z = distance_gradient_max(wave)
@@ -900,45 +892,19 @@ def run_standing_wave(config: ExperimentConfig) -> ScenarioResult:
     )
 
 
-def _brakke_probe(grid: Grid, phi_bump: _RadialProfileFunction) -> Probe:
-    """Per-step terms of the Brakke identity (both forms) against the bump."""
-    phi, grad_phi, hess_phi = phi_bump.value(grid), phi_bump.gradient(grid), phi_bump.hessian(grid)
-
-    def probe(b: FrameBundle) -> dict[str, float]:
-        rhs_gradient, rhs_tensor = brakke_terms(b, phi, grad_phi, hess_phi)
-        return {
-            "brakke_mass": weighted_mass(b, phi),
-            "brakke_rhs_gradient": rhs_gradient,
-            "brakke_rhs_tensor": rhs_tensor,
-        }
-
-    return probe
-
-
-def _gaussian_probe(kernel: KernelPoint) -> Probe:
-    """Per-step terms of the Gaussian monotonicity identity against the
-    backward kernel."""
-
-    def probe(b: FrameBundle) -> dict[str, float]:
-        gauss, dissipative, discrepancy = monotonicity_terms(b, kernel)
-        return {"gauss": gauss, "gauss_dissipative": dissipative,
-                "gauss_discrepancy": discrepancy}
-
-    return probe
-
-
-def _circle_audit_jobs(config: ExperimentConfig, probes: dict[str, Probe | None],
+def _circle_audit_jobs(config: ExperimentConfig,
+                       terms: dict[str, Callable[[FrameBundle], tuple[float, ...]]],
                        ) -> list[Callable[[], FlowAudit]]:
-    """One zero-argument job per flow kind of ``probes`` (``"fine"`` or
+    """One zero-argument job per flow kind of ``terms`` (``"fine"`` or
     ``"base"``), in its order, each running that flow's audit with the
-    kind's probe from the same initial field.  Only the fine audit keeps
-    frames: the scenarios read the base audit's series alone."""
+    kind's terms from the same initial field.  Only the fine audit keeps
+    frames: the scenarios read the base audit's scalars alone."""
     eps = config.epsilons[0]
     initial = initial_field(config, eps)
     flows = _flows(config)
-    return [partial(run_flow_audit, initial, flows[kind, eps][1], probe,
+    return [partial(run_flow_audit, initial, flows[kind, eps][1], kind_terms,
                     keep_frames=kind == "fine")
-            for kind, probe in probes.items()]
+            for kind, kind_terms in terms.items()]
 
 
 def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
@@ -948,10 +914,11 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
     flows = _flows(config)
     # The fine audit, at half the step, feeds the Brakke checks; it is the
     # longest, so it is submitted first.  The base audit feeds only its
-    # dissipation defect, which needs no probe.
+    # dissipation defect, which needs no identity terms.
     bump = radial_bump(center=(0.0,) * grid.dim, radius=0.45 * grid.extent)
+    weight = bump.value(grid), bump.gradient(grid), bump.hessian(grid)
     fine_job, base_job = _circle_audit_jobs(
-        config, {"fine": _brakke_probe(grid, bump), "base": None})
+        config, {"fine": lambda b: brakke_terms(b, *weight), "base": lambda b: ()})
 
     # first-order-in-epsilon trend: a coarser layer tracks the circle worse
     [(coarse_eps, (coarse_grid, coarse_cfg))] = _of_kind(flows, "coarse").items()
@@ -989,10 +956,11 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
     # has flat stretches while the layer crosses the bump plateau), and past
     # the burn-in.
     burn = _burn_in(eps)
-    mass = fine.series["brakke_mass"]
-    dmass = np.abs((mass[2:] - mass[:-2]) / (2 * fine.dt))
-    res_grad = centered_residuals(fine.times, mass, fine.series["brakke_rhs_gradient"])
-    res_tensor = centered_residuals(fine.times, mass, fine.series["brakke_rhs_tensor"])
+    mass, rhs_grad, rhs_tensor = fine.terms.T
+    rate = fine.rate(mass)
+    dmass = np.abs(rate)
+    res_grad = np.abs(rate - rhs_grad[1:-1])
+    res_tensor = np.abs(rate - rhs_tensor[1:-1])
     live = (dmass >= 0.25 * float(np.max(dmass))) & (fine.times[1:-1] >= burn)
     brakke_rel_grad = float(np.max(res_grad[live] / dmass[live]))
     brakke_rel_tensor = float(np.max(res_tensor[live] / dmass[live]))
@@ -1051,23 +1019,23 @@ def run_monotonicity_sweep(config: ExperimentConfig) -> ScenarioResult:
     grid = config.grid
     kernel = KernelPoint(y=(0.0,) * grid.dim, s=config.t_end + config.params["kernel_lag"],
                          n=grid.interface_dim)
-    fine, base = _concurrently(
-        *_circle_audit_jobs(config, dict.fromkeys(("fine", "base"), _gaussian_probe(kernel))))
+    fine, base = _concurrently(*_circle_audit_jobs(
+        config, dict.fromkeys(("fine", "base"), partial(monotonicity_terms, kp=kernel))))
     eps = config.epsilons[0]
     burn = _burn_in(eps)
 
     # non-increase of the kernel-weighted energy, per unit time
-    values = fine.series["gauss"]
+    values, dissipative, discrepancy = fine.terms.T
     rate = np.diff(values) / fine.dt
     worst_rise = float(np.max(rate / np.abs(values[:-1])))
 
     # identity residuals, past the burn-in
-    def burned(audit: FlowAudit) -> np.ndarray:
-        rhs = audit.series["gauss_dissipative"] + audit.series["gauss_discrepancy"]
-        return centered_residuals(audit.times, audit.series["gauss"], rhs)
+    def residuals(audit: FlowAudit) -> np.ndarray:
+        value, dissip, discrep = audit.terms.T
+        return np.abs(audit.rate(value) - (dissip + discrep)[1:-1])
 
-    res_base = float(np.max(burned(base)[base.times[1:-1] >= burn]))
-    res_fine_series = burned(fine)
+    res_base = float(np.max(residuals(base)[base.times[1:-1] >= burn]))
+    res_fine_series = residuals(fine)
     res_fine = float(np.max(res_fine_series[fine.times[1:-1] >= burn]))
     ratio = res_fine / res_base
 
@@ -1082,8 +1050,8 @@ def run_monotonicity_sweep(config: ExperimentConfig) -> ScenarioResult:
         "residual_max_fine": res_fine,
     }
     sweep_rows = [
-        (fine.times[i + 1], values[i + 1], res_fine_series[i],
-         fine.series["gauss_dissipative"][i + 1], fine.series["gauss_discrepancy"][i + 1])
+        (fine.times[i + 1], values[i + 1], res_fine_series[i], dissipative[i + 1],
+         discrepancy[i + 1])
         for i in range(len(res_fine_series))
     ]
     return ScenarioResult(

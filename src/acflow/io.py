@@ -30,8 +30,6 @@ __all__ = [
 def _fmt(x: Any) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
-    if isinstance(x, np.integer):
-        return str(int(x))
     return str(x)
 
 
@@ -91,16 +89,6 @@ def write_graph_csv(graph, path: str | Path) -> None:
 
 def write_json(payload: Mapping[str, Any], path: str | Path) -> None:
     Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n",
+        json.dumps(payload, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-
-
-def _json_default(obj: Any) -> Any:
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")

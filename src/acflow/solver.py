@@ -55,7 +55,6 @@ __all__ = [
     "step_count",
     "sample_count",
     "ac_residual_values",
-    "step",
     "march",
     "sampled",
     "evolve",
@@ -239,11 +238,6 @@ class _Stepper:
             new_hat.flags.writeable = False
             new = from_spectrum(self.grid, new_hat)
         return field.with_values(new, time=field.time + dt), new_hat
-
-
-def step(field: ScalarField, config: SolverConfig) -> ScalarField:
-    """Advance one time step (cnab2 degrades to its one-step starter here)."""
-    return _Stepper(field, config).advance(field)[0]
 
 
 def march(field: ScalarField,

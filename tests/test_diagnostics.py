@@ -163,16 +163,9 @@ def test_height_excess_translation_invariance(wave_1d):
 def test_height_excess_of_constant_vanishes():
     g = Grid(dim=2, extent=1.0, points=32)
     f = ScalarField(grid=g, values=np.full(g.shape, 0.3), epsilon=0.1)
-    assert height_excess(f, Hyperplane.vertical(2)) == pytest.approx(0.0, abs=1e-20)
-
-
-def test_height_excess_takes_a_slice_over_the_box_or_a_trajectory_over_a_cylinder(wave_1d):
-    plane = Hyperplane.vertical(1)
-    region = ParabolicCylinder(center_space=(0.0,), center_time=0.0, radius=0.3)
-    with pytest.raises(TypeError):
-        height_excess(wave_1d, plane, region)
-    with pytest.raises(TypeError):
-        height_excess(one_frame(wave_1d), plane)
+    region = ParabolicCylinder(center_space=(0.0, 0.0), center_time=0.0, radius=0.3)
+    assert height_excess(one_frame(f), Hyperplane.vertical(2), region) == pytest.approx(
+        0.0, abs=1e-20)
 
 
 # --- willmore --------------------------------------------------------------
@@ -407,5 +400,5 @@ def test_diagnostics_record_rejects_negative_energy():
     with pytest.raises(ValueError):
         DiagnosticsRecord(
             time=0.0, energy=-1.0, tilt_excess=0.0,
-            height_excess=0.0, willmore=0.0, discrepancy_l1=0.0, discrepancy_max=0.0,
+            willmore=0.0, discrepancy_l1=0.0, discrepancy_max=0.0,
         )

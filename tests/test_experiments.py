@@ -25,10 +25,8 @@ from acflow.experiments import (
     ConfigError,
     ExperimentConfig,
     _DEFAULTS,
-    _brakke_probe,
     _concurrently,
     _flows,
-    _gaussian_probe,
     _last_sample,
     config_from_dict,
     default_config,
@@ -41,7 +39,8 @@ from acflow.experiments import (
     write_reports,
 )
 from acflow.initial_data import circle_distance, graph_pair_distance, sine_mode
-from acflow.monotonicity import KernelPoint
+from acflow.diagnostics import brakke_terms
+from acflow.monotonicity import KernelPoint, monotonicity_terms
 from acflow.io import read_field
 from acflow.grid import window_weights
 from acflow.operators import ball_mask, gradient_values
@@ -77,10 +76,20 @@ SMALL_CIRCLE_RAW = {
 }
 
 
-def both_probes(grid, kernel, bump):
-    """The Brakke and the Gaussian probe in one."""
-    brakke, gaussian = _brakke_probe(grid, bump), _gaussian_probe(kernel)
-    return lambda b: {**brakke(b), **gaussian(b)}
+def both_terms(grid, kernel, bump):
+    """The Brakke terms (mass, gradient form, tensor form) and then the
+    Gaussian terms (value, dissipative, discrepancy), as one audit row."""
+    weight = bump.value(grid), bump.gradient(grid), bump.hessian(grid)
+    return lambda b: brakke_terms(b, *weight) + monotonicity_terms(b, kernel)
+
+
+def energy_terms(b):
+    """The bundle's total energy, as a one-column audit row."""
+    return (float(np.sum(b.energy_density) * b.field.grid.cell_volume),)
+
+
+def no_terms(b):
+    return ()
 
 
 # --- configuration ----------------------------------------------------------
@@ -207,8 +216,7 @@ def test_loader_returns_a_config_or_raises_config_error(raw):
 def test_flow_audit_matches_evolve(grid_1d):
     wave = standing_wave(grid_1d, 0.05)
     cfg = SolverConfig(dt=2.5e-4, t_end=2.5e-3, scheme="semi-implicit-cnab2", sample_every=5)
-    vol = grid_1d.cell_volume
-    audit = run_flow_audit(wave, cfg, lambda b: {"energy": float(np.sum(b.energy_density) * vol)})
+    audit = run_flow_audit(wave, cfg, energy_terms, keep_frames=True)
     direct = evolve(wave, cfg)
     assert len(audit.trajectory) == len(direct) == 3
     assert np.array_equal(audit.trajectory.times, direct.times)
@@ -216,7 +224,7 @@ def test_flow_audit_matches_evolve(grid_1d):
         assert np.array_equal(a.values, d.values)
     assert len(audit.times) == 11
     # stationary wave: energy flat, dissipation at round-off
-    energy = audit.series["energy"]
+    [energy] = audit.terms.T
     assert np.allclose(energy, energy[0], rtol=1e-10)
     assert audit.end_energies == (energy[0], energy[-1])
     assert np.max(audit.dissipation) < 1e-10
@@ -231,8 +239,8 @@ def test_audited_cnab2_step_makes_five_real_transforms(monkeypatch):
     eps = 4.0 * g.spacing
     dt = 0.25 * eps**2
     initial = prepare_interface(circle_distance(0.35), g, eps)
-    probe = both_probes(g, KernelPoint(y=(0.0, 0.0), s=0.05, n=1),
-                        radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent))
+    terms = both_terms(g, KernelPoint(y=(0.0, 0.0), s=0.05, n=1),
+                       radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent))
     calls = Counter()
 
     def counting(name, fn):
@@ -247,7 +255,7 @@ def test_audited_cnab2_step_makes_five_real_transforms(monkeypatch):
     def transforms(n_steps):
         calls.clear()
         cfg = SolverConfig(dt=dt, t_end=n_steps * dt, scheme="semi-implicit-cnab2")
-        run_flow_audit(initial, cfg, probe)
+        run_flow_audit(initial, cfg, terms, keep_frames=True)
         return Counter(calls)
 
     # the difference between 3 and 2 audited steps is one audited step
@@ -257,20 +265,21 @@ def test_audited_cnab2_step_makes_five_real_transforms(monkeypatch):
     assert sum(step[name] for name in COMPLEX_TRANSFORMS) == 0
 
 
-@pytest.mark.parametrize("with_brakke_probe, per_step, fixed", [(False, 3, 7), (True, 5, 5)])
-def test_audit_transform_count_is_linear_in_the_steps(monkeypatch, with_brakke_probe, per_step,
+@pytest.mark.parametrize("with_brakke_terms, per_step, fixed", [(False, 3, 7), (True, 5, 5)])
+def test_audit_transform_count_is_linear_in_the_steps(monkeypatch, with_brakke_terms, per_step,
                                                       fixed):
     # a cnab2 step makes two real transforms and the dissipation one (the
-    # Laplacian); the Brakke probe adds the two of the gradient.  The fixed
+    # Laplacian); the Brakke terms add the two of the gradient.  The fixed
     # part: the initial field's spectrum and gradient (the first energy),
-    # cnab2's transform of its first input, and, without the probe, the
-    # last step's gradient (the last energy).
+    # cnab2's transform of its first input, and, without the Brakke terms,
+    # the last step's gradient (the last energy).
     g = Grid(dim=2, extent=1.2, points=64)
     eps = 4.0 * g.spacing
     dt = 0.25 * eps**2
     initial = prepare_interface(circle_distance(0.35), g, eps)
-    probe = (_brakke_probe(g, radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent))
-             if with_brakke_probe else None)
+    bump = radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent)
+    weight = bump.value(g), bump.gradient(g), bump.hessian(g)
+    terms = (lambda b: brakke_terms(b, *weight)) if with_brakke_terms else no_terms
     calls = Counter()
     for name in ("rfftn", "irfftn"):
         def counting(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
@@ -281,7 +290,7 @@ def test_audit_transform_count_is_linear_in_the_steps(monkeypatch, with_brakke_p
     def transforms(n_steps):
         calls.clear()
         cfg = SolverConfig(dt=dt, t_end=n_steps * dt, scheme="semi-implicit-cnab2")
-        run_flow_audit(initial, cfg, probe)
+        run_flow_audit(initial, cfg, terms, keep_frames=True)
         return calls["rfftn"] + calls["irfftn"]
 
     assert {transforms(n) - per_step * n for n in (1, 2, 5)} == {fixed}
@@ -309,7 +318,7 @@ def test_library_makes_no_complex_transform(monkeypatch):
 
 
 def test_library_identities_reproduce_the_audit_probe_series():
-    # the audit probe and the public identities share one implementation:
+    # the audit's terms and the public identities share one implementation:
     # at an interior step they agree up to the round trip of the carried
     # spectrum through the stored field
     g = Grid(dim=2, extent=1.2, points=64)
@@ -319,27 +328,25 @@ def test_library_identities_reproduce_the_audit_probe_series():
     bump = radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent)
     initial = prepare_interface(circle_distance(0.35), g, eps)
     cfg = SolverConfig(dt=dt, t_end=6 * dt, scheme="semi-implicit-cnab2")
-    audit = run_flow_audit(initial, cfg, both_probes(g, kernel, bump))
-    traj, series = audit.trajectory, audit.series
+    audit = run_flow_audit(initial, cfg, both_terms(g, kernel, bump), keep_frames=True)
+    traj = audit.trajectory
+    mass, rhs_gradient, rhs_tensor, gauss, dissipative, discrepancy = audit.terms.T
     i = 3
     t = traj.times[i]
-
-    def centered(name):
-        return (series[name][i + 1] - series[name][i - 1]) / (2.0 * dt)
 
     brakke = brakke_residual(traj, bump, t)
     mono = monotonicity_residual(traj, kernel, t)
     pairs = [
-        (brakke.dmu_dt, centered("brakke_mass")),
-        (brakke.rhs_gradient_form, series["brakke_rhs_gradient"][i]),
-        (brakke.rhs_tensor_form, series["brakke_rhs_tensor"][i]),
-        (gaussian_density(traj, kernel, t).value, series["gauss"][i]),
-        (mono.dvalue_dt, centered("gauss")),
-        (mono.dissipative_term, series["gauss_dissipative"][i]),
-        (mono.discrepancy_term, series["gauss_discrepancy"][i]),
+        (brakke.dmu_dt, audit.rate(mass)[i - 1]),
+        (brakke.rhs_gradient_form, rhs_gradient[i]),
+        (brakke.rhs_tensor_form, rhs_tensor[i]),
+        (gaussian_density(traj, kernel, t).value, gauss[i]),
+        (mono.dvalue_dt, audit.rate(gauss)[i - 1]),
+        (mono.dissipative_term, dissipative[i]),
+        (mono.discrepancy_term, discrepancy[i]),
     ]
-    for library, probe in pairs:
-        assert library == pytest.approx(probe, rel=1e-12)
+    for library, audited in pairs:
+        assert library == pytest.approx(audited, rel=1e-12)
 
 
 def test_audit_and_evolve_report_the_same_divergence(monkeypatch):
@@ -354,7 +361,7 @@ def test_audit_and_evolve_report_the_same_divergence(monkeypatch):
     with pytest.raises(FlowDivergedError) as from_evolve:
         evolve(initial, cfg)
     with pytest.raises(FlowDivergedError) as from_audit:
-        run_flow_audit(initial, cfg)
+        run_flow_audit(initial, cfg, no_terms, keep_frames=True)
     err = from_evolve.value
     assert (err.step, err.time, err.max_abs) == (
         from_audit.value.step, from_audit.value.time, from_audit.value.max_abs)
@@ -366,18 +373,18 @@ def test_audit_and_evolve_report_the_same_divergence(monkeypatch):
 
 @pytest.mark.parametrize("dt_factor", [1, 2, 4, 8, 16])
 def test_probed_audit_reports_a_divergence_as_the_typed_error(monkeypatch, dt_factor):
-    # the last finite fields are huge; their energy, dissipation and probe
-    # terms overflow, and under the suite's error::RuntimeWarning filter a
+    # the last finite fields are huge; their energy, dissipation and
+    # identity terms overflow, and under the suite's error::RuntimeWarning filter a
     # warning from that recording would replace the typed error
     monkeypatch.setattr(solver, "dt_limit", lambda scheme, grid, epsilon: math.inf)
     g = Grid(dim=2, extent=1.6, points=160)
     initial = prepare_interface(circle_distance(0.35), g, 0.05)
     dt = dt_factor * 0.05**2
     cfg = SolverConfig(dt=dt, t_end=8 * dt, scheme="explicit-rk2")
-    probe = both_probes(g, KernelPoint(y=(0.0, 0.0), s=cfg.t_end + 0.01, n=1),
-                        radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent))
+    terms = both_terms(g, KernelPoint(y=(0.0, 0.0), s=cfg.t_end + 0.01, n=1),
+                       radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent))
     with pytest.raises(FlowDivergedError):
-        run_flow_audit(initial, cfg, probe)
+        run_flow_audit(initial, cfg, terms, keep_frames=True)
 
 
 def test_audit_and_evolve_share_the_step_count_rule(wave_1d):
@@ -391,21 +398,38 @@ def test_audit_and_evolve_share_the_step_count_rule(wave_1d):
         with pytest.raises(SolverConfigError, match=message) as from_evolve:
             evolve(wave_1d, cfg)
         with pytest.raises(SolverConfigError, match=message) as from_audit:
-            run_flow_audit(wave_1d, cfg)
+            run_flow_audit(wave_1d, cfg, no_terms, keep_frames=True)
         assert str(from_audit.value) == str(from_evolve.value)
 
 
 def test_flow_audit_without_frames_records_the_same_series(grid_1d):
     wave = standing_wave(grid_1d, 0.05)
     cfg = SolverConfig(dt=2.5e-4, t_end=2.5e-3, scheme="semi-implicit-cnab2", sample_every=5)
-    vol = grid_1d.cell_volume
-    probe = lambda b: {"energy": float(np.sum(b.energy_density) * vol)}
-    kept, bare = run_flow_audit(wave, cfg, probe), run_flow_audit(wave, cfg, probe,
-                                                                  keep_frames=False)
+    kept = run_flow_audit(wave, cfg, energy_terms, keep_frames=True)
+    bare = run_flow_audit(wave, cfg, energy_terms, keep_frames=False)
     assert bare.trajectory is None
-    for name in ("times", "end_energies", "dissipation"):
+    for name in ("times", "end_energies", "dissipation", "terms"):
         assert np.array_equal(getattr(bare, name), getattr(kept, name))
-    assert np.array_equal(bare.series["energy"], kept.series["energy"])
+
+
+def test_sphere_audit_keeps_both_identities_at_interface_dimension_two():
+    # a 48^3 sphere of radius 0.35 with eps = 4h shrinks by R^2 = R0^2 - 4t
+    # and is gone near step 13 of 40; the audit follows it through and
+    # past its extinction.  Measured: the two Brakke right-hand forms
+    # differ by 3.5e-6 of the run's largest right-hand side, and the
+    # Gaussian value falls at every step, by at least 13.4 of itself per
+    # unit time
+    g = Grid(dim=3, extent=1.2, points=48)
+    eps = 4.0 * g.spacing
+    dt = 0.25 * eps**2
+    cfg = SolverConfig(dt=dt, t_end=40 * dt, scheme="semi-implicit-cnab2")
+    initial = prepare_interface(circle_distance(0.35), g, eps)
+    kernel = KernelPoint(y=(0.0, 0.0, 0.0), s=cfg.t_end + 0.01, n=g.interface_dim)
+    audit = run_flow_audit(initial, cfg, both_terms(g, kernel, radial_bump(
+        center=(0.0, 0.0, 0.0), radius=0.45 * g.extent)), keep_frames=False)
+    _, rhs_gradient, rhs_tensor, gauss, _, _ = audit.terms.T
+    assert np.max(np.abs(rhs_gradient - rhs_tensor)) <= 1e-5 * np.max(np.abs(rhs_tensor))
+    assert np.max(np.diff(gauss) / dt / gauss[:-1]) < 0.0
 
 
 # --- density profile and mass comparison --------------------------------------
@@ -604,11 +628,12 @@ def test_concurrent_circle_audits_equal_sequential_runs(monkeypatch):
     g, eps = config.grid, config.epsilons[0]
     scales = (1.0, 0.5, 0.25)
     initial = initial_field(config, eps)
-    probe = both_probes(g, KernelPoint(y=(0.0, 0.0), s=config.t_end + 0.01, n=1),
-                        radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent))
+    terms = both_terms(g, KernelPoint(y=(0.0, 0.0), s=config.t_end + 0.01, n=1),
+                       radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent))
     sequential = {
         scale: run_flow_audit(initial, config.solver_config(
-            eps, dt_scale=scale, sample_every=round(config.sample_every / scale)), probe)
+            eps, dt_scale=scale, sample_every=round(config.sample_every / scale)), terms,
+            keep_frames=True)
         for scale in scales
     }
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(len(scales))))
@@ -617,7 +642,8 @@ def test_concurrent_circle_audits_equal_sequential_runs(monkeypatch):
     try:
         fresh = config_from_dict(SMALL_CIRCLE_RAW)
         jobs = [partial(run_flow_audit, initial_field(fresh, eps), fresh.solver_config(
-                    eps, dt_scale=scale, sample_every=round(fresh.sample_every / scale)), probe)
+                    eps, dt_scale=scale, sample_every=round(fresh.sample_every / scale)), terms,
+                    keep_frames=True)
                 for scale in scales]
         concurrent = dict(zip(scales, _concurrently(*jobs)))
     finally:
@@ -626,11 +652,8 @@ def test_concurrent_circle_audits_equal_sequential_runs(monkeypatch):
     for scale in scales:
         a, b = concurrent[scale], sequential[scale]
         assert a.dt == b.dt
-        for name in ("times", "end_energies", "dissipation"):
+        for name in ("times", "end_energies", "dissipation", "terms"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert a.series.keys() == b.series.keys()
-        for name in a.series:
-            assert np.array_equal(a.series[name], b.series[name])
         assert np.array_equal(a.trajectory.times, b.trajectory.times)
         assert len(a.trajectory) == len(b.trajectory)
         for fa, fb in zip(a.trajectory.frames, b.trajectory.frames):
@@ -1021,7 +1044,7 @@ class ReadParams(dict):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_every_flow_a_scenario_runs_is_in_its_flow_table(monkeypatch, tmp_path, scenario):
     # the loader checks the table, so a flow outside it would go unchecked;
-    # standing-wave's single solver.step is no flow
+    # standing-wave's single step of its base flow is in the table too
     config = config_from_dict(small_raw(scenario))
     flows = _flows(config)
     ran, march = [], solver.march

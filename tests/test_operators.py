@@ -146,10 +146,10 @@ def _name_loads(tree: ast.Module, name: str) -> list[int]:
     return lines
 
 
-# The one time rule of every space-time mass is grid.window_weights, which
-# is built on trapezoid_weights; the only other user integrates per-step
-# scalars (FlowAudit.dissipation_defect), not a field.
-_TRAPEZOID_USERS = ("grid.py", "experiments.py")
+# The one time rule of every time integral is grid.window_weights, which is
+# built on trapezoid_weights; the per-step dissipation integral of
+# FlowAudit.dissipation_defect goes through it too.
+_TRAPEZOID_USERS = ("grid.py",)
 
 
 def test_trapezoid_weights_is_loaded_only_by_the_time_rule():
