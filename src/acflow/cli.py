@@ -16,12 +16,14 @@ from .diagnostics import diagnostics_record
 from .experiments import (
     SCENARIOS,
     ConfigError,
+    ScenarioError,
     default_config,
     initial_field,
     load_config,
     run_scenario,
 )
 from .io import read_field, write_diagnostics_csv, write_field
+from .levelset import GraphExtractionError
 from .solver import FlowDivergedError, InterfaceDataError, SolverConfigError, sampled
 from . import experiments
 
@@ -126,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, SolverConfigError, InterfaceDataError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except FlowDivergedError as exc:
+    except (FlowDivergedError, GraphExtractionError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -252,7 +252,9 @@ def _tilt_integrand(frame: ScalarField | FrameBundle, direction: Sequence[float]
     field, g, gsq = b.field, b.gradient, b.grad_sq
     gnorm = np.sqrt(gsq)
     floor = GRADIENT_FLOOR * float(np.max(gnorm))
-    ge = np.tensordot(e, g, axes=(0, 0))
+    # the normal component as an elementwise sum: a BLAS contraction here
+    # leaves OpenBLAS's helper thread spinning between the steps of a flow
+    ge = sum(ei * gi for ei, gi in zip(e, g))
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_sq = np.where(gnorm > floor, (ge / np.where(gnorm > floor, gnorm, 1.0)) ** 2, 0.0)
     integrand = (1.0 - cos_sq) * field.epsilon * gsq
@@ -498,19 +500,35 @@ def diagnostics_record(frame: ScalarField | FrameBundle) -> DiagnosticsRecord:
     """One row of the standard diagnostics for a single time slice, over the
     whole box; the tilt is taken against the vertical direction.
 
-    Every column reads the slice's one :class:`FrameBundle` (built here
-    when a plain field is given), so a row costs one gradient and one
-    Laplacian.
+    Every column reads the slice's one :class:`FrameBundle`, so a row costs
+    one gradient and one Laplacian.  A bundle built here from a plain field
+    drops each cached array after its last use (Willmore, then the tilt,
+    then the energy and the discrepancy), so a row holds few grid-sized
+    arrays at once; a bundle handed in keeps its cache.
     """
+    own = not isinstance(frame, FrameBundle)
     b = _bundle(frame)
+
+    def done(*names: str) -> None:
+        if own:
+            for name in names:
+                b.__dict__.pop(name, None)
+
     grid = b.field.grid
-    dens, xi = b.energy_density, b.discrepancy
     vol = grid.cell_volume
+    wil = willmore(b)
+    done("laplacian", "residual")
+    tilt = tilt_excess(b, Hyperplane.vertical(grid.dim).normal)
+    done("u_hat", "gradient")
+    energy = float(np.sum(b.energy_density) * vol)
+    done("energy_density")
+    xi = b.discrepancy
+    done("grad_sq", "well")
     return DiagnosticsRecord(
         time=b.field.time,
-        energy=float(np.sum(dens) * vol),
-        tilt_excess=tilt_excess(b, Hyperplane.vertical(grid.dim).normal),
-        willmore=willmore(b),
+        energy=energy,
+        tilt_excess=tilt,
+        willmore=wil,
         discrepancy_l1=float(np.sum(np.abs(xi)) * vol),
         discrepancy_max=float(np.max(xi)),
     )

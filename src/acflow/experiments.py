@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from functools import cache, partial
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from . import solver as solver_mod
 
 __all__ = [
     "ConfigError",
+    "ScenarioError",
     "ExperimentConfig",
     "CheckResult",
     "ScenarioResult",
@@ -66,6 +67,10 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message lists every violation."""
+
+
+class ScenarioError(RuntimeError):
+    """A run whose flow leaves one of its checks nothing to read."""
 
 
 # ---------------------------------------------------------------------------
@@ -961,7 +966,13 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
     dmass = np.abs(rate)
     res_grad = np.abs(rate - rhs_grad[1:-1])
     res_tensor = np.abs(rate - rhs_tensor[1:-1])
-    live = (dmass >= 0.25 * float(np.max(dmass))) & (fine.times[1:-1] >= burn)
+    peak = float(np.max(dmass))
+    live = (dmass >= 0.25 * peak) & (fine.times[1:-1] >= burn)
+    if not np.any(live):
+        raise ScenarioError(
+            f"no step past the burn-in 10*epsilon^2 = {burn:g} has a weighted-mass rate of at "
+            f"least a quarter of the run's peak rate {peak:g}, so the Brakke checks have no "
+            f"step to read")
     brakke_rel_grad = float(np.max(res_grad[live] / dmass[live]))
     brakke_rel_tensor = float(np.max(res_tensor[live] / dmass[live]))
 
@@ -1081,18 +1092,28 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     heat_errors: dict[float, float] = {}
     final_errors: dict[float, float] = {}
     graphs = {}
+
+    def recorded(eps: float, frames: Iterable[ScalarField]) -> Iterator[ScalarField]:
+        """The main flow's frames as they pass on to its graph, each
+        frame's row taken on the way and only the last frame kept."""
+        rows[eps] = []
+        for frame in frames:
+            rows[eps].append(diagnostics_record(frame).as_row())
+            final_frames[eps] = frame
+            yield frame
+
     for eps in config.epsilons:
         g, cfg = flows["main", eps]
         amp = a_over_eps * eps
-        initial = initial_field(replace(config, grid=g), eps)
-        traj = solver_mod.evolve(initial, cfg)
-        rows[eps] = [diagnostics_record(f).as_row() for f in traj.frames]
-        idx, weights = window_weights(traj.times, config.t_end / 5, config.t_end, traj.dt_sample)
+        # the flow streams: no frame but the last outlives its row and its
+        # graph columns
+        frames = solver_mod.sampled(initial_field(replace(config, grid=g), eps), cfg)
+        graph = extract_graph(recorded(eps, frames), 0.0)
+        idx, weights = window_weights(graph.times, config.t_end / 5, config.t_end,
+                                      cfg.dt * cfg.sample_every)
         sweep[eps] = {key: float(sum(w * rows[eps][i][key] for i, w in zip(idx, weights)))
                       for key in ("tilt_excess", "discrepancy_l1", "willmore")}
-        final_frames[eps] = traj[-1]
 
-        graph = extract_graph(traj, 0.0)
         graphs[f"graph_eps_{eps:g}.csv"] = graph
         k_hat = 2.0 * np.pi * mode / g.extent
         x = g.axis()
@@ -1101,9 +1122,8 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
 
         final_graph = replace(graph, times=graph.times[-1:], heights=graph.heights[-1:],
                               valid=graph.valid[-1:])
-        href = amp * math.exp(-k_hat**2 * traj.times[-1]) * np.cos(k_hat * x)
+        href = amp * math.exp(-k_hat**2 * graph.times[-1]) * np.cos(k_hat * x)
         final_errors[eps] = heat_compare(final_graph, reference_initial=href)
-        del initial, traj  # not held while the next, finer flow is prepared and run
 
     eps_sorted = sorted(config.epsilons, reverse=True)
     tilt_seq = [sweep[e]["tilt_excess"] for e in eps_sorted]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -148,33 +148,36 @@ def _lagrange_roots(stencil: np.ndarray, targets: np.ndarray,
     return root
 
 
-def extract_graph(traj: Trajectory, level: float) -> LevelSetGraph:
+def extract_graph(frames: Iterable[ScalarField], level: float) -> LevelSetGraph:
     """Per-column single-crossing heights of ``{u = level}``.
 
-    The search window ``|x_vertical| <= extent/4`` (a quarter box) enforces
-    the single-layer hypothesis geometrically.  Columns with zero
-    or multiple crossings are marked invalid; an all-invalid extraction is
-    an error.  Crossings are refined on the column's cubic interpolant to
+    ``frames`` are the samples of one flow on one grid, in time order: a
+    :class:`Trajectory`, or a stream such as :func:`acflow.solver.sampled`,
+    whose frames are read as they arrive and not kept.  A frame on another
+    grid is an error.  The search window ``|x_vertical| <= extent/4`` (a
+    quarter box) enforces the single-layer hypothesis geometrically.
+    Columns with zero or multiple crossings are marked invalid; an
+    all-invalid extraction, or one with no frame, is an error.  Crossings
+    are refined on the column's cubic interpolant to
     ``|u(h) - level| <= 1e-12``.
     """
-    grid = traj.grid
-    window = 0.25 * grid.extent
-
-    axis = grid.axis()
-    in_win = np.abs(axis) <= window + 1e-12
-    w0 = int(np.argmax(in_win))
-    w1 = w0 + int(np.sum(in_win))  # window is a contiguous coordinate range
-    m = w1 - w0
-    if m < 4:
-        raise GraphExtractionError("search window too narrow for cubic interpolation")
-
-    base_shape = grid.shape[:-1] if grid.dim > 1 else (1,)
-    n_cols = int(np.prod(base_shape))
-    heights = np.zeros((len(traj),) + base_shape)
-    valid = np.zeros((len(traj),) + base_shape, dtype=bool)
-
-    for fi, f in enumerate(traj):
-        u = f.values.reshape(n_cols, grid.points) if grid.dim > 1 else f.values.reshape(1, -1)
+    grid = None
+    times, heights, valid = [], [], []
+    for f in frames:
+        if grid is None:
+            grid = f.grid
+            axis = grid.axis()
+            in_win = np.abs(axis) <= 0.25 * grid.extent + 1e-12
+            w0 = int(np.argmax(in_win))
+            w1 = w0 + int(np.sum(in_win))  # window is a contiguous coordinate range
+            m = w1 - w0
+            if m < 4:
+                raise GraphExtractionError("search window too narrow for cubic interpolation")
+            base_shape = grid.shape[:-1] if grid.dim > 1 else (1,)
+            n_cols = int(np.prod(base_shape))
+        elif f.grid != grid:
+            raise ValueError(f"frame at t={f.time:g} is not on the first frame's grid")
+        u = f.values.reshape(n_cols, grid.points)
         w = u[:, w0:w1] - level
         node_zero = w == 0.0
         sign_change = (w[:, :-1] * w[:, 1:]) < 0.0
@@ -200,17 +203,18 @@ def extract_graph(traj: Trajectory, level: float) -> LevelSetGraph:
             hi = lo + 1.0
             root = _lagrange_roots(stencil, np.full(len(rows), level), lo, hi)
             h_col[cross] = axis[w0 + q] + root * grid.spacing
-        heights[fi] = h_col.reshape(base_shape)
-        valid[fi] = ok.reshape(base_shape)
+        times.append(f.time)
+        heights.append(h_col.reshape(base_shape))
+        valid.append(ok.reshape(base_shape))
 
-    if not np.any(valid):
+    if not np.any(valid):  # also when there was no frame
         raise GraphExtractionError(
             f"no column has a single crossing of level {level} inside the window"
         )
     return LevelSetGraph(
-        times=traj.times,
-        heights=heights,
-        valid=valid,
+        times=np.array(times),
+        heights=np.stack(heights),
+        valid=np.stack(valid),
         base_extent=grid.extent,
         base_spacing=grid.spacing,
     )
@@ -236,9 +240,9 @@ def _maximal_field(g: np.ndarray, times: np.ndarray, grid: Grid, radii: Sequence
     # shift of the circular convolution, so conv[j] is the ball mass around
     # lattice point j.
     origin = (-0.5 * grid.extent,) * grid.dim
+    conv = np.empty_like(g)  # one buffer for every radius
     for r in radii:
         khat = spectrum(grid, ball_mask(grid, origin, r).astype(float))
-        conv = np.empty_like(g)
         for j in range(nt):
             conv[j] = from_spectrum(grid, spectrum(grid, g[j]) * khat) * grid.cell_volume
         for i in range(nt):
@@ -283,8 +287,9 @@ class TiltMaximalField:
         if threshold <= 0:
             raise ValueError("threshold must be positive")
         traj = self.traj
-        layer = np.abs(np.stack([f.values for f in traj.frames])) < 1.0 - band
-        bad = layer & (self.maximal >= threshold)
+        bad = self.maximal >= threshold
+        for k, f in enumerate(traj.frames):  # only the bad part of the layer region
+            bad[k] &= np.abs(f.values) < 1.0 - band
 
         # The Dirichlet density is recomputed here, one frame at a time,
         # rather than kept from the tilt pass: holding it for every frame

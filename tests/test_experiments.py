@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acflow import (
-    FlowDivergedError, FrameBundle, Grid, ParabolicCylinder, ScalarField, SolverConfig,
-    SolverConfigError, Trajectory, WAVE_ENERGY, brakke_residual, diagnostics_record, evolve,
-    extract_graph, gaussian_density, heat_compare, monotonicity_residual, partition_good_bad,
-    prepare_interface, radial_bump,
+    FlowDivergedError, FrameBundle, GraphExtractionError, Grid, ParabolicCylinder, ScalarField,
+    SolverConfig, SolverConfigError, Trajectory, WAVE_ENERGY, brakke_residual, diagnostics_record,
+    evolve, extract_graph, gaussian_density, heat_compare, monotonicity_residual,
+    partition_good_bad, prepare_interface, radial_bump,
 )
 from acflow import solver
 from acflow.cli import main as cli_main
@@ -24,6 +24,7 @@ from acflow.experiments import (
     SCENARIOS,
     ConfigError,
     ExperimentConfig,
+    ScenarioError,
     _DEFAULTS,
     _concurrently,
     _flows,
@@ -690,6 +691,76 @@ def test_shrinking_circle_holds_no_frame_past_its_checks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < (fine_frames + 40) * frame_bytes, f"traced peak {peak / 2**20:.2f} MiB"
+
+
+def test_excess_decay_holds_no_main_frame_past_its_row(monkeypatch):
+    # The main flows stream: each frame gives its diagnostics row and its
+    # graph columns as it arrives, and only the last is kept.  The traced
+    # peak is taken from the end of each main flow's preparation (whose own
+    # transient peak is not counted) up to the first excess fit, so it
+    # covers the finest main flow, its graph and the first fit flow.
+    # Measured: 17.1 frames of the finest (256^2) main grid, the working set
+    # of one step and one row.  The same code holding the main flow's 11
+    # samples peaked at 22.8 frames, and before the flows streamed the
+    # peak was 24.4 frames, so the bound leaves a margin of 2.9 frames.
+    import tracemalloc
+    import acflow.experiments as experiments
+
+    config = config_from_dict(small_raw("excess-decay"))
+    finest = min(config.epsilons)
+    frame_bytes = 8 * _flows(config)["main", finest][0].points ** 2
+    prepare, peaks = experiments.initial_field, []
+
+    class FirstFit(Exception):
+        pass
+
+    def prepared(*args):
+        field = prepare(*args)
+        tracemalloc.reset_peak()
+        return field
+
+    def first_fit(*args, **kwargs):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        raise FirstFit
+
+    monkeypatch.setattr(experiments, "initial_field", prepared)
+    monkeypatch.setattr(experiments, "excess_decay_ratio", first_fit)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstFit):
+            run_scenario(config)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 20 * frame_bytes, f"traced peak {peaks[0] / frame_bytes:.1f} frames"
+
+
+def test_a_circle_with_no_live_step_past_the_burn_in_is_a_scenario_error(monkeypatch):
+    import acflow.experiments as experiments
+
+    config = config_from_dict(SMALL_CIRCLE_RAW)
+    # a burn-in past t_end leaves no step for the Brakke checks
+    monkeypatch.setattr(experiments, "_burn_in", lambda eps: 1.0)
+    with pytest.raises(ScenarioError, match="burn-in 10\\*epsilon\\^2 = 1 .* a quarter of the "
+                                            "run's peak rate"):
+        run_shrinking_circle(config)
+
+
+@pytest.mark.parametrize("error", [
+    GraphExtractionError("no column has a single crossing of level 0.0 inside the window"),
+    ScenarioError("no step past the burn-in"),
+])
+def test_cli_reports_a_failed_run_as_one_error_line(tmp_path, capsys, monkeypatch, error):
+    import acflow.experiments as experiments
+
+    def fail(config):
+        raise error
+
+    monkeypatch.setitem(experiments._RUNNERS, "standing-wave", fail)
+    code = cli_main(["experiment", "standing-wave", "--out", str(tmp_path / "exp")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {error}\n"
+    assert not (tmp_path / "exp").exists()
 
 
 def test_concurrently_returns_results_in_submission_order(monkeypatch):

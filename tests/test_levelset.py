@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,11 @@ from acflow import (
     tilt_excess,
 )
 from acflow.diagnostics import _tilt_integrand
-from acflow.grid import trapezoid_weights
+from acflow.grid import trapezoid_weights, window_weights
 from acflow.initial_data import graph_pair_distance, graph_profile, sine_mode
 from acflow.levelset import _maximal_field, dyadic_radii, tilt_maximal_field
-from acflow.operators import integrate_values
+from acflow.operators import ball_mask, from_spectrum, integrate_values, spectrum
+from acflow.solver import sampled
 
 from conftest import frames_at, one_frame, standing_wave
 
@@ -124,6 +127,38 @@ def test_extraction_rejects_pure_phase():
     f = ScalarField(grid=g, values=np.ones(64), epsilon=0.1)
     with pytest.raises(GraphExtractionError):
         extract_graph(one_frame(f), level=0.0)
+
+
+@pytest.fixture(scope="module")
+def rough_flow():
+    """A small rough layer (excess-decay's wiggled graph on 128^2) and a
+    ten-step flow of it, sampled at every step."""
+    from acflow.experiments import _multiscale_rough_initial
+
+    eps = 0.04
+    initial = _multiscale_rough_initial(Grid(dim=2, extent=1.28, points=128), eps)
+    dt = 0.125 * eps**2
+    return initial, SolverConfig(dt=dt, t_end=10 * dt, scheme="semi-implicit-cnab2",
+                                 sample_every=1)
+
+
+def test_graph_of_a_stream_equals_the_graph_of_its_trajectory(rough_flow):
+    stored = extract_graph(evolve(*rough_flow), 0.0)
+    streamed = extract_graph(sampled(*rough_flow), 0.0)
+    assert len(stored.times) == 11
+    for name in ("times", "heights", "valid"):
+        assert np.array_equal(getattr(streamed, name), getattr(stored, name)), name
+        assert getattr(streamed, name).dtype == getattr(stored, name).dtype
+    assert (streamed.base_extent, streamed.base_spacing) == (stored.base_extent,
+                                                             stored.base_spacing)
+
+
+def test_graph_extraction_rejects_a_frame_on_a_second_grid(wave_2d):
+    other = standing_wave(Grid(dim=2, extent=1.2, points=128), 0.02)
+    with pytest.raises(ValueError, match="not on the first frame's grid"):
+        extract_graph(iter([wave_2d, other]), 0.0)
+    with pytest.raises(GraphExtractionError):
+        extract_graph(iter([]), 0.0)
 
 
 # --- parabolic maximal function ---------------------------------------------
@@ -242,6 +277,40 @@ def test_partition_maximal_matches_pointwise_oracle(perturbed_traj_small):
     dyadic = _maximal_field(tilt, traj.times, grid, dyadic_radii(grid.extent, grid.spacing),
                             power=grid.interface_dim + 2)
     assert np.array_equal(tilt_maximal_field(traj).maximal, dyadic)
+
+
+def _per_radius_maximal(g, times, grid, radii, power):
+    """The maximal field as it was built with a new convolution buffer per
+    radius: the oracle of the one shared buffer."""
+    out = np.zeros_like(g)
+    dt = times[1] - times[0] if g.shape[0] > 1 else math.inf
+    origin = (-0.5 * grid.extent,) * grid.dim
+    for r in radii:
+        khat = spectrum(grid, ball_mask(grid, origin, r).astype(float))
+        conv = np.empty_like(g)
+        for j in range(g.shape[0]):
+            conv[j] = from_spectrum(grid, spectrum(grid, g[j]) * khat) * grid.cell_volume
+        for i in range(g.shape[0]):
+            idx, weights = window_weights(times, times[i] - r * r, times[i] + r * r, dt)
+            mass = sum(w * conv[k] for k, w in zip(idx, weights))
+            np.maximum(out[i], mass / r**power, out=out[i])
+    return out
+
+
+def test_maximal_field_and_partition_equal_their_stacked_forms(rough_flow):
+    traj = evolve(*rough_flow)
+    grid = traj.grid
+    field = tilt_maximal_field(traj)
+    tilt = np.stack([_tilt_integrand(f, (0.0, 1.0)) for f in traj.frames])
+    oracle = _per_radius_maximal(tilt, traj.times, grid, dyadic_radii(grid.extent, grid.spacing),
+                                 power=grid.interface_dim + 2)
+    assert np.array_equal(field.maximal, oracle)
+    # the bad set as it was taken from the stacked layer mask of every frame
+    layer = np.abs(np.stack([f.values for f in traj.frames])) < 1.0 - 0.05
+    for threshold in np.quantile(field.maximal[layer], [0.5, 0.9, 0.99]):
+        bad = field.partition(float(threshold), band=0.05).bad
+        assert np.any(bad)
+        assert np.array_equal(bad, layer & (field.maximal >= threshold))
 
 
 @pytest.mark.parametrize("radius", [0.04, 0.08])

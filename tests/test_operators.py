@@ -134,6 +134,48 @@ def test_fft_guard_sees_every_way_to_load_numpy_fft():
     assert not _fft_loads(ast.parse("import numpy as np\nnp.linalg.norm(x)\nfft = 1"))
 
 
+# numpy's BLAS contractions.  After a call, OpenBLAS's helper thread spins
+# on another CPU; between the steps of a streamed flow that spin showed as
+# CPU time with no work behind it.  np.linalg stays allowed: the excess-decay
+# fit solves its small normal equations with it.
+_BLAS_CALLS = frozenset({"tensordot", "dot", "matmul", "einsum", "inner"})
+
+
+def _blas_uses(tree: ast.Module) -> list[int]:
+    """Lines that use a BLAS contraction: ``np.<name>`` through any alias of
+    numpy, ``from numpy import <name>``, or the ``@`` operator."""
+    numpy_names = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for a in node.names if a.name == "numpy"}
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in _BLAS_CALLS
+                and isinstance(node.value, ast.Name) and node.value.id in numpy_names
+                or isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                and any(a.name in _BLAS_CALLS for a in node.names)
+                or isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_calls_a_blas_contraction():
+    package = Path(__file__).resolve().parents[1] / "src" / "acflow"
+    found = [f"{p.name}:{line}" for p in sorted(package.glob("*.py"))
+             for line in _blas_uses(ast.parse(p.read_text(encoding="utf-8")))]
+    assert not found, f"BLAS contraction in the library: {', '.join(found)}"
+
+
+def test_blas_guard_sees_every_way_to_call_a_contraction():
+    for source in ["import numpy as np\nnp.tensordot(e, g, axes=(0, 0))",
+                   "import numpy\nnumpy.dot(a, b)", "import numpy as np\nnp.matmul(a, b)",
+                   "import numpy as np\nnp.einsum('i,i...', e, g)",
+                   "import numpy as np\nnp.inner(a, b)", "from numpy import dot",
+                   "from numpy import (inner,\n tensordot)", "c = a @ b", "a @= b"]:
+        assert _blas_uses(ast.parse(source)), source
+    assert not _blas_uses(ast.parse("import numpy as np\nnp.linalg.solve(A, b)\n"
+                                    "np.linalg.norm(e)\nnp.sum(a * b)\ndot = 1"))
+
+
 def _name_loads(tree: ast.Module, name: str) -> list[int]:
     """Lines that load ``name``: a bare read, an attribute ``x.name`` or
     ``from m import name``."""
