@@ -24,11 +24,13 @@ import numpy as np
 from .grid import Grid, ParabolicCylinder, ScalarField, Trajectory, WAVE_ENERGY, well
 from .operators import (
     ball_mask,
+    from_spectrum,
     gradient_from_hat,
     gradient_values,
     integrate_values,
     laplacian_from_hat,
     spectrum,
+    symbols,
 )
 from .solver import ac_residual_values
 
@@ -195,6 +197,9 @@ class FrameBundle:
     row, never alongside a stored trajectory.
     """
 
+    # set by :func:`_bundle` on a bundle that no caller holds
+    own = False
+
     def __init__(self, field: ScalarField, u_hat: np.ndarray | None = None):
         self.field = field
         if u_hat is not None:
@@ -241,7 +246,33 @@ class FrameBundle:
 
 
 def _bundle(obj: ScalarField | FrameBundle) -> FrameBundle:
-    return obj if isinstance(obj, FrameBundle) else FrameBundle(obj)
+    if isinstance(obj, FrameBundle):
+        return obj
+    b = FrameBundle(obj)
+    b.own = True
+    return b
+
+
+def _gradient_terms(b: FrameBundle, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``|grad u|^2`` and ``<grad u, e>`` of one slice.
+
+    A caller's bundle reads its stacked gradient.  A bundle of its own
+    (``b.own``) takes one partial derivative at a time and caches
+    ``grad_sq`` from that pass, bit for bit the stacked sum, which adds the
+    squares in axis order.  Both sums are elementwise: a BLAS contraction
+    leaves OpenBLAS's helper thread spinning between the steps of a flow.
+    """
+    if not b.own:
+        return b.grad_sq, sum(ei * gi for ei, gi in zip(e, b.gradient))
+    grid = b.field.grid
+    gsq = ge = 0
+    for ei, ik in zip(e, symbols(grid).ik):
+        gi = from_spectrum(grid, ik * b.u_hat)
+        gsq = gsq + gi * gi
+        ge = ge + ei * gi
+        del gi  # freed before the next partial is transformed
+    b.grad_sq = gsq
+    return gsq, ge
 
 
 def _tilt_integrand(frame: ScalarField | FrameBundle, direction: Sequence[float]) -> np.ndarray:
@@ -249,16 +280,14 @@ def _tilt_integrand(frame: ScalarField | FrameBundle, direction: Sequence[float]
     e = np.asarray(direction, dtype=float)
     e = e / np.linalg.norm(e)
     b = _bundle(frame)
-    field, g, gsq = b.field, b.gradient, b.grad_sq
+    gsq, ge = _gradient_terms(b, e)
     gnorm = np.sqrt(gsq)
-    floor = GRADIENT_FLOOR * float(np.max(gnorm))
-    # the normal component as an elementwise sum: a BLAS contraction here
-    # leaves OpenBLAS's helper thread spinning between the steps of a flow
-    ge = sum(ei * gi for ei, gi in zip(e, g))
+    live = gnorm > GRADIENT_FLOOR * float(np.max(gnorm))
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos_sq = np.where(gnorm > floor, (ge / np.where(gnorm > floor, gnorm, 1.0)) ** 2, 0.0)
-    integrand = (1.0 - cos_sq) * field.epsilon * gsq
-    return np.where(gnorm > floor, integrand, 0.0)
+        cos_sq = np.where(live, (ge / np.where(live, gnorm, 1.0)) ** 2, 0.0)
+    del gnorm, ge  # not held while the integrand is formed
+    integrand = (1.0 - cos_sq) * b.field.epsilon * gsq
+    return np.where(live, integrand, 0.0)
 
 
 def tilt_excess(frame: ScalarField | FrameBundle, direction: Sequence[float]) -> float:
@@ -502,15 +531,16 @@ def diagnostics_record(frame: ScalarField | FrameBundle) -> DiagnosticsRecord:
 
     Every column reads the slice's one :class:`FrameBundle`, so a row costs
     one gradient and one Laplacian.  A bundle built here from a plain field
-    drops each cached array after its last use (Willmore, then the tilt,
-    then the energy and the discrepancy), so a row holds few grid-sized
-    arrays at once; a bundle handed in keeps its cache.
+    takes the gradient one derivative at a time (:func:`_gradient_terms`)
+    and drops each cached array after its last use (Willmore, then the
+    tilt, then the energy and the discrepancy), so a row holds few
+    grid-sized arrays at once; a bundle handed in keeps its stacked
+    gradient and its cache.
     """
-    own = not isinstance(frame, FrameBundle)
     b = _bundle(frame)
 
     def done(*names: str) -> None:
-        if own:
+        if b.own:
             for name in names:
                 b.__dict__.pop(name, None)
 
@@ -519,7 +549,7 @@ def diagnostics_record(frame: ScalarField | FrameBundle) -> DiagnosticsRecord:
     wil = willmore(b)
     done("laplacian", "residual")
     tilt = tilt_excess(b, Hyperplane.vertical(grid.dim).normal)
-    done("u_hat", "gradient")
+    done("u_hat")
     energy = float(np.sum(b.energy_density) * vol)
     done("energy_density")
     xi = b.discrepancy

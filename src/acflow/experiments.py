@@ -37,6 +37,7 @@ from .grid import (Grid, ParabolicCylinder, ScalarField, Trajectory, WAVE_ENERGY
 from .initial_data import circle_distance, graph_pair_distance, plane_pair_distance, sine_mode
 from .io import write_diagnostics_csv, write_field, write_graph_csv, write_json, write_table_csv
 from .levelset import (
+    ExcessDecayReport,
     distance_gradient_max,
     excess_decay_ratio,
     extract_graph,
@@ -641,12 +642,14 @@ def run_flow_audit(initial: ScalarField, cfg: SolverConfig,
     vol = initial.grid.cell_volume
     eps = initial.epsilon
     last = solver_mod.step_count(cfg)
+    flow = solver_mod.march(initial, cfg)
+    del initial  # march holds it until its first step
     times, dissipations, energies, rows, frames = [], [], [], [], []
     # the recording runs under the errstate march steps under: the terms of
     # a huge but finite field overflow silently, and the step after it
     # raises the typed error, as it does without the recording
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (current, u_hat) in enumerate(solver_mod.march(initial, cfg)):
+        for i, (current, u_hat) in enumerate(flow):
             b = FrameBundle(current, u_hat)
             times.append(current.time)
             if i in (0, last):
@@ -803,7 +806,9 @@ def _circle_initial(grid: Grid, eps: float, radius: float) -> ScalarField:
 
 def _last_sample(initial: ScalarField, cfg: SolverConfig) -> ScalarField:
     """The last field :func:`solver.sampled` yields, holding no earlier one."""
-    for frame in solver_mod.sampled(initial, cfg):
+    frames = solver_mod.sampled(initial, cfg)
+    del initial
+    for frame in frames:
         pass
     return frame
 
@@ -1083,23 +1088,53 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     mode, a_over_eps, tilt_over_eps = p["mode"], p["amplitude_over_epsilon"], p["tilt_over_epsilon"]
     flows = _flows(config)
 
+    # good/bad partition sweep on a rougher interface (steeper modes), so the
+    # maximal function actually exceeds the pinned thresholds somewhere.  It
+    # runs first, and only its summaries outlive it: the rough trajectory
+    # and its maximal field are freed before the main flows start.
+    thresholds, band = p["thresholds"], p["band"]
+    [(eps_mid, (g_rough, rough_cfg))] = _of_kind(flows, "rough").items()
+    # the maximal field does not depend on the threshold: build it once
+    rough_field = tilt_maximal_field(
+        solver_mod.evolve(_multiscale_rough_initial(g_rough, eps_mid), rough_cfg))
+
+    def partition_summary(threshold: float) -> tuple[float, bool]:
+        # only the two numbers outlive the call, so one partition's masks
+        # are never held while the next is computed
+        part = rough_field.partition(threshold, band)
+        return part.weak_l1_ratio, bool(np.any(part.bad))
+
+    summaries = [partition_summary(threshold) for threshold in thresholds]
+    del rough_field
+
+    weak_l1 = [ratio for ratio, _ in summaries]
+    bad_nonempty = all(any_bad for _, any_bad in summaries)
+    positive = [v for v in weak_l1 if v > 0]
+    weak_l1_stability = (max(positive) / min(positive)) if positive else math.inf
+    if not bad_nonempty:
+        weak_l1_stability = math.inf
+
     # the epsilon sweep integrates each frame's diagnostics row over the
     # window (t_end/5, t_end); the rows cover the whole box, where the flat
     # periodic companion layer contributes nothing
     rows: dict[float, list[dict]] = {}
     sweep: dict[float, dict[str, float]] = {}
-    final_frames: dict[float, ScalarField] = {}
+    finest = min(config.epsilons)
+    final_frame = None  # the last frame of the finest flow, the one written
     heat_errors: dict[float, float] = {}
     final_errors: dict[float, float] = {}
     graphs = {}
 
     def recorded(eps: float, frames: Iterable[ScalarField]) -> Iterator[ScalarField]:
         """The main flow's frames as they pass on to its graph, each
-        frame's row taken on the way and only the last frame kept."""
+        frame's row taken on the way and, of the finest flow, only the last
+        frame kept."""
+        nonlocal final_frame
         rows[eps] = []
         for frame in frames:
             rows[eps].append(diagnostics_record(frame).as_row())
-            final_frames[eps] = frame
+            if eps == finest:
+                final_frame = frame
             yield frame
 
     for eps in config.epsilons:
@@ -1135,39 +1170,19 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     # tilt scales with epsilon (the theorem ties the admissible tilt to the
     # square root of the height excess, which carries the eps^2 layer floor),
     # and every epsilon runs over the same physical horizon.
-    reports = {}  # largest epsilon first
-    for eps, (g, cfg) in _of_kind(flows, "fit").items():
-        initial = _perturbed_initial(g, eps, a_over_eps * eps, mode, tilt=tilt_over_eps * eps)
-        traj = solver_mod.evolve(initial, cfg)
-        reports[eps] = excess_decay_ratio(traj, theta=theta, scale=fit_scale,
-                                          center_time=traj.times[len(traj) // 2])
+    def fit_report(eps: float, g: Grid, cfg: SolverConfig) -> ExcessDecayReport:
+        # the fit's trajectory is freed when its report is made
+        traj = solver_mod.evolve(
+            _perturbed_initial(g, eps, a_over_eps * eps, mode, tilt=tilt_over_eps * eps), cfg)
+        return excess_decay_ratio(traj, theta=theta, scale=fit_scale,
+                                  center_time=traj.times[len(traj) // 2])
+
+    # largest epsilon first
+    reports = {eps: fit_report(eps, *flow) for eps, flow in _of_kind(flows, "fit").items()}
     tilt_constants = [r.tilt_constant for r in reports.values()]
     c_stable = max(tilt_constants) / min(tilt_constants) if min(tilt_constants) > 0 else math.inf
     # conditional contraction: enforced only when the repulsion gate is open
     gate_violations = float(sum(r.passes(k1) is False for r in reports.values()))
-
-    # good/bad partition sweep on a rougher interface (steeper modes), so the
-    # maximal function actually exceeds the pinned thresholds somewhere
-    thresholds, band = p["thresholds"], p["band"]
-    [(eps_mid, (g_rough, rough_cfg))] = _of_kind(flows, "rough").items()
-    rough_traj = solver_mod.evolve(_multiscale_rough_initial(g_rough, eps_mid), rough_cfg)
-
-    # the maximal field does not depend on the threshold: build it once
-    rough_field = tilt_maximal_field(rough_traj)
-
-    def partition_summary(threshold: float) -> tuple[float, bool]:
-        # only the two numbers outlive the call, so one partition's masks
-        # are never held while the next is computed
-        part = rough_field.partition(threshold, band)
-        return part.weak_l1_ratio, bool(np.any(part.bad))
-
-    summaries = [partition_summary(threshold) for threshold in thresholds]
-    weak_l1 = [ratio for ratio, _ in summaries]
-    bad_nonempty = all(any_bad for _, any_bad in summaries)
-    positive = [v for v in weak_l1 if v > 0]
-    weak_l1_stability = (max(positive) / min(positive)) if positive else math.inf
-    if not bad_nonempty:
-        weak_l1_stability = math.inf
 
     epsilon_mid = 0.02 if 0.02 in final_errors else eps_sorted[-1]
     checks = [
@@ -1191,7 +1206,7 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     }
     return ScenarioResult(
         scenario="excess-decay", config=config, checks=checks, records=records, payload=payload,
-        final_fields=[final_frames[eps_sorted[-1]]],
+        final_fields=[final_frame],
         graphs=graphs,
     )
 

@@ -225,26 +225,27 @@ def extract_graph(frames: Iterable[ScalarField], level: float) -> LevelSetGraph:
 # ---------------------------------------------------------------------------
 
 
-def _maximal_field(g: np.ndarray, times: np.ndarray, grid: Grid, radii: Sequence[float],
-                   power: int) -> np.ndarray:
-    """Dyadic maximal function of g(time, *space) at every lattice point.
+def _maximal_field(hats: Sequence[np.ndarray], times: np.ndarray, grid: Grid,
+                   radii: Sequence[float], power: int) -> np.ndarray:
+    """Dyadic maximal function of g(time, *space) at every lattice point,
+    from the half spectrum of each of its frames, ``hats[j] = spectrum(g[j])``.
 
     Masked ball sums are periodic convolutions (computed exactly by real
     transforms); each time window is weighted by :func:`window_weights`.
     """
-    nt = g.shape[0]
-    out = np.zeros_like(g)
+    nt = len(hats)
+    out = np.zeros((nt,) + grid.shape)
     # one frame has no sampling interval: its windows get the whole 2 r^2
     dt = times[1] - times[0] if nt > 1 else math.inf
     # The ball is centred on lattice index 0 (coordinate -extent/2), the zero
     # shift of the circular convolution, so conv[j] is the ball mass around
     # lattice point j.
     origin = (-0.5 * grid.extent,) * grid.dim
-    conv = np.empty_like(g)  # one buffer for every radius
+    conv = np.empty_like(out)  # one buffer for every radius
     for r in radii:
         khat = spectrum(grid, ball_mask(grid, origin, r).astype(float))
         for j in range(nt):
-            conv[j] = from_spectrum(grid, spectrum(grid, g[j]) * khat) * grid.cell_volume
+            conv[j] = from_spectrum(grid, hats[j] * khat) * grid.cell_volume
         for i in range(nt):
             idx, weights = window_weights(times, times[i] - r * r, times[i] + r * r, dt)
             mass = sum(w * conv[k] for k, w in zip(idx, weights))
@@ -307,10 +308,16 @@ def tilt_maximal_field(traj: Trajectory) -> TiltMaximalField:
     ``r^-(n+2)`` maximal function over the :func:`dyadic_radii`."""
     grid = traj.grid
     vertical = Hyperplane.vertical(grid.dim).normal
-    tilt = np.stack([_tilt_integrand(f, vertical) for f in traj.frames])
-    maximal = _maximal_field(tilt, traj.times, grid, dyadic_radii(grid.extent, grid.spacing),
+    hats = []  # each frame's tilt integrand, transformed once for every radius
+
+    def tilt_at(k: int, frame: ScalarField) -> np.ndarray:
+        tilt = _tilt_integrand(frame, vertical)
+        hats.append(spectrum(grid, tilt))
+        return tilt
+
+    tilt_mass = integrate_values(grid, traj.frames, tilt_at, [None])[0]
+    maximal = _maximal_field(hats, traj.times, grid, dyadic_radii(grid.extent, grid.spacing),
                              power=grid.interface_dim + 2)
-    tilt_mass = integrate_values(grid, traj.frames, lambda k, frame: tilt[k], [None])[0]
     return TiltMaximalField(traj=traj, maximal=maximal, tilt_mass=tilt_mass)
 
 

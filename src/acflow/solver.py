@@ -73,6 +73,10 @@ CNAB2_SHIFT = 1.0
 
 CLAMP = 1.0 - 1e-12
 
+# Points per block of axis-0 rows in which :func:`prepare_interface`
+# evaluates the signed distance (32 rows of a 512-point 2-D grid).
+_BLOCK_POINTS = 16384
+
 
 class SolverConfigError(ValueError):
     """A solver configuration violates its scheme's step-size constraint."""
@@ -266,8 +270,12 @@ def march(field: ScalarField,
 
 def sampled(field: ScalarField, config: SolverConfig) -> Iterator[ScalarField]:
     """Yield every ``sample_every``-th field of :func:`march`, the initial
-    field first; the flow advances only as the fields are taken."""
-    for i, (f, _) in enumerate(march(field, config)):
+    field first; the flow advances only as the fields are taken.  This
+    frame lets go of the initial field once :func:`march` holds it, so it
+    is freed after the first step unless the consumer keeps it."""
+    flow = march(field, config)
+    del field
+    for i, (f, _) in enumerate(flow):
         if i % config.sample_every == 0:
             yield f
 
@@ -282,30 +290,45 @@ def prepare_interface(signed_distance: Callable[..., np.ndarray], grid: Grid,
                       epsilon: float) -> ScalarField:
     """Well-prepared data ``u0 = tanh(d/eps)`` from a signed-distance function.
 
-    ``signed_distance`` is called with broadcastable coordinate arrays.  Its
+    ``signed_distance`` is called with broadcastable coordinate arrays, on
+    blocks of axis-0 rows of about ``_BLOCK_POINTS`` points each, so that
+    the temporaries of one evaluation span a block, not the box; it must
+    act pointwise, and the distance is written into one array.  Its
     gradient is probed by small central differences inside the transition
-    band; exceeding unit slope there would break the non-positivity of the
-    discrepancy, so it is an error.  The profile is clamped at +-(1 - 1e-12)
-    to keep the inverse-profile diagnostic finite.
+    band, block by block, once the whole distance is known to be finite;
+    exceeding unit slope there (the largest over the blocks) would break
+    the non-positivity of the discrepancy, so it is an error.  The profile
+    is clamped at +-(1 - 1e-12) to keep the inverse-profile diagnostic
+    finite.
     """
-    d = grid.sample(signed_distance)
-    if not np.all(np.isfinite(d)):
-        raise InterfaceDataError("signed distance evaluated to non-finite values")
+    coords = grid.coords()
+    rows = max(1, _BLOCK_POINTS // grid.points ** (grid.dim - 1))
+    blocks = [(slice(lo, lo + rows), (coords[0][lo:lo + rows],) + coords[1:])
+              for lo in range(0, grid.points, rows)]
+    d = np.empty(grid.shape)
+    for at, block in blocks:
+        d[at] = np.broadcast_to(signed_distance(*block), d[at].shape)
+        if not np.all(np.isfinite(d[at])):
+            raise InterfaceDataError("signed distance evaluated to non-finite values")
 
-    band_halfwidth = 5.0 * epsilon * math.atanh(1.0 - 1e-6)
-    band = np.abs(d) <= min(band_halfwidth, 0.5 * grid.extent)
-    if np.any(band):
-        delta = 1e-4 * grid.extent
-        coords = grid.coords()
-        grad_sq = np.zeros(grid.shape)
+    band_halfwidth = min(5.0 * epsilon * math.atanh(1.0 - 1e-6), 0.5 * grid.extent)
+    delta = 1e-4 * grid.extent
+    peaks = []  # per block with band points: the largest squared slope there
+    for at, block in blocks:
+        band = np.abs(d[at]) <= band_halfwidth
+        if not np.any(band):
+            continue
+        grad_sq = np.zeros(band.shape)
         for ax in range(grid.dim):
-            shifted_plus = list(coords)
-            shifted_minus = list(coords)
-            shifted_plus[ax] = coords[ax] + delta
-            shifted_minus[ax] = coords[ax] - delta
+            shifted_plus = list(block)
+            shifted_minus = list(block)
+            shifted_plus[ax] = block[ax] + delta
+            shifted_minus[ax] = block[ax] - delta
             g = (signed_distance(*shifted_plus) - signed_distance(*shifted_minus)) / (2 * delta)
-            grad_sq += np.broadcast_to(g, grid.shape) ** 2
-        worst = float(np.sqrt(np.max(grad_sq[band])))
+            grad_sq += np.broadcast_to(g, band.shape) ** 2
+        peaks.append(np.max(grad_sq[band]))
+    if peaks:
+        worst = float(np.sqrt(np.max(peaks)))
         if worst > 1.0 + 1e-6:
             raise InterfaceDataError(
                 f"|grad d| = {worst:.8f} > 1 + 1e-6 in the transition band; "

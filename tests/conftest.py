@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,18 @@ def one_frame(field: ScalarField) -> Trajectory:
     """The one-sample trajectory of a slice: a cylinder mass over it is the
     plain spatial integral over the ball."""
     return Trajectory(frames=(field,), dt_sample=1.0)
+
+
+def traced_peak(call) -> int:
+    """The ``tracemalloc`` peak, in bytes, of what ``call()`` allocates while
+    it runs, its result included; memory held before the call is not
+    counted."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def frames_at(grid: Grid, times) -> list[ScalarField]:

@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 from functools import partial
 
@@ -46,7 +47,7 @@ from acflow.io import read_field
 from acflow.grid import window_weights
 from acflow.operators import ball_mask, gradient_values
 
-from conftest import circle_field, one_frame, standing_wave, zero_crossing_radius
+from conftest import circle_field, one_frame, standing_wave, traced_peak, zero_crossing_radius
 
 
 BASE_RAW = {
@@ -413,6 +414,26 @@ def test_flow_audit_without_frames_records_the_same_series(grid_1d):
         assert np.array_equal(getattr(bare, name), getattr(kept, name))
 
 
+def test_flow_audit_lets_go_of_its_initial_field():
+    # the audit's march holds the initial field until its first step; the
+    # audit itself keeps no reference to it past that
+    g = Grid(dim=2, extent=1.2, points=32)
+    cfg = SolverConfig(dt=1e-3, t_end=4e-3, scheme="semi-implicit-cnab2")
+    refs, alive = [], []
+
+    def prepared():
+        field = circle_field(g, 0.1, 0.35)
+        refs.append(weakref.ref(field))
+        return field
+
+    def terms(b):
+        alive.append(refs[0]() is not None)
+        return ()
+
+    run_flow_audit(prepared(), cfg, terms, keep_frames=False)
+    assert alive == [True, False, False, False, False]
+
+
 def test_sphere_audit_keeps_both_identities_at_interface_dimension_two():
     # a 48^3 sphere of radius 0.35 with eps = 4h shrinks by R^2 = R0^2 - 4t
     # and is gone near step 13 of 40; the audit follows it through and
@@ -675,21 +696,15 @@ def test_shrinking_circle_reports_do_not_depend_on_the_worker_count(tmp_path, mo
 def test_shrinking_circle_holds_no_frame_past_its_checks(monkeypatch):
     # On one worker the four flows run one after another, so the traced peak
     # is the fine audit's thinned trajectory, which the checks read, plus
-    # the working set of one flow at a time: measured at 6.80 MiB, the 11
-    # fine frames of 160^2 being 2.15 MiB of it, i.e. a margin of 23.8
-    # frames.  A flat layer that held its 73 frames peaked at 20.1 MiB.
-    import tracemalloc
-
+    # the working set of one flow at a time: measured at 6.75 MiB (6.80
+    # while the flows held their initial fields), the 11 fine frames of
+    # 160^2 being 2.15 MiB of it, i.e. a margin of 16.4 frames.  A flat
+    # layer that held its 73 frames peaked at 20.1 MiB.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     config = config_from_dict(SMALL_CIRCLE_RAW)
     frame_bytes = 8 * config.grid.points ** config.grid.dim
     fine_frames = solver.sample_count(_flows(config)["fine", config.epsilons[0]][1])
-    tracemalloc.start()
-    try:
-        run_shrinking_circle(config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: run_shrinking_circle(config))
     assert peak < (fine_frames + 40) * frame_bytes, f"traced peak {peak / 2**20:.2f} MiB"
 
 
@@ -699,10 +714,11 @@ def test_excess_decay_holds_no_main_frame_past_its_row(monkeypatch):
     # peak is taken from the end of each main flow's preparation (whose own
     # transient peak is not counted) up to the first excess fit, so it
     # covers the finest main flow, its graph and the first fit flow.
-    # Measured: 17.1 frames of the finest (256^2) main grid, the working set
-    # of one step and one row.  The same code holding the main flow's 11
-    # samples peaked at 22.8 frames, and before the flows streamed the
-    # peak was 24.4 frames, so the bound leaves a margin of 2.9 frames.
+    # Measured: 12.9 frames of the finest (256^2) main grid, the working set
+    # of one step and one row (17.1 while a row formed the stacked
+    # gradient).  The same code holding the main flow's 11 samples peaked
+    # at 22.8 frames, and before the flows streamed the peak was 24.4
+    # frames, so the bound leaves a margin of 7.1 frames.
     import tracemalloc
     import acflow.experiments as experiments
 

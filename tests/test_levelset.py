@@ -235,6 +235,11 @@ def assert_maximal_matches_oracle(maximal, g, times, grid, radii, power, points)
                                                            abs=1e-10 * scale)
 
 
+def spectra(grid, g):
+    """The half spectrum of each frame of ``g``, the input of ``_maximal_field``."""
+    return [spectrum(grid, frame) for frame in g]
+
+
 # radii incommensurate with the lattice spacings below, so that no lattice
 # point sits on a ball boundary
 ORACLE_RADII = [0.0713, 0.1517, 0.3291]
@@ -254,7 +259,7 @@ def test_maximal_field_matches_pointwise_oracle(dim, points):
     g = rng.random((len(times),) + grid.shape)
     sample = [(i, tuple(rng.integers(0, points, size=dim))) for i in (0, 2, 3, 6) for _ in range(3)]
     for radii in RADIUS_SETS:
-        maximal = _maximal_field(g, times, grid, radii, power=dim + 1)
+        maximal = _maximal_field(spectra(grid, g), times, grid, radii, power=dim + 1)
         assert_maximal_matches_oracle(maximal, g, times, grid, radii, dim + 1, sample)
 
 
@@ -270,12 +275,13 @@ def test_partition_maximal_matches_pointwise_oracle(perturbed_traj_small):
     sample = [(i, (j, k)) for i in (0, len(traj) // 2, len(traj) - 1)
               for j in (0, n // 4, n // 2 + 7) for k in (n // 2, n // 2 + 3, n // 8)]
     for radii in RADIUS_SETS:
-        maximal = _maximal_field(tilt, traj.times, grid, radii, power=grid.interface_dim + 2)
+        maximal = _maximal_field(spectra(grid, tilt), traj.times, grid, radii,
+                                 power=grid.interface_dim + 2)
         assert_maximal_matches_oracle(maximal, tilt, traj.times, grid, radii,
                                       grid.interface_dim + 2, sample)
     # the partition's own field is the one over the dyadic radii
-    dyadic = _maximal_field(tilt, traj.times, grid, dyadic_radii(grid.extent, grid.spacing),
-                            power=grid.interface_dim + 2)
+    dyadic = _maximal_field(spectra(grid, tilt), traj.times, grid,
+                            dyadic_radii(grid.extent, grid.spacing), power=grid.interface_dim + 2)
     assert np.array_equal(tilt_maximal_field(traj).maximal, dyadic)
 
 
@@ -313,6 +319,23 @@ def test_maximal_field_and_partition_equal_their_stacked_forms(rough_flow):
         assert np.array_equal(bad, layer & (field.maximal >= threshold))
 
 
+def test_tilt_maximal_field_transforms_each_frame_once(perturbed_traj_small, monkeypatch):
+    # one forward transform per frame's tilt integrand and one per ball: 12
+    # here, where transforming every frame again for every radius made 42
+    import acflow.levelset as levelset
+
+    forward, calls = levelset.spectrum, []
+
+    def counting(grid, values):
+        calls.append(1)
+        return forward(grid, values)
+
+    monkeypatch.setattr(levelset, "spectrum", counting)
+    traj = perturbed_traj_small
+    tilt_maximal_field(traj)
+    assert len(calls) == len(traj) + len(dyadic_radii(traj.grid.extent, traj.grid.spacing)) == 12
+
+
 @pytest.mark.parametrize("radius", [0.04, 0.08])
 def test_lone_sample_window_has_one_mass(radius):
     # r^2 is below the sampling interval, so each window holds one sample,
@@ -321,7 +344,7 @@ def test_lone_sample_window_has_one_mass(radius):
     grid = Grid(dim=2, extent=1.28, points=32)
     times = np.linspace(0.0, 0.04, 5)
     g = rng.random((len(times),) + grid.shape)
-    maximal = _maximal_field(g, times, grid, [radius], power=0)
+    maximal = _maximal_field(spectra(grid, g), times, grid, [radius], power=0)
     x = grid.axis()
     for i, (j, k) in [(0, (0, 0)), (2, (5, 17)), (4, (31, 16))]:
         region = ParabolicCylinder(center_space=(x[j], x[k]), center_time=times[i], radius=radius)
