@@ -39,7 +39,6 @@ from .diagnostics import (
     willmore,
 )
 from .monotonicity import (
-    GaussianDensity,
     KernelPoint,
     gaussian_density,
     kernel_on_grid,

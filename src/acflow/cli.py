@@ -12,6 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .diagnostics import diagnostics_record
 from .experiments import (
     SCENARIOS,
@@ -53,11 +55,19 @@ def cmd_simulate(args) -> int:
     _, cfg = experiments._flows(config)["base", eps]
     # each sample's row is taken as the flow runs, and of its fields only
     # the first and the last are kept; nothing is written before the flow
-    # ends, so a flow that diverges leaves no output
-    rows, first = [], None
-    for last in sampled(initial_field(config, eps), cfg):
-        first = last if first is None else first
-        rows.append(diagnostics_record(last).as_row())
+    # ends, so a flow that diverges leaves no output.  The row of a huge but
+    # finite field overflows silently, as its step does in march, and its
+    # error waits for the flow: a divergence after it is reported instead
+    rows, first, row_error = [], None, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for last in sampled(initial_field(config, eps), cfg):
+            first = last if first is None else first
+            try:
+                rows.append(diagnostics_record(last).as_row())
+            except ValueError as exc:
+                row_error = row_error or exc
+    if row_error is not None:
+        raise row_error
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_diagnostics_csv(rows, out / "diagnostics.csv")

@@ -88,8 +88,8 @@ _TOP_KINDS = {"scenario": str, "grid": dict, "epsilon": (float, list), "solver":
 # an absent grid or solver section is checked as empty, so its missing keys are named
 _TOP_DEFAULTS = {"grid": {}, "solver": {}, "params": {}, "seed": 0}
 _GRID_KINDS = {"dim": int, "extent": float, "points": int}
-_SOLVER_KINDS = {"dt_factor": float, "t_end": float, "scheme": str, "sample_every": int}
-_SOLVER_DEFAULTS = {"scheme": "semi-implicit-cnab2", "sample_every": 1}
+_SOLVER_KINDS = {"dt_factor": float, "t_end": float, "sample_every": int}
+_SOLVER_DEFAULTS = {"sample_every": 1}
 _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
                dict: "an object", list: "a non-empty list of finite numbers"}
 
@@ -101,7 +101,6 @@ class ExperimentConfig:
     epsilons: tuple[float, ...]
     dt_factor: float
     t_end: float
-    scheme: str
     sample_every: int
     params: dict
     seed: int
@@ -114,7 +113,6 @@ class ExperimentConfig:
         return SolverConfig(
             dt=self.dt_for(epsilon) * dt_scale,
             t_end=self.t_end if t_end is None else t_end,
-            scheme=self.scheme,
             sample_every=self.sample_every if sample_every is None else sample_every,
         )
 
@@ -205,7 +203,6 @@ def _build_config(raw: dict) -> ExperimentConfig:
         epsilons=epsilons,
         dt_factor=solver["dt_factor"],
         t_end=solver["t_end"],
-        scheme=solver["scheme"],
         sample_every=solver["sample_every"],
         params=params,
         seed=top["seed"],
@@ -240,8 +237,8 @@ def _validate_config(config: ExperimentConfig) -> None:
     scenario params that would fail mid-run; every violation reported at
     once.
 
-    Every flow of :func:`_flows` must build, its step must lie within the
-    scheme's stability limit on its grid, and its horizon must be a whole
+    Every flow of :func:`_flows` must build, its step must lie within
+    cnab2's stability limit ``dt <= eps^2/3``, and its horizon must be a whole
     number of steps and of samples (:func:`solver.step_count`).  An audited
     scenario's base flows also need ``t_end - dt >= 10 eps^2 + dt/2``, so
     that the step-``dt`` audit has a centred residual past the burn-in."""
@@ -257,9 +254,7 @@ def _validate_config(config: ExperimentConfig) -> None:
         if margin < 8.0 * eps:
             problems.append(f"interface margin {margin:g} is below 8*epsilon={8 * eps:g} "
                             f"for epsilon={eps:g}")
-    if config.scheme not in solver_mod.SCHEMES:
-        problems.append(f"unknown scheme {config.scheme!r}")
-    flows = _flows(config, problems) if config.scheme in solver_mod.SCHEMES else {}
+    flows = _flows(config, problems)
     if config.scenario in _AUDITED:
         for eps, (_, cfg) in _of_kind(flows, "base").items():
             last = cfg.t_end - cfg.dt  # the step-dt audit's last centred residual
@@ -324,7 +319,7 @@ def _flows(config: ExperimentConfig, problems: list[str] | None = None,
             config.solver_config(2 * eps, dt_scale=0.5)))
         flat_dt = 0.125 * 0.05**2
         add("flat", 0.05, lambda: (grid, SolverConfig(
-            dt=flat_dt, t_end=576 * flat_dt, scheme=config.scheme, sample_every=8)))
+            dt=flat_dt, t_end=576 * flat_dt, sample_every=8)))
     if config.scenario == "excess-decay":
         @cache
         def grid_for(eps: float) -> Grid:
@@ -349,8 +344,7 @@ def _flows(config: ExperimentConfig, problems: list[str] | None = None,
         for points, ce in ((grid.points, eps), (2 * grid.points, eps / 2)):
             add("circle", ce, lambda: (
                 Grid(dim=2, extent=p["circle_extent"], points=points),
-                SolverConfig(dt=0.125 * ce**2, t_end=40 * 0.125 * ce**2, scheme=config.scheme,
-                             sample_every=40)))
+                SolverConfig(dt=0.125 * ce**2, t_end=40 * 0.125 * ce**2, sample_every=40)))
     return table
 
 
@@ -463,8 +457,7 @@ _DEFAULTS: dict[str, dict] = {
         "scenario": "standing-wave",
         "grid": {"dim": 1, "extent": 2.56, "points": 4096},
         "epsilon": 0.05,
-        "solver": {"dt_factor": 0.125, "t_end": 0.01, "scheme": "semi-implicit-cnab2",
-                   "sample_every": 8},
+        "solver": {"dt_factor": 0.125, "t_end": 0.01, "sample_every": 8},
         "params": {},
         "seed": 0,
     },
@@ -472,8 +465,7 @@ _DEFAULTS: dict[str, dict] = {
         "scenario": "shrinking-circle",
         "grid": {"dim": 2, "extent": 1.2, "points": 256},
         "epsilon": 0.02,
-        "solver": {"dt_factor": 0.25, "t_end": 0.04, "scheme": "semi-implicit-cnab2",
-                   "sample_every": 20},
+        "solver": {"dt_factor": 0.25, "t_end": 0.04, "sample_every": 20},
         "params": {"radius": 0.35, "coarse_extent": 1.4},
         "seed": 0,
     },
@@ -481,8 +473,7 @@ _DEFAULTS: dict[str, dict] = {
         "scenario": "monotonicity-sweep",
         "grid": {"dim": 2, "extent": 1.2, "points": 256},
         "epsilon": 0.02,
-        "solver": {"dt_factor": 0.25, "t_end": 0.04, "scheme": "semi-implicit-cnab2",
-                   "sample_every": 20},
+        "solver": {"dt_factor": 0.25, "t_end": 0.04, "sample_every": 20},
         "params": {"radius": 0.35, "kernel_lag": 0.01},
         "seed": 0,
     },
@@ -490,8 +481,7 @@ _DEFAULTS: dict[str, dict] = {
         "scenario": "excess-decay",
         "grid": {"dim": 2, "extent": 1.28, "points": 512},
         "epsilon": [0.04, 0.02, 0.01],
-        "solver": {"dt_factor": 0.125, "t_end": 0.01, "scheme": "semi-implicit-cnab2",
-                   "sample_every": 10},
+        "solver": {"dt_factor": 0.125, "t_end": 0.01, "sample_every": 10},
         "params": {
             "amplitude_over_epsilon": 0.5,
             "mode": 1,
@@ -508,8 +498,7 @@ _DEFAULTS: dict[str, dict] = {
         "scenario": "no-cancellation",
         "grid": {"dim": 2, "extent": 1.4, "points": 320},
         "epsilon": [0.04, 0.02],
-        "solver": {"dt_factor": 0.125, "t_end": 0.02, "scheme": "semi-implicit-cnab2",
-                   "sample_every": 20},
+        "solver": {"dt_factor": 0.125, "t_end": 0.02, "sample_every": 20},
         "params": {"radius": 0.35, "bump_radii": [0.15, 0.25, 0.35, 0.45, 0.55]},
         "seed": 0,
     },
@@ -517,8 +506,7 @@ _DEFAULTS: dict[str, dict] = {
         "scenario": "inequality-ratios",
         "grid": {"dim": 2, "extent": 1.28, "points": 256},
         "epsilon": 0.04,
-        "solver": {"dt_factor": 0.125, "t_end": 0.001, "scheme": "semi-implicit-cnab2",
-                   "sample_every": 5},
+        "solver": {"dt_factor": 0.125, "t_end": 0.001, "sample_every": 5},
         "params": {"slope": 0.05, "ball_radius": 0.2, "circle_radius": 0.35,
                    "circle_extent": 1.2},
         "seed": 0,
@@ -1393,7 +1381,6 @@ def _config_echo(config: ExperimentConfig) -> dict:
         "solver": {
             "dt_factor": config.dt_factor,
             "t_end": config.t_end,
-            "scheme": config.scheme,
             "sample_every": config.sample_every,
         },
         "params": config.params,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -128,10 +128,6 @@ class Grid:
         """Wrapped displacements ``x - center``, one broadcastable (sparse)
         array per axis, as :meth:`coords`."""
         return tuple(self.minimal_image(x - c) for x, c in zip(self.coords(), center))
-
-    def sample(self, fn: Callable[..., np.ndarray]) -> np.ndarray:
-        """Evaluate ``fn(x1, ..., xd)`` on the lattice."""
-        return np.broadcast_to(fn(*self.coords()), self.shape).astype(np.float64)
 
 
 # The double-well W(u) = (1 - u^2)^2 / 2 with wells at u = -1, +1.  This

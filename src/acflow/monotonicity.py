@@ -20,14 +20,11 @@ from .grid import Grid, Trajectory
 __all__ = [
     "KernelPoint",
     "kernel_on_grid",
-    "GaussianDensity",
     "gaussian_density",
     "monotonicity_terms",
     "MonotonicityResidual",
     "monotonicity_residual",
 ]
-
-SUPPORT_RATIO = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,30 +56,10 @@ def kernel_on_grid(kp: KernelPoint, grid: Grid, t: float) -> np.ndarray:
     return out
 
 
-def _support_ok(grid: Grid, tau: float) -> bool:
-    # Minimal-image evaluation recenters the kernel, so the effective
-    # boundary sits half a box away in every axis.
-    return math.exp(-((0.5 * grid.extent) ** 2) / (4.0 * tau)) < SUPPORT_RATIO
-
-
-@dataclass(frozen=True)
-class GaussianDensity:
-    value: float
-    time: float
-    support_ok: bool
-
-
-def gaussian_density(traj: Trajectory, kp: KernelPoint, t: float) -> GaussianDensity:
-    """Kernel-weighted energy at the sampled time nearest ``t``.
-
-    If the kernel has not decayed to ``1e-12`` of its peak at the box
-    boundary, the result carries ``support_ok=False`` (a warning flag, not
-    an error: mass far from the layer may still be negligible).
-    """
+def gaussian_density(traj: Trajectory, kp: KernelPoint, t: float) -> float:
+    """Kernel-weighted energy at the sampled time nearest ``t``."""
     frame = traj[_sample_index(traj, t)]
-    value = weighted_mass(FrameBundle(frame), kernel_on_grid(kp, frame.grid, frame.time))
-    return GaussianDensity(value=value, time=frame.time,
-                           support_ok=_support_ok(frame.grid, kp.s - frame.time))
+    return weighted_mass(FrameBundle(frame), kernel_on_grid(kp, frame.grid, frame.time))
 
 
 def monotonicity_terms(bundle: FrameBundle, kp: KernelPoint) -> tuple[float, float, float]:
@@ -127,7 +104,7 @@ def monotonicity_residual(traj: Trajectory, kp: KernelPoint, t: float) -> Monoto
     _, dissipative, discrepancy = monotonicity_terms(FrameBundle(traj[i]), kp)
     return MonotonicityResidual(
         time=traj[i].time,
-        dvalue_dt=(after.value - before.value) / (2.0 * traj.dt_sample),
+        dvalue_dt=(after - before) / (2.0 * traj.dt_sample),
         dissipative_term=dissipative,
         discrepancy_term=discrepancy,
     )

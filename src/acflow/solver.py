@@ -1,27 +1,30 @@
 """Time integration of the reaction-diffusion flow and well-prepared data.
 
 The flow is ``du/dt = lap(u) - W'(u)/eps^2`` with the double-well ``W`` of
-:mod:`acflow.grid`.  Three schemes are provided:
-
-``semi-implicit-spectral``
-    Backward-Euler diffusion, explicit reaction:
-    ``(I - dt*lap) u_new = u - dt*W'(u)/eps^2``, solved exactly in Fourier
-    space.  First order; any spectrally stationary state is an exact fixed
-    point.  Stable for ``dt <= 0.5*eps^2``.
+:mod:`acflow.grid`.  Every run steps ``semi-implicit-cnab2``, the default
+of :class:`SolverConfig`: the identity checks need its second order in
+time.  The other two are kept only for the step probes of
+``bench/probes.py`` and their own library tests.
 
 ``semi-implicit-cnab2``
     Crank-Nicolson on the shifted linear part ``lap - kappa/eps^2`` plus
     Adams-Bashforth 2 on the remaining nonlinearity (kappa = 1 centers the
-    explicit Jacobian range).  Second order, same fixed-point property, used
-    wherever the verification harness needs the time-discretization error
-    well below the identity being checked.  Stable for ``dt <= eps^2/3``.
+    explicit Jacobian range).  Second order; any spectrally stationary
+    state is an exact fixed point, so the time-discretization error stays
+    well below the identities being checked.  Stable for ``dt <= eps^2/3``.
+
+``semi-implicit-spectral``
+    Backward-Euler diffusion, explicit reaction:
+    ``(I - dt*lap) u_new = u - dt*W'(u)/eps^2``, solved exactly in Fourier
+    space.  First order, with the same fixed-point property.  Stable for
+    ``dt <= 0.5*eps^2``.
 
 ``explicit-rk2``
-    Heun's method, retained as an independent cross-check oracle.  Stable
-    for ``dt <= 1 / (dim*(pi/h)^2 + 4/eps^2)``, ``h`` the spacing: the
-    linearised operator's largest rate is the spectral Laplacian's
-    ``dim*(pi/h)^2`` plus ``max|W''|/eps^2``, and ``dt`` times it is kept
-    at 1, half of the 2 that Heun's method allows on the real axis.
+    Heun's method.  Stable for ``dt <= 1 / (dim*(pi/h)^2 + 4/eps^2)``,
+    ``h`` the spacing: the linearised operator's largest rate is the
+    spectral Laplacian's ``dim*(pi/h)^2`` plus ``max|W''|/eps^2``, and
+    ``dt`` times it is kept at 1, half of the 2 that Heun's method allows
+    on the real axis.
 
 :func:`march` is the one time loop: it checks the step count, owns the
 scheme state, and yields the initial field and then each step's
@@ -106,7 +109,7 @@ class FlowDivergedError(RuntimeError):
 class SolverConfig:
     dt: float
     t_end: float
-    scheme: str = SCHEME_SEMI_IMPLICIT
+    scheme: str = SCHEME_CNAB2
     sample_every: int = 1
 
     def __post_init__(self) -> None:

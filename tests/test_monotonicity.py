@@ -97,8 +97,7 @@ def test_gaussian_density_of_flat_wave_is_wave_energy(flat_wave_traj):
     tau = 0.003
     kp = KernelPoint(y=(0.0, 0.0), s=traj.times[-1] + tau, n=1)
     d = gaussian_density(traj, kp, traj.times[-1])
-    assert d.support_ok
-    assert d.value == pytest.approx(WAVE_ENERGY, rel=0.02)
+    assert d == pytest.approx(WAVE_ENERGY, rel=0.02)
 
 
 def test_gaussian_density_decays_with_plane_offset(flat_wave_traj):
@@ -108,7 +107,7 @@ def test_gaussian_density_decays_with_plane_offset(flat_wave_traj):
     kp = KernelPoint(y=(0.0, offset), s=traj.times[-1] + tau, n=1)
     d = gaussian_density(traj, kp, traj.times[-1])
     expected = WAVE_ENERGY * np.exp(-(offset**2) / (4 * tau))
-    assert d.value == pytest.approx(expected, rel=0.02)
+    assert d == pytest.approx(expected, rel=0.02)
 
 
 def test_gaussian_density_normalisation_for_a_two_dimensional_interface():
@@ -121,9 +120,7 @@ def test_gaussian_density_normalisation_for_a_two_dimensional_interface():
     for n in (1, 2):
         g = Grid(dim=n + 1, extent=1.28, points=64)
         traj = Trajectory(frames=(standing_wave(g, 4 * g.spacing),), dt_sample=1.0)
-        d = gaussian_density(traj, KernelPoint(y=(0.0,) * g.dim, s=tau, n=n), 0.0)
-        assert d.support_ok
-        values[n] = d.value
+        values[n] = gaussian_density(traj, KernelPoint(y=(0.0,) * g.dim, s=tau, n=n), 0.0)
     assert values[2] == pytest.approx(values[1], rel=1e-12)
 
 
@@ -132,17 +129,7 @@ def test_gaussian_density_of_pure_phase_is_zero():
     f = ScalarField(grid=g, values=np.ones(g.shape), epsilon=0.05)
     traj = Trajectory(frames=(f,), dt_sample=1.0)
     kp = KernelPoint(y=(0.0, 0.0), s=1.0, n=1)
-    assert gaussian_density(traj, kp, 0.0).value < 1e-12
-
-
-def test_gaussian_density_support_flag():
-    g = Grid(dim=2, extent=1.28, points=64)
-    f = ScalarField(grid=g, values=np.ones(g.shape), epsilon=0.05)
-    traj = Trajectory(frames=(f,), dt_sample=1.0)
-    tight = gaussian_density(traj, KernelPoint(y=(0.0, 0.0), s=0.003, n=1), 0.0)
-    assert tight.support_ok
-    wide = gaussian_density(traj, KernelPoint(y=(0.0, 0.0), s=0.1, n=1), 0.0)
-    assert not wide.support_ok
+    assert gaussian_density(traj, kp, 0.0) < 1e-12
 
 
 # --- monotonicity identity --------------------------------------------------
@@ -181,7 +168,7 @@ def test_residual_small_on_shrinking_circle(circle_traj_short):
 def test_density_nonincreasing_on_shrinking_circle(circle_traj_short):
     traj = circle_traj_short
     kp = KernelPoint(y=(0.0, 0.0), s=traj.times[-1] + 0.01, n=1)
-    values = [gaussian_density(traj, kp, t).value for t in traj.times]
+    values = [gaussian_density(traj, kp, t) for t in traj.times]
     values = np.array(values)
     per_unit_time = np.diff(values) / traj.dt_sample
     assert np.all(per_unit_time <= 1e-3 * np.abs(values[:-1]))

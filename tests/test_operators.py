@@ -9,6 +9,7 @@ from acflow.grid import window_weights
 from acflow.levelset import dyadic_radii
 from acflow.operators import (ball_mask, gradient_values, integrate_values, laplacian_values,
                               spectrum)
+from acflow.solver import SCHEMES
 
 from conftest import frames_at, standing_wave
 
@@ -132,6 +133,27 @@ def test_fft_guard_sees_every_way_to_load_numpy_fft():
                    "import numpy.fft", "from numpy import fft", "from numpy.fft import rfftn"]:
         assert _fft_loads(ast.parse(source)), source
     assert not _fft_loads(ast.parse("import numpy as np\nnp.linalg.norm(x)\nfft = 1"))
+
+
+def _scheme_names(tree: ast.Module) -> list[int]:
+    """Lines that pick a time-stepping scheme: a ``scheme=`` keyword or a
+    string constant from ``solver.SCHEMES``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.keyword) and node.arg == "scheme"
+                  or isinstance(node, ast.Constant) and node.value in SCHEMES)
+
+
+def test_every_flow_steps_the_default_scheme():
+    # every run steps cnab2, SolverConfig's default; the other schemes are
+    # named only in solver.py (and by the benchmark's step probes)
+    package = Path(__file__).resolve().parents[1] / "src" / "acflow"
+    found = [f"{p.name}:{line}" for p in sorted(package.glob("*.py")) if p.name != "solver.py"
+             for line in _scheme_names(ast.parse(p.read_text(encoding="utf-8")))]
+    assert not found, f"a scheme named outside solver.py: {', '.join(found)}"
+    for source in ["SolverConfig(dt=dt, t_end=t, scheme=name)", "x = 'explicit-rk2'",
+                   "{'scheme': 'semi-implicit-cnab2'}"]:
+        assert _scheme_names(ast.parse(source)), source
+    assert not _scheme_names(ast.parse("SolverConfig(dt=dt, t_end=t)\nscheme = 'cnab2'"))
 
 
 # numpy's BLAS contractions.  After a call, OpenBLAS's helper thread spins

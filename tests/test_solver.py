@@ -277,7 +277,7 @@ def test_sampled_lets_go_of_its_initial_field():
 def _whole_box_prepare(signed_distance, grid, epsilon):
     """``prepare_interface`` as it evaluated the signed distance and its slope
     probe over the whole box at once: the oracle of the block evaluation."""
-    d = grid.sample(signed_distance)
+    d = np.broadcast_to(signed_distance(*grid.coords()), grid.shape)
     if not np.all(np.isfinite(d)):
         raise InterfaceDataError("signed distance evaluated to non-finite values")
     band_halfwidth = 5.0 * epsilon * math.atanh(1.0 - 1e-6)
