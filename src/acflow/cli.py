@@ -9,6 +9,7 @@ diagnostics row for a stored snapshot.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -43,8 +44,6 @@ def _resolve_config(args) -> "experiments.ExperimentConfig":
             f"config file is for scenario {config.scenario!r}, not {args.scenario!r}"
         )
     if args.seed is not None:
-        import dataclasses
-
         config = dataclasses.replace(config, seed=args.seed)
     return config
 
@@ -63,7 +62,7 @@ def cmd_simulate(args) -> int:
         for last in sampled(initial_field(config, eps), cfg):
             first = last if first is None else first
             try:
-                rows.append(diagnostics_record(last).as_row())
+                rows.append(diagnostics_record(last))
             except ValueError as exc:
                 row_error = row_error or exc
     if row_error is not None:
@@ -79,14 +78,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     field = read_field(args.field)
-    row = diagnostics_record(field).as_row()
+    row = diagnostics_record(field)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_diagnostics_csv([row], out / "diagnostics.csv")
         print(f"wrote diagnostics to {out / 'diagnostics.csv'}")
     else:
-        for key, value in row.items():
+        for key, value in dataclasses.asdict(row).items():
             print(f"{key}: {value}")
     return 0
 
@@ -96,7 +95,7 @@ def cmd_experiment(args) -> int:
     result = run_scenario(config, out_dir=args.out)
     for c in result.checks:
         status = "PASS" if c.passed else "FAIL"
-        print(f"[{status}] {c.name}: value={c.value:.6g} {c.comparison} {c.threshold:.6g}")
+        print(f"[{status}] {c.name}: value={c.value:.6g} {c.comparison} {c.tolerance:.6g}")
     print(f"scenario {result.scenario}: {'PASS' if result.passed else 'FAIL'}")
     return 0 if result.passed else 1
 

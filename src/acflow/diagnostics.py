@@ -15,7 +15,7 @@ contribution is genuinely negligible.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -197,9 +197,6 @@ class FrameBundle:
     row, never alongside a stored trajectory.
     """
 
-    # set by :func:`_bundle` on a bundle that no caller holds
-    own = False
-
     def __init__(self, field: ScalarField, u_hat: np.ndarray | None = None):
         self.field = field
         if u_hat is not None:
@@ -245,25 +242,15 @@ class FrameBundle:
         return 0.5 * eps * self.grad_sq - self.well / eps
 
 
-def _bundle(obj: ScalarField | FrameBundle) -> FrameBundle:
-    if isinstance(obj, FrameBundle):
-        return obj
-    b = FrameBundle(obj)
-    b.own = True
-    return b
-
-
 def _gradient_terms(b: FrameBundle, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``|grad u|^2`` and ``<grad u, e>`` of one slice.
 
-    A caller's bundle reads its stacked gradient.  A bundle of its own
-    (``b.own``) takes one partial derivative at a time and caches
-    ``grad_sq`` from that pass, bit for bit the stacked sum, which adds the
-    squares in axis order.  Both sums are elementwise: a BLAS contraction
-    leaves OpenBLAS's helper thread spinning between the steps of a flow.
+    The partial derivatives are taken one at a time, so no stacked gradient
+    is formed, and ``grad_sq`` is cached from that pass, bit for bit the
+    stacked sum, which adds the squares in axis order.  Both sums are
+    elementwise: a BLAS contraction leaves OpenBLAS's helper thread
+    spinning between the steps of a flow.
     """
-    if not b.own:
-        return b.grad_sq, sum(ei * gi for ei, gi in zip(e, b.gradient))
     grid = b.field.grid
     gsq = ge = 0
     for ei, ik in zip(e, symbols(grid).ik):
@@ -275,26 +262,24 @@ def _gradient_terms(b: FrameBundle, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return gsq, ge
 
 
-def _tilt_integrand(frame: ScalarField | FrameBundle, direction: Sequence[float]) -> np.ndarray:
+def _tilt_integrand(bundle: FrameBundle, direction: Sequence[float]) -> np.ndarray:
     """``(1 - (nu . e)^2) eps |grad u|^2`` with the gradient floor applied."""
     e = np.asarray(direction, dtype=float)
     e = e / np.linalg.norm(e)
-    b = _bundle(frame)
-    gsq, ge = _gradient_terms(b, e)
+    gsq, ge = _gradient_terms(bundle, e)
     gnorm = np.sqrt(gsq)
     live = gnorm > GRADIENT_FLOOR * float(np.max(gnorm))
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_sq = np.where(live, (ge / np.where(live, gnorm, 1.0)) ** 2, 0.0)
     del gnorm, ge  # not held while the integrand is formed
-    integrand = (1.0 - cos_sq) * b.field.epsilon * gsq
+    integrand = (1.0 - cos_sq) * bundle.field.epsilon * gsq
     return np.where(live, integrand, 0.0)
 
 
-def tilt_excess(frame: ScalarField | FrameBundle, direction: Sequence[float]) -> float:
+def tilt_excess(bundle: FrameBundle, direction: Sequence[float]) -> float:
     """Excess of the interface normal against a fixed direction: the box
     integral of one slice's tilt integrand.  Invariant under ``e -> -e``."""
-    b = _bundle(frame)
-    return float(np.sum(_tilt_integrand(b, direction)) * b.field.grid.cell_volume)
+    return float(np.sum(_tilt_integrand(bundle, direction)) * bundle.field.grid.cell_volume)
 
 
 def height_excess(traj: Trajectory, plane: Hyperplane, region: ParabolicCylinder) -> float:
@@ -314,11 +299,11 @@ def height_excess(traj: Trajectory, plane: Hyperplane, region: ParabolicCylinder
     return raw / region.radius ** (grid.interface_dim + 4)
 
 
-def willmore(frame: ScalarField | FrameBundle) -> float:
+def willmore(bundle: FrameBundle) -> float:
     """``integral of eps (lap u - W'(u)/eps^2)^2`` over the box at one slice;
     the squared velocity."""
-    b = _bundle(frame)
-    return float(np.sum(b.field.epsilon * b.residual ** 2) * b.field.grid.cell_volume)
+    field = bundle.field
+    return float(np.sum(field.epsilon * bundle.residual ** 2) * field.grid.cell_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +311,12 @@ def willmore(frame: ScalarField | FrameBundle) -> float:
 # ---------------------------------------------------------------------------
 
 
-def stress_energy(frame: ScalarField | FrameBundle) -> np.ndarray:
+def stress_energy(bundle: FrameBundle) -> np.ndarray:
     """``T_ij = eps du_i du_j - (eps|grad u|^2/2 + W(u)/eps) delta_ij``."""
-    b = _bundle(frame)
-    g = b.gradient
-    T = b.field.epsilon * g[:, None] * g[None, :]
-    for i in range(b.field.grid.dim):
-        T[i, i] -= b.energy_density
+    g = bundle.gradient
+    T = bundle.field.epsilon * g[:, None] * g[None, :]
+    for i in range(bundle.field.grid.dim):
+        T[i, i] -= bundle.energy_density
     return T
 
 
@@ -521,41 +505,29 @@ class DiagnosticsRecord:
             if not math.isfinite(v) or v < -1e-12:
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
 
-    def as_row(self) -> dict:
-        return asdict(self)
 
-
-def diagnostics_record(frame: ScalarField | FrameBundle) -> DiagnosticsRecord:
+def diagnostics_record(field: ScalarField) -> DiagnosticsRecord:
     """One row of the standard diagnostics for a single time slice, over the
     whole box; the tilt is taken against the vertical direction.
 
     Every column reads the slice's one :class:`FrameBundle`, so a row costs
-    one gradient and one Laplacian.  A bundle built here from a plain field
-    takes the gradient one derivative at a time (:func:`_gradient_terms`)
-    and drops each cached array after its last use (Willmore, then the
-    tilt, then the energy and the discrepancy), so a row holds few
-    grid-sized arrays at once; a bundle handed in keeps its stacked
-    gradient and its cache.
+    one gradient, taken one derivative at a time (:func:`_gradient_terms`),
+    and one Laplacian.  Each cached array is dropped after its last use
+    (Willmore, then the tilt, then the energy and the discrepancy), so a
+    row holds few grid-sized arrays at once.
     """
-    b = _bundle(frame)
-
-    def done(*names: str) -> None:
-        if b.own:
-            for name in names:
-                b.__dict__.pop(name, None)
-
-    grid = b.field.grid
-    vol = grid.cell_volume
+    b = FrameBundle(field)
+    vol = field.grid.cell_volume
     wil = willmore(b)
-    done("laplacian", "residual")
-    tilt = tilt_excess(b, Hyperplane.vertical(grid.dim).normal)
-    done("u_hat")
+    del b.laplacian, b.residual
+    tilt = tilt_excess(b, Hyperplane.vertical(field.grid.dim).normal)
+    del b.u_hat
     energy = float(np.sum(b.energy_density) * vol)
-    done("energy_density")
+    del b.energy_density
     xi = b.discrepancy
-    done("grad_sq", "well")
+    del b.grad_sq, b.well
     return DiagnosticsRecord(
-        time=b.field.time,
+        time=field.time,
         energy=energy,
         tilt_excess=tilt,
         willmore=wil,

@@ -14,7 +14,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from functools import cache, partial
 from itertools import islice
 from pathlib import Path
@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .diagnostics import (
+    DiagnosticsRecord,
     FrameBundle,
     Hyperplane,
     brakke_terms,
@@ -241,7 +242,10 @@ def _validate_config(config: ExperimentConfig) -> None:
     cnab2's stability limit ``dt <= eps^2/3``, and its horizon must be a whole
     number of steps and of samples (:func:`solver.step_count`).  An audited
     scenario's base flows also need ``t_end - dt >= 10 eps^2 + dt/2``, so
-    that the step-``dt`` audit has a centred residual past the burn-in."""
+    that the step-``dt`` audit has a centred residual past the burn-in.  A
+    no-cancellation base flow that meets the step rules needs at least 4
+    samples, so that :func:`no_cancellation_check` picks three distinct
+    ones."""
     problems: list[str] = []
     if config.scenario in _PLANAR and config.grid.dim != 2:
         problems.append(f"{config.scenario} runs on a 2-D grid only, "
@@ -272,6 +276,14 @@ def _validate_config(config: ExperimentConfig) -> None:
             except (SolverConfigError, OverflowError) as exc:
                 problems.append(_flow_problem(config, kind, eps, exc))
                 flows.pop((kind, eps), None)  # only flows that meet the rules go on
+    if config.scenario == "no-cancellation":
+        for eps, (_, cfg) in _of_kind(flows, "base").items():
+            count = solver_mod.sample_count(cfg)
+            if count < 4:
+                problems.append(
+                    f"the no-cancellation check reads the samples a quarter, a half and three "
+                    f"quarters along each flow, so it needs at least 4, but the epsilon={eps:g} "
+                    f"flow has {count}")
     problems += _param_problems(config)
     if config.scenario == "excess-decay":
         problems += _excess_decay_problems(config, _of_kind(flows, "fit"))
@@ -532,37 +544,27 @@ class CheckResult:
     name: str
     claim: str
     value: float
-    threshold: float
+    tolerance: float
     comparison: str  # a key of _COMPARISONS
     passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "claim": self.claim,
-            "value": self.value,
-            "tolerance": self.threshold,
-            "comparison": self.comparison,
-            "passed": self.passed,
-        }
 
 
 _COMPARISONS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
 
 
-def check(name: str, claim: str, value: float, threshold: float, comparison: str = "<=") -> CheckResult:
+def check(name: str, claim: str, value: float, tolerance: float, comparison: str = "<=") -> CheckResult:
     compare = _COMPARISONS.get(comparison)
     if compare is None:
         raise ValueError(f"unknown comparison {comparison!r}")
-    return CheckResult(name=name, claim=claim, value=float(value), threshold=float(threshold),
-                       comparison=comparison, passed=bool(compare(value, threshold)))
+    return CheckResult(name=name, claim=claim, value=float(value), tolerance=float(tolerance),
+                       comparison=comparison, passed=bool(compare(value, tolerance)))
 
 
 def monotone_check(name: str, claim: str, values: Sequence[float]) -> CheckResult:
     """Pass when the sequence strictly decreases; value is the worst step ratio."""
     ratios = [b / a if a > 0 else math.inf for a, b in zip(values, values[1:])]
     worst = max(ratios) if ratios else 0.0
-    return CheckResult(name=name, claim=claim, value=float(worst), threshold=1.0,
+    return CheckResult(name=name, claim=claim, value=float(worst), tolerance=1.0,
                        comparison="<=", passed=bool(worst < 1.0))
 
 
@@ -571,7 +573,7 @@ class ScenarioResult:
     scenario: str
     config: ExperimentConfig
     checks: list[CheckResult]
-    records: list[dict]
+    records: list[DiagnosticsRecord]
     payload: dict
     final_fields: list[ScalarField] = dc_field(default_factory=list)
     extra_tables: dict = dc_field(default_factory=dict)
@@ -680,24 +682,15 @@ def zero_level_radius(field: ScalarField) -> float:
     return best
 
 
-@dataclass(frozen=True)
-class DensityRatioProfile:
-    entries: tuple[tuple[float, float], ...]
-
-    @property
-    def minimum(self) -> float:
-        return min(r for (_, r) in self.entries)
-
-
 def density_ratio_profile(
     grid: Grid,
     frames: Iterable[ScalarField],
     center_space: Sequence[float],
     center_time: float,
     radii: Sequence[float],
-) -> DensityRatioProfile:
-    """Parabolic density ratios ``r^-n-2 * mass(P_r)`` per radius, over the
-    ``frames`` of one flow on ``grid``, in time order.
+) -> tuple[tuple[float, float], ...]:
+    """Parabolic density ratios ``r^-n-2 * mass(P_r)``, as ``(r, ratio)``
+    per radius, over the ``frames`` of one flow on ``grid``, in time order.
 
     The cylinder masses come from one :func:`operators.integrate_values`
     pass, which reads each frame as it arrives: a flow's
@@ -709,8 +702,7 @@ def density_ratio_profile(
                                  radius=r) for r in radii]
     masses = integrate_values(grid, frames,
                               lambda k, frame: FrameBundle(frame).energy_density, regions)
-    entries = [(float(r), mass / r ** (n + 2)) for r, mass in zip(radii, masses)]
-    return DensityRatioProfile(entries=tuple(entries))
+    return tuple((float(r), mass / r ** (n + 2)) for r, mass in zip(radii, masses))
 
 
 def no_cancellation_check(frames: Iterable[ScalarField], count: int,
@@ -883,7 +875,7 @@ def run_standing_wave(config: ExperimentConfig) -> ScenarioResult:
         check("fixed_point", "stationary-profile", fixed_point, 1e-8),
         check("distance_gradient", "inverse-profile-bound", grad_z, 1.0 + 1e-3),
     ]
-    records = [diagnostics_record(b).as_row()]
+    records = [diagnostics_record(wave)]
     return ScenarioResult(
         scenario="standing-wave", config=config, checks=checks, records=records,
         payload={"per_area_energy": per_area}, final_fields=[wave],
@@ -930,7 +922,7 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
     [(flat_eps, (flat_grid, flat_cfg))] = _of_kind(flows, "flat").items()
     flat_radii = [2 * flat_eps, 0.15, 0.2, 0.25, 0.25 * grid.extent]
 
-    def flat_density_profile() -> DensityRatioProfile:
+    def flat_density_profile() -> tuple[tuple[float, float], ...]:
         frames = solver_mod.sampled(_wave_initial(flat_grid, flat_eps), flat_cfg)
         return density_ratio_profile(flat_grid, frames, (0.0,) * grid.dim,
                                      0.5 * flat_cfg.t_end, flat_radii)
@@ -986,7 +978,8 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
     center = tuple(int(round((c + 0.5 * grid.extent) / grid.spacing)) % grid.points
                    for c in (r_mid, 0.0))
     center_in_layer = bool(abs(frame_mid.values[center]) <= 0.9)
-    flat_defect = abs(flat_profile.minimum - 4.0 * WAVE_ENERGY) / (4.0 * WAVE_ENERGY)
+    flat_min = min(ratio for _, ratio in flat_profile)
+    flat_defect = abs(flat_min - 4.0 * WAVE_ENERGY) / (4.0 * WAVE_ENERGY)
 
     checks = [
         check("radius_final_error", "mean-curvature-limit", radius_err, 0.02),
@@ -998,19 +991,19 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
         check("brakke_tensor_form", "weighted-energy-identity", brakke_rel_tensor, 0.01),
         check("distance_gradient", "inverse-profile-bound", grad_z, 1.0 + 1e-3),
         check("maximum_principle", "comparison-principle", u_max, 1.0 + 1e-6),
-        check("density_ratio_lower_bound", "density-lower-bound", profile.minimum, 1.0,
-              comparison=">="),
+        check("density_ratio_lower_bound", "density-lower-bound",
+              min(ratio for _, ratio in profile), 1.0, comparison=">="),
         check("density_ratio_flat", "density-lower-bound", flat_defect, 0.05),
     ]
-    records = [diagnostics_record(f).as_row() for f in fine.trajectory.frames]
+    records = [diagnostics_record(f) for f in fine.trajectory.frames]
     payload = {
         "radius_final": measured,
         "radius_exact": exact,
         "radius_error_coarse_epsilon": coarse_err,
         "dissipation_defect_base": defect_base,
         "dissipation_defect_fine": defect_fine,
-        "density_profile": [list(e) for e in profile.entries],
-        "density_profile_flat": [list(e) for e in flat_profile.entries],
+        "density_profile": profile,
+        "density_profile_flat": flat_profile,
         "center_in_layer": center_in_layer,
     }
     return ScenarioResult(
@@ -1047,7 +1040,7 @@ def run_monotonicity_sweep(config: ExperimentConfig) -> ScenarioResult:
         check("gaussian_density_monotone", "weighted-monotonicity", worst_rise, 1e-3),
         check("monotonicity_residual_ratio", "weighted-monotonicity", ratio, 0.35),
     ]
-    records = [diagnostics_record(f).as_row() for f in fine.trajectory.frames]
+    records = [diagnostics_record(f) for f in fine.trajectory.frames]
     payload = {
         "gaussian_density_series": values.tolist(),
         "residual_max_base": res_base,
@@ -1105,7 +1098,7 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     # the epsilon sweep integrates each frame's diagnostics row over the
     # window (t_end/5, t_end); the rows cover the whole box, where the flat
     # periodic companion layer contributes nothing
-    rows: dict[float, list[dict]] = {}
+    rows: dict[float, list[DiagnosticsRecord]] = {}
     sweep: dict[float, dict[str, float]] = {}
     finest = min(config.epsilons)
     final_frame = None  # the last frame of the finest flow, the one written
@@ -1120,7 +1113,7 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
         nonlocal final_frame
         rows[eps] = []
         for frame in frames:
-            rows[eps].append(diagnostics_record(frame).as_row())
+            rows[eps].append(diagnostics_record(frame))
             if eps == finest:
                 final_frame = frame
             yield frame
@@ -1134,7 +1127,8 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
         graph = extract_graph(recorded(eps, frames), 0.0)
         idx, weights = window_weights(graph.times, config.t_end / 5, config.t_end,
                                       cfg.dt * cfg.sample_every)
-        sweep[eps] = {key: float(sum(w * rows[eps][i][key] for i, w in zip(idx, weights)))
+        sweep[eps] = {key: float(sum(w * getattr(rows[eps][i], key)
+                                     for i, w in zip(idx, weights)))
                       for key in ("tilt_excess", "discrepancy_l1", "willmore")}
 
         graphs[f"graph_eps_{eps:g}.csv"] = graph
@@ -1188,7 +1182,7 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
         "sweep": {repr(e): sweep[e] for e in eps_sorted},
         "heat_errors_global": {repr(e): heat_errors[e] for e in eps_sorted},
         "heat_errors_final": {repr(e): final_errors[e] for e in eps_sorted},
-        "excess_decay_reports": {repr(e): r.as_dict() for e, r in reports.items()},
+        "excess_decay_reports": {repr(e): asdict(r) for e, r in reports.items()},
         "weak_l1_ratios": dict(zip(map(repr, thresholds), weak_l1)),
         "k1": k1,
     }
@@ -1342,7 +1336,7 @@ def write_reports(result: ScenarioResult, out_dir: str | Path) -> None:
         "scenario": result.scenario,
         "seed": result.config.seed,
         "passed": result.passed,
-        "checks": [c.as_dict() for c in result.checks],
+        "checks": [asdict(c) for c in result.checks],
         "payload": result.payload,
     }
     write_json(verdict, out / "verdict.json")
@@ -1356,7 +1350,7 @@ def write_reports(result: ScenarioResult, out_dir: str | Path) -> None:
         "claims": sorted({c.claim for c in result.checks}),
         "checks": [
             {"name": c.name, "claim": c.claim, "value": c.value,
-             "tolerance": c.threshold, "verdict": "pass" if c.passed else "fail"}
+             "tolerance": c.tolerance, "verdict": "pass" if c.passed else "fail"}
             for c in result.checks
         ],
         "config": _config_echo(result.config),

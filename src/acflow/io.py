@@ -10,7 +10,7 @@ written with repr-stable formatting so reruns are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -60,10 +60,10 @@ def read_field(path: str | Path) -> ScalarField:
     )
 
 
-def write_diagnostics_csv(rows: Iterable[Mapping[str, Any]], path: str | Path) -> None:
+def write_diagnostics_csv(records: Iterable[DiagnosticsRecord], path: str | Path) -> None:
     """One column per field of :class:`DiagnosticsRecord`, in its order."""
     columns = [f.name for f in fields(DiagnosticsRecord)]
-    write_table_csv(columns, ([row[col] for col in columns] for row in rows), path)
+    write_table_csv(columns, map(astuple, records), path)
 
 
 def write_table_csv(columns: Sequence[str], rows: Iterable[Sequence[Any]], path: str | Path) -> None:
@@ -88,6 +88,7 @@ def write_graph_csv(graph, path: str | Path) -> None:
 
 
 def write_json(payload: Mapping[str, Any], path: str | Path) -> None:
+    """``payload`` as indented JSON, keys sorted and tuples written as lists."""
     Path(path).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",

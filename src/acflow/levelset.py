@@ -311,7 +311,7 @@ def tilt_maximal_field(traj: Trajectory) -> TiltMaximalField:
     hats = []  # each frame's tilt integrand, transformed once for every radius
 
     def tilt_at(k: int, frame: ScalarField) -> np.ndarray:
-        tilt = _tilt_integrand(frame, vertical)
+        tilt = _tilt_integrand(FrameBundle(frame), vertical)
         hats.append(spectrum(grid, tilt))
         return tilt
 
@@ -381,8 +381,8 @@ class ExcessDecayReport:
 
     theta: float
     scale: float
-    normal: tuple[float, ...]
-    offset: float
+    fitted_normal: tuple[float, ...]
+    fitted_offset: float
     ratio: float  # E_fit(P_theta) / E_flat(P_1), both from height_excess
     height_excess_unit: float  # E_flat(P_1): height_excess about x_vertical = 0, radius scale
     layer_repulsion_value: float  # height_excess_unit / (eps/scale)^2
@@ -394,19 +394,6 @@ class ExcessDecayReport:
         if self.layer_repulsion_value < k1:
             return None
         return self.ratio <= 0.5 * self.theta
-
-    def as_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "scale": self.scale,
-            "fitted_normal": list(self.normal),
-            "fitted_offset": self.offset,
-            "ratio": self.ratio,
-            "height_excess_unit": self.height_excess_unit,
-            "layer_repulsion_value": self.layer_repulsion_value,
-            "normal_deviation": self.normal_deviation,
-            "tilt_constant": self.tilt_constant,
-        }
 
 
 def excess_decay_ratio(traj: Trajectory, theta: float, scale: float,
@@ -474,8 +461,8 @@ def excess_decay_ratio(traj: Trajectory, theta: float, scale: float,
     return ExcessDecayReport(
         theta=theta,
         scale=scale,
-        normal=normal,
-        offset=offset,
+        fitted_normal=normal,
+        fitted_offset=offset,
         ratio=h_fit / h_unit if h_unit > 0 else 0.0,
         height_excess_unit=h_unit,
         layer_repulsion_value=h_unit / eps_hat**2 if eps_hat > 0 else math.inf,

@@ -86,24 +86,26 @@ def test_discrepancy_of_wave_and_constants():
 
 
 def test_tilt_vanishes_along_the_layer_normal(wave_2d):
-    assert tilt_excess(wave_2d, (0.0, 1.0)) < 1e-10
+    assert tilt_excess(FrameBundle(wave_2d), (0.0, 1.0)) < 1e-10
 
 
 def test_tilt_orthogonal_direction_gives_full_dirichlet_mass(wave_2d):
     full = dirichlet_mass(wave_2d)
-    assert tilt_excess(wave_2d, (1.0, 0.0)) == pytest.approx(full, rel=1e-10)
+    assert tilt_excess(FrameBundle(wave_2d), (1.0, 0.0)) == pytest.approx(full, rel=1e-10)
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.35, 1.0])
 def test_tilt_at_angle_scales_with_sin_squared(wave_2d, beta):
     e = (np.sin(beta), np.cos(beta))
     full = dirichlet_mass(wave_2d)
-    assert tilt_excess(wave_2d, e) == pytest.approx(np.sin(beta) ** 2 * full, rel=1e-9)
+    tilt = tilt_excess(FrameBundle(wave_2d), e)
+    assert tilt == pytest.approx(np.sin(beta) ** 2 * full, rel=1e-9)
 
 
 def test_tilt_invariant_under_direction_flip(wave_2d):
     e = (0.3, 0.9539392014169456)
-    assert tilt_excess(wave_2d, e) == pytest.approx(tilt_excess(wave_2d, tuple(-c for c in e)), rel=1e-12)
+    flipped = tilt_excess(FrameBundle(wave_2d), tuple(-c for c in e))
+    assert tilt_excess(FrameBundle(wave_2d), e) == pytest.approx(flipped, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -124,7 +126,7 @@ def test_tilt_plus_aligned_part_is_dirichlet_mass(seed):
     aligned = np.where(ok, (e[0] * grad[0] + e[1] * grad[1]) ** 2 / np.where(ok, gsq, 1.0), 0.0)
     aligned_mass = float(np.sum(aligned * f.epsilon * gsq * ok) * g.cell_volume)
     total = float(np.sum(f.epsilon * gsq[ok]) * g.cell_volume)
-    assert tilt_excess(f, tuple(e)) + aligned_mass == pytest.approx(total, rel=1e-10)
+    assert tilt_excess(FrameBundle(f), tuple(e)) + aligned_mass == pytest.approx(total, rel=1e-10)
 
 
 # --- height excess ---------------------------------------------------------
@@ -175,9 +177,9 @@ def test_height_excess_of_constant_vanishes():
 def test_willmore_vanishes_on_stationary_states(wave_1d):
     g = wave_1d.grid
     # the box holds the studied layer and its companion on the seam
-    assert willmore(wave_1d) < 1e-12
+    assert willmore(FrameBundle(wave_1d)) < 1e-12
     one = ScalarField(grid=g, values=np.ones(g.shape), epsilon=0.05)
-    assert willmore(one) < 1e-20
+    assert willmore(FrameBundle(one)) < 1e-20
 
 
 def test_willmore_of_shrinking_circle_matches_curvature_mass(grid_2d):
@@ -188,7 +190,7 @@ def test_willmore_of_shrinking_circle_matches_curvature_mass(grid_2d):
     cfg = SolverConfig(dt=dt, t_end=40 * dt, scheme="semi-implicit-cnab2", sample_every=4)
     traj = evolve(f, cfg)
     weights = trapezoid_weights(len(traj), traj.dt_sample)
-    measured = sum(w * willmore(frame) for w, frame in zip(weights, traj.frames))
+    measured = sum(w * willmore(FrameBundle(frame)) for w, frame in zip(weights, traj.frames))
     window = traj.times[-1] - traj.times[0]
     expected = WAVE_ENERGY * 2 * np.pi * R * (1.0 / R**2) * window
     assert measured == pytest.approx(expected, rel=0.10)
@@ -230,7 +232,7 @@ def test_divergence_defect_decreases_at_spectral_rate():
 
 
 def test_stress_energy_is_symmetric(wave_2d):
-    T = stress_energy(wave_2d)
+    T = stress_energy(FrameBundle(wave_2d))
     assert np.allclose(T[0, 1], T[1, 0])
 
 
@@ -386,12 +388,11 @@ def test_diagnostics_record_row_and_csv(tmp_path, wave_2d):
     # the csv header is the record's fields, in their order
     columns = [f.name for f in dataclasses.fields(DiagnosticsRecord)]
     rec = diagnostics_record(wave_2d)
-    row = rec.as_row()
-    assert list(row) == columns
+    assert list(dataclasses.asdict(rec)) == columns
     assert rec.energy > 0
     assert rec.tilt_excess >= 0
     path = tmp_path / "diag.csv"
-    write_diagnostics_csv([row], path)
+    write_diagnostics_csv([rec], path)
     text = path.read_text().splitlines()
     assert text[0] == ",".join(columns)
     assert len(text) == 2
@@ -462,16 +463,6 @@ def test_a_diagnostics_row_holds_no_stacked_gradient(dim, points):
     assert peak < 7 * frame_bytes, f"traced peak {peak / frame_bytes:.2f} frames"
 
 
-def test_diagnostics_record_keeps_a_callers_bundle_cache():
-    field = _round_layer(2, 64)
-    b = FrameBundle(field)
-    names = ("u_hat", "gradient", "grad_sq", "laplacian", "residual", "well",
-             "energy_density", "discrepancy")
-    cached = {name: getattr(b, name) for name in names}
-    assert diagnostics_record(b) == diagnostics_record(field)
-    assert all(b.__dict__[name] is cached[name] for name in names)
-
-
 @pytest.mark.parametrize("dim, points", [(2, 64), (3, 48)])
 def test_tilt_integrand_equals_the_tensordot_form(dim, points):
     b = FrameBundle(_round_layer(dim, points))
@@ -483,6 +474,25 @@ def test_tilt_integrand_equals_the_tensordot_form(dim, points):
     # parallel to e, 1 - cos^2 cancels and the two forms differ by up to
     # 3.7e-12 of the integrand itself (measured), but by at most 1e-15 of
     # eps |grad u|^2.
+    dirichlet = b.field.epsilon * b.grad_sq
+    rng = np.random.default_rng(dim)
+    for _ in range(4):
+        e = rng.standard_normal(dim)
+        diff = np.abs(_tilt_integrand(b, e) - _tensordot_tilt_integrand(b, e))
+        assert np.all(diff <= 1e-12 * dirichlet)
+
+
+@pytest.mark.parametrize("dim, points", [(2, 64), (3, 48)])
+def test_the_tilt_of_a_bundle_holding_its_gradient_is_the_stacked_sum(dim, points):
+    # The tilt takes one partial derivative at a time even when the bundle
+    # already holds the stacked gradient; the grad_sq it caches is bit for
+    # bit the stacked sum, and the integrand is the tensordot form's.
+    b = FrameBundle(_round_layer(dim, points))
+    stacked = b.gradient
+    vertical = Hyperplane.vertical(dim).normal
+    tilt = _tilt_integrand(b, vertical)
+    assert np.array_equal(b.grad_sq, np.sum(stacked**2, axis=0))
+    assert np.array_equal(tilt, _tensordot_tilt_integrand(b, vertical))
     dirichlet = b.field.epsilon * b.grad_sq
     rng = np.random.default_rng(dim)
     for _ in range(4):

@@ -503,7 +503,7 @@ def test_streamed_density_profile_matches_per_radius_profile(circle_traj_short):
     ] + [(binary, (0.0, 0.0), t, [0.4]) for t in (0.125, 0.375, 0.25, 0.0)]
     for traj, center, t, radii in cases:
         profile = density_ratio_profile(traj.grid, traj, center, t, radii)
-        assert profile.entries == per_radius_profile(traj, center, t, radii)
+        assert profile == per_radius_profile(traj, center, t, radii)
 
 
 def test_density_profile_flags_pure_phase_center(monkeypatch):
@@ -538,7 +538,7 @@ def test_density_profile_of_a_running_flow_equals_its_stored_trajectory():
     center, t, radii = (0.0, 0.0), 0.5 * cfg.t_end, [0.1, 0.15, 0.2, 0.25, 0.3]
     streamed = density_ratio_profile(g, solver.sampled(wave, cfg), center, t, radii)
     assert streamed == density_ratio_profile(g, stored, center, t, radii)
-    assert streamed.entries == per_radius_profile(stored, center, t, radii)
+    assert streamed == per_radius_profile(stored, center, t, radii)
 
 
 def test_last_sample_is_the_stored_trajectorys_last_frame():
@@ -1007,6 +1007,11 @@ _SHORT_CIRCLE_ERROR = ("t_end - dt = 0.011875 is not half a step (dt=0.000625) p
      ["params.kernel_lag=-1 must be positive"]),
     ([_with(None, **scenario_raw("no-cancellation", bump_radii=[0.0, 0.2]))],
      ["params.bump_radii must all be positive, got [0.0, 0.2]"]),
+    # sampled every 100 steps, the epsilon=0.04 flow keeps 2 samples, and the
+    # check would read its first frame three times; the epsilon=0.02 flow
+    # keeps 5
+    ([_with(None, **scenario_raw("no-cancellation")), _with("solver", sample_every=100)],
+     ["needs at least 4, but the epsilon=0.04 flow has 2"]),
 ])
 def test_cli_reports_every_config_error_at_load(tmp_path, capsys, mutations, expected):
     raw = raw_config()

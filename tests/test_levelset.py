@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from acflow import (
+    FrameBundle,
     Grid,
     GraphExtractionError,
     Hyperplane,
@@ -269,7 +270,7 @@ def test_partition_maximal_matches_pointwise_oracle(perturbed_traj_small):
     traj = perturbed_traj_small
     grid = traj.grid
     e = (0.0, 1.0)
-    tilt = np.stack([_tilt_integrand(f, e) for f in traj.frames])
+    tilt = np.stack([_tilt_integrand(FrameBundle(f), e) for f in traj.frames])
     n = grid.points
     # points on the studied layer (vertical index n/2) and away from it
     sample = [(i, (j, k)) for i in (0, len(traj) // 2, len(traj) - 1)
@@ -307,7 +308,7 @@ def test_maximal_field_and_partition_equal_their_stacked_forms(rough_flow):
     traj = evolve(*rough_flow)
     grid = traj.grid
     field = tilt_maximal_field(traj)
-    tilt = np.stack([_tilt_integrand(f, (0.0, 1.0)) for f in traj.frames])
+    tilt = np.stack([_tilt_integrand(FrameBundle(f), (0.0, 1.0)) for f in traj.frames])
     oracle = _per_radius_maximal(tilt, traj.times, grid, dyadic_radii(grid.extent, grid.spacing),
                                  power=grid.interface_dim + 2)
     assert np.array_equal(field.maximal, oracle)
@@ -441,7 +442,8 @@ def test_one_maximal_field_serves_every_threshold(perturbed_traj_small):
         assert shared.weak_l1_ratio == alone.weak_l1_ratio
     # the mass is the trapezoid time integral of each frame's tilt excess
     weights = trapezoid_weights(len(traj), traj.dt_sample)
-    per_frame = sum(w * tilt_excess(frame, (0.0, 1.0)) for w, frame in zip(weights, traj.frames))
+    per_frame = sum(w * tilt_excess(FrameBundle(frame), (0.0, 1.0))
+                    for w, frame in zip(weights, traj.frames))
     assert field.tilt_mass == pytest.approx(per_frame, rel=1e-12)
 
 
@@ -531,13 +533,13 @@ def test_excess_decay_fit_recovers_gentle_tilt():
     t0 = traj.times[2]
     report = excess_decay_ratio(traj, theta=0.25, scale=0.2, center_time=t0)
     true_normal = np.array([-slope, 1.0]) / np.hypot(slope, 1.0)
-    assert np.linalg.norm(np.asarray(report.normal) - true_normal) < 1e-3
+    assert np.linalg.norm(np.asarray(report.fitted_normal) - true_normal) < 1e-3
     # both excesses are the diagnostics' own height_excess, bit for bit; at
     # scale 0.3 a quadrature of its own would differ from it in round-off
     for scale in (0.2, 0.3):
         report = excess_decay_ratio(traj, theta=0.25, scale=scale, center_time=t0)
         flat = height_excess(traj, Hyperplane.vertical(2), ParabolicCylinder((0, 0), t0, scale))
-        fitted = height_excess(traj, Hyperplane(report.normal, report.offset),
+        fitted = height_excess(traj, Hyperplane(report.fitted_normal, report.fitted_offset),
                                ParabolicCylinder((0, 0), t0, 0.25 * scale))
         assert report.height_excess_unit == flat
         assert report.ratio == fitted / flat
