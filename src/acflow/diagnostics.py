@@ -249,14 +249,18 @@ def _gradient_terms(b: FrameBundle, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     is formed, and ``grad_sq`` is cached from that pass, bit for bit the
     stacked sum, which adds the squares in axis order.  Both sums are
     elementwise: a BLAS contraction leaves OpenBLAS's helper thread
-    spinning between the steps of a flow.
+    spinning between the steps of a flow.  A zero component of ``e`` adds
+    no term, so against the vertical no all-zero ``<grad u, e>`` is held
+    while the last partial is transformed; that can only turn a ``-0.0`` of
+    ``<grad u, e>`` into ``+0.0``, which its square does not see.
     """
     grid = b.field.grid
     gsq = ge = 0
     for ei, ik in zip(e, symbols(grid).ik):
         gi = from_spectrum(grid, ik * b.u_hat)
         gsq = gsq + gi * gi
-        ge = ge + ei * gi
+        if ei != 0.0:
+            ge = ge + ei * gi
         del gi  # freed before the next partial is transformed
     b.grad_sq = gsq
     return gsq, ge
@@ -268,12 +272,18 @@ def _tilt_integrand(bundle: FrameBundle, direction: Sequence[float]) -> np.ndarr
     e = e / np.linalg.norm(e)
     gsq, ge = _gradient_terms(bundle, e)
     gnorm = np.sqrt(gsq)
-    live = gnorm > GRADIENT_FLOOR * float(np.max(gnorm))
+    dead = ~(gnorm > GRADIENT_FLOOR * float(np.max(gnorm)))  # below the floor
+    # formed in the array of ge, so that a row holds no grid-sized array
+    # beyond |grad u|^2, ge and |grad u|
+    gnorm[dead] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos_sq = np.where(live, (ge / np.where(live, gnorm, 1.0)) ** 2, 0.0)
-    del gnorm, ge  # not held while the integrand is formed
-    integrand = (1.0 - cos_sq) * bundle.field.epsilon * gsq
-    return np.where(live, integrand, 0.0)
+        cos_sq = np.square(np.divide(ge, gnorm, out=ge), out=ge)
+    del gnorm
+    integrand = np.subtract(1.0, cos_sq, out=cos_sq)
+    integrand *= bundle.field.epsilon
+    integrand *= gsq
+    integrand[dead] = 0.0
+    return integrand
 
 
 def tilt_excess(bundle: FrameBundle, direction: Sequence[float]) -> float:

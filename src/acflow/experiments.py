@@ -714,8 +714,12 @@ def no_cancellation_check(frames: Iterable[ScalarField], count: int,
     ``|integral psi (alpha |grad u| - 2 dens)|``, over the mean of
     ``integral dens`` on those frames.  The frames are read in turn up to
     the last of the three, and only those three are kept: a flow's
-    :func:`solver.sampled` stops there.
+    :func:`solver.sampled` stops there.  A ``count`` below 4 has no three
+    distinct quarters, and is an error.
     """
+    if count < 4:
+        raise ValueError(f"the no-cancellation check reads the samples a quarter, a half and "
+                         f"three quarters along, so it needs count >= 4, got count={count}")
     k = count // 4
     quarters = (k, 2 * k, 3 * k)
     kept = {i: frame for i, frame in enumerate(islice(frames, 3 * k + 1)) if i in quarters}
@@ -1063,30 +1067,52 @@ def run_monotonicity_sweep(config: ExperimentConfig) -> ScenarioResult:
     )
 
 
+@dataclass(frozen=True)
+class _Replay:
+    """The samples of one flow, run again by :func:`solver.sampled` from
+    freshly built initial data on every pass, so that no frame is kept
+    between the passes."""
+
+    initial: Callable[[], ScalarField]
+    config: SolverConfig
+
+    def __iter__(self) -> Iterator[ScalarField]:
+        # a generator: the initial data is built when the first frame is taken
+        yield from solver_mod.sampled(self.initial(), self.config)
+
+
+def _partition_summaries(eps: float, rough: Flow, thresholds: Sequence[float],
+                         band: float) -> list[tuple[float, bool]]:
+    """Excess-decay's good/bad partition sweep on a rougher interface
+    (steeper modes), so that the maximal function exceeds the pinned
+    thresholds somewhere: the weak-L1 ratio at each threshold and whether
+    its bad set is non-empty.
+
+    The maximal field does not depend on the threshold, so it is built
+    once.  The rough flow is not stored: it is replayed for the tilt pass
+    and for each partition, and only the summaries outlive the call.
+    """
+    grid, cfg = rough
+    field = tilt_maximal_field(_Replay(partial(_multiscale_rough_initial, grid, eps), cfg))
+
+    def summary(threshold: float) -> tuple[float, bool]:
+        # only the two numbers outlive the call, so one partition's masks
+        # are never held while the next is computed
+        part = field.partition(threshold, band)
+        return part.weak_l1_ratio, bool(np.any(part.bad))
+
+    return [summary(threshold) for threshold in thresholds]
+
+
 def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     p = config.params
     theta, fit_scale, k1 = p["theta"], p["fit_scale"], p["k1"]
     mode, a_over_eps, tilt_over_eps = p["mode"], p["amplitude_over_epsilon"], p["tilt_over_epsilon"]
     flows = _flows(config)
-
-    # good/bad partition sweep on a rougher interface (steeper modes), so the
-    # maximal function actually exceeds the pinned thresholds somewhere.  It
-    # runs first, and only its summaries outlive it: the rough trajectory
-    # and its maximal field are freed before the main flows start.
-    thresholds, band = p["thresholds"], p["band"]
-    [(eps_mid, (g_rough, rough_cfg))] = _of_kind(flows, "rough").items()
-    # the maximal field does not depend on the threshold: build it once
-    rough_field = tilt_maximal_field(
-        solver_mod.evolve(_multiscale_rough_initial(g_rough, eps_mid), rough_cfg))
-
-    def partition_summary(threshold: float) -> tuple[float, bool]:
-        # only the two numbers outlive the call, so one partition's masks
-        # are never held while the next is computed
-        part = rough_field.partition(threshold, band)
-        return part.weak_l1_ratio, bool(np.any(part.bad))
-
-    summaries = [partition_summary(threshold) for threshold in thresholds]
-    del rough_field
+    # the partition sweep runs first, and only its summaries outlive it
+    thresholds = p["thresholds"]
+    [(eps_mid, rough)] = _of_kind(flows, "rough").items()
+    summaries = _partition_summaries(eps_mid, rough, thresholds, p["band"])
 
     weak_l1 = [ratio for ratio, _ in summaries]
     bad_nonempty = all(any_bad for _, any_bad in summaries)
@@ -1106,17 +1132,20 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     final_errors: dict[float, float] = {}
     graphs = {}
 
-    def recorded(eps: float, frames: Iterable[ScalarField]) -> Iterator[ScalarField]:
-        """The main flow's frames as they pass on to its graph, each
-        frame's row taken on the way and, of the finest flow, only the last
-        frame kept."""
+    def recorded(eps: float, frames: Iterable[ScalarField], count: int) -> Iterator[ScalarField]:
+        """The main flow's ``count`` frames as they pass on to its graph,
+        each frame's row taken on the way and, of the finest flow, only the
+        last frame kept.  No frame is held here while the flow steps to the
+        next: the row count is the frame's index, where an ``enumerate``
+        would keep its last frame in its result tuple."""
         nonlocal final_frame
         rows[eps] = []
         for frame in frames:
             rows[eps].append(diagnostics_record(frame))
-            if eps == finest:
+            if eps == finest and len(rows[eps]) == count:
                 final_frame = frame
             yield frame
+            del frame
 
     for eps in config.epsilons:
         g, cfg = flows["main", eps]
@@ -1124,7 +1153,7 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
         # the flow streams: no frame but the last outlives its row and its
         # graph columns
         frames = solver_mod.sampled(initial_field(replace(config, grid=g), eps), cfg)
-        graph = extract_graph(recorded(eps, frames), 0.0)
+        graph = extract_graph(recorded(eps, frames, solver_mod.sample_count(cfg)), 0.0)
         idx, weights = window_weights(graph.times, config.t_end / 5, config.t_end,
                                       cfg.dt * cfg.sample_every)
         sweep[eps] = {key: float(sum(w * getattr(rows[eps][i], key)

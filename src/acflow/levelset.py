@@ -7,7 +7,7 @@ search window contains exactly one crossing; otherwise it is masked, never
 filled.
 
 The good/bad partition takes two steps: the tilt maximal field, built once per
-trajectory (:func:`tilt_maximal_field`), then a cheap pass per threshold.
+flow (:func:`tilt_maximal_field`), then a cheap pass over the flow per threshold.
 """
 
 from __future__ import annotations
@@ -206,6 +206,9 @@ def extract_graph(frames: Iterable[ScalarField], level: float) -> LevelSetGraph:
         times.append(f.time)
         heights.append(h_col.reshape(base_shape))
         valid.append(ok.reshape(base_shape))
+        # a streamed frame and its window arrays are not held while the
+        # next frame is computed
+        del f, u, w, node_zero, sign_change
 
     if not np.any(valid):  # also when there was no frame
         raise GraphExtractionError(
@@ -276,10 +279,12 @@ class GoodBadPartition:
 
 @dataclass(frozen=True)
 class TiltMaximalField:
-    """The threshold-free half of the good/bad partition of one trajectory:
-    its tilt integrand's parabolic maximal function and space-time mass."""
+    """The threshold-free half of the good/bad partition of one flow: its
+    tilt integrand's parabolic maximal function and space-time mass.
+    ``frames`` are the flow's samples, which each partition reads again."""
 
-    traj: Trajectory
+    frames: Iterable[ScalarField]
+    grid: Grid
     maximal: np.ndarray  # (time, *space)
     tilt_mass: float
 
@@ -287,38 +292,50 @@ class TiltMaximalField:
         """The split at one threshold, as :func:`partition_good_bad`."""
         if threshold <= 0:
             raise ValueError("threshold must be positive")
-        traj = self.traj
         bad = self.maximal >= threshold
-        for k, f in enumerate(traj.frames):  # only the bad part of the layer region
-            bad[k] &= np.abs(f.values) < 1.0 - band
 
         # The Dirichlet density is recomputed here, one frame at a time,
         # rather than kept from the tilt pass: holding it for every frame
         # alongside the maximal field raises the peak memory.
-        eps = traj.epsilon
-        bad_mass = integrate_values(
-            traj.grid, traj.frames,
-            lambda k, frame: np.where(bad[k], eps * FrameBundle(frame).grad_sq, 0.0), [None])[0]
+        def bad_density(k: int, frame: ScalarField) -> np.ndarray:
+            bad[k] &= np.abs(frame.values) < 1.0 - band  # only the bad part of the layer region
+            return np.where(bad[k], frame.epsilon * FrameBundle(frame).grad_sq, 0.0)
+
+        bad_mass = integrate_values(self.grid, self.frames, bad_density, [None])[0]
         ratio = bad_mass * threshold / self.tilt_mass if self.tilt_mass > 0 else 0.0
         return GoodBadPartition(bad=bad, weak_l1_ratio=ratio)
 
 
-def tilt_maximal_field(traj: Trajectory) -> TiltMaximalField:
+def tilt_maximal_field(frames: Iterable[ScalarField]) -> TiltMaximalField:
     """The tilt integrand against the vertical: its mass and its
-    ``r^-(n+2)`` maximal function over the :func:`dyadic_radii`."""
-    grid = traj.grid
+    ``r^-(n+2)`` maximal function over the :func:`dyadic_radii`.
+
+    ``frames`` are the samples of one flow in time order, and they are read
+    once here and once by each :meth:`TiltMaximalField.partition`, one
+    frame at a time: a :class:`Trajectory`, or an object whose every
+    ``iter()`` runs the flow again, so that no frame is stored.  A one-shot
+    iterator is an error.
+    """
+    if iter(frames) is frames:
+        raise ValueError("tilt_maximal_field reads its frames once more for each partition; "
+                         "pass a Trajectory or a re-iterable replay, not an iterator")
+    grid = next((f.grid for f in frames), None)
+    if grid is None:
+        raise ValueError("no frames for the tilt maximal field")
     vertical = Hyperplane.vertical(grid.dim).normal
-    hats = []  # each frame's tilt integrand, transformed once for every radius
+    times, hats = [], []  # each frame's tilt integrand, transformed once for every radius
 
     def tilt_at(k: int, frame: ScalarField) -> np.ndarray:
         tilt = _tilt_integrand(FrameBundle(frame), vertical)
+        times.append(frame.time)
         hats.append(spectrum(grid, tilt))
         return tilt
 
-    tilt_mass = integrate_values(grid, traj.frames, tilt_at, [None])[0]
-    maximal = _maximal_field(hats, traj.times, grid, dyadic_radii(grid.extent, grid.spacing),
+    tilt_mass = integrate_values(grid, frames, tilt_at, [None])[0]
+    maximal = _maximal_field(hats, np.array(times), grid,
+                             dyadic_radii(grid.extent, grid.spacing),
                              power=grid.interface_dim + 2)
-    return TiltMaximalField(traj=traj, maximal=maximal, tilt_mass=tilt_mass)
+    return TiltMaximalField(frames=frames, grid=grid, maximal=maximal, tilt_mass=tilt_mass)
 
 
 def partition_good_bad(traj: Trajectory, threshold: float, band: float) -> GoodBadPartition:

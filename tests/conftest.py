@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -43,6 +44,34 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def released_stream(frames, keep_last: bool = False):
+    """Yield ``frames`` unchanged, and check that their consumer lets go of
+    each one before the next is made.
+
+    Once the next frame has been taken from ``frames`` (or the stream has
+    ended), the frame yielded before it, and its values array, must be
+    freed; otherwise an ``AssertionError`` naming that frame's time is
+    raised into the consumer.  With ``keep_last`` the last frame may
+    outlive the stream.  Only weak references are held here, and no frame
+    is held while the next one is taken, so a source that drops its own
+    reference, such as :func:`acflow.solver.sampled`, leaves the consumer
+    as the only holder.
+    """
+    source = iter(frames)
+    kept = None  # weak references to the last frame yielded and its values
+    while True:
+        frame = next(source, None)
+        if kept is not None and any(ref() is not None for ref in kept[1:]):
+            if frame is not None or not keep_last:
+                raise AssertionError(f"the frame at t={kept[0]:g} outlived the request "
+                                     "for the next one")
+        if frame is None:
+            return
+        kept = (frame.time, weakref.ref(frame), weakref.ref(frame.values))
+        yield frame
+        del frame
 
 
 def frames_at(grid: Grid, times) -> list[ScalarField]:

@@ -30,6 +30,8 @@ from acflow.experiments import (
     _concurrently,
     _flows,
     _last_sample,
+    _of_kind,
+    _partition_summaries,
     config_from_dict,
     default_config,
     density_ratio_profile,
@@ -47,7 +49,8 @@ from acflow.io import read_field
 from acflow.grid import window_weights
 from acflow.operators import ball_mask, gradient_values
 
-from conftest import circle_field, one_frame, standing_wave, traced_peak, zero_crossing_radius
+from conftest import (circle_field, one_frame, released_stream, standing_wave, traced_peak,
+                      zero_crossing_radius)
 
 
 BASE_RAW = {
@@ -590,11 +593,12 @@ def stored_no_cancellation(traj, bump_radii):
     return worst / (total_mass / len(frames))
 
 
-@pytest.mark.parametrize("steps, sample_every", [(40, 2), (2, 1)])
+@pytest.mark.parametrize("steps, sample_every", [(40, 2), (3, 1)])
 def test_no_cancellation_defect_of_a_running_flow_equals_its_stored_trajectory(steps,
                                                                               sample_every):
     # the quarter-point frames picked from solver.sampled as the flow runs
-    # are the stored trajectory's; with 3 samples all three are the first
+    # are the stored trajectory's; with 4 samples, the fewest the check
+    # reads, they are the second, the third and the last
     g = Grid(dim=2, extent=1.4, points=64)
     dt = 0.125 * 0.1**2
     cfg = SolverConfig(dt=dt, t_end=steps * dt, scheme="semi-implicit-cnab2",
@@ -606,6 +610,17 @@ def test_no_cancellation_defect_of_a_running_flow_equals_its_stored_trajectory(s
     streamed = no_cancellation_check(solver.sampled(initial, cfg), solver.sample_count(cfg), radii)
     assert streamed == no_cancellation_check(stored, len(stored), radii)
     assert streamed == stored_no_cancellation(stored, radii)
+
+
+def test_no_cancellation_check_rejects_fewer_than_four_samples():
+    # with 3 samples, a quarter of the count is 0 and the three quarter
+    # points would all be the prepared data
+    g = Grid(dim=2, extent=1.4, points=64)
+    dt = 0.125 * 0.1**2
+    cfg = SolverConfig(dt=dt, t_end=2 * dt, scheme="semi-implicit-cnab2")
+    assert solver.sample_count(cfg) == 3
+    with pytest.raises(ValueError, match="needs count >= 4, got count=3"):
+        no_cancellation_check(solver.sampled(circle_field(g, 0.1, 0.35), cfg), 3, [0.15])
 
 
 # --- scenario reports ---------------------------------------------------------
@@ -714,11 +729,13 @@ def test_excess_decay_holds_no_main_frame_past_its_row(monkeypatch):
     # peak is taken from the end of each main flow's preparation (whose own
     # transient peak is not counted) up to the first excess fit, so it
     # covers the finest main flow, its graph and the first fit flow.
-    # Measured: 12.9 frames of the finest (256^2) main grid, the working set
-    # of one step and one row (17.1 while a row formed the stacked
-    # gradient).  The same code holding the main flow's 11 samples peaked
-    # at 22.8 frames, and before the flows streamed the peak was 24.4
-    # frames, so the bound leaves a margin of 7.1 frames.
+    # Measured: 10.1 frames of the finest (256^2) main grid, the working set
+    # of one step and one row (12.9 while the flow held its latest sample
+    # and the graph its frame and window through the steps, 17.1 while a
+    # row formed the stacked gradient).  The same code holding the main
+    # flow's 11 samples peaked at 22.8 frames, and before the flows
+    # streamed the peak was 24.4 frames, so the bound leaves a margin of
+    # 9.9 frames.
     import tracemalloc
     import acflow.experiments as experiments
 
@@ -748,6 +765,46 @@ def test_excess_decay_holds_no_main_frame_past_its_row(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peaks[0] < 20 * frame_bytes, f"traced peak {peaks[0] / frame_bytes:.1f} frames"
+
+
+def test_excess_decay_main_flows_hold_no_sample_past_the_next(monkeypatch):
+    # Each main flow's sample gives its row and its graph columns and is
+    # freed before the flow steps on to the next sample; only the finest
+    # flow's last sample, the field written, outlives its stream.
+    config = config_from_dict(small_raw("excess-decay"))
+    finest = min(config.epsilons)
+    main = {flow: eps for eps, flow in _of_kind(_flows(config), "main").items()}
+    streamed, plain = [], solver.sampled
+
+    def checked(field, cfg):
+        eps = main.get((field.grid, cfg))
+        if eps is None:  # the fit and rough flows
+            return plain(field, cfg)
+        streamed.append(eps)
+        return released_stream(plain(field, cfg), keep_last=eps == finest)
+
+    monkeypatch.setattr(solver, "sampled", checked)
+    result = run_scenario(config)
+    assert sorted(streamed) == sorted(config.epsilons)
+    [final] = result.final_fields
+    assert (final.epsilon, final.time) == (finest, pytest.approx(config.t_end))
+
+
+def test_excess_decay_rough_phase_stores_no_rough_frame():
+    # The rough flow is replayed for the tilt pass and for each partition
+    # rather than stored.  What the phase holds is the maximal field's
+    # three stacks of the 11 rough frames (the tilt integrands' half
+    # spectra, one convolution buffer and the maximal field) and one
+    # step's and one row's working set: measured at 38.1-38.9 frames of
+    # the 256^2 rough grid.  The same phase on a stored trajectory
+    # (solver.evolve) peaked at 49.1-49.9 frames, so the bound leaves a
+    # margin of 5.1 frames either way.
+    config = config_from_dict(small_raw("excess-decay"))
+    [(eps, rough)] = _of_kind(_flows(config), "rough").items()
+    frame_bytes = 8 * rough[0].points ** rough[0].dim
+    p = config.params
+    peak = traced_peak(lambda: _partition_summaries(eps, rough, p["thresholds"], p["band"]))
+    assert peak < 44 * frame_bytes, f"traced peak {peak / frame_bytes:.1f} frames"
 
 
 def test_a_circle_with_no_live_step_past_the_burn_in_is_a_scenario_error(monkeypatch):

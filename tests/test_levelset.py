@@ -24,13 +24,14 @@ from acflow import (
     tilt_excess,
 )
 from acflow.diagnostics import _tilt_integrand
+from acflow.experiments import _Replay, default_config
 from acflow.grid import trapezoid_weights, window_weights
 from acflow.initial_data import graph_pair_distance, graph_profile, sine_mode
 from acflow.levelset import _maximal_field, dyadic_radii, tilt_maximal_field
 from acflow.operators import ball_mask, from_spectrum, integrate_values, spectrum
 from acflow.solver import sampled
 
-from conftest import frames_at, one_frame, standing_wave
+from conftest import frames_at, one_frame, released_stream, standing_wave
 
 
 # --- inverse-profile distance field ----------------------------------------
@@ -144,14 +145,52 @@ def rough_flow():
 
 
 def test_graph_of_a_stream_equals_the_graph_of_its_trajectory(rough_flow):
-    stored = extract_graph(evolve(*rough_flow), 0.0)
-    streamed = extract_graph(sampled(*rough_flow), 0.0)
+    initial, cfg = rough_flow
+    stored = extract_graph(evolve(initial, cfg), 0.0)
+    # each streamed frame is freed before the next is made; the initial
+    # field is a copy, so that nothing else holds the first frame
+    streamed = extract_graph(
+        released_stream(sampled(initial.with_values(initial.values.copy()), cfg)), 0.0)
     assert len(stored.times) == 11
     for name in ("times", "heights", "valid"):
         assert np.array_equal(getattr(streamed, name), getattr(stored, name)), name
         assert getattr(streamed, name).dtype == getattr(stored, name).dtype
     assert (streamed.base_extent, streamed.base_spacing) == (stored.base_extent,
                                                              stored.base_spacing)
+
+
+def fresh_frames(grid, count):
+    """Frames made one at a time, each with its own values, that nothing
+    but their consumer holds."""
+    return (ScalarField(grid=grid, values=np.full(grid.shape, float(t)), epsilon=0.1,
+                        time=float(t)) for t in range(count))
+
+
+def test_released_stream_catches_a_consumer_that_keeps_its_previous_frame():
+    g = Grid(dim=1, extent=1.0, points=8)
+    for frame in released_stream(fresh_frames(g, 3)):
+        del frame  # let go before the next is asked for
+    kept = []
+    with pytest.raises(AssertionError, match="the frame at t=0 outlived"):
+        for frame in released_stream(fresh_frames(g, 3)):
+            kept.append(frame.values)  # the values alone keep the frame's memory
+            del frame
+    # a plain loop holds its variable while the next frame is made
+    with pytest.raises(AssertionError, match="the frame at t=0 outlived"):
+        for frame in released_stream(fresh_frames(g, 3)):
+            pass
+    # the last frame is checked when the stream ends, unless it may be kept
+    last = []
+    with pytest.raises(AssertionError, match="the frame at t=2 outlived"):
+        for frame in released_stream(fresh_frames(g, 3)):
+            if frame.time == 2.0:
+                last.append(frame)
+            del frame
+    for frame in released_stream(fresh_frames(g, 3), keep_last=True):
+        if frame.time == 2.0:
+            last.append(frame)
+        del frame
+    assert [f.time for f in last] == [2.0, 2.0]
 
 
 def test_graph_extraction_rejects_a_frame_on_a_second_grid(wave_2d):
@@ -318,6 +357,35 @@ def test_maximal_field_and_partition_equal_their_stacked_forms(rough_flow):
         bad = field.partition(float(threshold), band=0.05).bad
         assert np.any(bad)
         assert np.array_equal(bad, layer & (field.maximal >= threshold))
+
+
+def test_a_replayed_flow_gives_the_maximal_field_and_partitions_of_its_trajectory(rough_flow):
+    initial, cfg = rough_flow
+    runs = []
+
+    def rebuilt():
+        runs.append(1)
+        return initial.with_values(initial.values.copy())
+
+    stored = tilt_maximal_field(evolve(initial, cfg))
+    replayed = tilt_maximal_field(_Replay(rebuilt, cfg))
+    assert np.array_equal(replayed.maximal, stored.maximal)
+    assert replayed.tilt_mass == stored.tilt_mass
+    thresholds = default_config("excess-decay").params["thresholds"]
+    any_bad = []
+    for threshold in thresholds:
+        a, b = replayed.partition(threshold, 0.05), stored.partition(threshold, 0.05)
+        assert a.weak_l1_ratio == b.weak_l1_ratio
+        assert np.array_equal(a.bad, b.bad)
+        any_bad.append(bool(np.any(a.bad)))
+    assert any(any_bad)
+    # the grid from a first frame, the tilt pass and one pass per partition
+    assert len(runs) == 2 + len(thresholds)
+
+
+def test_tilt_maximal_field_rejects_a_one_shot_stream(rough_flow):
+    with pytest.raises(ValueError, match="not an iterator"):
+        tilt_maximal_field(sampled(*rough_flow))
 
 
 def test_tilt_maximal_field_transforms_each_frame_once(perturbed_traj_small, monkeypatch):
