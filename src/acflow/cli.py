@@ -94,8 +94,7 @@ def cmd_experiment(args) -> int:
     config = _resolve_config(args)
     result = run_scenario(config, out_dir=args.out)
     for c in result.checks:
-        status = "PASS" if c.passed else "FAIL"
-        print(f"[{status}] {c.name}: value={c.value:.6g} {c.comparison} {c.tolerance:.6g}")
+        print(f"[{'PASS' if c.passed else 'FAIL'}] {c}")
     print(f"scenario {result.scenario}: {'PASS' if result.passed else 'FAIL'}")
     return 0 if result.passed else 1
 

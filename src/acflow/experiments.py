@@ -548,11 +548,16 @@ class CheckResult:
     comparison: str  # a key of _COMPARISONS
     passed: bool
 
+    def __str__(self) -> str:
+        """The check as ``acflow experiment`` and the acceptance gate print it."""
+        return f"{self.name}: value={self.value:.6g} {self.comparison} {self.tolerance:.6g}"
 
-_COMPARISONS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
+
+_COMPARISONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
 
 
 def check(name: str, claim: str, value: float, tolerance: float, comparison: str = "<=") -> CheckResult:
+    """The verdict on ``value <comparison> tolerance``, the one way to a CheckResult."""
     compare = _COMPARISONS.get(comparison)
     if compare is None:
         raise ValueError(f"unknown comparison {comparison!r}")
@@ -560,12 +565,17 @@ def check(name: str, claim: str, value: float, tolerance: float, comparison: str
                        comparison=comparison, passed=bool(compare(value, tolerance)))
 
 
-def monotone_check(name: str, claim: str, values: Sequence[float]) -> CheckResult:
-    """Pass when the sequence strictly decreases; value is the worst step ratio."""
+def _worst_step_ratio(values: Sequence[float]) -> float:
+    """The largest ratio of a value to the one before it (``inf`` after a non-positive
+    value, 0 with no step): below 1 when the values strictly decrease."""
     ratios = [b / a if a > 0 else math.inf for a, b in zip(values, values[1:])]
-    worst = max(ratios) if ratios else 0.0
-    return CheckResult(name=name, claim=claim, value=float(worst), tolerance=1.0,
-                       comparison="<=", passed=bool(worst < 1.0))
+    return max(ratios) if ratios else 0.0
+
+
+def _spread(values: Sequence[float]) -> float:
+    """``max / min`` of values that are all positive, else ``inf``: how far
+    apart a quantity measured at several resolutions lies."""
+    return max(values) / min(values) if all(v > 0 for v in values) else math.inf
 
 
 @dataclass
@@ -1090,18 +1100,13 @@ def _partition_summaries(eps: float, rough: Flow, thresholds: Sequence[float],
 
     The maximal field does not depend on the threshold, so it is built
     once.  The rough flow is not stored: it is replayed for the tilt pass
-    and for each partition, and only the summaries outlive the call.
+    and once more for the partitions at every threshold, and only the
+    summaries outlive the call.
     """
     grid, cfg = rough
     field = tilt_maximal_field(_Replay(partial(_multiscale_rough_initial, grid, eps), cfg))
-
-    def summary(threshold: float) -> tuple[float, bool]:
-        # only the two numbers outlive the call, so one partition's masks
-        # are never held while the next is computed
-        part = field.partition(threshold, band)
-        return part.weak_l1_ratio, bool(np.any(part.bad))
-
-    return [summary(threshold) for threshold in thresholds]
+    return [(part.weak_l1_ratio, bool(np.any(part.bad)))
+            for part in field.partitions(thresholds, band)]
 
 
 def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
@@ -1114,12 +1119,9 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     [(eps_mid, rough)] = _of_kind(flows, "rough").items()
     summaries = _partition_summaries(eps_mid, rough, thresholds, p["band"])
 
-    weak_l1 = [ratio for ratio, _ in summaries]
-    bad_nonempty = all(any_bad for _, any_bad in summaries)
-    positive = [v for v in weak_l1 if v > 0]
-    weak_l1_stability = (max(positive) / min(positive)) if positive else math.inf
-    if not bad_nonempty:
-        weak_l1_stability = math.inf
+    weak_l1, any_bad = zip(*summaries)
+    # a threshold whose bad set is empty measures no constant
+    weak_l1_stability = _spread(weak_l1) if all(any_bad) else math.inf
 
     # the epsilon sweep integrates each frame's diagnostics row over the
     # window (t_end/5, t_end); the rows cover the whole box, where the flat
@@ -1190,18 +1192,17 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
 
     # largest epsilon first
     reports = {eps: fit_report(eps, *flow) for eps, flow in _of_kind(flows, "fit").items()}
-    tilt_constants = [r.tilt_constant for r in reports.values()]
-    c_stable = max(tilt_constants) / min(tilt_constants) if min(tilt_constants) > 0 else math.inf
+    c_stable = _spread([r.tilt_constant for r in reports.values()])
     # conditional contraction: enforced only when the repulsion gate is open
     gate_violations = float(sum(r.passes(k1) is False for r in reports.values()))
 
     epsilon_mid = 0.02 if 0.02 in final_errors else eps_sorted[-1]
     checks = [
-        monotone_check("tilt_excess_sweep", "excess-vanishing", tilt_seq),
-        monotone_check("discrepancy_sweep", "excess-vanishing", xi_seq),
-        monotone_check("willmore_sweep", "excess-vanishing", wil_seq),
+        check("tilt_excess_sweep", "excess-vanishing", _worst_step_ratio(tilt_seq), 1.0, "<"),
+        check("discrepancy_sweep", "excess-vanishing", _worst_step_ratio(xi_seq), 1.0, "<"),
+        check("willmore_sweep", "excess-vanishing", _worst_step_ratio(wil_seq), 1.0, "<"),
         check("heat_error_mid_epsilon", "heat-flow-blowup", final_errors[epsilon_mid], 0.05),
-        monotone_check("heat_error_sweep", "heat-flow-blowup", heat_seq),
+        check("heat_error_sweep", "heat-flow-blowup", _worst_step_ratio(heat_seq), 1.0, "<"),
         check("tilt_constant_stability", "excess-decay-fit", c_stable, 2.0),
         check("excess_decay_gate", "excess-decay-contraction", gate_violations, 0.0),
         check("weak_l1_stability", "maximal-function-weak-l1", weak_l1_stability, 2.0),
@@ -1234,7 +1235,7 @@ def run_no_cancellation(config: ExperimentConfig) -> ScenarioResult:
     seq = list(defects.values())  # largest epsilon first
     checks = [
         check("weak_star_defect", "no-cancellation", seq[-1], 0.03),
-        monotone_check("weak_star_defect_sweep", "no-cancellation", seq),
+        check("weak_star_defect_sweep", "no-cancellation", _worst_step_ratio(seq), 1.0, "<"),
     ]
     payload = {"defects": {repr(e): d for e, d in defects.items()}}
     return ScenarioResult(
@@ -1296,10 +1297,6 @@ def run_inequality_ratios(config: ExperimentConfig) -> ScenarioResult:
     cacc_a, sob_a = tilted_ratios(n_points, eps)
     cacc_b, sob_b = tilted_ratios(refine_points, eps)
 
-    def stability(vals: Sequence[float]) -> float:
-        vals = [v for v in vals if v > 0]
-        return max(vals) / min(vals) if vals else 1.0
-
     # Epsilon stability is measured on the circle: there the geometric
     # signal (curvature) is epsilon-independent, whereas on a flat tilted
     # sheet both quantities converge to zero with the layer width and a
@@ -1322,11 +1319,11 @@ def run_inequality_ratios(config: ExperimentConfig) -> ScenarioResult:
 
     checks = [
         check("caccioppoli_grid_stability", "tilt-discrepancy-bound",
-              stability([cacc_a, cacc_b]), 2.0),
+              _spread([cacc_a, cacc_b]), 2.0),
         check("caccioppoli_circle_stability", "tilt-discrepancy-bound",
-              stability(circle_cacc), 2.0),
-        check("sobolev_grid_stability", "flat-energy-bound", stability([sob_a, sob_b]), 2.0),
-        check("sobolev_circle_stability", "flat-energy-bound", stability(circle_sob), 2.0),
+              _spread(circle_cacc), 2.0),
+        check("sobolev_grid_stability", "flat-energy-bound", _spread([sob_a, sob_b]), 2.0),
+        check("sobolev_circle_stability", "flat-energy-bound", _spread(circle_sob), 2.0),
         check("stress_energy_rate_1", "stress-energy-divergence", rate1, 0.25),
         check("stress_energy_rate_2", "stress-energy-divergence", rate2, 0.25),
     ]

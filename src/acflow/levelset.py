@@ -7,7 +7,7 @@ search window contains exactly one crossing; otherwise it is masked, never
 filled.
 
 The good/bad partition takes two steps: the tilt maximal field, built once per
-flow (:func:`tilt_maximal_field`), then a cheap pass over the flow per threshold.
+flow (:func:`tilt_maximal_field`), then one pass over the flow for all thresholds.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import numpy as np
 
 from .diagnostics import FrameBundle, Hyperplane, _tilt_integrand, height_excess
 from .grid import Grid, ParabolicCylinder, ScalarField, Trajectory, window_weights
-from .operators import ball_mask, from_spectrum, integrate_values, spectrum, symbols, within_radius
+from .operators import (_time_integral, ball_mask, from_spectrum, integrate_values, spectrum,
+                        symbols, within_radius)
 from .solver import CLAMP
 
 __all__ = [
@@ -281,29 +282,35 @@ class GoodBadPartition:
 class TiltMaximalField:
     """The threshold-free half of the good/bad partition of one flow: its
     tilt integrand's parabolic maximal function and space-time mass.
-    ``frames`` are the flow's samples, which each partition reads again."""
+    ``frames`` are the flow's samples, which :meth:`partitions` reads again."""
 
     frames: Iterable[ScalarField]
     grid: Grid
     maximal: np.ndarray  # (time, *space)
     tilt_mass: float
 
-    def partition(self, threshold: float, band: float) -> GoodBadPartition:
-        """The split at one threshold, as :func:`partition_good_bad`."""
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
-        bad = self.maximal >= threshold
-
-        # The Dirichlet density is recomputed here, one frame at a time,
-        # rather than kept from the tilt pass: holding it for every frame
-        # alongside the maximal field raises the peak memory.
-        def bad_density(k: int, frame: ScalarField) -> np.ndarray:
-            bad[k] &= np.abs(frame.values) < 1.0 - band  # only the bad part of the layer region
-            return np.where(bad[k], frame.epsilon * FrameBundle(frame).grad_sq, 0.0)
-
-        bad_mass = integrate_values(self.grid, self.frames, bad_density, [None])[0]
-        ratio = bad_mass * threshold / self.tilt_mass if self.tilt_mass > 0 else 0.0
-        return GoodBadPartition(bad=bad, weak_l1_ratio=ratio)
+    def partitions(self, thresholds: Sequence[float], band: float) -> list[GoodBadPartition]:
+        """The split at each threshold, as :func:`partition_good_bad`, from
+        one pass over the frames.  Each frame's Dirichlet density is computed
+        once for every threshold; it is not kept from the tilt pass, where
+        holding it for every frame beside the maximal field raises the peak."""
+        if not all(t > 0 for t in thresholds):
+            raise ValueError("thresholds must be positive")
+        bads = [self.maximal >= t for t in thresholds]
+        times, sums = [], [[] for _ in thresholds]  # per threshold: each frame's bad mass
+        for k, frame in enumerate(self.frames):
+            times.append(frame.time)
+            layer = np.abs(frame.values) < 1.0 - band  # only the bad part of the layer region
+            density = frame.epsilon * FrameBundle(frame).grad_sq
+            for bad, masses in zip(bads, sums):
+                bad[k] &= layer
+                masses.append(float(np.sum(np.where(bad[k], density, 0.0)) * self.grid.cell_volume))
+        parts = []
+        for threshold, bad, masses in zip(thresholds, bads, sums):
+            bad_mass = _time_integral(times, masses)
+            ratio = bad_mass * threshold / self.tilt_mass if self.tilt_mass > 0 else 0.0
+            parts.append(GoodBadPartition(bad=bad, weak_l1_ratio=ratio))
+        return parts
 
 
 def tilt_maximal_field(frames: Iterable[ScalarField]) -> TiltMaximalField:
@@ -311,13 +318,13 @@ def tilt_maximal_field(frames: Iterable[ScalarField]) -> TiltMaximalField:
     ``r^-(n+2)`` maximal function over the :func:`dyadic_radii`.
 
     ``frames`` are the samples of one flow in time order, and they are read
-    once here and once by each :meth:`TiltMaximalField.partition`, one
+    once here and once more by :meth:`TiltMaximalField.partitions`, one
     frame at a time: a :class:`Trajectory`, or an object whose every
     ``iter()`` runs the flow again, so that no frame is stored.  A one-shot
     iterator is an error.
     """
     if iter(frames) is frames:
-        raise ValueError("tilt_maximal_field reads its frames once more for each partition; "
+        raise ValueError("tilt_maximal_field reads its frames once more for the partitions; "
                          "pass a Trajectory or a re-iterable replay, not an iterator")
     grid = next((f.grid for f in frames), None)
     if grid is None:
@@ -342,10 +349,10 @@ def partition_good_bad(traj: Trajectory, threshold: float, band: float) -> GoodB
     """Good/bad split of ``{|u| < 1 - band}`` by the parabolic maximal
     function of the tilt integrand, plus the measured weak-L1 constant
     ``(bad-set Dirichlet mass) * threshold / (total tilt mass)``; the good
-    set is the rest of the layer region.  For several thresholds, build
-    :func:`tilt_maximal_field` once instead.
+    set is the rest of the layer region.  For several thresholds, take
+    :meth:`TiltMaximalField.partitions` of one :func:`tilt_maximal_field`.
     """
-    return tilt_maximal_field(traj).partition(threshold, band)
+    return tilt_maximal_field(traj).partitions([threshold], band)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ flows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -196,10 +196,14 @@ def integrate_values(
                 sums[k] = float(np.sum(values[mask]) * grid.cell_volume)
     if not times:
         raise ValueError("no samples to integrate")
+    return [_time_integral(times, sums, window) for (_, window), sums in zip(rules, spatial)]
+
+
+def _time_integral(times: Sequence[float], sums: Mapping[int, float] | Sequence[float],
+                   window: tuple[float, float] | None = None) -> float:
+    """The :func:`acflow.grid.window_weights` integral of per-sample ``sums`` over ``window``
+    (None: every sample); a single sample gives its own sum (no time measure)."""
     dt = times[1] - times[0] if len(times) > 1 else np.inf
-    masses = []
-    for (_, window), sums in zip(rules, spatial):
-        idx, weights = window_weights(times, *(window or (times[0], times[-1])), dt)
-        inside = np.array([sums[k] for k in idx.tolist()])
-        masses.append(float(inside[0] if len(times) == 1 else np.sum(inside * weights)))
-    return masses
+    idx, weights = window_weights(times, *(window or (times[0], times[-1])), dt)
+    inside = np.array([sums[k] for k in idx.tolist()])
+    return float(inside[0] if len(times) == 1 else np.sum(inside * weights))

@@ -26,12 +26,16 @@ from acflow.experiments import (
     ConfigError,
     ExperimentConfig,
     ScenarioError,
+    ScenarioResult,
     _DEFAULTS,
     _concurrently,
     _flows,
     _last_sample,
     _of_kind,
     _partition_summaries,
+    _spread,
+    _worst_step_ratio,
+    check,
     config_from_dict,
     default_config,
     density_ratio_profile,
@@ -791,8 +795,8 @@ def test_excess_decay_main_flows_hold_no_sample_past_the_next(monkeypatch):
 
 
 def test_excess_decay_rough_phase_stores_no_rough_frame():
-    # The rough flow is replayed for the tilt pass and for each partition
-    # rather than stored.  What the phase holds is the maximal field's
+    # The rough flow is replayed for the tilt pass and once more for the
+    # partitions rather than stored.  What the phase holds is the maximal field's
     # three stacks of the 11 rough frames (the tilt integrands' half
     # spectra, one convolution buffer and the maximal field) and one
     # step's and one row's working set: measured at 38.1-38.9 frames of
@@ -834,6 +838,29 @@ def test_cli_reports_a_failed_run_as_one_error_line(tmp_path, capsys, monkeypatc
     assert code == 2
     assert err == f"error: {error}\n"
     assert not (tmp_path / "exp").exists()
+
+
+def test_a_value_at_its_tolerance_fails_an_open_check_as_a_non_positive_spread_does():
+    assert check("c", "claim", 1.0, 1.0, "<=").passed and check("c", "claim", 1.0, 1.0, ">=").passed
+    assert not check("c", "claim", 1.0, 1.0, "<").passed
+    assert not check("c", "claim", 1.0, 1.0, ">").passed
+    # a spread with a non-positive value is infinite, and fails
+    assert _spread([0.5, 0.0, 1.0]) == _spread([-1.0, -2.0]) == math.inf
+    assert not check("s", "claim", _spread([0.0, 1.0]), 2.0).passed
+    assert (_spread([0.7]), _spread([0.5, 1.0, 0.75])) == (1.0, 2.0)
+
+
+def test_a_constant_sweep_fails_and_prints_its_open_comparison(capsys, monkeypatch):
+    import acflow.experiments as experiments
+
+    assert _worst_step_ratio([0.5, 0.5, 0.5]) == 1.0
+    assert (_worst_step_ratio([0.5, 0.25]), _worst_step_ratio([0.0, 0.5])) == (0.5, math.inf)
+    sweep = check("tilt_excess_sweep", "excess-vanishing", _worst_step_ratio([0.5, 0.5]), 1.0, "<")
+    monkeypatch.setitem(experiments._RUNNERS, "excess-decay", lambda config: ScenarioResult(
+        scenario=config.scenario, config=config, checks=[sweep], records=[], payload={}))
+    assert cli_main(["experiment", "excess-decay"]) == 1
+    assert capsys.readouterr().out == ("[FAIL] tilt_excess_sweep: value=1 < 1\n"
+                                       "scenario excess-decay: FAIL\n")
 
 
 def test_concurrently_returns_results_in_submission_order(monkeypatch):

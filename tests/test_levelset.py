@@ -353,10 +353,10 @@ def test_maximal_field_and_partition_equal_their_stacked_forms(rough_flow):
     assert np.array_equal(field.maximal, oracle)
     # the bad set as it was taken from the stacked layer mask of every frame
     layer = np.abs(np.stack([f.values for f in traj.frames])) < 1.0 - 0.05
-    for threshold in np.quantile(field.maximal[layer], [0.5, 0.9, 0.99]):
-        bad = field.partition(float(threshold), band=0.05).bad
-        assert np.any(bad)
-        assert np.array_equal(bad, layer & (field.maximal >= threshold))
+    thresholds = np.quantile(field.maximal[layer], [0.5, 0.9, 0.99]).tolist()
+    for threshold, part in zip(thresholds, field.partitions(thresholds, band=0.05)):
+        assert np.any(part.bad)
+        assert np.array_equal(part.bad, layer & (field.maximal >= threshold))
 
 
 def test_a_replayed_flow_gives_the_maximal_field_and_partitions_of_its_trajectory(rough_flow):
@@ -373,14 +373,13 @@ def test_a_replayed_flow_gives_the_maximal_field_and_partitions_of_its_trajector
     assert replayed.tilt_mass == stored.tilt_mass
     thresholds = default_config("excess-decay").params["thresholds"]
     any_bad = []
-    for threshold in thresholds:
-        a, b = replayed.partition(threshold, 0.05), stored.partition(threshold, 0.05)
+    for a, b in zip(replayed.partitions(thresholds, 0.05), stored.partitions(thresholds, 0.05)):
         assert a.weak_l1_ratio == b.weak_l1_ratio
         assert np.array_equal(a.bad, b.bad)
         any_bad.append(bool(np.any(a.bad)))
-    assert any(any_bad)
-    # the grid from a first frame, the tilt pass and one pass per partition
-    assert len(runs) == 2 + len(thresholds)
+    assert len(any_bad) == len(thresholds) and any(any_bad)
+    # the grid from a first frame, the tilt pass and one pass for every threshold
+    assert len(runs) == 3
 
 
 def test_tilt_maximal_field_rejects_a_one_shot_stream(rough_flow):
@@ -503,8 +502,8 @@ def test_partition_bad_set_empty_at_huge_threshold(perturbed_traj_small):
 def test_one_maximal_field_serves_every_threshold(perturbed_traj_small):
     traj = perturbed_traj_small
     field = tilt_maximal_field(traj)
-    for threshold in (3e-4, 1e-3, 3e-3):
-        shared = field.partition(threshold, band=0.05)
+    thresholds = (3e-4, 1e-3, 3e-3)
+    for threshold, shared in zip(thresholds, field.partitions(thresholds, band=0.05)):
         alone = partition_good_bad(traj, threshold, band=0.05)
         assert np.array_equal(shared.bad, alone.bad)
         assert shared.weak_l1_ratio == alone.weak_l1_ratio

@@ -6,9 +6,14 @@ A report is the fields of its dataclass, written by ``dataclasses.asdict``
 slice's :class:`~acflow.diagnostics.FrameBundle`, so no annotation admits
 the union ``ScalarField | FrameBundle`` (in either order, as ``|`` or as
 ``Union[...]``).
+
+A verdict has one form too: only ``experiments.check`` builds a
+``CheckResult``, and no string of ``tests/test_acceptance.py`` restates a
+tolerance as a comparison with a number (``<= 0.35``, ``< 1``).
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,13 +63,14 @@ def second_forms(tree: ast.Module, where: str) -> list[str]:
     return found
 
 
-def package_second_forms(package: Path = ROOT / "src" / "acflow") -> list[str]:
+def package_hits(find, package: Path = ROOT / "src" / "acflow") -> list[str]:
+    """What ``find(tree, file name)`` finds in every module of ``package``."""
     return [hit for path in sorted(package.glob("*.py"))
-            for hit in second_forms(ast.parse(path.read_text(encoding="utf-8")), path.name)]
+            for hit in find(ast.parse(path.read_text(encoding="utf-8")), path.name)]
 
 
 def test_no_module_keeps_a_second_form():
-    found = package_second_forms()
+    found = package_hits(second_forms)
     assert not found, "a value with a second form: " + "; ".join(found)
 
 
@@ -84,3 +90,57 @@ def test_each_second_form_is_caught():
     assert {hit.split(" ", 1)[0] for hit in found} == {
         "m.py:2", "m.py:4", "m.py:6", "m.py:8", "m.py:10", "m.py:12"}
     assert len(found) == 6
+
+
+def built_verdicts(tree: ast.Module, where: str) -> list[str]:
+    """``where:line`` of every ``CheckResult(...)`` call outside ``experiments.check``."""
+    allowed = {id(node) for f in tree.body if isinstance(f, ast.FunctionDef)
+               and (where, f.name) == ("experiments.py", "check") for node in ast.walk(f)}
+    return [f"{where}:{node.lineno} builds a CheckResult" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in allowed
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CheckResult"]
+
+
+def test_only_check_builds_a_verdict():
+    found = package_hits(built_verdicts)
+    assert not found, "a second path to a verdict: " + "; ".join(found)
+
+
+def test_each_second_verdict_path_is_caught():
+    source = ("def check(name):\n    return CheckResult(name=name)\n"
+              "def monotone_check(name):\n    return CheckResult(name)\n"
+              "def outer():\n    def check():\n        return experiments.CheckResult()\n"
+              "made = CheckResult()\n")
+    found = built_verdicts(ast.parse(source), "experiments.py")
+    assert {hit.split(" ", 1)[0] for hit in found} == {
+        "experiments.py:4", "experiments.py:7", "experiments.py:8"}
+    assert len(built_verdicts(ast.parse(source), "cli.py")) == 4  # no check elsewhere
+
+
+_STATED_TOLERANCE = re.compile(r"(<=|>=|<|>)\s*[-+]?\.?\d")  # a comparison with a number
+
+
+def stated_tolerances(tree: ast.Module, where: str) -> list[str]:
+    """``where:line`` and the string, for every string constant that states
+    a comparison with a number; a format spec such as ``{n:>2}`` is not one."""
+    specs = {id(node) for f in ast.walk(tree) if isinstance(f, ast.FormattedValue)
+             and f.format_spec is not None for node in ast.walk(f.format_spec)}
+    return [f"{where}:{node.lineno} states {node.value!r}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in specs and _STATED_TOLERANCE.search(node.value)]
+
+
+def test_the_acceptance_gate_states_no_tolerance():
+    path = ROOT / "tests" / "test_acceptance.py"
+    found = stated_tolerances(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    assert not found, "a tolerance the gate restates: " + "; ".join(found)
+
+
+def test_each_stated_tolerance_is_caught():
+    source = ('f"defect ratio under dt halving = {c.value:.3f} <= 0.35"\n'
+              'f"tensor form {t.value:.2%}, both <= 1%"\n"circle min ratio >=1"\n'
+              'f"sweep ratio {s.value:.3f} < 1"\nf"ACCEPTANCE {number:>2} {title}: {ok}"\n'
+              '"pick <n> of the x < y rows"\n')
+    found = stated_tolerances(ast.parse(source), "m.py")
+    assert {hit.split(" ", 1)[0] for hit in found} == {"m.py:1", "m.py:2", "m.py:3", "m.py:4"}
+    assert len(found) == 4
