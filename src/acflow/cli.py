@@ -25,7 +25,7 @@ from .experiments import (
     load_config,
     run_scenario,
 )
-from .io import read_field, write_diagnostics_csv, write_field
+from .io import FieldFileError, read_field, write_diagnostics_csv, write_field
 from .levelset import GraphExtractionError
 from .solver import FlowDivergedError, InterfaceDataError, SolverConfigError, sampled
 from . import experiments
@@ -131,12 +131,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # checked before any flow runs; the directory itself is made only once a
+    # run has succeeded, so a failed run leaves no output
+    if args.out is not None:
+        existing = next(p for p in (args.out, *args.out.parents) if p.exists())
+        if not existing.is_dir():
+            print(f"error: --out {args.out}: {existing} is not a directory", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except (ConfigError, SolverConfigError, InterfaceDataError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (FlowDivergedError, GraphExtractionError, ScenarioError) as exc:
+    except (FlowDivergedError, GraphExtractionError, ScenarioError, FieldFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

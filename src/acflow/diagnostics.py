@@ -302,7 +302,7 @@ def height_excess(traj: Trajectory, plane: Hyperplane, region: ParabolicCylinder
     grid = traj.grid
     h = plane.signed_height(grid, region.center_space)
 
-    def density_at(k: int, frame: ScalarField) -> np.ndarray:
+    def density_at(frame: ScalarField) -> np.ndarray:
         return h * h * frame.epsilon * FrameBundle(frame).grad_sq
 
     raw = integrate_values(grid, traj.frames, density_at, [region])[0]

@@ -42,8 +42,8 @@ from .levelset import (
     distance_gradient_max,
     excess_decay_ratio,
     extract_graph,
+    good_bad_partitions,
     heat_compare,
-    tilt_maximal_field,
 )
 from .monotonicity import KernelPoint, monotonicity_terms
 from .operators import integrate_values
@@ -456,8 +456,15 @@ def _interface_margin(config: ExperimentConfig) -> float:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return _build_config(json.load(fh))
+    """The config of a JSON file; a file that cannot be read or parsed
+    raises :class:`ConfigError`, as an invalid config does."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config {path}: {reason}") from None
+    return _build_config(raw)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -711,7 +718,7 @@ def density_ratio_profile(
     regions = [ParabolicCylinder(center_space=tuple(center_space), center_time=center_time,
                                  radius=r) for r in radii]
     masses = integrate_values(grid, frames,
-                              lambda k, frame: FrameBundle(frame).energy_density, regions)
+                              lambda frame: FrameBundle(frame).energy_density, regions)
     return tuple((float(r), mass / r ** (n + 2)) for r, mass in zip(radii, masses))
 
 
@@ -1091,37 +1098,23 @@ class _Replay:
         yield from solver_mod.sampled(self.initial(), self.config)
 
 
-def _partition_summaries(eps: float, rough: Flow, thresholds: Sequence[float],
-                         band: float) -> list[tuple[float, bool]]:
-    """Excess-decay's good/bad partition sweep on a rougher interface
-    (steeper modes), so that the maximal function exceeds the pinned
-    thresholds somewhere: the weak-L1 ratio at each threshold and whether
-    its bad set is non-empty.
-
-    The maximal field does not depend on the threshold, so it is built
-    once.  The rough flow is not stored: it is replayed for the tilt pass
-    and once more for the partitions at every threshold, and only the
-    summaries outlive the call.
-    """
-    grid, cfg = rough
-    field = tilt_maximal_field(_Replay(partial(_multiscale_rough_initial, grid, eps), cfg))
-    return [(part.weak_l1_ratio, bool(np.any(part.bad)))
-            for part in field.partitions(thresholds, band)]
-
-
 def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     p = config.params
     theta, fit_scale, k1 = p["theta"], p["fit_scale"], p["k1"]
     mode, a_over_eps, tilt_over_eps = p["mode"], p["amplitude_over_epsilon"], p["tilt_over_epsilon"]
     flows = _flows(config)
-    # the partition sweep runs first, and only its summaries outlive it
+    # the partition sweep runs first, on a rougher interface (steeper modes)
+    # so that the maximal function exceeds the pinned thresholds somewhere.
+    # The rough flow is replayed for each of the two passes, not stored, and
+    # only the partitions outlive it
     thresholds = p["thresholds"]
-    [(eps_mid, rough)] = _of_kind(flows, "rough").items()
-    summaries = _partition_summaries(eps_mid, rough, thresholds, p["band"])
-
-    weak_l1, any_bad = zip(*summaries)
+    [(eps_mid, (rough_grid, rough_cfg))] = _of_kind(flows, "rough").items()
+    parts = good_bad_partitions(
+        _Replay(partial(_multiscale_rough_initial, rough_grid, eps_mid), rough_cfg),
+        thresholds, p["band"])
+    weak_l1 = [part.weak_l1_ratio for part in parts]
     # a threshold whose bad set is empty measures no constant
-    weak_l1_stability = _spread(weak_l1) if all(any_bad) else math.inf
+    weak_l1_stability = _spread(weak_l1) if all(part.bad_points for part in parts) else math.inf
 
     # the epsilon sweep integrates each frame's diagnostics row over the
     # window (t_end/5, t_end); the rows cover the whole box, where the flat

@@ -20,11 +20,17 @@ from .diagnostics import DiagnosticsRecord
 from .grid import Grid, ScalarField
 
 __all__ = [
+    "FieldFileError",
     "write_field",
     "read_field",
     "write_diagnostics_csv",
     "write_json",
 ]
+
+
+class FieldFileError(ValueError):
+    """A file that holds no field snapshot: missing or unreadable, a malformed
+    header, a value block of the wrong size, or values a field rejects."""
 
 
 def _fmt(x: Any) -> str:
@@ -49,15 +55,21 @@ def write_field(field: ScalarField, path: str | Path) -> None:
 
 
 def read_field(path: str | Path) -> ScalarField:
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        header = json.loads(header_line.decode("utf-8"))
-        blob = fh.read()
-    grid = Grid(dim=header["dim"], extent=header["extent"], points=header["points_per_axis"])
-    values = np.frombuffer(blob, dtype="<f8").reshape(grid.shape)
-    return ScalarField(
-        grid=grid, values=values, epsilon=header["epsilon"], time=header["time"]
-    )
+    """The field of a :func:`write_field` snapshot; a file that holds none
+    raises :class:`FieldFileError`."""
+    keys = ("dim", "points_per_axis", "extent", "epsilon", "time")
+    try:
+        with open(path, "rb") as fh:
+            header, blob = json.loads(fh.readline().decode("utf-8")), fh.read()
+        if not (isinstance(header, dict) and set(keys) <= header.keys()):
+            raise ValueError(f"its header is not a JSON object with the keys {', '.join(keys)}")
+        grid = Grid(dim=header["dim"], extent=header["extent"], points=header["points_per_axis"])
+        values = np.frombuffer(blob, dtype="<f8").reshape(grid.shape)
+        return ScalarField(grid=grid, values=values, epsilon=header["epsilon"],
+                           time=header["time"])
+    except (OSError, ValueError, RecursionError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise FieldFileError(f"cannot read field {path}: {reason}") from None
 
 
 def write_diagnostics_csv(records: Iterable[DiagnosticsRecord], path: str | Path) -> None:

@@ -6,8 +6,9 @@ over the base lattice (all axes but the last).  A column is valid when the
 search window contains exactly one crossing; otherwise it is masked, never
 filled.
 
-The good/bad partition takes two steps: the tilt maximal field, built once per
-flow (:func:`tilt_maximal_field`), then one pass over the flow for all thresholds.
+The good/bad partition (:func:`good_bad_partitions`) reads its flow twice: a
+tilt pass builds the maximal field once, and one more pass splits the layer at
+every threshold.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 
 from .diagnostics import FrameBundle, Hyperplane, _tilt_integrand, height_excess
 from .grid import Grid, ParabolicCylinder, ScalarField, Trajectory, window_weights
-from .operators import (_time_integral, ball_mask, from_spectrum, integrate_values, spectrum,
-                        symbols, within_radius)
+from .operators import (_time_integral, ball_mask, from_spectrum, spectrum, symbols,
+                        within_radius)
 from .solver import CLAMP
 
 __all__ = [
@@ -31,8 +32,7 @@ __all__ = [
     "distance_gradient_max",
     "extract_graph",
     "GoodBadPartition",
-    "TiltMaximalField",
-    "tilt_maximal_field",
+    "good_bad_partitions",
     "partition_good_bad",
     "heat_compare",
     "ExcessDecayReport",
@@ -271,88 +271,69 @@ def dyadic_radii(extent: float, spacing: float) -> list[float]:
 
 @dataclass(frozen=True)
 class GoodBadPartition:
-    """The bad part of the layer region at one threshold of the tilt maximal
-    function, and the measured weak-L1 constant."""
+    """The bad part of the layer region at one threshold: its lattice points
+    over every frame, and the measured weak-L1 constant."""
 
-    bad: np.ndarray  # bool (time, *space)
+    bad_points: int
     weak_l1_ratio: float
 
 
-@dataclass(frozen=True)
-class TiltMaximalField:
-    """The threshold-free half of the good/bad partition of one flow: its
-    tilt integrand's parabolic maximal function and space-time mass.
-    ``frames`` are the flow's samples, which :meth:`partitions` reads again."""
+def good_bad_partitions(frames: Iterable[ScalarField], thresholds: Sequence[float],
+                        band: float) -> list[GoodBadPartition]:
+    """Good/bad split of ``{|u| < 1 - band}`` at each threshold of the
+    ``r^-(n+2)`` maximal function, over the :func:`dyadic_radii`, of the tilt
+    integrand against the vertical, plus the measured weak-L1 constant
+    ``(bad-set Dirichlet mass) * threshold / (total tilt mass)``; the good
+    set is the rest of the layer region.
 
-    frames: Iterable[ScalarField]
-    grid: Grid
-    maximal: np.ndarray  # (time, *space)
-    tilt_mass: float
-
-    def partitions(self, thresholds: Sequence[float], band: float) -> list[GoodBadPartition]:
-        """The split at each threshold, as :func:`partition_good_bad`, from
-        one pass over the frames.  Each frame's Dirichlet density is computed
-        once for every threshold; it is not kept from the tilt pass, where
-        holding it for every frame beside the maximal field raises the peak."""
-        if not all(t > 0 for t in thresholds):
-            raise ValueError("thresholds must be positive")
-        bads = [self.maximal >= t for t in thresholds]
-        times, sums = [], [[] for _ in thresholds]  # per threshold: each frame's bad mass
-        for k, frame in enumerate(self.frames):
-            times.append(frame.time)
-            layer = np.abs(frame.values) < 1.0 - band  # only the bad part of the layer region
-            density = frame.epsilon * FrameBundle(frame).grad_sq
-            for bad, masses in zip(bads, sums):
-                bad[k] &= layer
-                masses.append(float(np.sum(np.where(bad[k], density, 0.0)) * self.grid.cell_volume))
-        parts = []
-        for threshold, bad, masses in zip(thresholds, bads, sums):
-            bad_mass = _time_integral(times, masses)
-            ratio = bad_mass * threshold / self.tilt_mass if self.tilt_mass > 0 else 0.0
-            parts.append(GoodBadPartition(bad=bad, weak_l1_ratio=ratio))
-        return parts
-
-
-def tilt_maximal_field(frames: Iterable[ScalarField]) -> TiltMaximalField:
-    """The tilt integrand against the vertical: its mass and its
-    ``r^-(n+2)`` maximal function over the :func:`dyadic_radii`.
-
-    ``frames`` are the samples of one flow in time order, and they are read
-    once here and once more by :meth:`TiltMaximalField.partitions`, one
-    frame at a time: a :class:`Trajectory`, or an object whose every
-    ``iter()`` runs the flow again, so that no frame is stored.  A one-shot
-    iterator is an error.
+    ``frames`` are the samples of one flow in time order, read twice, one
+    frame at a time: the tilt pass builds the maximal field and the tilt
+    mass, and one more pass splits the layer at every threshold.  Pass a
+    :class:`Trajectory`, or an object whose every ``iter()`` runs the flow
+    again, so that no frame is stored; a one-shot iterator is an error.
     """
     if iter(frames) is frames:
-        raise ValueError("tilt_maximal_field reads its frames once more for the partitions; "
+        raise ValueError("good_bad_partitions reads its frames twice; "
                          "pass a Trajectory or a re-iterable replay, not an iterator")
-    grid = next((f.grid for f in frames), None)
-    if grid is None:
-        raise ValueError("no frames for the tilt maximal field")
-    vertical = Hyperplane.vertical(grid.dim).normal
-    times, hats = [], []  # each frame's tilt integrand, transformed once for every radius
-
-    def tilt_at(k: int, frame: ScalarField) -> np.ndarray:
-        tilt = _tilt_integrand(FrameBundle(frame), vertical)
+    if not all(t > 0 for t in thresholds):
+        raise ValueError("thresholds must be positive")
+    # each frame's tilt integrand: its box sum, and its half spectrum,
+    # transformed once for every radius
+    grid, times, tilt_sums, hats = None, [], [], []
+    for frame in frames:
+        grid = frame.grid
+        tilt = _tilt_integrand(FrameBundle(frame), Hyperplane.vertical(grid.dim).normal)
         times.append(frame.time)
+        tilt_sums.append(float(np.sum(tilt) * grid.cell_volume))
         hats.append(spectrum(grid, tilt))
-        return tilt
-
-    tilt_mass = integrate_values(grid, frames, tilt_at, [None])[0]
-    maximal = _maximal_field(hats, np.array(times), grid,
-                             dyadic_radii(grid.extent, grid.spacing),
+    if grid is None:
+        raise ValueError("no frames to partition")
+    del frame, tilt  # the last frame is not held beside the maximal field's stacks
+    tilt_mass = _time_integral(times, tilt_sums)
+    maximal = _maximal_field(hats, np.array(times), grid, dyadic_radii(grid.extent, grid.spacing),
                              power=grid.interface_dim + 2)
-    return TiltMaximalField(frames=frames, grid=grid, maximal=maximal, tilt_mass=tilt_mass)
+    del hats
+
+    # per threshold: its bad points and each frame's bad Dirichlet mass; the
+    # density is computed once per frame for every threshold, not kept from
+    # the tilt pass, where holding it beside the maximal field raises the peak
+    bad_points, masses = [0] * len(thresholds), [[] for _ in thresholds]
+    for k, frame in enumerate(frames):
+        layer = np.abs(frame.values) < 1.0 - band  # only the bad part of the layer region
+        density = frame.epsilon * FrameBundle(frame).grad_sq
+        for j, threshold in enumerate(thresholds):
+            bad = maximal[k] >= threshold
+            bad &= layer
+            bad_points[j] += int(np.count_nonzero(bad))
+            masses[j].append(float(np.sum(np.where(bad, density, 0.0)) * grid.cell_volume))
+    return [GoodBadPartition(points, _time_integral(times, sums) * threshold / tilt_mass
+                             if tilt_mass > 0 else 0.0)
+            for threshold, points, sums in zip(thresholds, bad_points, masses)]
 
 
 def partition_good_bad(traj: Trajectory, threshold: float, band: float) -> GoodBadPartition:
-    """Good/bad split of ``{|u| < 1 - band}`` by the parabolic maximal
-    function of the tilt integrand, plus the measured weak-L1 constant
-    ``(bad-set Dirichlet mass) * threshold / (total tilt mass)``; the good
-    set is the rest of the layer region.  For several thresholds, take
-    :meth:`TiltMaximalField.partitions` of one :func:`tilt_maximal_field`.
-    """
-    return tilt_maximal_field(traj).partitions([threshold], band)[0]
+    """The :func:`good_bad_partitions` split of one flow at one threshold."""
+    return good_bad_partitions(traj, [threshold], band)[0]
 
 
 # ---------------------------------------------------------------------------

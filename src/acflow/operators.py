@@ -154,14 +154,14 @@ def ball_mask(grid: Grid, center: Sequence[float], radius: float) -> np.ndarray:
 def integrate_values(
     grid: Grid,
     frames: Iterable[ScalarField],
-    density_at: Callable[[int, ScalarField], np.ndarray],
+    density_at: Callable[[ScalarField], np.ndarray],
     regions: Sequence[ParabolicCylinder | None],
 ) -> list[float]:
     """Integrate one sampled density over each region (``None``: the whole box).
 
     ``frames`` are the samples, in time order at uniform spacing; a sample's
-    time is its frame's ``time``, and ``density_at(k, frame)`` gives the
-    density of the ``k``-th sample.  Each frame is read once, as it arrives,
+    time is its frame's ``time``, and ``density_at(frame)`` gives its
+    density.  Each frame is read once, as it arrives,
     so a generator of frames (:func:`acflow.solver.sampled`) streams a flow
     into the integral without holding it.  A single sample gives the plain
     spatial integral (no time measure).  With a region, space is restricted
@@ -191,7 +191,7 @@ def integrate_values(
         needed = [(mask, sums) for (mask, window), sums in zip(rules, spatial)
                   if window is None or in_window(frame.time, *window)]
         if needed:
-            values = density_at(k, frame)
+            values = density_at(frame)
             for mask, sums in needed:
                 sums[k] = float(np.sum(values[mask]) * grid.cell_volume)
     if not times:

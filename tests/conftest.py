@@ -74,11 +74,14 @@ def released_stream(frames, keep_last: bool = False):
         del frame
 
 
-def frames_at(grid: Grid, times) -> list[ScalarField]:
-    """Zero fields at ``times``: samples for ``integrate_values`` whose
-    densities a test gives by sample index."""
-    zeros = np.zeros(grid.shape)
-    return [ScalarField(grid=grid, values=zeros, epsilon=0.1, time=float(t)) for t in times]
+def frames_at(grid: Grid, times, values=None) -> list[ScalarField]:
+    """Fields at ``times``, the ``k``-th holding ``values[k]`` (zeros when
+    None): samples for ``integrate_values``, whose density a test reads off
+    each frame."""
+    if values is None:
+        values = [np.zeros(grid.shape)] * len(times)
+    return [ScalarField(grid=grid, values=v, epsilon=0.1, time=float(t))
+            for t, v in zip(times, values)]
 
 
 class _ConstantOne:

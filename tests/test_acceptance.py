@@ -8,12 +8,11 @@ session, on its default config and through the code that `acflow
 experiment` runs.
 """
 
-import numpy as np
 import pytest
 
 from acflow import SolverConfig, evolve
 from acflow.experiments import SCENARIOS, default_config, run_scenario
-from acflow.levelset import tilt_maximal_field
+from acflow.levelset import good_bad_partitions
 
 from conftest import standing_wave
 
@@ -80,8 +79,8 @@ def criterion_test(number):
             p, dt = default_config(EXCESS).params, 5e-5
             traj = evolve(standing_wave(grid_2d, 0.02), SolverConfig(
                 dt=dt, t_end=20 * dt, scheme="semi-implicit-cnab2", sample_every=5))
-            parts = tilt_maximal_field(traj).partitions(p["thresholds"], p["band"])
-            empty = not any(np.any(part.bad) for part in parts)
+            parts = good_bad_partitions(traj, p["thresholds"], p["band"])
+            empty = all(part.bad_points == 0 for part in parts)
             ok = ok and empty
             details.append(f"exact-layer bad set empty: {empty}")
         print(f"ACCEPTANCE {number:>2} {title}: {'PASS' if ok else 'FAIL'} ({'; '.join(details)})")

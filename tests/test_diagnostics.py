@@ -263,7 +263,7 @@ def test_brakke_residual_vanishes_on_standing_wave(grid_1d):
     traj = evolve(wave, cfg)
     phi = radial_bump(center=(0.0,), radius=0.5)
     res = brakke_residual(traj, phi, traj.times[2])
-    scale = integrate_values(grid_1d, [wave], lambda k, f: FrameBundle(f).energy_density,
+    scale = integrate_values(grid_1d, [wave], lambda f: FrameBundle(f).energy_density,
                              [None])[0] / dt
     assert abs(res.dmu_dt - res.rhs_gradient_form) < 1e-8 * scale
     assert abs(res.dmu_dt - res.rhs_tensor_form) < 1e-8 * scale

@@ -28,17 +28,19 @@ from acflow.experiments import (
     ScenarioError,
     ScenarioResult,
     _DEFAULTS,
+    _Replay,
     _concurrently,
     _flows,
     _last_sample,
+    _multiscale_rough_initial,
     _of_kind,
-    _partition_summaries,
     _spread,
     _worst_step_ratio,
     check,
     config_from_dict,
     default_config,
     density_ratio_profile,
+    load_config,
     initial_field,
     no_cancellation_check,
     run_flow_audit,
@@ -49,7 +51,8 @@ from acflow.experiments import (
 from acflow.initial_data import circle_distance, graph_pair_distance, sine_mode
 from acflow.diagnostics import brakke_terms
 from acflow.monotonicity import KernelPoint, monotonicity_terms
-from acflow.io import read_field
+from acflow.io import read_field, write_field
+from acflow.levelset import good_bad_partitions
 from acflow.grid import window_weights
 from acflow.operators import ball_mask, gradient_values
 
@@ -214,6 +217,26 @@ def mutated_configs(draw):
 def test_loader_returns_a_config_or_raises_config_error(raw):
     try:
         config = config_from_dict(raw)
+    except ConfigError:
+        return
+    assert isinstance(config, ExperimentConfig)
+
+
+_BASE_BYTES = json.dumps(BASE_RAW).encode()
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(
+    st.binary(),
+    st.integers(0, len(_BASE_BYTES)).map(lambda n: _BASE_BYTES[:n]),  # truncated, or whole
+    st.tuples(st.integers(0, len(_BASE_BYTES) - 1), st.binary(min_size=1, max_size=2)).map(
+        lambda at: _BASE_BYTES[:at[0]] + at[1] + _BASE_BYTES[at[0] + 1:]),
+))
+def test_config_file_loader_returns_a_config_or_raises_config_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-config.json"
+    path.write_bytes(data)
+    try:
+        config = load_config(path)
     except ConfigError:
         return
     assert isinstance(config, ExperimentConfig)
@@ -804,10 +827,11 @@ def test_excess_decay_rough_phase_stores_no_rough_frame():
     # (solver.evolve) peaked at 49.1-49.9 frames, so the bound leaves a
     # margin of 5.1 frames either way.
     config = config_from_dict(small_raw("excess-decay"))
-    [(eps, rough)] = _of_kind(_flows(config), "rough").items()
-    frame_bytes = 8 * rough[0].points ** rough[0].dim
+    [(eps, (grid, cfg))] = _of_kind(_flows(config), "rough").items()
+    frame_bytes = 8 * grid.points ** grid.dim
     p = config.params
-    peak = traced_peak(lambda: _partition_summaries(eps, rough, p["thresholds"], p["band"]))
+    rough = _Replay(partial(_multiscale_rough_initial, grid, eps), cfg)
+    peak = traced_peak(lambda: good_bad_partitions(rough, p["thresholds"], p["band"]))
     assert peak < 44 * frame_bytes, f"traced peak {peak / frame_bytes:.1f} frames"
 
 
@@ -838,6 +862,52 @@ def test_cli_reports_a_failed_run_as_one_error_line(tmp_path, capsys, monkeypatc
     assert code == 2
     assert err == f"error: {error}\n"
     assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("case", [
+    "missing config", "config not JSON", "missing field", "header without epsilon",
+    "truncated values", "NaN value", "simulate into a file", "diagnose into a file",
+    "experiment into a file", "experiment below a file",
+])
+def test_cli_reports_an_unreadable_input_as_one_error_line(tmp_path, capsys, monkeypatch, case):
+    # every input the command cannot use is one stderr line and exit 2, and
+    # an --out that is a file, or lies below one, is rejected before any flow runs
+    import acflow.cli as cli
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(cli, "sampled", no_flow)
+    monkeypatch.setattr(cli, "run_scenario", no_flow)
+    snapshot = tmp_path / "u.field"
+    write_field(ScalarField(grid=Grid(dim=1, extent=1.0, points=8), values=np.zeros(8),
+                            epsilon=0.1), snapshot)
+    header, blob = snapshot.read_bytes().split(b"\n", 1)
+    without_epsilon = json.dumps({k: v for k, v in json.loads(header).items() if k != "epsilon"})
+    bad, taken = tmp_path / "bad", tmp_path / "taken"
+    taken.write_text("")
+    files = {
+        "config not JSON": b'{"scenario": ',
+        "header without epsilon": without_epsilon.encode() + b"\n" + blob,
+        "truncated values": header + b"\n" + blob[:-3],
+        "NaN value": header + b"\n" + np.array([np.nan] + [0.0] * 7).astype("<f8").tobytes(),
+    }
+    if case in files:
+        bad.write_bytes(files[case])
+    argv = {
+        "missing config": ["experiment", "--config", str(tmp_path / "missing.json")],
+        "config not JSON": ["experiment", "--config", str(bad)],
+        "missing field": ["diagnose", str(tmp_path / "missing.field")],
+        "simulate into a file": ["simulate", "standing-wave", "--out", str(taken)],
+        "diagnose into a file": ["diagnose", str(snapshot), "--out", str(taken)],
+        "experiment into a file": ["experiment", "standing-wave", "--out", str(taken)],
+        "experiment below a file": ["experiment", "standing-wave", "--out", str(taken / "run")],
+    }.get(case, ["diagnose", str(bad)])
+    code = cli_main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+    assert taken.is_file()
 
 
 def test_a_value_at_its_tolerance_fails_an_open_check_as_a_non_positive_spread_does():

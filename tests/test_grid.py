@@ -1,3 +1,4 @@
+import json
 import math
 import numbers
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from acflow import Grid, ParabolicCylinder, ScalarField, Trajectory
-from acflow.io import read_field, write_field
+from acflow.io import FieldFileError, read_field, write_field
 
 
 def test_grid_spacing_is_extent_over_points():
@@ -100,6 +101,35 @@ def test_field_snapshot_roundtrip(tmp_path):
     assert back.epsilon == 0.03
     assert back.time == 0.25
     assert np.array_equal(back.values, f.values)
+
+
+_JSON_SCALARS = st.one_of(st.integers(-2, 40), st.integers(), st.floats(), st.none(),
+                          st.booleans(), st.text(max_size=3))
+_VALID_HEADER = {"dim": 1, "points_per_axis": 8, "extent": 1.0, "epsilon": 0.1, "time": 0.0}
+
+
+def _snapshot(changes: dict, blob: bytes) -> bytes:
+    """A 1-D snapshot on 8 points with some header values replaced (None:
+    the key dropped), and ``blob`` as its values."""
+    header = {**_VALID_HEADER, **changes}
+    header = {k: v for k, v in header.items() if v is not None}
+    return json.dumps(header).encode() + b"\n" + blob
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(
+    st.binary(),
+    st.builds(_snapshot, st.dictionaries(st.sampled_from(sorted(_VALID_HEADER)), _JSON_SCALARS),
+              st.binary(min_size=56, max_size=72)),
+))
+def test_field_reader_returns_a_field_or_raises_field_file_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.field"
+    path.write_bytes(data)
+    try:
+        field = read_field(path)
+    except FieldFileError:
+        return
+    assert isinstance(field, ScalarField)
 
 
 # --- constructors: a valid object or a ValueError ----------------------------

@@ -27,7 +27,7 @@ from acflow.diagnostics import _tilt_integrand
 from acflow.experiments import _Replay, default_config
 from acflow.grid import trapezoid_weights, window_weights
 from acflow.initial_data import graph_pair_distance, graph_profile, sine_mode
-from acflow.levelset import _maximal_field, dyadic_radii, tilt_maximal_field
+from acflow.levelset import GoodBadPartition, _maximal_field, dyadic_radii, good_bad_partitions
 from acflow.operators import ball_mask, from_spectrum, integrate_values, spectrum
 from acflow.solver import sampled
 
@@ -280,6 +280,15 @@ def spectra(grid, g):
     return [spectrum(grid, frame) for frame in g]
 
 
+def partition_maximal(traj):
+    """The maximal field the partition thresholds: of each frame's tilt
+    integrand against the vertical, over the dyadic radii."""
+    grid = traj.grid
+    tilt = [_tilt_integrand(FrameBundle(f), (0.0, 1.0)) for f in traj.frames]
+    return _maximal_field(spectra(grid, tilt), traj.times, grid,
+                          dyadic_radii(grid.extent, grid.spacing), power=grid.interface_dim + 2)
+
+
 # radii incommensurate with the lattice spacings below, so that no lattice
 # point sits on a ball boundary
 ORACLE_RADII = [0.0713, 0.1517, 0.3291]
@@ -319,10 +328,13 @@ def test_partition_maximal_matches_pointwise_oracle(perturbed_traj_small):
                                  power=grid.interface_dim + 2)
         assert_maximal_matches_oracle(maximal, tilt, traj.times, grid, radii,
                                       grid.interface_dim + 2, sample)
-    # the partition's own field is the one over the dyadic radii
-    dyadic = _maximal_field(spectra(grid, tilt), traj.times, grid,
-                            dyadic_radii(grid.extent, grid.spacing), power=grid.interface_dim + 2)
-    assert np.array_equal(tilt_maximal_field(traj).maximal, dyadic)
+    # the partition's own field is the one over the dyadic radii: its bad
+    # set at a threshold is the layer where that field reaches it
+    dyadic = partition_maximal(traj)
+    layer = np.abs(np.stack([f.values for f in traj.frames])) < 1.0 - 0.05
+    for threshold in np.quantile(dyadic[layer], [0.5, 0.9]).tolist():
+        expected = np.count_nonzero(layer & (dyadic >= threshold))
+        assert partition_good_bad(traj, threshold, band=0.05).bad_points == expected > 0
 
 
 def _per_radius_maximal(g, times, grid, radii, power):
@@ -346,17 +358,16 @@ def _per_radius_maximal(g, times, grid, radii, power):
 def test_maximal_field_and_partition_equal_their_stacked_forms(rough_flow):
     traj = evolve(*rough_flow)
     grid = traj.grid
-    field = tilt_maximal_field(traj)
+    radii, power = dyadic_radii(grid.extent, grid.spacing), grid.interface_dim + 2
     tilt = np.stack([_tilt_integrand(FrameBundle(f), (0.0, 1.0)) for f in traj.frames])
-    oracle = _per_radius_maximal(tilt, traj.times, grid, dyadic_radii(grid.extent, grid.spacing),
-                                 power=grid.interface_dim + 2)
-    assert np.array_equal(field.maximal, oracle)
+    oracle = _per_radius_maximal(tilt, traj.times, grid, radii, power)
+    assert np.array_equal(_maximal_field(spectra(grid, tilt), traj.times, grid, radii, power),
+                          oracle)
     # the bad set as it was taken from the stacked layer mask of every frame
     layer = np.abs(np.stack([f.values for f in traj.frames])) < 1.0 - 0.05
-    thresholds = np.quantile(field.maximal[layer], [0.5, 0.9, 0.99]).tolist()
-    for threshold, part in zip(thresholds, field.partitions(thresholds, band=0.05)):
-        assert np.any(part.bad)
-        assert np.array_equal(part.bad, layer & (field.maximal >= threshold))
+    thresholds = np.quantile(oracle[layer], [0.5, 0.9, 0.99]).tolist()
+    for threshold, part in zip(thresholds, good_bad_partitions(traj, thresholds, band=0.05)):
+        assert part.bad_points == np.count_nonzero(layer & (oracle >= threshold)) > 0
 
 
 def test_a_replayed_flow_gives_the_maximal_field_and_partitions_of_its_trajectory(rough_flow):
@@ -367,27 +378,21 @@ def test_a_replayed_flow_gives_the_maximal_field_and_partitions_of_its_trajector
         runs.append(1)
         return initial.with_values(initial.values.copy())
 
-    stored = tilt_maximal_field(evolve(initial, cfg))
-    replayed = tilt_maximal_field(_Replay(rebuilt, cfg))
-    assert np.array_equal(replayed.maximal, stored.maximal)
-    assert replayed.tilt_mass == stored.tilt_mass
     thresholds = default_config("excess-decay").params["thresholds"]
-    any_bad = []
-    for a, b in zip(replayed.partitions(thresholds, 0.05), stored.partitions(thresholds, 0.05)):
-        assert a.weak_l1_ratio == b.weak_l1_ratio
-        assert np.array_equal(a.bad, b.bad)
-        any_bad.append(bool(np.any(a.bad)))
-    assert len(any_bad) == len(thresholds) and any(any_bad)
-    # the grid from a first frame, the tilt pass and one pass for every threshold
-    assert len(runs) == 3
+    stored = good_bad_partitions(evolve(initial, cfg), thresholds, 0.05)
+    replayed = good_bad_partitions(_Replay(rebuilt, cfg), thresholds, 0.05)
+    assert replayed == stored  # the same bad points and bitwise the same ratios
+    assert len(replayed) == len(thresholds) and any(part.bad_points for part in replayed)
+    # the tilt pass and one pass for every threshold, with no grid build before them
+    assert len(runs) == 2
 
 
-def test_tilt_maximal_field_rejects_a_one_shot_stream(rough_flow):
+def test_good_bad_partitions_rejects_a_one_shot_stream(rough_flow):
     with pytest.raises(ValueError, match="not an iterator"):
-        tilt_maximal_field(sampled(*rough_flow))
+        good_bad_partitions(sampled(*rough_flow), [0.02], 0.05)
 
 
-def test_tilt_maximal_field_transforms_each_frame_once(perturbed_traj_small, monkeypatch):
+def test_good_bad_partitions_transforms_each_frame_once(perturbed_traj_small, monkeypatch):
     # one forward transform per frame's tilt integrand and one per ball: 12
     # here, where transforming every frame again for every radius made 42
     import acflow.levelset as levelset
@@ -400,7 +405,7 @@ def test_tilt_maximal_field_transforms_each_frame_once(perturbed_traj_small, mon
 
     monkeypatch.setattr(levelset, "spectrum", counting)
     traj = perturbed_traj_small
-    tilt_maximal_field(traj)
+    partition_good_bad(traj, 0.02, 0.05)
     assert len(calls) == len(traj) + len(dyadic_radii(traj.grid.extent, traj.grid.spacing)) == 12
 
 
@@ -416,7 +421,7 @@ def test_lone_sample_window_has_one_mass(radius):
     x = grid.axis()
     for i, (j, k) in [(0, (0, 0)), (2, (5, 17)), (4, (31, 16))]:
         region = ParabolicCylinder(center_space=(x[j], x[k]), center_time=times[i], radius=radius)
-        mass = integrate_values(grid, frames_at(grid, times), lambda k, f: g[k], [region])[0]
+        mass = integrate_values(grid, frames_at(grid, times, g), lambda f: f.values, [region])[0]
         assert maximal[i, j, k] == pytest.approx(mass, rel=1e-12)
 
 
@@ -481,37 +486,42 @@ def test_partition_of_standing_wave_has_empty_bad_set(grid_1d):
     traj = evolve(wave, cfg)
     for threshold in (1e-3, 1e-2, 1e-1):
         part = partition_good_bad(traj, threshold, band=0.05)
-        assert not np.any(part.bad)
+        assert part.bad_points == 0
         assert part.weak_l1_ratio == 0.0 or part.weak_l1_ratio < 1e-12
 
 
 def test_partition_masks_are_disjoint_and_cover_the_layer(perturbed_traj_small):
+    # the bad points lie in the layer region and the good points are the
+    # rest of it: both are present here, and an empty layer has no bad point
     traj = perturbed_traj_small
     part = partition_good_bad(traj, threshold=1e-4, band=0.05)
-    layer = np.abs(np.stack([f.values for f in traj.frames])) < 0.95
-    good = layer & ~part.bad
-    assert not np.any(good & part.bad)
-    assert np.array_equal(good | part.bad, layer)
+    layer_points = np.count_nonzero(np.abs(np.stack([f.values for f in traj.frames])) < 0.95)
+    assert 0 < part.bad_points < layer_points
+    assert partition_good_bad(traj, threshold=1e-4, band=1.0) == GoodBadPartition(0, 0.0)
 
 
 def test_partition_bad_set_empty_at_huge_threshold(perturbed_traj_small):
     part = partition_good_bad(perturbed_traj_small, threshold=1e9, band=0.05)
-    assert not np.any(part.bad)
+    assert part.bad_points == 0
 
 
 def test_one_maximal_field_serves_every_threshold(perturbed_traj_small):
     traj = perturbed_traj_small
-    field = tilt_maximal_field(traj)
     thresholds = (3e-4, 1e-3, 3e-3)
-    for threshold, shared in zip(thresholds, field.partitions(thresholds, band=0.05)):
-        alone = partition_good_bad(traj, threshold, band=0.05)
-        assert np.array_equal(shared.bad, alone.bad)
-        assert shared.weak_l1_ratio == alone.weak_l1_ratio
-    # the mass is the trapezoid time integral of each frame's tilt excess
+    for threshold, shared in zip(thresholds, good_bad_partitions(traj, thresholds, band=0.05)):
+        assert shared == partition_good_bad(traj, threshold, band=0.05)
+    # the tilt mass is the trapezoid time integral of each frame's tilt
+    # excess: read through the ratio at a tiny threshold, where the whole
+    # tilted layer is bad
+    grid, threshold = traj.grid, 1e-4
     weights = trapezoid_weights(len(traj), traj.dt_sample)
-    per_frame = sum(w * tilt_excess(FrameBundle(frame), (0.0, 1.0))
+    tilt_mass = sum(w * tilt_excess(FrameBundle(frame), (0.0, 1.0))
                     for w, frame in zip(weights, traj.frames))
-    assert field.tilt_mass == pytest.approx(per_frame, rel=1e-12)
+    bad_mass = sum(w * np.sum(np.where((np.abs(f.values) < 0.95) & (m >= threshold),
+                                       f.epsilon * FrameBundle(f).grad_sq, 0.0)) * grid.cell_volume
+                   for w, f, m in zip(weights, traj.frames, partition_maximal(traj)))
+    part = partition_good_bad(traj, threshold, band=0.05)
+    assert part.weak_l1_ratio == pytest.approx(bad_mass * threshold / tilt_mass, rel=1e-12)
 
 
 def test_good_set_lipschitz_constant_shrinks_with_threshold(perturbed_traj_small):
@@ -521,9 +531,10 @@ def test_good_set_lipschitz_constant_shrinks_with_threshold(perturbed_traj_small
     graph = extract_graph(traj, 0.0)
     g = traj.grid
     layer = np.abs(np.stack([f.values for f in traj.frames])) < 0.95
+    maximal = partition_maximal(traj)
     slopes = []
     for threshold in (3e-4, 1e-3, 3e-3):
-        good = layer & ~partition_good_bad(traj, threshold, band=0.05).bad
+        good = layer & (maximal < threshold)
         # project good set: a base column is good if its crossing point is
         good_cols = np.zeros(graph.heights.shape, dtype=bool)
         axis = g.axis()

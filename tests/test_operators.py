@@ -16,7 +16,7 @@ from conftest import frames_at, standing_wave
 
 def mass(traj):
     """Space-time quadrature of a trajectory's frames over the whole box."""
-    return integrate_values(traj.grid, traj, lambda k, frame: frame.values, [None])[0]
+    return integrate_values(traj.grid, traj, lambda frame: frame.values, [None])[0]
 
 
 def test_gradient_of_single_mode_matches_analytic():
@@ -270,7 +270,7 @@ def test_integrate_constant_over_box_with_time_window():
 def test_integrate_disk_area_first_order():
     g = Grid(dim=2, extent=2.0, points=256)
     region = ParabolicCylinder(center_space=(0.0, 0.0), center_time=0.0, radius=0.5)
-    area = integrate_values(g, frames_at(g, [0.0]), lambda k, f: np.ones(g.shape), [region])[0]
+    area = integrate_values(g, frames_at(g, [0.0]), lambda f: np.ones(g.shape), [region])[0]
     assert abs(area - np.pi * 0.25) < 4 * g.spacing
 
 
@@ -279,7 +279,7 @@ def test_integrate_odd_density_over_symmetric_ball_vanishes():
     X, Y = g.dense_coords()
     region = ParabolicCylinder(center_space=(0.0, 0.0), center_time=0.0, radius=0.5)
     mask = ball_mask(g, (0.0, 0.0), 0.5)
-    odd_part = (integrate_values(g, frames_at(g, [0.0]), lambda k, f: X + 100.0, [region])[0]
+    odd_part = (integrate_values(g, frames_at(g, [0.0]), lambda f: X + 100.0, [region])[0]
                 - 100.0 * np.sum(mask) * g.cell_volume)
     assert abs(odd_part) < 1e-12
 
@@ -306,7 +306,7 @@ def test_integrate_rejects_oversized_ball():
     g = Grid(dim=2, extent=1.0, points=32)
     region = ParabolicCylinder(center_space=(0.0, 0.0), center_time=0.0, radius=0.6)
     with pytest.raises(ValueError):
-        integrate_values(g, frames_at(g, [0.0]), lambda k, f: np.ones(g.shape), [region])
+        integrate_values(g, frames_at(g, [0.0]), lambda f: np.ones(g.shape), [region])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -316,7 +316,7 @@ def test_integrate_is_linear_in_density(seed):
     a = rng.standard_normal(64)
     b = rng.standard_normal(64)
     c = float(rng.standard_normal())
-    box = lambda values: integrate_values(g, frames_at(g, [0.0]), lambda k, f: values, [None])[0]
+    box = lambda values: integrate_values(g, frames_at(g, [0.0]), lambda f: values, [None])[0]
     assert box(a + c * b) == pytest.approx(box(a) + c * box(b), rel=1e-12, abs=1e-12)
 
 
@@ -350,18 +350,17 @@ def test_integrate_values_builds_each_needed_slice_once():
     regions = [ParabolicCylinder(center_space=(0.0, 0.0), center_time=0.03, radius=0.15),
                ParabolicCylinder(center_space=(0.5, -0.25), center_time=0.05, radius=0.15),
                None]
-    built = []
+    frames, built = frames_at(g, times, slices), []
 
-    def density_at(k, frame):
-        built.append(k)
-        return slices[k]
+    def density_at(frame):
+        built.append(frame.time)
+        return frame.values
 
-    masses = integrate_values(g, frames_at(g, times), density_at, regions[:2])
-    assert built == [1, 2, 3, 4, 5, 6, 7]
+    masses = integrate_values(g, frames, density_at, regions[:2])
+    assert built == times[1:8].tolist()
     for region, mass in zip(regions, masses):
-        assert mass == integrate_values(g, frames_at(g, times), lambda k, f: slices[k],
-                                        [region])[0]
-    whole = integrate_values(g, frames_at(g, times), lambda k, f: slices[k], [None])[0]
+        assert mass == integrate_values(g, frames, lambda f: f.values, [region])[0]
+    whole = integrate_values(g, frames, lambda f: f.values, [None])[0]
     assert whole == pytest.approx(np.sum(slices[1:-1]) * g.cell_volume * 0.01
                                   + 0.5 * np.sum(slices[[0, -1]]) * g.cell_volume * 0.01,
                                   rel=1e-12)
@@ -382,7 +381,7 @@ def test_integrate_values_of_a_stream_equals_its_stored_trajectory(radius, insid
     g = Grid(dim=2, extent=1.0, points=32)
     traj = random_traj(g, 9, 0.01, seed=11)
     region = ParabolicCylinder(center_space=(0.1, -0.2), center_time=0.04, radius=radius)
-    square = lambda k, frame: frame.values ** 2
+    square = lambda frame: frame.values ** 2
     streamed = integrate_values(g, (f for f in traj.frames), square, [region, None])
     assert streamed == integrate_values(g, traj, square, [region, None])
     idx, weights = window_weights(traj.times, *region.time_window, traj.dt_sample)
@@ -400,7 +399,7 @@ def test_integrate_values_rejects_an_empty_window_of_a_stream():
     region = ParabolicCylinder(center_space=(0.0, 0.0), center_time=1.0, radius=0.1)
     built = []
     with pytest.raises(ValueError, match="no frames inside time window"):
-        integrate_values(g, iter(traj.frames), lambda k, frame: built.append(k), [region])
+        integrate_values(g, iter(traj.frames), lambda frame: built.append(frame), [region])
     assert built == []
     with pytest.raises(ValueError, match="no samples"):
-        integrate_values(g, iter(()), lambda k, frame: frame.values, [None])
+        integrate_values(g, iter(()), lambda frame: frame.values, [None])

@@ -430,7 +430,7 @@ def test_energy_never_increases_along_circle_run(grid_2d):
     f = circle_field(grid_2d, epsilon=0.02, radius=0.35)
     cfg = SolverConfig(dt=1e-4, t_end=0.01, scheme="semi-implicit-cnab2", sample_every=10)
     traj = evolve(f, cfg)
-    energies = [integrate_values(frame.grid, [frame], lambda k, f: FrameBundle(f).energy_density,
+    energies = [integrate_values(frame.grid, [frame], lambda f: FrameBundle(f).energy_density,
                                  [None])[0]
                 for frame in traj]
     drops = np.diff(energies)
