@@ -21,13 +21,12 @@ from .experiments import (
     ConfigError,
     ScenarioError,
     default_config,
-    initial_field,
     load_config,
     run_scenario,
 )
 from .io import FieldFileError, read_field, write_diagnostics_csv, write_field
 from .levelset import GraphExtractionError
-from .solver import FlowDivergedError, InterfaceDataError, SolverConfigError, sampled
+from .solver import FlowDivergedError, InterfaceDataError, SolverConfigError
 from . import experiments
 
 
@@ -50,16 +49,16 @@ def _resolve_config(args) -> "experiments.ExperimentConfig":
 
 def cmd_simulate(args) -> int:
     config = _resolve_config(args)
-    eps = config.epsilons[0]
-    _, cfg = experiments._flows(config)["base", eps]
-    # each sample's row is taken as the flow runs, and of its fields only
-    # the first and the last are kept; nothing is written before the flow
+    # the flow is its table entry, the first epsilon's base flow.  Each
+    # sample's row is taken as the flow runs, and of its fields only the
+    # first and the last are kept; nothing is written before the flow
     # ends, so a flow that diverges leaves no output.  The row of a huge but
     # finite field overflows silently, as its step does in march, and its
     # error waits for the flow: a divergence after it is reported instead
+    flow = experiments._flows(config)["base", config.epsilons[0]]
     rows, first, row_error = [], None, None
     with np.errstate(over="ignore", invalid="ignore"):
-        for last in sampled(initial_field(config, eps), cfg):
+        for last in flow:
             first = last if first is None else first
             try:
                 rows.append(diagnostics_record(last))

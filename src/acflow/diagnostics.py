@@ -26,7 +26,6 @@ from .operators import (
     ball_mask,
     from_spectrum,
     gradient_from_hat,
-    gradient_values,
     integrate_values,
     laplacian_from_hat,
     spectrum,
@@ -337,11 +336,12 @@ def divergence_defect(field: ScalarField) -> float:
     b = FrameBundle(field)
     T = stress_energy(b)
     rhs = field.epsilon * b.residual * b.gradient
+    ik = symbols(grid).ik
     defect = 0.0
     for j in range(grid.dim):
         div_j = np.zeros(grid.shape)
-        for i in range(grid.dim):
-            div_j += gradient_values(grid, T[i, j])[i]
+        for i in range(grid.dim):  # only the i-th partial of T[i, j]
+            div_j += from_spectrum(grid, ik[i] * spectrum(grid, T[i, j]))
         defect = max(defect, float(np.max(np.abs(div_j - rhs[j]))))
     return defect
 

@@ -58,7 +58,6 @@ __all__ = [
     "ScenarioResult",
     "SCENARIOS",
     "default_config",
-    "initial_field",
     "load_config",
     "run_scenario",
     "write_reports",
@@ -195,6 +194,8 @@ def _build_config(raw: dict) -> ExperimentConfig:
     epsilons = tuple(eps) if isinstance(eps, list) else (eps,)
     if "epsilon" in top and not all(e > 0 for e in epsilons):
         problems.append(f"epsilon values must be positive, got {eps!r}")
+    if "t_end" in solver and not solver["t_end"] > 0:
+        problems.append(f"config.solver.t_end must be positive, got {solver['t_end']!r}")
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -260,7 +261,8 @@ def _validate_config(config: ExperimentConfig) -> None:
                             f"for epsilon={eps:g}")
     flows = _flows(config, problems)
     if config.scenario in _AUDITED:
-        for eps, (_, cfg) in _of_kind(flows, "base").items():
+        for eps, flow in _of_kind(flows, "base").items():
+            cfg = flow.config
             last = cfg.t_end - cfg.dt  # the step-dt audit's last centred residual
             # half a step of slack absorbs the round-off of the summed step times
             if last - 0.5 * cfg.dt < _burn_in(eps):
@@ -268,17 +270,17 @@ def _validate_config(config: ExperimentConfig) -> None:
                     f"t_end - dt = {last:g} is not half a step (dt={cfg.dt:g}) past the "
                     f"burn-in 10*epsilon^2 = {_burn_in(eps):g} for epsilon={eps:g}, so no "
                     f"audited step is left to check")
-    for (kind, eps), (grid, cfg) in list(flows.items()):
-        for rule in (partial(solver_mod.validate_config, grid=grid, epsilon=eps),
+    for (kind, eps), flow in list(flows.items()):
+        for rule in (partial(solver_mod.validate_config, grid=flow.grid, epsilon=eps),
                      solver_mod.step_count):
             try:
-                rule(cfg)
+                rule(flow.config)
             except (SolverConfigError, OverflowError) as exc:
                 problems.append(_flow_problem(config, kind, eps, exc))
                 flows.pop((kind, eps), None)  # only flows that meet the rules go on
     if config.scenario == "no-cancellation":
-        for eps, (_, cfg) in _of_kind(flows, "base").items():
-            count = solver_mod.sample_count(cfg)
+        for eps, flow in _of_kind(flows, "base").items():
+            count = solver_mod.sample_count(flow.config)
             if count < 4:
                 problems.append(
                     f"the no-cancellation check reads the samples a quarter, a half and three "
@@ -291,7 +293,25 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("; ".join(dict.fromkeys(problems)))
 
 
-Flow = tuple[Grid, SolverConfig]
+@dataclass(frozen=True)
+class Flow:
+    """One flow of :func:`_flows`: its grid, solver config, layer width and
+    initial data ``data(grid, epsilon)``.  Iterating the flow runs it by
+    :func:`solver.sampled` from freshly built data on every pass, so a flow
+    read twice keeps no frame between the passes."""
+
+    grid: Grid
+    config: SolverConfig
+    epsilon: float
+    data: Callable[[Grid, float], ScalarField]
+
+    def start(self) -> ScalarField:
+        """The flow's initial field, built anew."""
+        return self.data(self.grid, self.epsilon)
+
+    def __iter__(self) -> Iterator[ScalarField]:
+        # a generator: the initial data is built when the first frame is taken
+        yield from solver_mod.sampled(self.start(), self.config)
 
 
 def _flows(config: ExperimentConfig, problems: list[str] | None = None,
@@ -299,38 +319,48 @@ def _flows(config: ExperimentConfig, problems: list[str] | None = None,
     """Every flow a command runs with ``config``, by kind and epsilon.
 
     ``base``: each epsilon on the config grid at the config's step (what
-    ``acflow simulate`` runs).  ``fine``: an audited scenario's flow at half
-    the step.  ``coarse`` and ``flat``: shrinking-circle's 2-eps circle on
-    the ``coarse_extent`` box and its static layer.  ``main``, ``fit`` and
-    ``rough``: excess-decay's flows, on per-epsilon grids (points ~ 1/eps
-    keep the layer resolution fixed), each keeping every
-    ``max(1, n // target)``-th of its ``n`` steps.  ``circle``:
-    inequality-ratios' two epsilon-stability circles.  An entry that does
-    not build raises, or, with ``problems`` given, is named there instead.
+    ``acflow simulate`` runs), from the circle of ``params.radius`` if the
+    scenario declares one, else excess-decay's graph or the flat layer
+    pair.  ``fine``: an audited scenario's base flow at half the step.
+    ``coarse`` and ``flat``: shrinking-circle's 2-eps circle on the
+    ``coarse_extent`` box and its static flat layer.  ``main``, ``fit``
+    and ``rough``: excess-decay's graph, tilted graph and rough layer, on
+    per-epsilon grids (points ~ 1/eps keep the layer resolution fixed),
+    each keeping every ``max(1, n // target)``-th of its ``n`` steps.
+    ``circle``: inequality-ratios' two epsilon-stability circles.  An entry
+    that does not build raises, or, with ``problems`` given, is named there.
     """
     grid, p = config.grid, config.params
     table: dict[tuple[str, float], Flow] = {}
 
-    def add(kind: str, eps: float, build: Callable[[], Flow]) -> None:
+    def add(kind: str, eps: float, data: Callable[[Grid, float], ScalarField],
+            build: Callable[[], tuple[Grid, SolverConfig]]) -> None:
         try:
-            table[kind, eps] = build()
+            table[kind, eps] = Flow(*build(), eps, data)
         except (ValueError, OverflowError) as exc:  # SolverConfigError is a ValueError
             if problems is None:
                 raise
             problems.append(_flow_problem(config, kind, eps, exc))
 
+    if "radius" in p:
+        data = partial(_circle_initial, radius=p["radius"])
+    elif config.scenario == "excess-decay":
+        data = partial(_perturbed_initial, amplitude_over_eps=p["amplitude_over_epsilon"],
+                       mode=p["mode"])
+    else:
+        data = _wave_initial
     for eps in config.epsilons:
-        add("base", eps, lambda: (grid, config.solver_config(eps)))
+        add("base", eps, data, lambda: (grid, config.solver_config(eps)))
     eps = config.epsilons[0]
     if config.scenario in _AUDITED:
-        add("fine", eps, lambda: (grid, config.solver_config(
+        add("fine", eps, data, lambda: (grid, config.solver_config(
             eps, dt_scale=0.5, sample_every=2 * config.sample_every)))
     if config.scenario == "shrinking-circle":
-        add("coarse", 2 * eps, lambda: (
+        add("coarse", 2 * eps, data, lambda: (
             Grid(dim=grid.dim, extent=p["coarse_extent"], points=grid.points),
             config.solver_config(2 * eps, dt_scale=0.5)))
         flat_dt = 0.125 * 0.05**2
-        add("flat", 0.05, lambda: (grid, SolverConfig(
+        add("flat", 0.05, _wave_initial, lambda: (grid, SolverConfig(
             dt=flat_dt, t_end=576 * flat_dt, sample_every=8)))
     if config.scenario == "excess-decay":
         @cache
@@ -339,7 +369,8 @@ def _flows(config: ExperimentConfig, problems: list[str] | None = None,
             pts = max(64, 1 << (pts - 1).bit_length())  # next power of two
             return Grid(dim=grid.dim, extent=grid.extent, points=min(pts, grid.points))
 
-        def sampled(eps: float, horizon: Callable[[], float], target: int) -> Flow:
+        def sampled(eps: float, horizon: Callable[[], float], target: int,
+                    ) -> tuple[Grid, SolverConfig]:
             cfg = config.solver_config(eps, t_end=horizon(), sample_every=1)
             n = round(cfg.t_end / cfg.dt)  # a whole step count, or step_count says why not
             return grid_for(eps), replace(cfg, sample_every=max(1, n // target))
@@ -347,14 +378,18 @@ def _flows(config: ExperimentConfig, problems: list[str] | None = None,
         eps_sorted = sorted(config.epsilons, reverse=True)
         fit_eps = [e for e in eps_sorted if e >= 0.02] or eps_sorted[:2]
         for e in config.epsilons:
-            add("main", e, partial(sampled, e, lambda: config.t_end, 10))
+            add("main", e, data, partial(sampled, e, lambda: config.t_end, 10))
+        tilted = partial(data, tilt_over_eps=p["tilt_over_epsilon"])
         for e in fit_eps:  # over 32 steps of the smallest fit epsilon
-            add("fit", e, partial(sampled, e, lambda: 32.0 * config.dt_for(min(fit_eps)), 4))
+            add("fit", e, tilted,
+                partial(sampled, e, lambda: 32.0 * config.dt_for(min(fit_eps)), 4))
         e = eps_sorted[min(1, len(eps_sorted) - 1)]
-        add("rough", e, partial(sampled, e, lambda: 0.1 * config.t_end, 8))
+        add("rough", e, _multiscale_rough_initial,
+            partial(sampled, e, lambda: 0.1 * config.t_end, 8))
     if config.scenario == "inequality-ratios":
+        circle = partial(_circle_initial, radius=p["circle_radius"])
         for points, ce in ((grid.points, eps), (2 * grid.points, eps / 2)):
-            add("circle", ce, lambda: (
+            add("circle", ce, circle, lambda: (
                 Grid(dim=2, extent=p["circle_extent"], points=points),
                 SolverConfig(dt=0.125 * ce**2, t_end=40 * 0.125 * ce**2, sample_every=40)))
     return table
@@ -391,7 +426,8 @@ def _excess_decay_problems(config: ExperimentConfig, fits: dict[float, Flow]) ->
     if problems:
         return problems
     r2 = (theta * scale) ** 2
-    for eps, (_, cfg) in fits.items():
+    for eps, fit in fits.items():
+        cfg = fit.config
         interval = cfg.dt * cfg.sample_every
         times = np.arange(solver_mod.sample_count(cfg)) * interval
         t0 = times[len(times) // 2]
@@ -743,6 +779,7 @@ def no_cancellation_check(frames: Iterable[ScalarField], count: int,
     picked = [kept[i] for i in quarters]
     grid = picked[0].grid
     vol = grid.cell_volume
+    bumps = [radial_bump(center=(0.0,) * grid.dim, radius=r).value(grid) for r in bump_radii]
     total_mass = 0.0
     worst = 0.0
     for frame in picked:
@@ -750,8 +787,7 @@ def no_cancellation_check(frames: Iterable[ScalarField], count: int,
         gnorm = np.sqrt(b.grad_sq)
         dens = b.energy_density
         total_mass += float(np.sum(dens) * vol)
-        for r in bump_radii:
-            psi = radial_bump(center=(0.0,) * grid.dim, radius=r).value(grid)
+        for psi in bumps:
             defect = float(np.sum(psi * (WAVE_ENERGY * gnorm - 2.0 * dens)) * vol)
             worst = max(worst, abs(defect))
     mean_mass = total_mass / len(picked)
@@ -805,35 +841,23 @@ def _circle_initial(grid: Grid, eps: float, radius: float) -> ScalarField:
     return prepare_interface(circle_distance(radius), grid, eps)
 
 
-def _last_sample(initial: ScalarField, cfg: SolverConfig) -> ScalarField:
-    """The last field :func:`solver.sampled` yields, holding no earlier one."""
-    frames = solver_mod.sampled(initial, cfg)
-    del initial
-    for frame in frames:
+def _last_sample(flow: Flow) -> ScalarField:
+    """The last field of ``flow``, holding no earlier one."""
+    for frame in flow:
         pass
     return frame
 
 
-def _perturbed_initial(grid: Grid, eps: float, amplitude: float, mode: int,
-                       tilt: float = 0.0) -> ScalarField:
-    modes = [sine_mode(amplitude, mode, grid.extent)]
+def _perturbed_initial(grid: Grid, eps: float, amplitude_over_eps: float, mode: int,
+                       tilt_over_eps: float = 0.0) -> ScalarField:
+    """Excess-decay's graph: a mode ``mode`` cosine of amplitude ``amplitude_over_eps * eps``
+    and a mode-1 sine of slope ``tilt_over_eps * eps`` at x = 0."""
+    modes = [sine_mode(amplitude_over_eps * eps, mode, grid.extent)]
+    tilt = tilt_over_eps * eps
     if tilt:
         modes.append(sine_mode(tilt * grid.extent / (2.0 * np.pi), 1, grid.extent,
                                phase=-np.pi / 2))
     return prepare_interface(graph_pair_distance(grid.extent, modes), grid, eps)
-
-
-def initial_field(config: ExperimentConfig, eps: float) -> ScalarField:
-    """The scenario's initial data on ``config.grid`` at layer width ``eps``:
-    the circle of radius ``params.radius`` for a scenario that declares one,
-    the perturbed graph layer for excess-decay, the flat layer pair
-    otherwise."""
-    grid, p = config.grid, config.params
-    if "radius" in p:
-        return _circle_initial(grid, eps, p["radius"])
-    if config.scenario == "excess-decay":
-        return _perturbed_initial(grid, eps, p["amplitude_over_epsilon"] * eps, p["mode"])
-    return _wave_initial(grid, eps)
 
 
 def _multiscale_rough_initial(grid: Grid, eps: float) -> ScalarField:
@@ -867,7 +891,8 @@ def _multiscale_rough_initial(grid: Grid, eps: float) -> ScalarField:
 def run_standing_wave(config: ExperimentConfig) -> ScenarioResult:
     grid = config.grid
     eps = config.epsilons[0]
-    wave = initial_field(config, eps)
+    base = _flows(config)["base", eps]
+    wave = base.start()
     inner = np.abs(np.broadcast_to(grid.coords()[-1], grid.shape)) <= grid.extent / 8
 
     b = FrameBundle(wave)
@@ -883,8 +908,7 @@ def run_standing_wave(config: ExperimentConfig) -> ScenarioResult:
 
     xi_max = float(np.max(b.discrepancy))
 
-    _, cfg = _flows(config)["base", eps]
-    _, (after, _) = islice(solver_mod.march(wave, cfg), 2)  # the first step alone
+    _, (after, _) = islice(solver_mod.march(wave, base.config), 2)  # the first step alone
     fixed_point = float(np.max(np.abs(after.values - wave.values)))
 
     grad_z = distance_gradient_max(wave)
@@ -911,9 +935,9 @@ def _circle_audit_jobs(config: ExperimentConfig,
     kind's terms from the same initial field.  Only the fine audit keeps
     frames: the scenarios read the base audit's scalars alone."""
     eps = config.epsilons[0]
-    initial = initial_field(config, eps)
     flows = _flows(config)
-    return [partial(run_flow_audit, initial, flows[kind, eps][1], kind_terms,
+    initial = flows["base", eps].start()
+    return [partial(run_flow_audit, initial, flows[kind, eps].config, kind_terms,
                     keep_frames=kind == "fine")
             for kind, kind_terms in terms.items()]
 
@@ -931,27 +955,20 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
     fine_job, base_job = _circle_audit_jobs(
         config, {"fine": lambda b: brakke_terms(b, *weight), "base": lambda b: ()})
 
-    # first-order-in-epsilon trend: a coarser layer tracks the circle worse
-    [(coarse_eps, (coarse_grid, coarse_cfg))] = _of_kind(flows, "coarse").items()
-
-    def coarse_radius() -> float:
-        return zero_level_radius(
-            _last_sample(_circle_initial(coarse_grid, coarse_eps, radius), coarse_cfg))
-
-    # ... and the density ratio on a static flat layer, against the
+    # first-order-in-epsilon trend: a coarser layer tracks the circle
+    # worse; and the density ratio on a static flat layer, against the
     # sharp-interface value 4*alpha
-    [(flat_eps, (flat_grid, flat_cfg))] = _of_kind(flows, "flat").items()
-    flat_radii = [2 * flat_eps, 0.15, 0.2, 0.25, 0.25 * grid.extent]
-
-    def flat_density_profile() -> tuple[tuple[float, float], ...]:
-        frames = solver_mod.sampled(_wave_initial(flat_grid, flat_eps), flat_cfg)
-        return density_ratio_profile(flat_grid, frames, (0.0,) * grid.dim,
-                                     0.5 * flat_cfg.t_end, flat_radii)
+    [coarse] = _of_kind(flows, "coarse").values()
+    [flat] = _of_kind(flows, "flat").values()
+    flat_radii = [2 * flat.epsilon, 0.15, 0.2, 0.25, 0.25 * grid.extent]
 
     # The flows are independent; each job keeps only what the checks read:
     # the fine audit its thinned trajectory, the others no frame past its use.
     fine, defect_base, coarse_measured, flat_profile = _concurrently(
-        fine_job, lambda: base_job().dissipation_defect(), coarse_radius, flat_density_profile)
+        fine_job, lambda: base_job().dissipation_defect(),
+        lambda: zero_level_radius(_last_sample(coarse)),
+        lambda: density_ratio_profile(flat.grid, flat, (0.0,) * grid.dim,
+                                      0.5 * flat.config.t_end, flat_radii))
 
     # mean-curvature oracle for the final radius
     exact = math.sqrt(radius**2 - 2.0 * config.t_end)
@@ -1084,34 +1101,18 @@ def run_monotonicity_sweep(config: ExperimentConfig) -> ScenarioResult:
     )
 
 
-@dataclass(frozen=True)
-class _Replay:
-    """The samples of one flow, run again by :func:`solver.sampled` from
-    freshly built initial data on every pass, so that no frame is kept
-    between the passes."""
-
-    initial: Callable[[], ScalarField]
-    config: SolverConfig
-
-    def __iter__(self) -> Iterator[ScalarField]:
-        # a generator: the initial data is built when the first frame is taken
-        yield from solver_mod.sampled(self.initial(), self.config)
-
-
 def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     p = config.params
     theta, fit_scale, k1 = p["theta"], p["fit_scale"], p["k1"]
-    mode, a_over_eps, tilt_over_eps = p["mode"], p["amplitude_over_epsilon"], p["tilt_over_epsilon"]
+    mode, a_over_eps = p["mode"], p["amplitude_over_epsilon"]
     flows = _flows(config)
     # the partition sweep runs first, on a rougher interface (steeper modes)
     # so that the maximal function exceeds the pinned thresholds somewhere.
     # The rough flow is replayed for each of the two passes, not stored, and
     # only the partitions outlive it
     thresholds = p["thresholds"]
-    [(eps_mid, (rough_grid, rough_cfg))] = _of_kind(flows, "rough").items()
-    parts = good_bad_partitions(
-        _Replay(partial(_multiscale_rough_initial, rough_grid, eps_mid), rough_cfg),
-        thresholds, p["band"])
+    [rough] = _of_kind(flows, "rough").values()
+    parts = good_bad_partitions(rough, thresholds, p["band"])
     weak_l1 = [part.weak_l1_ratio for part in parts]
     # a threshold whose bad set is empty measures no constant
     weak_l1_stability = _spread(weak_l1) if all(part.bad_points for part in parts) else math.inf
@@ -1127,15 +1128,15 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     final_errors: dict[float, float] = {}
     graphs = {}
 
-    def recorded(eps: float, frames: Iterable[ScalarField], count: int) -> Iterator[ScalarField]:
-        """The main flow's ``count`` frames as they pass on to its graph,
-        each frame's row taken on the way and, of the finest flow, only the
-        last frame kept.  No frame is held here while the flow steps to the
-        next: the row count is the frame's index, where an ``enumerate``
-        would keep its last frame in its result tuple."""
+    def recorded(eps: float, flow: Flow) -> Iterator[ScalarField]:
+        """The main flow's frames as they pass on to its graph, each frame's
+        row taken on the way and, of the finest flow, only the last frame
+        kept.  No frame is held here while the flow steps to the next: the
+        row count is the frame's index, where an ``enumerate`` would keep its
+        last frame in its result tuple."""
         nonlocal final_frame
-        rows[eps] = []
-        for frame in frames:
+        rows[eps], count = [], solver_mod.sample_count(flow.config)
+        for frame in flow:
             rows[eps].append(diagnostics_record(frame))
             if eps == finest and len(rows[eps]) == count:
                 final_frame = frame
@@ -1143,12 +1144,12 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
             del frame
 
     for eps in config.epsilons:
-        g, cfg = flows["main", eps]
+        main = flows["main", eps]
+        g, cfg = main.grid, main.config
         amp = a_over_eps * eps
         # the flow streams: no frame but the last outlives its row and its
         # graph columns
-        frames = solver_mod.sampled(initial_field(replace(config, grid=g), eps), cfg)
-        graph = extract_graph(recorded(eps, frames, solver_mod.sample_count(cfg)), 0.0)
+        graph = extract_graph(recorded(eps, main), 0.0)
         idx, weights = window_weights(graph.times, config.t_end / 5, config.t_end,
                                       cfg.dt * cfg.sample_every)
         sweep[eps] = {key: float(sum(w * getattr(rows[eps][i], key)
@@ -1176,15 +1177,14 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     # tilt scales with epsilon (the theorem ties the admissible tilt to the
     # square root of the height excess, which carries the eps^2 layer floor),
     # and every epsilon runs over the same physical horizon.
-    def fit_report(eps: float, g: Grid, cfg: SolverConfig) -> ExcessDecayReport:
+    def fit_report(fit: Flow) -> ExcessDecayReport:
         # the fit's trajectory is freed when its report is made
-        traj = solver_mod.evolve(
-            _perturbed_initial(g, eps, a_over_eps * eps, mode, tilt=tilt_over_eps * eps), cfg)
+        traj = solver_mod.evolve(fit.start(), fit.config)
         return excess_decay_ratio(traj, theta=theta, scale=fit_scale,
                                   center_time=traj.times[len(traj) // 2])
 
     # largest epsilon first
-    reports = {eps: fit_report(eps, *flow) for eps, flow in _of_kind(flows, "fit").items()}
+    reports = {eps: fit_report(fit) for eps, fit in _of_kind(flows, "fit").items()}
     c_stable = _spread([r.tilt_constant for r in reports.values()])
     # conditional contraction: enforced only when the repulsion gate is open
     gate_violations = float(sum(r.passes(k1) is False for r in reports.values()))
@@ -1221,10 +1221,10 @@ def run_no_cancellation(config: ExperimentConfig) -> ScenarioResult:
     flows = _flows(config)
     defects = {}
     for eps in sorted(config.epsilons, reverse=True):
-        _, cfg = flows["base", eps]
+        base = flows["base", eps]
         # the check stops taking samples at its last pick, so the flow ends there
-        defects[eps] = no_cancellation_check(solver_mod.sampled(initial_field(config, eps), cfg),
-                                             solver_mod.sample_count(cfg), bump_radii)
+        defects[eps] = no_cancellation_check(base, solver_mod.sample_count(base.config),
+                                             bump_radii)
     seq = list(defects.values())  # largest epsilon first
     checks = [
         check("weak_star_defect", "no-cancellation", seq[-1], 0.03),
@@ -1295,8 +1295,8 @@ def run_inequality_ratios(config: ExperimentConfig) -> ScenarioResult:
     # sheet both quantities converge to zero with the layer width and a
     # stability comparison would be vacuous.
     circle_cacc, circle_sob = [], []
-    for ce, (g, cfg) in _of_kind(_flows(config), "circle").items():
-        slice_field = _last_sample(_circle_initial(g, ce, p["circle_radius"]), cfg)
+    for circle in _of_kind(_flows(config), "circle").values():
+        slice_field = _last_sample(circle)
         r_now = zero_level_radius(slice_field)
         tangent = Hyperplane(normal=(1.0, 0.0), offset=r_now)
         circle_cacc.append(

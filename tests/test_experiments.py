@@ -28,11 +28,10 @@ from acflow.experiments import (
     ScenarioError,
     ScenarioResult,
     _DEFAULTS,
-    _Replay,
+    Flow,
     _concurrently,
     _flows,
     _last_sample,
-    _multiscale_rough_initial,
     _of_kind,
     _spread,
     _worst_step_ratio,
@@ -41,7 +40,6 @@ from acflow.experiments import (
     default_config,
     density_ratio_profile,
     load_config,
-    initial_field,
     no_cancellation_check,
     run_flow_audit,
     run_scenario,
@@ -544,8 +542,9 @@ def test_density_profile_flags_pure_phase_center(monkeypatch):
 
     config = config_from_dict(SMALL_CIRCLE_RAW)
     eps = config.epsilons[0]
-    grid, fine_cfg = _flows(config)["fine", eps]
-    _, frame_mid = evolve(initial_field(config, eps), fine_cfg).frame_nearest(0.5 * config.t_end)
+    fine = _flows(config)["fine", eps]
+    grid = fine.grid
+    _, frame_mid = evolve(fine.start(), fine.config).frame_nearest(0.5 * config.t_end)
     x = grid.axis()
     on_layer = frame_mid.values[np.argmin(np.abs(x - zero_crossing_radius(frame_mid))),
                                 grid.points // 2]
@@ -577,8 +576,8 @@ def test_last_sample_is_the_stored_trajectorys_last_frame():
     g = Grid(dim=2, extent=1.4, points=128)
     cfg = SolverConfig(dt=1.25e-3, t_end=25 * 1.25e-3, scheme="semi-implicit-cnab2",
                        sample_every=5)
-    initial = circle_field(g, 0.1, 0.35)
-    last, stored = _last_sample(initial, cfg), evolve(initial, cfg)[-1]
+    flow = Flow(g, cfg, 0.1, partial(circle_field, radius=0.35))
+    last, stored = _last_sample(flow), evolve(flow.start(), cfg)[-1]
     assert last.time == stored.time
     assert np.array_equal(last.values, stored.values)
 
@@ -691,7 +690,7 @@ def test_concurrent_circle_audits_equal_sequential_runs(monkeypatch):
     config = config_from_dict(SMALL_CIRCLE_RAW)
     g, eps = config.grid, config.epsilons[0]
     scales = (1.0, 0.5, 0.25)
-    initial = initial_field(config, eps)
+    initial = _flows(config)["base", eps].start()
     terms = both_terms(g, KernelPoint(y=(0.0, 0.0), s=config.t_end + 0.01, n=1),
                        radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent))
     sequential = {
@@ -705,7 +704,7 @@ def test_concurrent_circle_audits_equal_sequential_runs(monkeypatch):
     sys.setswitchinterval(1e-5)
     try:
         fresh = config_from_dict(SMALL_CIRCLE_RAW)
-        jobs = [partial(run_flow_audit, initial_field(fresh, eps), fresh.solver_config(
+        jobs = [partial(run_flow_audit, _flows(fresh)["base", eps].start(), fresh.solver_config(
                     eps, dt_scale=scale, sample_every=round(fresh.sample_every / scale)), terms,
                     keep_frames=True)
                 for scale in scales]
@@ -745,7 +744,7 @@ def test_shrinking_circle_holds_no_frame_past_its_checks(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     config = config_from_dict(SMALL_CIRCLE_RAW)
     frame_bytes = 8 * config.grid.points ** config.grid.dim
-    fine_frames = solver.sample_count(_flows(config)["fine", config.epsilons[0]][1])
+    fine_frames = solver.sample_count(_flows(config)["fine", config.epsilons[0]].config)
     peak = traced_peak(lambda: run_shrinking_circle(config))
     assert peak < (fine_frames + 40) * frame_bytes, f"traced peak {peak / 2**20:.2f} MiB"
 
@@ -768,22 +767,24 @@ def test_excess_decay_holds_no_main_frame_past_its_row(monkeypatch):
 
     config = config_from_dict(small_raw("excess-decay"))
     finest = min(config.epsilons)
-    frame_bytes = 8 * _flows(config)["main", finest][0].points ** 2
-    prepare, peaks = experiments.initial_field, []
+    main = {(flow.grid, flow.config) for flow in _of_kind(_flows(config), "main").values()}
+    frame_bytes = 8 * _flows(config)["main", finest].grid.points ** 2
+    start, peaks = experiments.Flow.start, []
 
     class FirstFit(Exception):
         pass
 
-    def prepared(*args):
-        field = prepare(*args)
-        tracemalloc.reset_peak()
+    def prepared(flow):
+        field = start(flow)
+        if (flow.grid, flow.config) in main:
+            tracemalloc.reset_peak()
         return field
 
     def first_fit(*args, **kwargs):
         peaks.append(tracemalloc.get_traced_memory()[1])
         raise FirstFit
 
-    monkeypatch.setattr(experiments, "initial_field", prepared)
+    monkeypatch.setattr(experiments.Flow, "start", prepared)
     monkeypatch.setattr(experiments, "excess_decay_ratio", first_fit)
     tracemalloc.start()
     try:
@@ -800,7 +801,7 @@ def test_excess_decay_main_flows_hold_no_sample_past_the_next(monkeypatch):
     # flow's last sample, the field written, outlives its stream.
     config = config_from_dict(small_raw("excess-decay"))
     finest = min(config.epsilons)
-    main = {flow: eps for eps, flow in _of_kind(_flows(config), "main").items()}
+    main = {(flow.grid, flow.config): eps for eps, flow in _of_kind(_flows(config), "main").items()}
     streamed, plain = [], solver.sampled
 
     def checked(field, cfg):
@@ -827,10 +828,9 @@ def test_excess_decay_rough_phase_stores_no_rough_frame():
     # (solver.evolve) peaked at 49.1-49.9 frames, so the bound leaves a
     # margin of 5.1 frames either way.
     config = config_from_dict(small_raw("excess-decay"))
-    [(eps, (grid, cfg))] = _of_kind(_flows(config), "rough").items()
-    frame_bytes = 8 * grid.points ** grid.dim
+    [rough] = _of_kind(_flows(config), "rough").values()
+    frame_bytes = 8 * rough.grid.points ** rough.grid.dim
     p = config.params
-    rough = _Replay(partial(_multiscale_rough_initial, grid, eps), cfg)
     peak = traced_peak(lambda: good_bad_partitions(rough, p["thresholds"], p["band"]))
     assert peak < 44 * frame_bytes, f"traced peak {peak / frame_bytes:.1f} frames"
 
@@ -877,7 +877,7 @@ def test_cli_reports_an_unreadable_input_as_one_error_line(tmp_path, capsys, mon
     def no_flow(*args, **kwargs):
         raise AssertionError("a flow ran")
 
-    monkeypatch.setattr(cli, "sampled", no_flow)
+    monkeypatch.setattr(solver, "sampled", no_flow)
     monkeypatch.setattr(cli, "run_scenario", no_flow)
     snapshot = tmp_path / "u.field"
     write_field(ScalarField(grid=Grid(dim=1, extent=1.0, points=8), values=np.zeros(8),
@@ -1226,6 +1226,25 @@ def test_cli_simulate_reports_a_solver_config_error(tmp_path, capsys):
     assert not (tmp_path / "sim").exists()
 
 
+@pytest.mark.parametrize("scenario", ["standing-wave", "excess-decay"])
+def test_cli_rejects_a_horizon_of_no_time(tmp_path, capsys, monkeypatch, scenario):
+    # with t_end 0, standing-wave's fixed-point check has no step to take
+    # and excess-decay's sweep window (t_end/5, t_end] has no measure
+    def no_flow(*args):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(solver, "march", no_flow)
+    raw = scenario_raw(scenario)
+    raw["solver"]["t_end"] = 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    code = cli_main(["experiment", "--config", str(path), "--out", str(tmp_path / "exp")])
+    assert code == 2
+    assert capsys.readouterr().err == ("configuration error: config.solver.t_end must be "
+                                       "positive, got 0.0\n")
+    assert not (tmp_path / "exp").exists()
+
+
 def test_cli_reports_a_diverged_flow(tmp_path, capsys, monkeypatch):
     # a cnab2 step of 2 eps^2, six times its limit, diverges at step 12 on the
     # small circle; no-cancellation's circle has no radius law to bound the
@@ -1294,23 +1313,29 @@ class ReadParams(dict):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_every_flow_a_scenario_runs_is_in_its_flow_table(monkeypatch, tmp_path, scenario):
     # the loader checks the table, so a flow outside it would go unchecked;
-    # standing-wave's single step of its base flow is in the table too
+    # standing-wave's single step of its base flow is in the table too.  A
+    # run matches its entry in grid, step, layer width and initial values
     config = config_from_dict(small_raw(scenario))
     flows = _flows(config)
+    starts = {key: flow.start().values for key, flow in flows.items()}
     ran, march = [], solver.march
 
     def recording(field, cfg):
-        ran.append((field.epsilon, (field.grid, cfg)))
+        ran.append((field.epsilon, field.grid, cfg, field.values))
         return march(field, cfg)
+
+    def entries(run):
+        eps, grid, cfg, values = run
+        return {key for key, flow in flows.items()
+                if (flow.epsilon, flow.grid, flow.config) == (eps, grid, cfg)
+                and np.array_equal(starts[key], values)}
 
     monkeypatch.setattr(solver, "march", recording)
     params = ReadParams(config.params)
     run_scenario(dataclasses.replace(config, params=params))
-    matched = {(kind, eps) for eps, flow in ran for (kind, e), entry in flows.items()
-               if (e, entry) == (eps, flow)}
-    for run in ran:
-        assert any((e, entry) == run for (_, e), entry in flows.items())
-    assert {key for key in flows if key[0] != "base"} <= matched
+    matched = [entries(run) for run in ran]
+    assert all(matched), "a flow outside the table ran"
+    assert {key for key in flows if key[0] != "base"} <= set().union(*matched)
     # every declared param feeds the run
     assert params.read == set(config.params)
     # acflow simulate runs the first epsilon's base flow
@@ -1318,8 +1343,7 @@ def test_every_flow_a_scenario_runs_is_in_its_flow_table(monkeypatch, tmp_path, 
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(small_raw(scenario)))
     assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 0
-    eps = config.epsilons[0]
-    assert ran == [(eps, flows["base", eps])]
+    assert [entries(run) for run in ran] == [{("base", config.epsilons[0])}]
 
 
 _CIRCLE_128 = dict(grid={"dim": 2, "extent": 1.2, "points": 128}, epsilon=0.04)

@@ -24,7 +24,7 @@ from acflow import (
     tilt_excess,
 )
 from acflow.diagnostics import _tilt_integrand
-from acflow.experiments import _Replay, default_config
+from acflow.experiments import Flow, default_config
 from acflow.grid import trapezoid_weights, window_weights
 from acflow.initial_data import graph_pair_distance, graph_profile, sine_mode
 from acflow.levelset import GoodBadPartition, _maximal_field, dyadic_radii, good_bad_partitions
@@ -380,7 +380,8 @@ def test_a_replayed_flow_gives_the_maximal_field_and_partitions_of_its_trajector
 
     thresholds = default_config("excess-decay").params["thresholds"]
     stored = good_bad_partitions(evolve(initial, cfg), thresholds, 0.05)
-    replayed = good_bad_partitions(_Replay(rebuilt, cfg), thresholds, 0.05)
+    replayed = good_bad_partitions(Flow(initial.grid, cfg, initial.epsilon,
+                                        lambda grid, eps: rebuilt()), thresholds, 0.05)
     assert replayed == stored  # the same bad points and bitwise the same ratios
     assert len(replayed) == len(thresholds) and any(part.bad_points for part in replayed)
     # the tilt pass and one pass for every threshold, with no grid build before them

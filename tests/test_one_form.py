@@ -7,6 +7,10 @@ slice's :class:`~acflow.diagnostics.FrameBundle`, so no annotation admits
 the union ``ScalarField | FrameBundle`` (in either order, as ``|`` or as
 ``Union[...]``).
 
+A flow has one form: its entry in ``experiments._flows``, which runs when
+iterated.  So ``solver.sampled`` is called only by ``Flow.__iter__`` and
+``solver.evolve``, and ``cli.py`` imports no data builder.
+
 A verdict has one form too: only ``experiments.check`` builds a
 ``CheckResult``, and no string of ``tests/test_acceptance.py`` restates a
 tolerance as a comparison with a number (``<= 0.35``, ``< 1``).
@@ -144,3 +148,71 @@ def test_each_stated_tolerance_is_caught():
     found = stated_tolerances(ast.parse(source), "m.py")
     assert {hit.split(" ", 1)[0] for hit in found} == {"m.py:1", "m.py:2", "m.py:3", "m.py:4"}
     assert len(found) == 4
+
+
+_SAMPLERS = {("experiments.py", "Flow.__iter__"), ("solver.py", "evolve")}
+_DATA_BUILDERS = re.compile(r"_initial$|^initial_field$|^prepare_interface$|^initial_data$")
+
+
+def _calls_by_function(tree: ast.Module) -> list[tuple[str, ast.Call]]:
+    """Every call of the module with the dotted name of the function or
+    method that makes it (``""`` at module level)."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                found.append((scope, child))
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def flows_outside_the_table(tree: ast.Module, where: str) -> list[str]:
+    """``where:line`` of every ``sampled(...)`` call outside ``Flow.__iter__``
+    and ``solver.evolve``, and, in ``cli.py``, of every import of a data
+    builder (a ``*_initial`` function, ``initial_field``, ``prepare_interface``
+    or the ``initial_data`` module)."""
+    found = [f"{where}:{call.lineno} calls sampled in {scope or 'the module'}"
+             for scope, call in _calls_by_function(tree)
+             if getattr(call.func, "id", getattr(call.func, "attr", None)) == "sampled"
+             and (where, scope) not in _SAMPLERS]
+    if where == "cli.py":
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name.split(".")[-1] for a in node.names]
+                names += [(node.module or "").split(".")[-1]] if isinstance(
+                    node, ast.ImportFrom) else []
+                found += [f"{where}:{node.lineno} imports {name}" for name in names
+                          if _DATA_BUILDERS.search(name)]
+    return found
+
+
+def test_every_flow_runs_from_its_table_entry():
+    found = package_hits(flows_outside_the_table)
+    assert not found, "a flow run outside its table entry: " + "; ".join(found)
+
+
+def test_each_flow_outside_the_table_is_caught():
+    source = ("from .experiments import initial_field, load_config\n"
+              "from .initial_data import circle_distance\n"
+              "from . import initial_data\n"
+              "from .solver import prepare_interface, sampled\n"
+              "class Flow:\n    def __iter__(self):\n        yield from sampled(1, 2)\n"
+              "    def start(self):\n        return solver_mod.sampled(1, 2)\n"
+              "def evolve(field, cfg):\n    return tuple(sampled(field, cfg))\n"
+              "frames = solver.sampled(field, cfg)\n"
+              "def run():\n    return _perturbed_initial(1, 2)\n")
+    found = flows_outside_the_table(ast.parse(source), "cli.py")
+    assert {hit.split(" ", 1)[0] for hit in found} == {
+        "cli.py:1", "cli.py:2", "cli.py:3", "cli.py:4", "cli.py:7", "cli.py:9", "cli.py:11",
+        "cli.py:12"}
+    # in experiments.py the flow's own pass is allowed; in solver.py evolve's
+    allowed = {"experiments.py": "experiments.py:7", "solver.py": "solver.py:11"}
+    for where, line in allowed.items():
+        hits = {hit.split(" ", 1)[0] for hit in flows_outside_the_table(ast.parse(source), where)}
+        assert line not in hits and hits == {f"{where}:{n}" for n in (7, 9, 11, 12)} - {line}
