@@ -94,7 +94,7 @@ def cmd_experiment(args) -> int:
     result = run_scenario(config, out_dir=args.out)
     for c in result.checks:
         print(f"[{'PASS' if c.passed else 'FAIL'}] {c}")
-    print(f"scenario {result.scenario}: {'PASS' if result.passed else 'FAIL'}")
+    print(f"scenario {result.config.scenario}: {'PASS' if result.passed else 'FAIL'}")
     return 0 if result.passed else 1
 
 

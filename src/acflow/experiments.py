@@ -188,7 +188,9 @@ def _build_config(raw: dict) -> ExperimentConfig:
             problems.append(f"config.grid: {exc}")
 
     eps = top.get("epsilon")
-    if isinstance(eps, list) and scenario in _DEFAULTS and scenario not in _EPSILON_SWEEPS:
+    # a scenario runs every epsilon of a list when its default is one
+    if (isinstance(eps, list) and scenario in _DEFAULTS
+            and not isinstance(_DEFAULTS[scenario]["epsilon"], list)):
         problems.append(f"{scenario} runs one epsilon, so config.epsilon must be a number, "
                         f"got {eps!r}")
     epsilons = tuple(eps) if isinstance(eps, list) else (eps,)
@@ -218,9 +220,6 @@ def _build_config(raw: dict) -> ExperimentConfig:
 # data from a 2-D graph distance, and inequality-ratios builds 2-D grids of
 # its own.  The other scenarios run in every dimension a Grid allows.
 _PLANAR = frozenset({"shrinking-circle", "excess-decay", "inequality-ratios"})
-
-# Scenarios that run every epsilon of a list; the others run one epsilon.
-_EPSILON_SWEEPS = frozenset({"excess-decay", "no-cancellation"})
 
 # Scenarios whose identity checks read centred residuals of a flow audit
 # past the burn-in (:func:`_burn_in`).
@@ -296,9 +295,11 @@ def _validate_config(config: ExperimentConfig) -> None:
 @dataclass(frozen=True)
 class Flow:
     """One flow of :func:`_flows`: its grid, solver config, layer width and
-    initial data ``data(grid, epsilon)``.  Iterating the flow runs it by
-    :func:`solver.sampled` from freshly built data on every pass, so a flow
-    read twice keeps no frame between the passes."""
+    initial data ``data(grid, epsilon)``.  Only the entry runs its flow,
+    each time from freshly built data: iterating it yields the samples of
+    :func:`solver.sampled`, so a flow read twice keeps no frame between the
+    passes; :meth:`steps` yields every step and :meth:`trajectory` stores
+    the samples."""
 
     grid: Grid
     config: SolverConfig
@@ -309,9 +310,18 @@ class Flow:
         """The flow's initial field, built anew."""
         return self.data(self.grid, self.epsilon)
 
+    # generators: the initial data is built when the first frame is taken,
+    # and only the solver holds it
     def __iter__(self) -> Iterator[ScalarField]:
-        # a generator: the initial data is built when the first frame is taken
         yield from solver_mod.sampled(self.start(), self.config)
+
+    def steps(self) -> Iterator[tuple[ScalarField, np.ndarray | None]]:
+        """Each ``(field, u_hat)`` of :func:`solver.march`."""
+        yield from solver_mod.march(self.start(), self.config)
+
+    def trajectory(self) -> Trajectory:
+        """The samples, stored by :func:`solver.evolve`."""
+        return solver_mod.evolve(self.start(), self.config)
 
 
 def _flows(config: ExperimentConfig, problems: list[str] | None = None,
@@ -623,7 +633,6 @@ def _spread(values: Sequence[float]) -> float:
 
 @dataclass
 class ScenarioResult:
-    scenario: str
     config: ExperimentConfig
     checks: list[CheckResult]
     records: list[DiagnosticsRecord]
@@ -667,32 +676,29 @@ class FlowAudit:
         return (values[2:] - values[:-2]) / (2.0 * self.dt)
 
 
-def run_flow_audit(initial: ScalarField, cfg: SolverConfig,
-                   terms: Callable[[FrameBundle], tuple[float, ...]],
+def run_flow_audit(flow: Flow, terms: Callable[[FrameBundle], tuple[float, ...]],
                    keep_frames: bool) -> FlowAudit:
-    """Evolve while recording per-step scalars.
+    """Run ``flow`` while recording per-step scalars.
 
     Each step's quantities come from one :class:`FrameBundle` seeded with
-    the half spectrum :func:`solver.march` yields, so the step's spectral
+    the half spectrum :meth:`Flow.steps` yields, so the step's spectral
     work is shared by the dissipation, the energy and ``terms``.  The
     dissipation needs only the Laplacian.  The energy, which needs the
     gradient too, is recorded at the first and the last step only.  Each
     step's ``terms`` tuple is one row of ``FlowAudit.terms``.  The bundle
     is dropped after its step.  With ``keep_frames`` the stored trajectory
-    keeps every ``sample_every``-th field, as :func:`solver.evolve` does;
-    without it the run holds no field past its step.
+    keeps every ``sample_every``-th field, as :meth:`Flow.trajectory` does;
+    without it the run holds no field past its step, the initial one
+    included.
     """
-    vol = initial.grid.cell_volume
-    eps = initial.epsilon
+    cfg, eps, vol = flow.config, flow.epsilon, flow.grid.cell_volume
     last = solver_mod.step_count(cfg)
-    flow = solver_mod.march(initial, cfg)
-    del initial  # march holds it until its first step
     times, dissipations, energies, rows, frames = [], [], [], [], []
     # the recording runs under the errstate march steps under: the terms of
     # a huge but finite field overflow silently, and the step after it
     # raises the typed error, as it does without the recording
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (current, u_hat) in enumerate(flow):
+        for i, (current, u_hat) in enumerate(flow.steps()):
             b = FrameBundle(current, u_hat)
             times.append(current.time)
             if i in (0, last):
@@ -719,7 +725,8 @@ def run_flow_audit(initial: ScalarField, cfg: SolverConfig,
 
 
 def zero_level_radius(field: ScalarField) -> float:
-    """Zero-crossing radius along the horizontal axis through the center."""
+    """Zero-crossing radius along the horizontal axis through the center;
+    a circle that has vanished has none, and raises :class:`ScenarioError`."""
     grid = field.grid
     row = field.values[(slice(None),) + (grid.points // 2,) * (grid.dim - 1)]
     x = grid.axis()
@@ -731,7 +738,8 @@ def zero_level_radius(field: ScalarField) -> float:
         elif a * b < 0:
             best = max(best, abs(x[i] - a * (x[i + 1] - x[i]) / (b - a)))
     if best == 0.0:
-        raise ValueError("no zero crossing on the central axis")
+        raise ScenarioError(f"the epsilon={field.epsilon:g} circle left no zero crossing on "
+                            f"the central axis by t={field.time:g}: it vanished before t_end")
     return best
 
 
@@ -891,8 +899,8 @@ def _multiscale_rough_initial(grid: Grid, eps: float) -> ScalarField:
 def run_standing_wave(config: ExperimentConfig) -> ScenarioResult:
     grid = config.grid
     eps = config.epsilons[0]
-    base = _flows(config)["base", eps]
-    wave = base.start()
+    # the prepared profile and its first step, which should leave it in place
+    (wave, _), (after, _) = islice(_flows(config)["base", eps].steps(), 2)
     inner = np.abs(np.broadcast_to(grid.coords()[-1], grid.shape)) <= grid.extent / 8
 
     b = FrameBundle(wave)
@@ -908,7 +916,6 @@ def run_standing_wave(config: ExperimentConfig) -> ScenarioResult:
 
     xi_max = float(np.max(b.discrepancy))
 
-    _, (after, _) = islice(solver_mod.march(wave, base.config), 2)  # the first step alone
     fixed_point = float(np.max(np.abs(after.values - wave.values)))
 
     grad_z = distance_gradient_max(wave)
@@ -921,25 +928,8 @@ def run_standing_wave(config: ExperimentConfig) -> ScenarioResult:
         check("distance_gradient", "inverse-profile-bound", grad_z, 1.0 + 1e-3),
     ]
     records = [diagnostics_record(wave)]
-    return ScenarioResult(
-        scenario="standing-wave", config=config, checks=checks, records=records,
-        payload={"per_area_energy": per_area}, final_fields=[wave],
-    )
-
-
-def _circle_audit_jobs(config: ExperimentConfig,
-                       terms: dict[str, Callable[[FrameBundle], tuple[float, ...]]],
-                       ) -> list[Callable[[], FlowAudit]]:
-    """One zero-argument job per flow kind of ``terms`` (``"fine"`` or
-    ``"base"``), in its order, each running that flow's audit with the
-    kind's terms from the same initial field.  Only the fine audit keeps
-    frames: the scenarios read the base audit's scalars alone."""
-    eps = config.epsilons[0]
-    flows = _flows(config)
-    initial = flows["base", eps].start()
-    return [partial(run_flow_audit, initial, flows[kind, eps].config, kind_terms,
-                    keep_frames=kind == "fine")
-            for kind, kind_terms in terms.items()]
+    return ScenarioResult(config=config, checks=checks, records=records,
+                          payload={"per_area_energy": per_area}, final_fields=[wave])
 
 
 def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
@@ -952,8 +942,6 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
     # dissipation defect, which needs no identity terms.
     bump = radial_bump(center=(0.0,) * grid.dim, radius=0.45 * grid.extent)
     weight = bump.value(grid), bump.gradient(grid), bump.hessian(grid)
-    fine_job, base_job = _circle_audit_jobs(
-        config, {"fine": lambda b: brakke_terms(b, *weight), "base": lambda b: ()})
 
     # first-order-in-epsilon trend: a coarser layer tracks the circle
     # worse; and the density ratio on a static flat layer, against the
@@ -965,7 +953,10 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
     # The flows are independent; each job keeps only what the checks read:
     # the fine audit its thinned trajectory, the others no frame past its use.
     fine, defect_base, coarse_measured, flat_profile = _concurrently(
-        fine_job, lambda: base_job().dissipation_defect(),
+        partial(run_flow_audit, flows["fine", eps], lambda b: brakke_terms(b, *weight),
+                keep_frames=True),
+        lambda: run_flow_audit(flows["base", eps], lambda b: (),
+                               keep_frames=False).dissipation_defect(),
         lambda: zero_level_radius(_last_sample(coarse)),
         lambda: density_ratio_profile(flat.grid, flat, (0.0,) * grid.dim,
                                       0.5 * flat.config.t_end, flat_radii))
@@ -1044,19 +1035,20 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
         "density_profile_flat": flat_profile,
         "center_in_layer": center_in_layer,
     }
-    return ScenarioResult(
-        scenario="shrinking-circle", config=config, checks=checks, records=records,
-        payload=payload, final_fields=[fine.trajectory[-1]],
-    )
+    return ScenarioResult(config=config, checks=checks, records=records, payload=payload,
+                          final_fields=[fine.trajectory[-1]])
 
 
 def run_monotonicity_sweep(config: ExperimentConfig) -> ScenarioResult:
     grid = config.grid
     kernel = KernelPoint(y=(0.0,) * grid.dim, s=config.t_end + config.params["kernel_lag"],
                          n=grid.interface_dim)
-    fine, base = _concurrently(*_circle_audit_jobs(
-        config, dict.fromkeys(("fine", "base"), partial(monotonicity_terms, kp=kernel))))
     eps = config.epsilons[0]
+    flows, terms = _flows(config), partial(monotonicity_terms, kp=kernel)
+    # the fine audit, the longer, is submitted first; only it keeps frames
+    fine, base = _concurrently(
+        partial(run_flow_audit, flows["fine", eps], terms, keep_frames=True),
+        partial(run_flow_audit, flows["base", eps], terms, keep_frames=False))
     burn = _burn_in(eps)
 
     # non-increase of the kernel-weighted energy, per unit time
@@ -1089,16 +1081,9 @@ def run_monotonicity_sweep(config: ExperimentConfig) -> ScenarioResult:
          discrepancy[i + 1])
         for i in range(len(res_fine_series))
     ]
-    return ScenarioResult(
-        scenario="monotonicity-sweep", config=config, checks=checks, records=records,
-        payload=payload,
-        extra_tables={
-            "monotonicity.csv": (
-                ("t", "gaussian_density", "residual", "dissipative_term", "discrepancy_term"),
-                sweep_rows,
-            )
-        },
-    )
+    columns = ("t", "gaussian_density", "residual", "dissipative_term", "discrepancy_term")
+    return ScenarioResult(config=config, checks=checks, records=records, payload=payload,
+                          extra_tables={"monotonicity.csv": (columns, sweep_rows)})
 
 
 def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
@@ -1179,7 +1164,7 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
     # and every epsilon runs over the same physical horizon.
     def fit_report(fit: Flow) -> ExcessDecayReport:
         # the fit's trajectory is freed when its report is made
-        traj = solver_mod.evolve(fit.start(), fit.config)
+        traj = fit.trajectory()
         return excess_decay_ratio(traj, theta=theta, scale=fit_scale,
                                   center_time=traj.times[len(traj) // 2])
 
@@ -1209,11 +1194,8 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
         "weak_l1_ratios": dict(zip(map(repr, thresholds), weak_l1)),
         "k1": k1,
     }
-    return ScenarioResult(
-        scenario="excess-decay", config=config, checks=checks, records=records, payload=payload,
-        final_fields=[final_frame],
-        graphs=graphs,
-    )
+    return ScenarioResult(config=config, checks=checks, records=records, payload=payload,
+                          final_fields=[final_frame], graphs=graphs)
 
 
 def run_no_cancellation(config: ExperimentConfig) -> ScenarioResult:
@@ -1231,9 +1213,7 @@ def run_no_cancellation(config: ExperimentConfig) -> ScenarioResult:
         check("weak_star_defect_sweep", "no-cancellation", _worst_step_ratio(seq), 1.0, "<"),
     ]
     payload = {"defects": {repr(e): d for e, d in defects.items()}}
-    return ScenarioResult(
-        scenario="no-cancellation", config=config, checks=checks, records=[], payload=payload,
-    )
+    return ScenarioResult(config=config, checks=checks, records=[], payload=payload)
 
 
 def _analytic_random_field(grid: Grid, seed: int) -> ScalarField:
@@ -1325,9 +1305,7 @@ def run_inequality_ratios(config: ExperimentConfig) -> ScenarioResult:
         "sobolev": {"base": sob_a, "refined": sob_b, "circle": circle_sob},
         "stress_energy_defects": defects,
     }
-    return ScenarioResult(
-        scenario="inequality-ratios", config=config, checks=checks, records=[], payload=payload,
-    )
+    return ScenarioResult(config=config, checks=checks, records=[], payload=payload)
 
 
 _RUNNERS = {
@@ -1350,22 +1328,27 @@ def run_scenario(config: ExperimentConfig, out_dir: str | Path | None = None) ->
 def write_reports(result: ScenarioResult, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_diagnostics_csv(result.records, out / "diagnostics.csv")
+    scenario, seed = result.config.scenario, result.config.seed
     verdict = {
-        "scenario": result.scenario,
-        "seed": result.config.seed,
+        "scenario": scenario,
+        "seed": seed,
         "passed": result.passed,
         "checks": [asdict(c) for c in result.checks],
         "payload": result.payload,
     }
-    write_json(verdict, out / "verdict.json")
-    for name, (columns, rows) in result.extra_tables.items():
-        write_table_csv(columns, rows, out / name)
-    for name, graph in result.graphs.items():
-        write_graph_csv(graph, out / name)
+    # every output but the manifest, by file name: the manifest lists them
+    writers = {
+        "diagnostics.csv": partial(write_diagnostics_csv, result.records),
+        "verdict.json": partial(write_json, verdict),
+        **{name: partial(write_table_csv, *table) for name, table in result.extra_tables.items()},
+        **{name: partial(write_graph_csv, graph) for name, graph in result.graphs.items()},
+        **{f"field_{i}.field": partial(write_field, f) for i, f in enumerate(result.final_fields)},
+    }
+    for name, write in writers.items():
+        write(out / name)
     manifest = {
-        "scenario": result.scenario,
-        "seed": result.config.seed,
+        "scenario": scenario,
+        "seed": seed,
         "claims": sorted({c.claim for c in result.checks}),
         "checks": [
             {"name": c.name, "claim": c.claim, "value": c.value,
@@ -1373,16 +1356,9 @@ def write_reports(result: ScenarioResult, out_dir: str | Path) -> None:
             for c in result.checks
         ],
         "config": _config_echo(result.config),
-        "outputs": sorted(
-            ["diagnostics.csv", "verdict.json"]
-            + [f"field_{i}.field" for i in range(len(result.final_fields))]
-            + list(result.extra_tables)
-            + list(result.graphs)
-        ),
+        "outputs": sorted(writers),
     }
     write_json(manifest, out / "manifest.json")
-    for i, f in enumerate(result.final_fields):
-        write_field(f, out / f"field_{i}.field")
 
 
 def _config_echo(config: ExperimentConfig) -> dict:

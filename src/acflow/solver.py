@@ -32,8 +32,9 @@ scheme state, and yields the initial field and then each step's
 A step that produces non-finite values raises :class:`FlowDivergedError`.
 :func:`sampled` keeps every ``sample_every``-th of its fields, one at a
 time, for a consumer that streams them; :func:`evolve` stores them as a
-:class:`~acflow.grid.Trajectory`.  The flow audit of
-:mod:`acflow.experiments` consumes :func:`march` itself.
+:class:`~acflow.grid.Trajectory`.  In the package only
+:class:`acflow.experiments.Flow` calls the three; the flow audit of
+:mod:`acflow.experiments` records :func:`march`'s steps through it.
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ from acflow.experiments import (
     run_scenario,
     run_shrinking_circle,
     write_reports,
+    zero_level_radius,
 )
 from acflow.initial_data import circle_distance, graph_pair_distance, sine_mode
 from acflow.diagnostics import brakke_terms
@@ -100,6 +101,11 @@ def energy_terms(b):
 
 def no_terms(b):
     return ()
+
+
+def flow_of(field, cfg):
+    """The flow that runs ``cfg`` from ``field``."""
+    return Flow(field.grid, cfg, field.epsilon, lambda grid, eps: field)
 
 
 # --- configuration ----------------------------------------------------------
@@ -246,7 +252,7 @@ def test_config_file_loader_returns_a_config_or_raises_config_error(tmp_path_fac
 def test_flow_audit_matches_evolve(grid_1d):
     wave = standing_wave(grid_1d, 0.05)
     cfg = SolverConfig(dt=2.5e-4, t_end=2.5e-3, scheme="semi-implicit-cnab2", sample_every=5)
-    audit = run_flow_audit(wave, cfg, energy_terms, keep_frames=True)
+    audit = run_flow_audit(flow_of(wave, cfg), energy_terms, keep_frames=True)
     direct = evolve(wave, cfg)
     assert len(audit.trajectory) == len(direct) == 3
     assert np.array_equal(audit.trajectory.times, direct.times)
@@ -285,7 +291,7 @@ def test_audited_cnab2_step_makes_five_real_transforms(monkeypatch):
     def transforms(n_steps):
         calls.clear()
         cfg = SolverConfig(dt=dt, t_end=n_steps * dt, scheme="semi-implicit-cnab2")
-        run_flow_audit(initial, cfg, terms, keep_frames=True)
+        run_flow_audit(flow_of(initial, cfg), terms, keep_frames=True)
         return Counter(calls)
 
     # the difference between 3 and 2 audited steps is one audited step
@@ -320,7 +326,7 @@ def test_audit_transform_count_is_linear_in_the_steps(monkeypatch, with_brakke_t
     def transforms(n_steps):
         calls.clear()
         cfg = SolverConfig(dt=dt, t_end=n_steps * dt, scheme="semi-implicit-cnab2")
-        run_flow_audit(initial, cfg, terms, keep_frames=True)
+        run_flow_audit(flow_of(initial, cfg), terms, keep_frames=True)
         return calls["rfftn"] + calls["irfftn"]
 
     assert {transforms(n) - per_step * n for n in (1, 2, 5)} == {fixed}
@@ -358,7 +364,7 @@ def test_library_identities_reproduce_the_audit_probe_series():
     bump = radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent)
     initial = prepare_interface(circle_distance(0.35), g, eps)
     cfg = SolverConfig(dt=dt, t_end=6 * dt, scheme="semi-implicit-cnab2")
-    audit = run_flow_audit(initial, cfg, both_terms(g, kernel, bump), keep_frames=True)
+    audit = run_flow_audit(flow_of(initial, cfg), both_terms(g, kernel, bump), keep_frames=True)
     traj = audit.trajectory
     mass, rhs_gradient, rhs_tensor, gauss, dissipative, discrepancy = audit.terms.T
     i = 3
@@ -391,7 +397,7 @@ def test_audit_and_evolve_report_the_same_divergence(monkeypatch):
     with pytest.raises(FlowDivergedError) as from_evolve:
         evolve(initial, cfg)
     with pytest.raises(FlowDivergedError) as from_audit:
-        run_flow_audit(initial, cfg, no_terms, keep_frames=True)
+        run_flow_audit(flow_of(initial, cfg), no_terms, keep_frames=True)
     err = from_evolve.value
     assert (err.step, err.time, err.max_abs) == (
         from_audit.value.step, from_audit.value.time, from_audit.value.max_abs)
@@ -414,7 +420,7 @@ def test_probed_audit_reports_a_divergence_as_the_typed_error(monkeypatch, dt_fa
     terms = both_terms(g, KernelPoint(y=(0.0, 0.0), s=cfg.t_end + 0.01, n=1),
                        radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent))
     with pytest.raises(FlowDivergedError):
-        run_flow_audit(initial, cfg, terms, keep_frames=True)
+        run_flow_audit(flow_of(initial, cfg), terms, keep_frames=True)
 
 
 def test_audit_and_evolve_share_the_step_count_rule(wave_1d):
@@ -428,15 +434,15 @@ def test_audit_and_evolve_share_the_step_count_rule(wave_1d):
         with pytest.raises(SolverConfigError, match=message) as from_evolve:
             evolve(wave_1d, cfg)
         with pytest.raises(SolverConfigError, match=message) as from_audit:
-            run_flow_audit(wave_1d, cfg, no_terms, keep_frames=True)
+            run_flow_audit(flow_of(wave_1d, cfg), no_terms, keep_frames=True)
         assert str(from_audit.value) == str(from_evolve.value)
 
 
 def test_flow_audit_without_frames_records_the_same_series(grid_1d):
     wave = standing_wave(grid_1d, 0.05)
     cfg = SolverConfig(dt=2.5e-4, t_end=2.5e-3, scheme="semi-implicit-cnab2", sample_every=5)
-    kept = run_flow_audit(wave, cfg, energy_terms, keep_frames=True)
-    bare = run_flow_audit(wave, cfg, energy_terms, keep_frames=False)
+    kept = run_flow_audit(flow_of(wave, cfg), energy_terms, keep_frames=True)
+    bare = run_flow_audit(flow_of(wave, cfg), energy_terms, keep_frames=False)
     assert bare.trajectory is None
     for name in ("times", "end_energies", "dissipation", "terms"):
         assert np.array_equal(getattr(bare, name), getattr(kept, name))
@@ -458,7 +464,7 @@ def test_flow_audit_lets_go_of_its_initial_field():
         alive.append(refs[0]() is not None)
         return ()
 
-    run_flow_audit(prepared(), cfg, terms, keep_frames=False)
+    run_flow_audit(Flow(g, cfg, 0.1, lambda grid, eps: prepared()), terms, keep_frames=False)
     assert alive == [True, False, False, False, False]
 
 
@@ -475,7 +481,7 @@ def test_sphere_audit_keeps_both_identities_at_interface_dimension_two():
     cfg = SolverConfig(dt=dt, t_end=40 * dt, scheme="semi-implicit-cnab2")
     initial = prepare_interface(circle_distance(0.35), g, eps)
     kernel = KernelPoint(y=(0.0, 0.0, 0.0), s=cfg.t_end + 0.01, n=g.interface_dim)
-    audit = run_flow_audit(initial, cfg, both_terms(g, kernel, radial_bump(
+    audit = run_flow_audit(flow_of(initial, cfg), both_terms(g, kernel, radial_bump(
         center=(0.0, 0.0, 0.0), radius=0.45 * g.extent)), keep_frames=False)
     _, rhs_gradient, rhs_tensor, gauss, _, _ = audit.terms.T
     assert np.max(np.abs(rhs_gradient - rhs_tensor)) <= 1e-5 * np.max(np.abs(rhs_tensor))
@@ -690,23 +696,22 @@ def test_concurrent_circle_audits_equal_sequential_runs(monkeypatch):
     config = config_from_dict(SMALL_CIRCLE_RAW)
     g, eps = config.grid, config.epsilons[0]
     scales = (1.0, 0.5, 0.25)
-    initial = _flows(config)["base", eps].start()
     terms = both_terms(g, KernelPoint(y=(0.0, 0.0), s=config.t_end + 0.01, n=1),
                        radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent))
-    sequential = {
-        scale: run_flow_audit(initial, config.solver_config(
-            eps, dt_scale=scale, sample_every=round(config.sample_every / scale)), terms,
-            keep_frames=True)
-        for scale in scales
-    }
+
+    def base_at(config, scale):
+        """The base flow at ``scale`` times its step."""
+        return dataclasses.replace(_flows(config)["base", eps], config=config.solver_config(
+            eps, dt_scale=scale, sample_every=round(config.sample_every / scale)))
+
+    sequential = {scale: run_flow_audit(base_at(config, scale), terms, keep_frames=True)
+                  for scale in scales}
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(len(scales))))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         fresh = config_from_dict(SMALL_CIRCLE_RAW)
-        jobs = [partial(run_flow_audit, _flows(fresh)["base", eps].start(), fresh.solver_config(
-                    eps, dt_scale=scale, sample_every=round(fresh.sample_every / scale)), terms,
-                    keep_frames=True)
+        jobs = [partial(run_flow_audit, base_at(fresh, scale), terms, keep_frames=True)
                 for scale in scales]
         concurrent = dict(zip(scales, _concurrently(*jobs)))
     finally:
@@ -927,7 +932,7 @@ def test_a_constant_sweep_fails_and_prints_its_open_comparison(capsys, monkeypat
     assert (_worst_step_ratio([0.5, 0.25]), _worst_step_ratio([0.0, 0.5])) == (0.5, math.inf)
     sweep = check("tilt_excess_sweep", "excess-vanishing", _worst_step_ratio([0.5, 0.5]), 1.0, "<")
     monkeypatch.setitem(experiments._RUNNERS, "excess-decay", lambda config: ScenarioResult(
-        scenario=config.scenario, config=config, checks=[sweep], records=[], payload={}))
+        config=config, checks=[sweep], records=[], payload={}))
     assert cli_main(["experiment", "excess-decay"]) == 1
     assert capsys.readouterr().out == ("[FAIL] tilt_excess_sweep: value=1 < 1\n"
                                        "scenario excess-decay: FAIL\n")
@@ -1245,6 +1250,27 @@ def test_cli_rejects_a_horizon_of_no_time(tmp_path, capsys, monkeypatch, scenari
     assert not (tmp_path / "exp").exists()
 
 
+def test_a_vanished_circle_has_no_radius():
+    grid = Grid(dim=2, extent=1.6, points=64)
+    gone = ScalarField(grid=grid, values=-np.ones(grid.shape), epsilon=0.1, time=0.03)
+    with pytest.raises(ScenarioError, match="epsilon=0.1 circle left no zero crossing on the "
+                                            "central axis by t=0.03: it vanished before t_end"):
+        zero_level_radius(gone)
+
+
+def test_cli_reports_a_vanished_circle(tmp_path, capsys):
+    # radius^2 = 0.0676 > 2 t_end meets the sharp radius law, but the coarse
+    # 2-eps circle is gone by t_end
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL_CIRCLE_RAW, "params": {"radius": 0.26}}))
+    code = cli_main(["experiment", "--config", str(path), "--out", str(tmp_path / "exp")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: the epsilon=0.1 circle left no zero crossing on the central axis by t=0.03125: "
+        "it vanished before t_end\n")
+    assert not (tmp_path / "exp").exists()
+
+
 def test_cli_reports_a_diverged_flow(tmp_path, capsys, monkeypatch):
     # a cnab2 step of 2 eps^2, six times its limit, diverges at step 12 on the
     # small circle; no-cancellation's circle has no radius law to bound the
@@ -1314,27 +1340,37 @@ class ReadParams(dict):
 def test_every_flow_a_scenario_runs_is_in_its_flow_table(monkeypatch, tmp_path, scenario):
     # the loader checks the table, so a flow outside it would go unchecked;
     # standing-wave's single step of its base flow is in the table too.  A
-    # run matches its entry in grid, step, layer width and initial values
+    # run matches its entry in grid, step, layer width and initial values,
+    # and starts from the very field its own entry built: an entry that
+    # lends its data to another's run, even equal data, is caught
     config = config_from_dict(small_raw(scenario))
     flows = _flows(config)
     starts = {key: flow.start().values for key, flow in flows.items()}
-    ran, march = [], solver.march
+    ran, march, start, started = [], solver.march, Flow.start, []
+
+    def recording_start(flow):
+        field = start(flow)
+        started.append((flow.config, weakref.ref(field)))
+        return field
 
     def recording(field, cfg):
-        ran.append((field.epsilon, field.grid, cfg, field.values))
+        own = any(c == cfg and ref() is field for c, ref in started)
+        ran.append((field.epsilon, field.grid, cfg, field.values, own))
         return march(field, cfg)
 
     def entries(run):
-        eps, grid, cfg, values = run
+        eps, grid, cfg, values, _ = run
         return {key for key, flow in flows.items()
                 if (flow.epsilon, flow.grid, flow.config) == (eps, grid, cfg)
                 and np.array_equal(starts[key], values)}
 
+    monkeypatch.setattr(Flow, "start", recording_start)
     monkeypatch.setattr(solver, "march", recording)
     params = ReadParams(config.params)
     run_scenario(dataclasses.replace(config, params=params))
     matched = [entries(run) for run in ran]
     assert all(matched), "a flow outside the table ran"
+    assert all(own for *_, own in ran), "a flow ran from another entry's initial field"
     assert {key for key in flows if key[0] != "base"} <= set().union(*matched)
     # every declared param feeds the run
     assert params.read == set(config.params)
@@ -1344,6 +1380,7 @@ def test_every_flow_a_scenario_runs_is_in_its_flow_table(monkeypatch, tmp_path, 
     path.write_text(json.dumps(small_raw(scenario)))
     assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 0
     assert [entries(run) for run in ran] == [{("base", config.epsilons[0])}]
+    assert all(own for *_, own in ran)
 
 
 _CIRCLE_128 = dict(grid={"dim": 2, "extent": 1.2, "points": 128}, epsilon=0.04)

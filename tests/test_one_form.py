@@ -7,9 +7,10 @@ slice's :class:`~acflow.diagnostics.FrameBundle`, so no annotation admits
 the union ``ScalarField | FrameBundle`` (in either order, as ``|`` or as
 ``Union[...]``).
 
-A flow has one form: its entry in ``experiments._flows``, which runs when
-iterated.  So ``solver.sampled`` is called only by ``Flow.__iter__`` and
-``solver.evolve``, and ``cli.py`` imports no data builder.
+A flow has one form: its entry in ``experiments._flows``, and only the
+entry runs it.  So ``solver.march``, ``sampled`` and ``evolve`` are called
+only by the methods of ``Flow`` and, inside ``solver.py``, by ``sampled``
+and ``evolve``; and ``cli.py`` imports no data builder.
 
 A verdict has one form too: only ``experiments.check`` builds a
 ``CheckResult``, and no string of ``tests/test_acceptance.py`` restates a
@@ -150,7 +151,7 @@ def test_each_stated_tolerance_is_caught():
     assert len(found) == 4
 
 
-_SAMPLERS = {("experiments.py", "Flow.__iter__"), ("solver.py", "evolve")}
+_RUNS = frozenset({"march", "sampled", "evolve"})
 _DATA_BUILDERS = re.compile(r"_initial$|^initial_field$|^prepare_interface$|^initial_data$")
 
 
@@ -172,15 +173,25 @@ def _calls_by_function(tree: ast.Module) -> list[tuple[str, ast.Call]]:
     return found
 
 
+def _runs_its_flow(where: str, scope: str) -> bool:
+    """Whether a run made in ``scope`` of module ``where`` is allowed: in a
+    method of ``experiments.Flow``, or in ``solver.sampled`` or ``solver.evolve``."""
+    if where == "experiments.py":
+        return scope.startswith("Flow.")
+    return where == "solver.py" and scope in ("sampled", "evolve")
+
+
 def flows_outside_the_table(tree: ast.Module, where: str) -> list[str]:
-    """``where:line`` of every ``sampled(...)`` call outside ``Flow.__iter__``
-    and ``solver.evolve``, and, in ``cli.py``, of every import of a data
-    builder (a ``*_initial`` function, ``initial_field``, ``prepare_interface``
-    or the ``initial_data`` module)."""
-    found = [f"{where}:{call.lineno} calls sampled in {scope or 'the module'}"
-             for scope, call in _calls_by_function(tree)
-             if getattr(call.func, "id", getattr(call.func, "attr", None)) == "sampled"
-             and (where, scope) not in _SAMPLERS]
+    """``where:line`` of every ``march``, ``sampled`` or ``evolve`` call
+    outside the methods of ``Flow`` and, in ``solver.py``, ``sampled`` and
+    ``evolve``; and, in ``cli.py``, of every import of a data builder (a
+    ``*_initial`` function, ``initial_field``, ``prepare_interface`` or the
+    ``initial_data`` module)."""
+    found = []
+    for scope, call in _calls_by_function(tree):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        if name in _RUNS and not _runs_its_flow(where, scope):
+            found.append(f"{where}:{call.lineno} calls {name} in {scope or 'the module'}")
     if where == "cli.py":
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -203,16 +214,22 @@ def test_each_flow_outside_the_table_is_caught():
               "from . import initial_data\n"
               "from .solver import prepare_interface, sampled\n"
               "class Flow:\n    def __iter__(self):\n        yield from sampled(1, 2)\n"
-              "    def start(self):\n        return solver_mod.sampled(1, 2)\n"
+              "    def steps(self):\n        yield from solver_mod.march(self.start(), 2)\n"
+              "def sampled(field, cfg):\n    return march(field, cfg)\n"
               "def evolve(field, cfg):\n    return tuple(sampled(field, cfg))\n"
               "frames = solver.sampled(field, cfg)\n"
-              "def run():\n    return _perturbed_initial(1, 2)\n")
+              "def run():\n    return _perturbed_initial(1, 2)\n"
+              "def audit(initial, cfg):\n    return solver_mod.march(initial, cfg)\n"
+              "def fit(flow):\n    return evolve(flow.start(), flow.config)\n"
+              "class Audit:\n    def run(self):\n        return sampled(1, 2)\n")
+    runs = {7, 9, 11, 13, 14, 18, 20, 23}
     found = flows_outside_the_table(ast.parse(source), "cli.py")
     assert {hit.split(" ", 1)[0] for hit in found} == {
-        "cli.py:1", "cli.py:2", "cli.py:3", "cli.py:4", "cli.py:7", "cli.py:9", "cli.py:11",
-        "cli.py:12"}
-    # in experiments.py the flow's own pass is allowed; in solver.py evolve's
-    allowed = {"experiments.py": "experiments.py:7", "solver.py": "solver.py:11"}
-    for where, line in allowed.items():
+        f"cli.py:{n}" for n in {1, 2, 3, 4} | runs}
+    assert {hit.split(" ")[2] for hit in found if "calls" in hit} == {"march", "sampled", "evolve"}
+    # in experiments.py the flow's own methods may run it; in solver.py
+    # sampled may run march, and evolve sampled
+    allowed = {"experiments.py": {7, 9}, "solver.py": {11, 13}}
+    for where, lines in allowed.items():
         hits = {hit.split(" ", 1)[0] for hit in flows_outside_the_table(ast.parse(source), where)}
-        assert line not in hits and hits == {f"{where}:{n}" for n in (7, 9, 11, 12)} - {line}
+        assert hits == {f"{where}:{n}" for n in runs - lines}
