@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +43,8 @@ __all__ = [
     "stress_energy",
     "divergence_defect",
     "weighted_mass",
-    "stress_contraction",
+    "BrakkeWeight",
+    "brakke_weight",
     "brakke_terms",
     "BrakkeResidual",
     "brakke_residual",
@@ -185,6 +185,31 @@ def radial_bump(center: Sequence[float], radius: float) -> _RadialProfileFunctio
 # ---------------------------------------------------------------------------
 
 
+class _cached:
+    """A per-instance cache: the first read computes the value and stores
+    it in the instance's ``__dict__``, which later reads find first (this
+    descriptor defines no ``__set__``).  Assigning or deleting the
+    attribute fills or drops that entry.
+
+    Unlike ``functools.cached_property`` it takes no lock.  On Python
+    < 3.12 that property holds one lock per attribute, shared by every
+    instance, so a thread computing one bundle's gradient made every other
+    thread wait for any bundle's gradient.  A bundle is read by one thread
+    only, so it needs no lock.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 class FrameBundle:
     """One time slice with its spectral derivatives and pointwise densities.
 
@@ -194,47 +219,55 @@ class FrameBundle:
     caller already has it (the stepper hands it over).  A bundle holds
     several grid-sized arrays: keep it for one time step or one diagnostics
     row, never alongside a stored trajectory.
+
+    A bundle belongs to the one thread that made it.  Its cache is its own
+    and takes no lock (see :class:`_cached`), so flows stepped on separate
+    threads never wait on each other's bundles.
     """
 
     def __init__(self, field: ScalarField, u_hat: np.ndarray | None = None):
         self.field = field
         if u_hat is not None:
-            self.u_hat = u_hat  # fills the cached property below
+            self.u_hat = u_hat  # fills the cached attribute below
 
-    @cached_property
+    @_cached
     def u_hat(self) -> np.ndarray:
         return spectrum(self.field.grid, self.field.values)
 
-    @cached_property
+    @_cached
     def gradient(self) -> np.ndarray:
         return gradient_from_hat(self.field.grid, self.u_hat)
 
-    @cached_property
+    @_cached
     def grad_sq(self) -> np.ndarray:
+        """``|grad u|^2``, the squares added in place in axis order."""
         g = self.gradient
-        return np.sum(g * g, axis=0)
+        out = np.square(g[0])
+        for gi in g[1:]:
+            out += np.square(gi)
+        return out
 
-    @cached_property
+    @_cached
     def laplacian(self) -> np.ndarray:
         return laplacian_from_hat(self.field.grid, self.u_hat)
 
-    @cached_property
+    @_cached
     def residual(self) -> np.ndarray:
         """``lap(u) - W'(u)/eps^2``, the flow's velocity."""
         return ac_residual_values(self.field, self.laplacian)
 
-    @cached_property
+    @_cached
     def well(self) -> np.ndarray:
         """``W(u)``."""
         return well(self.field.values)
 
-    @cached_property
+    @_cached
     def energy_density(self) -> np.ndarray:
         """``eps |grad u|^2 / 2 + W(u)/eps``."""
         eps = self.field.epsilon
         return 0.5 * eps * self.grad_sq + self.well / eps
 
-    @cached_property
+    @_cached
     def discrepancy(self) -> np.ndarray:
         """``eps |grad u|^2 / 2 - W(u)/eps``; zero means equipartition."""
         eps = self.field.epsilon
@@ -351,30 +384,64 @@ def weighted_mass(bundle: FrameBundle, weight: np.ndarray) -> float:
     return float(np.sum(weight * bundle.energy_density) * bundle.field.grid.cell_volume)
 
 
-def stress_contraction(bundle: FrameBundle, hess: np.ndarray) -> np.ndarray:
-    """Pointwise ``T : H = eps grad u . H grad u - e tr H`` for a symmetric
-    (d, d, *shape) field ``H``, without building the d x d tensor ``T``."""
-    g, dim = bundle.gradient, bundle.field.grid.dim
-    hess_gg = sum(g[i] * sum(hess[i, j] * g[j] for j in range(dim)) for i in range(dim))
-    trace = sum(hess[i, i] for i in range(dim))
-    return bundle.field.epsilon * hess_gg - bundle.energy_density * trace
+@dataclass(frozen=True, eq=False)
+class BrakkeWeight:
+    """A test function ``phi`` on the lattice, in the form the Brakke terms
+    read.  It does not depend on the slice, so a flow builds it once.
+
+    ``value`` is phi and ``gradient`` its partial derivatives in axis
+    order.  ``quadratic`` holds the entries ``(i, j, a_ij)``, ``i <= j``, of
+    ``A = D^2 phi - (tr D^2 phi / 2) I`` with the off-diagonal ones doubled,
+    so that ``grad u . A grad u`` is the sum of ``a_ij d_i u d_j u``;
+    ``hessian_trace`` is ``tr D^2 phi``.
+    """
+
+    value: np.ndarray
+    gradient: tuple[np.ndarray, ...]
+    quadratic: tuple[tuple[int, int, np.ndarray], ...]
+    hessian_trace: np.ndarray
 
 
-def brakke_terms(bundle: FrameBundle, phi: np.ndarray, grad_phi: np.ndarray,
-                 hess_phi: np.ndarray) -> tuple[float, float, float]:
+def brakke_weight(phi: _RadialProfileFunction, grid: Grid) -> BrakkeWeight:
+    """The :class:`BrakkeWeight` of ``phi`` on ``grid``, from its analytic
+    value, gradient and Hessian."""
+    hess = phi.hessian(grid)
+    trace = hess[0, 0].copy()
+    for i in range(1, grid.dim):
+        trace += hess[i, i]
+    quadratic = tuple((i, j, hess[i, i] - 0.5 * trace if i == j else 2.0 * hess[i, j])
+                      for i in range(grid.dim) for j in range(i, grid.dim))
+    return BrakkeWeight(value=phi.value(grid), gradient=tuple(phi.gradient(grid)),
+                        quadratic=quadratic, hessian_trace=trace)
+
+
+def brakke_terms(bundle: FrameBundle, weight: BrakkeWeight) -> tuple[float, float, float]:
     """The weighted energy ``integral phi e`` and the two right-hand sides of
     its time derivative at one slice: ``(mass, gradient form, tensor
     form)``, the gradient form ``-eps int phi V^2 - eps int (grad phi .
     grad u) V`` and the tensor form ``-eps int phi V^2 + int T : D^2 phi``
-    (``V`` the flow's velocity), given the weight's values, gradient and
-    Hessian on the lattice."""
+    (``V`` the flow's velocity).
+
+    The contraction is ``T : D^2 phi = eps grad u . A grad u - (W(u)/eps)
+    tr D^2 phi`` with the weight's ``A``, so no energy density is formed
+    for it.  Every integrand is formed elementwise in one scratch array.
+    """
     eps, vol = bundle.field.epsilon, bundle.field.grid.cell_volume
     r, g = bundle.residual, bundle.gradient
-    dissip = -eps * float(np.sum(phi * r * r) * vol)
-    # transport term pairs grad(phi).grad(u) with the negative velocity
-    transport = -eps * float(np.sum(np.sum(grad_phi * g, axis=0) * r) * vol)
-    tensor = float(np.sum(stress_contraction(bundle, hess_phi)) * vol)
-    return weighted_mass(bundle, phi), dissip + transport, dissip + tensor
+    buf = weight.value * r
+    dissip = -eps * float(np.sum(np.multiply(buf, r, out=buf)) * vol)
+    # grad(phi).grad(u), summed in axis order, pairs with the negative velocity
+    np.multiply(weight.gradient[0], g[0], out=buf)
+    for dphi, gi in zip(weight.gradient[1:], g[1:]):
+        buf += dphi * gi
+    transport = -eps * float(np.sum(np.multiply(buf, r, out=buf)) * vol)
+    quad = 0.0
+    for i, j, a in weight.quadratic:
+        np.multiply(a, g[i], out=buf)
+        quad += float(np.sum(np.multiply(buf, g[j], out=buf)))
+    trace = float(np.sum(np.multiply(bundle.well, weight.hessian_trace, out=buf)))
+    tensor = (eps * quad - trace / eps) * vol
+    return weighted_mass(bundle, weight.value), dissip + transport, dissip + tensor
 
 
 def _sample_index(traj: Trajectory, t: float) -> int:
@@ -413,12 +480,10 @@ def brakke_residual(traj: Trajectory, phi: _RadialProfileFunction, t: float) -> 
     ``t`` must coincide with an interior sample of the trajectory.
     """
     i = _centered_index(traj, t)
-    grid = traj.grid
-    w = phi.value(grid)
-    mass_prev = weighted_mass(FrameBundle(traj[i - 1]), w)
-    mass_next = weighted_mass(FrameBundle(traj[i + 1]), w)
-    _, rhs_gradient, rhs_tensor = brakke_terms(FrameBundle(traj[i]), w, phi.gradient(grid),
-                                               phi.hessian(grid))
+    weight = brakke_weight(phi, traj.grid)
+    mass_prev = weighted_mass(FrameBundle(traj[i - 1]), weight.value)
+    mass_next = weighted_mass(FrameBundle(traj[i + 1]), weight.value)
+    _, rhs_gradient, rhs_tensor = brakke_terms(FrameBundle(traj[i]), weight)
     return BrakkeResidual(
         time=traj[i].time,
         dmu_dt=(mass_next - mass_prev) / (2.0 * traj.dt_sample),

@@ -27,6 +27,7 @@ from .diagnostics import (
     FrameBundle,
     Hyperplane,
     brakke_terms,
+    brakke_weight,
     caccioppoli_ratio,
     diagnostics_record,
     divergence_defect,
@@ -941,7 +942,7 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
     # longest, so it is submitted first.  The base audit feeds only its
     # dissipation defect, which needs no identity terms.
     bump = radial_bump(center=(0.0,) * grid.dim, radius=0.45 * grid.extent)
-    weight = bump.value(grid), bump.gradient(grid), bump.hessian(grid)
+    weight = brakke_weight(bump, grid)
 
     # first-order-in-epsilon trend: a coarser layer tracks the circle
     # worse; and the density ratio on a static flat layer, against the
@@ -953,7 +954,7 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
     # The flows are independent; each job keeps only what the checks read:
     # the fine audit its thinned trajectory, the others no frame past its use.
     fine, defect_base, coarse_measured, flat_profile = _concurrently(
-        partial(run_flow_audit, flows["fine", eps], lambda b: brakke_terms(b, *weight),
+        partial(run_flow_audit, flows["fine", eps], lambda b: brakke_terms(b, weight),
                 keep_frames=True),
         lambda: run_flow_audit(flows["base", eps], lambda b: (),
                                keep_frames=False).dissipation_defect(),

@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from acflow import (
     height_excess,
     willmore,
 )
-from acflow.diagnostics import _tilt_integrand
+from acflow import diagnostics
+from acflow.diagnostics import _tilt_integrand, brakke_terms, brakke_weight
 from acflow.grid import trapezoid_weights
 from acflow.io import write_diagnostics_csv
 from acflow.operators import gradient_values, integrate_values
@@ -283,6 +285,78 @@ def test_brakke_residual_rejects_endpoints(circle_traj):
         brakke_residual(circle_traj, constant_one(), circle_traj.times[0])
     with pytest.raises(ValueError):
         brakke_residual(circle_traj, constant_one(), circle_traj.times[-1])
+
+
+def _contraction_brakke_terms(b, phi, grad_phi, hess_phi):
+    """The Brakke terms as they were formed from the weight's values,
+    stacked gradient and Hessian, with the pointwise stress contraction
+    ``T : H = eps grad u . H grad u - e tr H``: the oracle of the library's
+    per-flow weight."""
+    eps, vol, dim = b.field.epsilon, b.field.grid.cell_volume, b.field.grid.dim
+    r, g = b.residual, b.gradient
+    hess_gg = sum(g[i] * sum(hess_phi[i, j] * g[j] for j in range(dim)) for i in range(dim))
+    trace = sum(hess_phi[i, i] for i in range(dim))
+    contraction = eps * hess_gg - b.energy_density * trace
+    dissip = -eps * float(np.sum(phi * r * r) * vol)
+    transport = -eps * float(np.sum(np.sum(grad_phi * g, axis=0) * r) * vol)
+    tensor = float(np.sum(contraction) * vol)
+    mass = float(np.sum(phi * b.energy_density) * vol)
+    return mass, dissip + transport, dissip + tensor
+
+
+def _moving_layer(dim, points):
+    """A layer that is not a stationary profile, so that every Brakke term
+    is nonzero: in 1-D a flat layer read at 1.5 times its own eps, else
+    :func:`_round_layer`."""
+    if dim > 1:
+        return _round_layer(dim, points)
+    grid = Grid(dim=1, extent=1.2, points=points)
+    wave = standing_wave(grid, 4.0 * grid.spacing)
+    return ScalarField(grid=grid, values=wave.values, epsilon=1.5 * wave.epsilon, time=0.0)
+
+
+@pytest.mark.parametrize("dim, points", [(1, 256), (2, 64), (3, 32)])
+def test_brakke_terms_match_the_stress_contraction(dim, points):
+    # The mass and the gradient form are summed as before, bit for bit; the
+    # tensor form reads the weight's A = D^2 phi - (tr D^2 phi / 2) I and
+    # rounds differently.
+    field = _moving_layer(dim, points)
+    bump = radial_bump(center=(0.1,) * dim, radius=0.5)
+    grid = field.grid
+    mass, gradient_form, tensor_form = brakke_terms(FrameBundle(field), brakke_weight(bump, grid))
+    oracle = _contraction_brakke_terms(FrameBundle(field), bump.value(grid), bump.gradient(grid),
+                                       bump.hessian(grid))
+    assert (mass, gradient_form) == oracle[:2]
+    assert tensor_form == pytest.approx(oracle[2], rel=1e-12)
+
+
+def test_a_bundle_never_waits_on_another_threads_bundle(monkeypatch, wave_2d):
+    # Thread A is held inside its bundle's gradient; thread B, building the
+    # gradient of another bundle, must not wait for it.  A is released in
+    # any case, so the test cannot hang.
+    entered, release, b_done = threading.Event(), threading.Event(), threading.Event()
+    real = diagnostics.gradient_from_hat
+
+    def held_in_thread_a(grid, u_hat):
+        if threading.current_thread() is thread_a:
+            entered.set()
+            release.wait(10.0)
+        return real(grid, u_hat)
+
+    monkeypatch.setattr(diagnostics, "gradient_from_hat", held_in_thread_a)
+    thread_a = threading.Thread(target=lambda: FrameBundle(wave_2d).gradient)
+    thread_b = threading.Thread(target=lambda: (FrameBundle(wave_2d).gradient, b_done.set()))
+    thread_a.start()
+    try:
+        assert entered.wait(10.0)
+        thread_b.start()
+        assert b_done.wait(2.0), "a bundle waited on another thread's bundle"
+    finally:
+        release.set()
+        for thread in (thread_a, thread_b):
+            if thread.ident is not None:  # started
+                thread.join(10.0)
+    assert not thread_a.is_alive() and not thread_b.is_alive()
 
 
 # --- inequality ratios -----------------------------------------------------

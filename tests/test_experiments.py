@@ -48,7 +48,7 @@ from acflow.experiments import (
     zero_level_radius,
 )
 from acflow.initial_data import circle_distance, graph_pair_distance, sine_mode
-from acflow.diagnostics import brakke_terms
+from acflow.diagnostics import brakke_terms, brakke_weight
 from acflow.monotonicity import KernelPoint, monotonicity_terms
 from acflow.io import read_field, write_field
 from acflow.levelset import good_bad_partitions
@@ -90,8 +90,8 @@ SMALL_CIRCLE_RAW = {
 def both_terms(grid, kernel, bump):
     """The Brakke terms (mass, gradient form, tensor form) and then the
     Gaussian terms (value, dissipative, discrepancy), as one audit row."""
-    weight = bump.value(grid), bump.gradient(grid), bump.hessian(grid)
-    return lambda b: brakke_terms(b, *weight) + monotonicity_terms(b, kernel)
+    weight = brakke_weight(bump, grid)
+    return lambda b: brakke_terms(b, weight) + monotonicity_terms(b, kernel)
 
 
 def energy_terms(b):
@@ -314,8 +314,8 @@ def test_audit_transform_count_is_linear_in_the_steps(monkeypatch, with_brakke_t
     dt = 0.25 * eps**2
     initial = prepare_interface(circle_distance(0.35), g, eps)
     bump = radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent)
-    weight = bump.value(g), bump.gradient(g), bump.hessian(g)
-    terms = (lambda b: brakke_terms(b, *weight)) if with_brakke_terms else no_terms
+    weight = brakke_weight(bump, g)
+    terms = (lambda b: brakke_terms(b, weight)) if with_brakke_terms else no_terms
     calls = Counter()
     for name in ("rfftn", "irfftn"):
         def counting(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):

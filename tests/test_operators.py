@@ -198,6 +198,44 @@ def test_blas_guard_sees_every_way_to_call_a_contraction():
                                     "np.linalg.norm(e)\nnp.sum(a * b)\ndot = 1"))
 
 
+# functools.cached_property holds one lock per property, shared by every
+# instance, on Python < 3.12: flows stepped on separate threads waited on each
+# other's frame bundles.  A test that blocks one thread inside a bundle would
+# pass on 3.12 even with the lock back, so this guard is the check that holds
+# on every version.
+def _cached_property_uses(tree: ast.Module) -> list[int]:
+    """Lines that import or use ``functools.cached_property``: ``from
+    functools import cached_property`` (under any alias), or the attribute
+    ``cached_property`` of anything, as ``functools.cached_property`` is
+    reached through any alias of the module."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module == "functools"
+                and any(a.name == "cached_property" for a in node.names)
+                or isinstance(node, ast.Attribute) and node.attr == "cached_property"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_uses_cached_property():
+    package = Path(__file__).resolve().parents[1] / "src" / "acflow"
+    found = [f"{p.name}:{line}" for p in sorted(package.glob("*.py"))
+             for line in _cached_property_uses(ast.parse(p.read_text(encoding="utf-8")))]
+    assert not found, f"functools.cached_property in the library: {', '.join(found)}"
+
+
+def test_cached_property_guard_sees_every_way_to_use_it():
+    for source in ["from functools import cached_property",
+                   "from functools import (partial,\n cached_property as cp)",
+                   "import functools\nclass B:\n    @functools.cached_property\n"
+                   "    def g(self): pass",
+                   "import functools as ft\nx = ft.cached_property(f)"]:
+        assert _cached_property_uses(ast.parse(source)), source
+    assert not _cached_property_uses(ast.parse(
+        "from functools import partial, lru_cache\nclass _cached: pass\n"
+        "class B:\n    @_cached\n    def g(self): pass\ncached_property = 1"))
+
+
 def _name_loads(tree: ast.Module, name: str) -> list[int]:
     """Lines that load ``name``: a bare read, an attribute ``x.name`` or
     ``from m import name``."""
