@@ -19,6 +19,7 @@ from .diagnostics import diagnostics_record
 from .experiments import (
     SCENARIOS,
     ConfigError,
+    ExperimentConfig,
     ScenarioError,
     default_config,
     load_config,
@@ -30,7 +31,7 @@ from .solver import FlowDivergedError, InterfaceDataError, SolverConfigError
 from . import experiments
 
 
-def _resolve_config(args) -> "experiments.ExperimentConfig":
+def _resolve_config(args) -> ExperimentConfig:
     if args.config is not None:
         config = load_config(args.config)
     else:
@@ -43,7 +44,7 @@ def _resolve_config(args) -> "experiments.ExperimentConfig":
             f"config file is for scenario {config.scenario!r}, not {args.scenario!r}"
         )
     if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+        config = ExperimentConfig({**config.source, "seed": args.seed})
     return config
 
 

@@ -97,14 +97,32 @@ _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    scenario: str
-    grid: Grid
-    epsilons: tuple[float, ...]
-    dt_factor: float
-    t_end: float
-    sample_every: int
-    params: dict
-    seed: int
+    """A config as the loader accepted it.
+
+    ``source`` is the JSON object :func:`_build_config` accepted, with every
+    key present and every number of its declared kind; the manifest writes
+    it back, and it loads to an equal config.  Every other field is read
+    from it, so no config disagrees with its source.
+    """
+
+    source: dict
+    scenario: str = dc_field(init=False)
+    grid: Grid = dc_field(init=False)
+    epsilons: tuple[float, ...] = dc_field(init=False)
+    dt_factor: float = dc_field(init=False)
+    t_end: float = dc_field(init=False)
+    sample_every: int = dc_field(init=False)
+    params: dict = dc_field(init=False)
+    seed: int = dc_field(init=False)
+
+    def __post_init__(self) -> None:
+        src, eps = self.source, self.source["epsilon"]
+        read = {"scenario": src["scenario"], "grid": Grid(**src["grid"]),
+                "epsilons": tuple(eps) if isinstance(eps, list) else (eps,),
+                **{key: src["solver"][key] for key in _SOLVER_KINDS},
+                "params": src["params"], "seed": src["seed"]}
+        for name, value in read.items():
+            object.__setattr__(self, name, value)
 
     def dt_for(self, epsilon: float) -> float:
         return self.dt_factor * epsilon**2
@@ -181,10 +199,9 @@ def _build_config(raw: dict) -> ExperimentConfig:
         kinds = {key: list if isinstance(v, list) else type(v) for key, v in declared.items()}
         params = _checked(top["params"], kinds, "config.params", problems, declared)
 
-    grid = None
     if _GRID_KINDS.keys() <= grid_raw.keys():
         try:
-            grid = Grid(**grid_raw)
+            Grid(**grid_raw)
         except ValueError as exc:
             problems.append(f"config.grid: {exc}")
 
@@ -197,21 +214,14 @@ def _build_config(raw: dict) -> ExperimentConfig:
     epsilons = tuple(eps) if isinstance(eps, list) else (eps,)
     if "epsilon" in top and not all(e > 0 for e in epsilons):
         problems.append(f"epsilon values must be positive, got {eps!r}")
+    if len(set(epsilons)) < len(epsilons):
+        problems.append(f"epsilon values must be distinct, got {eps!r}")
     if "t_end" in solver and not solver["t_end"] > 0:
         problems.append(f"config.solver.t_end must be positive, got {solver['t_end']!r}")
     if problems:
         raise ConfigError("; ".join(problems))
 
-    config = ExperimentConfig(
-        scenario=scenario,
-        grid=grid,
-        epsilons=epsilons,
-        dt_factor=solver["dt_factor"],
-        t_end=solver["t_end"],
-        sample_every=solver["sample_every"],
-        params=params,
-        seed=top["seed"],
-    )
+    config = ExperimentConfig({**top, "grid": grid_raw, "solver": solver, "params": params})
     _validate_config(config)
     return config
 
@@ -1351,28 +1361,8 @@ def write_reports(result: ScenarioResult, out_dir: str | Path) -> None:
         "scenario": scenario,
         "seed": seed,
         "claims": sorted({c.claim for c in result.checks}),
-        "checks": [
-            {"name": c.name, "claim": c.claim, "value": c.value,
-             "tolerance": c.tolerance, "verdict": "pass" if c.passed else "fail"}
-            for c in result.checks
-        ],
-        "config": _config_echo(result.config),
+        "config": result.config.source,
         "outputs": sorted(writers),
     }
     write_json(manifest, out / "manifest.json")
 
-
-def _config_echo(config: ExperimentConfig) -> dict:
-    return {
-        "scenario": config.scenario,
-        "grid": {"dim": config.grid.dim, "extent": config.grid.extent,
-                 "points": config.grid.points},
-        "epsilon": list(config.epsilons),
-        "solver": {
-            "dt_factor": config.dt_factor,
-            "t_end": config.t_end,
-            "sample_every": config.sample_every,
-        },
-        "params": config.params,
-        "seed": config.seed,
-    }

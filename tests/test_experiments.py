@@ -216,6 +216,15 @@ def mutated_configs(draw):
     return raw
 
 
+def assert_is_its_source(config):
+    """``config`` is the JSON object the loader accepted: its source builds
+    an equal config, survives a JSON round trip unchanged and loads back."""
+    assert isinstance(config, ExperimentConfig)
+    assert ExperimentConfig(config.source) == config
+    assert json.loads(json.dumps(config.source, allow_nan=False)) == config.source
+    assert config_from_dict(config.source) == config
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(mutated_configs())
 def test_loader_returns_a_config_or_raises_config_error(raw):
@@ -223,7 +232,7 @@ def test_loader_returns_a_config_or_raises_config_error(raw):
         config = config_from_dict(raw)
     except ConfigError:
         return
-    assert isinstance(config, ExperimentConfig)
+    assert_is_its_source(config)
 
 
 _BASE_BYTES = json.dumps(BASE_RAW).encode()
@@ -243,7 +252,7 @@ def test_config_file_loader_returns_a_config_or_raises_config_error(tmp_path_fac
         config = load_config(path)
     except ConfigError:
         return
-    assert isinstance(config, ExperimentConfig)
+    assert_is_its_source(config)
 
 
 # --- audit machinery ---------------------------------------------------------
@@ -1007,6 +1016,32 @@ def test_concurrently_without_sched_getaffinity_uses_the_cpu_count(monkeypatch):
     assert _concurrently(lambda: 1, lambda: 2) == [1, 2]
 
 
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_a_default_manifest_loads_back_to_its_config(tmp_path, scenario):
+    # the manifest writes the config the loader accepted, so --config reads it back
+    config = default_config(scenario)
+    write_reports(ScenarioResult(config=config, checks=[], records=[], payload={}), tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(json.loads((tmp_path / "manifest.json").read_text())["config"]))
+    assert load_config(path) == config
+
+
+def test_a_seeded_run_reproduces_from_its_manifest(tmp_path, capsys):
+    # inequality-ratios draws its random fields from the seed
+    first, again, path = tmp_path / "first", tmp_path / "again", tmp_path / "config.json"
+    assert cli_main(["experiment", "inequality-ratios", "--seed", "5", "--out", str(first)]) == 0
+    config = json.loads((first / "manifest.json").read_text())["config"]
+    assert config["seed"] == 5
+    path.write_text(json.dumps(config))
+    assert cli_main(["experiment", "--config", str(path), "--out", str(again)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:len(out) // 2] == out[len(out) // 2:]
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
 def test_reports_are_bit_identical_across_runs(tmp_path):
     cfg = default_config("standing-wave")
     a, b = tmp_path / "a", tmp_path / "b"
@@ -1171,6 +1206,12 @@ _SHORT_CIRCLE_ERROR = ("t_end - dt = 0.011875 is not half a step (dt=0.000625) p
     # keeps 5
     ([_with(None, **scenario_raw("no-cancellation")), _with("solver", sample_every=100)],
      ["needs at least 4, but the epsilon=0.04 flow has 2"]),
+    # a repeated epsilon would run its flows twice, and each sweep would
+    # compare a value with itself
+    ([_small_excess_decay(), _with(None, epsilon=[0.04, 0.04])],
+     ["epsilon values must be distinct, got [0.04, 0.04]"]),
+    ([_with(None, **scenario_raw("no-cancellation")), _with(None, epsilon=[0.04, 0.04])],
+     ["epsilon values must be distinct, got [0.04, 0.04]"]),
 ])
 def test_cli_reports_every_config_error_at_load(tmp_path, capsys, mutations, expected):
     raw = raw_config()
@@ -1367,7 +1408,7 @@ def test_every_flow_a_scenario_runs_is_in_its_flow_table(monkeypatch, tmp_path, 
     monkeypatch.setattr(Flow, "start", recording_start)
     monkeypatch.setattr(solver, "march", recording)
     params = ReadParams(config.params)
-    run_scenario(dataclasses.replace(config, params=params))
+    run_scenario(ExperimentConfig({**config.source, "params": params}))
     matched = [entries(run) for run in ran]
     assert all(matched), "a flow outside the table ran"
     assert all(own for *_, own in ran), "a flow ran from another entry's initial field"

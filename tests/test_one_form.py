@@ -14,12 +14,26 @@ and ``evolve``; and ``cli.py`` imports no data builder.
 
 A verdict has one form too: only ``experiments.check`` builds a
 ``CheckResult``, and no string of ``tests/test_acceptance.py`` restates a
-tolerance as a comparison with a number (``<= 0.35``, ``< 1``).
+tolerance as a comparison with a number (``<= 0.35``, ``< 1``).  A run
+reports its checks once, in ``verdict.json`` as ``asdict(CheckResult)``:
+no other JSON report holds a ``checks`` list, or a check's name beside its
+value.
+
+A config has one form: an ``ExperimentConfig`` is built from ``source``,
+the JSON object the loader accepted, and reads every other field from it,
+so ``dataclasses.replace`` cannot set a field apart from its source; the
+manifest writes the source back.
 """
 
 import ast
+import dataclasses
+import json
 import re
 from pathlib import Path
+
+import pytest
+
+from acflow.experiments import check, config_from_dict, run_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -233,3 +247,64 @@ def test_each_flow_outside_the_table_is_caught():
     for where, lines in allowed.items():
         hits = {hit.split(" ", 1)[0] for hit in flows_outside_the_table(ast.parse(source), where)}
         assert hits == {f"{where}:{n}" for n in runs - lines}
+
+
+_SMALL_WAVE = {
+    "scenario": "standing-wave",
+    "grid": {"dim": 1, "extent": 2.56, "points": 512},
+    "epsilon": 0.05,
+    "solver": {"dt_factor": 0.125, "t_end": 0.00125, "sample_every": 2},
+}
+# the fields of an ExperimentConfig that it reads from its source
+_DERIVED = ("scenario", "grid", "epsilons", "dt_factor", "t_end", "sample_every", "params", "seed")
+
+
+def test_a_config_is_the_source_the_loader_accepted():
+    config = config_from_dict(_SMALL_WAVE)
+    # the error's type depends on the Python version (ValueError on 3.11)
+    with pytest.raises((TypeError, ValueError), match="init=False"):
+        dataclasses.replace(config, seed=1)
+    for name in _DERIVED:  # not even with the value it holds
+        with pytest.raises((TypeError, ValueError), match="init=False"):
+            dataclasses.replace(config, **{name: getattr(config, name)})
+    # a new source is a new config, read from it
+    assert dataclasses.replace(config, source={**config.source, "seed": 1}).seed == 1
+
+
+def check_copies(report, checks) -> list[str]:
+    """Every object in the JSON ``report`` that holds a ``checks`` key, or
+    the name of one of ``checks`` beside its value, as JSON text."""
+    values = {c.name: c.value for c in checks}
+    found = []
+
+    def walk(node) -> None:
+        held = list(node.values()) if isinstance(node, dict) else node
+        if isinstance(node, dict) and ("checks" in node or any(
+                isinstance(v, str) and v in values and values[v] in held for v in held)):
+            found.append(json.dumps(node, sort_keys=True))
+        for child in held if isinstance(held, list) else ():
+            walk(child)
+
+    walk(report)
+    return found
+
+
+def test_only_the_verdict_reports_the_checks(tmp_path):
+    result = run_scenario(config_from_dict(_SMALL_WAVE), out_dir=tmp_path)
+    reports = {p.name: json.loads(p.read_text()) for p in sorted(tmp_path.glob("*.json"))}
+    assert reports.keys() >= {"verdict.json", "manifest.json"}
+    assert reports["verdict.json"]["checks"] == [dataclasses.asdict(c) for c in result.checks]
+    found = {name: copies for name, report in reports.items() if name != "verdict.json"
+             for copies in [check_copies(report, result.checks)] if copies}
+    assert not found, f"a second report of the checks: {found}"
+
+
+def test_each_copy_of_the_checks_is_caught():
+    checks = [check("energy", "line-energy", 0.25, 1.0), check("radius", "circle", 0.5, 1.0)]
+    renamed = {"checks": [{"name": "energy", "value": 0.25, "verdict": "pass"}]}
+    nested = {"runs": [{"check": "radius", "reading": 0.5}]}
+    assert len(check_copies(renamed, checks)) == 2  # the list's holder and the entry
+    assert len(check_copies(nested, checks)) == 1
+    # a name without its value, or a value under another name, is no copy
+    assert not check_copies({"claims": ["line-energy"], "names": ["energy"], "value": 0.5,
+                             "energy": 0.25, "pair": {"name": "radius", "value": 0.25}}, checks)
