@@ -21,6 +21,7 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     ScenarioError,
+    config_from_dict,
     default_config,
     load_config,
     run_scenario,
@@ -43,8 +44,8 @@ def _resolve_config(args) -> ExperimentConfig:
         raise ConfigError(
             f"config file is for scenario {config.scenario!r}, not {args.scenario!r}"
         )
-    if args.seed is not None:
-        config = ExperimentConfig({**config.source, "seed": args.seed})
+    if args.seed is not None:  # checked by the loader's rules, as in a config file
+        config = config_from_dict({**config.source, "seed": args.seed})
     return config
 
 

@@ -425,6 +425,10 @@ def brakke_terms(bundle: FrameBundle, weight: BrakkeWeight) -> tuple[float, floa
     The contraction is ``T : D^2 phi = eps grad u . A grad u - (W(u)/eps)
     tr D^2 phi`` with the weight's ``A``, so no energy density is formed
     for it.  Every integrand is formed elementwise in one scratch array.
+    Before the mass forms the energy density, that array and the bundle's
+    Laplacian, residual and stacked gradient are dropped, ``grad_sq``
+    having been summed from the gradient first; the terms are the same bit
+    for bit, and a later read of a dropped quantity computes it again.
     """
     eps, vol = bundle.field.epsilon, bundle.field.grid.cell_volume
     r, g = bundle.residual, bundle.gradient
@@ -441,6 +445,9 @@ def brakke_terms(bundle: FrameBundle, weight: BrakkeWeight) -> tuple[float, floa
         quad += float(np.sum(np.multiply(buf, g[j], out=buf)))
     trace = float(np.sum(np.multiply(bundle.well, weight.hessian_trace, out=buf)))
     tensor = (eps * quad - trace / eps) * vol
+    del buf, r, g
+    bundle.grad_sq  # summed from the stacked gradient before it goes
+    del bundle.laplacian, bundle.residual, bundle.gradient
     return weighted_mass(bundle, weight.value), dissip + transport, dissip + tensor
 
 

@@ -218,6 +218,8 @@ def _build_config(raw: dict) -> ExperimentConfig:
         problems.append(f"epsilon values must be distinct, got {eps!r}")
     if "t_end" in solver and not solver["t_end"] > 0:
         problems.append(f"config.solver.t_end must be positive, got {solver['t_end']!r}")
+    if top.get("seed", 0) < 0:  # numpy's generators take no negative seed
+        problems.append(f"config.seed must be non-negative, got {top['seed']!r}")
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -664,12 +666,13 @@ class ScenarioResult:
 
 @dataclass
 class FlowAudit:
-    """Per-step dissipation and identity terms, the energy at the two ends
-    and, unless the run kept no frames, a thinned trajectory from one run."""
+    """Per-step dissipation and identity terms over a window of steps of one
+    run, the energy at the window's two ends and, unless the run kept no
+    frames, its thinned trajectory."""
 
     dt: float
     times: np.ndarray
-    end_energies: tuple[float, float]  # at the first and at the last step
+    end_energies: tuple[float, float]  # at the window's first and last step
     dissipation: np.ndarray  # integral of eps * residual^2 per step
     terms: np.ndarray  # (steps, k): one row of the audit's terms per step
     trajectory: Trajectory | None  # None when the run kept no frames
@@ -688,37 +691,56 @@ class FlowAudit:
 
 
 def run_flow_audit(flow: Flow, terms: Callable[[FrameBundle], tuple[float, ...]],
-                   keep_frames: bool) -> FlowAudit:
-    """Run ``flow`` while recording per-step scalars.
+                   keep_frames: bool, window: range | None = None) -> FlowAudit:
+    """Run ``flow`` while recording per-step scalars at the steps of
+    ``window``, by default every step ``0..n``.
 
     Each step's quantities come from one :class:`FrameBundle` seeded with
     the half spectrum :meth:`Flow.steps` yields, so the step's spectral
     work is shared by the dissipation, the energy and ``terms``.  The
     dissipation needs only the Laplacian.  The energy, which needs the
-    gradient too, is recorded at the first and the last step only.  Each
-    step's ``terms`` tuple is one row of ``FlowAudit.terms``.  The bundle
-    is dropped after its step.  With ``keep_frames`` the stored trajectory
-    keeps every ``sample_every``-th field, as :meth:`Flow.trajectory` does;
-    without it the run holds no field past its step, the initial one
-    included.
+    gradient too, is recorded at the window's first and last step only.
+    Each step's ``terms`` tuple is one row of ``FlowAudit.terms``.  The
+    bundle is dropped after its step.  With ``keep_frames`` the stored
+    trajectory keeps every ``sample_every``-th field from step 0, as
+    :meth:`Flow.trajectory` does; without it the run holds no field past
+    its step, the initial one included.
+
+    A window ``range(a, b)`` replays steps ``0..a-1`` with no bundle (their
+    samples are still kept) and stops after step ``b - 1``.  It splits the
+    run at samples: ``a`` and ``b`` must be multiples of ``sample_every``,
+    or ``b = n + 1``.  Windows that cover ``0..n`` join
+    (:func:`join_audits`) to the audit of the whole run, bit for bit, as an
+    audit only reads each step's field and spectrum.
     """
     cfg, eps, vol = flow.config, flow.epsilon, flow.grid.cell_volume
-    last = solver_mod.step_count(cfg)
+    n = solver_mod.step_count(cfg)
+    window = range(n + 1) if window is None else window
+    if (window.step != 1 or not 0 <= window.start < window.stop <= n + 1
+            or window.start % cfg.sample_every
+            or (window.stop % cfg.sample_every and window.stop != n + 1)):
+        raise ValueError(f"an audit window runs over steps a..b-1 with 0 <= a < b <= {n + 1} "
+                         f"and a, b multiples of sample_every={cfg.sample_every} (or b = "
+                         f"{n + 1}), got {window}")
     times, dissipations, energies, rows, frames = [], [], [], [], []
     # the recording runs under the errstate march steps under: the terms of
     # a huge but finite field overflow silently, and the step after it
     # raises the typed error, as it does without the recording
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (current, u_hat) in enumerate(flow.steps()):
-            b = FrameBundle(current, u_hat)
-            times.append(current.time)
-            if i in (0, last):
-                energies.append(float(np.sum(b.energy_density) * vol))
-            dissipations.append(float(np.sum(eps * b.residual * b.residual) * vol))
-            rows.append(terms(b))
-            del b  # freed before march runs the next step
+        for i, (current, u_hat) in islice(enumerate(flow.steps()), window.stop):
             if keep_frames and i % cfg.sample_every == 0:
                 frames.append(current)
+            if i < window.start:
+                continue
+            b = FrameBundle(current, u_hat)
+            times.append(current.time)
+            dissipations.append(float(np.sum(eps * b.residual * b.residual) * vol))
+            rows.append(terms(b))
+            # after the terms, which may have formed the energy density and
+            # dropped what it does not read
+            if i in (window.start, window.stop - 1):
+                energies.append(float(np.sum(b.energy_density) * vol))
+            del b  # freed before march runs the next step
     return FlowAudit(
         dt=cfg.dt,
         times=np.array(times),
@@ -727,6 +749,22 @@ def run_flow_audit(flow: Flow, terms: Callable[[FrameBundle], tuple[float, ...]]
         terms=np.array(rows, dtype=float),
         trajectory=(Trajectory(frames=tuple(frames), dt_sample=cfg.dt * cfg.sample_every)
                     if keep_frames else None),
+    )
+
+
+def join_audits(*windows: FlowAudit) -> FlowAudit:
+    """The audit of consecutive step windows of one run, in step order: the
+    per-step series end to end, the first window's first energy, and the
+    last window's last energy and trajectory, which holds every sample up
+    to its end."""
+    first, last = windows[0], windows[-1]
+    return FlowAudit(
+        dt=first.dt,
+        times=np.concatenate([w.times for w in windows]),
+        end_energies=(first.end_energies[0], last.end_energies[1]),
+        dissipation=np.concatenate([w.dissipation for w in windows]),
+        terms=np.concatenate([w.terms for w in windows]),
+        trajectory=last.trajectory,
     )
 
 
@@ -818,6 +856,12 @@ def no_cancellation_check(frames: Iterable[ScalarField], count: int,
 # ---------------------------------------------------------------------------
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; sched_getaffinity is Linux-only."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 def _concurrently(*jobs: Callable[[], object]) -> list:
     """The results of the zero-argument ``jobs``, in submission order.
 
@@ -838,10 +882,7 @@ def _concurrently(*jobs: Callable[[], object]) -> list:
     # would add ~8 ms to every `import acflow`
     from concurrent.futures import ThreadPoolExecutor
 
-    # the CPUs this process may run on; sched_getaffinity is Linux-only
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    pool = ThreadPoolExecutor(max_workers=max(1, min(len(jobs), cpus)))
+    pool = ThreadPoolExecutor(max_workers=max(1, min(len(jobs), _usable_cpus())))
     try:
         futures = [pool.submit(job) for job in jobs]
         results = [future.result() for future in futures]
@@ -943,16 +984,48 @@ def run_standing_wave(config: ExperimentConfig) -> ScenarioResult:
                           payload={"per_area_energy": per_area}, final_fields=[wave])
 
 
+def _fine_head_steps(flows: dict[tuple[str, float], Flow], eps: float) -> int:
+    """The step ``k`` at which shrinking-circle's fine audit splits in two:
+    a head window audits steps ``0..k-1`` and a tail window replays them
+    and audits steps ``k..n``, so that the two windows run on two threads.
+
+    The rule is made for exactly two threads, the only count it was
+    measured on; on one the audit is not split (see
+    :func:`run_shrinking_circle`), and on more it is split the same way.
+    ``k`` balances the transforms of the two threads.  A cnab2 step makes
+    two; the dissipation adds one (the Laplacian) and the Brakke terms two
+    (the gradient).  So the tail makes ``2k + 5(n - k)``, and the head's
+    thread, which then runs the base audit and the coarse and flat flows,
+    ``5k + 3 n_base + 2 (n_coarse + n_flat)``, each ``n`` a flow's step
+    count.  ``k`` is the balance rounded to the nearest multiple of the
+    fine flow's ``sample_every``, and lies between one such interval and
+    ``n``.  The default config gives 160 of 800 steps.
+    """
+    fine = flows["fine", eps]
+    [coarse], [flat] = _of_kind(flows, "coarse").values(), _of_kind(flows, "flat").values()
+    n, every = solver_mod.step_count(fine.config), fine.config.sample_every
+    others = (3 * solver_mod.step_count(flows["base", eps].config)
+              + 2 * (solver_mod.step_count(coarse.config) + solver_mod.step_count(flat.config)))
+    return min(max(every, every * round((5 * n - others) / (8 * every))), n)
+
+
 def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
     grid = config.grid
     eps = config.epsilons[0]
     radius = config.params["radius"]
     flows = _flows(config)
-    # The fine audit, at half the step, feeds the Brakke checks; it is the
-    # longest, so it is submitted first.  The base audit feeds only its
-    # dissipation defect, which needs no identity terms.
+    # The fine audit, at half the step, feeds the Brakke checks.  It is the
+    # longest, so with two CPUs or more it runs as two step windows
+    # (_fine_head_steps), the tail submitted first; on one they would run
+    # one after the other, and the tail would replay the head's steps for
+    # nothing.  The base audit feeds only its dissipation defect, which
+    # needs no identity terms.
     bump = radial_bump(center=(0.0,) * grid.dim, radius=0.45 * grid.extent)
     weight = brakke_weight(bump, grid)
+    fine_flow = flows["fine", eps]
+    n = solver_mod.step_count(fine_flow.config)
+    cuts = [0, _fine_head_steps(flows, eps)] if _usable_cpus() > 1 else [0]
+    windows = [range(a, b) for a, b in zip(cuts, cuts[1:] + [n + 1])]
 
     # first-order-in-epsilon trend: a coarser layer tracks the circle
     # worse; and the density ratio on a static flat layer, against the
@@ -962,15 +1035,19 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
     flat_radii = [2 * flat.epsilon, 0.15, 0.2, 0.25, 0.25 * grid.extent]
 
     # The flows are independent; each job keeps only what the checks read:
-    # the fine audit its thinned trajectory, the others no frame past its use.
-    fine, defect_base, coarse_measured, flat_profile = _concurrently(
-        partial(run_flow_audit, flows["fine", eps], lambda b: brakke_terms(b, weight),
-                keep_frames=True),
+    # the last fine window the thinned fine trajectory, its replay's samples
+    # included, and the others no frame past its use, so the head's thread
+    # holds no frame.  The coarse flow, which holds the least, runs last,
+    # beside the end of the tail, when the fine frames are all held.
+    *fine_windows, defect_base, flat_profile, coarse_measured = _concurrently(
+        *(partial(run_flow_audit, fine_flow, partial(brakke_terms, weight=weight),
+                  keep_frames=w.stop == n + 1, window=w) for w in reversed(windows)),
         lambda: run_flow_audit(flows["base", eps], lambda b: (),
                                keep_frames=False).dissipation_defect(),
-        lambda: zero_level_radius(_last_sample(coarse)),
         lambda: density_ratio_profile(flat.grid, flat, (0.0,) * grid.dim,
-                                      0.5 * flat.config.t_end, flat_radii))
+                                      0.5 * flat.config.t_end, flat_radii),
+        lambda: zero_level_radius(_last_sample(coarse)))
+    fine = join_audits(*reversed(fine_windows))
 
     # mean-curvature oracle for the final radius
     exact = math.sqrt(radius**2 - 2.0 * config.t_end)

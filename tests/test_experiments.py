@@ -19,7 +19,7 @@ from acflow import (
     evolve, extract_graph, gaussian_density, heat_compare, monotonicity_residual,
     partition_good_bad, prepare_interface, radial_bump,
 )
-from acflow import solver
+from acflow import experiments, solver
 from acflow.cli import main as cli_main
 from acflow.experiments import (
     SCENARIOS,
@@ -30,6 +30,7 @@ from acflow.experiments import (
     _DEFAULTS,
     Flow,
     _concurrently,
+    _fine_head_steps,
     _flows,
     _last_sample,
     _of_kind,
@@ -39,6 +40,7 @@ from acflow.experiments import (
     config_from_dict,
     default_config,
     density_ratio_profile,
+    join_audits,
     load_config,
     no_cancellation_check,
     run_flow_audit,
@@ -89,9 +91,16 @@ SMALL_CIRCLE_RAW = {
 
 def both_terms(grid, kernel, bump):
     """The Brakke terms (mass, gradient form, tensor form) and then the
-    Gaussian terms (value, dissipative, discrepancy), as one audit row."""
+    Gaussian terms (value, dissipative, discrepancy), as one audit row.
+    The Gaussian terms are read first: the Brakke terms drop the bundle's
+    gradient, Laplacian and residual after their last read."""
     weight = brakke_weight(bump, grid)
-    return lambda b: brakke_terms(b, weight) + monotonicity_terms(b, kernel)
+
+    def row(b):
+        gaussian = monotonicity_terms(b, kernel)
+        return brakke_terms(b, weight) + gaussian
+
+    return row
 
 
 def energy_terms(b):
@@ -457,6 +466,81 @@ def test_flow_audit_without_frames_records_the_same_series(grid_1d):
         assert np.array_equal(getattr(bare, name), getattr(kept, name))
 
 
+def test_two_audit_windows_join_to_the_whole_audit_bit_for_bit():
+    # the head audits steps 0..k-1 and the tail replays them with no bundle
+    # and audits k..n, as shrinking-circle's windows do
+    config = config_from_dict(SMALL_CIRCLE_RAW)
+    g, eps = config.grid, config.epsilons[0]
+    flows = _flows(config)
+    fine = flows["fine", eps]
+    weight = brakke_weight(radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent), g)
+    n, every = solver.step_count(fine.config), fine.config.sample_every
+    terms = partial(brakke_terms, weight=weight)
+    whole = run_flow_audit(fine, terms, keep_frames=True)
+    for k in (every, _fine_head_steps(flows, eps), n - every, n):
+        joined = join_audits(
+            run_flow_audit(fine, terms, keep_frames=False, window=range(k)),
+            run_flow_audit(fine, terms, keep_frames=True, window=range(k, n + 1)))
+        assert joined.dt == whole.dt
+        for name in ("times", "end_energies", "dissipation", "terms"):
+            assert np.array_equal(getattr(joined, name), getattr(whole, name)), (k, name)
+        assert joined.trajectory.dt_sample == whole.trajectory.dt_sample
+        assert len(joined.trajectory) == len(whole.trajectory) == n // every + 1
+        for a, b in zip(joined.trajectory.frames, whole.trajectory.frames):
+            assert a.time == b.time and np.array_equal(a.values, b.values)
+
+
+def test_an_audit_window_splits_the_run_at_samples():
+    config = config_from_dict(SMALL_CIRCLE_RAW)
+    fine = _flows(config)["fine", config.epsilons[0]]
+    n, every = solver.step_count(fine.config), fine.config.sample_every
+    assert every > 1 and n % every == 0
+    for window in (range(every + 1), range(1, n + 1), range(every, 2 * every - 1),
+                   range(0), range(every, every), range(n + 2), range(0, n + 1, 2)):
+        with pytest.raises(ValueError, match="an audit window runs over steps a..b-1"):
+            run_flow_audit(fine, no_terms, keep_frames=False, window=window)
+    # a window that ends at the run's end need not end on a sample
+    tail = run_flow_audit(fine, no_terms, keep_frames=True, window=range(n - every, n + 1))
+    assert len(tail.times) == every + 1 and len(tail.trajectory) == n // every + 1
+
+
+def test_the_fine_split_balances_the_transforms_of_the_two_threads():
+    # default config: fine 800 steps, base 400, coarse 200, flat 576, so
+    # 2k + 5(800 - k) = 5k + 3*400 + 2*(200 + 576) at k = 156, and the
+    # nearest multiple of the fine sample interval, 40, is 160
+    config = default_config("shrinking-circle")
+    assert _fine_head_steps(_flows(config), config.epsilons[0]) == 160
+    # on the small config the other flows outweigh the fine audit, and the
+    # head keeps one sample interval
+    small = config_from_dict(SMALL_CIRCLE_RAW)
+    flows = _flows(small)
+    every = flows["fine", small.epsilons[0]].config.sample_every
+    assert _fine_head_steps(flows, small.epsilons[0]) == every
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_the_fine_audit_splits_only_when_two_threads_can_run_it(monkeypatch, cpus):
+    # on one CPU the two windows would run one after the other, and the
+    # tail would replay the head's steps for nothing
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    config = config_from_dict(SMALL_CIRCLE_RAW)
+    flows = _flows(config)
+    fine = flows["fine", config.epsilons[0]]
+    n, k = solver.step_count(fine.config), _fine_head_steps(flows, config.epsilons[0])
+    windows = []
+
+    def recording(flow, terms, keep_frames, window=None):
+        if flow.config == fine.config:
+            windows.append((window, keep_frames))
+        return run_flow_audit(flow, terms, keep_frames, window)
+
+    monkeypatch.setattr(experiments, "run_flow_audit", recording)
+    run_shrinking_circle(config)
+    expected = ([(range(n + 1), True)] if cpus == 1
+                else [(range(k, n + 1), True), (range(k), False)])
+    assert sorted(windows, key=lambda w: w[0].start) == sorted(expected, key=lambda w: w[0].start)
+
+
 def test_flow_audit_lets_go_of_its_initial_field():
     # the audit's march holds the initial field until its first step; the
     # audit itself keeps no reference to it past that
@@ -553,8 +637,6 @@ def test_density_profile_flags_pure_phase_center(monkeypatch):
     # shrinking-circle centres its density profile on the layer of the fine
     # flow's frame nearest mid-run, and flags whether |u| <= 0.9 there; a
     # centre moved to the origin, deep inside the circle, is flagged, not an error
-    import acflow.experiments as experiments
-
     config = config_from_dict(SMALL_CIRCLE_RAW)
     eps = config.epsilons[0]
     fine = _flows(config)["fine", eps]
@@ -1288,6 +1370,34 @@ def test_cli_rejects_a_horizon_of_no_time(tmp_path, capsys, monkeypatch, scenari
     assert code == 2
     assert capsys.readouterr().err == ("configuration error: config.solver.t_end must be "
                                        "positive, got 0.0\n")
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("seed, expected", [
+    (-12, "config.seed must be non-negative, got -12"),
+    (10**400, "config.seed must be an integer, got 1000"),
+], ids=["negative", "past-the-float-range"])
+@pytest.mark.parametrize("form", ["--seed", "config file"])
+def test_cli_rejects_a_seed_the_generators_cannot_take(tmp_path, capsys, monkeypatch, form,
+                                                       seed, expected):
+    # inequality-ratios seeds numpy's generator with seed + 11, which takes
+    # no negative seed; the loader rejects it before any flow runs
+    def no_flow(*args):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(solver, "march", no_flow)
+    args = ["experiment", "inequality-ratios", "--out", str(tmp_path / "exp")]
+    if form == "--seed":
+        args += ["--seed", str(seed)]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**_DEFAULTS["inequality-ratios"], "seed": seed}))
+        args += ["--config", str(path)]
+    code = cli_main(args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"configuration error: {expected}")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert not (tmp_path / "exp").exists()
 
 
