@@ -47,7 +47,7 @@ from .levelset import (
     heat_compare,
 )
 from .monotonicity import KernelPoint, monotonicity_terms
-from .operators import integrate_values
+from .operators import _time_integral, integrate_values
 from .solver import SolverConfig, SolverConfigError, prepare_interface
 from . import solver as solver_mod
 
@@ -123,17 +123,6 @@ class ExperimentConfig:
                 "params": src["params"], "seed": src["seed"]}
         for name, value in read.items():
             object.__setattr__(self, name, value)
-
-    def dt_for(self, epsilon: float) -> float:
-        return self.dt_factor * epsilon**2
-
-    def solver_config(self, epsilon: float, t_end: float | None = None,
-                      dt_scale: float = 1.0, sample_every: int | None = None) -> SolverConfig:
-        return SolverConfig(
-            dt=self.dt_for(epsilon) * dt_scale,
-            t_end=self.t_end if t_end is None else t_end,
-            sample_every=self.sample_every if sample_every is None else sample_every,
-        )
 
 
 def _fits(value, kind) -> bool:
@@ -353,8 +342,11 @@ def _flows(config: ExperimentConfig, problems: list[str] | None = None,
     ``circle``: inequality-ratios' two epsilon-stability circles.  An entry
     that does not build raises, or, with ``problems`` given, is named there.
     """
-    grid, p = config.grid, config.params
+    grid, p, t_end = config.grid, config.params, config.t_end
     table: dict[tuple[str, float], Flow] = {}
+
+    def dt(eps: float) -> float:
+        return config.dt_factor * eps**2
 
     def add(kind: str, eps: float, data: Callable[[Grid, float], ScalarField],
             build: Callable[[], tuple[Grid, SolverConfig]]) -> None:
@@ -373,15 +365,16 @@ def _flows(config: ExperimentConfig, problems: list[str] | None = None,
     else:
         data = _wave_initial
     for eps in config.epsilons:
-        add("base", eps, data, lambda: (grid, config.solver_config(eps)))
+        add("base", eps, data, lambda: (grid, SolverConfig(
+            dt=dt(eps), t_end=t_end, sample_every=config.sample_every)))
     eps = config.epsilons[0]
     if config.scenario in _AUDITED:
-        add("fine", eps, data, lambda: (grid, config.solver_config(
-            eps, dt_scale=0.5, sample_every=2 * config.sample_every)))
+        add("fine", eps, data, lambda: (grid, SolverConfig(
+            dt=dt(eps) * 0.5, t_end=t_end, sample_every=2 * config.sample_every)))
     if config.scenario == "shrinking-circle":
         add("coarse", 2 * eps, data, lambda: (
             Grid(dim=grid.dim, extent=p["coarse_extent"], points=grid.points),
-            config.solver_config(2 * eps, dt_scale=0.5)))
+            SolverConfig(dt=dt(2 * eps) * 0.5, t_end=t_end, sample_every=config.sample_every)))
         flat_dt = 0.125 * 0.05**2
         add("flat", 0.05, _wave_initial, lambda: (grid, SolverConfig(
             dt=flat_dt, t_end=576 * flat_dt, sample_every=8)))
@@ -394,21 +387,23 @@ def _flows(config: ExperimentConfig, problems: list[str] | None = None,
 
         def sampled(eps: float, horizon: Callable[[], float], target: int,
                     ) -> tuple[Grid, SolverConfig]:
-            cfg = config.solver_config(eps, t_end=horizon(), sample_every=1)
-            n = round(cfg.t_end / cfg.dt)  # a whole step count, or step_count says why not
-            return grid_for(eps), replace(cfg, sample_every=max(1, n // target))
+            step, span = dt(eps), horizon()
+            # a whole step count, or step_count says why not; SolverConfig rejects a step <= 0
+            n = round(span / step) if step > 0 else 0
+            return grid_for(eps), SolverConfig(dt=step, t_end=span,
+                                               sample_every=max(1, n // target))
 
         eps_sorted = sorted(config.epsilons, reverse=True)
         fit_eps = [e for e in eps_sorted if e >= 0.02] or eps_sorted[:2]
         for e in config.epsilons:
-            add("main", e, data, partial(sampled, e, lambda: config.t_end, 10))
+            add("main", e, data, partial(sampled, e, lambda: t_end, 10))
         tilted = partial(data, tilt_over_eps=p["tilt_over_epsilon"])
         for e in fit_eps:  # over 32 steps of the smallest fit epsilon
             add("fit", e, tilted,
-                partial(sampled, e, lambda: 32.0 * config.dt_for(min(fit_eps)), 4))
+                partial(sampled, e, lambda: 32.0 * dt(min(fit_eps)), 4))
         e = eps_sorted[min(1, len(eps_sorted) - 1)]
         add("rough", e, _multiscale_rough_initial,
-            partial(sampled, e, lambda: 0.1 * config.t_end, 8))
+            partial(sampled, e, lambda: 0.1 * t_end, 8))
     if config.scenario == "inequality-ratios":
         circle = partial(_circle_initial, radius=p["circle_radius"])
         for points, ce in ((grid.points, eps), (2 * grid.points, eps / 2)):
@@ -681,9 +676,7 @@ class FlowAudit:
         """Relative defect of energy drop against the dissipation integral."""
         first, last = self.end_energies
         drop = first - last
-        idx, weights = window_weights(self.times, self.times[0], self.times[-1], self.dt)
-        total = float(np.sum(self.dissipation[idx] * weights))
-        return abs(total - drop) / abs(drop)
+        return abs(_time_integral(self.times, self.dissipation) - drop) / abs(drop)
 
     def rate(self, values: np.ndarray) -> np.ndarray:
         """Centred time derivative of per-step ``values`` at interior steps."""

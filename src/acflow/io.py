@@ -87,10 +87,8 @@ def write_table_csv(columns: Sequence[str], rows: Iterable[Sequence[Any]], path:
 
 def write_graph_csv(graph, path: str | Path) -> None:
     """Level-set graph rows: t, base coordinates, height, valid flag."""
-    base_dim = graph.heights.ndim - 1
-    columns = ["t"] + [f"x{i + 1}" for i in range(base_dim)] + ["h", "valid"]
-    n = graph.heights.shape[1]
-    axis = -0.5 * graph.base_extent + graph.base_spacing * np.arange(n)
+    columns = ["t"] + [f"x{i + 1}" for i in range(graph.base.dim)] + ["h", "valid"]
+    axis = graph.base.axis()
     rows = []
     for ti, t in enumerate(graph.times):
         for idx in np.ndindex(graph.heights.shape[1:]):

@@ -87,18 +87,13 @@ class LevelSetGraph:
     """Heights ``h(x_base, t)`` of one level set over the base lattice."""
 
     times: np.ndarray
-    heights: np.ndarray  # (n_times, *base_shape)
+    heights: np.ndarray  # (n_times, *base.shape)
     valid: np.ndarray  # bool, same shape
-    base_extent: float
-    base_spacing: float
+    base: Grid  # the lattice of every axis but the last
 
     @property
     def validity_fraction(self) -> float:
         return float(np.mean(self.valid))
-
-    @property
-    def base_dim(self) -> int:
-        return self.heights.ndim - 1
 
 
 def _cubic(stencil: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -155,8 +150,10 @@ def extract_graph(frames: Iterable[ScalarField], level: float) -> LevelSetGraph:
     ``frames`` are the samples of one flow on one grid, in time order: a
     :class:`Trajectory`, or a stream such as :func:`acflow.solver.sampled`,
     whose frames are read as they arrive and not kept.  A frame on another
-    grid is an error.  The search window ``|x_vertical| <= extent/4`` (a
-    quarter box) enforces the single-layer hypothesis geometrically.
+    grid is an error, and a frame over a 1-D box (whose base is a single
+    point) is rejected before any column is read.  The search window
+    ``|x_vertical| <= extent/4`` (a quarter box) enforces the single-layer
+    hypothesis geometrically.
     Columns with zero or multiple crossings are marked invalid; an
     all-invalid extraction, or one with no frame, is an error.  Crossings
     are refined on the column's cubic interpolant to
@@ -167,6 +164,10 @@ def extract_graph(frames: Iterable[ScalarField], level: float) -> LevelSetGraph:
     for f in frames:
         if grid is None:
             grid = f.grid
+            if grid.dim < 2:
+                raise GraphExtractionError(
+                    "a 1-D box has a single-point base, over which there is no graph")
+            base = Grid(dim=grid.dim - 1, extent=grid.extent, points=grid.points)
             axis = grid.axis()
             in_win = np.abs(axis) <= 0.25 * grid.extent + 1e-12
             w0 = int(np.argmax(in_win))
@@ -174,8 +175,7 @@ def extract_graph(frames: Iterable[ScalarField], level: float) -> LevelSetGraph:
             m = w1 - w0
             if m < 4:
                 raise GraphExtractionError("search window too narrow for cubic interpolation")
-            base_shape = grid.shape[:-1] if grid.dim > 1 else (1,)
-            n_cols = int(np.prod(base_shape))
+            n_cols = int(np.prod(base.shape))
         elif f.grid != grid:
             raise ValueError(f"frame at t={f.time:g} is not on the first frame's grid")
         u = f.values.reshape(n_cols, grid.points)
@@ -205,8 +205,8 @@ def extract_graph(frames: Iterable[ScalarField], level: float) -> LevelSetGraph:
             root = _lagrange_roots(stencil, np.full(len(rows), level), lo, hi)
             h_col[cross] = axis[w0 + q] + root * grid.spacing
         times.append(f.time)
-        heights.append(h_col.reshape(base_shape))
-        valid.append(ok.reshape(base_shape))
+        heights.append(h_col.reshape(base.shape))
+        valid.append(ok.reshape(base.shape))
         # a streamed frame and its window arrays are not held while the
         # next frame is computed
         del f, u, w, node_zero, sign_change
@@ -219,8 +219,7 @@ def extract_graph(frames: Iterable[ScalarField], level: float) -> LevelSetGraph:
         times=np.array(times),
         heights=np.stack(heights),
         valid=np.stack(valid),
-        base_extent=grid.extent,
-        base_spacing=grid.spacing,
+        base=base,
     )
 
 
@@ -346,32 +345,26 @@ def heat_compare(graph: LevelSetGraph, reference_initial: np.ndarray) -> float:
     heat flow of a reference initial profile.
 
     The reference evolves by exact Fourier-mode decay on the periodic base;
-    both sides are made mean-free.  A graph valid on fewer than 95% of its base points, or
-    over a 1-D box (a one-point base), is an error.
+    both sides are made mean-free.  A graph valid on fewer than 95% of its
+    base points is an error.
     """
     if graph.validity_fraction < 0.95:
         raise GraphExtractionError(
             f"graph valid on {graph.validity_fraction:.1%} of base points < required 95%"
         )
-    n_pts = graph.heights.shape[1]
-    if n_pts == 1:
-        raise GraphExtractionError(
-            "graph base is a single point (a 1-D box); there is no heat flow to compare"
-        )
-    base = Grid(dim=graph.base_dim, extent=graph.base_extent, points=n_pts)
     h = np.where(graph.valid, graph.heights, 0.0)
     h = h - np.mean(h)
     h0 = np.asarray(reference_initial, dtype=float)
     h0 = h0 - np.mean(h0)
 
-    neg_k2 = symbols(base).neg_k2
-    h0_hat = spectrum(base, h0)
+    neg_k2 = symbols(graph.base).neg_k2
+    h0_hat = spectrum(graph.base, h0)
 
     num = 0.0
     den = 0.0
     t0 = graph.times[0]
     for j, t in enumerate(graph.times):
-        ref = from_spectrum(base, h0_hat * np.exp(neg_k2 * (t - t0)))
+        ref = from_spectrum(graph.base, h0_hat * np.exp(neg_k2 * (t - t0)))
         diff = (h[j] - ref)[graph.valid[j]]
         num += float(np.sum(diff**2))
         den += float(np.sum(ref[graph.valid[j]] ** 2))

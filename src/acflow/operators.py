@@ -155,19 +155,20 @@ def integrate_values(
     grid: Grid,
     frames: Iterable[ScalarField],
     density_at: Callable[[ScalarField], np.ndarray],
-    regions: Sequence[ParabolicCylinder | None],
+    regions: Sequence[ParabolicCylinder],
 ) -> list[float]:
-    """Integrate one sampled density over each region (``None``: the whole box).
+    """Integrate one sampled density over each parabolic cylinder.
 
     ``frames`` are the samples, in time order at uniform spacing; a sample's
     time is its frame's ``time``, and ``density_at(frame)`` gives its
     density.  Each frame is read once, as it arrives,
     so a generator of frames (:func:`acflow.solver.sampled`) streams a flow
-    into the integral without holding it.  A single sample gives the plain
-    spatial integral (no time measure).  With a region, space is restricted
-    to the ball and time to the samples inside ``|t - t0| <= r^2``, weighted
-    by :func:`acflow.grid.window_weights` (a window so thin that it holds a
-    single sample gets the measure ``min(2 r^2, sampling interval)``).
+    into the integral without holding it.  Space is restricted to the ball
+    and time to the samples inside ``|t - t0| <= r^2``, weighted by
+    :func:`acflow.grid.window_weights` (a window so thin that it holds a
+    single sample gets the measure ``min(2 r^2, sampling interval)``).  A
+    single sample gives the plain spatial integral over the ball (no time
+    measure).
 
     The regions share the one pass: ``density_at`` is called once for each
     sample that some region's window holds (:func:`acflow.grid.in_window`),
@@ -176,20 +177,16 @@ def integrate_values(
     need every sample's time, so they are applied after the last sample; a
     region whose window holds no sample raises then.
     """
-    rules = []  # per region: spatial mask, time window (None: every sample)
+    rules = []  # per region: spatial mask, time window
     for region in regions:
-        if region is None:
-            rules.append((..., None))
-        else:
-            region.validate_against(grid)
-            rules.append((ball_mask(grid, region.center_space, region.radius),
-                          region.time_window))
+        region.validate_against(grid)
+        rules.append((ball_mask(grid, region.center_space, region.radius), region.time_window))
     times: list[float] = []
     spatial: list[dict[int, float]] = [{} for _ in rules]  # per region: sample -> ball sum
     for k, frame in enumerate(frames):
         times.append(frame.time)
         needed = [(mask, sums) for (mask, window), sums in zip(rules, spatial)
-                  if window is None or in_window(frame.time, *window)]
+                  if in_window(frame.time, *window)]
         if needed:
             values = density_at(frame)
             for mask, sums in needed:

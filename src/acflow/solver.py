@@ -118,8 +118,8 @@ class SolverConfig:
             raise SolverConfigError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if not (is_finite_number(self.dt) and self.dt > 0):
             raise SolverConfigError(f"dt must be a positive finite number, got {self.dt!r}")
-        if not (is_finite_number(self.t_end) and self.t_end >= 0):
-            raise SolverConfigError(f"t_end must be a finite number >= 0, got {self.t_end!r}")
+        if not (is_finite_number(self.t_end) and self.t_end > 0):
+            raise SolverConfigError(f"t_end must be a positive finite number, got {self.t_end!r}")
         if not (_is_integer(self.sample_every) and self.sample_every >= 1):
             raise SolverConfigError(f"sample_every must be an integer >= 1, "
                                     f"got {self.sample_every!r}")
@@ -150,12 +150,10 @@ def step_count(config: SolverConfig) -> int:
     """Number of steps to ``t_end``, which must be a whole number of steps
     and of samples.
 
-    ``t_end = 0`` gives 0 steps; otherwise ``t_end / dt`` must be finite,
-    ``n * dt`` must match ``t_end`` to ``1e-9`` relative, and ``n`` must be
-    a multiple of ``sample_every`` so that the sampled trajectory is uniform.
+    ``t_end / dt`` must be finite, ``n * dt`` must match ``t_end`` to
+    ``1e-9`` relative, and ``n`` must be a multiple of ``sample_every`` so
+    that the sampled trajectory is uniform.
     """
-    if config.t_end == 0:
-        return 0
     ratio = config.t_end / config.dt
     if not math.isfinite(ratio):
         raise SolverConfigError(f"the time-step arithmetic overflows: t_end={config.t_end:g} "

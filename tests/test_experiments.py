@@ -777,6 +777,20 @@ def test_graph_csv_roundtrippable_columns(tmp_path, wave_2d):
     assert len(lines) == 1 + graph.heights.size
 
 
+def test_excess_decay_graph_columns_sit_on_the_main_grid_axis(tmp_path):
+    # every graph_eps_*.csv row's x1 is its column's coordinate on the main
+    # flow's grid, the very float of Grid.axis, for each sample in turn
+    config = config_from_dict(small_raw("excess-decay"))
+    write_reports(run_scenario(config), tmp_path)
+    flows = _flows(config)
+    for eps in config.epsilons:
+        lines = (tmp_path / f"graph_eps_{eps:g}.csv").read_text().splitlines()
+        axis = flows["main", eps].grid.axis()
+        x1 = np.array([float(line.split(",")[1]) for line in lines[1:]])
+        assert lines[0] == "t,x1,h,valid" and len(x1) % len(axis) == 0
+        assert np.array_equal(x1, np.tile(axis, len(x1) // len(axis)))
+
+
 # --- concurrent flows -----------------------------------------------------------
 
 
@@ -792,8 +806,10 @@ def test_concurrent_circle_audits_equal_sequential_runs(monkeypatch):
 
     def base_at(config, scale):
         """The base flow at ``scale`` times its step."""
-        return dataclasses.replace(_flows(config)["base", eps], config=config.solver_config(
-            eps, dt_scale=scale, sample_every=round(config.sample_every / scale)))
+        base = _flows(config)["base", eps]
+        return dataclasses.replace(base, config=dataclasses.replace(
+            base.config, dt=base.config.dt * scale,
+            sample_every=round(config.sample_every / scale)))
 
     sequential = {scale: run_flow_audit(base_at(config, scale), terms, keep_frames=True)
                   for scale in scales}

@@ -63,9 +63,16 @@ def test_distance_gradient_bound_along_circle_run(circle_traj_short):
 # --- graph extraction --------------------------------------------------------
 
 
+def flat_layer(profile: ScalarField) -> ScalarField:
+    """The 2-D layer whose every column is the 1-D ``profile``: it does not
+    vary along the base."""
+    g = Grid(dim=2, extent=profile.grid.extent, points=profile.grid.points)
+    return ScalarField(grid=g, values=np.broadcast_to(profile.values, g.shape),
+                       epsilon=profile.epsilon)
+
+
 def test_extracted_height_inverts_the_profile():
-    g = Grid(dim=1, extent=2.56, points=1024)
-    wave = standing_wave(g, 0.1)
+    wave = flat_layer(standing_wave(Grid(dim=1, extent=2.56, points=1024), 0.1))
     graph = extract_graph(one_frame(wave), level=0.5)
     expected = 0.1 * np.arctanh(0.5)
     assert expected == pytest.approx(0.05493061443340549, abs=1e-12)  # oracle value
@@ -102,10 +109,11 @@ def test_graph_of_gentle_slope_matches_offset_geometry():
 
 
 def test_extraction_errors_when_every_column_is_ambiguous():
-    # two layers at x = -0.3 and x = 0.3, both inside the quarter box
-    # |x| <= 0.64, leave no single-crossing column at all
+    # two layers at y = -0.3 and y = 0.3, both inside the quarter box
+    # |y| <= 0.64, leave no single-crossing column at all
     g = Grid(dim=1, extent=2.56, points=1024)
-    f = ScalarField(grid=g, values=np.tanh((np.abs(g.axis()) - 0.3) / 0.05), epsilon=0.05)
+    f = flat_layer(ScalarField(grid=g, values=np.tanh((np.abs(g.axis()) - 0.3) / 0.05),
+                               epsilon=0.05))
     with pytest.raises(GraphExtractionError):
         extract_graph(one_frame(f), level=0.0)
 
@@ -125,8 +133,8 @@ def test_extraction_masks_multi_crossing_columns():
 
 
 def test_extraction_rejects_pure_phase():
-    g = Grid(dim=1, extent=2.0, points=64)
-    f = ScalarField(grid=g, values=np.ones(64), epsilon=0.1)
+    g = Grid(dim=2, extent=2.0, points=64)
+    f = ScalarField(grid=g, values=np.ones(g.shape), epsilon=0.1)
     with pytest.raises(GraphExtractionError):
         extract_graph(one_frame(f), level=0.0)
 
@@ -155,8 +163,7 @@ def test_graph_of_a_stream_equals_the_graph_of_its_trajectory(rough_flow):
     for name in ("times", "heights", "valid"):
         assert np.array_equal(getattr(streamed, name), getattr(stored, name)), name
         assert getattr(streamed, name).dtype == getattr(stored, name).dtype
-    assert (streamed.base_extent, streamed.base_spacing) == (stored.base_extent,
-                                                             stored.base_spacing)
+    assert streamed.base == stored.base == Grid(dim=1, extent=1.28, points=128)
 
 
 def fresh_frames(grid, count):
@@ -191,6 +198,25 @@ def test_released_stream_catches_a_consumer_that_keeps_its_previous_frame():
             last.append(frame)
         del frame
     assert [f.time for f in last] == [2.0, 2.0]
+
+
+class UnreadFrame:
+    """A frame on ``grid`` whose values must not be read."""
+
+    def __init__(self, grid):
+        self.grid, self.time = grid, 0.0
+
+    @property
+    def values(self):
+        raise AssertionError("a column was read")
+
+
+def test_graph_extraction_rejects_a_frame_over_a_1d_box(wave_1d):
+    # the base of a 1-D box is one point, over which there is no graph: the
+    # first frame is rejected on its grid alone
+    for frame in (UnreadFrame(wave_1d.grid), wave_1d):
+        with pytest.raises(GraphExtractionError, match="single-point base"):
+            extract_graph(iter([frame]), 0.0)
 
 
 def test_graph_extraction_rejects_a_frame_on_a_second_grid(wave_2d):
@@ -587,13 +613,6 @@ def test_heat_compare_rejects_low_validity():
     f = ScalarField(grid=g, values=vals, epsilon=0.05)
     graph = extract_graph(one_frame(f), 0.0)
     with pytest.raises(GraphExtractionError):
-        heat_compare(graph, graph.heights[0])
-
-
-def test_heat_compare_rejects_a_graph_over_a_1d_box(wave_1d):
-    # the base of a 1-D box is one point, where no heat flow is defined
-    graph = extract_graph(one_frame(wave_1d), 0.0)
-    with pytest.raises(GraphExtractionError, match="single point"):
         heat_compare(graph, graph.heights[0])
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from acflow import Grid, ParabolicCylinder, ScalarField, Trajectory
-from acflow.grid import window_weights
+from acflow.grid import trapezoid_weights, window_weights
 from acflow.levelset import dyadic_radii
 from acflow.operators import (ball_mask, gradient_values, integrate_values, laplacian_values,
                               spectrum)
@@ -14,9 +14,22 @@ from acflow.solver import SCHEMES
 from conftest import frames_at, standing_wave
 
 
+def whole_box(grid, center_time):
+    """The cylinder of radius extent/2 about the origin at ``center_time``:
+    on a 1-D grid its closed ball is the whole periodic box."""
+    assert grid.dim == 1
+    return ParabolicCylinder(center_space=(0.0,), center_time=center_time,
+                             radius=0.5 * grid.extent)
+
+
 def mass(traj):
-    """Space-time quadrature of a trajectory's frames over the whole box."""
-    return integrate_values(traj.grid, traj, lambda frame: frame.values, [None])[0]
+    """Space-time quadrature of a 1-D trajectory's frames over the whole box,
+    in the :func:`whole_box` cylinder about the middle of the run, whose
+    window holds every sample."""
+    times = traj.times
+    region = whole_box(traj.grid, 0.5 * (times[0] + times[-1]))
+    assert len(window_weights(times, *region.time_window, traj.dt_sample)[0]) == len(traj)
+    return integrate_values(traj.grid, traj, lambda frame: frame.values, [region])[0]
 
 
 def test_gradient_of_single_mode_matches_analytic():
@@ -298,11 +311,11 @@ def test_laplacian_of_constant_is_zero():
 
 
 def test_integrate_constant_over_box_with_time_window():
-    g = Grid(dim=2, extent=2.0, points=64)
+    g = Grid(dim=1, extent=2.0, points=64)
     ones = lambda t: ScalarField(grid=g, values=np.ones(g.shape), epsilon=0.1, time=t)
     traj = Trajectory(frames=tuple(ones(0.1 * i) for i in range(6)), dt_sample=0.1)
-    # area 4, time window 0.5
-    assert mass(traj) == pytest.approx(4.0 * 0.5, rel=1e-12)
+    # length 2, time window 0.5
+    assert mass(traj) == pytest.approx(2.0 * 0.5, rel=1e-12)
 
 
 def test_integrate_disk_area_first_order():
@@ -354,7 +367,8 @@ def test_integrate_is_linear_in_density(seed):
     a = rng.standard_normal(64)
     b = rng.standard_normal(64)
     c = float(rng.standard_normal())
-    box = lambda values: integrate_values(g, frames_at(g, [0.0]), lambda f: values, [None])[0]
+    box = lambda values: integrate_values(g, frames_at(g, [0.0]), lambda f: values,
+                                          [whole_box(g, 0.0)])[0]
     assert box(a + c * b) == pytest.approx(box(a) + c * box(b), rel=1e-12, abs=1e-12)
 
 
@@ -375,6 +389,9 @@ def test_integrate_additive_over_disjoint_time_windows():
     w2 = window_mass(1.0, 2.0)
     w = mass(traj)
     assert w == pytest.approx(w1 + w2, rel=1e-12)
+    # the whole-box sum of the trapezoid rule
+    box_sums = [np.sum(f.values) * g.cell_volume for f in frames]
+    assert w == pytest.approx(np.dot(trapezoid_weights(len(frames), 0.25), box_sums), rel=1e-12)
 
 
 def test_integrate_values_builds_each_needed_slice_once():
@@ -386,22 +403,17 @@ def test_integrate_values_builds_each_needed_slice_once():
     times = 0.01 * np.arange(9)
     slices = rng.random((len(times),) + g.shape)
     regions = [ParabolicCylinder(center_space=(0.0, 0.0), center_time=0.03, radius=0.15),
-               ParabolicCylinder(center_space=(0.5, -0.25), center_time=0.05, radius=0.15),
-               None]
+               ParabolicCylinder(center_space=(0.5, -0.25), center_time=0.05, radius=0.15)]
     frames, built = frames_at(g, times, slices), []
 
     def density_at(frame):
         built.append(frame.time)
         return frame.values
 
-    masses = integrate_values(g, frames, density_at, regions[:2])
+    masses = integrate_values(g, frames, density_at, regions)
     assert built == times[1:8].tolist()
     for region, mass in zip(regions, masses):
         assert mass == integrate_values(g, frames, lambda f: f.values, [region])[0]
-    whole = integrate_values(g, frames, lambda f: f.values, [None])[0]
-    assert whole == pytest.approx(np.sum(slices[1:-1]) * g.cell_volume * 0.01
-                                  + 0.5 * np.sum(slices[[0, -1]]) * g.cell_volume * 0.01,
-                                  rel=1e-12)
 
 
 def random_traj(grid, n, dt, seed):
@@ -420,8 +432,8 @@ def test_integrate_values_of_a_stream_equals_its_stored_trajectory(radius, insid
     traj = random_traj(g, 9, 0.01, seed=11)
     region = ParabolicCylinder(center_space=(0.1, -0.2), center_time=0.04, radius=radius)
     square = lambda frame: frame.values ** 2
-    streamed = integrate_values(g, (f for f in traj.frames), square, [region, None])
-    assert streamed == integrate_values(g, traj, square, [region, None])
+    streamed = integrate_values(g, (f for f in traj.frames), square, [region])
+    assert streamed == integrate_values(g, traj, square, [region])
     idx, weights = window_weights(traj.times, *region.time_window, traj.dt_sample)
     assert len(idx) == inside
     mask = ball_mask(g, region.center_space, radius)
@@ -440,4 +452,4 @@ def test_integrate_values_rejects_an_empty_window_of_a_stream():
         integrate_values(g, iter(traj.frames), lambda frame: built.append(frame), [region])
     assert built == []
     with pytest.raises(ValueError, match="no samples"):
-        integrate_values(g, iter(()), lambda frame: frame.values, [None])
+        integrate_values(g, iter(()), lambda frame: frame.values, [region])
