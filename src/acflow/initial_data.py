@@ -80,7 +80,10 @@ def graph_pair_distance(extent: float, modes: list[tuple[float, float, float]]) 
 
     Two-dimensional ambient space only (one base coordinate).  Each query
     point's foot on the graph comes from one Newton start at the vertical
-    foot ``xi = x_h`` and a fixed 12 iterations of the foot-point equation.
+    foot ``xi = x_h`` and at most 12 iterations of the foot-point equation,
+    a point retiring when its iterate repeats exactly: every later
+    iteration would recompute the same update, so the feet are those of a
+    fixed 12 iterations.
     Nothing here certifies that this foot is the nearest one: a profile
     steep enough to bring its focal distance into the transition band can
     send the iteration to another root, and the slope probe of
@@ -95,15 +98,26 @@ def graph_pair_distance(extent: float, modes: list[tuple[float, float, float]]) 
         xh, xv = (np.asarray(c, dtype=float) for c in coords)
         f, fp, fpp = graph_profile(modes, xh)
         above = xv >= f
-        # Foot point xi: (xi - xh) + f'(xi)(f(xi) - xv) = 0.
-        xi = xh
+        # Foot point xi: (xi - xh) + f'(xi)(f(xi) - xv) = 0, iterated on the
+        # flat indices ``live`` of the points whose iterate still moves.
+        xh_flat, xv_flat, f, fp, fpp = (np.broadcast_to(a, above.shape).ravel()
+                                        for a in (xh, xv, f, fp, fpp))
+        xi = xh_flat.copy()
+        f_foot = np.empty(xi.shape)
+        live = np.arange(xi.size)
+        xh_live, xv_live, xi_live = xh_flat, xv_flat, xi
         for _ in range(12):
-            r = f - xv
-            g = (xi - xh) + fp * r
+            r = f - xv_live
+            g = (xi_live - xh_live) + fp * r
             gp = 1.0 + fpp * r + fp ** 2
-            xi = xi - g / np.where(np.abs(gp) > 1e-12, gp, 1e-12)
-            f, fp, fpp = graph_profile(modes, xi)
-        dist_graph = np.sqrt((xh - xi) ** 2 + (xv - f) ** 2)
+            step = xi_live - g / np.where(np.abs(gp) > 1e-12, gp, 1e-12)
+            moved = step != xi_live
+            f_foot[live[~moved]] = f[~moved]
+            live, xh_live, xv_live, xi_live = (a[moved] for a in (live, xh_live, xv_live, step))
+            xi[live] = xi_live
+            f, fp, fpp = graph_profile(modes, xi_live)
+        f_foot[live] = f
+        dist_graph = np.sqrt((xh_flat - xi) ** 2 + (xv_flat - f_foot) ** 2).reshape(above.shape)
 
         dist_seam = np.where(above, 0.5 * L - xv, xv + 0.5 * L)
         return np.where(above, np.minimum(dist_graph, dist_seam), -np.minimum(dist_graph, dist_seam))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from acflow import Grid, InterfaceDataError, prepare_interface
-from acflow.initial_data import graph_pair_distance, sine_mode
+from acflow.initial_data import graph_pair_distance, graph_profile, sine_mode
 
 L = 1.28
 
@@ -35,6 +35,28 @@ def three_start_distance(extent, modes):
             cand = np.sqrt((xh - xi) ** 2 + (xv - f(xi)) ** 2)
             dist_graph = cand if dist_graph is None else np.minimum(dist_graph, cand)
         above = xv >= f(xh)
+        dist_seam = np.where(above, 0.5 * extent - xv, xv + 0.5 * extent)
+        return np.where(above, np.minimum(dist_graph, dist_seam), -np.minimum(dist_graph, dist_seam))
+
+    return d
+
+
+def fixed_iteration_distance(extent, modes):
+    """Reference oracle: the one-start foot solve at a fixed 12 Newton
+    iterations over every point, with no point retired."""
+
+    def d(xh, xv):
+        xh, xv = np.asarray(xh, dtype=float), np.asarray(xv, dtype=float)
+        f, fp, fpp = graph_profile(modes, xh)
+        above = xv >= f
+        xi = xh
+        for _ in range(12):
+            r = f - xv
+            g = (xi - xh) + fp * r
+            gp = 1.0 + fpp * r + fp ** 2
+            xi = xi - g / np.where(np.abs(gp) > 1e-12, gp, 1e-12)
+            f, fp, fpp = graph_profile(modes, xi)
+        dist_graph = np.sqrt((xh - xi) ** 2 + (xv - f) ** 2)
         dist_seam = np.where(above, 0.5 * extent - xv, xv + 0.5 * extent)
         return np.where(above, np.minimum(dist_graph, dist_seam), -np.minimum(dist_graph, dist_seam))
 
@@ -77,6 +99,21 @@ def test_one_start_matches_three_start_oracle(name):
     new = np.broadcast_to(graph_pair_distance(L, modes)(*g.coords()), g.shape)
     ref = np.broadcast_to(three_start_distance(L, modes)(*g.coords()), g.shape)
     assert np.max(np.abs(new - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_retired_points_keep_the_fixed_iteration_feet(name):
+    # on the lattice and at the slope probe's +-delta shifts along each axis
+    points, modes = PROFILES[name]
+    g = Grid(dim=2, extent=L, points=points)
+    delta = 1e-4 * g.extent
+    new, ref = graph_pair_distance(L, modes), fixed_iteration_distance(L, modes)
+    shifts = [(0.0, 0.0)] + [tuple(s if a == ax else 0.0 for a in range(2))
+                             for ax in range(2) for s in (delta, -delta)]
+    for shift in shifts:
+        coords = [c + s for c, s in zip(g.coords(), shift)]
+        assert np.array_equal(np.broadcast_to(new(*coords), g.shape),
+                              np.broadcast_to(ref(*coords), g.shape)), shift
 
 
 def test_sine_mode_is_numbers():

@@ -1,5 +1,6 @@
 import math
 import numbers
+import tracemalloc
 import weakref
 from itertools import islice
 
@@ -93,17 +94,41 @@ def test_cnab2_carry_is_used_only_for_the_last_output():
     cfg = SolverConfig(dt=dt, t_end=dt, scheme="semi-implicit-cnab2")
 
     carried = _Stepper(f0, cfg)
-    f1, f1_hat = carried.advance(f0)
-    assert f1_hat is not None and not f1_hat.flags.writeable
-    f2, _ = carried.advance(f1, f1_hat)  # the spectrum handed out with f1
-    assert np.max(np.abs(f2.values - cnab2_reference(f1.values, f0.values, g, eps, dt))) < 1e-13
+    prev, (f, f_hat) = f0, carried.advance(f0)
+    assert f_hat is not None and not f_hat.flags.writeable
+    for _ in range(20):  # each step fed the spectrum handed out with its input
+        out, out_hat = carried.advance(f, f_hat)
+        assert np.max(np.abs(out.values - cnab2_reference(f.values, prev.values, g, eps, dt))) < 1e-13
+        prev, f, f_hat = f, out, out_hat
 
     # with no spectrum given, the input is transformed afresh
     fresh = _Stepper(f0, cfg)
-    fresh.advance(f0)
+    f1, _ = fresh.advance(f0)
     other = f1.with_values(np.roll(f1.values, 5, axis=0))
     out, _ = fresh.advance(other)
     assert np.max(np.abs(out.values - cnab2_reference(other.values, f0.values, g, eps, dt))) < 1e-13
+
+
+def test_cnab2_step_working_set():
+    # one carried step on a 256^2 circle: its traced peak above its start,
+    # and what it keeps (the new field, its half spectrum and the history
+    # h that replaces the previous one), in grid-sized real arrays
+    g = Grid(dim=2, extent=1.2, points=256)
+    eps = 4.0 * g.spacing
+    dt = 0.25 * eps**2
+    f0 = circle_field(g, eps, 0.35)
+    stepper = _Stepper(f0, SolverConfig(dt=dt, t_end=dt, scheme="semi-implicit-cnab2"))
+    f1, f1_hat = stepper.advance(f0)
+    array_bytes = f0.values.nbytes
+    tracemalloc.start()
+    try:
+        result = stepper.advance(f1, f1_hat)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result[0].time > f1.time
+    assert peak <= 4.1 * array_bytes, f"step peak {peak / array_bytes:.2f} arrays"
+    assert round(kept / array_bytes, 1) == 3.0, f"step keeps {kept / array_bytes:.2f} arrays"
 
 
 def test_pure_phase_is_an_equilibrium(grid_1d):
