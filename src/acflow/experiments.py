@@ -603,7 +603,7 @@ def default_config(scenario: str) -> ExperimentConfig:
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    claim: str
+    criterion: int | None  # the acceptance criterion served, 1 to 14; None for none
     value: float
     tolerance: float
     comparison: str  # a key of _COMPARISONS
@@ -617,13 +617,16 @@ class CheckResult:
 _COMPARISONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
 
 
-def check(name: str, claim: str, value: float, tolerance: float, comparison: str = "<=") -> CheckResult:
-    """The verdict on ``value <comparison> tolerance``, the one way to a CheckResult."""
+def check(name: str, value: float, tolerance: float, comparison: str = "<=", *,
+          criterion: int | None) -> CheckResult:
+    """The verdict on ``value <comparison> tolerance`` for the acceptance
+    criterion ``criterion`` (None: none), the one way to a CheckResult."""
     compare = _COMPARISONS.get(comparison)
     if compare is None:
         raise ValueError(f"unknown comparison {comparison!r}")
-    return CheckResult(name=name, claim=claim, value=float(value), tolerance=float(tolerance),
-                       comparison=comparison, passed=bool(compare(value, tolerance)))
+    return CheckResult(name=name, criterion=criterion, value=float(value),
+                       tolerance=float(tolerance), comparison=comparison,
+                       passed=bool(compare(value, tolerance)))
 
 
 def _worst_step_ratio(values: Sequence[float]) -> float:
@@ -966,11 +969,11 @@ def run_standing_wave(config: ExperimentConfig) -> ScenarioResult:
     grad_z = distance_gradient_max(wave)
 
     checks = [
-        check("residual_max_interior", "stationary-profile", residual_max, 1e-7),
-        check("energy_vs_alpha", "line-energy", energy_defect, 1e-6),
-        check("discrepancy_max", "equipartition", xi_max, 1e-8),
-        check("fixed_point", "stationary-profile", fixed_point, 1e-8),
-        check("distance_gradient", "inverse-profile-bound", grad_z, 1.0 + 1e-3),
+        check("residual_max_interior", residual_max, 1e-7, criterion=1),
+        check("energy_vs_alpha", energy_defect, 1e-6, criterion=1),
+        check("discrepancy_max", xi_max, 1e-8, criterion=1),
+        check("fixed_point", fixed_point, 1e-8, criterion=None),
+        check("distance_gradient", grad_z, 1.0 + 1e-3, criterion=11),
     ]
     records = [diagnostics_record(wave)]
     return ScenarioResult(config=config, checks=checks, records=records,
@@ -1092,18 +1095,16 @@ def run_shrinking_circle(config: ExperimentConfig) -> ScenarioResult:
     flat_defect = abs(flat_min - 4.0 * WAVE_ENERGY) / (4.0 * WAVE_ENERGY)
 
     checks = [
-        check("radius_final_error", "mean-curvature-limit", radius_err, 0.02),
-        check("radius_error_epsilon_trend", "mean-curvature-limit",
-              coarse_err - radius_err, 0.0, comparison=">"),
-        check("dissipation_defect_ratio", "energy-dissipation-identity",
-              defect_fine / defect_base, 0.35),
-        check("brakke_gradient_form", "weighted-energy-identity", brakke_rel_grad, 0.01),
-        check("brakke_tensor_form", "weighted-energy-identity", brakke_rel_tensor, 0.01),
-        check("distance_gradient", "inverse-profile-bound", grad_z, 1.0 + 1e-3),
-        check("maximum_principle", "comparison-principle", u_max, 1.0 + 1e-6),
-        check("density_ratio_lower_bound", "density-lower-bound",
-              min(ratio for _, ratio in profile), 1.0, comparison=">="),
-        check("density_ratio_flat", "density-lower-bound", flat_defect, 0.05),
+        check("radius_final_error", radius_err, 0.02, criterion=6),
+        check("radius_error_epsilon_trend", coarse_err - radius_err, 0.0, ">", criterion=6),
+        check("dissipation_defect_ratio", defect_fine / defect_base, 0.35, criterion=2),
+        check("brakke_gradient_form", brakke_rel_grad, 0.01, criterion=3),
+        check("brakke_tensor_form", brakke_rel_tensor, 0.01, criterion=3),
+        check("distance_gradient", grad_z, 1.0 + 1e-3, criterion=11),
+        check("maximum_principle", u_max, 1.0 + 1e-6, criterion=None),
+        check("density_ratio_lower_bound", min(ratio for _, ratio in profile), 1.0, ">=",
+              criterion=14),
+        check("density_ratio_flat", flat_defect, 0.05, criterion=14),
     ]
     records = [diagnostics_record(f) for f in fine.trajectory.frames]
     payload = {
@@ -1148,8 +1149,8 @@ def run_monotonicity_sweep(config: ExperimentConfig) -> ScenarioResult:
     ratio = res_fine / res_base
 
     checks = [
-        check("gaussian_density_monotone", "weighted-monotonicity", worst_rise, 1e-3),
-        check("monotonicity_residual_ratio", "weighted-monotonicity", ratio, 0.35),
+        check("gaussian_density_monotone", worst_rise, 1e-3, criterion=5),
+        check("monotonicity_residual_ratio", ratio, 0.35, criterion=5),
     ]
     records = [diagnostics_record(f) for f in fine.trajectory.frames]
     payload = {
@@ -1257,14 +1258,14 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
 
     epsilon_mid = 0.02 if 0.02 in final_errors else eps_sorted[-1]
     checks = [
-        check("tilt_excess_sweep", "excess-vanishing", _worst_step_ratio(tilt_seq), 1.0, "<"),
-        check("discrepancy_sweep", "excess-vanishing", _worst_step_ratio(xi_seq), 1.0, "<"),
-        check("willmore_sweep", "excess-vanishing", _worst_step_ratio(wil_seq), 1.0, "<"),
-        check("heat_error_mid_epsilon", "heat-flow-blowup", final_errors[epsilon_mid], 0.05),
-        check("heat_error_sweep", "heat-flow-blowup", _worst_step_ratio(heat_seq), 1.0, "<"),
-        check("tilt_constant_stability", "excess-decay-fit", c_stable, 2.0),
-        check("excess_decay_gate", "excess-decay-contraction", gate_violations, 0.0),
-        check("weak_l1_stability", "maximal-function-weak-l1", weak_l1_stability, 2.0),
+        check("tilt_excess_sweep", _worst_step_ratio(tilt_seq), 1.0, "<", criterion=7),
+        check("discrepancy_sweep", _worst_step_ratio(xi_seq), 1.0, "<", criterion=7),
+        check("willmore_sweep", _worst_step_ratio(wil_seq), 1.0, "<", criterion=7),
+        check("heat_error_mid_epsilon", final_errors[epsilon_mid], 0.05, criterion=8),
+        check("heat_error_sweep", _worst_step_ratio(heat_seq), 1.0, "<", criterion=8),
+        check("tilt_constant_stability", c_stable, 2.0, criterion=9),
+        check("excess_decay_gate", gate_violations, 0.0, criterion=9),
+        check("weak_l1_stability", weak_l1_stability, 2.0, criterion=12),
     ]
     records = [row for eps in eps_sorted for row in rows[eps]]
     payload = {
@@ -1290,8 +1291,8 @@ def run_no_cancellation(config: ExperimentConfig) -> ScenarioResult:
                                              bump_radii)
     seq = list(defects.values())  # largest epsilon first
     checks = [
-        check("weak_star_defect", "no-cancellation", seq[-1], 0.03),
-        check("weak_star_defect_sweep", "no-cancellation", _worst_step_ratio(seq), 1.0, "<"),
+        check("weak_star_defect", seq[-1], 0.03, criterion=13),
+        check("weak_star_defect_sweep", _worst_step_ratio(seq), 1.0, "<", criterion=13),
     ]
     payload = {"defects": {repr(e): d for e, d in defects.items()}}
     return ScenarioResult(config=config, checks=checks, records=[], payload=payload)
@@ -1372,14 +1373,12 @@ def run_inequality_ratios(config: ExperimentConfig) -> ScenarioResult:
     rate2 = defects[2] / defects[1]
 
     checks = [
-        check("caccioppoli_grid_stability", "tilt-discrepancy-bound",
-              _spread([cacc_a, cacc_b]), 2.0),
-        check("caccioppoli_circle_stability", "tilt-discrepancy-bound",
-              _spread(circle_cacc), 2.0),
-        check("sobolev_grid_stability", "flat-energy-bound", _spread([sob_a, sob_b]), 2.0),
-        check("sobolev_circle_stability", "flat-energy-bound", _spread(circle_sob), 2.0),
-        check("stress_energy_rate_1", "stress-energy-divergence", rate1, 0.25),
-        check("stress_energy_rate_2", "stress-energy-divergence", rate2, 0.25),
+        check("caccioppoli_grid_stability", _spread([cacc_a, cacc_b]), 2.0, criterion=10),
+        check("caccioppoli_circle_stability", _spread(circle_cacc), 2.0, criterion=10),
+        check("sobolev_grid_stability", _spread([sob_a, sob_b]), 2.0, criterion=10),
+        check("sobolev_circle_stability", _spread(circle_sob), 2.0, criterion=10),
+        check("stress_energy_rate_1", rate1, 0.25, criterion=4),
+        check("stress_energy_rate_2", rate2, 0.25, criterion=4),
     ]
     payload = {
         "caccioppoli": {"base": cacc_a, "refined": cacc_b, "circle": circle_cacc},
@@ -1430,7 +1429,6 @@ def write_reports(result: ScenarioResult, out_dir: str | Path) -> None:
     manifest = {
         "scenario": scenario,
         "seed": seed,
-        "claims": sorted({c.claim for c in result.checks}),
         "config": result.config.source,
         "outputs": sorted(writers),
     }

@@ -10,6 +10,7 @@ written with repr-stable formatting so reruns are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import astuple, fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -97,9 +98,22 @@ def write_graph_csv(graph, path: str | Path) -> None:
     write_table_csv(columns, rows, path)
 
 
+def _strict_json(x: Any) -> Any:
+    """``x`` with each non-finite float as the string ``"inf"``, ``"-inf"`` or
+    ``"nan"``, which ``float()`` reads back: JSON has no such numbers."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return repr(float(x))
+    if isinstance(x, Mapping):
+        return {k: _strict_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict_json(v) for v in x]
+    return x
+
+
 def write_json(payload: Mapping[str, Any], path: str | Path) -> None:
-    """``payload`` as indented JSON, keys sorted and tuples written as lists."""
+    """``payload`` as indented JSON, keys sorted, tuples written as lists and
+    non-finite floats as strings (see :func:`_strict_json`)."""
     Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        json.dumps(_strict_json(payload), indent=2, sort_keys=True, allow_nan=False) + "\n",
         encoding="utf-8",
     )

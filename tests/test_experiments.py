@@ -52,7 +52,7 @@ from acflow.experiments import (
 from acflow.initial_data import circle_distance, graph_pair_distance, sine_mode
 from acflow.diagnostics import brakke_terms, brakke_weight
 from acflow.monotonicity import KernelPoint, monotonicity_terms
-from acflow.io import read_field, write_field
+from acflow.io import read_field, write_field, write_json
 from acflow.levelset import good_bad_partitions
 from acflow.grid import window_weights
 from acflow.operators import ball_mask, gradient_values
@@ -758,11 +758,26 @@ def test_standing_wave_scenario_writes_reports(tmp_path):
     assert {c["name"] for c in verdict["checks"]} >= {"residual_max_interior", "energy_vs_alpha"}
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["scenario"] == "standing-wave"
-    assert "line-energy" in manifest["claims"]
+    assert "claims" not in manifest
+    assert {c["name"]: c["criterion"] for c in verdict["checks"]}["energy_vs_alpha"] == 1
     csv = (tmp_path / "diagnostics.csv").read_text().splitlines()
     assert csv[0].startswith("time,energy,")
     field = read_field(tmp_path / "field_0.field")
     assert field.grid.points == cfg.grid.points
+
+
+def test_json_reports_write_non_finite_floats_as_strings(tmp_path):
+    def strict(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    inf, nan = math.inf, math.nan
+    write_json({"a": inf, "b": [-inf, (nan, 1.5)], "c": {"d": (inf,), "e": {"f": -inf}},
+                "g": np.float64(nan)}, tmp_path / "r.json")
+    report = json.loads((tmp_path / "r.json").read_text(), parse_constant=strict)
+    assert report == {"a": "inf", "b": ["-inf", ["nan", 1.5]],
+                      "c": {"d": ["inf"], "e": {"f": "-inf"}}, "g": "nan"}
+    assert float(report["a"]) == inf and float(report["b"][0]) == -inf
+    assert math.isnan(float(report["g"]))
 
 
 def test_graph_csv_roundtrippable_columns(tmp_path, wave_2d):
@@ -1023,12 +1038,13 @@ def test_cli_reports_an_unreadable_input_as_one_error_line(tmp_path, capsys, mon
 
 
 def test_a_value_at_its_tolerance_fails_an_open_check_as_a_non_positive_spread_does():
-    assert check("c", "claim", 1.0, 1.0, "<=").passed and check("c", "claim", 1.0, 1.0, ">=").passed
-    assert not check("c", "claim", 1.0, 1.0, "<").passed
-    assert not check("c", "claim", 1.0, 1.0, ">").passed
+    assert check("c", 1.0, 1.0, "<=", criterion=None).passed
+    assert check("c", 1.0, 1.0, ">=", criterion=None).passed
+    assert not check("c", 1.0, 1.0, "<", criterion=None).passed
+    assert not check("c", 1.0, 1.0, ">", criterion=None).passed
     # a spread with a non-positive value is infinite, and fails
     assert _spread([0.5, 0.0, 1.0]) == _spread([-1.0, -2.0]) == math.inf
-    assert not check("s", "claim", _spread([0.0, 1.0]), 2.0).passed
+    assert not check("s", _spread([0.0, 1.0]), 2.0, criterion=None).passed
     assert (_spread([0.7]), _spread([0.5, 1.0, 0.75])) == (1.0, 2.0)
 
 
@@ -1037,7 +1053,7 @@ def test_a_constant_sweep_fails_and_prints_its_open_comparison(capsys, monkeypat
 
     assert _worst_step_ratio([0.5, 0.5, 0.5]) == 1.0
     assert (_worst_step_ratio([0.5, 0.25]), _worst_step_ratio([0.0, 0.5])) == (0.5, math.inf)
-    sweep = check("tilt_excess_sweep", "excess-vanishing", _worst_step_ratio([0.5, 0.5]), 1.0, "<")
+    sweep = check("tilt_excess_sweep", _worst_step_ratio([0.5, 0.5]), 1.0, "<", criterion=7)
     monkeypatch.setitem(experiments._RUNNERS, "excess-decay", lambda config: ScenarioResult(
         config=config, checks=[sweep], records=[], payload={}))
     assert cli_main(["experiment", "excess-decay"]) == 1

@@ -300,7 +300,7 @@ def test_only_the_verdict_reports_the_checks(tmp_path):
 
 
 def test_each_copy_of_the_checks_is_caught():
-    checks = [check("energy", "line-energy", 0.25, 1.0), check("radius", "circle", 0.5, 1.0)]
+    checks = [check("energy", 0.25, 1.0, criterion=1), check("radius", 0.5, 1.0, criterion=6)]
     renamed = {"checks": [{"name": "energy", "value": 0.25, "verdict": "pass"}]}
     nested = {"runs": [{"check": "radius", "reading": 0.5}]}
     assert len(check_copies(renamed, checks)) == 2  # the list's holder and the entry
