@@ -35,7 +35,7 @@ from .diagnostics import (
     sobolev_defect,
 )
 from .grid import (Grid, ParabolicCylinder, ScalarField, Trajectory, WAVE_ENERGY,
-                   is_finite_number, window_weights)
+                   is_finite_number, time_integral, window_weights)
 from .initial_data import circle_distance, graph_pair_distance, plane_pair_distance, sine_mode
 from .io import write_diagnostics_csv, write_field, write_graph_csv, write_json, write_table_csv
 from .levelset import (
@@ -47,7 +47,7 @@ from .levelset import (
     heat_compare,
 )
 from .monotonicity import KernelPoint, monotonicity_terms
-from .operators import _time_integral, integrate_values
+from .operators import integrate_values
 from .solver import SolverConfig, SolverConfigError, prepare_interface
 from . import solver as solver_mod
 
@@ -247,20 +247,25 @@ def _validate_config(config: ExperimentConfig) -> None:
     that the step-``dt`` audit has a centred residual past the burn-in.  A
     no-cancellation base flow that meets the step rules needs at least 4
     samples, so that :func:`no_cancellation_check` picks three distinct
-    ones."""
+    ones.  A scenario whose default ``epsilon`` is a list compares two or
+    more epsilons.  Shrinking-circle's coarse flow has its own
+    :func:`_layer_problems`, with a margin of ``3 eps_c``."""
     problems: list[str] = []
     if config.scenario in _PLANAR and config.grid.dim != 2:
         problems.append(f"{config.scenario} runs on a 2-D grid only, "
                         f"got grid.dim={config.grid.dim}")
+    if isinstance(_DEFAULTS[config.scenario]["epsilon"], list) and len(config.epsilons) < 2:
+        problems.append(f"{config.scenario} compares epsilons, so config.epsilon must be a "
+                        f"list of two or more, got {config.source['epsilon']!r}")
     h, margin = config.grid.spacing, _interface_margin(config)
     for eps in config.epsilons:
-        if eps < 4.0 * h:
-            problems.append(f"epsilon={eps:g} violates the resolution rule "
-                            f"epsilon >= 4*spacing (spacing={h:g})")
-        if margin < 8.0 * eps:
-            problems.append(f"interface margin {margin:g} is below 8*epsilon={8 * eps:g} "
-                            f"for epsilon={eps:g}")
+        problems += _layer_problems(eps, h, margin, 8.0)
     flows = _flows(config, problems)
+    # at a margin of 0.75 eps_c the coarse run fails late, as if its circle
+    # had vanished; at 1.25 eps_c its radius is six times the default's off
+    for eps_c, coarse in _of_kind(flows, "coarse").items():
+        problems += [f"shrinking-circle coarse flow: {text}" for text in _layer_problems(
+            eps_c, coarse.grid.spacing, 0.5 * coarse.grid.extent - config.params["radius"], 3.0)]
     if config.scenario in _AUDITED:
         for eps, flow in _of_kind(flows, "base").items():
             cfg = flow.config
@@ -292,6 +297,18 @@ def _validate_config(config: ExperimentConfig) -> None:
         problems += _excess_decay_problems(config, _of_kind(flows, "fit"))
     if problems:
         raise ConfigError("; ".join(dict.fromkeys(problems)))
+
+
+def _layer_problems(eps: float, spacing: float, margin: float, widths: float) -> list[str]:
+    """A layer's rules ``eps >= 4 * spacing`` and ``margin >= widths * eps``."""
+    problems = []
+    if eps < 4.0 * spacing:
+        problems.append(f"epsilon={eps:g} violates the resolution rule "
+                        f"epsilon >= 4*spacing (spacing={spacing:g})")
+    if margin < widths * eps:
+        problems.append(f"interface margin {margin:g} is below {widths:g}*epsilon="
+                        f"{widths * eps:g} for epsilon={eps:g}")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -394,7 +411,7 @@ def _flows(config: ExperimentConfig, problems: list[str] | None = None,
                                                sample_every=max(1, n // target))
 
         eps_sorted = sorted(config.epsilons, reverse=True)
-        fit_eps = [e for e in eps_sorted if e >= 0.02] or eps_sorted[:2]
+        fit_eps = eps_sorted[:2]
         for e in config.epsilons:
             add("main", e, data, partial(sampled, e, lambda: t_end, 10))
         tilted = partial(data, tilt_over_eps=p["tilt_over_epsilon"])
@@ -631,9 +648,8 @@ def check(name: str, value: float, tolerance: float, comparison: str = "<=", *,
 
 def _worst_step_ratio(values: Sequence[float]) -> float:
     """The largest ratio of a value to the one before it (``inf`` after a non-positive
-    value, 0 with no step): below 1 when the values strictly decrease."""
-    ratios = [b / a if a > 0 else math.inf for a, b in zip(values, values[1:])]
-    return max(ratios) if ratios else 0.0
+    value): below 1 when the values strictly decrease."""
+    return max(b / a if a > 0 else math.inf for a, b in zip(values, values[1:]))
 
 
 def _spread(values: Sequence[float]) -> float:
@@ -679,7 +695,7 @@ class FlowAudit:
         """Relative defect of energy drop against the dissipation integral."""
         first, last = self.end_energies
         drop = first - last
-        return abs(_time_integral(self.times, self.dissipation) - drop) / abs(drop)
+        return abs(time_integral(self.times, self.dissipation) - drop) / abs(drop)
 
     def rate(self, values: np.ndarray) -> np.ndarray:
         """Centred time derivative of per-step ``values`` at interior steps."""
@@ -1212,15 +1228,13 @@ def run_excess_decay(config: ExperimentConfig) -> ScenarioResult:
 
     for eps in config.epsilons:
         main = flows["main", eps]
-        g, cfg = main.grid, main.config
+        g = main.grid
         amp = a_over_eps * eps
         # the flow streams: no frame but the last outlives its row and its
         # graph columns
         graph = extract_graph(recorded(eps, main), 0.0)
-        idx, weights = window_weights(graph.times, config.t_end / 5, config.t_end,
-                                      cfg.dt * cfg.sample_every)
-        sweep[eps] = {key: float(sum(w * getattr(rows[eps][i], key)
-                                     for i, w in zip(idx, weights)))
+        sweep[eps] = {key: time_integral(graph.times, [getattr(r, key) for r in rows[eps]],
+                                         (config.t_end / 5, config.t_end))
                       for key in ("tilt_excess", "discrepancy_l1", "willmore")}
 
         graphs[f"graph_eps_{eps:g}.csv"] = graph

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -32,9 +32,9 @@ __all__ = [
     "ScalarField",
     "ParabolicCylinder",
     "Trajectory",
-    "trapezoid_weights",
     "in_window",
     "window_weights",
+    "time_integral",
 ]
 
 
@@ -225,25 +225,23 @@ class ParabolicCylinder:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled time slices of one evolving field."""
+    """Uniformly sampled time slices of one evolving field, two or more."""
 
     frames: tuple[ScalarField, ...]
     dt_sample: float
 
     def __post_init__(self) -> None:
-        if not self.frames:
-            raise ValueError("trajectory needs at least one frame")
         object.__setattr__(self, "frames", tuple(self.frames))
+        if len(self.frames) < 2:
+            raise ValueError(f"a trajectory needs two frames or more, got {len(self.frames)}")
         g0, e0 = self.frames[0].grid, self.frames[0].epsilon
         for f in self.frames[1:]:
             if f.grid != g0 or f.epsilon != e0:
                 raise ValueError("all frames must share grid and epsilon")
-        if len(self.frames) > 1:
-            if not self.dt_sample > 0:
-                raise ValueError("dt_sample must be positive")
-            t = self.times
-            if not np.allclose(np.diff(t), self.dt_sample, rtol=1e-10, atol=1e-14):
-                raise ValueError("frame times must increase uniformly by dt_sample")
+        if not self.dt_sample > 0:
+            raise ValueError("dt_sample must be positive")
+        if not np.allclose(np.diff(self.times), self.dt_sample, rtol=1e-10, atol=1e-14):
+            raise ValueError("frame times must increase uniformly by dt_sample")
 
     @property
     def grid(self) -> Grid:
@@ -271,16 +269,6 @@ class Trajectory:
         return i, self.frames[i]
 
 
-def trapezoid_weights(n: int, dt: float) -> np.ndarray:
-    """Trapezoid weights of ``n`` samples spaced ``dt`` apart; a single
-    sample gets weight 1 (its value is returned unintegrated)."""
-    if n == 1:
-        return np.ones(1)
-    w = np.full(n, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return w
-
-
 def in_window(times: float | Sequence[float], lo: float, hi: float) -> np.ndarray:
     """Which sample times lie in the window ``[lo, hi]``, widened on both
     sides by ``1e-12 * max(1, |hi|)`` so that sample times carrying round-off
@@ -304,4 +292,17 @@ def window_weights(times: Sequence[float], lo: float, hi: float,
         raise ValueError(f"no frames inside time window [{lo}, {hi}]")
     if idx.size == 1:
         return idx, np.array([min(hi - lo, dt)])
-    return idx, trapezoid_weights(idx.size, dt)
+    weights = np.full(idx.size, dt)
+    weights[0] = weights[-1] = 0.5 * dt
+    return idx, weights
+
+
+def time_integral(times: Sequence[float], sums: Mapping[int, float] | Sequence[float],
+                  window: tuple[float, float] | None = None) -> float:
+    """The :func:`window_weights` integral over ``window`` (None: the whole run)
+    of ``sums[k]`` at ``times[k]``, the uniform samples of one flow; fewer than
+    two samples have no sampling interval and are an error."""
+    if len(times) < 2:
+        raise ValueError(f"a time integral needs two samples or more, got {len(times)}")
+    idx, weights = window_weights(times, *(window or (times[0], times[-1])), times[1] - times[0])
+    return float(np.sum(np.array([sums[k] for k in idx.tolist()]) * weights))

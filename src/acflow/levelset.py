@@ -20,9 +20,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .diagnostics import FrameBundle, Hyperplane, _tilt_integrand, height_excess
-from .grid import Grid, ParabolicCylinder, ScalarField, Trajectory, window_weights
-from .operators import (_time_integral, ball_mask, from_spectrum, spectrum, symbols,
-                        within_radius)
+from .grid import (Grid, ParabolicCylinder, ScalarField, Trajectory, time_integral,
+                   window_weights)
+from .operators import ball_mask, from_spectrum, spectrum, symbols, within_radius
 from .solver import CLAMP
 
 __all__ = [
@@ -236,10 +236,8 @@ def _maximal_field(hats: Sequence[np.ndarray], times: np.ndarray, grid: Grid,
     Masked ball sums are periodic convolutions (computed exactly by real
     transforms); each time window is weighted by :func:`window_weights`.
     """
-    nt = len(hats)
+    nt, dt = len(hats), times[1] - times[0]
     out = np.zeros((nt,) + grid.shape)
-    # one frame has no sampling interval: its windows get the whole 2 r^2
-    dt = times[1] - times[0] if nt > 1 else math.inf
     # The ball is centred on lattice index 0 (coordinate -extent/2), the zero
     # shift of the circular convolution, so conv[j] is the ball mass around
     # lattice point j.
@@ -285,9 +283,9 @@ def good_bad_partitions(frames: Iterable[ScalarField], thresholds: Sequence[floa
     ``(bad-set Dirichlet mass) * threshold / (total tilt mass)``; the good
     set is the rest of the layer region.
 
-    ``frames`` are the samples of one flow in time order, read twice, one
-    frame at a time: the tilt pass builds the maximal field and the tilt
-    mass, and one more pass splits the layer at every threshold.  Pass a
+    ``frames`` are the samples of one flow, two or more, in time order, read
+    twice, one frame at a time: the tilt pass builds the maximal field and
+    the tilt mass, and one more pass splits the layer at every threshold.  Pass a
     :class:`Trajectory`, or an object whose every ``iter()`` runs the flow
     again, so that no frame is stored; a one-shot iterator is an error.
     """
@@ -298,17 +296,15 @@ def good_bad_partitions(frames: Iterable[ScalarField], thresholds: Sequence[floa
         raise ValueError("thresholds must be positive")
     # each frame's tilt integrand: its box sum, and its half spectrum,
     # transformed once for every radius
-    grid, times, tilt_sums, hats = None, [], [], []
+    times, tilt_sums, hats = [], [], []
     for frame in frames:
         grid = frame.grid
         tilt = _tilt_integrand(FrameBundle(frame), Hyperplane.vertical(grid.dim).normal)
         times.append(frame.time)
         tilt_sums.append(float(np.sum(tilt) * grid.cell_volume))
         hats.append(spectrum(grid, tilt))
-    if grid is None:
-        raise ValueError("no frames to partition")
+    tilt_mass = time_integral(times, tilt_sums)  # fewer than two frames raise here
     del frame, tilt  # the last frame is not held beside the maximal field's stacks
-    tilt_mass = _time_integral(times, tilt_sums)
     maximal = _maximal_field(hats, np.array(times), grid, dyadic_radii(grid.extent, grid.spacing),
                              power=grid.interface_dim + 2)
     del hats
@@ -325,7 +321,7 @@ def good_bad_partitions(frames: Iterable[ScalarField], thresholds: Sequence[floa
             bad &= layer
             bad_points[j] += int(np.count_nonzero(bad))
             masses[j].append(float(np.sum(np.where(bad, density, 0.0)) * grid.cell_volume))
-    return [GoodBadPartition(points, _time_integral(times, sums) * threshold / tilt_mass
+    return [GoodBadPartition(points, time_integral(times, sums) * threshold / tilt_mass
                              if tilt_mass > 0 else 0.0)
             for threshold, points, sums in zip(thresholds, bad_points, masses)]
 

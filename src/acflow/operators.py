@@ -8,8 +8,8 @@ sampled frames inside a cylinder's time window.
 Parabolic cylinders ``B_r(x0) x [t0 - r^2, t0 + r^2]`` follow one rule each
 in space and time.  Balls are closed (:func:`within_radius`): a lattice point
 at distance exactly ``r`` is inside, so a ball about a lattice point is
-symmetric.  Time windows and weights come from :func:`acflow.grid.window_weights`,
-and :func:`integrate_values` takes its samples as a stream of frames.
+symmetric.  Time is integrated by :func:`acflow.grid.time_integral`, and
+:func:`integrate_values` takes its samples, two or more, as a stream of frames.
 
 Spectral convention.  Fields are real, so every transform is a real one:
 ``rfftn``/``irfftn`` over all axes, always with ``s=grid.shape``.  A half
@@ -36,11 +36,11 @@ flows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .grid import Grid, ParabolicCylinder, ScalarField, in_window, window_weights
+from .grid import Grid, ParabolicCylinder, ScalarField, in_window, time_integral
 
 __all__ = [
     "Symbols",
@@ -159,16 +159,14 @@ def integrate_values(
 ) -> list[float]:
     """Integrate one sampled density over each parabolic cylinder.
 
-    ``frames`` are the samples, in time order at uniform spacing; a sample's
-    time is its frame's ``time``, and ``density_at(frame)`` gives its
-    density.  Each frame is read once, as it arrives,
-    so a generator of frames (:func:`acflow.solver.sampled`) streams a flow
+    ``frames`` are the samples, two or more, in time order at uniform
+    spacing; a sample's time is its frame's ``time``, and
+    ``density_at(frame)`` gives its density.  Each frame is read once, as it
+    arrives, so a generator of frames (:func:`acflow.solver.sampled`) streams a flow
     into the integral without holding it.  Space is restricted to the ball
     and time to the samples inside ``|t - t0| <= r^2``, weighted by
     :func:`acflow.grid.window_weights` (a window so thin that it holds a
-    single sample gets the measure ``min(2 r^2, sampling interval)``).  A
-    single sample gives the plain spatial integral over the ball (no time
-    measure).
+    single sample gets the measure ``min(2 r^2, sampling interval)``).
 
     The regions share the one pass: ``density_at`` is called once for each
     sample that some region's window holds (:func:`acflow.grid.in_window`),
@@ -191,16 +189,5 @@ def integrate_values(
             values = density_at(frame)
             for mask, sums in needed:
                 sums[k] = float(np.sum(values[mask]) * grid.cell_volume)
-    if not times:
-        raise ValueError("no samples to integrate")
-    return [_time_integral(times, sums, window) for (_, window), sums in zip(rules, spatial)]
+    return [time_integral(times, sums, window) for (_, window), sums in zip(rules, spatial)]
 
-
-def _time_integral(times: Sequence[float], sums: Mapping[int, float] | Sequence[float],
-                   window: tuple[float, float] | None = None) -> float:
-    """The :func:`acflow.grid.window_weights` integral of per-sample ``sums`` over ``window``
-    (None: every sample); a single sample gives its own sum (no time measure)."""
-    dt = times[1] - times[0] if len(times) > 1 else np.inf
-    idx, weights = window_weights(times, *(window or (times[0], times[-1])), dt)
-    inside = np.array([sums[k] for k in idx.tolist()])
-    return float(inside[0] if len(times) == 1 else np.sum(inside * weights))

@@ -28,10 +28,12 @@ def circle_field(grid: Grid, epsilon: float, radius: float) -> ScalarField:
     return prepare_interface(circle_distance(radius), grid, epsilon)
 
 
-def one_frame(field: ScalarField) -> Trajectory:
-    """The one-sample trajectory of a slice: a cylinder mass over it is the
-    plain spatial integral over the ball."""
-    return Trajectory(frames=(field,), dt_sample=1.0)
+def held(field: ScalarField, dt: float) -> Trajectory:
+    """A slice held still over two samples, at its time and ``dt`` later: a
+    cylinder whose time window holds both gives it ``dt`` times the slice's
+    spatial mass over the ball (trapezoid weights ``dt/2`` each)."""
+    return Trajectory(frames=(field, field.with_values(field.values, field.time + dt)),
+                      dt_sample=dt)
 
 
 def traced_peak(call) -> int:
@@ -112,7 +114,7 @@ def circle_traj_short(grid_2d):
 
     f = circle_field(grid_2d, 0.02, 0.35)
     dt = 0.0625 * 0.02**2
-    cfg = SolverConfig(dt=dt, t_end=400 * dt, scheme="semi-implicit-cnab2", sample_every=4)
+    cfg = SolverConfig(dt=dt, t_end=400 * dt, sample_every=4)
     return evolve(f, cfg)
 
 
@@ -128,7 +130,7 @@ def perturbed_traj_small():
     dist = graph_pair_distance(1.28, [mode])
     field = prepare_interface(dist, g, eps)
     dt = 5e-5
-    cfg = SolverConfig(dt=dt, t_end=100 * dt, scheme="semi-implicit-cnab2", sample_every=20)
+    cfg = SolverConfig(dt=dt, t_end=100 * dt, sample_every=20)
     return evolve(field, cfg)
 
 

@@ -28,12 +28,16 @@ from acflow import (
 )
 from acflow import diagnostics
 from acflow.diagnostics import _tilt_integrand, brakke_terms, brakke_weight
-from acflow.grid import trapezoid_weights
 from acflow.io import write_diagnostics_csv
 from acflow.operators import gradient_values
 from acflow.solver import ac_residual_values
 
-from conftest import standing_wave, circle_field, constant_one, one_frame, traced_peak
+from conftest import standing_wave, circle_field, constant_one, held, traced_peak
+
+# a sampling interval under the squared radius of every cylinder below, so
+# that a held slice's two samples both lie in the window; a power of two, so
+# that dividing a mass by it is exact
+HELD_DT = 0.0625
 
 
 def dirichlet_mass(field):
@@ -146,7 +150,8 @@ def test_height_excess_of_centered_wave_matches_profile_moment(wave_1d):
     plane = Hyperplane.vertical(1)
     region = ParabolicCylinder(center_space=(0.0,), center_time=0.0, radius=0.25 * g.extent)
     n = g.interface_dim
-    via_op = height_excess(one_frame(wave_1d), plane, region) * region.radius ** (n + 4)
+    mass = height_excess(held(wave_1d, HELD_DT), plane, region) * region.radius ** (n + 4)
+    via_op = mass / HELD_DT
     assert via_op == pytest.approx(measured, rel=1e-6)
     assert via_op == pytest.approx(eps**2 * moment, rel=1e-4)
 
@@ -160,8 +165,8 @@ def test_height_excess_translation_invariance(wave_1d):
     plane_lam = Hyperplane(normal=(1.0,), offset=lam)
     r = ParabolicCylinder(center_space=(0.0,), center_time=0.0, radius=0.3)
     r_shift = ParabolicCylinder(center_space=(lam,), center_time=0.0, radius=0.3)
-    a = height_excess(one_frame(wave_1d), plane0, r)
-    b = height_excess(one_frame(shifted), plane_lam, r_shift)
+    a = height_excess(held(wave_1d, HELD_DT), plane0, r)
+    b = height_excess(held(shifted, HELD_DT), plane_lam, r_shift)
     assert b == pytest.approx(a, rel=1e-8)
 
 
@@ -169,7 +174,7 @@ def test_height_excess_of_constant_vanishes():
     g = Grid(dim=2, extent=1.0, points=32)
     f = ScalarField(grid=g, values=np.full(g.shape, 0.3), epsilon=0.1)
     region = ParabolicCylinder(center_space=(0.0, 0.0), center_time=0.0, radius=0.3)
-    assert height_excess(one_frame(f), Hyperplane.vertical(2), region) == pytest.approx(
+    assert height_excess(held(f, HELD_DT), Hyperplane.vertical(2), region) == pytest.approx(
         0.0, abs=1e-20)
 
 
@@ -189,9 +194,10 @@ def test_willmore_of_shrinking_circle_matches_curvature_mass(grid_2d):
     eps, R = 0.02, 0.3
     f = circle_field(grid_2d, eps, R)
     dt = 0.125 * eps**2
-    cfg = SolverConfig(dt=dt, t_end=40 * dt, scheme="semi-implicit-cnab2", sample_every=4)
+    cfg = SolverConfig(dt=dt, t_end=40 * dt, sample_every=4)
     traj = evolve(f, cfg)
-    weights = trapezoid_weights(len(traj), traj.dt_sample)
+    weights = np.full(len(traj), traj.dt_sample)
+    weights[[0, -1]] = 0.5 * traj.dt_sample
     measured = sum(w * willmore(FrameBundle(frame)) for w, frame in zip(weights, traj.frames))
     window = traj.times[-1] - traj.times[0]
     expected = WAVE_ENERGY * 2 * np.pi * R * (1.0 / R**2) * window
@@ -261,7 +267,7 @@ def test_brakke_constant_weight_reduces_to_energy_dissipation(circle_traj):
 def test_brakke_residual_vanishes_on_standing_wave(grid_1d):
     wave = standing_wave(grid_1d, 0.05)
     dt = 2.5e-4
-    cfg = SolverConfig(dt=dt, t_end=20 * dt, scheme="semi-implicit-cnab2", sample_every=5)
+    cfg = SolverConfig(dt=dt, t_end=20 * dt, sample_every=5)
     traj = evolve(wave, cfg)
     phi = radial_bump(center=(0.0,), radius=0.5)
     res = brakke_residual(traj, phi, traj.times[2])
@@ -448,7 +454,7 @@ def test_height_excess_best_offset_beats_zero_offset(wave_1d):
     shift = 23 * g.spacing
     shifted = wave_1d.with_values(np.roll(wave_1d.values, 23))
     region = ParabolicCylinder(center_space=(shift,), center_time=0.0, radius=0.3)
-    traj = one_frame(shifted)
+    traj = held(shifted, HELD_DT)
     centered = height_excess(traj, Hyperplane(normal=(1.0,), offset=shift), region)
     uncentered = height_excess(traj, Hyperplane(normal=(1.0,), offset=0.0), region)
     assert centered <= uncentered

@@ -57,7 +57,7 @@ from acflow.levelset import good_bad_partitions
 from acflow.grid import window_weights
 from acflow.operators import ball_mask, gradient_values
 
-from conftest import (circle_field, one_frame, released_stream, standing_wave, traced_peak,
+from conftest import (circle_field, held, released_stream, standing_wave, traced_peak,
                       zero_crossing_radius)
 
 
@@ -171,9 +171,8 @@ def test_excess_decay_builds_one_maximal_field(monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(levelset, "_maximal_field", counting)
-    raw = scenario_raw("excess-decay")
-    raw["grid"]["points"] = 128
-    raw["epsilon"] = [0.04]
+    raw = raw_config()
+    _small_excess_decay()(raw)
     result = run_scenario(config_from_dict(raw))
     assert len(result.payload["weak_l1_ratios"]) == 3
     assert len(calls) == 1
@@ -269,7 +268,7 @@ def test_config_file_loader_returns_a_config_or_raises_config_error(tmp_path_fac
 
 def test_flow_audit_matches_evolve(grid_1d):
     wave = standing_wave(grid_1d, 0.05)
-    cfg = SolverConfig(dt=2.5e-4, t_end=2.5e-3, scheme="semi-implicit-cnab2", sample_every=5)
+    cfg = SolverConfig(dt=2.5e-4, t_end=2.5e-3, sample_every=5)
     audit = run_flow_audit(flow_of(wave, cfg), energy_terms, keep_frames=True)
     direct = evolve(wave, cfg)
     assert len(audit.trajectory) == len(direct) == 3
@@ -308,7 +307,7 @@ def test_audited_cnab2_step_makes_five_real_transforms(monkeypatch):
 
     def transforms(n_steps):
         calls.clear()
-        cfg = SolverConfig(dt=dt, t_end=n_steps * dt, scheme="semi-implicit-cnab2")
+        cfg = SolverConfig(dt=dt, t_end=n_steps * dt)
         run_flow_audit(flow_of(initial, cfg), terms, keep_frames=True)
         return Counter(calls)
 
@@ -343,7 +342,7 @@ def test_audit_transform_count_is_linear_in_the_steps(monkeypatch, with_brakke_t
 
     def transforms(n_steps):
         calls.clear()
-        cfg = SolverConfig(dt=dt, t_end=n_steps * dt, scheme="semi-implicit-cnab2")
+        cfg = SolverConfig(dt=dt, t_end=n_steps * dt)
         run_flow_audit(flow_of(initial, cfg), terms, keep_frames=True)
         return calls["rfftn"] + calls["irfftn"]
 
@@ -363,8 +362,7 @@ def test_library_makes_no_complex_transform(monkeypatch):
     layer = prepare_interface(graph_pair_distance(g.extent, [sine_mode(0.5 * eps, 1, g.extent)]),
                               g, eps)
     dt = 0.125 * eps**2
-    traj = evolve(layer, SolverConfig(dt=dt, t_end=8 * dt, scheme="semi-implicit-cnab2",
-                                      sample_every=2))
+    traj = evolve(layer, SolverConfig(dt=dt, t_end=8 * dt, sample_every=2))
     diagnostics_record(traj[-1])
     partition_good_bad(traj, 0.02, 0.05)
     graph = extract_graph(traj, 0.0)
@@ -381,7 +379,7 @@ def test_library_identities_reproduce_the_audit_probe_series():
     kernel = KernelPoint(y=(0.0, 0.0), s=0.05, n=1)
     bump = radial_bump(center=(0.0, 0.0), radius=0.45 * g.extent)
     initial = prepare_interface(circle_distance(0.35), g, eps)
-    cfg = SolverConfig(dt=dt, t_end=6 * dt, scheme="semi-implicit-cnab2")
+    cfg = SolverConfig(dt=dt, t_end=6 * dt)
     audit = run_flow_audit(flow_of(initial, cfg), both_terms(g, kernel, bump), keep_frames=True)
     traj = audit.trajectory
     mass, rhs_gradient, rhs_tensor, gauss, dissipative, discrepancy = audit.terms.T
@@ -443,9 +441,9 @@ def test_probed_audit_reports_a_divergence_as_the_typed_error(monkeypatch, dt_fa
 
 def test_audit_and_evolve_share_the_step_count_rule(wave_1d):
     cases = [
-        (SolverConfig(dt=3e-4, t_end=1e-3, scheme="semi-implicit-cnab2"),
+        (SolverConfig(dt=3e-4, t_end=1e-3),
          "whole number of steps"),
-        (SolverConfig(dt=2.5e-4, t_end=1e-3, scheme="semi-implicit-cnab2", sample_every=3),
+        (SolverConfig(dt=2.5e-4, t_end=1e-3, sample_every=3),
          "not a multiple of sample_every=3"),
     ]
     for cfg, message in cases:
@@ -458,7 +456,7 @@ def test_audit_and_evolve_share_the_step_count_rule(wave_1d):
 
 def test_flow_audit_without_frames_records_the_same_series(grid_1d):
     wave = standing_wave(grid_1d, 0.05)
-    cfg = SolverConfig(dt=2.5e-4, t_end=2.5e-3, scheme="semi-implicit-cnab2", sample_every=5)
+    cfg = SolverConfig(dt=2.5e-4, t_end=2.5e-3, sample_every=5)
     kept = run_flow_audit(flow_of(wave, cfg), energy_terms, keep_frames=True)
     bare = run_flow_audit(flow_of(wave, cfg), energy_terms, keep_frames=False)
     assert bare.trajectory is None
@@ -545,7 +543,7 @@ def test_flow_audit_lets_go_of_its_initial_field():
     # the audit's march holds the initial field until its first step; the
     # audit itself keeps no reference to it past that
     g = Grid(dim=2, extent=1.2, points=32)
-    cfg = SolverConfig(dt=1e-3, t_end=4e-3, scheme="semi-implicit-cnab2")
+    cfg = SolverConfig(dt=1e-3, t_end=4e-3)
     refs, alive = [], []
 
     def prepared():
@@ -571,7 +569,7 @@ def test_sphere_audit_keeps_both_identities_at_interface_dimension_two():
     g = Grid(dim=3, extent=1.2, points=48)
     eps = 4.0 * g.spacing
     dt = 0.25 * eps**2
-    cfg = SolverConfig(dt=dt, t_end=40 * dt, scheme="semi-implicit-cnab2")
+    cfg = SolverConfig(dt=dt, t_end=40 * dt)
     initial = prepare_interface(circle_distance(0.35), g, eps)
     kernel = KernelPoint(y=(0.0, 0.0, 0.0), s=cfg.t_end + 0.01, n=g.interface_dim)
     audit = run_flow_audit(flow_of(initial, cfg), both_terms(g, kernel, radial_bump(
@@ -591,7 +589,7 @@ def per_radius_profile(traj, center_space, center_time, radii):
     grid = traj.grid
     slices = [(f.time, FrameBundle(f).energy_density) for f in traj.frames]
     times = np.array([t for (t, _) in slices])
-    dt = times[1] - times[0] if len(times) > 1 else np.inf
+    dt = times[1] - times[0]
     entries = []
     for r in radii:
         region = ParabolicCylinder(center_space=tuple(center_space), center_time=center_time,
@@ -600,7 +598,7 @@ def per_radius_profile(traj, center_space, center_time, radii):
         mask = ball_mask(grid, region.center_space, region.radius)
         idx, weights = window_weights(times, *region.time_window, dt)
         spatial = np.array([float(np.sum(slices[i][1][mask]) * grid.cell_volume) for i in idx])
-        mass = float(spatial[0] if len(slices) == 1 else np.sum(spatial * weights))
+        mass = float(np.sum(spatial * weights))
         entries.append((float(r), mass / r ** (grid.interface_dim + 2)))
     return tuple(entries)
 
@@ -608,7 +606,7 @@ def per_radius_profile(traj, center_space, center_time, radii):
 def flat_layer_traj():
     g = Grid(dim=2, extent=1.2, points=128)
     dt = 0.125 * 0.05**2
-    cfg = SolverConfig(dt=dt, t_end=64 * dt, scheme="semi-implicit-cnab2", sample_every=8)
+    cfg = SolverConfig(dt=dt, t_end=64 * dt, sample_every=8)
     return evolve(standing_wave(g, 0.05), cfg)
 
 
@@ -621,16 +619,25 @@ def test_streamed_density_profile_matches_per_radius_profile(circle_traj_short):
                                                  epsilon=0.05, time=0.25 * i)
                                      for i, u in enumerate((0.95, 0.5, 0.95, 0.5, 0.95))),
                         dt_sample=0.25)
+    # a slice held over two samples 2^-7 apart, both inside the windows of
+    # radius 0.1 and 0.3 about t = 0
+    dt = 2.0**-7
+    still = held(flat[0], dt)
     # radius 0.005 on the circle run: a window holding one sample
     cases = [
         (circle_traj_short, (0.34, 0.0), 0.005, [0.005, 0.04, 0.1, 0.2, 0.3]),
         (circle_traj_short, (0.0, 0.3), 0.0095, [0.05, 0.15]),
         (flat, (0.0, 0.0), 0.5 * flat.times[-1], [0.1, 0.15, 0.2, 0.25, 0.3]),
-        (Trajectory(frames=(flat[0],), dt_sample=0.0), (0.0, 0.0), 0.0, [0.1, 0.3]),
+        (still, (0.0, 0.0), 0.0, [0.1, 0.3]),
     ] + [(binary, (0.0, 0.0), t, [0.4]) for t in (0.125, 0.375, 0.25, 0.0)]
     for traj, center, t, radii in cases:
         profile = density_ratio_profile(traj.grid, traj, center, t, radii)
         assert profile == per_radius_profile(traj, center, t, radii)
+    # the held slice's profile is dt times its spatial one
+    density, grid = FrameBundle(flat[0]).energy_density, flat.grid
+    for r, ratio in density_ratio_profile(grid, still, (0.0, 0.0), 0.0, [0.1, 0.3]):
+        spatial = np.sum(density[ball_mask(grid, (0.0, 0.0), r)]) * grid.cell_volume
+        assert ratio / dt == pytest.approx(spatial / r**3, rel=1e-12)
 
 
 def test_density_profile_flags_pure_phase_center(monkeypatch):
@@ -658,7 +665,7 @@ def test_density_profile_of_a_running_flow_equals_its_stored_trajectory():
     # bit for bit, and the oracle's
     g = Grid(dim=2, extent=1.2, points=128)
     dt = 0.125 * 0.05**2
-    cfg = SolverConfig(dt=dt, t_end=64 * dt, scheme="semi-implicit-cnab2", sample_every=8)
+    cfg = SolverConfig(dt=dt, t_end=64 * dt, sample_every=8)
     wave = standing_wave(g, 0.05)
     stored = evolve(wave, cfg)
     center, t, radii = (0.0, 0.0), 0.5 * cfg.t_end, [0.1, 0.15, 0.2, 0.25, 0.3]
@@ -671,8 +678,7 @@ def test_last_sample_is_the_stored_trajectorys_last_frame():
     # shrinking-circle's coarse circle and inequality-ratios' circles keep
     # only the flow's last field
     g = Grid(dim=2, extent=1.4, points=128)
-    cfg = SolverConfig(dt=1.25e-3, t_end=25 * 1.25e-3, scheme="semi-implicit-cnab2",
-                       sample_every=5)
+    cfg = SolverConfig(dt=1.25e-3, t_end=25 * 1.25e-3, sample_every=5)
     flow = Flow(g, cfg, 0.1, partial(circle_field, radius=0.35))
     last, stored = _last_sample(flow), evolve(flow.start(), cfg)[-1]
     assert last.time == stored.time
@@ -724,8 +730,7 @@ def test_no_cancellation_defect_of_a_running_flow_equals_its_stored_trajectory(s
     # reads, they are the second, the third and the last
     g = Grid(dim=2, extent=1.4, points=64)
     dt = 0.125 * 0.1**2
-    cfg = SolverConfig(dt=dt, t_end=steps * dt, scheme="semi-implicit-cnab2",
-                       sample_every=sample_every)
+    cfg = SolverConfig(dt=dt, t_end=steps * dt, sample_every=sample_every)
     initial = circle_field(g, 0.1, 0.35)
     stored = evolve(initial, cfg)
     assert solver.sample_count(cfg) == len(stored)
@@ -740,7 +745,7 @@ def test_no_cancellation_check_rejects_fewer_than_four_samples():
     # points would all be the prepared data
     g = Grid(dim=2, extent=1.4, points=64)
     dt = 0.125 * 0.1**2
-    cfg = SolverConfig(dt=dt, t_end=2 * dt, scheme="semi-implicit-cnab2")
+    cfg = SolverConfig(dt=dt, t_end=2 * dt)
     assert solver.sample_count(cfg) == 3
     with pytest.raises(ValueError, match="needs count >= 4, got count=3"):
         no_cancellation_check(solver.sampled(circle_field(g, 0.1, 0.35), cfg), 3, [0.15])
@@ -784,7 +789,7 @@ def test_graph_csv_roundtrippable_columns(tmp_path, wave_2d):
     from acflow import extract_graph
     from acflow.io import write_graph_csv
 
-    graph = extract_graph(one_frame(wave_2d), 0.0)
+    graph = extract_graph([wave_2d], 0.0)
     path = tmp_path / "graph.csv"
     write_graph_csv(graph, path)
     lines = path.read_text().splitlines()
@@ -1326,6 +1331,14 @@ _SHORT_CIRCLE_ERROR = ("t_end - dt = 0.011875 is not half a step (dt=0.000625) p
      ["epsilon values must be distinct, got [0.04, 0.04]"]),
     ([_with(None, **scenario_raw("no-cancellation")), _with(None, epsilon=[0.04, 0.04])],
      ["epsilon values must be distinct, got [0.04, 0.04]"]),
+    # a scenario that compares epsilons takes two or more: with one, each sweep
+    # check would read one value and pass whatever the flow does
+    ([_with(None, **scenario_raw("no-cancellation")), _with(None, epsilon=[0.02])],
+     ["no-cancellation compares epsilons, so config.epsilon must be a list of two or more, "
+      "got [0.02]"]),
+    ([_with(None, **scenario_raw("excess-decay")), _with(None, epsilon=0.02)],
+     ["excess-decay compares epsilons, so config.epsilon must be a list of two or more, "
+      "got 0.02"]),
 ])
 def test_cli_reports_every_config_error_at_load(tmp_path, capsys, mutations, expected):
     raw = raw_config()
@@ -1341,6 +1354,13 @@ def test_cli_reports_every_config_error_at_load(tmp_path, capsys, mutations, exp
     for text in expected:
         assert text in err
     assert not (tmp_path / "exp").exists()
+
+
+def test_excess_decay_fits_its_two_largest_epsilons():
+    # only 0.04 is at least 0.02, and one fit flow would leave the tilt
+    # constant's spread a spread of one value
+    config = config_from_dict({**scenario_raw("excess-decay"), "epsilon": [0.04, 0.01]})
+    assert list(_of_kind(_flows(config), "fit")) == [0.04, 0.01]
 
 
 def test_cli_reports_data_the_probe_rejects(tmp_path, capsys):
@@ -1457,11 +1477,12 @@ def test_cli_reports_a_vanished_circle(tmp_path, capsys):
 def test_cli_reports_a_diverged_flow(tmp_path, capsys, monkeypatch):
     # a cnab2 step of 2 eps^2, six times its limit, diverges at step 12 on the
     # small circle; no-cancellation's circle has no radius law to bound the
-    # horizon, so its 20 steps run past that
+    # horizon, so its 16 steps run past that
     monkeypatch.setattr(solver, "dt_limit", lambda scheme, grid, epsilon: math.inf)
     raw = json.loads(json.dumps(SMALL_CIRCLE_RAW))
     raw["scenario"] = "no-cancellation"
-    raw["solver"] = {"dt_factor": 2.0, "t_end": 0.1}
+    raw["epsilon"] = [0.05, 0.04]  # simulate runs the first
+    raw["solver"] = {"dt_factor": 2.0, "t_end": 0.08}
     path = tmp_path / "diverges.json"
     path.write_text(json.dumps(raw))
     code = cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")])
@@ -1499,7 +1520,8 @@ def small_raw(scenario):
         "shrinking-circle": SMALL_CIRCLE_RAW,
         "monotonicity-sweep": {**SMALL_CIRCLE_RAW, "scenario": "monotonicity-sweep"},
         "no-cancellation": {"scenario": "no-cancellation",
-                            "grid": {"dim": 2, "extent": 1.4, "points": 160}, "epsilon": [0.04],
+                            "grid": {"dim": 2, "extent": 1.4, "points": 320},
+                            "epsilon": [0.04, 0.02],
                             "solver": {"dt_factor": 0.125, "t_end": 0.004, "sample_every": 4}},
         "inequality-ratios": {"scenario": "inequality-ratios",
                               "grid": {"dim": 2, "extent": 1.28, "points": 128}, "epsilon": 0.04,
@@ -1577,12 +1599,25 @@ _CIRCLE_128 = dict(grid={"dim": 2, "extent": 1.2, "points": 128}, epsilon=0.04)
     # the rough flow's horizon, t_end/10, is 5.5 steps
     ({**scenario_raw("excess-decay"), "grid": {"dim": 2, "extent": 1.28, "points": 256},
       "epsilon": [0.02], "solver": {"dt_factor": 0.125, "t_end": 0.00275, "sample_every": 1}},
-     ["excess-decay rough flow: t_end=0.000275 is not a whole number of steps of dt=5e-05"]),
+     ["excess-decay compares epsilons, so config.epsilon must be a list of two or more, "
+      "got [0.02]",
+      "excess-decay rough flow: t_end=0.000275 is not a whole number of steps of dt=5e-05"]),
     # 51 steps at eps 0.04 cannot keep every 5th; t_end/10 is 20.4 steps at eps 0.02
     ({**scenario_raw("excess-decay"),
       "solver": {"dt_factor": 0.125, "t_end": 0.0102, "sample_every": 1}},
      ["excess-decay main flow: step count 51 is not a multiple of sample_every=5",
       "excess-decay rough flow: t_end=0.00102 is not a whole number of steps of dt=5e-05"]),
+    # the coarse flow's layer, eps_c = 0.04 on params.coarse_extent, close
+    # to its periodic image or under four of its box's spacings
+    (scenario_raw("shrinking-circle", coarse_extent=0.76),
+     ["shrinking-circle coarse flow: interface margin 0.03 is below 3*epsilon=0.12 "
+      "for epsilon=0.04"]),
+    (scenario_raw("shrinking-circle", coarse_extent=0.8),
+     ["shrinking-circle coarse flow: interface margin 0.05 is below 3*epsilon=0.12 "
+      "for epsilon=0.04"]),
+    (scenario_raw("shrinking-circle", coarse_extent=4.0),
+     ["shrinking-circle coarse flow: epsilon=0.04 violates the resolution rule "
+      "epsilon >= 4*spacing (spacing=0.015625)"]),
 ])
 def test_loader_rejects_a_hidden_flow_that_breaks_its_step_rules(tmp_path, capsys, monkeypatch,
                                                                  raw, expected):

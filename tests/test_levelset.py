@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -25,13 +23,13 @@ from acflow import (
 )
 from acflow.diagnostics import _tilt_integrand
 from acflow.experiments import Flow, default_config
-from acflow.grid import trapezoid_weights, window_weights
+from acflow.grid import window_weights
 from acflow.initial_data import graph_pair_distance, graph_profile, sine_mode
 from acflow.levelset import GoodBadPartition, _maximal_field, dyadic_radii, good_bad_partitions
 from acflow.operators import ball_mask, from_spectrum, integrate_values, spectrum
 from acflow.solver import sampled
 
-from conftest import frames_at, one_frame, released_stream, standing_wave
+from conftest import frames_at, released_stream, standing_wave
 
 
 # --- inverse-profile distance field ----------------------------------------
@@ -73,7 +71,7 @@ def flat_layer(profile: ScalarField) -> ScalarField:
 
 def test_extracted_height_inverts_the_profile():
     wave = flat_layer(standing_wave(Grid(dim=1, extent=2.56, points=1024), 0.1))
-    graph = extract_graph(one_frame(wave), level=0.5)
+    graph = extract_graph([wave], level=0.5)
     expected = 0.1 * np.arctanh(0.5)
     assert expected == pytest.approx(0.05493061443340549, abs=1e-12)  # oracle value
     assert graph.validity_fraction == 1.0
@@ -81,7 +79,7 @@ def test_extracted_height_inverts_the_profile():
 
 
 def test_zero_level_of_odd_profile_is_zero(wave_2d):
-    graph = extract_graph(one_frame(wave_2d), level=0.0)
+    graph = extract_graph([wave_2d], level=0.0)
     assert graph.validity_fraction == 1.0
     assert np.max(np.abs(graph.heights)) < 1e-12
 
@@ -97,8 +95,8 @@ def test_graph_of_gentle_slope_matches_offset_geometry():
     dist = graph_pair_distance(1.28, [mode])
     field = prepare_interface(dist, g, eps)
     s = 0.4
-    g_lo = extract_graph(one_frame(field), -s)
-    g_hi = extract_graph(one_frame(field), s)
+    g_lo = extract_graph([field], -s)
+    g_hi = extract_graph([field], s)
     both = g_lo.valid & g_hi.valid
     assert both.mean() > 0.99
     xh = g.axis()
@@ -115,7 +113,7 @@ def test_extraction_errors_when_every_column_is_ambiguous():
     f = flat_layer(ScalarField(grid=g, values=np.tanh((np.abs(g.axis()) - 0.3) / 0.05),
                                epsilon=0.05))
     with pytest.raises(GraphExtractionError):
-        extract_graph(one_frame(f), level=0.0)
+        extract_graph([f], level=0.0)
 
 
 def test_extraction_masks_multi_crossing_columns():
@@ -125,7 +123,7 @@ def test_extraction_masks_multi_crossing_columns():
     X, Y = g.dense_coords()
     vals = np.where(X < 0, np.tanh(Y / 0.1), np.tanh(np.sin(3 * np.pi * Y) / 0.3))
     f = ScalarField(grid=g, values=vals, epsilon=0.1)
-    graph = extract_graph(one_frame(f), level=0.0)
+    graph = extract_graph([f], level=0.0)
     single = graph.valid[0][: g.points // 2]
     multi = graph.valid[0][g.points // 2 :]
     assert np.all(single)
@@ -136,7 +134,7 @@ def test_extraction_rejects_pure_phase():
     g = Grid(dim=2, extent=2.0, points=64)
     f = ScalarField(grid=g, values=np.ones(g.shape), epsilon=0.1)
     with pytest.raises(GraphExtractionError):
-        extract_graph(one_frame(f), level=0.0)
+        extract_graph([f], level=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -148,8 +146,7 @@ def rough_flow():
     eps = 0.04
     initial = _multiscale_rough_initial(Grid(dim=2, extent=1.28, points=128), eps)
     dt = 0.125 * eps**2
-    return initial, SolverConfig(dt=dt, t_end=10 * dt, scheme="semi-implicit-cnab2",
-                                 sample_every=1)
+    return initial, SolverConfig(dt=dt, t_end=10 * dt, sample_every=1)
 
 
 def test_graph_of_a_stream_equals_the_graph_of_its_trajectory(rough_flow):
@@ -367,7 +364,7 @@ def _per_radius_maximal(g, times, grid, radii, power):
     """The maximal field as it was built with a new convolution buffer per
     radius: the oracle of the one shared buffer."""
     out = np.zeros_like(g)
-    dt = times[1] - times[0] if g.shape[0] > 1 else math.inf
+    dt = times[1] - times[0]
     origin = (-0.5 * grid.extent,) * grid.dim
     for r in radii:
         khat = spectrum(grid, ball_mask(grid, origin, r).astype(float))
@@ -509,7 +506,7 @@ def test_maximal_rejects_oversized_radii():
 def test_partition_of_standing_wave_has_empty_bad_set(grid_1d):
     wave = standing_wave(grid_1d, 0.05)
     dt = 2.5e-4
-    cfg = SolverConfig(dt=dt, t_end=20 * dt, scheme="semi-implicit-cnab2", sample_every=5)
+    cfg = SolverConfig(dt=dt, t_end=20 * dt, sample_every=5)
     traj = evolve(wave, cfg)
     for threshold in (1e-3, 1e-2, 1e-1):
         part = partition_good_bad(traj, threshold, band=0.05)
@@ -541,7 +538,8 @@ def test_one_maximal_field_serves_every_threshold(perturbed_traj_small):
     # excess: read through the ratio at a tiny threshold, where the whole
     # tilted layer is bad
     grid, threshold = traj.grid, 1e-4
-    weights = trapezoid_weights(len(traj), traj.dt_sample)
+    weights = np.full(len(traj), traj.dt_sample)
+    weights[[0, -1]] = 0.5 * traj.dt_sample
     tilt_mass = sum(w * tilt_excess(FrameBundle(frame), (0.0, 1.0))
                     for w, frame in zip(weights, traj.frames))
     bad_mass = sum(w * np.sum(np.where((np.abs(f.values) < 0.95) & (m >= threshold),
@@ -602,7 +600,7 @@ def test_heat_compare_recovers_exact_mode_decay():
 
 
 def test_heat_compare_flat_graph_gives_zero(wave_2d):
-    graph = extract_graph(one_frame(wave_2d), 0.0)
+    graph = extract_graph([wave_2d], 0.0)
     assert heat_compare(graph, graph.heights[0]) < 1e-8
 
 
@@ -611,7 +609,7 @@ def test_heat_compare_rejects_low_validity():
     vals = np.tanh(np.broadcast_to(g.coords()[-1], g.shape) / 0.05).copy()
     vals[: g.points // 2, :] = 1.0  # half the columns have no crossing
     f = ScalarField(grid=g, values=vals, epsilon=0.05)
-    graph = extract_graph(one_frame(f), 0.0)
+    graph = extract_graph([f], 0.0)
     with pytest.raises(GraphExtractionError):
         heat_compare(graph, graph.heights[0])
 
@@ -626,7 +624,7 @@ def test_excess_decay_fit_recovers_gentle_tilt():
     # short run: the mode decays ~0.2% per sample here, so the pooled fit
     # stays on the initial slope
     dt = 5e-5
-    cfg = SolverConfig(dt=dt, t_end=8 * dt, scheme="semi-implicit-cnab2", sample_every=2)
+    cfg = SolverConfig(dt=dt, t_end=8 * dt, sample_every=2)
     traj = evolve(field, cfg)
     t0 = traj.times[2]
     report = excess_decay_ratio(traj, theta=0.25, scale=0.2, center_time=t0)
@@ -649,7 +647,7 @@ def test_excess_decay_exact_wave_sits_at_the_layer_floor(grid_2d):
     # reports the floor regime (verdict None)
     wave = standing_wave(grid_2d, 0.02)
     dt = 5e-5
-    cfg = SolverConfig(dt=dt, t_end=40 * dt, scheme="semi-implicit-cnab2", sample_every=8)
+    cfg = SolverConfig(dt=dt, t_end=40 * dt, sample_every=8)
     traj = evolve(wave, cfg)
     report = excess_decay_ratio(traj, theta=0.25, scale=0.2, center_time=traj.times[2])
     assert report.normal_deviation < 1e-6

@@ -6,14 +6,13 @@ from acflow import (
     KernelPoint,
     ScalarField,
     SolverConfig,
-    Trajectory,
     WAVE_ENERGY,
     evolve,
     gaussian_density,
     kernel_on_grid,
     monotonicity_residual,
 )
-from conftest import standing_wave
+from conftest import held, standing_wave
 
 
 # --- kernel ----------------------------------------------------------------
@@ -87,7 +86,7 @@ def flat_wave_traj():
     eps = 0.01
     f = standing_wave(g, eps)
     dt = 0.25 * eps**2
-    cfg = SolverConfig(dt=dt, t_end=40 * dt, scheme="semi-implicit-cnab2", sample_every=8)
+    cfg = SolverConfig(dt=dt, t_end=40 * dt, sample_every=8)
     return evolve(f, cfg)
 
 
@@ -119,7 +118,7 @@ def test_gaussian_density_normalisation_for_a_two_dimensional_interface():
     values = {}
     for n in (1, 2):
         g = Grid(dim=n + 1, extent=1.28, points=64)
-        traj = Trajectory(frames=(standing_wave(g, 4 * g.spacing),), dt_sample=1.0)
+        traj = held(standing_wave(g, 4 * g.spacing), 1.0)
         values[n] = gaussian_density(traj, KernelPoint(y=(0.0,) * g.dim, s=tau, n=n), 0.0)
     assert values[2] == pytest.approx(values[1], rel=1e-12)
 
@@ -127,7 +126,7 @@ def test_gaussian_density_normalisation_for_a_two_dimensional_interface():
 def test_gaussian_density_of_pure_phase_is_zero():
     g = Grid(dim=2, extent=1.28, points=64)
     f = ScalarField(grid=g, values=np.ones(g.shape), epsilon=0.05)
-    traj = Trajectory(frames=(f,), dt_sample=1.0)
+    traj = held(f, 1.0)
     kp = KernelPoint(y=(0.0, 0.0), s=1.0, n=1)
     assert gaussian_density(traj, kp, 0.0) < 1e-12
 
@@ -146,7 +145,7 @@ def test_residual_tiny_on_standing_wave(grid_1d):
     # term reads 1.3e-3 at lag 20 and 1.3e-7 at lag 2000
     wave = standing_wave(grid_1d, 0.05)
     dt = 2.5e-4
-    cfg = SolverConfig(dt=dt, t_end=20 * dt, scheme="semi-implicit-cnab2", sample_every=5)
+    cfg = SolverConfig(dt=dt, t_end=20 * dt, sample_every=5)
     traj = evolve(wave, cfg)
     kp = KernelPoint(y=(0.0,), s=traj.times[-1] + 2000.0, n=0)
     res = monotonicity_residual(traj, kp, traj.times[2])

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from acflow import Grid, ParabolicCylinder, ScalarField, Trajectory
-from acflow.grid import trapezoid_weights, window_weights
-from acflow.levelset import dyadic_radii
+from acflow.grid import time_integral, window_weights
+from acflow.levelset import dyadic_radii, good_bad_partitions
 from acflow.operators import (ball_mask, gradient_values, integrate_values, laplacian_values,
                               spectrum)
 from acflow.solver import SCHEMES
@@ -30,6 +30,19 @@ def mass(traj):
     region = whole_box(traj.grid, 0.5 * (times[0] + times[-1]))
     assert len(window_weights(times, *region.time_window, traj.dt_sample)[0]) == len(traj)
     return integrate_values(traj.grid, traj, lambda frame: frame.values, [region])[0]
+
+
+# a slice held over two samples 2^-3 apart, both inside the time window of
+# every cylinder about t = 0 below
+HELD_TIMES = (0.0, 0.125)
+
+
+def spatial_mass(grid, density, region):
+    """The mass of one slice's ``density`` over the ball of ``region``, a
+    cylinder about t = 0: its mass over the slice held at ``HELD_TIMES``,
+    divided (exactly) by their interval."""
+    held = frames_at(grid, HELD_TIMES)
+    return integrate_values(grid, held, lambda f: density, [region])[0] / HELD_TIMES[1]
 
 
 def test_gradient_of_single_mode_matches_analytic():
@@ -249,43 +262,6 @@ def test_cached_property_guard_sees_every_way_to_use_it():
         "class B:\n    @_cached\n    def g(self): pass\ncached_property = 1"))
 
 
-def _name_loads(tree: ast.Module, name: str) -> list[int]:
-    """Lines that load ``name``: a bare read, an attribute ``x.name`` or
-    ``from m import name``."""
-    lines = []
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
-                or isinstance(node, ast.Attribute) and node.attr == name
-                or isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names)):
-            lines.append(node.lineno)
-    return lines
-
-
-# The one time rule of every time integral is grid.window_weights, which is
-# built on trapezoid_weights; the per-step dissipation integral of
-# FlowAudit.dissipation_defect goes through it too.
-_TRAPEZOID_USERS = ("grid.py",)
-
-
-def test_trapezoid_weights_is_loaded_only_by_the_time_rule():
-    package = Path(__file__).resolve().parents[1] / "src" / "acflow"
-    loads = {p.name: _name_loads(ast.parse(p.read_text(encoding="utf-8")), "trapezoid_weights")
-             for p in sorted(package.glob("*.py"))}
-    found = [f"{name}:{line}" for name, lines in loads.items() if name not in _TRAPEZOID_USERS
-             for line in lines]
-    assert not found, f"trapezoid_weights outside {' and '.join(_TRAPEZOID_USERS)}: {', '.join(found)}"
-    assert all(loads[name] for name in _TRAPEZOID_USERS)
-
-
-def test_name_guard_sees_every_way_to_load_a_name():
-    for source in ["from .grid import trapezoid_weights", "from .grid import (Grid,\n trapezoid_weights)",
-                   "trapezoid_weights(3, 0.1)", "grid.trapezoid_weights(3, 0.1)",
-                   "w = [trapezoid_weights]"]:
-        assert _name_loads(ast.parse(source), "trapezoid_weights"), source
-    assert not _name_loads(ast.parse('def trapezoid_weights(n, dt): pass\n'
-                                     '__all__ = ["trapezoid_weights"]'), "trapezoid_weights")
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_nyquist_mode_has_zero_first_derivative(dim):
     g = Grid(dim=dim, extent=1.0, points=16)
@@ -321,7 +297,7 @@ def test_integrate_constant_over_box_with_time_window():
 def test_integrate_disk_area_first_order():
     g = Grid(dim=2, extent=2.0, points=256)
     region = ParabolicCylinder(center_space=(0.0, 0.0), center_time=0.0, radius=0.5)
-    area = integrate_values(g, frames_at(g, [0.0]), lambda f: np.ones(g.shape), [region])[0]
+    area = spatial_mass(g, np.ones(g.shape), region)
     assert abs(area - np.pi * 0.25) < 4 * g.spacing
 
 
@@ -330,8 +306,7 @@ def test_integrate_odd_density_over_symmetric_ball_vanishes():
     X, Y = g.dense_coords()
     region = ParabolicCylinder(center_space=(0.0, 0.0), center_time=0.0, radius=0.5)
     mask = ball_mask(g, (0.0, 0.0), 0.5)
-    odd_part = (integrate_values(g, frames_at(g, [0.0]), lambda f: X + 100.0, [region])[0]
-                - 100.0 * np.sum(mask) * g.cell_volume)
+    odd_part = spatial_mass(g, X + 100.0, region) - 100.0 * np.sum(mask) * g.cell_volume
     assert abs(odd_part) < 1e-12
 
 
@@ -357,7 +332,7 @@ def test_integrate_rejects_oversized_ball():
     g = Grid(dim=2, extent=1.0, points=32)
     region = ParabolicCylinder(center_space=(0.0, 0.0), center_time=0.0, radius=0.6)
     with pytest.raises(ValueError):
-        integrate_values(g, frames_at(g, [0.0]), lambda f: np.ones(g.shape), [region])
+        spatial_mass(g, np.ones(g.shape), region)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -367,8 +342,7 @@ def test_integrate_is_linear_in_density(seed):
     a = rng.standard_normal(64)
     b = rng.standard_normal(64)
     c = float(rng.standard_normal())
-    box = lambda values: integrate_values(g, frames_at(g, [0.0]), lambda f: values,
-                                          [whole_box(g, 0.0)])[0]
+    box = lambda values: spatial_mass(g, values, whole_box(g, 0.0))
     assert box(a + c * b) == pytest.approx(box(a) + c * box(b), rel=1e-12, abs=1e-12)
 
 
@@ -391,7 +365,9 @@ def test_integrate_additive_over_disjoint_time_windows():
     assert w == pytest.approx(w1 + w2, rel=1e-12)
     # the whole-box sum of the trapezoid rule
     box_sums = [np.sum(f.values) * g.cell_volume for f in frames]
-    assert w == pytest.approx(np.dot(trapezoid_weights(len(frames), 0.25), box_sums), rel=1e-12)
+    weights = np.full(len(frames), 0.25)
+    weights[[0, -1]] = 0.125
+    assert w == pytest.approx(np.dot(weights, box_sums), rel=1e-12)
 
 
 def test_integrate_values_builds_each_needed_slice_once():
@@ -451,5 +427,23 @@ def test_integrate_values_rejects_an_empty_window_of_a_stream():
     with pytest.raises(ValueError, match="no frames inside time window"):
         integrate_values(g, iter(traj.frames), lambda frame: built.append(frame), [region])
     assert built == []
-    with pytest.raises(ValueError, match="no samples"):
+    with pytest.raises(ValueError, match="two samples or more, got 0"):
         integrate_values(g, iter(()), lambda frame: frame.values, [region])
+
+
+def test_a_single_sample_has_no_time_integral():
+    # the time rule needs a sampling interval: two samples or more integrate
+    # by the trapezoid rule, and one sample is an error wherever it arrives
+    assert time_integral([0.0, 0.5, 1.0], [1.0, 2.0, 3.0]) == 0.25 + 1.0 + 0.75
+    g = Grid(dim=2, extent=1.0, points=32)
+    frames = frames_at(g, [0.0])
+    region = ParabolicCylinder(center_space=(0.0, 0.0), center_time=0.0, radius=0.3)
+    for call in (lambda: time_integral([0.0], [1.0]),
+                 lambda: time_integral([0.0], {0: 1.0}, (-0.1, 0.1)),
+                 lambda: integrate_values(g, frames, lambda f: f.values, [region]),
+                 lambda: good_bad_partitions(frames, [1.0], band=0.05)):
+        with pytest.raises(ValueError, match="two samples or more, got 1"):
+            call()
+    for dt_sample in (0.1, 0.0):
+        with pytest.raises(ValueError, match="two frames or more, got 1"):
+            Trajectory(frames=tuple(frames), dt_sample=dt_sample)

@@ -91,7 +91,7 @@ def test_cnab2_carry_is_used_only_for_the_last_output():
     eps = 4.0 * g.spacing
     dt = 0.25 * eps**2
     f0 = circle_field(g, eps, 0.35)
-    cfg = SolverConfig(dt=dt, t_end=dt, scheme="semi-implicit-cnab2")
+    cfg = SolverConfig(dt=dt, t_end=dt)
 
     carried = _Stepper(f0, cfg)
     prev, (f, f_hat) = f0, carried.advance(f0)
@@ -117,7 +117,7 @@ def test_cnab2_step_working_set():
     eps = 4.0 * g.spacing
     dt = 0.25 * eps**2
     f0 = circle_field(g, eps, 0.35)
-    stepper = _Stepper(f0, SolverConfig(dt=dt, t_end=dt, scheme="semi-implicit-cnab2"))
+    stepper = _Stepper(f0, SolverConfig(dt=dt, t_end=dt))
     f1, f1_hat = stepper.advance(f0)
     array_bytes = f0.values.nbytes
     tracemalloc.start()
@@ -166,7 +166,7 @@ def test_rk2_stays_bounded_just_under_its_limit(dim, points):
 
 def test_circle_radius_strictly_decreases(grid_2d):
     f = circle_field(grid_2d, epsilon=0.02, radius=0.35)
-    cfg = SolverConfig(dt=5e-5, t_end=5e-4, scheme="semi-implicit-cnab2", sample_every=10)
+    cfg = SolverConfig(dt=5e-5, t_end=5e-4, sample_every=10)
     traj = evolve(f, cfg)
     r0 = zero_crossing_radius(traj[0])
     r1 = zero_crossing_radius(traj[-1])
@@ -178,7 +178,7 @@ def test_circle_radius_strictly_decreases(grid_2d):
 
 def test_evolve_standing_wave_stays_put(grid_1d):
     wave = standing_wave(grid_1d, epsilon=0.05)
-    cfg = SolverConfig(dt=2.5e-4, t_end=1.0, scheme="semi-implicit-cnab2", sample_every=1000)
+    cfg = SolverConfig(dt=2.5e-4, t_end=1.0, sample_every=1000)
     traj = evolve(wave, cfg)
     assert len(traj) == 5
     for frame in traj:
@@ -199,7 +199,7 @@ def test_flat_layer_in_3d_follows_its_1d_flow_to_round_off(normal_axis):
     layer = ScalarField(grid=g3, values=np.broadcast_to(profile.values.reshape(shape), g3.shape),
                         epsilon=eps)
     dt = 0.25 * eps**2
-    cfg = SolverConfig(dt=dt, t_end=20 * dt, scheme="semi-implicit-cnab2", sample_every=5)
+    cfg = SolverConfig(dt=dt, t_end=20 * dt, sample_every=5)
     flat, reference = evolve(layer, cfg), evolve(profile, cfg)
     assert len(flat) == len(reference) == 5
     for f3, f1 in zip(flat, reference):
@@ -232,7 +232,7 @@ def test_step_count_rejects_a_step_ratio_past_the_float_range(dt, t_end):
 def test_circle_shrinks_toward_mean_curvature_radius(grid_2d):
     # dR/dt = -1/R gives R(t) = sqrt(R0^2 - 2t)
     f = circle_field(grid_2d, epsilon=0.02, radius=0.35)
-    cfg = SolverConfig(dt=5e-5, t_end=0.04, scheme="semi-implicit-cnab2", sample_every=100)
+    cfg = SolverConfig(dt=5e-5, t_end=0.04, sample_every=100)
     traj = evolve(f, cfg)
     exact = np.sqrt(0.35**2 - 2 * 0.04)
     measured = zero_crossing_radius(traj[-1])
@@ -289,7 +289,7 @@ def test_sampled_lets_go_of_its_initial_field():
     g = Grid(dim=2, extent=1.2, points=32)
     initial = circle_field(g, 0.1, 0.35)
     ref = weakref.ref(initial)
-    frames = sampled(initial, SolverConfig(dt=1e-3, t_end=4e-3, scheme="semi-implicit-cnab2"))
+    frames = sampled(initial, SolverConfig(dt=1e-3, t_end=4e-3))
     del initial
     first = next(frames)
     assert first is ref()
@@ -424,7 +424,7 @@ def test_block_preparation_holds_a_block_of_temporaries():
 
 def test_maximum_principle_along_circle_run(grid_2d):
     f = circle_field(grid_2d, epsilon=0.02, radius=0.35)
-    cfg = SolverConfig(dt=1e-4, t_end=0.02, scheme="semi-implicit-cnab2", sample_every=50)
+    cfg = SolverConfig(dt=1e-4, t_end=0.02, sample_every=50)
     traj = evolve(f, cfg)
     for frame in traj:
         assert np.max(np.abs(frame.values)) <= 1.0 + 1e-6
@@ -452,7 +452,7 @@ def test_semi_implicit_scheme_is_first_order_in_time():
 
 def test_energy_never_increases_along_circle_run(grid_2d):
     f = circle_field(grid_2d, epsilon=0.02, radius=0.35)
-    cfg = SolverConfig(dt=1e-4, t_end=0.01, scheme="semi-implicit-cnab2", sample_every=10)
+    cfg = SolverConfig(dt=1e-4, t_end=0.01, sample_every=10)
     traj = evolve(f, cfg)
     energies = [float(np.sum(FrameBundle(frame).energy_density) * frame.grid.cell_volume)
                 for frame in traj]
